@@ -4,12 +4,14 @@
 #include <chrono>
 #include <cmath>
 #include <numeric>
+#include <utility>
 
 #include "core/query_stats.h"
 #include "simrank/walk.h"
 #include "util/failpoint.h"
 #include "util/logging.h"
 #include "util/parallel.h"
+#include "util/rng.h"
 #include "util/string_util.h"
 #include "util/trace.h"
 
@@ -41,18 +43,39 @@ Status CrashSimOptions::Validate() const {
 }
 
 CrashSim::CrashSim(const CrashSimOptions& options)
-    : options_(options), sqrt_c_(std::sqrt(options.mc.c)), rng_(options.mc.seed) {}
+    : options_(options), sqrt_c_(std::sqrt(options.mc.c)) {}
 
 void CrashSim::Bind(const Graph* g) {
   const Status valid = options_.Validate();
   CRASHSIM_CHECK(valid.ok()) << valid;
-  set_graph(g);
-  diag_.clear();
+  Bind(g, EstimateDiagonal(*g));
+}
+
+void CrashSim::Bind(const Graph* g, SharedDiagonal diag) {
+  const Status valid = options_.Validate();
+  CRASHSIM_CHECK(valid.ok()) << valid;
   if (options_.mode == RevReachMode::kCorrected) {
-    diag_ = EstimateDiagonalCorrections(*g, options_.mc.c,
-                                        options_.diag_samples, LMax() + 1,
-                                        &rng_);
+    CRASHSIM_CHECK(diag != nullptr &&
+                   diag->size() == static_cast<size_t>(g->num_nodes()))
+        << "corrected mode needs one d(w) per node of the bound graph";
+  } else {
+    CRASHSIM_CHECK(diag == nullptr) << "paper mode takes no diagonal";
   }
+  set_graph(g);
+  diag_ = std::move(diag);
+}
+
+SharedDiagonal CrashSim::EstimateDiagonal(const Graph& g) const {
+  if (options_.mode != RevReachMode::kCorrected) return nullptr;
+  Rng rng(options_.mc.seed);
+  return std::make_shared<const std::vector<double>>(
+      EstimateDiagonalCorrections(g, options_.mc.c, options_.diag_samples,
+                                  LMax() + 1, &rng));
+}
+
+const std::vector<double>& CrashSim::diagonal() const {
+  static const std::vector<double> kNone;
+  return diag_ != nullptr ? *diag_ : kNone;
 }
 
 int CrashSim::LMax() const {
@@ -170,7 +193,7 @@ PartialResult CrashSim::PartialWithTree(const ReverseReachableTree& tree,
     }
   }
   const bool corrected = options_.mode == RevReachMode::kCorrected;
-  CRASHSIM_CHECK(!corrected || !diag_.empty())
+  CRASHSIM_CHECK(!corrected || diag_ != nullptr)
       << "corrected mode requires Bind() to estimate d(w)";
   result.trials_target = n_r;
   result.scores.assign(candidates.size(), 0.0);
@@ -189,7 +212,7 @@ PartialResult CrashSim::PartialWithTree(const ReverseReachableTree& tree,
   const ReverseReachableTree* const tree_ptr = &tree;
   const WalkBatchEngine engine(
       g, std::span<const ReverseReachableTree* const>(&tree_ptr, 1),
-      corrected ? std::span<const double>(diag_) : std::span<const double>(),
+      corrected ? std::span<const double>(*diag_) : std::span<const double>(),
       sqrt_c_, l_max + 1, ChainSeed(options_.mc.seed, static_cast<uint64_t>(u)),
       options_.batch_size);
 

@@ -1,6 +1,7 @@
 #ifndef CRASHSIM_CORE_CRASHSIM_H_
 #define CRASHSIM_CORE_CRASHSIM_H_
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -8,7 +9,6 @@
 #include "core/rev_reach.h"
 #include "core/walk_batch.h"
 #include "simrank/simrank.h"
-#include "util/rng.h"
 #include "util/status.h"
 
 namespace crashsim {
@@ -46,6 +46,10 @@ struct CrashSimOptions {
   [[nodiscard]] Status Validate() const;
 };
 
+// Corrected mode's diagonal corrections d(w), one per node. Immutable once
+// estimated, so engines bound to the same snapshot share one copy.
+using SharedDiagonal = std::shared_ptr<const std::vector<double>>;
+
 // CrashSim (Section III, Algorithm 1): index-free single-source and
 // *partial* SimRank with the (epsilon, delta) guarantee of Theorem 1.
 //
@@ -62,7 +66,17 @@ class CrashSim : public SimRankAlgorithm {
   explicit CrashSim(const CrashSimOptions& options);
 
   std::string name() const override { return "CrashSim"; }
+  // Binds g and, in corrected mode, estimates d(w) with EstimateDiagonal.
   void Bind(const Graph* g) override;
+  // Binds g with a diagonal estimated earlier: EstimateDiagonal(*g) of an
+  // engine with the same (c, diag_samples, l_max, seed), or nullptr in paper
+  // mode. Scores equal those after Bind(g) bit for bit.
+  void Bind(const Graph* g, SharedDiagonal diag);
+
+  // Corrected mode's d(w) for g, drawn from a fresh Rng(mc.seed) on every
+  // call, so it is a pure function of (g, c, diag_samples, l_max, seed) and
+  // Bind never depends on what was bound before. nullptr in paper mode.
+  SharedDiagonal EstimateDiagonal(const Graph& g) const;
   std::vector<double> SingleSource(NodeId u) override;
   // True partial evaluation: cost O(tree + n_r * |candidates| * E[len]).
   std::vector<double> Partial(NodeId u,
@@ -99,15 +113,14 @@ class CrashSim : public SimRankAlgorithm {
   int64_t TrialsFor(NodeId n) const;
   const CrashSimOptions& options() const { return options_; }
 
-  // Corrected mode's diagonal corrections d(w), estimated at Bind; empty in
+  // Corrected mode's diagonal corrections d(w) of the bound graph; empty in
   // paper mode. Shared with the multi-source batch evaluator.
-  const std::vector<double>& diagonal() const { return diag_; }
+  const std::vector<double>& diagonal() const;
 
  private:
   CrashSimOptions options_;
   double sqrt_c_ = 0.0;
-  Rng rng_;
-  std::vector<double> diag_;  // corrected mode; empty in paper mode
+  SharedDiagonal diag_;  // corrected mode; nullptr in paper mode
 };
 
 }  // namespace crashsim

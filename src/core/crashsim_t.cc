@@ -1,6 +1,7 @@
 #include "core/crashsim_t.h"
 
 #include <algorithm>
+#include <new>
 #include <optional>
 #include <utility>
 
@@ -16,8 +17,31 @@ namespace crashsim {
 
 Status CrashSimTOptions::Validate() const { return crashsim.Validate(); }
 
-CrashSimT::CrashSimT(const CrashSimTOptions& options)
-    : options_(options), crashsim_(options.crashsim) {}
+CrashSimT::CrashSimT(const CrashSimTOptions& options,
+                     SnapshotDiagonals* diagonals)
+    : options_(options), crashsim_(options.crashsim), diagonals_(diagonals) {
+  CRASHSIM_CHECK(diagonals_ == nullptr || diagonals_->Matches(options.crashsim))
+      << "the diagonal table was built with different engine options";
+}
+
+Status CrashSimT::BindSnapshot(const TemporalGraph& tg, int t,
+                               const Graph& g) {
+  if (diagonals_ == nullptr) {
+    crashsim_.Bind(&g);
+    return OkStatus();
+  }
+  CRASHSIM_CHECK(diagonals_->graph() == &tg)
+      << "the diagonal table belongs to another temporal graph";
+  try {
+    crashsim_.Bind(&g, diagonals_->Get(t, g));
+  } catch (const StatusException& e) {
+    return e.status();
+  } catch (const std::bad_alloc&) {
+    return ResourceExhaustedError(
+        "out of memory estimating the snapshot diagonal");
+  }
+  return OkStatus();
+}
 
 int64_t CrashSimT::CandidateEdgeCount(const Graph& g,
                                       const std::vector<NodeId>& candidates) {
@@ -43,7 +67,11 @@ TemporalAnswer CrashSimT::Answer(const TemporalGraph& tg,
   while (cursor.snapshot_index() < query.begin_snapshot) cursor.Advance();
 
   // Snapshot T_1: full partial evaluation over all candidates (line 2).
-  crashsim_.Bind(&cursor.graph());
+  {
+    const Status bound =
+        BindSnapshot(tg, query.begin_snapshot, cursor.graph());
+    CRASHSIM_CHECK(bound.ok()) << bound;
+  }
   const int l_max = crashsim_.LMax();
   ReverseReachableTree prev_tree = crashsim_.BuildTree(query.source);
   {
@@ -63,7 +91,10 @@ TemporalAnswer CrashSimT::Answer(const TemporalGraph& tg,
     TRACE_SPAN("crashsim_t.snapshot");
     cursor.Advance();
     const Graph& g = cursor.graph();
-    crashsim_.Bind(&g);
+    {
+      const Status bound = BindSnapshot(tg, t, g);
+      CRASHSIM_CHECK(bound.ok()) << bound;
+    }
 
     const EdgeDelta& delta = tg.Delta(t);
     // Heads of all changed edges; the stability test and both pruning rules
@@ -274,7 +305,15 @@ TemporalAnswer CrashSimT::Answer(const TemporalGraph& tg,
   while (cursor.snapshot_index() < query.begin_snapshot) cursor.Advance();
 
   // Snapshot T_1: full partial evaluation over all candidates (line 2).
-  crashsim_.Bind(&cursor.graph());
+  if (Status s = BindSnapshot(tg, query.begin_snapshot, cursor.graph());
+      !s.ok()) {
+    answer.status =
+        s.WithContext(StrFormat("snapshot %d", query.begin_snapshot));
+    answer.nodes = filter.candidates();
+    answer.stats.total_seconds = timer.ElapsedSeconds();
+    export_stats();
+    return answer;
+  }
   const int l_max = crashsim_.LMax();
   ReverseReachableTree prev_tree;
   {
@@ -334,7 +373,10 @@ TemporalAnswer CrashSimT::Answer(const TemporalGraph& tg,
     const int64_t diff_hits_before = answer.stats.pruned_by_difference;
     cursor.Advance();
     const Graph& g = cursor.graph();
-    crashsim_.Bind(&g);
+    if (Status s = BindSnapshot(tg, t, g); !s.ok()) {
+      answer.status = s.WithContext(StrFormat("snapshot %d", t));
+      break;
+    }
 
     const EdgeDelta& delta = tg.Delta(t);
     std::vector<NodeId> delta_heads;

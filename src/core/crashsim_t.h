@@ -6,6 +6,7 @@
 
 #include "core/baseline_temporal.h"
 #include "core/crashsim.h"
+#include "core/snapshot_diagonals.h"
 #include "core/temporal_query.h"
 #include "graph/temporal_graph.h"
 
@@ -48,9 +49,16 @@ struct CrashSimTOptions {
 // pruning rules. Scores of pruned candidates are carried over from the
 // previous snapshot — the rules only fire when the score provably cannot
 // have changed, so no additional error is introduced (Section IV-C).
+//
+// Corrected mode estimates d(w) per snapshot. With a SnapshotDiagonals
+// table (borrowed, must outlive the engine, built for the queried graph
+// with matching options) both Answer overloads take each snapshot's d(w)
+// from it, so queries share one estimate per snapshot; without one they
+// estimate per Bind. The answers are bit-identical either way.
 class CrashSimT : public TemporalEngine {
  public:
-  explicit CrashSimT(const CrashSimTOptions& options);
+  explicit CrashSimT(const CrashSimTOptions& options,
+                     SnapshotDiagonals* diagonals = nullptr);
 
   std::string name() const override { return "CrashSim-T"; }
   TemporalAnswer Answer(const TemporalGraph& tg,
@@ -69,6 +77,12 @@ class CrashSimT : public TemporalEngine {
   const CrashSimTOptions& options() const { return options_; }
 
  private:
+  // Binds crashsim_ to snapshot t (`g`), taking d(w) from diagonals_ when
+  // set. A failed estimate comes back as kResourceExhausted (out of memory)
+  // or the failpoint's injected status.
+  [[nodiscard]] Status BindSnapshot(const TemporalGraph& tg, int t,
+                                    const Graph& g);
+
   // Number of directed edges with both endpoints in the candidate set
   // (|E(Omega)| of Properties 1-2).
   static int64_t CandidateEdgeCount(const Graph& g,
@@ -76,6 +90,7 @@ class CrashSimT : public TemporalEngine {
 
   CrashSimTOptions options_;
   CrashSim crashsim_;
+  SnapshotDiagonals* const diagonals_;  // nullable
 };
 
 }  // namespace crashsim

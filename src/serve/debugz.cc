@@ -139,23 +139,28 @@ JsonValue SpanToJson(const SpanNode& node, int64_t t0_ns) {
 }  // namespace
 
 JsonValue BuildSpanTreeJson(const RequestTrace& trace) {
+  return BuildSpanTreeJson(trace.request_id(), trace.dropped(),
+                           trace.events());
+}
+
+JsonValue BuildSpanTreeJson(uint64_t request_id, int64_t dropped,
+                            std::span<const RequestTrace::Event> events) {
   // Slot claims are fetch_add-ordered, so filtering the slot sequence by
   // tid yields each thread's events in program order — well-bracketed
   // begin/end pairs with flow markers inside the enclosing span.
   std::map<uint32_t, std::vector<const RequestTrace::Event*>> by_tid;
   int64_t t0_ns = 0;
-  for (size_t i = 0; i < trace.size(); ++i) {
-    const RequestTrace::Event& e = trace.event(i);
+  for (const RequestTrace::Event& e : events) {
     if (t0_ns == 0 || e.ts_ns < t0_ns) t0_ns = e.ts_ns;
     by_tid[e.tid].push_back(&e);
   }
 
   JsonValue threads = JsonValue::Array();
-  for (const auto& [tid, events] : by_tid) {
+  for (const auto& [tid, thread_events] : by_tid) {
     std::vector<SpanNode> roots;
     std::vector<SpanNode> stack;
     int64_t last_ts_ns = t0_ns;
-    for (const RequestTrace::Event* e : events) {
+    for (const RequestTrace::Event* e : thread_events) {
       last_ts_ns = std::max(last_ts_ns, e->ts_ns);
       switch (e->phase) {
         case TraceEvent::Phase::kBegin: {
@@ -209,8 +214,8 @@ JsonValue BuildSpanTreeJson(const RequestTrace& trace) {
   }
 
   JsonValue out = JsonValue::Object();
-  out.Set("request_id", JsonValue(static_cast<int64_t>(trace.request_id())));
-  out.Set("dropped", JsonValue(static_cast<int64_t>(trace.dropped())));
+  out.Set("request_id", JsonValue(static_cast<int64_t>(request_id)));
+  out.Set("dropped", JsonValue(dropped));
   out.Set("threads", std::move(threads));
   return out;
 }

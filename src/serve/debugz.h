@@ -2,6 +2,7 @@
 #define CRASHSIM_SERVE_DEBUGZ_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -60,6 +61,10 @@ void SendHttpResponse(int fd, const std::string& status_line,
 //
 // Caller contract: same as RequestTrace's read side — every writer joined.
 JsonValue BuildSpanTreeJson(const RequestTrace& trace);
+// The same reassembly over events copied out of a RequestTrace earlier
+// (the /tracez ring keeps those, not the tree).
+JsonValue BuildSpanTreeJson(uint64_t request_id, int64_t dropped,
+                            std::span<const RequestTrace::Event> events);
 
 // --- /tracez ring -----------------------------------------------------------
 
@@ -74,9 +79,12 @@ class TracezRing {
     std::string status;
     double elapsed_ms = 0.0;
     bool slow = false;  // retained because it crossed the slow threshold
-    // BuildSpanTreeJson output, materialised at insert time so the scrape
-    // path never touches RequestTrace memory.
-    JsonValue span_tree;
+    // The request's raw span events, copied out of its RequestTrace at
+    // insert time (at most RequestTrace::kCapacity of them, 32 bytes each)
+    // and reassembled with BuildSpanTreeJson at scrape time, so a full ring
+    // holds kilobytes per entry rather than a parsed tree.
+    int64_t dropped = 0;
+    std::vector<RequestTrace::Event> events;
   };
 
   explicit TracezRing(size_t capacity);

@@ -210,6 +210,10 @@ Server::Server(LoadedGraph graph, std::optional<LoadedTemporalGraph> temporal,
   cache_options.c = options_.engine.mc.c;
   cache_options.prune_threshold = options_.engine.tree_prune_threshold;
   cache_ = std::make_unique<TreeCache>(&graph_.graph, cache_options);
+  if (temporal_.has_value()) {
+    diagonals_ = std::make_unique<SnapshotDiagonals>(&temporal_->graph,
+                                                     options_.engine);
+  }
   executor_ = std::make_unique<QueryExecutor>(options_.executor);
   if (options_.tracez_capacity > 0) {
     tracez_ = std::make_unique<TracezRing>(
@@ -443,7 +447,9 @@ std::string Server::HandleRequest(const std::string& payload) {
       entry.status = status;
       entry.elapsed_ms = elapsed_ms;
       entry.slow = slow;
-      entry.span_tree = BuildSpanTreeJson(rtrace);
+      entry.dropped = rtrace.dropped();
+      const std::span<const RequestTrace::Event> events = rtrace.events();
+      entry.events.assign(events.begin(), events.end());
       tracez_->Add(std::move(entry));
     }
   }
@@ -669,8 +675,9 @@ std::string Server::HandleTemporal(const JsonValue& request,
   query_request.ctx = &*ctx;
   query_request.run = [&](QueryContext* run_ctx) -> PartialResult {
     // CrashSim-T keeps per-interval state, so each request gets its own
-    // engine instance (the static engine_ stays untouched).
-    CrashSimT engine(temporal_options);
+    // engine instance (the static engine_ stays untouched); the snapshot
+    // diagonals it binds with come from the server-wide table.
+    CrashSimT engine(temporal_options, diagonals_.get());
     answer = engine.Answer(tg, query, run_ctx);
     PartialResult r;
     r.status = answer.status;
@@ -684,8 +691,10 @@ std::string Server::HandleTemporal(const JsonValue& request,
   record->degraded = outcome.degraded;
   record->retries = outcome.retries;
   record->queue_ms = outcome.queue_wait_seconds * 1e3;
-  // Temporal queries build per-request trees (no shared cache), so the
-  // whole engine run counts as walk time.
+  // Temporal queries share only the per-snapshot diagonals (a lookup
+  // after each snapshot's first estimate); their revReach trees are built
+  // per request outside the TreeCache, so the whole engine run counts as
+  // walk time.
   record->walk_ms = outcome.run_seconds * 1e3;
   QueryStatsEnvelope envelope;
   envelope.query = "temporal";
@@ -906,14 +915,15 @@ std::string Server::BuildTracezJson() const {
           JsonValue(static_cast<int64_t>(options_.tracez_sample_every)));
   JsonValue traces = JsonValue::Array();
   if (tracez_ != nullptr) {
-    for (TracezRing::Entry& entry : tracez_->Snapshot()) {
+    for (const TracezRing::Entry& entry : tracez_->Snapshot()) {
       JsonValue t = JsonValue::Object();
       t.Set("request_id", JsonValue(static_cast<int64_t>(entry.request_id)));
       t.Set("op", JsonValue(entry.op));
       t.Set("status", JsonValue(entry.status));
       t.Set("elapsed_ms", JsonValue(entry.elapsed_ms));
       t.Set("slow", JsonValue(entry.slow));
-      t.Set("trace", std::move(entry.span_tree));
+      t.Set("trace", BuildSpanTreeJson(entry.request_id, entry.dropped,
+                                       entry.events));
       traces.Append(std::move(t));
     }
   }

@@ -12,6 +12,7 @@
 
 #include "core/crashsim.h"
 #include "core/executor.h"
+#include "core/snapshot_diagonals.h"
 #include "core/tree_cache.h"
 #include "graph/graph_io.h"
 #include "util/metrics.h"
@@ -31,7 +32,8 @@ class EventLog;  // util/event_log.h
 // Every query routes through the PR-6 QueryExecutor — admission queue,
 // deadline shedding, degradation, retries, MemoryBudget — and top-k queries
 // share revReach trees through the TreeCache, so N concurrent queries on a
-// hot source run one BuildRevReach, not N.
+// hot source run one BuildRevReach, not N. Temporal queries likewise share
+// each snapshot's corrected-mode diagonal through one SnapshotDiagonals.
 //
 // Determinism contract: with degradation disabled (degrade_at = 0) a topk
 // response is bit-identical to `crashsim_cli topk` on the same graph with
@@ -170,6 +172,9 @@ class Server {
 
   std::unique_ptr<CrashSim> engine_;       // shared; ctx-path is thread-safe
   std::unique_ptr<TreeCache> cache_;
+  // Per-snapshot d(w) of the temporal graph, shared by every temporal
+  // request's CrashSimT; fills lazily. Null without a temporal graph.
+  std::unique_ptr<SnapshotDiagonals> diagonals_;
   std::unique_ptr<QueryExecutor> executor_;
 
   // Request-id source: ingress assigns next_request_id_ + 1, so ids start

@@ -8,6 +8,7 @@
 #include "simrank/walk.h"
 #include "util/logging.h"
 #include "util/parallel.h"
+#include "util/rng.h"
 #include "util/timer.h"
 
 namespace crashsim {
@@ -15,8 +16,7 @@ namespace crashsim {
 Sling::Sling(const SimRankOptions& options)
     : options_(options),
       sqrt_c_(std::sqrt(options.c)),
-      prune_threshold_(options.epsilon / 8.0),
-      rng_(options.seed) {}
+      prune_threshold_(options.epsilon / 8.0) {}
 
 void Sling::Bind(const Graph* g) {
   const Status valid = options_.Validate();
@@ -30,8 +30,11 @@ void Sling::Bind(const Graph* g) {
   if (options_.max_walk_length > 0) {
     max_depth_ = std::min(max_depth_, options_.max_walk_length);
   }
+  // d(w) draws from a fresh Rng(seed) on every Bind, so the index is a pure
+  // function of (graph, options) and never of what was bound before.
+  Rng rng(options_.seed);
   diag_ = EstimateDiagonalCorrections(*g, options_.c, diag_samples_,
-                                      max_depth_ + 1, &rng_);
+                                      max_depth_ + 1, &rng);
   BuildReverseLists();
   stats_.build_seconds = timer.ElapsedSeconds();
 }

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "simrank/simrank.h"
-#include "util/rng.h"
 
 namespace crashsim {
 
@@ -65,7 +64,6 @@ class Sling : public SimRankAlgorithm {
   double prune_threshold_ = 0.0;
   int diag_samples_ = 100;
   int max_depth_ = 0;  // derived: (sqrt c)^t < threshold beyond this
-  Rng rng_;
 
   std::vector<double> diag_;  // d(w)
   // reverse_[w] = levels; level t = flat (v, h_t(v, w)) pairs.

@@ -32,6 +32,7 @@ const char* const kFailpointCatalog[] = {
     "reads.chunk",           // between READS candidate chunks (context path)
     "rev_reach.alloc",       // allocations inside the revReach tree build
     "rev_reach.build",       // start of a context-aware revReach build
+    "snapshot_diagonals.fill",  // shared d(w) table about to estimate (throws)
     "tree_cache.build",      // TreeCache miss about to build a shared tree
 };
 

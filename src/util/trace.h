@@ -5,6 +5,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -165,6 +166,7 @@ class RequestTrace {
     return n < kCapacity ? n : kCapacity;
   }
   const Event& event(size_t i) const { return events_[i]; }
+  std::span<const Event> events() const { return {events_.data(), size()}; }
   int64_t dropped() const {
     const size_t n = next_.load(std::memory_order_relaxed);
     return n > kCapacity ? static_cast<int64_t>(n - kCapacity) : 0;

@@ -15,9 +15,14 @@
 namespace crashsim {
 namespace {
 
+// Named after the running test: ctest runs the tests of this file in
+// parallel, and a shared name let one test delete the other's file.
 class TempFile {
  public:
-  TempFile() : path_(testing::TempDir() + "/crashsim_pipeline.tel") {}
+  TempFile()
+      : path_(testing::TempDir() + "/crashsim_pipeline_" +
+              testing::UnitTest::GetInstance()->current_test_info()->name() +
+              ".tel") {}
   ~TempFile() { std::remove(path_.c_str()); }
   const std::string& path() const { return path_; }
 

@@ -1,5 +1,6 @@
 #include "serve/debugz.h"
 
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -218,8 +219,42 @@ TracezRing::Entry MakeEntry(uint64_t id) {
   entry.op = "topk";
   entry.status = "OK";
   entry.elapsed_ms = static_cast<double>(id);
-  entry.span_tree = JsonValue::Object();
   return entry;
+}
+
+// A retained entry stores the request's raw events, never more than one
+// full RequestTrace's worth, and reassembles to the same tree the live
+// trace gives.
+TEST(TracezRingTest, FullEntryStoresAtMostOneTraceOfRawEvents) {
+  RequestTrace trace(23);
+  {
+    const TraceRequestScope scope(&trace);
+    for (size_t i = 0; i < RequestTrace::kCapacity; ++i) {
+      TRACE_SPAN("engine.walk");  // two events each: the trace overflows
+    }
+  }
+  ASSERT_EQ(trace.size(), RequestTrace::kCapacity);
+  ASSERT_GT(trace.dropped(), 0);
+
+  TracezRing::Entry entry = MakeEntry(23);
+  entry.dropped = trace.dropped();
+  const std::span<const RequestTrace::Event> events = trace.events();
+  entry.events.assign(events.begin(), events.end());
+
+  EXPECT_LE(sizeof(RequestTrace::Event), 32u);
+  const size_t stored_bytes =
+      sizeof(entry) + entry.op.capacity() + entry.status.capacity() +
+      entry.events.capacity() * sizeof(RequestTrace::Event);
+  EXPECT_LE(stored_bytes, 16u * 1024u + 256u);
+
+  TracezRing ring(1);
+  ring.Add(std::move(entry));
+  const std::vector<TracezRing::Entry> snapshot = ring.Snapshot();
+  ASSERT_EQ(snapshot.size(), 1u);
+  EXPECT_EQ(BuildSpanTreeJson(snapshot[0].request_id, snapshot[0].dropped,
+                              snapshot[0].events)
+                .Write(),
+            BuildSpanTreeJson(trace).Write());
 }
 
 TEST(TracezRingTest, KeepsNewestEntriesNewestFirst) {

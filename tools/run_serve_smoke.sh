@@ -16,7 +16,10 @@
 #      /tracez span tree (the server runs with --slow_query_ms 0 and
 #      --tracez_sample_every 1 so every request is logged and sampled);
 #   7. require 404 on unknown debug paths and 405 on non-GET methods;
-#   8. SIGTERM the server mid-replay and require a clean drain ("clean
+#   8. send repeated temporal queries over overlapping windows and require
+#      crashsim_temporal_diag_estimates_total on /metrics to stay within the
+#      snapshot count (each snapshot's d(w) is estimated once, then shared);
+#   9. SIGTERM the server mid-replay and require a clean drain ("clean
 #      shutdown" banner, exit code 0, replay tolerating the cut).
 #
 #   tools/run_serve_smoke.sh [--build-dir DIR]
@@ -48,7 +51,8 @@ cleanup() {
 trap cleanup EXIT
 
 echo "== generate dataset"
-"$CLI" generate --dataset as733 --scale 0.02 --snapshots 6 \
+SNAPSHOTS=6
+"$CLI" generate --dataset as733 --scale 0.02 --snapshots "$SNAPSHOTS" \
   --out "$WORK/tiny.tel"
 # Static projection: snapshot-0 edges of the temporal list.
 awk '$1 !~ /^#/ && $3 == 0 {print $1, $2}' "$WORK/tiny.tel" > "$WORK/tiny.el"
@@ -161,6 +165,42 @@ echo "== bit-identity vs crashsim_cli topk"
 diff "$WORK/served.txt" "$WORK/direct.txt" || {
   echo "FAIL: served topk differs from the direct CLI answer" >&2; exit 1; }
 echo "   identical"
+
+echo "== temporal queries share per-snapshot diagonals"
+python3 - "$PORT" "$SNAPSHOTS" <<'PY'
+import json, socket, struct, sys
+port, snapshots = int(sys.argv[1]), int(sys.argv[2])
+
+def recv_exact(s, n):
+    data = b""
+    while len(data) < n:
+        chunk = s.recv(n - len(data))
+        if not chunk:
+            raise SystemExit("FAIL: server closed mid-frame")
+        data += chunk
+    return data
+
+s = socket.create_connection(("127.0.0.1", port), timeout=30)
+for _ in range(3):
+    for kind in ("threshold", "increasing", "decreasing"):
+        for begin in range(snapshots - 1):
+            body = json.dumps({"op": "temporal", "source": 3, "kind": kind,
+                               "begin": begin, "end": snapshots - 1,
+                               "theta": 0.01}).encode()
+            s.sendall(struct.pack(">I", len(body)) + body)
+            (size,) = struct.unpack(">I", recv_exact(s, 4))
+            reply = json.loads(recv_exact(s, size))
+            if reply.get("status") != "OK":
+                raise SystemExit("FAIL: temporal query answered %r" % reply)
+s.close()
+PY
+fetch "http://127.0.0.1:${MPORT}/metrics" "$WORK/metrics_temporal.txt"
+ESTIMATES="$(awk '$1 == "crashsim_temporal_diag_estimates_total" {print $2}' \
+  "$WORK/metrics_temporal.txt")"
+echo "   diagonal estimates=$ESTIMATES over $SNAPSHOTS snapshots"
+[[ -n "$ESTIMATES" && "$ESTIMATES" -ge 1 && "$ESTIMATES" -le "$SNAPSHOTS" ]] || {
+  echo "FAIL: expected 1..$SNAPSHOTS diagonal estimates, got $ESTIMATES" >&2
+  exit 1; }
 
 echo "== graceful shutdown under load"
 "$CLI" replay --port "$PORT" --clients 4 --requests 200 --sources "3" \
