@@ -55,6 +55,9 @@ class JsonValue {
   int64_t as_int() const { return static_cast<int64_t>(number_); }
   const std::string& as_string() const { return string_; }
   const std::vector<JsonValue>& items() const { return items_; }
+  const std::vector<std::pair<std::string, JsonValue>>& members() const {
+    return members_;
+  }
 
   // Object access: insertion order is preserved on write. Returns nullptr
   // when the key is absent (or this is not an object).

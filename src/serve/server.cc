@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <cstring>
+#include <limits>
 #include <numeric>
 #include <utility>
 
@@ -113,36 +115,40 @@ bool WaitAcceptable(int fd, const std::atomic<bool>& stop) {
   return false;
 }
 
-JsonValue ErrorResponse(const Status& status, const JsonValue* request) {
-  JsonValue response = JsonValue::Object();
-  if (request != nullptr) {
-    if (const JsonValue* id = request->Find("id"); id != nullptr) {
-      response.Set("id", *id);
+// Largest magnitude a JSON number (a double) holds exactly as an integer.
+constexpr int64_t kMaxExactInt = int64_t{1} << 53;
+// A request deadline may be as long as --default_timeout_ms: one day.
+constexpr int64_t kMaxTimeoutMs = 86'400'000;
+
+// Reads integer field `key` of an untrusted request: `fallback` when
+// absent, INVALID_ARGUMENT unless the value is a whole number in [lo, hi].
+// The bounds are clamped to +-2^53, so the cast below is exact.
+StatusOr<int64_t> ReadInt(const JsonValue& request, const char* key,
+                          int64_t fallback, int64_t lo, int64_t hi) {
+  const JsonValue* value = request.Find(key);
+  if (value == nullptr) return fallback;
+  lo = std::max(lo, -kMaxExactInt);
+  hi = std::min(hi, kMaxExactInt);
+  if (value->is_number()) {
+    const double d = value->as_number();
+    if (d == std::trunc(d) && d >= static_cast<double>(lo) &&
+        d <= static_cast<double>(hi)) {
+      return static_cast<int64_t>(d);
     }
   }
-  response.Set("status", JsonValue(std::string(StatusCodeName(status.code()))));
-  response.Set("message", JsonValue(status.message()));
-  return response;
+  return InvalidArgumentError(StrFormat(
+      "%s must be a whole number in [%lld, %lld], got %s", key,
+      static_cast<long long>(lo), static_cast<long long>(hi),
+      value->Write().c_str()));
 }
 
-// Error responses carry the request id too ("every response carries a
-// request_id" is the correlation contract the smoke lane checks).
-std::string FinishError(JsonValue response, uint64_t request_id) {
-  response.Set("request_id", JsonValue(static_cast<int64_t>(request_id)));
-  return response.Write();
-}
-
-// Pulls the "status" field back out of a serialized response. Our own
-// compact serializer always renders it as "status":"<name>", so a find is
-// exact — this keeps status accounting uniform across every handler path.
-std::string ExtractResponseStatus(const std::string& response) {
-  static constexpr char kKey[] = "\"status\":\"";
-  const size_t pos = response.find(kKey);
-  if (pos == std::string::npos) return "";
-  const size_t begin = pos + sizeof(kKey) - 1;
-  const size_t end = response.find('"', begin);
-  if (end == std::string::npos) return "";
-  return response.substr(begin, end - begin);
+std::unordered_map<int64_t, NodeId> IndexIds(
+    const std::vector<int64_t>& original_ids) {
+  std::unordered_map<int64_t, NodeId> index;
+  for (size_t i = 0; i < original_ids.size(); ++i) {
+    index.emplace(original_ids[i], static_cast<NodeId>(i));
+  }
+  return index;
 }
 
 }  // namespace
@@ -200,10 +206,11 @@ Server::Server(LoadedGraph graph, std::optional<LoadedTemporalGraph> temporal,
                const ServerOptions& options)
     : graph_(std::move(graph)),
       temporal_(std::move(temporal)),
-      options_(options) {
-  for (size_t i = 0; i < graph_.original_ids.size(); ++i) {
-    id_map_.emplace(graph_.original_ids[i], static_cast<NodeId>(i));
-  }
+      options_(options),
+      id_map_(IndexIds(graph_.original_ids)),
+      temporal_id_map_(temporal_.has_value()
+                           ? IndexIds(temporal_->original_ids)
+                           : std::unordered_map<int64_t, NodeId>()) {
   engine_ = std::make_unique<CrashSim>(options_.engine);
   engine_->Bind(&graph_.graph);
   TreeCacheOptions cache_options = options_.cache;
@@ -328,7 +335,11 @@ void Server::ServeConnection(int fd) {
       // best-effort report it, then drop the connection either way.
       if (payload.status().code() != StatusCode::kUnavailable &&
           payload.status().code() != StatusCode::kCancelled) {
-        (void)WriteFrame(fd, ErrorResponse(payload.status(), nullptr).Write());
+        JsonValue error = JsonValue::Object();
+        error.Set("status", JsonValue(std::string(
+                                StatusCodeName(payload.status().code()))));
+        error.Set("message", JsonValue(payload.status().message()));
+        (void)WriteFrame(fd, error.Write());
       }
       break;
     }
@@ -346,151 +357,99 @@ std::string Server::HandleRequest(const std::string& payload) {
   // spans (queries run synchronously on this thread), and the ParallelFor
   // worker shards (the scope propagates through Shard) all land in one
   // reassemblable tree. The collector lives on this stack frame; workers
-  // are joined before the epilogue reads it (read-after-quiesce contract).
+  // are joined before Observe reads it (read-after-quiesce contract).
   const uint64_t request_id =
       next_request_id_.fetch_add(1, std::memory_order_relaxed) + 1;
   RequestTrace rtrace(request_id);
-  std::optional<TraceRequestScope> trace_scope;
-  if (tracez_ != nullptr) trace_scope.emplace(&rtrace);
-
   const Stopwatch timer;
-  RequestRecord record;
-  record.request_id = request_id;
-  std::string response;
+  Reply reply;
+  std::string out;
   {
+    std::optional<TraceRequestScope> trace_scope;
+    if (tracez_ != nullptr) trace_scope.emplace(&rtrace);
     TRACE_SPAN("serve.request");
-    requests_.fetch_add(1, std::memory_order_relaxed);
-    RequestsCounter().Add(1);
-    StatusOr<JsonValue> parsed = ParseJson(payload);
-    if (!parsed.ok()) {
-      response = FinishError(ErrorResponse(parsed.status(), nullptr),
-                             request_id);
-    } else if (!parsed->is_object()) {
-      response = FinishError(
-          ErrorResponse(InvalidArgumentError("request must be a JSON object"),
-                        nullptr),
-          request_id);
+    JsonValue response = JsonValue::Object();
+    StatusOr<JsonValue> request = ParseJson(payload);
+    if (!request.ok()) {
+      reply = request.status();
+    } else if (!request->is_object()) {
+      reply = InvalidArgumentError("request must be a JSON object");
     } else {
-      const std::string op = parsed->GetString("op", "");
-      record.op = op;
-      if (op == "ping") {
-        JsonValue pong = JsonValue::Object();
-        if (const JsonValue* id = parsed->Find("id"); id != nullptr) {
-          pong.Set("id", *id);
-        }
-        pong.Set("status", JsonValue(std::string("OK")));
-        pong.Set("op", JsonValue(std::string("ping")));
-        pong.Set("request_id", JsonValue(static_cast<int64_t>(request_id)));
-        response = pong.Write();
-      } else if (op == "topk") {
-        response = HandleTopK(*parsed, request_id, &record);
-      } else if (op == "temporal") {
-        response = HandleTemporal(*parsed, request_id, &record);
-      } else {
-        response = FinishError(
-            ErrorResponse(InvalidArgumentError(
-                              "unknown op '" + op +
-                              "' (expected ping | topk | temporal)"),
-                          &*parsed),
-            request_id);
+      if (const JsonValue* id = request->Find("id"); id != nullptr) {
+        response.Set("id", *id);
       }
+      const std::string op = request->GetString("op", "");
+      reply = Dispatch(op, *request, request_id);
+      reply.op = op;
     }
-  }  // serve.request span closed: the trace is complete for reassembly
 
-  // Epilogue: rolling windows, error accounting, slow-query log, /tracez.
-  const double elapsed_ms = timer.ElapsedSeconds() * 1e3;
-  std::string status = ExtractResponseStatus(response);
-  if (status.empty()) status = "UNKNOWN";
-  if (status != "OK") {
-    errors_.fetch_add(1, std::memory_order_relaxed);
-    ErrorsCounter().Add(1);
-  }
-  const bool is_query = record.op == "topk" || record.op == "temporal";
-  if (is_query) {
-    const auto latency = static_cast<int64_t>(elapsed_ms);
-    (record.op == "topk" ? topk_window_ : temporal_window_)->Record(latency);
-    slo_window_->Record(latency);
-    if (latency > options_.slo_ms) {
-      slo_breaches_total_.fetch_add(1, std::memory_order_relaxed);
+    // The fields every response carries, then the op's answer, then the
+    // executor's verdicts and the stage split of an answered query.
+    response.Set("status", JsonValue(std::string(
+                               StatusCodeName(reply.status.code()))));
+    if (!reply.status.ok()) {
+      response.Set("message", JsonValue(reply.status.message()));
     }
-  }
-  const bool slow =
-      options_.slow_query_ms >= 0 &&
-      (elapsed_ms >= static_cast<double>(options_.slow_query_ms) ||
-       status != "OK");
-  if (slow && options_.event_log != nullptr) {
-    EventBuilder event("slow_query");
-    event.UInt("request_id", request_id)
-        .Str("op", record.op)
-        .Str("status", status)
-        .Double("elapsed_ms", elapsed_ms)
-        .Double("queue_ms", record.queue_ms)
-        .Double("cache_ms", record.cache_ms)
-        .Double("walk_ms", record.walk_ms)
-        .Double("serialize_ms", record.serialize_ms)
-        .Bool("admitted", record.admitted)
-        .Bool("degraded", record.degraded)
-        .Int("retries", record.retries);
-    if (!record.stats_json.empty()) {
-      event.Raw("query_stats", record.stats_json);
+    const bool answered = !reply.answer.is_null();
+    if (answered) response.Set("op", JsonValue(reply.op));
+    response.Set("request_id", JsonValue(static_cast<int64_t>(request_id)));
+    if (reply.ran && !answered) {
+      // Shed or failed before any answer existed: the admission verdict is
+      // what the client's retry policy needs.
+      response.Set("admitted", JsonValue(reply.admitted));
     }
-    options_.event_log->Log(event.Finish());
-  }
-  if (tracez_ != nullptr) {
-    const int every = options_.tracez_sample_every;
-    const bool sampled = every > 0 && request_id % every == 0;
-    if (slow || sampled) {
-      trace_scope.reset();  // uninstall before reading; this thread only
-      TracezRing::Entry entry;
-      entry.request_id = request_id;
-      entry.op = record.op;
-      entry.status = status;
-      entry.elapsed_ms = elapsed_ms;
-      entry.slow = slow;
-      entry.dropped = rtrace.dropped();
-      const std::span<const RequestTrace::Event> events = rtrace.events();
-      entry.events.assign(events.begin(), events.end());
-      tracez_->Add(std::move(entry));
+    for (const auto& [key, value] : reply.answer.members()) {
+      response.Set(key, value);
     }
-  }
-  return response;
+    if (reply.ran && answered) {
+      response.Set("retries", JsonValue(static_cast<int64_t>(reply.retries)));
+      response.Set("queue_wait_ms", JsonValue(reply.queue_ms));
+      response.Set("run_ms", JsonValue(reply.run_ms));
+      reply.serialize_ms = reply.answer_timer.ElapsedMillis();
+      JsonValue stages = JsonValue::Object();
+      stages.Set("queue_ms", JsonValue(reply.queue_ms));
+      stages.Set("cache_ms", JsonValue(reply.cache_ms));
+      stages.Set("walk_ms", JsonValue(reply.walk_ms));
+      stages.Set("serialize_ms", JsonValue(reply.serialize_ms));
+      response.Set("stages", std::move(stages));
+    }
+    out = response.Write();
+  }  // span closed, collector uninstalled: the trace is complete
+  reply.elapsed_ms = timer.ElapsedMillis();
+  Observe(request_id, reply, rtrace);
+  return out;
 }
 
-std::string Server::HandleTopK(const JsonValue& request, uint64_t request_id,
-                               RequestRecord* record) {
-  TRACE_SPAN("serve.topk");
-  const Stopwatch timer;
-  const int64_t original_source = request.GetInt("source", -1);
-  const auto it = id_map_.find(original_source);
-  if (it == id_map_.end()) {
-    return FinishError(
-        ErrorResponse(
-            NotFoundError(StrFormat("source id %lld not present in the "
-                                    "graph",
-                                    static_cast<long long>(original_source))),
-            &request),
-        request_id);
+Server::Reply Server::Dispatch(const std::string& op,
+                               const JsonValue& request,
+                               uint64_t request_id) {
+  if (op == "ping") {
+    Reply pong;
+    pong.answer = JsonValue::Object();
+    return pong;
   }
-  const NodeId source = it->second;
-  const int64_t k = request.GetInt("k", 10);
-  if (k < 1 || k > options_.max_k) {
-    return FinishError(
-        ErrorResponse(InvalidArgumentError(StrFormat(
-                          "k must be in [1, %lld], got %lld",
-                          static_cast<long long>(options_.max_k),
-                          static_cast<long long>(k))),
-                      &request),
-        request_id);
+  const bool temporal = op == "temporal";
+  if (!temporal && op != "topk") {
+    return InvalidArgumentError("unknown op '" + op +
+                                "' (expected ping | topk | temporal)");
   }
-  const int64_t timeout_ms =
-      request.GetInt("timeout_ms", options_.default_timeout_ms);
-  if (timeout_ms < 0) {
-    return FinishError(
-        ErrorResponse(InvalidArgumentError("timeout_ms must be >= 0"),
-                      &request),
-        request_id);
+  if (temporal && !temporal_.has_value()) {
+    return InvalidArgumentError("server was started without a temporal graph");
   }
 
+  // The query ops' shared prologue: source, deadline, request context.
+  ASSIGN_OR_RETURN(const int64_t original_source,
+                   ReadInt(request, "source", -1, -kMaxExactInt, kMaxExactInt));
+  const auto& ids = temporal ? temporal_id_map_ : id_map_;
+  const auto it = ids.find(original_source);
+  if (it == ids.end()) {
+    return NotFoundError(StrFormat("source id %lld not present in the %s",
+                                   static_cast<long long>(original_source),
+                                   temporal ? "temporal graph" : "graph"));
+  }
+  ASSIGN_OR_RETURN(const int64_t timeout_ms,
+                   ReadInt(request, "timeout_ms", options_.default_timeout_ms,
+                           0, kMaxTimeoutMs));
   // QueryContext is neither copyable nor movable; emplace the right ctor.
   std::optional<QueryContext> ctx;
   if (timeout_ms > 0) {
@@ -498,59 +457,74 @@ std::string Server::HandleTopK(const JsonValue& request, uint64_t request_id,
   } else {
     ctx.emplace();
   }
-  QueryStats qstats;
-  ctx->set_stats(&qstats);
+  QueryStats stats;
+  ctx->set_stats(&stats);
   ctx->set_request_id(request_id);
-  QueryRequest query;
-  query.ctx = &*ctx;
-  query.run = [this, source](QueryContext* run_ctx) -> PartialResult {
-    // Shared-tree fast path: one BuildRevReach per hot source process-wide;
-    // scoring against the shared tree is bit-identical to an uncached
-    // SingleSource (the tree build is deterministic in the key + cache
-    // params, and trial streams derive from (seed, source, candidate)).
-    StatusOr<TreeCache::TreePtr> tree = cache_->GetOrBuild(
-        source, engine_->LMax(), options_.engine.mode, run_ctx);
-    if (!tree.ok()) {
-      PartialResult r;
-      r.status = tree.status();
-      return r;
-    }
-    std::vector<NodeId> all(static_cast<size_t>(graph_.graph.num_nodes()));
-    std::iota(all.begin(), all.end(), 0);
-    return engine_->PartialWithTree(**tree, all, run_ctx);
-  };
-  const QueryOutcome outcome = executor_->Execute(query);
-  const double elapsed_ms = timer.ElapsedSeconds() * 1e3;
-  TopKLatencyHistogram().Record(static_cast<int64_t>(elapsed_ms));
+  const Query query{request, temporal, original_source, it->second, &*ctx};
+  return temporal ? HandleTemporal(query) : HandleTopK(query);
+}
 
-  // Per-stage split for the response, the slow-query log, and replay
-  // --latency_out: engine run time divides into cache (inside GetOrBuild:
-  // build, hit, or coalesced wait) and walk (everything else — the MC trial
-  // loop); serialize covers response assembly below.
-  record->admitted = outcome.admitted;
-  record->degraded = outcome.degraded;
-  record->retries = outcome.retries;
-  record->queue_ms = outcome.queue_wait_seconds * 1e3;
-  record->cache_ms = qstats.cache_wait_seconds * 1e3;
-  record->walk_ms =
-      std::max(0.0, outcome.run_seconds * 1e3 - record->cache_ms);
+QueryOutcome Server::RunQuery(const Query& query,
+                              std::function<PartialResult(QueryContext*)> run,
+                              Reply* reply) {
+  QueryRequest request;
+  request.ctx = query.ctx;
+  request.run = std::move(run);
+  QueryOutcome outcome = executor_->Execute(request);
+  reply->answer_timer.Reset();
+
+  // Stage split: engine run time divides into cache (inside GetOrBuild:
+  // build, hit, or coalesced wait; temporal queries never use the cache)
+  // and walk (everything else — the MC trial loop).
+  const QueryStats& stats = *query.ctx->stats();
+  reply->status = outcome.result.status;
+  reply->ran = true;
+  reply->admitted = outcome.admitted;
+  reply->degraded = outcome.degraded;
+  reply->retries = outcome.retries;
+  reply->queue_ms = outcome.queue_wait_seconds * 1e3;
+  reply->run_ms = outcome.run_seconds * 1e3;
+  reply->cache_ms = stats.cache_wait_seconds * 1e3;
+  reply->walk_ms = std::max(0.0, reply->run_ms - reply->cache_ms);
   QueryStatsEnvelope envelope;
-  envelope.query = "topk";
-  envelope.algo = "crashsim";
-  envelope.n = graph_.graph.num_nodes();
-  envelope.m = graph_.graph.num_edges();
-  envelope.elapsed_seconds = timer.ElapsedSeconds();
-  record->stats_json = QueryStatsJson(envelope, qstats);
+  envelope.query = query.temporal ? "temporal" : "topk";
+  envelope.algo = query.temporal ? "crashsim-t" : "crashsim";
+  envelope.n = query.temporal ? temporal_->graph.num_nodes()
+                              : graph_.graph.num_nodes();
+  envelope.m = query.temporal ? 0 : graph_.graph.num_edges();
+  envelope.elapsed_seconds = outcome.queue_wait_seconds + outcome.run_seconds;
+  reply->stats_json = QueryStatsJson(envelope, stats);
+  return outcome;
+}
 
-  if (outcome.result.scores.empty()) {
-    // Shed or failed before any scores existed: plain error response, with
-    // the admission outcome attached for the client's retry policy.
-    JsonValue response = ErrorResponse(outcome.result.status, &request);
-    response.Set("admitted", JsonValue(outcome.admitted));
-    return FinishError(std::move(response), request_id);
-  }
+Server::Reply Server::HandleTopK(const Query& query) {
+  TRACE_SPAN("serve.topk");
+  ASSIGN_OR_RETURN(const int64_t k,
+                   ReadInt(query.request, "k", 10, 1, options_.max_k));
+  const NodeId source = query.source;
+  Reply reply;
+  const QueryOutcome outcome = RunQuery(
+      query,
+      [this, source](QueryContext* ctx) -> PartialResult {
+        // Shared-tree fast path: one BuildRevReach per hot source
+        // process-wide; scoring against the shared tree is bit-identical to
+        // an uncached SingleSource (the tree build is deterministic in the
+        // key + cache params, and trial streams derive from (seed, source,
+        // candidate)).
+        StatusOr<TreeCache::TreePtr> tree = cache_->GetOrBuild(
+            source, engine_->LMax(), options_.engine.mode, ctx);
+        if (!tree.ok()) {
+          PartialResult r;
+          r.status = tree.status();
+          return r;
+        }
+        std::vector<NodeId> all(static_cast<size_t>(graph_.graph.num_nodes()));
+        std::iota(all.begin(), all.end(), 0);
+        return engine_->PartialWithTree(**tree, all, ctx);
+      },
+      &reply);
+  if (outcome.result.scores.empty()) return reply;  // no answer to give
 
-  const Stopwatch serialize_timer;
   TopK<NodeId> selector(static_cast<size_t>(k));
   for (NodeId v = 0; v < graph_.graph.num_nodes(); ++v) {
     if (v != source) {
@@ -563,189 +537,142 @@ std::string Server::HandleTopK(const JsonValue& request, uint64_t request_id,
     nodes.Append(JsonValue(graph_.original_ids[static_cast<size_t>(v)]));
     scores.Append(JsonValue(score));
   }
-  JsonValue response = JsonValue::Object();
-  if (const JsonValue* id = request.Find("id"); id != nullptr) {
-    response.Set("id", *id);
-  }
-  response.Set("status", JsonValue(std::string(
-                             StatusCodeName(outcome.result.status.code()))));
-  if (!outcome.result.status.ok()) {
-    response.Set("message", JsonValue(outcome.result.status.message()));
-  }
-  response.Set("op", JsonValue(std::string("topk")));
-  response.Set("request_id", JsonValue(static_cast<int64_t>(request_id)));
-  response.Set("source", JsonValue(original_source));
-  response.Set("k", JsonValue(k));
-  response.Set("nodes", std::move(nodes));
-  response.Set("scores", std::move(scores));
-  response.Set("trials_done", JsonValue(outcome.result.trials_done));
-  response.Set("trials_target", JsonValue(outcome.result.trials_target));
-  response.Set("epsilon_achieved", JsonValue(outcome.result.epsilon_achieved));
-  response.Set("degraded", JsonValue(outcome.degraded));
-  response.Set("trial_fraction", JsonValue(outcome.trial_fraction));
-  response.Set("retries", JsonValue(static_cast<int64_t>(outcome.retries)));
-  response.Set("queue_wait_ms",
-               JsonValue(outcome.queue_wait_seconds * 1e3));
-  response.Set("run_ms", JsonValue(outcome.run_seconds * 1e3));
-  record->serialize_ms = serialize_timer.ElapsedSeconds() * 1e3;
-  JsonValue stages = JsonValue::Object();
-  stages.Set("queue_ms", JsonValue(record->queue_ms));
-  stages.Set("cache_ms", JsonValue(record->cache_ms));
-  stages.Set("walk_ms", JsonValue(record->walk_ms));
-  stages.Set("serialize_ms", JsonValue(record->serialize_ms));
-  response.Set("stages", std::move(stages));
-  return response.Write();
+  JsonValue& answer = reply.answer = JsonValue::Object();
+  answer.Set("source", JsonValue(query.original_source));
+  answer.Set("k", JsonValue(k));
+  answer.Set("nodes", std::move(nodes));
+  answer.Set("scores", std::move(scores));
+  answer.Set("trials_done", JsonValue(outcome.result.trials_done));
+  answer.Set("trials_target", JsonValue(outcome.result.trials_target));
+  answer.Set("epsilon_achieved", JsonValue(outcome.result.epsilon_achieved));
+  answer.Set("degraded", JsonValue(outcome.degraded));
+  answer.Set("trial_fraction", JsonValue(outcome.trial_fraction));
+  return reply;
 }
 
-std::string Server::HandleTemporal(const JsonValue& request,
-                                   uint64_t request_id,
-                                   RequestRecord* record) {
+Server::Reply Server::HandleTemporal(const Query& query) {
   TRACE_SPAN("serve.temporal");
-  const Stopwatch timer;
-  if (!temporal_.has_value()) {
-    return FinishError(
-        ErrorResponse(InvalidArgumentError(
-                          "server was started without a temporal graph"),
-                      &request),
-        request_id);
-  }
   const TemporalGraph& tg = temporal_->graph;
-  const int64_t original_source = request.GetInt("source", -1);
-  NodeId source = -1;
-  for (size_t i = 0; i < temporal_->original_ids.size(); ++i) {
-    if (temporal_->original_ids[i] == original_source) {
-      source = static_cast<NodeId>(i);
-      break;
-    }
-  }
-  if (source < 0) {
-    return FinishError(
-        ErrorResponse(NotFoundError(StrFormat(
-                          "source id %lld not present in the temporal graph",
-                          static_cast<long long>(original_source))),
-                      &request),
-        request_id);
-  }
-
-  TemporalQuery query;
-  query.source = source;
-  query.begin_snapshot = static_cast<int>(request.GetInt("begin", 0));
-  const int64_t end = request.GetInt("end", -1);
-  query.end_snapshot =
+  ASSIGN_OR_RETURN(const int64_t begin,
+                   ReadInt(query.request, "begin", 0,
+                           std::numeric_limits<int>::min(),
+                           std::numeric_limits<int>::max()));
+  // Any negative end means the last snapshot.
+  ASSIGN_OR_RETURN(const int64_t end,
+                   ReadInt(query.request, "end", -1, -kMaxExactInt,
+                           std::numeric_limits<int>::max()));
+  TemporalQuery temporal_query;
+  temporal_query.source = query.source;
+  temporal_query.begin_snapshot = static_cast<int>(begin);
+  temporal_query.end_snapshot =
       end < 0 ? tg.num_snapshots() - 1 : static_cast<int>(end);
-  query.theta = request.GetDouble("theta", 0.05);
-  query.trend_tolerance = request.GetDouble("tolerance", 0.0);
-  const std::string kind = request.GetString("kind", "threshold");
+  temporal_query.theta = query.request.GetDouble("theta", 0.05);
+  temporal_query.trend_tolerance = query.request.GetDouble("tolerance", 0.0);
+  const std::string kind = query.request.GetString("kind", "threshold");
   if (kind == "threshold") {
-    query.kind = TemporalQueryKind::kThreshold;
+    temporal_query.kind = TemporalQueryKind::kThreshold;
   } else if (kind == "increasing") {
-    query.kind = TemporalQueryKind::kTrendIncreasing;
+    temporal_query.kind = TemporalQueryKind::kTrendIncreasing;
   } else if (kind == "decreasing") {
-    query.kind = TemporalQueryKind::kTrendDecreasing;
+    temporal_query.kind = TemporalQueryKind::kTrendDecreasing;
   } else {
-    return FinishError(
-        ErrorResponse(InvalidArgumentError(
-                          "unknown kind '" + kind +
-                          "' (threshold | increasing | decreasing)"),
-                      &request),
-        request_id);
-  }
-  const int64_t timeout_ms =
-      request.GetInt("timeout_ms", options_.default_timeout_ms);
-  if (timeout_ms < 0) {
-    return FinishError(
-        ErrorResponse(InvalidArgumentError("timeout_ms must be >= 0"),
-                      &request),
-        request_id);
+    return InvalidArgumentError("unknown kind '" + kind +
+                                "' (threshold | increasing | decreasing)");
   }
 
-  std::optional<QueryContext> ctx;
-  if (timeout_ms > 0) {
-    ctx.emplace(std::chrono::milliseconds(timeout_ms));
-  } else {
-    ctx.emplace();
-  }
-  ctx->set_request_id(request_id);
-  QueryStats qstats;
-  ctx->set_stats(&qstats);
   CrashSimTOptions temporal_options;
   temporal_options.crashsim = options_.engine;
-  TemporalAnswer answer;
-  QueryRequest query_request;
-  query_request.ctx = &*ctx;
-  query_request.run = [&](QueryContext* run_ctx) -> PartialResult {
-    // CrashSim-T keeps per-interval state, so each request gets its own
-    // engine instance (the static engine_ stays untouched); the snapshot
-    // diagonals it binds with come from the server-wide table.
-    CrashSimT engine(temporal_options, diagonals_.get());
-    answer = engine.Answer(tg, query, run_ctx);
-    PartialResult r;
-    r.status = answer.status;
-    return r;
-  };
-  const QueryOutcome outcome = executor_->Execute(query_request);
-  const double elapsed_ms = timer.ElapsedSeconds() * 1e3;
-  TemporalLatencyHistogram().Record(static_cast<int64_t>(elapsed_ms));
+  TemporalAnswer result;
+  Reply reply;
+  const QueryOutcome outcome = RunQuery(
+      query,
+      [&](QueryContext* ctx) -> PartialResult {
+        // CrashSim-T keeps per-interval state, so each request gets its own
+        // engine instance (the static engine_ stays untouched); the
+        // snapshot diagonals it binds with come from the server-wide table.
+        CrashSimT engine(temporal_options, diagonals_.get());
+        result = engine.Answer(tg, temporal_query, ctx);
+        PartialResult r;
+        r.status = result.status;
+        return r;
+      },
+      &reply);
+  if (!outcome.admitted) return reply;
 
-  record->admitted = outcome.admitted;
-  record->degraded = outcome.degraded;
-  record->retries = outcome.retries;
-  record->queue_ms = outcome.queue_wait_seconds * 1e3;
-  // Temporal queries share only the per-snapshot diagonals (a lookup
-  // after each snapshot's first estimate); their revReach trees are built
-  // per request outside the TreeCache, so the whole engine run counts as
-  // walk time.
-  record->walk_ms = outcome.run_seconds * 1e3;
-  QueryStatsEnvelope envelope;
-  envelope.query = "temporal";
-  envelope.algo = "crashsim-t";
-  envelope.n = tg.num_nodes();
-  envelope.m = 0;
-  envelope.elapsed_seconds = timer.ElapsedSeconds();
-  record->stats_json = QueryStatsJson(envelope, qstats);
-
-  if (!outcome.admitted) {
-    JsonValue response = ErrorResponse(outcome.result.status, &request);
-    response.Set("admitted", JsonValue(false));
-    return FinishError(std::move(response), request_id);
-  }
-  const Stopwatch serialize_timer;
   JsonValue nodes = JsonValue::Array();
-  for (const NodeId v : answer.nodes) {
+  for (const NodeId v : result.nodes) {
     nodes.Append(JsonValue(temporal_->original_ids[static_cast<size_t>(v)]));
   }
-  JsonValue response = JsonValue::Object();
-  if (const JsonValue* id = request.Find("id"); id != nullptr) {
-    response.Set("id", *id);
+  JsonValue& answer = reply.answer = JsonValue::Object();
+  answer.Set("source", JsonValue(query.original_source));
+  answer.Set("kind", JsonValue(kind));
+  answer.Set("begin",
+             JsonValue(static_cast<int64_t>(temporal_query.begin_snapshot)));
+  answer.Set("end",
+             JsonValue(static_cast<int64_t>(temporal_query.end_snapshot)));
+  answer.Set("nodes", std::move(nodes));
+  answer.Set("snapshots_processed",
+             JsonValue(static_cast<int64_t>(result.stats.snapshots_processed)));
+  answer.Set("scores_computed", JsonValue(result.stats.scores_computed));
+  return reply;
+}
+
+void Server::Observe(uint64_t request_id, const Reply& reply,
+                     const RequestTrace& trace) {
+  const std::string status(StatusCodeName(reply.status.code()));
+  requests_.fetch_add(1, std::memory_order_relaxed);
+  RequestsCounter().Add(1);
+  if (!reply.status.ok()) {
+    errors_.fetch_add(1, std::memory_order_relaxed);
+    ErrorsCounter().Add(1);
   }
-  response.Set("status", JsonValue(std::string(
-                             StatusCodeName(outcome.result.status.code()))));
-  if (!outcome.result.status.ok()) {
-    response.Set("message", JsonValue(outcome.result.status.message()));
+  if (reply.op == "topk" || reply.op == "temporal") {
+    const bool topk = reply.op == "topk";
+    const auto latency = static_cast<int64_t>(reply.elapsed_ms);
+    (topk ? TopKLatencyHistogram() : TemporalLatencyHistogram())
+        .Record(latency);
+    (topk ? topk_window_ : temporal_window_)->Record(latency);
+    slo_window_->Record(latency);
+    if (latency > options_.slo_ms) {
+      slo_breaches_total_.fetch_add(1, std::memory_order_relaxed);
+    }
   }
-  response.Set("op", JsonValue(std::string("temporal")));
-  response.Set("request_id", JsonValue(static_cast<int64_t>(request_id)));
-  response.Set("source", JsonValue(original_source));
-  response.Set("kind", JsonValue(kind));
-  response.Set("begin", JsonValue(static_cast<int64_t>(query.begin_snapshot)));
-  response.Set("end", JsonValue(static_cast<int64_t>(query.end_snapshot)));
-  response.Set("nodes", std::move(nodes));
-  response.Set("snapshots_processed",
-               JsonValue(static_cast<int64_t>(
-                   answer.stats.snapshots_processed)));
-  response.Set("scores_computed", JsonValue(answer.stats.scores_computed));
-  response.Set("retries", JsonValue(static_cast<int64_t>(outcome.retries)));
-  response.Set("queue_wait_ms",
-               JsonValue(outcome.queue_wait_seconds * 1e3));
-  response.Set("run_ms", JsonValue(outcome.run_seconds * 1e3));
-  record->serialize_ms = serialize_timer.ElapsedSeconds() * 1e3;
-  JsonValue stages = JsonValue::Object();
-  stages.Set("queue_ms", JsonValue(record->queue_ms));
-  stages.Set("cache_ms", JsonValue(record->cache_ms));
-  stages.Set("walk_ms", JsonValue(record->walk_ms));
-  stages.Set("serialize_ms", JsonValue(record->serialize_ms));
-  response.Set("stages", std::move(stages));
-  return response.Write();
+  const bool slow =
+      options_.slow_query_ms >= 0 &&
+      (reply.elapsed_ms >= static_cast<double>(options_.slow_query_ms) ||
+       !reply.status.ok());
+  if (slow && options_.event_log != nullptr) {
+    EventBuilder event("slow_query");
+    event.UInt("request_id", request_id)
+        .Str("op", reply.op)
+        .Str("status", status)
+        .Double("elapsed_ms", reply.elapsed_ms)
+        .Double("queue_ms", reply.queue_ms)
+        .Double("cache_ms", reply.cache_ms)
+        .Double("walk_ms", reply.walk_ms)
+        .Double("serialize_ms", reply.serialize_ms)
+        .Bool("admitted", reply.admitted)
+        .Bool("degraded", reply.degraded)
+        .Int("retries", reply.retries);
+    if (!reply.stats_json.empty()) {
+      event.Raw("query_stats", reply.stats_json);
+    }
+    options_.event_log->Log(event.Finish());
+  }
+  const int every = options_.tracez_sample_every;
+  if (tracez_ != nullptr &&
+      (slow || (every > 0 && request_id % every == 0))) {
+    TracezRing::Entry entry;
+    entry.request_id = request_id;
+    entry.op = reply.op;
+    entry.status = status;
+    entry.elapsed_ms = reply.elapsed_ms;
+    entry.slow = slow;
+    entry.dropped = trace.dropped();
+    const std::span<const RequestTrace::Event> events = trace.events();
+    entry.events.assign(events.begin(), events.end());
+    tracez_->Add(std::move(entry));
+  }
 }
 
 void Server::MetricsLoop() {

@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -15,25 +16,27 @@
 #include "core/snapshot_diagonals.h"
 #include "core/tree_cache.h"
 #include "graph/graph_io.h"
+#include "serve/json.h"
 #include "util/metrics.h"
 #include "util/mutex.h"
 #include "util/status.h"
 #include "util/thread_annotations.h"
+#include "util/timer.h"
 
 namespace crashsim {
 
 class EventLog;  // util/event_log.h
 
-// crashsim_serve: the always-on query service (ROADMAP item 1, PR 7).
+// crashsim_serve: the always-on query service.
 //
 // One process binds a static graph (and optionally its temporal variant)
 // once, then answers any number of concurrent top-k and temporal queries
 // over a length-prefixed JSON protocol (serve/protocol.h, docs/SERVING.md).
-// Every query routes through the PR-6 QueryExecutor — admission queue,
-// deadline shedding, degradation, retries, MemoryBudget — and top-k queries
-// share revReach trees through the TreeCache, so N concurrent queries on a
-// hot source run one BuildRevReach, not N. Temporal queries likewise share
-// each snapshot's corrected-mode diagonal through one SnapshotDiagonals.
+// Every query routes through the QueryExecutor — admission queue, deadline
+// shedding, degradation, retries, MemoryBudget — and top-k queries share
+// revReach trees through the TreeCache, so N concurrent queries on a hot
+// source run one BuildRevReach, not N. Temporal queries likewise share each
+// snapshot's corrected-mode diagonal through one SnapshotDiagonals.
 //
 // Determinism contract: with degradation disabled (degrade_at = 0) a topk
 // response is bit-identical to `crashsim_cli topk` on the same graph with
@@ -43,20 +46,22 @@ class EventLog;  // util/event_log.h
 //
 // A second listener serves GET /metrics in Prometheus text format for
 // scraping (cache.*, executor.*, serve.* and everything else in the
-// registry), plus the PR-10 debug endpoints: GET /statusz (uptime, build
-// info, executor ledger, cache occupancy, rolling per-minute latency
+// registry), plus the debug endpoints GET /statusz (uptime, build info,
+// executor ledger, cache occupancy, rolling per-minute latency
 // percentiles, SLO burn) and GET /tracez (the most recent sampled request
 // span trees). Unknown paths get 404, non-GET methods 405, and request
 // heads split across arbitrarily many writes still parse.
 //
-// Request-scoped observability (docs/OBSERVABILITY.md): every request is
-// assigned a monotonically increasing request_id at ingress, echoed in the
-// response, stamped on QueryContext, and carried by a per-request
-// RequestTrace through the executor, tree cache, engine, and ParallelFor
-// shards, so /tracez can reassemble the full ingress->executor->engine span
-// tree. Requests that exceed slow_query_ms (or finish non-OK) additionally
-// emit a structured slow_query line to the EventLog with the per-stage time
-// split (queue wait / cache / walk / serialize) and the full QueryStats.
+// One record per request (docs/OBSERVABILITY.md): every request is
+// assigned a monotonically increasing request_id at ingress, stamped on
+// QueryContext and carried by a per-request RequestTrace through the
+// executor, tree cache, engine, and ParallelFor shards. Each op handler
+// returns a typed Reply — status, op-specific answer fields, and the stage
+// record (executor verdicts, queue / cache / walk / serialize split,
+// QueryStats). HandleRequest writes the common response fields from it and
+// passes it to one Observe() call, which feeds every sink: the request and
+// error counters, the per-op latency histograms and rolling windows, the
+// SLO window, the slow-query EventLog line, and the /tracez ring.
 
 struct ServerOptions {
   // TCP listen address. Port 0 binds an ephemeral port (tests, smoke);
@@ -135,32 +140,59 @@ class Server {
   const QueryExecutor& executor() const { return *executor_; }
 
  private:
-  // Per-request epilogue record: handlers fill in what they know (stage
-  // split, executor verdicts, rendered QueryStats); HandleRequest derives
-  // the rest (status, elapsed) from the response and feeds the rolling
-  // windows, slow-query log, and /tracez ring.
-  struct RequestRecord {
-    uint64_t request_id = 0;
-    std::string op;  // "" until dispatch resolves it
+  // One served request: what its handler answered plus the record every
+  // sink reads. Error paths return just the status (implicit conversion).
+  struct Reply {
+    Reply() = default;
+    Reply(Status s) : status(std::move(s)) {}  // NOLINT: Reply{status}
+
+    Status status;
+    // Op-specific response fields. Null when the request was refused
+    // before an answer existed; the response then carries the common
+    // fields only (plus `admitted` when it reached the executor).
+    JsonValue answer;
+    std::string op;           // "" until dispatch resolves it
+    double elapsed_ms = 0.0;  // ingress to serialized response
+    bool ran = false;         // submitted to the executor
     bool admitted = true;
     bool degraded = false;
     int retries = 0;
     double queue_ms = 0.0;      // executor admission-queue wait
+    double run_ms = 0.0;        // executor run time
     double cache_ms = 0.0;      // inside TreeCache::GetOrBuild
-    double walk_ms = 0.0;       // engine run minus cache time
-    double serialize_ms = 0.0;  // response assembly after the engine
+    double walk_ms = 0.0;       // run time minus cache time
+    double serialize_ms = 0.0;  // answer and response assembly
+    Stopwatch answer_timer;     // restarted when the engine returns
     std::string stats_json;     // crashsim.query_stats.v1, "" when not run
+  };
+
+  // A query op's source and request-scoped context, resolved once by the
+  // shared prologue in Dispatch.
+  struct Query {
+    const JsonValue& request;
+    bool temporal;
+    int64_t original_source;
+    NodeId source;
+    QueryContext* ctx;  // carries the deadline, request id and stats sink
   };
 
   void AcceptLoop();
   void MetricsLoop();
   void ServeConnection(int fd);
-  // Handles one parsed request; always returns a response object.
+  // Handles one request payload; always returns a serialized response.
   std::string HandleRequest(const std::string& payload);
-  std::string HandleTopK(const class JsonValue& request, uint64_t request_id,
-                         RequestRecord* record);
-  std::string HandleTemporal(const class JsonValue& request,
-                             uint64_t request_id, RequestRecord* record);
+  Reply Dispatch(const std::string& op, const JsonValue& request,
+                 uint64_t request_id);
+  Reply HandleTopK(const Query& query);
+  Reply HandleTemporal(const Query& query);
+  // Runs a query op through the executor and fills the reply's status and
+  // stage record from the outcome.
+  QueryOutcome RunQuery(const Query& query,
+                        std::function<PartialResult(QueryContext*)> run,
+                        Reply* reply);
+  // Feeds one finished request to every sink.
+  void Observe(uint64_t request_id, const Reply& reply,
+               const class RequestTrace& trace);
   // /statusz and /tracez bodies (serialized JSON).
   std::string BuildStatuszJson() const;
   std::string BuildTracezJson() const;
@@ -168,7 +200,9 @@ class Server {
   const LoadedGraph graph_;
   const std::optional<LoadedTemporalGraph> temporal_;
   const ServerOptions options_;
-  std::unordered_map<int64_t, NodeId> id_map_;  // original id -> internal
+  // Original id -> internal id, per graph (temporal: empty without one).
+  const std::unordered_map<int64_t, NodeId> id_map_;
+  const std::unordered_map<int64_t, NodeId> temporal_id_map_;
 
   std::unique_ptr<CrashSim> engine_;       // shared; ctx-path is thread-safe
   std::unique_ptr<TreeCache> cache_;

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <functional>
 #include <numeric>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -56,7 +57,10 @@ class Client {
 
   // One request/response round trip; returns the parsed response object.
   StatusOr<JsonValue> Call(const JsonValue& request) {
-    RETURN_IF_ERROR(WriteFrame(fd_, request.Write()));
+    return CallRaw(request.Write());
+  }
+  StatusOr<JsonValue> CallRaw(const std::string& request) {
+    RETURN_IF_ERROR(WriteFrame(fd_, request));
     ASSIGN_OR_RETURN(std::string payload, ReadFrame(fd_));
     return ParseJson(payload);
   }
@@ -155,6 +159,70 @@ std::string HttpGet(int port, const std::string& path, bool split = false) {
 std::string HttpBody(const std::string& response) {
   const size_t pos = response.find("\r\n\r\n");
   return pos == std::string::npos ? "" : response.substr(pos + 4);
+}
+
+// The value of an unlabelled sample in a Prometheus exposition; 0 when
+// absent (the registry exports a metric only after its first use).
+double PrometheusSample(const std::string& exposition,
+                        const std::string& name) {
+  const std::string prefix = "\n" + name + " ";
+  const size_t at = exposition.find(prefix);
+  return at == std::string::npos
+             ? 0.0
+             : std::stod(exposition.substr(at + prefix.size()));
+}
+
+// The static graph a temporal test server needs: the first snapshot of
+// TestTemporalGraph(), with the same original ids (500..539).
+LoadedGraph TemporalProjection() {
+  LoadedTemporalGraph temporal = TestTemporalGraph();
+  LoadedGraph loaded;
+  loaded.graph = temporal.graph.Snapshot(0);
+  loaded.original_ids = temporal.original_ids;
+  return loaded;
+}
+
+JsonValue TemporalRequest(int64_t source) {
+  JsonValue request = JsonValue::Object();
+  request.Set("op", JsonValue(std::string("temporal")));
+  request.Set("source", JsonValue(source));
+  request.Set("kind", JsonValue(std::string("threshold")));
+  request.Set("theta", JsonValue(0.02));
+  return request;
+}
+
+// Response key sets. The wire contract is the set of keys (and their
+// values), not their order.
+using KeySet = std::set<std::string>;
+
+KeySet KeysOf(const JsonValue& object) {
+  KeySet keys;
+  for (const auto& member : object.members()) keys.insert(member.first);
+  return keys;
+}
+
+KeySet ErrorKeys() { return {"id", "status", "message", "request_id"}; }
+
+KeySet TopKAnswerKeys() {
+  return {"id", "status", "op", "request_id", "source", "k", "nodes",
+          "scores", "trials_done", "trials_target", "epsilon_achieved",
+          "degraded", "trial_fraction", "retries", "queue_wait_ms", "run_ms",
+          "stages"};
+}
+
+KeySet TemporalAnswerKeys() {
+  return {"id", "status", "op", "request_id", "source", "kind", "begin",
+          "end", "nodes", "snapshots_processed", "scores_computed", "retries",
+          "queue_wait_ms", "run_ms", "stages"};
+}
+
+KeySet StageKeys() {
+  return {"queue_ms", "cache_ms", "walk_ms", "serialize_ms"};
+}
+
+KeySet With(KeySet keys, std::initializer_list<const char*> extra) {
+  for (const char* key : extra) keys.insert(key);
+  return keys;
 }
 
 TEST(ServerOptionsTest, ValidateRejectsBadValues) {
@@ -290,16 +358,9 @@ TEST(ServerTest, MalformedFrameGetsErrorResponse) {
 }
 
 TEST(ServerTest, TemporalQueryRoundTrip) {
-  LoadedTemporalGraph temporal = TestTemporalGraph();
   ServerOptions options = TestServerOptions();
   options.engine.mc.trials_override = 80;
-
-  // Static graph is required; serve the first snapshot's projection.
-  LoadedGraph loaded;
-  loaded.graph = temporal.graph.Snapshot(0);
-  loaded.original_ids = temporal.original_ids;
-
-  Server server(std::move(loaded), TestTemporalGraph(), options);
+  Server server(TemporalProjection(), TestTemporalGraph(), options);
   ASSERT_TRUE(server.Start().ok());
   Client client(server.port());
   ASSERT_TRUE(client.connected());
@@ -634,6 +695,264 @@ TEST(ServerTest, SlowQueryEventsLandInTheEventLog) {
   }
   EXPECT_TRUE(saw_ok);
   EXPECT_TRUE(saw_error);
+}
+
+// Pins the key set of every kind of response: which common fields an error,
+// a shed query, a ping and an answered query carry is decided in one place,
+// and clients (crashsim_cli replay, perfbench) parse these keys.
+TEST(ServerTest, EveryResponseKindKeepsItsKeySet) {
+  ServerOptions options = TestServerOptions();
+  options.engine.mc.trials_override = 80;
+  Server server(TemporalProjection(), TestTemporalGraph(), options);
+  Server static_only(TestGraph(), std::nullopt, options);
+  ASSERT_TRUE(server.Start().ok());
+  ASSERT_TRUE(static_only.Start().ok());
+  Client client(server.port());
+  Client static_client(static_only.port());
+  ASSERT_TRUE(client.connected());
+  ASSERT_TRUE(static_client.connected());
+
+  const auto call = [](Client& to, JsonValue request) {
+    request.Set("id", JsonValue(int64_t{7}));
+    StatusOr<JsonValue> response = to.Call(request);
+    EXPECT_TRUE(response.ok()) << response.status().ToString();
+    return response.ok() ? JsonValue(*response) : JsonValue();
+  };
+  JsonValue ping = JsonValue::Object();
+  ping.Set("op", JsonValue(std::string("ping")));
+  JsonValue unknown_op = JsonValue::Object();
+  unknown_op.Set("op", JsonValue(std::string("frobnicate")));
+  StatusOr<JsonValue> unparseable = client.CallRaw("{nope");
+  ASSERT_TRUE(unparseable.ok()) << unparseable.status().ToString();
+
+  struct Case {
+    const char* kind;
+    JsonValue response;
+    const char* status;
+    KeySet keys;
+  };
+  std::vector<Case> cases = {
+      {"ping", call(client, ping), "OK", {"id", "status", "op", "request_id"}},
+      {"topk OK", call(client, TopKRequest(503, 5)), "OK", TopKAnswerKeys()},
+      {"topk NOT_FOUND", call(client, TopKRequest(99999, 5)), "NOT_FOUND",
+       ErrorKeys()},
+      {"unknown op", call(client, unknown_op), "INVALID_ARGUMENT",
+       ErrorKeys()},
+      {"unparseable payload", *unparseable, "INVALID_ARGUMENT",
+       {"status", "message", "request_id"}},
+      {"temporal OK", call(client, TemporalRequest(503)), "OK",
+       TemporalAnswerKeys()},
+      {"temporal without a temporal graph",
+       call(static_client, TemporalRequest(503)), "INVALID_ARGUMENT",
+       ErrorKeys()},
+  };
+  {
+    // Shed at admission: the executor never ran the query.
+    FailpointScope failpoints(5);
+    FailpointSpec shed;
+    shed.code = StatusCode::kResourceExhausted;
+    ASSERT_TRUE(ConfigureFailpoint("executor.admit", shed).ok());
+    cases.push_back({"shed topk", call(client, TopKRequest(503, 5)),
+                     "RESOURCE_EXHAUSTED", With(ErrorKeys(), {"admitted"})});
+    EXPECT_FALSE(cases.back().response.GetBool("admitted", true));
+  }
+
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.kind);
+    EXPECT_EQ(c.response.GetString("status", ""), c.status);
+    EXPECT_EQ(KeysOf(c.response), c.keys);
+    EXPECT_GT(c.response.GetInt("request_id", 0), 0);
+    if (const JsonValue* stages = c.response.Find("stages");
+        stages != nullptr) {
+      EXPECT_EQ(KeysOf(*stages), StageKeys());
+    }
+  }
+  server.Shutdown();
+  static_only.Shutdown();
+}
+
+// A query cut by its deadline answers DEADLINE_EXCEEDED together with its
+// partial scores. It is still a non-OK response, so it counts as an error
+// in the server ledger, in Prometheus and in the slow-query log.
+TEST(ServerTest, PartialDeadlineAnswerCountsAsAnErrorInEverySink) {
+  const std::string path =
+      testing::TempDir() + "/server_partial_deadline.jsonl";
+  std::remove(path.c_str());
+  EventLog::Options log_options;
+  log_options.path = path;
+  EventLog event_log(log_options);
+  ASSERT_TRUE(event_log.ok());
+
+  ServerOptions options = TestServerOptions();
+  options.event_log = &event_log;
+  options.slow_query_ms = 60'000;  // logged for its status, not its latency
+  Server server(TestGraph(), std::nullopt, options);
+  ASSERT_TRUE(server.Start().ok());
+  const double errors_before = PrometheusSample(
+      HttpBody(HttpGet(server.metrics_port(), "/metrics")),
+      "crashsim_serve_errors_total");
+
+  // The first trial block always runs. Every block first sleeps 300 ms, so
+  // the 100 ms deadline has passed at the second block's checkpoint and the
+  // answer is cut after exactly one trial.
+  FailpointScope failpoints(9);
+  FailpointSpec slow;
+  slow.action = FailpointAction::kLatency;
+  slow.latency_ms = 300;
+  ASSERT_TRUE(ConfigureFailpoint("crashsim.trial_block", slow).ok());
+  JsonValue request = TopKRequest(1007, 5);
+  request.Set("id", JsonValue(int64_t{7}));
+  request.Set("timeout_ms", JsonValue(int64_t{100}));
+  int64_t request_id = 0;
+  {
+    Client client(server.port());
+    ASSERT_TRUE(client.connected());
+    StatusOr<JsonValue> response = client.Call(request);
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    EXPECT_EQ(response->GetString("status", ""), "DEADLINE_EXCEEDED");
+    EXPECT_EQ(response->GetInt("trials_done", -1), 1);
+    ASSERT_NE(response->Find("scores"), nullptr);
+    EXPECT_EQ(response->Find("scores")->items().size(), 5u);
+    EXPECT_EQ(KeysOf(*response), With(TopKAnswerKeys(), {"message"}));
+    request_id = response->GetInt("request_id", 0);
+  }
+
+  EXPECT_EQ(server.stats().requests, 1);
+  EXPECT_EQ(server.stats().errors, 1);
+  EXPECT_EQ(PrometheusSample(
+                HttpBody(HttpGet(server.metrics_port(), "/metrics")),
+                "crashsim_serve_errors_total"),
+            errors_before + 1);
+  server.Shutdown();
+  event_log.Flush();
+
+  std::ifstream in(path);
+  std::string line;
+  bool logged = false;
+  while (std::getline(in, line)) {
+    StatusOr<JsonValue> event = ParseJson(line);
+    ASSERT_TRUE(event.ok()) << line;
+    if (event->GetString("event", "") == "slow_query" &&
+        event->GetInt("request_id", 0) == request_id) {
+      logged = true;
+      EXPECT_EQ(event->GetString("status", ""), "DEADLINE_EXCEEDED");
+    }
+  }
+  EXPECT_TRUE(logged) << "request " << request_id << " not in the slow log";
+}
+
+// serve.topk_ms (the cumulative /metrics histogram) and the rolling
+// /statusz windows count the same requests: every topk request, rejected
+// ones included.
+TEST(ServerTest, EveryTopKRequestLandsInEveryLatencySink) {
+  // The registry is process-global: compare the histogram's change.
+  const FixedHistogram& topk_ms = MetricsRegistry::Global().histogram(
+      "serve.topk_ms", ExponentialBuckets(1, 2.0, 14));
+  const int64_t before = topk_ms.TakeSnapshot().total;
+  Server server(TestGraph(), std::nullopt, TestServerOptions());
+  ASSERT_TRUE(server.Start().ok());
+  {
+    Client client(server.port());
+    ASSERT_TRUE(client.connected());
+    const std::pair<JsonValue, const char*> requests[] = {
+        {TopKRequest(1007, 5), "OK"},
+        {TopKRequest(99999, 5), "NOT_FOUND"},
+        {TopKRequest(1008, 5), "OK"},
+        {TopKRequest(1003, 0), "INVALID_ARGUMENT"},
+        {TopKRequest(1007, 5), "OK"},
+        {TopKRequest(-1, 5), "NOT_FOUND"},
+        {TopKRequest(1009, 3), "OK"},
+        {TopKRequest(1003, 1'000'001), "INVALID_ARGUMENT"},
+        {TopKRequest(1008, 5), "OK"},
+    };
+    for (const auto& [request, status] : requests) {
+      StatusOr<JsonValue> response = client.Call(request);
+      ASSERT_TRUE(response.ok()) << response.status().ToString();
+      EXPECT_EQ(response->GetString("status", ""), status);
+    }
+  }
+  const int64_t recorded = topk_ms.TakeSnapshot().total - before;
+
+  StatusOr<JsonValue> doc =
+      ParseJson(HttpBody(HttpGet(server.metrics_port(), "/statusz")));
+  ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+  const JsonValue* latency = doc->Find("latency");
+  ASSERT_NE(latency, nullptr);
+  ASSERT_NE(latency->Find("topk"), nullptr);
+  EXPECT_EQ(recorded, latency->Find("topk")->GetInt("count", -1));
+  EXPECT_EQ(recorded, 9);
+  ASSERT_NE(doc->Find("slo"), nullptr);
+  EXPECT_EQ(doc->Find("slo")->GetInt("window_total", -1), 9);
+  server.Shutdown();
+}
+
+// Integer fields come from untrusted JSON numbers (doubles). Anything but a
+// whole number in the field's range is INVALID_ARGUMENT, never silently
+// truncated, wrapped or cast out of range.
+TEST(ServerTest, NonIntegralOrOutOfRangeIntegerFieldsAreInvalidArgument) {
+  ServerOptions options = TestServerOptions();
+  options.engine.mc.trials_override = 80;
+  Server server(TemporalProjection(), TestTemporalGraph(), options);
+  ASSERT_TRUE(server.Start().ok());
+  Client client(server.port());
+  ASSERT_TRUE(client.connected());
+
+  struct Case {
+    const char* op;
+    const char* field;
+    JsonValue value;
+  };
+  const Case rejected[] = {
+      {"topk", "source", JsonValue(503.9)},
+      {"topk", "source", JsonValue(1e300)},
+      {"topk", "source", JsonValue(std::string("503"))},
+      {"topk", "k", JsonValue(2.7)},
+      {"topk", "k", JsonValue(1e300)},
+      {"topk", "k", JsonValue(-1e300)},
+      {"topk", "timeout_ms", JsonValue(0.5)},
+      {"topk", "timeout_ms", JsonValue(int64_t{-1})},
+      {"topk", "timeout_ms", JsonValue(1e300)},
+      {"temporal", "source", JsonValue(503.5)},
+      {"temporal", "source", JsonValue(-1e300)},
+      {"temporal", "begin", JsonValue(4294967296.0)},
+      {"temporal", "begin", JsonValue(0.5)},
+      {"temporal", "end", JsonValue(4294967298.0)},
+      {"temporal", "end", JsonValue(2.5)},
+      {"temporal", "end", JsonValue(-1e300)},
+      {"temporal", "timeout_ms", JsonValue(1.5)},
+  };
+  for (const Case& c : rejected) {
+    JsonValue request = std::string(c.op) == "topk" ? TopKRequest(503, 5)
+                                                    : TemporalRequest(503);
+    request.Set(c.field, c.value);
+    SCOPED_TRACE(request.Write());
+    StatusOr<JsonValue> response = client.Call(request);
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    EXPECT_EQ(response->GetString("status", ""), "INVALID_ARGUMENT");
+    EXPECT_NE(response->GetString("message", "").find(c.field),
+              std::string::npos);
+  }
+
+  // Valid values keep their meaning: a whole-valued double is that integer,
+  // and any negative end is the last snapshot.
+  JsonValue topk = TopKRequest(503, 5);
+  topk.Set("k", JsonValue(3.0));
+  topk.Set("timeout_ms", JsonValue(0.0));
+  StatusOr<JsonValue> response = client.Call(topk);
+  ASSERT_TRUE(response.ok());
+  EXPECT_EQ(response->GetString("status", ""), "OK");
+  EXPECT_EQ(response->GetInt("k", -1), 3);
+  for (const int64_t end : {int64_t{-1}, int64_t{-7}, int64_t{-4294967296}}) {
+    JsonValue temporal = TemporalRequest(503);
+    temporal.Set("begin", JsonValue(int64_t{1}));
+    temporal.Set("end", JsonValue(end));
+    response = client.Call(temporal);
+    ASSERT_TRUE(response.ok());
+    EXPECT_EQ(response->GetString("status", ""), "OK") << end;
+    EXPECT_EQ(response->GetInt("begin", -1), 1);
+    EXPECT_EQ(response->GetInt("end", -1), 3);
+  }
+  server.Shutdown();
 }
 
 }  // namespace
