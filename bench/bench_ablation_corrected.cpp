@@ -58,7 +58,7 @@ int main(int argc, char** argv) {
         Stopwatch timer;
         const std::vector<double> scores = algo.SingleSource(u);
         ms.Add(timer.ElapsedMillis());
-        const std::vector<double> truth = gt.SingleSource(u);
+        const std::vector<double> truth = gt.matrix().Row(u);
         me.Add(MaxError(scores, truth, u));
         mae.Add(MeanAbsoluteError(scores, truth, u));
         prec.Add(TopKPrecision(scores, truth, u, 10));

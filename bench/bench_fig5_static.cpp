@@ -58,7 +58,7 @@ Row RunAlgorithm(SimRankAlgorithm* algo, const std::string& label,
     Stopwatch timer;
     const std::vector<double> scores = algo->SingleSource(u);
     query_ms.Add(timer.ElapsedMillis());
-    me.Add(MaxError(scores, gt.SingleSource(u), u));
+    me.Add(MaxError(scores, gt.matrix().Row(u), u));
   }
   row.query_ms = query_ms.mean();
   row.me = me.mean();

@@ -168,7 +168,7 @@ void BM_CrashSimTrialBatch(benchmark::State& state) {
   std::vector<NodeId> candidates;
   for (NodeId v = 0; v < 64; ++v) candidates.push_back(v);
   for (auto _ : state) {
-    auto scores = algo.PartialWithTree(tree, candidates);
+    auto scores = algo.PartialWithTree(tree, candidates, nullptr).scores;
     benchmark::DoNotOptimize(scores.data());
   }
   SetGraphCounters(state, g);
@@ -237,7 +237,7 @@ void RunWalkBatchWorkload(benchmark::State& state, int batch_size) {
   std::vector<NodeId> candidates;
   for (NodeId v = 0; v < 512; ++v) candidates.push_back(v);
   for (auto _ : state) {
-    auto scores = algo.PartialWithTree(tree, candidates);
+    auto scores = algo.PartialWithTree(tree, candidates, nullptr).scores;
     benchmark::DoNotOptimize(scores.data());
   }
   state.SetItemsProcessed(state.iterations() * 50 * 512);  // walks sampled

@@ -75,7 +75,7 @@ int main(int argc, char** argv) {
       tree_ms += t1.ElapsedMillis();
       tree_bytes += tree.MemoryBytes();
       Stopwatch t2;
-      auto s1 = crash.PartialWithTree(tree, candidates);
+      auto s1 = crash.PartialWithTree(tree, candidates, nullptr).scores;
       crash_ms += t2.ElapsedMillis();
       Stopwatch t3;
       auto s2 = probe.SingleSource(u);

@@ -33,7 +33,7 @@ int main() {
   GroundTruth gt(0.6, 55);
   gt.Bind(&g);
   const NodeId source = g.num_nodes() / 2;
-  const std::vector<double> truth = gt.SingleSource(source);
+  const std::vector<double> truth = gt.matrix().Row(source);
 
   SimRankOptions mc;
   mc.c = 0.6;

@@ -6,9 +6,11 @@
 
 namespace crashsim {
 
-void CheckQueryInterval(const TemporalGraph& tg, const TemporalQuery& query) {
-  const Status valid = ValidateQueryInterval(tg, query);
-  CRASHSIM_CHECK(valid.ok()) << valid;
+TemporalAnswer TemporalEngine::Answer(const TemporalGraph& tg,
+                                      const TemporalQuery& query) {
+  TemporalAnswer answer = AnswerImpl(tg, query, nullptr);
+  CRASHSIM_CHECK(answer.status.ok()) << answer.status;
+  return answer;
 }
 
 Status ValidateQueryInterval(const TemporalGraph& tg,
@@ -44,11 +46,13 @@ std::vector<double> Gather(const std::vector<double>& all,
 
 }  // namespace
 
-TemporalAnswer StaticRecomputeEngine::Answer(const TemporalGraph& tg,
-                                             const TemporalQuery& query) {
-  CheckQueryInterval(tg, query);
+TemporalAnswer StaticRecomputeEngine::AnswerImpl(const TemporalGraph& tg,
+                                                 const TemporalQuery& query,
+                                                 QueryContext* ctx) {
   Stopwatch timer;
   TemporalAnswer answer;
+  answer.status = ValidateQueryInterval(tg, query);
+  if (!answer.status.ok()) return answer;
   CandidateFilter filter(query, tg.num_nodes());
 
   SnapshotCursor cursor(&tg);
@@ -59,9 +63,13 @@ TemporalAnswer StaticRecomputeEngine::Answer(const TemporalGraph& tg,
     algorithm_->Bind(&g);
     // Full single-source recomputation every snapshot: the baseline cannot
     // restrict itself to the surviving candidates.
-    const std::vector<double> all = algorithm_->SingleSource(query.source);
+    const PartialResult all = algorithm_->SingleSource(query.source, ctx);
+    if (!all.complete()) {
+      answer.status = all.status.WithContext(StrFormat("snapshot %d", t));
+      break;
+    }
     answer.stats.scores_computed += g.num_nodes() - 1;
-    filter.Observe(Gather(all, filter.candidates()));
+    filter.Observe(Gather(all.scores, filter.candidates()));
     ++answer.stats.snapshots_processed;
     if (t < query.end_snapshot) cursor.Advance();
   }
@@ -70,11 +78,13 @@ TemporalAnswer StaticRecomputeEngine::Answer(const TemporalGraph& tg,
   return answer;
 }
 
-TemporalAnswer ReadsTemporalEngine::Answer(const TemporalGraph& tg,
-                                           const TemporalQuery& query) {
-  CheckQueryInterval(tg, query);
+TemporalAnswer ReadsTemporalEngine::AnswerImpl(const TemporalGraph& tg,
+                                               const TemporalQuery& query,
+                                               QueryContext* ctx) {
   Stopwatch timer;
   TemporalAnswer answer;
+  answer.status = ValidateQueryInterval(tg, query);
+  if (!answer.status.ok()) return answer;
   CandidateFilter filter(query, tg.num_nodes());
 
   SnapshotCursor cursor(&tg);
@@ -82,9 +92,13 @@ TemporalAnswer ReadsTemporalEngine::Answer(const TemporalGraph& tg,
   reads_.Bind(&cursor.graph());
 
   for (int t = query.begin_snapshot; t <= query.end_snapshot; ++t) {
-    const std::vector<double> all = reads_.SingleSource(query.source);
+    const PartialResult all = reads_.SingleSource(query.source, ctx);
+    if (!all.complete()) {
+      answer.status = all.status.WithContext(StrFormat("snapshot %d", t));
+      break;
+    }
     answer.stats.scores_computed += tg.num_nodes() - 1;
-    filter.Observe(Gather(all, filter.candidates()));
+    filter.Observe(Gather(all.scores, filter.candidates()));
     ++answer.stats.snapshots_processed;
     if (t < query.end_snapshot) {
       cursor.Advance();

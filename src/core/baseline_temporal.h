@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "core/query_context.h"
 #include "core/temporal_query.h"
 #include "graph/temporal_graph.h"
 #include "simrank/reads.h"
@@ -53,13 +54,29 @@ struct TemporalAnswer {
 };
 
 // Interface of every temporal SimRank query engine (CrashSim-T and the
-// Section II-D baseline adaptations).
+// Section II-D baseline adaptations). An engine implements one query body,
+// AnswerImpl; the public entry points are defined once, here.
 class TemporalEngine {
  public:
   virtual ~TemporalEngine() = default;
   virtual std::string name() const = 0;
-  virtual TemporalAnswer Answer(const TemporalGraph& tg,
-                                const TemporalQuery& query) = 0;
+
+  // Answers `query` over its snapshot interval. `ctx` (nullptr = unbounded)
+  // is passed on to every stage that takes one; when it stops the engine
+  // early the answer is the sound prefix answer described on
+  // TemporalAnswer. A bad interval or source id comes back as
+  // kInvalidArgument.
+  TemporalAnswer Answer(const TemporalGraph& tg, const TemporalQuery& query,
+                        QueryContext* ctx) {
+    return AnswerImpl(tg, query, ctx);
+  }
+  // Unbounded form: ctx = nullptr, CHECK-fails on any non-OK status.
+  TemporalAnswer Answer(const TemporalGraph& tg, const TemporalQuery& query);
+
+ protected:
+  virtual TemporalAnswer AnswerImpl(const TemporalGraph& tg,
+                                    const TemporalQuery& query,
+                                    QueryContext* ctx) = 0;
 };
 
 // The straightforward extension of a static algorithm (ProbeSim, SLING,
@@ -72,8 +89,11 @@ class StaticRecomputeEngine : public TemporalEngine {
       : algorithm_(algorithm) {}
 
   std::string name() const override { return algorithm_->name() + "-T"; }
-  TemporalAnswer Answer(const TemporalGraph& tg,
-                        const TemporalQuery& query) override;
+
+ protected:
+  TemporalAnswer AnswerImpl(const TemporalGraph& tg,
+                            const TemporalQuery& query,
+                            QueryContext* ctx) override;
 
  private:
   SimRankAlgorithm* algorithm_;
@@ -90,19 +110,19 @@ class ReadsTemporalEngine : public TemporalEngine {
       : reads_(options) {}
 
   std::string name() const override { return "READS-T"; }
-  TemporalAnswer Answer(const TemporalGraph& tg,
-                        const TemporalQuery& query) override;
+
+ protected:
+  TemporalAnswer AnswerImpl(const TemporalGraph& tg,
+                            const TemporalQuery& query,
+                            QueryContext* ctx) override;
 
  private:
   Reads reads_;
 };
 
-// Validates the query interval against the temporal graph (CHECK-fails on
-// out-of-range or inverted intervals). Shared by all engines.
-void CheckQueryInterval(const TemporalGraph& tg, const TemporalQuery& query);
-
-// Status-returning variant for query paths that must not abort the process:
-// kInvalidArgument describing exactly which bound is out of range.
+// Validates the query interval and source against the temporal graph:
+// kInvalidArgument describing exactly which bound is out of range. Every
+// engine checks its query with it before touching a snapshot.
 [[nodiscard]] Status ValidateQueryInterval(const TemporalGraph& tg,
                                            const TemporalQuery& query);
 

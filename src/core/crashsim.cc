@@ -96,39 +96,15 @@ ReverseReachableTree CrashSim::BuildTree(NodeId u) const {
                        options_.tree_prune_threshold);
 }
 
-std::vector<double> CrashSim::SingleSource(NodeId u) {
+PartialResult CrashSim::SingleSourceImpl(NodeId u, QueryContext* ctx) {
   std::vector<NodeId> all(static_cast<size_t>(graph()->num_nodes()));
   std::iota(all.begin(), all.end(), 0);
-  return Partial(u, all);
+  return PartialImpl(u, all, ctx);
 }
 
-std::vector<double> CrashSim::Partial(NodeId u,
-                                      std::span<const NodeId> candidates) {
-  const ReverseReachableTree tree = BuildTree(u);
-  return PartialWithTree(tree, candidates);
-}
-
-std::vector<double> CrashSim::PartialWithTree(
-    const ReverseReachableTree& tree, std::span<const NodeId> candidates) {
-  // One body for both API generations: the context-aware path with no
-  // context runs every trial and cannot be truncated, so the only
-  // difference is the return shape. (Historically this overload kept its
-  // own sequential RNG stream; since the per-(candidate, trial) substream
-  // contract of util/rng.h landed, every path draws identical streams and
-  // the fork was deleted.)
-  PartialResult result = PartialWithTree(tree, candidates, nullptr);
-  CRASHSIM_CHECK(result.status.ok()) << result.status;
-  return std::move(result.scores);
-}
-
-PartialResult CrashSim::SingleSource(NodeId u, QueryContext* ctx) {
-  std::vector<NodeId> all(static_cast<size_t>(graph()->num_nodes()));
-  std::iota(all.begin(), all.end(), 0);
-  return Partial(u, all, ctx);
-}
-
-PartialResult CrashSim::Partial(NodeId u, std::span<const NodeId> candidates,
-                                QueryContext* ctx) {
+PartialResult CrashSim::PartialImpl(NodeId u,
+                                    std::span<const NodeId> candidates,
+                                    QueryContext* ctx) {
   PartialResult result;
   if (Status s = options_.Validate(); !s.ok()) {
     result.status = s;

@@ -77,30 +77,20 @@ class CrashSim : public SimRankAlgorithm {
   // call, so it is a pure function of (g, c, diag_samples, l_max, seed) and
   // Bind never depends on what was bound before. nullptr in paper mode.
   SharedDiagonal EstimateDiagonal(const Graph& g) const;
-  std::vector<double> SingleSource(NodeId u) override;
-  // True partial evaluation: cost O(tree + n_r * |candidates| * E[len]).
-  std::vector<double> Partial(NodeId u,
-                              std::span<const NodeId> candidates) override;
 
   // Scores candidates against a pre-built source tree (CrashSim-T builds the
   // tree once per snapshot for its pruning checks and reuses it here).
-  std::vector<double> PartialWithTree(const ReverseReachableTree& tree,
-                                      std::span<const NodeId> candidates);
-
-  // Deadline/cancellation-aware anytime variants. The context (nullptr =
-  // unbounded) is checked between trial blocks; on deadline or cancellation
-  // the returned PartialResult carries the exact scores of the trials_done
+  //
+  // Deadline/cancellation-aware (anytime): the context (nullptr = unbounded)
+  // is checked between trial blocks; on deadline or cancellation the
+  // returned PartialResult carries the exact scores of the trials_done
   // trials that completed plus the achieved error bound — never a throw,
   // never a block. Scores are deterministic given (seed, trials_done): every
   // walk draws from its own RNG stream derived from (seed, source,
   // candidate, trial) — see util/rng.h — so a run cut short at k trials
   // equals a fresh run with trials_override = k bit for bit, independent of
-  // num_threads and batch_size. The plain overloads above are thin wrappers
-  // over these (ctx = nullptr), so legacy and context-aware answers share
-  // one stream contract.
-  PartialResult SingleSource(NodeId u, QueryContext* ctx);
-  PartialResult Partial(NodeId u, std::span<const NodeId> candidates,
-                        QueryContext* ctx);
+  // num_threads and batch_size. SingleSource and Partial build the tree and
+  // run this same body.
   PartialResult PartialWithTree(const ReverseReachableTree& tree,
                                 std::span<const NodeId> candidates,
                                 QueryContext* ctx);
@@ -116,6 +106,12 @@ class CrashSim : public SimRankAlgorithm {
   // Corrected mode's diagonal corrections d(w) of the bound graph; empty in
   // paper mode. Shared with the multi-source batch evaluator.
   const std::vector<double>& diagonal() const;
+
+ protected:
+  PartialResult SingleSourceImpl(NodeId u, QueryContext* ctx) override;
+  // True partial evaluation: cost O(tree + n_r * |candidates| * E[len]).
+  PartialResult PartialImpl(NodeId u, std::span<const NodeId> candidates,
+                            QueryContext* ctx) override;
 
  private:
   CrashSimOptions options_;

@@ -52,29 +52,28 @@ struct CrashSimTOptions {
 //
 // Corrected mode estimates d(w) per snapshot. With a SnapshotDiagonals
 // table (borrowed, must outlive the engine, built for the queried graph
-// with matching options) both Answer overloads take each snapshot's d(w)
-// from it, so queries share one estimate per snapshot; without one they
-// estimate per Bind. The answers are bit-identical either way.
+// with matching options) Answer takes each snapshot's d(w) from it, so
+// queries share one estimate per snapshot; without one it estimates per
+// Bind. The answers are bit-identical either way.
 class CrashSimT : public TemporalEngine {
  public:
   explicit CrashSimT(const CrashSimTOptions& options,
                      SnapshotDiagonals* diagonals = nullptr);
 
   std::string name() const override { return "CrashSim-T"; }
-  TemporalAnswer Answer(const TemporalGraph& tg,
-                        const TemporalQuery& query) override;
-
-  // Deadline/cancellation-aware variant (ctx may be nullptr = unbounded).
-  // The context is checked before every snapshot and threaded into the
-  // per-snapshot CrashSim evaluation; on deadline/cancel the answer carries
-  // the candidate set after the last fully processed snapshot plus a
-  // non-OK status — partially evaluated snapshots are never observed, so
-  // the prefix answer is exactly what an unbounded run over the shorter
-  // interval would have produced.
-  TemporalAnswer Answer(const TemporalGraph& tg, const TemporalQuery& query,
-                        QueryContext* ctx);
 
   const CrashSimTOptions& options() const { return options_; }
+
+ protected:
+  // The context is checked before every snapshot and threaded into the
+  // per-snapshot tree builds and CrashSim evaluation; on deadline/cancel the
+  // answer carries the candidate set after the last fully processed
+  // snapshot plus a non-OK status — partially evaluated snapshots are never
+  // observed, so the prefix answer is exactly what an unbounded run over
+  // the shorter interval would have produced.
+  TemporalAnswer AnswerImpl(const TemporalGraph& tg,
+                            const TemporalQuery& query,
+                            QueryContext* ctx) override;
 
  private:
   // Binds crashsim_ to snapshot t (`g`), taking d(w) from diagonals_ when

@@ -4,11 +4,13 @@
 
 namespace crashsim {
 
-TemporalAnswer ExactTemporalEngine::Answer(const TemporalGraph& tg,
-                                           const TemporalQuery& query) {
-  CheckQueryInterval(tg, query);
+TemporalAnswer ExactTemporalEngine::AnswerImpl(const TemporalGraph& tg,
+                                               const TemporalQuery& query,
+                                               QueryContext* /*ctx*/) {
   Stopwatch timer;
   TemporalAnswer answer;
+  answer.status = ValidateQueryInterval(tg, query);
+  if (!answer.status.ok()) return answer;
   CandidateFilter filter(query, tg.num_nodes());
 
   SnapshotCursor cursor(&tg);

@@ -24,8 +24,8 @@ class GroundTruth {
     matrix_ = PowerMethodAllPairs(*g, c_, iterations_);
   }
 
+  // Row u of the matrix is the exact single-source answer for u.
   const SimRankMatrix& matrix() const { return matrix_; }
-  std::vector<double> SingleSource(NodeId u) const { return matrix_.Row(u); }
 
   double c() const { return c_; }
   int iterations() const { return iterations_; }
@@ -45,8 +45,12 @@ class ExactTemporalEngine : public TemporalEngine {
       : c_(c), iterations_(iterations) {}
 
   std::string name() const override { return "PowerMethod-T"; }
-  TemporalAnswer Answer(const TemporalGraph& tg,
-                        const TemporalQuery& query) override;
+
+ protected:
+  // No checkpoint: the power method runs every snapshot to completion.
+  TemporalAnswer AnswerImpl(const TemporalGraph& tg,
+                            const TemporalQuery& query,
+                            QueryContext* ctx) override;
 
  private:
   double c_;

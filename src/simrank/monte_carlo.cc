@@ -28,12 +28,20 @@ int64_t PairwiseMonteCarlo::TrialsFor(NodeId n) const {
   return nr;
 }
 
-std::vector<double> PairwiseMonteCarlo::Partial(
-    NodeId u, std::span<const NodeId> candidates) {
+PartialResult PairwiseMonteCarlo::PartialImpl(
+    NodeId u, std::span<const NodeId> candidates, QueryContext* /*ctx*/) {
   const Graph& g = *graph();
-  CRASHSIM_CHECK(u >= 0 && u < g.num_nodes());
+  PartialResult result;
+  result.status = ValidateNodeId(u, g.num_nodes(), "source");
+  for (size_t ci = 0; ci < candidates.size() && result.status.ok(); ++ci) {
+    result.status = ValidateNodeId(candidates[ci], g.num_nodes(), "candidate");
+  }
+  if (!result.status.ok()) return result;
   const int64_t trials = TrialsFor(g.num_nodes());
-  std::vector<double> scores(candidates.size(), 0.0);
+  result.trials_target = trials;
+  result.trials_done = trials;
+  std::vector<double>& scores = result.scores;
+  scores.assign(candidates.size(), 0.0);
   std::vector<NodeId> wu;
   std::vector<NodeId> wv;
   for (size_t ci = 0; ci < candidates.size(); ++ci) {
@@ -57,13 +65,14 @@ std::vector<double> PairwiseMonteCarlo::Partial(
     scores[ci] =
         static_cast<double>(meetings) / static_cast<double>(trials);
   }
-  return scores;
+  return result;
 }
 
-std::vector<double> PairwiseMonteCarlo::SingleSource(NodeId u) {
+PartialResult PairwiseMonteCarlo::SingleSourceImpl(NodeId u,
+                                                   QueryContext* ctx) {
   std::vector<NodeId> all(static_cast<size_t>(graph()->num_nodes()));
   for (size_t i = 0; i < all.size(); ++i) all[i] = static_cast<NodeId>(i);
-  return Partial(u, all);
+  return PartialImpl(u, all, ctx);
 }
 
 }  // namespace crashsim

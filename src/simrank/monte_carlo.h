@@ -24,11 +24,15 @@ class PairwiseMonteCarlo : public SimRankAlgorithm {
 
   std::string name() const override { return "PairwiseMC"; }
   void Bind(const Graph* g) override;
-  std::vector<double> SingleSource(NodeId u) override;
-  std::vector<double> Partial(NodeId u,
-                              std::span<const NodeId> candidates) override;
 
   int64_t TrialsFor(NodeId n) const;
+
+ protected:
+  // No checkpoint: a context never cuts the trial loop short.
+  PartialResult SingleSourceImpl(NodeId u, QueryContext* ctx) override;
+  // Samples walk pairs for `candidates` only.
+  PartialResult PartialImpl(NodeId u, std::span<const NodeId> candidates,
+                            QueryContext* ctx) override;
 
  private:
   SimRankOptions options_;

@@ -79,26 +79,7 @@ void ProbeSim::Probe(const std::vector<NodeId>& walk, int i,
   }
 }
 
-std::vector<double> ProbeSim::SingleSource(NodeId u) {
-  const Graph& g = *graph();
-  CRASHSIM_CHECK(u >= 0 && u < g.num_nodes());
-  const NodeId n = g.num_nodes();
-  std::vector<double> scores(static_cast<size_t>(n), 0.0);
-  const int64_t trials = TrialsFor(n);
-  std::vector<NodeId> walk;
-  for (int64_t k = 0; k < trials; ++k) {
-    SampleSqrtCWalk(g, u, sqrt_c_, max_walk_length_, &rng_, &walk);
-    for (int i = 2; i <= static_cast<int>(walk.size()); ++i) {
-      Probe(walk, i, &scores);
-    }
-  }
-  const double inv = 1.0 / static_cast<double>(trials);
-  for (double& s : scores) s *= inv;
-  scores[static_cast<size_t>(u)] = 1.0;
-  return scores;
-}
-
-PartialResult ProbeSim::SingleSource(NodeId u, QueryContext* ctx) {
+PartialResult ProbeSim::SingleSourceImpl(NodeId u, QueryContext* ctx) {
   PartialResult result;
   if (Status s = options_.Validate(); !s.ok()) {
     result.status = s;

@@ -28,16 +28,6 @@ class ProbeSim : public SimRankAlgorithm {
 
   std::string name() const override { return "ProbeSim"; }
   void Bind(const Graph* g) override;
-  std::vector<double> SingleSource(NodeId u) override;
-
-  // Context-aware variant: trial blocks grow 1, 2, 4, ..., 64 with a
-  // deadline/cancellation checkpoint between blocks, the same anytime
-  // contract as CrashSim — a partial answer is the exact result of
-  // trials_done trials (the member RNG is consumed sequentially, so the
-  // prefix matches a fresh run with trials_override = trials_done), and
-  // the context's trial fraction shrinks the budget under executor load.
-  // nullptr behaves like the legacy entry point but with Status reporting.
-  PartialResult SingleSource(NodeId u, QueryContext* ctx);
 
   // Number of trials the current options yield on an n-node graph.
   int64_t TrialsFor(NodeId n) const;
@@ -45,6 +35,15 @@ class ProbeSim : public SimRankAlgorithm {
   // Probe expansion drops mass below this threshold (keeps probes bounded;
   // contributes at most prune_threshold * l_max to the estimate).
   void set_prune_threshold(double t) { prune_threshold_ = t; }
+
+ protected:
+  // Trial blocks grow 1, 2, 4, ..., 64 with a deadline/cancellation
+  // checkpoint between blocks, the same anytime contract as CrashSim — a
+  // partial answer is the exact result of trials_done trials (the member
+  // RNG is consumed sequentially, so the prefix matches a fresh run with
+  // trials_override = trials_done), and the context's trial fraction
+  // shrinks the budget under executor load.
+  PartialResult SingleSourceImpl(NodeId u, QueryContext* ctx) override;
 
  private:
   // Adds P(v, W(u, i)) for all v into scores (unnormalised trial sums).

@@ -68,68 +68,7 @@ void Reads::ApplyDelta(const EdgeDelta& delta, const Graph* updated) {
   for (NodeId v : dirty) ResampleNode(v);
 }
 
-std::vector<double> Reads::SingleSource(NodeId u) {
-  const Graph& g = *graph();
-  CRASHSIM_CHECK(u >= 0 && u < g.num_nodes());
-  const size_t n = static_cast<size_t>(g.num_nodes());
-  std::vector<double> scores(n, 0.0);
-  const int steps = options_.t;
-
-  // Source path per sample: path[j * (steps + 1) + k] = node of u's walk at
-  // step k in sample j (-1 once stopped). Samples j < r_q use a fresh walk.
-  std::vector<NodeId> path(static_cast<size_t>(options_.r) *
-                               static_cast<size_t>(steps + 1),
-                           -1);
-  for (int j = 0; j < options_.r; ++j) {
-    NodeId* row = path.data() + static_cast<size_t>(j) * (steps + 1);
-    row[0] = u;
-    NodeId cur = u;
-    for (int k = 1; k <= steps; ++k) {
-      NodeId nxt;
-      if (j < options_.r_q) {
-        // Fresh sqrt(c)-walk step for the source.
-        const auto in = g.InNeighbors(cur);
-        if (in.empty() || !rng_.Bernoulli(sqrt_c_)) {
-          nxt = -1;
-        } else {
-          nxt = in[rng_.NextBounded(in.size())];
-        }
-      } else {
-        nxt = next_[static_cast<size_t>(j) * n + static_cast<size_t>(cur)];
-      }
-      row[k] = nxt;
-      if (nxt < 0) break;
-      cur = nxt;
-    }
-  }
-
-  // For every v, chase its pointer chain per sample and test stepwise
-  // coincidence with the source path.
-  const double inv_r = 1.0 / static_cast<double>(options_.r);
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    if (v == u) continue;
-    int meets = 0;
-    for (int j = 0; j < options_.r; ++j) {
-      const NodeId* row = path.data() + static_cast<size_t>(j) * (steps + 1);
-      NodeId cur = v;
-      for (int k = 1; k <= steps; ++k) {
-        cur = next_[static_cast<size_t>(j) * n + static_cast<size_t>(cur)];
-        if (cur < 0) break;
-        const NodeId su = row[k];
-        if (su < 0) break;
-        if (su == cur) {
-          ++meets;
-          break;
-        }
-      }
-    }
-    scores[static_cast<size_t>(v)] = static_cast<double>(meets) * inv_r;
-  }
-  scores[static_cast<size_t>(u)] = 1.0;
-  return scores;
-}
-
-PartialResult Reads::SingleSource(NodeId u, QueryContext* ctx) {
+PartialResult Reads::SingleSourceImpl(NodeId u, QueryContext* ctx) {
   PartialResult result;
   if (Status s = options_.Validate(); !s.ok()) {
     result.status = s;
@@ -145,9 +84,8 @@ PartialResult Reads::SingleSource(NodeId u, QueryContext* ctx) {
   result.trials_target = g.num_nodes();
   result.scores.assign(n, 0.0);
 
-  // Source paths first (identical RNG consumption to the legacy entry
-  // point, so the candidate scores below match it exactly); the chases
-  // afterwards are deterministic index reads.
+  // Source paths first (they consume the member RNG); the chases afterwards
+  // are deterministic index reads.
   std::vector<NodeId> path(static_cast<size_t>(options_.r) *
                                static_cast<size_t>(steps + 1),
                            -1);

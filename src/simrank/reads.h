@@ -47,18 +47,6 @@ class Reads : public SimRankAlgorithm {
 
   std::string name() const override { return "READS"; }
   void Bind(const Graph* g) override;
-  std::vector<double> SingleSource(NodeId u) override;
-
-  // Context-aware variant. READS has no trial loop to shrink — r is baked
-  // into the index — so progress is counted in *candidates scored*:
-  // trials_target = n, trials_done = candidates fully chased, with a
-  // deadline/cancellation checkpoint every 256 candidates (the pointer
-  // chases between checkpoints are pure index reads). A partial answer
-  // scores candidates [0, trials_done) exactly as the full run would and
-  // leaves the rest at 0; epsilon_achieved stays +infinity (READS carries
-  // no epsilon parameter). nullptr ctx behaves like the legacy entry point
-  // but with Status reporting.
-  PartialResult SingleSource(NodeId u, QueryContext* ctx);
 
   // Applies an edge delta to the bound graph's index. `updated` must be the
   // post-delta graph (the caller owns snapshot materialisation); the index
@@ -75,6 +63,16 @@ class Reads : public SimRankAlgorithm {
   // node count than the currently bound graph.
   void SaveIndex(std::ostream& out) const;
   bool LoadIndex(std::istream& in, std::string* error);
+
+ protected:
+  // READS has no trial loop to shrink — r is baked into the index — so
+  // progress is counted in *candidates scored*: trials_target = n,
+  // trials_done = candidates fully chased, with a deadline/cancellation
+  // checkpoint every 256 candidates (the pointer chases between checkpoints
+  // are pure index reads). A partial answer scores candidates
+  // [0, trials_done) exactly as the full run would and leaves the rest at 0;
+  // epsilon_achieved stays +infinity (READS carries no epsilon parameter).
+  PartialResult SingleSourceImpl(NodeId u, QueryContext* ctx) override;
 
  private:
   // Resamples the pointer of node v in every sample.

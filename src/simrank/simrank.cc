@@ -1,5 +1,8 @@
 #include "simrank/simrank.h"
 
+#include <utility>
+
+#include "util/logging.h"
 #include "util/string_util.h"
 
 namespace crashsim {
@@ -42,13 +45,35 @@ Status ValidateNodeId(NodeId v, NodeId n, const char* what) {
   return OkStatus();
 }
 
+std::vector<double> SimRankAlgorithm::SingleSource(NodeId u) {
+  PartialResult result = SingleSourceImpl(u, nullptr);
+  CRASHSIM_CHECK(result.status.ok()) << result.status;
+  return std::move(result.scores);
+}
+
 std::vector<double> SimRankAlgorithm::Partial(
     NodeId u, std::span<const NodeId> candidates) {
-  const std::vector<double> all = SingleSource(u);
-  std::vector<double> out;
-  out.reserve(candidates.size());
-  for (NodeId v : candidates) out.push_back(all[static_cast<size_t>(v)]);
-  return out;
+  PartialResult result = PartialImpl(u, candidates, nullptr);
+  CRASHSIM_CHECK(result.status.ok()) << result.status;
+  return std::move(result.scores);
+}
+
+PartialResult SimRankAlgorithm::PartialImpl(NodeId u,
+                                            std::span<const NodeId> candidates,
+                                            QueryContext* ctx) {
+  PartialResult result;
+  for (NodeId v : candidates) {
+    result.status = ValidateNodeId(v, graph()->num_nodes(), "candidate");
+    if (!result.status.ok()) return result;
+  }
+  result = SingleSourceImpl(u, ctx);
+  if (result.scores.empty()) return result;  // rejected source
+  const std::vector<double> all = std::move(result.scores);
+  result.scores.clear();
+  for (NodeId v : candidates) {
+    result.scores.push_back(all[static_cast<size_t>(v)]);
+  }
+  return result;
 }
 
 }  // namespace crashsim

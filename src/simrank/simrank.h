@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "core/query_context.h"
 #include "graph/graph.h"
 #include "util/status.h"
 
@@ -51,6 +52,11 @@ struct SimRankOptions {
 // library. An instance is bound to one graph at a time; Bind() rebuilds any
 // internal index, so index construction cost is attributable per snapshot
 // (the paper's Fig. 5 response times for SLING/READS include indexing time).
+//
+// An estimator implements one query body, the context-aware
+// SingleSourceImpl (plus PartialImpl where it can score a candidate subset
+// cheaper than the whole node set). The public entry points are defined
+// once, here, and never redeclared by a derived class.
 class SimRankAlgorithm {
  public:
   virtual ~SimRankAlgorithm() = default;
@@ -62,18 +68,37 @@ class SimRankAlgorithm {
   // must outlive the binding.
   virtual void Bind(const Graph* g) = 0;
 
-  // Computes estimated SimRank scores s(u, v) for every node v; the result
-  // has size num_nodes with result[u] == 1.
-  virtual std::vector<double> SingleSource(NodeId u) = 0;
+  // Estimated SimRank scores s(u, v) for every node v; the scores have size
+  // num_nodes with scores[u] == 1. `ctx` (nullptr = unbounded) carries the
+  // deadline, cancellation, trial fraction and stats sink; estimators with
+  // checkpoints return an anytime partial answer when it expires, the others
+  // run to completion. Bad ids come back as kInvalidArgument.
+  PartialResult SingleSource(NodeId u, QueryContext* ctx) {
+    return SingleSourceImpl(u, ctx);
+  }
 
-  // Computes scores only for `candidates` (result aligned with it). The
-  // default evaluates SingleSource and gathers; CrashSim overrides this with
-  // true partial evaluation — its key structural advantage for temporal
-  // queries (Section IV-A).
-  virtual std::vector<double> Partial(NodeId u,
-                                      std::span<const NodeId> candidates);
+  // Scores only for `candidates` (aligned with it). CrashSim evaluates them
+  // truly partially — its key structural advantage for temporal queries
+  // (Section IV-A); the default runs SingleSource and gathers.
+  PartialResult Partial(NodeId u, std::span<const NodeId> candidates,
+                        QueryContext* ctx) {
+    return PartialImpl(u, candidates, ctx);
+  }
+
+  // Unbounded forms: run with ctx = nullptr and CHECK-fail on any non-OK
+  // status (a bad id, an armed failpoint).
+  std::vector<double> SingleSource(NodeId u);
+  std::vector<double> Partial(NodeId u, std::span<const NodeId> candidates);
 
  protected:
+  // The estimator's query body.
+  virtual PartialResult SingleSourceImpl(NodeId u, QueryContext* ctx) = 0;
+  // Defaults to SingleSourceImpl plus a gather, after checking every
+  // candidate id.
+  virtual PartialResult PartialImpl(NodeId u,
+                                    std::span<const NodeId> candidates,
+                                    QueryContext* ctx);
+
   const Graph* graph() const { return graph_; }
   void set_graph(const Graph* g) { graph_ = g; }
 

@@ -96,11 +96,14 @@ void Sling::BuildReverseLists() {
   }
 }
 
-std::vector<double> Sling::SingleSource(NodeId u) {
+PartialResult Sling::SingleSourceImpl(NodeId u, QueryContext* /*ctx*/) {
   const Graph& g = *graph();
-  CRASHSIM_CHECK(u >= 0 && u < g.num_nodes());
+  PartialResult result;
+  result.status = ValidateNodeId(u, g.num_nodes(), "source");
+  if (!result.status.ok()) return result;
   const NodeId n = g.num_nodes();
-  std::vector<double> scores(static_cast<size_t>(n), 0.0);
+  std::vector<double>& scores = result.scores;
+  scores.assign(static_cast<size_t>(n), 0.0);
 
   // Forward push from u along in-edges: h_t(u, .).
   std::vector<double> cur(static_cast<size_t>(n), 0.0);
@@ -140,7 +143,7 @@ std::vector<double> Sling::SingleSource(NodeId u) {
   }
   for (NodeId x : touched_cur) cur[static_cast<size_t>(x)] = 0.0;
   scores[static_cast<size_t>(u)] = 1.0;
-  return scores;
+  return result;
 }
 
 namespace {

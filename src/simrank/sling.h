@@ -36,7 +36,6 @@ class Sling : public SimRankAlgorithm {
 
   std::string name() const override { return "SLING"; }
   void Bind(const Graph* g) override;
-  std::vector<double> SingleSource(NodeId u) override;
 
   const IndexStats& index_stats() const { return stats_; }
 
@@ -54,6 +53,11 @@ class Sling : public SimRankAlgorithm {
   void set_prune_threshold(double t) { prune_threshold_ = t; }
   // Paired-walk samples per node for d(w).
   void set_diag_samples(int s) { diag_samples_ = s; }
+
+ protected:
+  // One forward push and index join; no checkpoint, so a context never cuts
+  // it short (the trial counters stay 0: SLING samples nothing per query).
+  PartialResult SingleSourceImpl(NodeId u, QueryContext* ctx) override;
 
  private:
   // One level-synchronised push step along out-edges (reverse hitting).

@@ -22,16 +22,16 @@ namespace {
 // CRASHSIM_FAILPOINT whose literal is missing here, so the catalog can never
 // drift from the call sites. Document new entries in docs/ROBUSTNESS.md.
 const char* const kFailpointCatalog[] = {
-    "crashsim.trial_block",  // between CrashSim trial blocks (context path)
+    "crashsim.trial_block",  // between CrashSim trial blocks
     "crashsim_t.snapshot",   // before each CrashSim-T snapshot is answered
     "executor.admit",        // QueryExecutor admission decision
     "graph_io.alloc",        // edge-buffer growth inside the loaders
     "graph_io.load",         // start of every edge-list load
     "parallel.worker",       // pool worker about to run a shard (throws)
-    "probesim.trial_block",  // between ProbeSim trial blocks (context path)
-    "reads.chunk",           // between READS candidate chunks (context path)
+    "probesim.trial_block",  // between ProbeSim trial blocks
+    "reads.chunk",           // between READS candidate chunks
     "rev_reach.alloc",       // allocations inside the revReach tree build
-    "rev_reach.build",       // start of a context-aware revReach build
+    "rev_reach.build",       // start of every revReach build
     "snapshot_diagonals.fill",  // shared d(w) table about to estimate (throws)
     "tree_cache.build",      // TreeCache miss about to build a shared tree
 };

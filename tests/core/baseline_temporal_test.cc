@@ -106,10 +106,14 @@ TEST(EnginesAgreeTest, AllEnginesReturnSameSetOnRobustScenario) {
   EXPECT_EQ(a, c);
 }
 
+// The unbounded Answer checks the interval and CHECK-fails on a bad one;
+// the context form reports it as a status instead.
 TEST(CheckQueryIntervalTest, AcceptsValidInterval) {
   const TemporalGraph tg = SplitWorld(3);
   TemporalQuery q = LeafQuery(2, 0.5);
-  CheckQueryInterval(tg, q);  // must not die
+  EXPECT_TRUE(ValidateQueryInterval(tg, q).ok());
+  ReadsTemporalEngine engine(ReadsOptions{});
+  EXPECT_EQ(engine.Answer(tg, q).stats.snapshots_processed, 3);  // no death
 }
 
 using CheckQueryIntervalDeathTest = testing::Test;
@@ -117,14 +121,20 @@ using CheckQueryIntervalDeathTest = testing::Test;
 TEST(CheckQueryIntervalDeathTest, RejectsOutOfRangeEnd) {
   const TemporalGraph tg = SplitWorld(3);
   TemporalQuery q = LeafQuery(5, 0.5);
-  EXPECT_DEATH(CheckQueryInterval(tg, q), "CHECK failed");
+  ReadsTemporalEngine engine(ReadsOptions{});
+  EXPECT_EQ(engine.Answer(tg, q, nullptr).status.code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_DEATH(engine.Answer(tg, q), "CHECK failed");
 }
 
 TEST(CheckQueryIntervalDeathTest, RejectsInvertedInterval) {
   const TemporalGraph tg = SplitWorld(3);
   TemporalQuery q = LeafQuery(1, 0.5);
   q.begin_snapshot = 2;
-  EXPECT_DEATH(CheckQueryInterval(tg, q), "CHECK failed");
+  ReadsTemporalEngine engine(ReadsOptions{});
+  EXPECT_EQ(engine.Answer(tg, q, nullptr).status.code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_DEATH(engine.Answer(tg, q), "CHECK failed");
 }
 
 }  // namespace

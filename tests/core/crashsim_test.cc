@@ -112,7 +112,8 @@ TEST(CrashSimTest, PartialWithTreeMatchesPartial) {
   b.Bind(&g);
   const std::vector<NodeId> cands{1, 2, 3};
   const auto tree = b.BuildTree(0);
-  EXPECT_EQ(a.Partial(0, cands), b.PartialWithTree(tree, cands));
+  EXPECT_EQ(a.Partial(0, cands),
+            b.PartialWithTree(tree, cands, nullptr).scores);
 }
 
 TEST(CrashSimTest, PaperModeApproximatesGroundTruthOnExample) {

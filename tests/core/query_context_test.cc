@@ -6,6 +6,7 @@
 
 #include <chrono>
 #include <cmath>
+#include <memory>
 #include <numeric>
 #include <thread>
 #include <vector>
@@ -16,6 +17,10 @@
 #include "core/crashsim_t.h"
 #include "datasets/datasets.h"
 #include "graph/generators.h"
+#include "simrank/monte_carlo.h"
+#include "simrank/probesim.h"
+#include "simrank/reads.h"
+#include "simrank/sling.h"
 #include "simrank/walk.h"
 #include "util/rng.h"
 
@@ -216,22 +221,35 @@ TEST(AnytimeCrashSimTest, NullContextMatchesUnboundedContext) {
   EXPECT_EQ(with_ctx.trials_done, without.trials_done);
 }
 
-TEST(AnytimeCrashSimTest, InvalidSourceIsStatusNotCrash) {
+// Every estimator, driven through the base interface, reports a bad source
+// or candidate id as kInvalidArgument — never a crash or an out-of-bounds
+// read.
+TEST(EstimatorInterfaceTest, InvalidIdsAreStatusNotCrash) {
   const Graph g = TestGraph(50);
-  CrashSim algo(Options(100));
-  algo.Bind(&g);
-  const PartialResult result = algo.SingleSource(-1, nullptr);
-  EXPECT_EQ(result.status.code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(result.trials_done, 0);
-}
-
-TEST(AnytimeCrashSimTest, InvalidCandidateIsStatusNotCrash) {
-  const Graph g = TestGraph(50);
-  CrashSim algo(Options(100));
-  algo.Bind(&g);
-  const std::vector<NodeId> cands = {1, 2, 999};
-  const PartialResult result = algo.Partial(0, cands, nullptr);
-  EXPECT_EQ(result.status.code(), StatusCode::kInvalidArgument);
+  SimRankOptions mc;
+  mc.trials_override = 20;
+  ReadsOptions ro;
+  ro.r = 20;
+  std::vector<std::unique_ptr<SimRankAlgorithm>> algos;
+  algos.push_back(std::make_unique<CrashSim>(Options(100)));
+  algos.push_back(std::make_unique<ProbeSim>(mc));
+  algos.push_back(std::make_unique<Sling>(mc));
+  algos.push_back(std::make_unique<Reads>(ro));
+  algos.push_back(std::make_unique<PairwiseMonteCarlo>(mc));
+  for (const std::unique_ptr<SimRankAlgorithm>& algo : algos) {
+    SCOPED_TRACE(algo->name());
+    algo->Bind(&g);
+    for (const NodeId bad : {NodeId{-1}, NodeId{50}}) {
+      const PartialResult source = algo->SingleSource(bad, nullptr);
+      EXPECT_EQ(source.status.code(), StatusCode::kInvalidArgument);
+      EXPECT_EQ(source.trials_done, 0);
+      const std::vector<NodeId> cands = {1, 2, bad};
+      EXPECT_EQ(algo->Partial(0, cands, nullptr).status.code(),
+                StatusCode::kInvalidArgument);
+    }
+    const std::vector<NodeId> good = {1, 2, 3};
+    EXPECT_TRUE(algo->Partial(0, good, nullptr).complete());
+  }
 }
 
 TEST(AnytimeCrashSimTest, DeadlineDuringTreeBuildReportsZeroTrials) {

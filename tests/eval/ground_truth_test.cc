@@ -13,7 +13,7 @@ TEST(GroundTruthTest, BindComputesMatrix) {
   GroundTruth gt(0.6, 55);
   gt.Bind(&g);
   EXPECT_EQ(gt.matrix().num_nodes(), 8);
-  const auto row = gt.SingleSource(0);
+  const auto row = gt.matrix().Row(0);
   EXPECT_DOUBLE_EQ(row[0], 1.0);
   for (double s : row) {
     EXPECT_GE(s, 0.0);
@@ -25,7 +25,7 @@ TEST(GroundTruthTest, RowMatchesMatrix) {
   const Graph g = PaperExampleGraph();
   GroundTruth gt(0.25, 30);
   gt.Bind(&g);
-  const auto row = gt.SingleSource(3);
+  const auto row = gt.matrix().Row(3);
   for (NodeId v = 0; v < 8; ++v) {
     EXPECT_DOUBLE_EQ(row[static_cast<size_t>(v)], gt.matrix().At(3, v));
   }

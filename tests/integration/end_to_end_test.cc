@@ -41,7 +41,7 @@ TEST(EndToEndStaticTest, AllAlgorithmsOnDatasetStandIn) {
   Reads reads(ro);
 
   const NodeId u = static_cast<NodeId>(g.num_nodes() / 2);
-  const std::vector<double> truth = gt.SingleSource(u);
+  const std::vector<double> truth = gt.matrix().Row(u);
 
   struct Case {
     SimRankAlgorithm* algo;

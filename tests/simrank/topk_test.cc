@@ -18,7 +18,12 @@ class ExactAlgorithm : public SimRankAlgorithm {
     set_graph(g);
     matrix_ = PowerMethodAllPairs(*g, 0.6, 55);
   }
-  std::vector<double> SingleSource(NodeId u) override { return matrix_.Row(u); }
+ protected:
+  PartialResult SingleSourceImpl(NodeId u, QueryContext* /*ctx*/) override {
+    PartialResult result;
+    result.scores = matrix_.Row(u);
+    return result;
+  }
 
  private:
   SimRankMatrix matrix_;

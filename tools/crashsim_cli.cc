@@ -112,13 +112,16 @@ void DefineAlgoFlags(FlagSet* flags) {
                     "use the paper-verbatim revReach recurrence");
 }
 
-std::unique_ptr<SimRankAlgorithm> MakeAlgorithm(const FlagSet& flags) {
+// The --algo estimator with the algo flags and RNG seed `seed`; nullptr for
+// an unknown name.
+std::unique_ptr<SimRankAlgorithm> MakeAlgorithm(const FlagSet& flags,
+                                                uint64_t seed) {
   SimRankOptions mc;
   mc.c = flags.GetDouble("c");
   mc.epsilon = flags.GetDouble("epsilon");
   mc.delta = flags.GetDouble("delta");
   mc.trials_override = flags.GetInt("trials");
-  mc.seed = static_cast<uint64_t>(flags.GetInt("seed"));
+  mc.seed = seed;
   const std::string algo = flags.GetString("algo");
   if (algo == "crashsim") {
     CrashSimOptions opt;
@@ -139,6 +142,17 @@ std::unique_ptr<SimRankAlgorithm> MakeAlgorithm(const FlagSet& flags) {
   }
   if (algo == "mc") return std::make_unique<PairwiseMonteCarlo>(mc);
   return nullptr;
+}
+
+// The dense internal id of the original file id `original`.
+StatusOr<NodeId> DenseSourceId(const std::vector<int64_t>& original_ids,
+                               int64_t original) {
+  const auto it =
+      std::find(original_ids.begin(), original_ids.end(), original);
+  if (it == original_ids.end()) {
+    return NotFoundError("source id not present in the graph");
+  }
+  return static_cast<NodeId>(it - original_ids.begin());
 }
 
 // "exact" is handled out-of-band (it is not a SimRankAlgorithm and needs the
@@ -283,16 +297,10 @@ int RunTopK(int argc, char** argv) {
 
   // Map the original source id to the dense internal id.
   const int64_t original_source = flags.GetInt("source");
-  NodeId source = -1;
-  for (size_t i = 0; i < loaded.original_ids.size(); ++i) {
-    if (loaded.original_ids[i] == original_source) {
-      source = static_cast<NodeId>(i);
-      break;
-    }
-  }
-  if (source < 0) {
-    return FailStatus(NotFoundError("source id not present in the graph"));
-  }
+  const StatusOr<NodeId> source_or =
+      DenseSourceId(loaded.original_ids, original_source);
+  if (!source_or.ok()) return FailStatus(source_or.status());
+  const NodeId source = *source_or;
 
   // Deadline-bounded / instrumented anytime path: run the context-aware
   // CrashSim query, report whatever the completed trials support, and exit
@@ -378,7 +386,8 @@ int RunTopK(int argc, char** argv) {
     }
     top = selector.Sorted();
   } else {
-    std::unique_ptr<SimRankAlgorithm> algo = MakeAlgorithm(flags);
+    std::unique_ptr<SimRankAlgorithm> algo =
+        MakeAlgorithm(flags, static_cast<uint64_t>(flags.GetInt("seed")));
     if (!algo) {
       return FailStatus(
           InvalidArgumentError("unknown --algo " + flags.GetString("algo")));
@@ -438,16 +447,10 @@ int RunTemporal(int argc, char** argv) {
   const TemporalGraph& tg = loaded.graph;
 
   const int64_t original_source = flags.GetInt("source");
-  NodeId source = -1;
-  for (size_t i = 0; i < loaded.original_ids.size(); ++i) {
-    if (loaded.original_ids[i] == original_source) {
-      source = static_cast<NodeId>(i);
-      break;
-    }
-  }
-  if (source < 0) {
-    return FailStatus(NotFoundError("source id not present in the graph"));
-  }
+  const StatusOr<NodeId> source_or =
+      DenseSourceId(loaded.original_ids, original_source);
+  if (!source_or.ok()) return FailStatus(source_or.status());
+  const NodeId source = *source_or;
 
   TemporalQuery query;
   query.source = source;
@@ -468,6 +471,10 @@ int RunTemporal(int argc, char** argv) {
     return FailStatus(InvalidArgumentError("unknown --kind " + kind));
   }
 
+  if (Status s = ValidateQueryInterval(tg, query); !s.ok()) {
+    return FailStatus(s);
+  }
+
   SimRankOptions mc;
   mc.c = flags.GetDouble("c");
   mc.epsilon = flags.GetDouble("epsilon");
@@ -478,57 +485,56 @@ int RunTemporal(int argc, char** argv) {
   const int64_t timeout_ms = flags.GetInt("timeout_ms");
   const bool want_stats =
       flags.GetBool("stats") || flags.GetBool("stats_json");
-  QueryStats qstats;
-  const Stopwatch query_timer;
-  TemporalAnswer answer;
-  const std::string engine = flags.GetString("engine");
-  if (engine == "crashsim-t") {
+  const std::string engine_name = flags.GetString("engine");
+  if (engine_name != "crashsim-t" && timeout_ms > 0) {
+    return FailStatus(
+        InvalidArgumentError("--timeout_ms requires --engine crashsim-t"));
+  }
+  if (engine_name != "crashsim-t" && want_stats) {
+    return FailStatus(InvalidArgumentError(
+        "--stats/--stats_json require --engine crashsim-t"));
+  }
+  std::unique_ptr<SimRankAlgorithm> algo;  // recomputed by the -T baselines
+  std::unique_ptr<TemporalEngine> engine;
+  if (engine_name == "crashsim-t") {
     CrashSimTOptions opt;
     opt.crashsim.mc = mc;
     opt.crashsim.mode = flags.GetBool("paper_mode") ? RevReachMode::kPaper
                                                     : RevReachMode::kCorrected;
     opt.crashsim.num_threads = static_cast<int>(flags.GetInt("threads"));
     opt.crashsim.batch_size = static_cast<int>(flags.GetInt("batch_size"));
-    CrashSimT e(opt);
-    if (timeout_ms > 0 || want_stats || want_trace) {
-      // The observability sink lives on the QueryContext, so --stats routes
-      // through the context-aware path even without a deadline.
-      std::optional<QueryContext> ctx;
-      if (timeout_ms > 0) {
-        ctx.emplace(std::chrono::milliseconds(timeout_ms));
-      } else {
-        ctx.emplace();
-      }
-      if (want_stats) ctx->set_stats(&qstats);
-      answer = e.Answer(tg, query, &*ctx);
-    } else {
-      answer = e.Answer(tg, query);
-    }
-  } else if (timeout_ms > 0) {
-    return FailStatus(
-        InvalidArgumentError("--timeout_ms requires --engine crashsim-t"));
-  } else if (want_stats) {
-    return FailStatus(InvalidArgumentError(
-        "--stats/--stats_json require --engine crashsim-t"));
-  } else if (engine == "probesim-t") {
-    ProbeSim algo(mc);
-    StaticRecomputeEngine e(&algo);
-    answer = e.Answer(tg, query);
-  } else if (engine == "sling-t") {
-    Sling algo(mc);
-    StaticRecomputeEngine e(&algo);
-    answer = e.Answer(tg, query);
-  } else if (engine == "reads-t") {
+    engine = std::make_unique<CrashSimT>(opt);
+  } else if (engine_name == "probesim-t") {
+    algo = std::make_unique<ProbeSim>(mc);
+    engine = std::make_unique<StaticRecomputeEngine>(algo.get());
+  } else if (engine_name == "sling-t") {
+    algo = std::make_unique<Sling>(mc);
+    engine = std::make_unique<StaticRecomputeEngine>(algo.get());
+  } else if (engine_name == "reads-t") {
     ReadsOptions ro;
     ro.c = mc.c;
     ro.seed = mc.seed;
-    ReadsTemporalEngine e(ro);
-    answer = e.Answer(tg, query);
+    engine = std::make_unique<ReadsTemporalEngine>(ro);
   } else {
-    return FailStatus(InvalidArgumentError("unknown --engine " + engine));
+    return FailStatus(InvalidArgumentError("unknown --engine " + engine_name));
   }
 
+  // QueryContext is neither copyable nor movable; emplace the right ctor.
+  std::optional<QueryContext> ctx;
+  if (timeout_ms > 0) {
+    ctx.emplace(std::chrono::milliseconds(timeout_ms));
+  } else {
+    ctx.emplace();
+  }
+  QueryStats qstats;
+  if (want_stats) ctx->set_stats(&qstats);
+  const Stopwatch query_timer;
+  const TemporalAnswer answer = engine->Answer(tg, query, &*ctx);
   RecordCliQueryMillis(query_timer.ElapsedSeconds() * 1e3);
+  // Rejected options: no snapshot ran, so there is no answer to print.
+  if (answer.status.code() == StatusCode::kInvalidArgument) {
+    return FailStatus(answer.status);
+  }
   std::printf("%zu nodes satisfy the %s query over snapshots [%d, %d]:\n",
               answer.nodes.size(), kind.c_str(), query.begin_snapshot,
               query.end_snapshot);
@@ -578,16 +584,10 @@ int RunDurable(int argc, char** argv) {
   const LoadedTemporalGraph& loaded = *loaded_or;
   const TemporalGraph& tg = loaded.graph;
   const int64_t original_source = flags.GetInt("source");
-  NodeId source = -1;
-  for (size_t i = 0; i < loaded.original_ids.size(); ++i) {
-    if (loaded.original_ids[i] == original_source) {
-      source = static_cast<NodeId>(i);
-      break;
-    }
-  }
-  if (source < 0) {
-    return FailStatus(NotFoundError("source id not present in the graph"));
-  }
+  const StatusOr<NodeId> source_or =
+      DenseSourceId(loaded.original_ids, original_source);
+  if (!source_or.ok()) return FailStatus(source_or.status());
+  const NodeId source = *source_or;
 
   DurableTopKQuery query;
   query.source = source;
@@ -632,44 +632,16 @@ int RunDurable(int argc, char** argv) {
 // PartialResult callable for the executor.
 std::function<PartialResult(NodeId, QueryContext*)> MakeStressEngine(
     const FlagSet& flags, const Graph& g, uint64_t seed) {
-  SimRankOptions mc;
-  mc.c = flags.GetDouble("c");
-  mc.epsilon = flags.GetDouble("epsilon");
-  mc.delta = flags.GetDouble("delta");
-  mc.trials_override = flags.GetInt("trials");
-  mc.seed = seed;
+  // Only the estimators whose query loops have deadline checkpoints.
   const std::string algo = flags.GetString("algo");
-  if (algo == "crashsim") {
-    CrashSimOptions opt;
-    opt.mc = mc;
-    opt.mode = flags.GetBool("paper_mode") ? RevReachMode::kPaper
-                                           : RevReachMode::kCorrected;
-    opt.num_threads = static_cast<int>(flags.GetInt("threads"));
-    opt.batch_size = static_cast<int>(flags.GetInt("batch_size"));
-    auto engine = std::make_shared<CrashSim>(opt);
-    engine->Bind(&g);
-    return [engine](NodeId u, QueryContext* ctx) {
-      return engine->SingleSource(u, ctx);
-    };
+  if (algo != "crashsim" && algo != "probesim" && algo != "reads") {
+    return nullptr;
   }
-  if (algo == "probesim") {
-    auto engine = std::make_shared<ProbeSim>(mc);
-    engine->Bind(&g);
-    return [engine](NodeId u, QueryContext* ctx) {
-      return engine->SingleSource(u, ctx);
-    };
-  }
-  if (algo == "reads") {
-    ReadsOptions ro;
-    ro.c = mc.c;
-    ro.seed = seed;
-    auto engine = std::make_shared<Reads>(ro);
-    engine->Bind(&g);
-    return [engine](NodeId u, QueryContext* ctx) {
-      return engine->SingleSource(u, ctx);
-    };
-  }
-  return nullptr;
+  std::shared_ptr<SimRankAlgorithm> engine = MakeAlgorithm(flags, seed);
+  engine->Bind(&g);
+  return [engine](NodeId u, QueryContext* ctx) {
+    return engine->SingleSource(u, ctx);
+  };
 }
 
 // `stress` — drive a concurrent query mix through the QueryExecutor and
