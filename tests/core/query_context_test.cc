@@ -221,6 +221,24 @@ TEST(AnytimeCrashSimTest, NullContextMatchesUnboundedContext) {
   EXPECT_EQ(with_ctx.trials_done, without.trials_done);
 }
 
+TEST(AnytimeCrashSimTest, InvalidSourceIsStatusNotCrash) {
+  const Graph g = TestGraph(50);
+  CrashSim algo(Options(100));
+  algo.Bind(&g);
+  const PartialResult result = algo.SingleSource(-1, nullptr);
+  EXPECT_EQ(result.status.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(result.trials_done, 0);
+}
+
+TEST(AnytimeCrashSimTest, InvalidCandidateIsStatusNotCrash) {
+  const Graph g = TestGraph(50);
+  CrashSim algo(Options(100));
+  algo.Bind(&g);
+  const std::vector<NodeId> cands = {1, 2, 999};
+  const PartialResult result = algo.Partial(0, cands, nullptr);
+  EXPECT_EQ(result.status.code(), StatusCode::kInvalidArgument);
+}
+
 // Every estimator, driven through the base interface, reports a bad source
 // or candidate id as kInvalidArgument — never a crash or an out-of-bounds
 // read.
