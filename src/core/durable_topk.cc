@@ -3,22 +3,36 @@
 #include <algorithm>
 
 #include "util/logging.h"
+#include "util/string_util.h"
 #include "util/timer.h"
 #include "util/top_k.h"
 
 namespace crashsim {
+
+Status ValidateDurableTopKQuery(const TemporalGraph& tg,
+                                const DurableTopKQuery& query) {
+  TemporalQuery interval;
+  interval.source = query.source;
+  interval.begin_snapshot = query.begin_snapshot;
+  interval.end_snapshot = query.end_snapshot;
+  RETURN_IF_ERROR(ValidateQueryInterval(tg, interval));
+  if (query.k < 1) {
+    return InvalidArgumentError(StrFormat("k must be >= 1, got %d", query.k));
+  }
+  if (!(query.floor >= 0.0)) {
+    return InvalidArgumentError(
+        StrFormat("floor must be >= 0, got %g", query.floor));
+  }
+  return OkStatus();
+}
 
 CrashSimDurableTopK::CrashSimDurableTopK(const CrashSimOptions& options)
     : crashsim_(options) {}
 
 DurableTopKAnswer CrashSimDurableTopK::Answer(const TemporalGraph& tg,
                                               const DurableTopKQuery& query) {
-  CRASHSIM_CHECK_GE(query.begin_snapshot, 0);
-  CRASHSIM_CHECK_LE(query.begin_snapshot, query.end_snapshot);
-  CRASHSIM_CHECK_LT(query.end_snapshot, tg.num_snapshots());
-  CRASHSIM_CHECK(query.source >= 0 && query.source < tg.num_nodes());
-  CRASHSIM_CHECK_GT(query.k, 0);
-  CRASHSIM_CHECK_GE(query.floor, 0.0);
+  const Status valid = ValidateDurableTopKQuery(tg, query);
+  CRASHSIM_CHECK(valid.ok()) << valid;
 
   Stopwatch timer;
   DurableTopKAnswer answer;

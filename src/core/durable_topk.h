@@ -29,6 +29,12 @@ struct DurableTopKQuery {
   double floor = 0.0;
 };
 
+// Validates the interval and source (ValidateQueryInterval), k >= 1 and
+// floor >= 0: kInvalidArgument naming the bad field. Answer CHECK-fails on
+// a query this rejects.
+[[nodiscard]] Status ValidateDurableTopKQuery(const TemporalGraph& tg,
+                                              const DurableTopKQuery& query);
+
 struct DurableTopKAnswer {
   // (durable score = min over snapshots, node), descending.
   std::vector<std::pair<double, NodeId>> result;

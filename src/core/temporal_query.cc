@@ -13,6 +13,18 @@ const char* ToString(TemporalQueryKind kind) {
   return "unknown";
 }
 
+StatusOr<TemporalQueryKind> ParseTemporalQueryKind(std::string_view name) {
+  if (name == "threshold") return TemporalQueryKind::kThreshold;
+  if (name == "increasing") return TemporalQueryKind::kTrendIncreasing;
+  if (name == "decreasing") return TemporalQueryKind::kTrendDecreasing;
+  return InvalidArgumentError("unknown kind '" + std::string(name) +
+                              "' (threshold | increasing | decreasing)");
+}
+
+int ResolveEndSnapshot(int64_t end, int num_snapshots) {
+  return end < 0 ? num_snapshots - 1 : static_cast<int>(end);
+}
+
 bool TemporalStepSatisfied(const TemporalQuery& q, bool first, double prev,
                            double cur) {
   switch (q.kind) {

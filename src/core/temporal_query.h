@@ -1,10 +1,13 @@
 #ifndef CRASHSIM_CORE_TEMPORAL_QUERY_H_
 #define CRASHSIM_CORE_TEMPORAL_QUERY_H_
 
+#include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "graph/edge.h"
+#include "util/status.h"
 
 namespace crashsim {
 
@@ -16,6 +19,15 @@ enum class TemporalQueryKind {
 };
 
 const char* ToString(TemporalQueryKind kind);
+
+// The kind named on the command line and on the wire: threshold |
+// increasing | decreasing; kInvalidArgument for any other name.
+[[nodiscard]] StatusOr<TemporalQueryKind> ParseTemporalQueryKind(
+    std::string_view name);
+
+// The last snapshot of a query interval given as requested: any negative
+// `end` means the final snapshot of a graph with `num_snapshots`.
+int ResolveEndSnapshot(int64_t end, int num_snapshots);
 
 // A temporal SimRank query (Definition 3): find every node v whose score
 // sequence against `source` satisfies the requirement at every snapshot of

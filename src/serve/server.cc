@@ -525,15 +525,10 @@ Server::Reply Server::HandleTopK(const Query& query) {
       &reply);
   if (outcome.result.scores.empty()) return reply;  // no answer to give
 
-  TopK<NodeId> selector(static_cast<size_t>(k));
-  for (NodeId v = 0; v < graph_.graph.num_nodes(); ++v) {
-    if (v != source) {
-      selector.Offer(outcome.result.scores[static_cast<size_t>(v)], v);
-    }
-  }
   JsonValue nodes = JsonValue::Array();
   JsonValue scores = JsonValue::Array();
-  for (const auto& [score, v] : selector.Sorted()) {
+  for (const auto& [score, v] :
+       SelectTopK(outcome.result.scores, source, static_cast<size_t>(k))) {
     nodes.Append(JsonValue(graph_.original_ids[static_cast<size_t>(v)]));
     scores.Append(JsonValue(score));
   }
@@ -557,28 +552,17 @@ Server::Reply Server::HandleTemporal(const Query& query) {
                    ReadInt(query.request, "begin", 0,
                            std::numeric_limits<int>::min(),
                            std::numeric_limits<int>::max()));
-  // Any negative end means the last snapshot.
   ASSIGN_OR_RETURN(const int64_t end,
                    ReadInt(query.request, "end", -1, -kMaxExactInt,
                            std::numeric_limits<int>::max()));
   TemporalQuery temporal_query;
   temporal_query.source = query.source;
   temporal_query.begin_snapshot = static_cast<int>(begin);
-  temporal_query.end_snapshot =
-      end < 0 ? tg.num_snapshots() - 1 : static_cast<int>(end);
+  temporal_query.end_snapshot = ResolveEndSnapshot(end, tg.num_snapshots());
   temporal_query.theta = query.request.GetDouble("theta", 0.05);
   temporal_query.trend_tolerance = query.request.GetDouble("tolerance", 0.0);
   const std::string kind = query.request.GetString("kind", "threshold");
-  if (kind == "threshold") {
-    temporal_query.kind = TemporalQueryKind::kThreshold;
-  } else if (kind == "increasing") {
-    temporal_query.kind = TemporalQueryKind::kTrendIncreasing;
-  } else if (kind == "decreasing") {
-    temporal_query.kind = TemporalQueryKind::kTrendDecreasing;
-  } else {
-    return InvalidArgumentError("unknown kind '" + kind +
-                                "' (threshold | increasing | decreasing)");
-  }
+  ASSIGN_OR_RETURN(temporal_query.kind, ParseTemporalQueryKind(kind));
 
   CrashSimTOptions temporal_options;
   temporal_options.crashsim = options_.engine;

@@ -18,6 +18,31 @@ const char* StatusCodeName(StatusCode code) {
   return "UNKNOWN";
 }
 
+std::optional<StatusCode> StatusCodeFromName(std::string_view name) {
+  for (const StatusCode code :
+       {StatusCode::kOk, StatusCode::kInvalidArgument, StatusCode::kNotFound,
+        StatusCode::kDeadlineExceeded, StatusCode::kCancelled,
+        StatusCode::kResourceExhausted, StatusCode::kDataLoss,
+        StatusCode::kUnavailable}) {
+    if (name == StatusCodeName(code)) return code;
+  }
+  return std::nullopt;
+}
+
+int ExitCodeFor(StatusCode code) {
+  switch (code) {
+    case StatusCode::kOk: return 0;
+    case StatusCode::kInvalidArgument: return 2;
+    case StatusCode::kNotFound: return 3;
+    case StatusCode::kDeadlineExceeded: return 4;
+    case StatusCode::kCancelled: return 5;
+    case StatusCode::kResourceExhausted: return 6;
+    case StatusCode::kDataLoss: return 7;
+    case StatusCode::kUnavailable: return 8;
+  }
+  return 1;
+}
+
 Status Status::WithContext(std::string_view context) const {
   if (ok()) return *this;
   std::string chained(context);

@@ -28,6 +28,14 @@ enum class StatusCode {
 // Stable upper-case identifier ("INVALID_ARGUMENT", ...).
 const char* StatusCodeName(StatusCode code);
 
+// Inverse of StatusCodeName; nullopt for a name no code carries.
+std::optional<StatusCode> StatusCodeFromName(std::string_view name);
+
+// Process exit code for `code`, shared by crashsim_cli and crashsim_serve
+// (docs/ERRORS.md): 0 for OK, then one distinct code per StatusCode from 2
+// up; 1 stays reserved for usage and flag-parse errors.
+int ExitCodeFor(StatusCode code);
+
 // Value-type error carrier: a code plus a human-readable message. The
 // default-constructed Status is OK; everything in src/ that can fail for a
 // data- or caller-dependent reason returns one of these (CHECK stays

@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -53,6 +54,19 @@ class TopK {
   size_t k_;
   std::vector<Entry> heap_;  // min-heap w.r.t. Greater
 };
+
+// The k best entries of a dense score vector indexed by item, skipping
+// `exclude` (a single-source query's source), in TopK::Sorted() order.
+template <typename Item>
+std::vector<std::pair<double, Item>> SelectTopK(std::span<const double> scores,
+                                                Item exclude, size_t k) {
+  TopK<Item> top(k);
+  for (size_t i = 0; i < scores.size(); ++i) {
+    const Item item = static_cast<Item>(i);
+    if (item != exclude) top.Offer(scores[i], item);
+  }
+  return top.Sorted();
+}
 
 }  // namespace crashsim
 

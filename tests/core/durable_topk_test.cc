@@ -139,5 +139,37 @@ TEST(DurableTopKTest, SingleSnapshotInterval) {
   EXPECT_EQ(answer.stats.snapshots_processed, 1);
 }
 
+TEST(DurableTopKTest, ValidateRejectsBadIntervalKAndFloor) {
+  const TemporalGraph tg = StaticStar(3);
+  DurableTopKQuery q;
+  q.source = 1;
+  q.begin_snapshot = 0;
+  q.end_snapshot = 2;
+  EXPECT_TRUE(ValidateDurableTopKQuery(tg, q).ok());
+  const auto rejected = [&](DurableTopKQuery bad) {
+    return ValidateDurableTopKQuery(tg, bad).code() ==
+           StatusCode::kInvalidArgument;
+  };
+  DurableTopKQuery bad = q;
+  bad.begin_snapshot = 2;
+  bad.end_snapshot = 1;
+  EXPECT_TRUE(rejected(bad));
+  bad = q;
+  bad.end_snapshot = 9;
+  EXPECT_TRUE(rejected(bad));
+  bad = q;
+  bad.begin_snapshot = -1;
+  EXPECT_TRUE(rejected(bad));
+  bad = q;
+  bad.source = 7;
+  EXPECT_TRUE(rejected(bad));
+  bad = q;
+  bad.k = 0;
+  EXPECT_TRUE(rejected(bad));
+  bad = q;
+  bad.floor = -1.0;
+  EXPECT_TRUE(rejected(bad));
+}
+
 }  // namespace
 }  // namespace crashsim

@@ -114,5 +114,28 @@ TEST(CandidateFilterTest, EmptyAfterTotalWipe) {
   EXPECT_TRUE(filter.candidates().empty());
 }
 
+TEST(TemporalQueryKindTest, ParsesTheThreeNames) {
+  EXPECT_EQ(*ParseTemporalQueryKind("threshold"),
+            TemporalQueryKind::kThreshold);
+  EXPECT_EQ(*ParseTemporalQueryKind("increasing"),
+            TemporalQueryKind::kTrendIncreasing);
+  EXPECT_EQ(*ParseTemporalQueryKind("decreasing"),
+            TemporalQueryKind::kTrendDecreasing);
+  const StatusOr<TemporalQueryKind> bad =
+      ParseTemporalQueryKind("trend-increasing");
+  ASSERT_FALSE(bad.ok());
+  EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(bad.status().message(),
+            "unknown kind 'trend-increasing' "
+            "(threshold | increasing | decreasing)");
+}
+
+TEST(ResolveEndSnapshotTest, NegativeMeansTheLastSnapshot) {
+  EXPECT_EQ(ResolveEndSnapshot(-1, 5), 4);
+  EXPECT_EQ(ResolveEndSnapshot(-7, 5), 4);
+  EXPECT_EQ(ResolveEndSnapshot(0, 5), 0);
+  EXPECT_EQ(ResolveEndSnapshot(9, 5), 9);  // range is the validator's job
+}
+
 }  // namespace
 }  // namespace crashsim

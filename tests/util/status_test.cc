@@ -1,6 +1,11 @@
 #include "util/status.h"
 
+#include <cstdio>
+#include <fstream>
+#include <map>
 #include <memory>
+#include <optional>
+#include <set>
 #include <sstream>
 #include <string>
 
@@ -97,6 +102,54 @@ TEST(StatusMacroTest, AssignOrReturnUnwrapsOrPropagates) {
   const StatusOr<int> err = Doubled(DataLossError("truncated"));
   ASSERT_FALSE(err.ok());
   EXPECT_EQ(err.status().code(), StatusCode::kDataLoss);
+}
+
+constexpr StatusCode kAllCodes[] = {
+    StatusCode::kOk,          StatusCode::kInvalidArgument,
+    StatusCode::kNotFound,    StatusCode::kDeadlineExceeded,
+    StatusCode::kCancelled,   StatusCode::kResourceExhausted,
+    StatusCode::kDataLoss,    StatusCode::kUnavailable};
+
+TEST(StatusCodeNameTest, EveryCodeRoundTripsThroughItsName) {
+  for (const StatusCode code : kAllCodes) {
+    const std::optional<StatusCode> parsed =
+        StatusCodeFromName(StatusCodeName(code));
+    ASSERT_TRUE(parsed.has_value()) << StatusCodeName(code);
+    EXPECT_EQ(*parsed, code);
+  }
+  EXPECT_FALSE(StatusCodeFromName("UNKNOWN").has_value());
+  EXPECT_FALSE(StatusCodeFromName("invalid_argument").has_value());
+  EXPECT_FALSE(StatusCodeFromName("").has_value());
+}
+
+// The exit-code table in docs/ERRORS.md ("| 2 | `INVALID_ARGUMENT` |" rows)
+// is what scripts rely on; ExitCodeFor must agree with every row, and every
+// non-OK code must have one.
+TEST(ExitCodeForTest, MatchesTheDocumentedTable) {
+  std::ifstream doc(CRASHSIM_SOURCE_DIR "/docs/ERRORS.md");
+  ASSERT_TRUE(doc) << "cannot open docs/ERRORS.md";
+  std::map<StatusCode, int> documented;
+  std::string line;
+  while (std::getline(doc, line)) {
+    int exit_code = 0;
+    char name[32] = {};
+    if (std::sscanf(line.c_str(), "| %d | `%31[A-Z_]` |", &exit_code, name) !=
+        2) {
+      continue;
+    }
+    const std::optional<StatusCode> code = StatusCodeFromName(name);
+    ASSERT_TRUE(code.has_value()) << line;
+    documented[*code] = exit_code;
+  }
+  EXPECT_EQ(ExitCodeFor(StatusCode::kOk), 0);
+  std::set<int> exit_codes = {0, 1};  // success, usage error
+  for (const StatusCode code : kAllCodes) {
+    if (code == StatusCode::kOk) continue;
+    ASSERT_TRUE(documented.count(code)) << StatusCodeName(code);
+    EXPECT_EQ(ExitCodeFor(code), documented[code]) << StatusCodeName(code);
+    EXPECT_TRUE(exit_codes.insert(ExitCodeFor(code)).second)
+        << "exit code " << ExitCodeFor(code) << " reused";
+  }
 }
 
 }  // namespace

@@ -65,5 +65,27 @@ TEST(TopKTest, MatchesFullSortOnRandomInput) {
   }
 }
 
+TEST(SelectTopKTest, SkipsTheExcludedIndex) {
+  const std::vector<double> scores = {1.0, 0.2, 0.9, 0.2, 0.5};
+  const auto top = SelectTopK(scores, /*exclude=*/0, 3);
+  ASSERT_EQ(top.size(), 3u);
+  EXPECT_EQ(top[0], std::make_pair(0.9, 2));
+  EXPECT_EQ(top[1], std::make_pair(0.5, 4));
+  EXPECT_EQ(top[2], std::make_pair(0.2, 1));  // tie: smaller index first
+}
+
+TEST(SelectTopKTest, MatchesTopKOverAllButTheExcluded) {
+  Rng rng(7);
+  std::vector<double> scores(500);
+  for (double& s : scores) s = rng.NextDouble();
+  TopK<int> reference(20);
+  for (int i = 0; i < 500; ++i) {
+    if (i != 13) reference.Offer(scores[static_cast<size_t>(i)], i);
+  }
+  EXPECT_EQ(SelectTopK(scores, 13, 20), reference.Sorted());
+  EXPECT_EQ(SelectTopK(scores, 13, 1000).size(), 499u);
+  EXPECT_TRUE(SelectTopK(scores, 13, 0).empty());
+}
+
 }  // namespace
 }  // namespace crashsim

@@ -10,11 +10,11 @@
 // temporal graphs carry a third snapshot column. Node ids in the output are
 // the *original* file ids.
 //
-// Exit codes (see docs/ERRORS.md): 0 success, 1 usage/flag-parse error, then
-// one distinct code per StatusCode — 2 INVALID_ARGUMENT, 3 NOT_FOUND,
-// 4 DEADLINE_EXCEEDED, 5 CANCELLED, 6 RESOURCE_EXHAUSTED, 7 DATA_LOSS,
-// 8 UNAVAILABLE — so sweep scripts can tell a timeout from a bad input
-// without scraping stderr.
+// Exit codes (ExitCodeFor, docs/ERRORS.md): 0 success, 1 usage/flag-parse
+// error, then one distinct code per StatusCode — 2 INVALID_ARGUMENT,
+// 3 NOT_FOUND, 4 DEADLINE_EXCEEDED, 5 CANCELLED, 6 RESOURCE_EXHAUSTED,
+// 7 DATA_LOSS, 8 UNAVAILABLE — so sweep scripts can tell a timeout from a
+// bad input without scraping stderr.
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
@@ -23,13 +23,13 @@
 #include <cstring>
 #include <fstream>
 #include <limits>
-#include <iostream>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <arpa/inet.h>
@@ -41,11 +41,12 @@
 #include "core/crashsim.h"
 #include "core/crashsim_t.h"
 #include "core/durable_topk.h"
+#include "core/engine_flags.h"
 #include "core/executor.h"
 #include "core/query_context.h"
 #include "core/query_stats.h"
+#include "core/temporal_query.h"
 #include "datasets/datasets.h"
-#include "eval/experiment.h"
 #include "graph/analysis.h"
 #include "graph/graph_io.h"
 #include "serve/json.h"
@@ -55,17 +56,16 @@
 #include "simrank/probesim.h"
 #include "simrank/reads.h"
 #include "simrank/sling.h"
-#include "simrank/topk.h"
 #include "util/failpoint.h"
+#include "util/flags.h"
 #include "util/metrics.h"
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/status.h"
+#include "util/string_util.h"
 #include "util/timer.h"
 #include "util/top_k.h"
 #include "util/trace.h"
-#include "util/flags.h"
-#include "util/string_util.h"
 
 namespace crashsim {
 namespace {
@@ -75,72 +75,99 @@ int Fail(const std::string& message) {
   return 1;
 }
 
-// Maps a Status to the CLI's exit code. Parse/usage failures use 1, so every
-// StatusCode gets its own code starting at 2.
-int ExitCodeFor(const Status& status) {
-  switch (status.code()) {
-    case StatusCode::kOk: return 0;
-    case StatusCode::kInvalidArgument: return 2;
-    case StatusCode::kNotFound: return 3;
-    case StatusCode::kDeadlineExceeded: return 4;
-    case StatusCode::kCancelled: return 5;
-    case StatusCode::kResourceExhausted: return 6;
-    case StatusCode::kDataLoss: return 7;
-    case StatusCode::kUnavailable: return 8;
-  }
-  return 1;
-}
-
 int FailStatus(const Status& status) {
   std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
-  return ExitCodeFor(status);
+  return ExitCodeFor(status.code());
 }
 
+// --algo plus the engine flags every estimator shares (core/engine_flags.h).
 void DefineAlgoFlags(FlagSet* flags) {
   flags->DefineString("algo", "crashsim",
                       "crashsim | probesim | sling | reads | mc | exact");
-  flags->DefineDouble("c", 0.6, "SimRank decay factor");
-  flags->DefineDouble("epsilon", 0.025, "max absolute error");
-  flags->DefineDouble("delta", 0.01, "failure probability");
-  flags->DefineInt("trials", 0, "Monte-Carlo trials (0 = from epsilon/delta)");
-  flags->DefineInt("threads", 1, "CrashSim candidate-evaluation threads");
-  flags->DefineInt("batch_size", 64,
-                   "CrashSim SoA walk lanes per thread (1 = scalar loop; "
-                   "scores are identical at every setting)");
-  flags->DefineInt("seed", 42, "RNG seed");
-  flags->DefineBool("paper_mode", false,
-                    "use the paper-verbatim revReach recurrence");
+  DefineEngineFlags(flags);
 }
 
-// The --algo estimator with the algo flags and RNG seed `seed`; nullptr for
-// an unknown name.
-std::unique_ptr<SimRankAlgorithm> MakeAlgorithm(const FlagSet& flags,
-                                                uint64_t seed) {
-  SimRankOptions mc;
-  mc.c = flags.GetDouble("c");
-  mc.epsilon = flags.GetDouble("epsilon");
-  mc.delta = flags.GetDouble("delta");
-  mc.trials_override = flags.GetInt("trials");
-  mc.seed = seed;
-  const std::string algo = flags.GetString("algo");
-  if (algo == "crashsim") {
-    CrashSimOptions opt;
-    opt.mc = mc;
-    opt.mode = flags.GetBool("paper_mode") ? RevReachMode::kPaper
-                                           : RevReachMode::kCorrected;
-    opt.num_threads = static_cast<int>(flags.GetInt("threads"));
-    opt.batch_size = static_cast<int>(flags.GetInt("batch_size"));
-    return std::make_unique<CrashSim>(opt);
+// --timeout_ms and --stats/--stats_json, which only the CrashSim engines
+// (`engine`) support.
+void DefineQueryFlags(FlagSet* flags, const std::string& engine) {
+  flags->DefineIntInRange(
+      "timeout_ms", 0, 0, 86400000,
+      "query deadline in ms (0 = unbounded; " + engine + " only)");
+  flags->DefineBool("stats", false,
+                    "print the per-query observability table (" + engine +
+                        " only)");
+  flags->DefineBool("stats_json", false,
+                    "print per-query stats as one JSON line (" + engine +
+                        " only)");
+}
+
+void DefineTraceFlags(FlagSet* flags) {
+  flags->DefineString("trace_out", "",
+                      "write a Chrome trace-event JSON timeline of this query "
+                      "(load in Perfetto / chrome://tracing; crashsim only)");
+  flags->DefineBool("trace_summary", false,
+                    "print the aggregated self/total time per span "
+                    "(crashsim only)");
+  flags->DefineString("metrics_out", "",
+                      "write process metrics in Prometheus text exposition "
+                      "format on exit");
+}
+
+bool WantStats(const FlagSet& flags) {
+  return flags.GetBool("stats") || flags.GetBool("stats_json");
+}
+
+// Tracing, --timeout_ms and --stats/--stats_json instrument the CrashSim
+// engines only; `selected` says whether the command's engine is one, and
+// `requirement` names the flag value that selects it.
+Status CheckCrashSimOnlyFlags(const FlagSet& flags, bool selected,
+                              const std::string& requirement) {
+  if (selected) return OkStatus();
+  if (!flags.GetString("trace_out").empty() || flags.GetBool("trace_summary")) {
+    return InvalidArgumentError("--trace_out/--trace_summary require " +
+                                requirement);
   }
-  if (algo == "probesim") return std::make_unique<ProbeSim>(mc);
-  if (algo == "sling") return std::make_unique<Sling>(mc);
+  if (flags.GetInt("timeout_ms") > 0) {
+    return InvalidArgumentError("--timeout_ms requires " + requirement);
+  }
+  if (WantStats(flags)) {
+    return InvalidArgumentError("--stats/--stats_json require " + requirement);
+  }
+  return OkStatus();
+}
+
+// A query context with the --timeout_ms deadline (0 = none) reporting into
+// `stats` when --stats or --stats_json asked for it. QueryContext is neither
+// copyable nor movable, hence the emplace into `ctx`.
+void EmplaceQueryContext(const FlagSet& flags, QueryStats* stats,
+                         std::optional<QueryContext>* ctx) {
+  const int64_t timeout_ms = flags.GetInt("timeout_ms");
+  if (timeout_ms > 0) {
+    ctx->emplace(std::chrono::milliseconds(timeout_ms));
+  } else {
+    ctx->emplace();
+  }
+  if (WantStats(flags)) (*ctx)->set_stats(stats);
+}
+
+ReadsOptions ReadsOptionsFor(const SimRankOptions& mc) {
+  ReadsOptions options;
+  options.c = mc.c;
+  options.seed = mc.seed;
+  return options;
+}
+
+// The `algo` estimator over validated engine options; nullptr for an
+// unknown name ("exact" included: the power method is not an estimator).
+std::unique_ptr<SimRankAlgorithm> MakeAlgorithm(const std::string& algo,
+                                                const CrashSimOptions& options) {
+  if (algo == "crashsim") return std::make_unique<CrashSim>(options);
+  if (algo == "probesim") return std::make_unique<ProbeSim>(options.mc);
+  if (algo == "sling") return std::make_unique<Sling>(options.mc);
   if (algo == "reads") {
-    ReadsOptions ro;
-    ro.c = mc.c;
-    ro.seed = mc.seed;
-    return std::make_unique<Reads>(ro);
+    return std::make_unique<Reads>(ReadsOptionsFor(options.mc));
   }
-  if (algo == "mc") return std::make_unique<PairwiseMonteCarlo>(mc);
+  if (algo == "mc") return std::make_unique<PairwiseMonteCarlo>(options.mc);
   return nullptr;
 }
 
@@ -155,19 +182,24 @@ StatusOr<NodeId> DenseSourceId(const std::vector<int64_t>& original_ids,
   return static_cast<NodeId>(it - original_ids.begin());
 }
 
-// "exact" is handled out-of-band (it is not a SimRankAlgorithm and needs the
-// n^2 guard rail of PowerMethodAllPairs).
+// The top-k output format shared by `topk` and `replay --once`, so the
+// serve smoke lane can diff a served answer against a direct one byte for
+// byte: a header, one "  <original id>  <score>" line per ranked node.
+void PrintRanking(int64_t k, int64_t source,
+                  const std::vector<std::pair<double, int64_t>>& ranking) {
+  std::printf("top-%lld nodes by s(%lld, v):\n", static_cast<long long>(k),
+              static_cast<long long>(source));
+  for (const auto& [score, id] : ranking) {
+    std::printf("  %lld  %.5f\n", static_cast<long long>(id), score);
+  }
+}
 
-void DefineTraceFlags(FlagSet* flags) {
-  flags->DefineString("trace_out", "",
-                      "write a Chrome trace-event JSON timeline of this query "
-                      "(load in Perfetto / chrome://tracing; crashsim only)");
-  flags->DefineBool("trace_summary", false,
-                    "print the aggregated self/total time per span "
-                    "(crashsim only)");
-  flags->DefineString("metrics_out", "",
-                      "write process metrics in Prometheus text exposition "
-                      "format on exit");
+// The trial budget behind an estimator's ranking (Theorem 1 inverted).
+void PrintAnytimeFooter(int64_t trials_done, int64_t trials_target,
+                        double epsilon_achieved) {
+  std::printf("(anytime: %lld/%lld trials, epsilon_achieved=%.17g)\n",
+              static_cast<long long>(trials_done),
+              static_cast<long long>(trials_target), epsilon_achieved);
 }
 
 // Scoped tracing for one CLI query: StartTracing() on construction when the
@@ -178,8 +210,9 @@ void DefineTraceFlags(FlagSet* flags) {
 // happened and stays authoritative.
 class ScopedCliTrace {
  public:
-  ScopedCliTrace(std::string trace_out, bool summary)
-      : trace_out_(std::move(trace_out)), summary_(summary) {
+  explicit ScopedCliTrace(const FlagSet& flags)
+      : trace_out_(flags.GetString("trace_out")),
+        summary_(flags.GetBool("trace_summary")) {
     if (enabled()) StartTracing();
   }
   ~ScopedCliTrace() {
@@ -239,10 +272,12 @@ void RecordCliQueryMillis(double ms) {
 // Renders the per-query observability record the way the caller asked:
 // --stats prints the human table, --stats_json one line of the stable
 // crashsim.query_stats.v1 schema (docs/OBSERVABILITY.md). Both may be set.
-void PrintQueryStats(bool table, bool json, const QueryStatsEnvelope& env,
+void PrintQueryStats(const FlagSet& flags, const QueryStatsEnvelope& env,
                      const QueryStats& qs) {
-  if (table) std::printf("%s", qs.ToTable().c_str());
-  if (json) std::printf("%s\n", QueryStatsJson(env, qs).c_str());
+  if (flags.GetBool("stats")) std::printf("%s", qs.ToTable().c_str());
+  if (flags.GetBool("stats_json")) {
+    std::printf("%s\n", QueryStatsJson(env, qs).c_str());
+  }
 }
 
 int RunStats(int argc, char** argv) {
@@ -261,32 +296,30 @@ int RunStats(int argc, char** argv) {
   return 0;
 }
 
+// One query path for every --algo: validated options, the estimator (or the
+// power method for "exact"), one context-aware SingleSource, top-k
+// selection. A deadline cut still prints the ranking the completed trials
+// support, then exits with the deadline/cancel code.
 int RunTopK(int argc, char** argv) {
   FlagSet flags;
   flags.DefineString("graph", "", "edge-list file");
   flags.DefineBool("undirected", false, "treat edges as undirected");
   flags.DefineInt("source", 0, "source node id (original file id)");
-  flags.DefineInt("k", 10, "result count");
-  flags.DefineIntInRange("timeout_ms", 0, 0, 86400000,
-                         "query deadline in ms (0 = unbounded; crashsim only)");
-  flags.DefineBool("stats", false,
-                   "print the per-query observability table (crashsim only)");
-  flags.DefineBool("stats_json", false,
-                   "print per-query stats as one JSON line (crashsim only)");
+  flags.DefineIntInRange("k", 10, 1, 1000000, "result count");
+  DefineQueryFlags(&flags, "crashsim");
   DefineAlgoFlags(&flags);
   DefineTraceFlags(&flags);
   if (!flags.Parse(argc, argv)) return 1;
 
-  const bool want_trace = !flags.GetString("trace_out").empty() ||
-                          flags.GetBool("trace_summary");
-  if (want_trace && flags.GetString("algo") != "crashsim") {
-    return FailStatus(InvalidArgumentError(
-        "--trace_out/--trace_summary require --algo crashsim"));
+  const std::string algo_name = flags.GetString("algo");
+  if (Status s = CheckCrashSimOnlyFlags(flags, algo_name == "crashsim",
+                                        "--algo crashsim");
+      !s.ok()) {
+    return FailStatus(s);
   }
   // Constructed before the graph load so the timeline includes
   // graph_io.load_edge_list; destroyed (exported) after the result prints.
-  const ScopedCliTrace tracer(flags.GetString("trace_out"),
-                              flags.GetBool("trace_summary"));
+  const ScopedCliTrace tracer(flags);
   const ScopedMetricsExport metrics_export(flags.GetString("metrics_out"));
 
   const auto loaded_or = LoadEdgeListFile(flags.GetString("graph"),
@@ -295,115 +328,59 @@ int RunTopK(int argc, char** argv) {
   const LoadedGraph& loaded = *loaded_or;
   const Graph& g = loaded.graph;
 
-  // Map the original source id to the dense internal id.
   const int64_t original_source = flags.GetInt("source");
   const StatusOr<NodeId> source_or =
       DenseSourceId(loaded.original_ids, original_source);
   if (!source_or.ok()) return FailStatus(source_or.status());
   const NodeId source = *source_or;
+  const StatusOr<CrashSimOptions> options = EngineOptionsFromFlags(flags);
+  if (!options.ok()) return FailStatus(options.status());
 
-  // Deadline-bounded / instrumented anytime path: run the context-aware
-  // CrashSim query, report whatever the completed trials support, and exit
-  // with the deadline/cancel code when the budget ran out. --stats and
-  // --stats_json ride the same path because the observability sink lives on
-  // the QueryContext.
-  const int64_t timeout_ms = flags.GetInt("timeout_ms");
-  const bool want_stats =
-      flags.GetBool("stats") || flags.GetBool("stats_json");
-  if (timeout_ms > 0 || want_stats || want_trace) {
-    if (flags.GetString("algo") != "crashsim") {
-      return FailStatus(InvalidArgumentError(
-          timeout_ms > 0 ? "--timeout_ms requires --algo crashsim"
-                         : "--stats/--stats_json require --algo crashsim"));
-    }
-    CrashSimOptions opt;
-    opt.mc.c = flags.GetDouble("c");
-    opt.mc.epsilon = flags.GetDouble("epsilon");
-    opt.mc.delta = flags.GetDouble("delta");
-    opt.mc.trials_override = flags.GetInt("trials");
-    opt.mc.seed = static_cast<uint64_t>(flags.GetInt("seed"));
-    opt.mode = flags.GetBool("paper_mode") ? RevReachMode::kPaper
-                                           : RevReachMode::kCorrected;
-    opt.num_threads = static_cast<int>(flags.GetInt("threads"));
-    opt.batch_size = static_cast<int>(flags.GetInt("batch_size"));
-    if (Status s = opt.Validate(); !s.ok()) return FailStatus(s);
-    CrashSim algo(opt);
-    algo.Bind(&g);
-    // QueryContext is neither copyable nor movable; emplace the right ctor.
-    std::optional<QueryContext> ctx;
-    if (timeout_ms > 0) {
-      ctx.emplace(std::chrono::milliseconds(timeout_ms));
-    } else {
-      ctx.emplace();
-    }
-    QueryStats qstats;
-    if (want_stats) ctx->set_stats(&qstats);
-    const Stopwatch query_timer;
-    const PartialResult result = algo.SingleSource(source, &*ctx);
-    const double elapsed = query_timer.ElapsedSeconds();
-    RecordCliQueryMillis(elapsed * 1e3);
-    if (result.scores.empty()) return FailStatus(result.status);
-    TopK<NodeId> selector(static_cast<size_t>(flags.GetInt("k")));
-    for (NodeId v = 0; v < g.num_nodes(); ++v) {
-      if (v != source) selector.Offer(result.scores[static_cast<size_t>(v)], v);
-    }
-    std::printf("top-%lld nodes by s(%lld, v):\n",
-                static_cast<long long>(flags.GetInt("k")),
-                static_cast<long long>(original_source));
-    for (const auto& [score, v] : selector.Sorted()) {
-      std::printf("  %lld  %.5f\n",
-                  static_cast<long long>(
-                      loaded.original_ids[static_cast<size_t>(v)]),
-                  score);
-    }
-    std::printf("(anytime: %lld/%lld trials, epsilon_achieved=%.17g)\n",
-                static_cast<long long>(result.trials_done),
-                static_cast<long long>(result.trials_target),
-                result.epsilon_achieved);
-    if (want_stats) {
-      QueryStatsEnvelope env;
-      env.query = "topk";
-      env.algo = "crashsim";
-      env.n = static_cast<int64_t>(g.num_nodes());
-      env.m = g.num_edges();
-      env.elapsed_seconds = elapsed;
-      PrintQueryStats(flags.GetBool("stats"), flags.GetBool("stats_json"),
-                      env, qstats);
-    }
-    if (!result.complete()) {
-      std::fprintf(stderr, "warning: %s\n", result.status.ToString().c_str());
-    }
-    return ExitCodeFor(result.status);
-  }
-
-  TopKResult top;
-  if (flags.GetString("algo") == "exact") {
-    const SimRankMatrix exact =
-        PowerMethodAllPairs(g, flags.GetDouble("c"), 55);
-    TopK<NodeId> selector(static_cast<size_t>(flags.GetInt("k")));
-    for (NodeId v = 0; v < g.num_nodes(); ++v) {
-      if (v != source) selector.Offer(exact.At(source, v), v);
-    }
-    top = selector.Sorted();
+  PartialResult result;
+  QueryStats qstats;
+  double elapsed = 0.0;
+  const bool exact = algo_name == "exact";
+  if (exact) {
+    result.scores = PowerMethodAllPairs(g, options->mc.c, 55).Row(source);
   } else {
-    std::unique_ptr<SimRankAlgorithm> algo =
-        MakeAlgorithm(flags, static_cast<uint64_t>(flags.GetInt("seed")));
+    const std::unique_ptr<SimRankAlgorithm> algo =
+        MakeAlgorithm(algo_name, *options);
     if (!algo) {
-      return FailStatus(
-          InvalidArgumentError("unknown --algo " + flags.GetString("algo")));
+      return FailStatus(InvalidArgumentError("unknown --algo " + algo_name));
     }
     algo->Bind(&g);
-    top = TopKSimRank(algo.get(), source, static_cast<int>(flags.GetInt("k")));
+    std::optional<QueryContext> ctx;
+    EmplaceQueryContext(flags, &qstats, &ctx);
+    const Stopwatch query_timer;
+    result = algo->SingleSource(source, &*ctx);
+    elapsed = query_timer.ElapsedSeconds();
+    RecordCliQueryMillis(elapsed * 1e3);
   }
-  std::printf("top-%lld nodes by s(%lld, v):\n",
-              static_cast<long long>(flags.GetInt("k")),
-              static_cast<long long>(original_source));
-  for (const auto& [score, v] : top) {
-    std::printf("  %lld  %.5f\n",
-                static_cast<long long>(loaded.original_ids[static_cast<size_t>(v)]),
-                score);
+  if (result.scores.empty()) return FailStatus(result.status);
+
+  std::vector<std::pair<double, int64_t>> ranking;
+  for (const auto& [score, v] : SelectTopK(
+           result.scores, source, static_cast<size_t>(flags.GetInt("k")))) {
+    ranking.emplace_back(score, loaded.original_ids[static_cast<size_t>(v)]);
   }
-  return 0;
+  PrintRanking(flags.GetInt("k"), original_source, ranking);
+  if (!exact) {
+    PrintAnytimeFooter(result.trials_done, result.trials_target,
+                       result.epsilon_achieved);
+  }
+  if (WantStats(flags)) {
+    QueryStatsEnvelope env;
+    env.query = "topk";
+    env.algo = algo_name;
+    env.n = static_cast<int64_t>(g.num_nodes());
+    env.m = g.num_edges();
+    env.elapsed_seconds = elapsed;
+    PrintQueryStats(flags, env, qstats);
+  }
+  if (!result.complete()) {
+    std::fprintf(stderr, "warning: %s\n", result.status.ToString().c_str());
+  }
+  return ExitCodeFor(result.status.code());
 }
 
 int RunTemporal(int argc, char** argv) {
@@ -419,25 +396,18 @@ int RunTemporal(int argc, char** argv) {
   flags.DefineDouble("tolerance", 0.0, "trend noise tolerance");
   flags.DefineString("engine", "crashsim-t",
                      "crashsim-t | probesim-t | sling-t | reads-t");
-  flags.DefineIntInRange("timeout_ms", 0, 0, 86400000,
-                         "query deadline in ms (0 = unbounded; crashsim-t only)");
-  flags.DefineBool("stats", false,
-                   "print the per-query observability table (crashsim-t only)");
-  flags.DefineBool(
-      "stats_json", false,
-      "print per-query stats as one JSON line (crashsim-t only)");
+  DefineQueryFlags(&flags, "crashsim-t");
   DefineAlgoFlags(&flags);
   DefineTraceFlags(&flags);
   if (!flags.Parse(argc, argv)) return 1;
 
-  const bool want_trace = !flags.GetString("trace_out").empty() ||
-                          flags.GetBool("trace_summary");
-  if (want_trace && flags.GetString("engine") != "crashsim-t") {
-    return FailStatus(InvalidArgumentError(
-        "--trace_out/--trace_summary require --engine crashsim-t"));
+  const std::string engine_name = flags.GetString("engine");
+  if (Status s = CheckCrashSimOnlyFlags(flags, engine_name == "crashsim-t",
+                                        "--engine crashsim-t");
+      !s.ok()) {
+    return FailStatus(s);
   }
-  const ScopedCliTrace tracer(flags.GetString("trace_out"),
-                              flags.GetBool("trace_summary"));
+  const ScopedCliTrace tracer(flags);
   const ScopedMetricsExport metrics_export(flags.GetString("metrics_out"));
 
   const auto loaded_or = LoadTemporalEdgeListFile(flags.GetString("graph"),
@@ -450,84 +420,44 @@ int RunTemporal(int argc, char** argv) {
   const StatusOr<NodeId> source_or =
       DenseSourceId(loaded.original_ids, original_source);
   if (!source_or.ok()) return FailStatus(source_or.status());
-  const NodeId source = *source_or;
 
   TemporalQuery query;
-  query.source = source;
+  query.source = *source_or;
   query.begin_snapshot = static_cast<int>(flags.GetInt("begin"));
-  query.end_snapshot = flags.GetInt("end") < 0
-                           ? tg.num_snapshots() - 1
-                           : static_cast<int>(flags.GetInt("end"));
+  query.end_snapshot = ResolveEndSnapshot(flags.GetInt("end"),
+                                          tg.num_snapshots());
   query.theta = flags.GetDouble("theta");
   query.trend_tolerance = flags.GetDouble("tolerance");
   const std::string kind = flags.GetString("kind");
-  if (kind == "threshold") {
-    query.kind = TemporalQueryKind::kThreshold;
-  } else if (kind == "increasing") {
-    query.kind = TemporalQueryKind::kTrendIncreasing;
-  } else if (kind == "decreasing") {
-    query.kind = TemporalQueryKind::kTrendDecreasing;
-  } else {
-    return FailStatus(InvalidArgumentError("unknown --kind " + kind));
-  }
-
+  const StatusOr<TemporalQueryKind> kind_or = ParseTemporalQueryKind(kind);
+  if (!kind_or.ok()) return FailStatus(kind_or.status());
+  query.kind = *kind_or;
   if (Status s = ValidateQueryInterval(tg, query); !s.ok()) {
     return FailStatus(s);
   }
+  const StatusOr<CrashSimOptions> options = EngineOptionsFromFlags(flags);
+  if (!options.ok()) return FailStatus(options.status());
 
-  SimRankOptions mc;
-  mc.c = flags.GetDouble("c");
-  mc.epsilon = flags.GetDouble("epsilon");
-  mc.delta = flags.GetDouble("delta");
-  mc.trials_override = flags.GetInt("trials");
-  mc.seed = static_cast<uint64_t>(flags.GetInt("seed"));
-
-  const int64_t timeout_ms = flags.GetInt("timeout_ms");
-  const bool want_stats =
-      flags.GetBool("stats") || flags.GetBool("stats_json");
-  const std::string engine_name = flags.GetString("engine");
-  if (engine_name != "crashsim-t" && timeout_ms > 0) {
-    return FailStatus(
-        InvalidArgumentError("--timeout_ms requires --engine crashsim-t"));
-  }
-  if (engine_name != "crashsim-t" && want_stats) {
-    return FailStatus(InvalidArgumentError(
-        "--stats/--stats_json require --engine crashsim-t"));
-  }
   std::unique_ptr<SimRankAlgorithm> algo;  // recomputed by the -T baselines
   std::unique_ptr<TemporalEngine> engine;
   if (engine_name == "crashsim-t") {
     CrashSimTOptions opt;
-    opt.crashsim.mc = mc;
-    opt.crashsim.mode = flags.GetBool("paper_mode") ? RevReachMode::kPaper
-                                                    : RevReachMode::kCorrected;
-    opt.crashsim.num_threads = static_cast<int>(flags.GetInt("threads"));
-    opt.crashsim.batch_size = static_cast<int>(flags.GetInt("batch_size"));
+    opt.crashsim = *options;
     engine = std::make_unique<CrashSimT>(opt);
-  } else if (engine_name == "probesim-t") {
-    algo = std::make_unique<ProbeSim>(mc);
-    engine = std::make_unique<StaticRecomputeEngine>(algo.get());
-  } else if (engine_name == "sling-t") {
-    algo = std::make_unique<Sling>(mc);
+  } else if (engine_name == "probesim-t" || engine_name == "sling-t") {
+    algo = MakeAlgorithm(engine_name == "probesim-t" ? "probesim" : "sling",
+                         *options);
     engine = std::make_unique<StaticRecomputeEngine>(algo.get());
   } else if (engine_name == "reads-t") {
-    ReadsOptions ro;
-    ro.c = mc.c;
-    ro.seed = mc.seed;
-    engine = std::make_unique<ReadsTemporalEngine>(ro);
+    engine =
+        std::make_unique<ReadsTemporalEngine>(ReadsOptionsFor(options->mc));
   } else {
     return FailStatus(InvalidArgumentError("unknown --engine " + engine_name));
   }
 
-  // QueryContext is neither copyable nor movable; emplace the right ctor.
   std::optional<QueryContext> ctx;
-  if (timeout_ms > 0) {
-    ctx.emplace(std::chrono::milliseconds(timeout_ms));
-  } else {
-    ctx.emplace();
-  }
   QueryStats qstats;
-  if (want_stats) ctx->set_stats(&qstats);
+  EmplaceQueryContext(flags, &qstats, &ctx);
   const Stopwatch query_timer;
   const TemporalAnswer answer = engine->Answer(tg, query, &*ctx);
   RecordCliQueryMillis(query_timer.ElapsedSeconds() * 1e3);
@@ -547,15 +477,14 @@ int RunTemporal(int argc, char** argv) {
               static_cast<long long>(answer.stats.scores_computed),
               static_cast<long long>(answer.stats.pruned_by_delta +
                                      answer.stats.pruned_by_difference));
-  if (want_stats) {
+  if (WantStats(flags)) {
     QueryStatsEnvelope env;
     env.query = "temporal";
     env.algo = "crashsim-t";
     env.n = static_cast<int64_t>(tg.num_nodes());
     env.m = tg.Snapshot(query.begin_snapshot).num_edges();
     env.elapsed_seconds = query_timer.ElapsedSeconds();
-    PrintQueryStats(flags.GetBool("stats"), flags.GetBool("stats_json"), env,
-                    qstats);
+    PrintQueryStats(flags, env, qstats);
   }
   if (!answer.complete()) {
     std::fprintf(stderr,
@@ -563,7 +492,7 @@ int RunTemporal(int argc, char** argv) {
                  answer.stats.snapshots_processed,
                  answer.status.ToString().c_str());
   }
-  return ExitCodeFor(answer.status);
+  return ExitCodeFor(answer.status.code());
 }
 
 int RunDurable(int argc, char** argv) {
@@ -571,7 +500,7 @@ int RunDurable(int argc, char** argv) {
   flags.DefineString("graph", "", "temporal edge-list file (src dst snapshot)");
   flags.DefineBool("undirected", false, "treat edges as undirected");
   flags.DefineInt("source", 0, "source node id (original file id)");
-  flags.DefineInt("k", 10, "result count");
+  flags.DefineIntInRange("k", 10, 1, 1000000, "result count");
   flags.DefineInt("begin", 0, "first snapshot of the query interval");
   flags.DefineInt("end", -1, "last snapshot (-1 = final snapshot)");
   flags.DefineDouble("floor", 0.0, "discard durable scores below this");
@@ -587,29 +516,21 @@ int RunDurable(int argc, char** argv) {
   const StatusOr<NodeId> source_or =
       DenseSourceId(loaded.original_ids, original_source);
   if (!source_or.ok()) return FailStatus(source_or.status());
-  const NodeId source = *source_or;
 
   DurableTopKQuery query;
-  query.source = source;
+  query.source = *source_or;
   query.begin_snapshot = static_cast<int>(flags.GetInt("begin"));
-  query.end_snapshot = flags.GetInt("end") < 0
-                           ? tg.num_snapshots() - 1
-                           : static_cast<int>(flags.GetInt("end"));
+  query.end_snapshot = ResolveEndSnapshot(flags.GetInt("end"),
+                                          tg.num_snapshots());
   query.k = static_cast<int>(flags.GetInt("k"));
   query.floor = flags.GetDouble("floor");
+  if (Status s = ValidateDurableTopKQuery(tg, query); !s.ok()) {
+    return FailStatus(s);
+  }
+  const StatusOr<CrashSimOptions> options = EngineOptionsFromFlags(flags);
+  if (!options.ok()) return FailStatus(options.status());
 
-  CrashSimOptions opt;
-  opt.mc.c = flags.GetDouble("c");
-  opt.mc.epsilon = flags.GetDouble("epsilon");
-  opt.mc.delta = flags.GetDouble("delta");
-  opt.mc.trials_override = flags.GetInt("trials");
-  opt.mc.seed = static_cast<uint64_t>(flags.GetInt("seed"));
-  opt.mode = flags.GetBool("paper_mode") ? RevReachMode::kPaper
-                                         : RevReachMode::kCorrected;
-  opt.num_threads = static_cast<int>(flags.GetInt("threads"));
-  opt.batch_size = static_cast<int>(flags.GetInt("batch_size"));
-
-  CrashSimDurableTopK engine(opt);
+  CrashSimDurableTopK engine(*options);
   const DurableTopKAnswer answer = engine.Answer(tg, query);
   std::printf("top-%d by durable (min over snapshots [%d, %d]) similarity to "
               "%lld:\n",
@@ -626,23 +547,24 @@ int RunDurable(int argc, char** argv) {
   return 0;
 }
 
-// One stress client's engine: a per-thread instance (the engines keep
-// per-query scratch and a member RNG, so instances are not shared across
-// threads) bound to the shared immutable graph, wrapped as a source ->
-// PartialResult callable for the executor.
-std::function<PartialResult(NodeId, QueryContext*)> MakeStressEngine(
-    const FlagSet& flags, const Graph& g, uint64_t seed) {
-  // Only the estimators whose query loops have deadline checkpoints.
-  const std::string algo = flags.GetString("algo");
-  if (algo != "crashsim" && algo != "probesim" && algo != "reads") {
-    return nullptr;
-  }
-  std::shared_ptr<SimRankAlgorithm> engine = MakeAlgorithm(flags, seed);
-  engine->Bind(&g);
-  return [engine](NodeId u, QueryContext* ctx) {
-    return engine->SingleSource(u, ctx);
+// Sorts the per-query latencies and prints the p50/p95/p99/max line that
+// `stress` and `replay` report.
+void PrintLatencyPercentiles(std::vector<double>* latencies_ms) {
+  std::sort(latencies_ms->begin(), latencies_ms->end());
+  const auto percentile = [&](double p) {
+    return PercentileNearestRank(*latencies_ms, p);
   };
+  std::printf("latency ms: p50 %.2f  p95 %.2f  p99 %.2f  max %.2f\n",
+              percentile(0.50), percentile(0.95), percentile(0.99),
+              latencies_ms->empty() ? 0.0 : latencies_ms->back());
 }
+
+// The chaos profile's failpoints: transient errors on the trial loops
+// (exercises the retry path) plus the tree build (exercises shed
+// accounting).
+constexpr const char* kChaosSites[] = {"crashsim.trial_block",
+                                       "probesim.trial_block", "reads.chunk",
+                                       "rev_reach.build"};
 
 // `stress` — drive a concurrent query mix through the QueryExecutor and
 // report what the overload machinery did: per-StatusCode outcome counts,
@@ -661,19 +583,7 @@ int RunStress(int argc, char** argv) {
                          "queries submitted per client");
   flags.DefineIntInRange("timeout_ms", 0, 0, 86400000,
                          "per-query deadline in ms (0 = unbounded)");
-  flags.DefineIntInRange("max_concurrent", 4, 1, 1024,
-                         "queries allowed to run concurrently");
-  flags.DefineIntInRange("max_queue", 16, 0, 1 << 20,
-                         "admission queue capacity");
-  flags.DefineDouble("degrade_at", 2.0,
-                     "load factor where trial-budget degradation starts "
-                     "(<= 0 disables)");
-  flags.DefineDouble("degrade_min_fraction", 0.25,
-                     "floor for the degraded trial fraction");
-  flags.DefineIntInRange("max_retries", 2, 0, 100,
-                         "retry budget for transient (UNAVAILABLE) failures");
-  flags.DefineIntInRange("memory_budget_mb", 0, 0, 1 << 20,
-                         "per-query memory budget in MiB (0 = unlimited)");
+  DefineExecutorFlags(&flags);
   flags.DefineInt("chaos_seed", -1,
                   "arm the failpoint chaos profile with this seed "
                   "(-1 = faults off)");
@@ -697,19 +607,21 @@ int RunStress(int argc, char** argv) {
     return FailStatus(InvalidArgumentError("graph has no nodes"));
   }
 
-  ExecutorOptions eopt;
-  eopt.max_concurrent = static_cast<int>(flags.GetInt("max_concurrent"));
-  eopt.max_queue = static_cast<int>(flags.GetInt("max_queue"));
-  eopt.default_deadline_ms = flags.GetInt("timeout_ms");
-  eopt.degrade_at = flags.GetDouble("degrade_at");
-  eopt.degrade_min_fraction = flags.GetDouble("degrade_min_fraction");
-  eopt.max_retries = static_cast<int>(flags.GetInt("max_retries"));
-  eopt.memory_budget_bytes = flags.GetInt("memory_budget_mb") * (1 << 20);
-  if (Status s = eopt.Validate(); !s.ok()) return FailStatus(s);
-  QueryExecutor executor(eopt);
+  StatusOr<ExecutorOptions> eopt = ExecutorOptionsFromFlags(flags);
+  if (!eopt.ok()) return FailStatus(eopt.status());
+  eopt->default_deadline_ms = flags.GetInt("timeout_ms");
+  QueryExecutor executor(*eopt);
+  // Only the estimators whose query loops have deadline checkpoints.
+  const std::string algo_name = flags.GetString("algo");
+  if (algo_name != "crashsim" && algo_name != "probesim" &&
+      algo_name != "reads") {
+    return FailStatus(InvalidArgumentError(
+        "unknown --algo " + algo_name +
+        " (stress supports crashsim|probesim|reads)"));
+  }
+  const StatusOr<CrashSimOptions> options = EngineOptionsFromFlags(flags);
+  if (!options.ok()) return FailStatus(options.status());
 
-  // Optional chaos profile: transient errors on the trial loops (exercises
-  // the retry path) plus the tree build (exercises shed accounting).
   std::optional<FailpointScope> chaos;
   const int64_t chaos_seed = flags.GetInt("chaos_seed");
   if (chaos_seed >= 0) {
@@ -718,9 +630,7 @@ int RunStress(int argc, char** argv) {
     spec.action = FailpointAction::kError;
     spec.code = StatusCode::kUnavailable;
     spec.probability = flags.GetDouble("chaos_prob");
-    for (const char* site :
-         {"crashsim.trial_block", "probesim.trial_block", "reads.chunk",
-          "rev_reach.build"}) {
+    for (const char* site : kChaosSites) {
       if (Status s = ConfigureFailpoint(site, spec); !s.ok()) {
         return FailStatus(s);
       }
@@ -729,29 +639,25 @@ int RunStress(int argc, char** argv) {
 
   const int clients = static_cast<int>(flags.GetInt("clients"));
   const int64_t queries = flags.GetInt("queries");
-  const uint64_t base_seed = static_cast<uint64_t>(flags.GetInt("seed"));
 
   std::mutex tally_mu;
   std::map<StatusCode, int64_t> by_code;        // under tally_mu
   std::vector<double> latencies_ms;             // under tally_mu
   int64_t degraded = 0, retried_queries = 0;    // under tally_mu
-  Status setup_error;                           // under tally_mu
 
   std::vector<std::thread> workers;
   workers.reserve(static_cast<size_t>(clients));
   for (int c = 0; c < clients; ++c) {
     workers.emplace_back([&, c] {
-      // Distinct engine seed per client: the stress mix should exercise
-      // different walks, not one replayed query.
-      const auto run =
-          MakeStressEngine(flags, g, base_seed + static_cast<uint64_t>(c));
-      if (!run) {
-        const std::lock_guard<std::mutex> lock(tally_mu);
-        setup_error =
-            InvalidArgumentError("unknown --algo " + flags.GetString("algo") +
-                                 " (stress supports crashsim|probesim|reads)");
-        return;
-      }
+      // A per-client engine (engines keep per-query scratch and a member
+      // RNG, so instances are not shared across threads) bound to the
+      // shared immutable graph, with a distinct seed: the stress mix should
+      // exercise different walks, not one replayed query.
+      CrashSimOptions client_options = *options;
+      client_options.mc.seed += static_cast<uint64_t>(c);
+      const std::unique_ptr<SimRankAlgorithm> engine =
+          MakeAlgorithm(algo_name, client_options);
+      engine->Bind(&g);
       std::map<StatusCode, int64_t> local_codes;
       std::vector<double> local_ms;
       local_ms.reserve(static_cast<size_t>(queries));
@@ -760,8 +666,8 @@ int RunStress(int argc, char** argv) {
         const NodeId source = static_cast<NodeId>(
             (static_cast<int64_t>(c) + q * clients) % g.num_nodes());
         QueryRequest request;
-        request.run = [&run, source](QueryContext* ctx) {
-          return run(source, ctx);
+        request.run = [&engine, source](QueryContext* ctx) {
+          return engine->SingleSource(source, ctx);
         };
         const Stopwatch timer;
         const QueryOutcome outcome = executor.Execute(request);
@@ -779,26 +685,17 @@ int RunStress(int argc, char** argv) {
     });
   }
   for (std::thread& t : workers) t.join();
-  if (!setup_error.ok()) return FailStatus(setup_error);
-
-  std::sort(latencies_ms.begin(), latencies_ms.end());
-  const auto percentile = [&](double p) {
-    return PercentileNearestRank(latencies_ms, p);
-  };
 
   std::printf("stress: %d clients x %lld queries (%s) on %lld nodes\n",
               clients, static_cast<long long>(queries),
-              flags.GetString("algo").c_str(),
-              static_cast<long long>(g.num_nodes()));
+              algo_name.c_str(), static_cast<long long>(g.num_nodes()));
   std::printf("outcomes:");
   for (const auto& [code, count] : by_code) {
     std::printf("  %s %lld", StatusCodeName(code),
                 static_cast<long long>(count));
   }
   std::printf("\n");
-  std::printf("latency ms: p50 %.2f  p95 %.2f  p99 %.2f  max %.2f\n",
-              percentile(0.50), percentile(0.95), percentile(0.99),
-              latencies_ms.empty() ? 0.0 : latencies_ms.back());
+  PrintLatencyPercentiles(&latencies_ms);
   const QueryExecutor::Stats stats = executor.stats();
   std::printf(
       "executor: admitted %lld  shed_queue_full %lld  shed_deadline %lld  "
@@ -813,9 +710,7 @@ int RunStress(int argc, char** argv) {
       static_cast<long long>(retried_queries));
   if (chaos_seed >= 0) {
     std::printf("chaos: seed %lld", static_cast<long long>(chaos_seed));
-    for (const char* site :
-         {"crashsim.trial_block", "probesim.trial_block", "reads.chunk",
-          "rev_reach.build"}) {
+    for (const char* site : kChaosSites) {
       const int64_t fires = FailpointFires(site);
       if (fires > 0) {
         std::printf("  %s %lld", site, static_cast<long long>(fires));
@@ -827,20 +722,6 @@ int RunStress(int argc, char** argv) {
 }
 
 // --- replay: load generator / client for crashsim_serve ---------------------
-
-// Maps the wire status name (StatusCodeName on the server side) back to a
-// StatusCode so replay exits with the same code taxonomy as the other
-// subcommands.
-StatusCode CodeFromWireName(const std::string& name) {
-  for (const StatusCode code :
-       {StatusCode::kOk, StatusCode::kInvalidArgument, StatusCode::kNotFound,
-        StatusCode::kDeadlineExceeded, StatusCode::kCancelled,
-        StatusCode::kResourceExhausted, StatusCode::kDataLoss,
-        StatusCode::kUnavailable}) {
-    if (name == StatusCodeName(code)) return code;
-  }
-  return StatusCode::kDataLoss;  // unparseable response
-}
 
 // One framed-JSON connection to a crashsim_serve instance.
 class ServeClient {
@@ -905,10 +786,11 @@ StatusOr<std::vector<int64_t>> ParseSourceList(const std::string& spec) {
   return sources;
 }
 
-// Renders a topk response in the exact format `crashsim_cli topk` prints, so
-// the serve smoke lane can diff the two byte for byte.
+// Renders a topk response in the `crashsim_cli topk` output format.
 int PrintOnceResponse(const JsonValue& response) {
-  const StatusCode code = CodeFromWireName(response.GetString("status", ""));
+  // A status name the taxonomy does not know marks an unparseable response.
+  const StatusCode code = StatusCodeFromName(response.GetString("status", ""))
+                              .value_or(StatusCode::kDataLoss);
   if (code != StatusCode::kOk) {
     return FailStatus(Status(code, response.GetString("message", "")));
   }
@@ -918,23 +800,20 @@ int PrintOnceResponse(const JsonValue& response) {
       nodes->items().size() != scores->items().size()) {
     return FailStatus(DataLossError("malformed topk response"));
   }
-  std::printf("top-%lld nodes by s(%lld, v):\n",
-              static_cast<long long>(response.GetInt("k", 0)),
-              static_cast<long long>(response.GetInt("source", 0)));
+  std::vector<std::pair<double, int64_t>> ranking;
   for (size_t i = 0; i < nodes->items().size(); ++i) {
-    std::printf("  %lld  %.5f\n",
-                static_cast<long long>(nodes->items()[i].as_int()),
-                scores->items()[i].as_number());
+    ranking.emplace_back(scores->items()[i].as_number(),
+                         nodes->items()[i].as_int());
   }
+  PrintRanking(response.GetInt("k", 0), response.GetInt("source", 0),
+               ranking);
   // epsilon_achieved serialises as null when infinite (zero trials done).
   const JsonValue* eps = response.Find("epsilon_achieved");
-  const double epsilon = (eps != nullptr && eps->is_number())
-                             ? eps->as_number()
-                             : std::numeric_limits<double>::infinity();
-  std::printf("(anytime: %lld/%lld trials, epsilon_achieved=%.17g)\n",
-              static_cast<long long>(response.GetInt("trials_done", 0)),
-              static_cast<long long>(response.GetInt("trials_target", 0)),
-              epsilon);
+  PrintAnytimeFooter(response.GetInt("trials_done", 0),
+                     response.GetInt("trials_target", 0),
+                     (eps != nullptr && eps->is_number())
+                         ? eps->as_number()
+                         : std::numeric_limits<double>::infinity());
   return 0;
 }
 
@@ -1106,10 +985,6 @@ int RunReplay(int argc, char** argv) {
   const double wall_seconds = wall.ElapsedSeconds();
   if (!connect_error.ok()) return FailStatus(connect_error);
 
-  std::sort(latencies_ms.begin(), latencies_ms.end());
-  const auto percentile = [&](double p) {
-    return PercentileNearestRank(latencies_ms, p);
-  };
   std::printf("replay: %d clients x %lld requests (%s) -> %s:%d\n", clients,
               static_cast<long long>(requests), mode.c_str(), host.c_str(),
               port);
@@ -1118,9 +993,7 @@ int RunReplay(int argc, char** argv) {
     std::printf("  %s %lld", name.c_str(), static_cast<long long>(count));
   }
   std::printf("\n");
-  std::printf("latency ms: p50 %.2f  p95 %.2f  p99 %.2f  max %.2f\n",
-              percentile(0.50), percentile(0.95), percentile(0.99),
-              latencies_ms.empty() ? 0.0 : latencies_ms.back());
+  PrintLatencyPercentiles(&latencies_ms);
   std::printf("throughput: %.1f req/s over %.2f s\n",
               wall_seconds > 0.0
                   ? static_cast<double>(latencies_ms.size()) / wall_seconds
@@ -1152,10 +1025,8 @@ int RunReplay(int argc, char** argv) {
   // Non-OK terminal outcomes fail the run unless explicitly tolerated.
   for (const auto& [name, count] : by_status) {
     if (name != "OK" && name != "TRANSPORT_TOLERATED" && count > 0) {
-      return ExitCodeFor(Status(CodeFromWireName(name),
-                                StrFormat("%lld %s responses",
-                                          static_cast<long long>(count),
-                                          name.c_str())));
+      return ExitCodeFor(
+          StatusCodeFromName(name).value_or(StatusCode::kDataLoss));
     }
   }
   return 0;

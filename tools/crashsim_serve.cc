@@ -7,8 +7,9 @@
 // drains in-flight queries and exits 0. A second listener serves
 // GET /metrics in Prometheus text format.
 //
-// Exit codes follow the crashsim_cli taxonomy (docs/ERRORS.md): 0 clean
-// shutdown, 1 usage error, 2 INVALID_ARGUMENT, 8 UNAVAILABLE (bind failed).
+// Exit codes follow the crashsim_cli table (ExitCodeFor, docs/ERRORS.md): 0
+// clean shutdown, 1 usage error, 2 INVALID_ARGUMENT, 8 UNAVAILABLE (bind
+// failed).
 #include <atomic>
 #include <chrono>
 #include <csignal>
@@ -18,6 +19,7 @@
 #include <string>
 #include <thread>
 
+#include "core/engine_flags.h"
 #include "graph/graph_io.h"
 #include "serve/server.h"
 #include "util/event_log.h"
@@ -31,23 +33,9 @@ std::atomic<bool> g_stop{false};
 
 void HandleSignal(int) { g_stop.store(true, std::memory_order_relaxed); }
 
-int ExitCodeFor(const Status& status) {
-  switch (status.code()) {
-    case StatusCode::kOk: return 0;
-    case StatusCode::kInvalidArgument: return 2;
-    case StatusCode::kNotFound: return 3;
-    case StatusCode::kDeadlineExceeded: return 4;
-    case StatusCode::kCancelled: return 5;
-    case StatusCode::kResourceExhausted: return 6;
-    case StatusCode::kDataLoss: return 7;
-    case StatusCode::kUnavailable: return 8;
-  }
-  return 1;
-}
-
 int FailStatus(const Status& status) {
   std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
-  return ExitCodeFor(status);
+  return ExitCodeFor(status.code());
 }
 
 int Run(int argc, char** argv) {
@@ -68,34 +56,10 @@ int Run(int argc, char** argv) {
                          "concurrent connection ceiling");
   flags.DefineIntInRange("default_timeout_ms", 0, 0, 86400000,
                          "deadline for requests without timeout_ms (0 = none)");
-  // Executor knobs (same semantics as `crashsim_cli stress`).
-  flags.DefineIntInRange("max_concurrent", 4, 1, 1024,
-                         "queries allowed to run concurrently");
-  flags.DefineIntInRange("max_queue", 16, 0, 1 << 20,
-                         "admission queue capacity");
-  flags.DefineDouble("degrade_at", 2.0,
-                     "load factor where trial-budget degradation starts "
-                     "(<= 0 disables; keep 0 for bit-exact serving)");
-  flags.DefineDouble("degrade_min_fraction", 0.25,
-                     "floor for the degraded trial fraction");
-  flags.DefineIntInRange("max_retries", 2, 0, 100,
-                         "retry budget for transient (UNAVAILABLE) failures");
-  flags.DefineIntInRange("memory_budget_mb", 0, 0, 1 << 20,
-                         "per-query memory budget in MiB (0 = unlimited)");
+  DefineExecutorFlags(&flags);
   flags.DefineIntInRange("cache_mb", 256, 0, 1 << 20,
                          "shared-tree cache capacity in MiB (0 = unbounded)");
-  // Engine knobs (same names as the CLI's topk/temporal subcommands).
-  flags.DefineDouble("c", 0.6, "SimRank decay factor");
-  flags.DefineDouble("epsilon", 0.025, "max absolute error");
-  flags.DefineDouble("delta", 0.01, "failure probability");
-  flags.DefineInt("trials", 0, "Monte-Carlo trials (0 = from epsilon/delta)");
-  flags.DefineInt("threads", 1, "CrashSim candidate-evaluation threads");
-  flags.DefineInt("batch_size", 64,
-                  "CrashSim SoA walk lanes per thread (1 = scalar loop; "
-                  "scores are identical at every setting)");
-  flags.DefineInt("seed", 42, "RNG seed");
-  flags.DefineBool("paper_mode", false,
-                   "use the paper-verbatim revReach recurrence");
+  DefineEngineFlags(&flags);
   // Request-scoped observability (docs/OBSERVABILITY.md).
   flags.DefineString("event_log", "",
                      "structured JSON-lines event log path (empty = stderr)");
@@ -133,25 +97,13 @@ int Run(int argc, char** argv) {
   options.metrics_port = static_cast<int>(flags.GetInt("metrics_port"));
   options.max_connections = static_cast<int>(flags.GetInt("max_connections"));
   options.default_timeout_ms = flags.GetInt("default_timeout_ms");
-  options.executor.max_concurrent =
-      static_cast<int>(flags.GetInt("max_concurrent"));
-  options.executor.max_queue = static_cast<int>(flags.GetInt("max_queue"));
-  options.executor.degrade_at = flags.GetDouble("degrade_at");
-  options.executor.degrade_min_fraction =
-      flags.GetDouble("degrade_min_fraction");
-  options.executor.max_retries = static_cast<int>(flags.GetInt("max_retries"));
-  options.executor.memory_budget_bytes =
-      flags.GetInt("memory_budget_mb") * (1 << 20);
+  StatusOr<ExecutorOptions> executor_or = ExecutorOptionsFromFlags(flags);
+  if (!executor_or.ok()) return FailStatus(executor_or.status());
+  options.executor = *executor_or;
+  StatusOr<CrashSimOptions> engine_or = EngineOptionsFromFlags(flags);
+  if (!engine_or.ok()) return FailStatus(engine_or.status());
+  options.engine = *engine_or;
   options.cache.capacity_bytes = flags.GetInt("cache_mb") * (1 << 20);
-  options.engine.mc.c = flags.GetDouble("c");
-  options.engine.mc.epsilon = flags.GetDouble("epsilon");
-  options.engine.mc.delta = flags.GetDouble("delta");
-  options.engine.mc.trials_override = flags.GetInt("trials");
-  options.engine.mc.seed = static_cast<uint64_t>(flags.GetInt("seed"));
-  options.engine.mode = flags.GetBool("paper_mode") ? RevReachMode::kPaper
-                                                    : RevReachMode::kCorrected;
-  options.engine.num_threads = static_cast<int>(flags.GetInt("threads"));
-  options.engine.batch_size = static_cast<int>(flags.GetInt("batch_size"));
   options.slow_query_ms = flags.GetInt("slow_query_ms");
   options.tracez_capacity = static_cast<int>(flags.GetInt("tracez_capacity"));
   options.tracez_sample_every =
