@@ -185,9 +185,8 @@ PartialResult CrashSim::PartialWithTree(const ReverseReachableTree& tree,
   // lines 8-11 with the depth off-by-one fixed), so the deepest level can
   // contribute; the truncation error (sqrt c)^{l_max+1} <= eps_t stays
   // within Theorem 1's budget.
-  const ReverseReachableTree* const tree_ptr = &tree;
   const WalkBatchEngine engine(
-      g, std::span<const ReverseReachableTree* const>(&tree_ptr, 1),
+      g, tree,
       corrected ? std::span<const double>(*diag_) : std::span<const double>(),
       sqrt_c_, l_max + 1, ChainSeed(options_.mc.seed, static_cast<uint64_t>(u)),
       options_.batch_size);
@@ -240,7 +239,6 @@ PartialResult CrashSim::PartialWithTree(const ReverseReachableTree& tree,
                              static_cast<size_t>(end - begin)),
           u, done, done + batch,
           std::span<double>(block_mass).subspan(static_cast<size_t>(begin)),
-          candidates.size(),
           std::span<WalkBatchStats>(block_stats)
               .subspan(static_cast<size_t>(begin),
                        static_cast<size_t>(end - begin)));

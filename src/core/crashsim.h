@@ -104,7 +104,7 @@ class CrashSim : public SimRankAlgorithm {
   const CrashSimOptions& options() const { return options_; }
 
   // Corrected mode's diagonal corrections d(w) of the bound graph; empty in
-  // paper mode. Shared with the multi-source batch evaluator.
+  // paper mode.
   const std::vector<double>& diagonal() const;
 
  protected:

@@ -132,9 +132,9 @@ class ReverseReachableTree {
 
   // Returns the dense rows, building them on first use. The build is
   // cached on the tree (the batch walk engine asks once per query, and
-  // shared trees — the serving cache, multi-source evaluation, repeated
-  // trial blocks — would otherwise re-pay the O(levels * n) scatter every
-  // time). Thread-safe: concurrent first calls race through std::call_once.
+  // shared trees — the serving cache, repeated trial blocks — would
+  // otherwise re-pay the O(levels * n) scatter every time). Thread-safe:
+  // concurrent first calls race through std::call_once.
   // A default-constructed tree returns empty rows.
   const DenseRows& EnsureDenseRows() const;
 

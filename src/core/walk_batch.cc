@@ -1,6 +1,7 @@
 #include "core/walk_batch.h"
 
 #include <algorithm>
+#include <vector>
 
 #include "util/logging.h"
 #include "util/rng.h"
@@ -11,89 +12,61 @@ namespace {
 // Target number of (candidate, trial) jobs per tile: enough to keep every
 // lane busy through several refills (so lane-drain tail cost amortises),
 // small enough that the per-tile walk-total buffer stays cache-resident.
+// A tile always holds whole candidates, so it reaches the Run's trial count
+// when that exceeds the target (CrashSim's trial blocks are at most 64).
 constexpr int64_t kMinTileJobs = 1024;
-
-// Trial-range tile bound: keeps the per-tile buffer small when a caller
-// runs many trials in one Run (the multi-source evaluator). Candidate-major
-// tiling plus ascending trial tiles preserves the per-candidate trial-order
-// fold exactly.
-constexpr int64_t kMaxTrialTile = 256;
 
 }  // namespace
 
-WalkBatchEngine::WalkBatchEngine(
-    const Graph& g, std::span<const ReverseReachableTree* const> trees,
-    std::span<const double> diag, double sqrt_c, int max_walk_nodes,
-    uint64_t stream_salt, int batch_size)
+WalkBatchEngine::WalkBatchEngine(const Graph& g,
+                                 const ReverseReachableTree& tree,
+                                 std::span<const double> diag, double sqrt_c,
+                                 int max_walk_nodes, uint64_t stream_salt,
+                                 int batch_size)
     : g_(g),
-      trees_(trees.begin(), trees.end()),
+      tree_(&tree),
       diag_(diag),
       salt_(stream_salt),
-      max_walk_nodes_(max_walk_nodes),
       batch_size_(batch_size),
       len_sampler_(TruncatedGeometricWeights(sqrt_c, max_walk_nodes),
                    DiscreteSampler::Backend::kAuto) {
-  CRASHSIM_CHECK(!trees_.empty());
-  CRASHSIM_CHECK(max_walk_nodes_ >= 1);
+  CRASHSIM_CHECK(max_walk_nodes >= 1);
   CRASHSIM_CHECK(batch_size_ >= 1 && batch_size_ <= kMaxWalkBatch);
-  dense_.resize(trees_.size());
-  // A scalar engine resolves probes through tree->Probability and never
-  // reads dense rows; don't make the trees build them for nothing.
+  // A scalar engine resolves probes through tree.Probability and never
+  // reads dense rows; don't make the tree build them for nothing.
   if (batch_size_ > 1) {
-    for (size_t s = 0; s < trees_.size(); ++s) {
-      const ReverseReachableTree::DenseRows& rows =
-          trees_[s]->EnsureDenseRows();
-      dense_[s] = {rows.prob.data(), rows.row_off.data(),
-                   rows.row_off.size()};
-    }
+    const ReverseReachableTree::DenseRows& rows = tree.EnsureDenseRows();
+    dense_ = {rows.prob.data(), rows.row_off.data(), rows.row_off.size()};
   }
 }
 
 void WalkBatchEngine::Run(std::span<const NodeId> candidates, NodeId skip,
                           int64_t trial_begin, int64_t trial_end,
-                          std::span<double> mass, size_t mass_stride,
+                          std::span<double> mass,
                           std::span<WalkBatchStats> stats) const {
   const int64_t trials = trial_end - trial_begin;
   if (trials <= 0 || candidates.empty()) return;
-  const size_t num_trees = trees_.size();
   CRASHSIM_CHECK(stats.empty() || stats.size() >= candidates.size());
-  CRASHSIM_CHECK(mass_stride >= candidates.size());
-  CRASHSIM_CHECK(mass.size() >= (num_trees - 1) * mass_stride +
-                                    candidates.size());
+  CRASHSIM_CHECK(mass.size() >= candidates.size());
   int64_t eligible = 0;
   for (NodeId v : candidates) eligible += v == skip ? 0 : 1;
   if (eligible == 0) return;
-
-  // The whole-Run fold accumulator: fold_acc[s * |candidates| + ci] collects
-  // the candidate's walk totals in trial order and lands in the caller's
-  // accumulator with a single addition per (tree, candidate) — so internal
-  // tiling is invisible in the float grouping.
-  std::vector<double> fold_acc(num_trees * candidates.size(), 0.0);
 
   // Both paths honour the same per-walk draw and fold contract, so routing
   // tiny jobs through the scalar loop is pure policy: below ~two batches of
   // work the SoA setup costs more than it hides.
   if (batch_size_ <= 1 ||
       eligible * trials < 2 * static_cast<int64_t>(batch_size_)) {
-    RunScalar(candidates, skip, trial_begin, trial_end, fold_acc, stats);
+    RunScalar(candidates, skip, trial_begin, trial_end, mass, stats);
   } else {
-    RunBatched(candidates, skip, trial_begin, trial_end, fold_acc, stats);
-  }
-
-  for (size_t s = 0; s < num_trees; ++s) {
-    for (size_t ci = 0; ci < candidates.size(); ++ci) {
-      mass[s * mass_stride + ci] += fold_acc[s * candidates.size() + ci];
-    }
+    RunBatched(candidates, skip, trial_begin, trial_end, mass, stats);
   }
 }
 
 void WalkBatchEngine::RunScalar(std::span<const NodeId> candidates,
                                 NodeId skip, int64_t trial_begin,
-                                int64_t trial_end,
-                                std::span<double> fold_acc,
+                                int64_t trial_end, std::span<double> mass,
                                 std::span<WalkBatchStats> stats) const {
-  const size_t num_trees = trees_.size();
-  std::vector<double> walk_mass(num_trees);
   for (size_t ci = 0; ci < candidates.size(); ++ci) {
     const NodeId v = candidates[ci];
     if (v == skip) continue;
@@ -104,7 +77,7 @@ void WalkBatchEngine::RunScalar(std::span<const NodeId> candidates,
       uint64_t state = ChainSeed(cand_seed, static_cast<uint64_t>(k));
       const int len =
           1 + static_cast<int>(len_sampler_.Sample(SplitMix64Next(state)));
-      std::fill(walk_mass.begin(), walk_mass.end(), 0.0);
+      double walk_mass = 0.0;
       NodeId cur = v;
       for (int pos = 1; pos < len; ++pos) {
         const std::span<const NodeId> row = g_.InNeighbors(cur);
@@ -112,18 +85,13 @@ void WalkBatchEngine::RunScalar(std::span<const NodeId> candidates,
         cur = row[DiscreteSampler::UniformIndex(SplitMix64Next(state),
                                                 row.size())];
         ++steps;
-        const double w =
-            diag_.empty() ? 1.0 : diag_[static_cast<size_t>(cur)];
-        for (size_t s = 0; s < num_trees; ++s) {
-          const double hit = trees_[s]->Probability(pos, cur);
-          if (hit == 0.0) continue;
-          ++hits;
-          walk_mass[s] += hit * w;
-        }
+        const double hit = tree_->Probability(pos, cur);
+        if (hit == 0.0) continue;
+        ++hits;
+        walk_mass +=
+            hit * (diag_.empty() ? 1.0 : diag_[static_cast<size_t>(cur)]);
       }
-      for (size_t s = 0; s < num_trees; ++s) {
-        fold_acc[s * candidates.size() + ci] += walk_mass[s];
-      }
+      mass[ci] += walk_mass;
     }
     if (!stats.empty()) {
       stats[ci].walk_steps += steps;
@@ -147,10 +115,9 @@ struct WalkBatchEngine::Scratch {
   std::vector<int32_t> hits;     // per-walk tree-hit count; the step count
                                  // needs no slot — it is pos at retirement
   // Fallback probe staging of the current round: probes on levels without
-  // a dense row, one list per tree ([tree * lanes + i]), resolved by the
-  // batched binary search in phase B. Dense probes never stage — they are
-  // one L2-resident load and fold inline in phase A.
-  std::vector<size_t> nfb;  // per-tree staged count
+  // a dense row, at most one per lane, resolved by the batched binary
+  // search in phase B. Dense probes never stage — they are one L2-resident
+  // load and fold inline in phase A.
   std::vector<uint32_t> fb_lane;
   std::vector<int> fb_level;
   std::vector<NodeId> fb_node;
@@ -160,15 +127,13 @@ struct WalkBatchEngine::Scratch {
   // and the per-job walk totals, ordered candidate-major then trial.
   std::vector<uint32_t> tile_ci;
   std::vector<uint64_t> tile_seed;
-  std::vector<double> job_mass;  // [tree * tile_jobs + job]
+  std::vector<double> job_mass;
 };
 
 void WalkBatchEngine::RunBatched(std::span<const NodeId> candidates,
                                  NodeId skip, int64_t trial_begin,
-                                 int64_t trial_end,
-                                 std::span<double> fold_acc,
+                                 int64_t trial_end, std::span<double> mass,
                                  std::span<WalkBatchStats> stats) const {
-  const size_t num_trees = trees_.size();
   const size_t lanes = static_cast<size_t>(batch_size_);
   Scratch sc;
   sc.cur.resize(lanes);
@@ -178,10 +143,9 @@ void WalkBatchEngine::RunBatched(std::span<const NodeId> candidates,
   sc.job.resize(lanes);
   sc.cand.resize(lanes);
   sc.hits.resize(lanes);
-  sc.nfb.assign(num_trees, 0);
-  sc.fb_lane.resize(num_trees * lanes);
-  sc.fb_level.resize(num_trees * lanes);
-  sc.fb_node.resize(num_trees * lanes);
+  sc.fb_lane.resize(lanes);
+  sc.fb_level.resize(lanes);
+  sc.fb_node.resize(lanes);
   sc.fb_out.resize(lanes);
 
   // Raw views of the lane state and the dense probe rows. The hot loop
@@ -195,19 +159,19 @@ void WalkBatchEngine::RunBatched(std::span<const NodeId> candidates,
   uint32_t* const job = sc.job.data();
   uint32_t* const cand = sc.cand.data();
   int32_t* const hits = sc.hits.data();
-  size_t* const nfb = sc.nfb.data();
   uint32_t* const fb_lane = sc.fb_lane.data();
   int* const fb_level = sc.fb_level.data();
   NodeId* const fb_node = sc.fb_node.data();
   const double* const diag = diag_.empty() ? nullptr : diag_.data();
-  const DenseView* const dview = dense_.data();
+  const float* const dense_prob = dense_.prob;
+  const int64_t* const dense_off = dense_.row_off;
+  const size_t dense_levels = dense_.levels;
 
-  const int64_t trial_tile =
-      std::min<int64_t>(trial_end - trial_begin, kMaxTrialTile);
+  const size_t trials = static_cast<size_t>(trial_end - trial_begin);
   const int64_t target_jobs =
       std::max<int64_t>(4 * static_cast<int64_t>(lanes), kMinTileJobs);
   const size_t cand_tile = static_cast<size_t>(
-      std::max<int64_t>(1, target_jobs / trial_tile));
+      std::max<int64_t>(1, target_jobs / static_cast<int64_t>(trials)));
 
   for (size_t c0 = 0; c0 < candidates.size(); c0 += cand_tile) {
     const size_t c1 = std::min(candidates.size(), c0 + cand_tile);
@@ -223,172 +187,153 @@ void WalkBatchEngine::RunBatched(std::span<const NodeId> candidates,
     const uint32_t* const tci = sc.tile_ci.data();
     const uint64_t* const tseed = sc.tile_seed.data();
     const size_t tile_n = sc.tile_ci.size();
+    sc.job_mass.assign(tile_n * trials, 0.0);
+    double* const jm = sc.job_mass.data();
 
-    for (int64_t k0 = trial_begin; k0 < trial_end; k0 += trial_tile) {
-      const int64_t k1 = std::min(trial_end, k0 + trial_tile);
-      const size_t tile_trials = static_cast<size_t>(k1 - k0);
-      const size_t tile_jobs = tile_n * tile_trials;
-      sc.job_mass.assign(num_trees * tile_jobs, 0.0);
-      double* const jm = sc.job_mass.data();
+    // Job cursor, candidate-major: job j = e * trials + (k - trial_begin).
+    size_t next_e = 0;
+    int64_t next_k = trial_begin;
+    size_t active = 0;
+    // Starts the walk of the cursor's job in `slot`; false when the tile
+    // has no jobs left.
+    auto refill = [&](size_t slot) {
+      if (next_e == tile_n) return false;
+      const size_t e = next_e;
+      const int64_t k = next_k;
+      if (++next_k == trial_end) {
+        next_k = trial_begin;
+        ++next_e;
+      }
+      job[slot] = static_cast<uint32_t>(
+          e * trials + static_cast<size_t>(k - trial_begin));
+      cand[slot] = static_cast<uint32_t>(e);
+      uint64_t state = ChainSeed(tseed[e], static_cast<uint64_t>(k));
+      const int walk_len =
+          1 + static_cast<int>(len_sampler_.Sample(SplitMix64Next(state)));
+      rng[slot] = state;
+      cur[slot] = candidates[tci[e]];
+      pos[slot] = 0;
+      len[slot] = walk_len;
+      hits[slot] = 0;
+      return true;
+    };
+    // Flushes a finished walk's integer counters straight to the candidate
+    // slot (integer adds commute, so retire order cannot matter; the step
+    // count is just the final position). Its crash mass needs no flush:
+    // probe hits fold directly into the walk's job_mass slot — per walk in
+    // step order, exactly the grouping the scalar loop's walk accumulator
+    // produces.
+    auto retire = [&](size_t slot) {
+      if (!stats.empty()) {
+        const uint32_t ci = tci[cand[slot]];
+        stats[ci].walk_steps += pos[slot];
+        stats[ci].tree_hits += hits[slot];
+      }
+    };
 
-      // Job cursor, candidate-major: job j = e * tile_trials + (k - k0).
-      size_t next_e = 0;
-      int64_t next_k = k0;
-      size_t active = 0;
-      // Starts the walk of the cursor's job in `slot`; false when the tile
-      // has no jobs left.
-      auto refill = [&](size_t slot) {
-        if (next_e == tile_n) return false;
-        const size_t e = next_e;
-        const int64_t k = next_k;
-        if (++next_k == k1) {
-          next_k = k0;
-          ++next_e;
-        }
-        job[slot] = static_cast<uint32_t>(
-            e * tile_trials + static_cast<size_t>(k - k0));
-        cand[slot] = static_cast<uint32_t>(e);
-        uint64_t state = ChainSeed(tseed[e], static_cast<uint64_t>(k));
-        const int walk_len =
-            1 + static_cast<int>(len_sampler_.Sample(SplitMix64Next(state)));
-        rng[slot] = state;
-        cur[slot] = candidates[tci[e]];
-        pos[slot] = 0;
-        len[slot] = walk_len;
-        hits[slot] = 0;
-        return true;
-      };
-      // Flushes a finished walk's integer counters straight to the
-      // candidate slot (integer adds commute, so retire order cannot
-      // matter; the step count is just the final position). Its crash
-      // mass needs no flush: probe hits fold directly into the walk's
-      // job_mass slot — per walk in step order, exactly the grouping the
-      // scalar loop's walk accumulator produces.
-      auto retire = [&](size_t slot) {
-        if (!stats.empty()) {
-          const uint32_t ci = tci[cand[slot]];
-          stats[ci].walk_steps += pos[slot];
-          stats[ci].tree_hits += hits[slot];
-        }
-      };
-
-      while (active < lanes && refill(active)) ++active;
-      while (active > 0) {
-        // Phase A: advance every live lane one step, resolving dense
-        // probes inline and prefetching what the next round will touch. A
-        // lane whose walk ends is retired and refilled in place, so lanes
-        // stay full until the tile's jobs run out; a lane is only
-        // compacted away (swap with the last live slot) when there is
-        // nothing left to refill with. The swapped-in lane always comes
-        // from beyond the current slot, so it has not advanced — or staged
-        // a probe — this round yet.
-        size_t slot = 0;
-        while (slot < active) {
-          bool advanced = false;
-          for (;;) {
-            if (pos[slot] + 1 < len[slot]) {
-              const std::span<const NodeId> row = g_.InNeighbors(cur[slot]);
-              if (!row.empty()) {
-                const uint64_t draw = SplitMix64Next(rng[slot]);
-                const NodeId nxt = row[DiscreteSampler::UniformIndex(
-                    draw, row.size())];
-                cur[slot] = nxt;
-                ++pos[slot];
-                g_.PrefetchInNeighbors(nxt);
-                // Probe every tree at the new position. A dense level is
-                // one L2-resident load with an independent address, so it
-                // resolves and folds right here — out-of-order execution
-                // overlaps the loads across lanes. A sparse level stages
-                // for phase B's batched search and prefetches its first
-                // pivot. Either way a lane folds at most one hit per tree
-                // per round, so the per-lane add order (one per step) is
-                // the scalar loop's.
-                const int lvl = pos[slot];
-                for (size_t s = 0; s < num_trees; ++s) {
-                  const DenseView& dp = dview[s];
-                  const int64_t off =
-                      static_cast<size_t>(lvl) < dp.levels
-                          ? dp.row_off[static_cast<size_t>(lvl)]
-                          : -1;
-                  if (off >= 0) {
-                    // Branchless fold: a miss reads 0.0 and adds 0.0.
-                    // mass is a sum of non-negative terms (never -0.0),
-                    // so x + 0.0 is bitwise x and the skip the scalar
-                    // loop performs is unobservable. Hit probability is
-                    // data-random, so a conditional here would mispredict
-                    // constantly.
-                    const double hit = static_cast<double>(
-                        dp.prob[static_cast<size_t>(off) +
-                                static_cast<size_t>(nxt)]);
-                    hits[slot] += static_cast<int32_t>(hit != 0.0);
-                    jm[s * tile_jobs + job[slot]] +=
-                        diag == nullptr
-                            ? hit
-                            : hit * diag[static_cast<size_t>(nxt)];
-                  } else {
-                    trees_[s]->PrefetchProbability(lvl, nxt);
-                    const size_t c = nfb[s]++;
-                    fb_lane[s * lanes + c] = static_cast<uint32_t>(slot);
-                    fb_level[s * lanes + c] = lvl;
-                    fb_node[s * lanes + c] = nxt;
-                  }
-                }
-                advanced = true;
-                break;
+    while (active < lanes && refill(active)) ++active;
+    while (active > 0) {
+      // Phase A: advance every live lane one step, resolving dense probes
+      // inline and prefetching what the next round will touch. A lane
+      // whose walk ends is retired and refilled in place, so lanes stay
+      // full until the tile's jobs run out; a lane is only compacted away
+      // (swap with the last live slot) when there is nothing left to
+      // refill with. The swapped-in lane always comes from beyond the
+      // current slot, so it has not advanced — or staged a probe — this
+      // round yet.
+      size_t n_staged = 0;
+      size_t slot = 0;
+      while (slot < active) {
+        bool advanced = false;
+        for (;;) {
+          if (pos[slot] + 1 < len[slot]) {
+            const std::span<const NodeId> row = g_.InNeighbors(cur[slot]);
+            if (!row.empty()) {
+              const uint64_t draw = SplitMix64Next(rng[slot]);
+              const NodeId nxt =
+                  row[DiscreteSampler::UniformIndex(draw, row.size())];
+              cur[slot] = nxt;
+              ++pos[slot];
+              g_.PrefetchInNeighbors(nxt);
+              // Probe the tree at the new position. A dense level is one
+              // L2-resident load with an independent address, so it
+              // resolves and folds right here — out-of-order execution
+              // overlaps the loads across lanes. A sparse level stages for
+              // phase B's batched search and prefetches its first pivot.
+              // Either way a lane folds at most one hit per round, so the
+              // per-lane add order (one per step) is the scalar loop's.
+              const int lvl = pos[slot];
+              const int64_t off = static_cast<size_t>(lvl) < dense_levels
+                                      ? dense_off[static_cast<size_t>(lvl)]
+                                      : -1;
+              if (off >= 0) {
+                // Branchless fold: a miss reads 0.0 and adds 0.0. mass is
+                // a sum of non-negative terms (never -0.0), so x + 0.0 is
+                // bitwise x and the skip the scalar loop performs is
+                // unobservable. Hit probability is data-random, so a
+                // conditional here would mispredict constantly.
+                const double hit = static_cast<double>(
+                    dense_prob[static_cast<size_t>(off) +
+                               static_cast<size_t>(nxt)]);
+                hits[slot] += static_cast<int32_t>(hit != 0.0);
+                jm[job[slot]] +=
+                    diag == nullptr ? hit
+                                    : hit * diag[static_cast<size_t>(nxt)];
+              } else {
+                tree_->PrefetchProbability(lvl, nxt);
+                fb_lane[n_staged] = static_cast<uint32_t>(slot);
+                fb_level[n_staged] = lvl;
+                fb_node[n_staged] = nxt;
+                ++n_staged;
               }
-              // Dead end: forced stop, same as the scalar break.
-              len[slot] = pos[slot] + 1;
+              advanced = true;
+              break;
             }
-            retire(slot);
-            if (refill(slot)) continue;
-            --active;
-            if (slot >= active) break;
-            cur[slot] = cur[active];
-            pos[slot] = pos[active];
-            len[slot] = len[active];
-            rng[slot] = rng[active];
-            job[slot] = job[active];
-            cand[slot] = cand[active];
-            hits[slot] = hits[active];
+            // Dead end: forced stop, same as the scalar break.
+            len[slot] = pos[slot] + 1;
           }
-          if (advanced) ++slot;
+          retire(slot);
+          if (refill(slot)) continue;
+          --active;
+          if (slot >= active) break;
+          cur[slot] = cur[active];
+          pos[slot] = pos[active];
+          len[slot] = len[active];
+          rng[slot] = rng[active];
+          job[slot] = job[active];
+          cand[slot] = cand[active];
+          hits[slot] = hits[active];
         }
-
-        // Phase B: resolve the sparse-level probes phase A staged, tree by
-        // tree, through the lockstep batched search, and fold hits into
-        // the per-lane walk totals. Dense probes already folded in phase A
-        // and never reach here.
-        for (size_t s = 0; s < num_trees; ++s) {
-          const size_t n_staged = nfb[s];
-          if (n_staged == 0) continue;
-          nfb[s] = 0;
-          trees_[s]->ProbabilityBatch(
-              std::span<const int>(fb_level + s * lanes, n_staged),
-              std::span<const NodeId>(fb_node + s * lanes, n_staged),
-              std::span<double>(sc.fb_out.data(), n_staged),
-              &sc.probe_scratch);
-          for (size_t i = 0; i < n_staged; ++i) {
-            // Branchless for the same reason as the dense fold above.
-            const double hit = sc.fb_out[i];
-            const size_t lane = fb_lane[s * lanes + i];
-            hits[lane] += static_cast<int32_t>(hit != 0.0);
-            const NodeId w = fb_node[s * lanes + i];
-            jm[s * tile_jobs + job[lane]] +=
-                diag == nullptr ? hit : hit * diag[static_cast<size_t>(w)];
-          }
-        }
+        if (advanced) ++slot;
       }
 
-      // Tile fold: per candidate, walk totals in ascending-trial order —
-      // the exact addition sequence RunScalar performs.
-      for (size_t e = 0; e < tile_n; ++e) {
-        const size_t ci = tci[e];
-        for (size_t s = 0; s < num_trees; ++s) {
-          double& acc = fold_acc[s * candidates.size() + ci];
-          const double* row = jm + s * tile_jobs + e * tile_trials;
-          for (size_t k = 0; k < tile_trials; ++k) acc += row[k];
-        }
+      // Phase B: resolve the sparse-level probes phase A staged through
+      // the lockstep batched search, and fold hits into the per-lane walk
+      // totals. Dense probes already folded in phase A and never reach
+      // here.
+      if (n_staged == 0) continue;
+      tree_->ProbabilityBatch(
+          std::span<const int>(fb_level, n_staged),
+          std::span<const NodeId>(fb_node, n_staged),
+          std::span<double>(sc.fb_out.data(), n_staged), &sc.probe_scratch);
+      for (size_t i = 0; i < n_staged; ++i) {
+        // Branchless for the same reason as the dense fold above.
+        const double hit = sc.fb_out[i];
+        const size_t lane = fb_lane[i];
+        hits[lane] += static_cast<int32_t>(hit != 0.0);
+        jm[job[lane]] += diag == nullptr
+                             ? hit
+                             : hit * diag[static_cast<size_t>(fb_node[i])];
       }
+    }
+
+    // Tile fold: per candidate, walk totals in ascending-trial order
+    // straight into the caller's slot — the exact addition sequence
+    // RunScalar performs.
+    for (size_t e = 0; e < tile_n; ++e) {
+      double& acc = mass[tci[e]];
+      const double* row = jm + e * trials;
+      for (size_t k = 0; k < trials; ++k) acc += row[k];
     }
   }
 }

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "core/rev_reach.h"
 #include "graph/graph.h"
@@ -24,13 +23,13 @@ struct WalkBatchStats {
   int64_t tree_hits = 0;
 };
 
-// The Monte-Carlo inner loop of CrashSim (Algorithm 1 lines 8-11) and of
-// the multi-source evaluator, restructured as a structure-of-arrays batch:
-// up to batch_size candidate walks are advanced in lockstep, with
-// contiguous per-lane state (cur node, position, length, raw SplitMix64
-// state) and software prefetch of the next step's CSR row and tree probe.
+// The Monte-Carlo inner loop of CrashSim (Algorithm 1 lines 8-11),
+// restructured as a structure-of-arrays batch: up to batch_size candidate
+// walks are advanced in lockstep, with contiguous per-lane state (cur node,
+// position, length, raw SplitMix64 state) and software prefetch of the next
+// step's CSR row and tree probe.
 //
-// Tree probes — the dominant cost of a trial — resolve through the trees'
+// Tree probes — the dominant cost of a trial — resolve through the tree's
 // dense direct-index rows (ReverseReachableTree::EnsureDenseRows, built
 // once per tree and shared by every engine over it): a probe against a
 // densified level is ONE cache-friendly load of the exact float
@@ -50,9 +49,10 @@ struct WalkBatchStats {
 //     distribution), then exactly one draw per step mapped uniformly onto
 //     the in-neighbour row (see util/rng.h for the derivation contract);
 //   * floating-point crash mass is folded deterministically: per walk in
-//     step order, then per candidate in trial order, then one addition
-//     into the caller's accumulator per Run — the same grouping the scalar
-//     reference path uses.
+//     step order, then per candidate in trial order straight into the
+//     caller's accumulator — the same grouping the scalar reference path
+//     uses. Run([a, b)) followed by Run([b, c)) on the same accumulator is
+//     therefore bitwise Run([a, c)).
 // The scalar path (batch_size = 1, also used for tiny jobs) is therefore
 // not an approximation of the batched one but an exact twin; the
 // differential suite tests/core/walk_batch_test.cc holds them equal.
@@ -61,38 +61,32 @@ struct WalkBatchStats {
 // threads; Run is const and allocates its own scratch.
 class WalkBatchEngine {
  public:
-  // trees: the reverse-reachable trees every walk position is scored
-  // against (CrashSim passes one; the multi-source evaluator passes one per
-  // source — the walk sample is shared, the paired-sampling property).
-  // diag: corrected-mode diagonal weights d(w), empty in paper mode.
-  // max_walk_nodes: l_max + 1 (walk of l_max steps so tree level l_max is
-  // reachable). The referenced graph, trees, and diag must outlive the
-  // engine; all are borrowed.
-  WalkBatchEngine(const Graph& g,
-                  std::span<const ReverseReachableTree* const> trees,
+  // tree: the source's reverse-reachable tree every walk position is scored
+  // against. diag: corrected-mode diagonal weights d(w), empty in paper
+  // mode. max_walk_nodes: l_max + 1 (walk of l_max steps so tree level
+  // l_max is reachable). The referenced graph, tree, and diag must outlive
+  // the engine; all are borrowed.
+  WalkBatchEngine(const Graph& g, const ReverseReachableTree& tree,
                   std::span<const double> diag, double sqrt_c,
                   int max_walk_nodes, uint64_t stream_salt, int batch_size);
 
   // Runs trials [trial_begin, trial_end) of every candidate except `skip`
   // (pass -1 to keep all), accumulating
-  //   mass[s * mass_stride + ci]  += crash mass against trees[s],
-  //   stats[ci]                   += walk steps / tree hits (may be empty
-  //                                  to skip stats collection),
+  //   mass[ci]  += crash mass against the tree,
+  //   stats[ci] += walk steps / tree hits (may be empty to skip stats
+  //                collection),
   // where ci indexes `candidates`. Skipped candidates consume no draws and
   // add nothing. Callers parallelise by candidate range: disjoint
   // sub-spans (with mass/stats sliced to match) write disjoint slots, and
   // per the contract above the results do not depend on the split.
   void Run(std::span<const NodeId> candidates, NodeId skip,
            int64_t trial_begin, int64_t trial_end, std::span<double> mass,
-           size_t mass_stride, std::span<WalkBatchStats> stats) const;
-
-  int batch_size() const { return batch_size_; }
-  const DiscreteSampler& length_sampler() const { return len_sampler_; }
+           std::span<WalkBatchStats> stats) const;
 
  private:
   struct Scratch;
 
-  // Borrowed view of one tree's dense probe rows (storage owned by the
+  // Borrowed view of the tree's dense probe rows (storage owned by the
   // tree's cache, which outlives the engine with the tree itself). levels
   // is 0 when the engine runs scalar and never asked for rows.
   struct DenseView {
@@ -103,21 +97,20 @@ class WalkBatchEngine {
 
   void RunScalar(std::span<const NodeId> candidates, NodeId skip,
                  int64_t trial_begin, int64_t trial_end,
-                 std::span<double> fold_acc,
+                 std::span<double> mass,
                  std::span<WalkBatchStats> stats) const;
   void RunBatched(std::span<const NodeId> candidates, NodeId skip,
                   int64_t trial_begin, int64_t trial_end,
-                  std::span<double> fold_acc,
+                  std::span<double> mass,
                   std::span<WalkBatchStats> stats) const;
 
   const Graph& g_;
-  std::vector<const ReverseReachableTree*> trees_;
+  const ReverseReachableTree* tree_;
   std::span<const double> diag_;
   uint64_t salt_ = 0;
-  int max_walk_nodes_ = 1;
   int batch_size_ = 1;
   DiscreteSampler len_sampler_;
-  std::vector<DenseView> dense_;  // parallel to trees_
+  DenseView dense_;
 };
 
 }  // namespace crashsim

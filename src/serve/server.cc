@@ -142,6 +142,28 @@ StatusOr<int64_t> ReadInt(const JsonValue& request, const char* key,
       value->Write().c_str()));
 }
 
+// Reads number field `key` of an untrusted request: `fallback` when absent,
+// INVALID_ARGUMENT when present with another JSON type. Value domains stay
+// with the query's own validation.
+StatusOr<double> ReadDouble(const JsonValue& request, const char* key,
+                            double fallback) {
+  const JsonValue* value = request.Find(key);
+  if (value == nullptr) return fallback;
+  if (value->is_number()) return value->as_number();
+  return InvalidArgumentError(StrFormat("%s must be a number, got %s", key,
+                                        value->Write().c_str()));
+}
+
+// Reads string field `key` of an untrusted request, like ReadDouble.
+StatusOr<std::string> ReadString(const JsonValue& request, const char* key,
+                                 std::string fallback) {
+  const JsonValue* value = request.Find(key);
+  if (value == nullptr) return fallback;
+  if (value->is_string()) return value->as_string();
+  return InvalidArgumentError(StrFormat("%s must be a string, got %s", key,
+                                        value->Write().c_str()));
+}
+
 std::unordered_map<int64_t, NodeId> IndexIds(
     const std::vector<int64_t>& original_ids) {
   std::unordered_map<int64_t, NodeId> index;
@@ -559,9 +581,12 @@ Server::Reply Server::HandleTemporal(const Query& query) {
   temporal_query.source = query.source;
   temporal_query.begin_snapshot = static_cast<int>(begin);
   temporal_query.end_snapshot = ResolveEndSnapshot(end, tg.num_snapshots());
-  temporal_query.theta = query.request.GetDouble("theta", 0.05);
-  temporal_query.trend_tolerance = query.request.GetDouble("tolerance", 0.0);
-  const std::string kind = query.request.GetString("kind", "threshold");
+  ASSIGN_OR_RETURN(temporal_query.theta,
+                   ReadDouble(query.request, "theta", 0.05));
+  ASSIGN_OR_RETURN(temporal_query.trend_tolerance,
+                   ReadDouble(query.request, "tolerance", 0.0));
+  ASSIGN_OR_RETURN(const std::string kind,
+                   ReadString(query.request, "kind", "threshold"));
   ASSIGN_OR_RETURN(temporal_query.kind, ParseTemporalQueryKind(kind));
 
   CrashSimTOptions temporal_options;

@@ -12,12 +12,12 @@
 #include <chrono>
 #include <cmath>
 #include <numeric>
+#include <span>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "core/crashsim.h"
-#include "core/multi_source.h"
 #include "core/rev_reach.h"
 #include "core/walk_batch.h"
 #include "graph/generators.h"
@@ -249,58 +249,51 @@ TEST(WalkBatchTest, EdgeGraphShapesMatchScalarExactly) {
   }
 }
 
-TEST(WalkBatchTest, MultiSourceBitIdenticalAcrossBatchAndThreads) {
-  Rng rng(41);
-  const Graph g = BarabasiAlbert(150, 3, false, &rng);
-  const std::vector<NodeId> sources = {0, 7, 33};
-  std::vector<NodeId> candidates(static_cast<size_t>(g.num_nodes()));
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    candidates[static_cast<size_t>(v)] = v;
-  }
-  std::vector<std::vector<std::vector<double>>> runs;
-  for (const int batch : kBatchSweep) {
-    for (const int threads : kThreadSweep) {
-      CrashSimMultiSource ms(Options(batch, threads, 300, 3));
-      ms.Bind(&g);
-      runs.push_back(ms.Compute(sources, candidates));
-      if (runs.size() > 1) {
-        EXPECT_EQ(runs.front(), runs.back())
-            << "batch=" << batch << " threads=" << threads;
-      }
-    }
-  }
-}
-
 TEST(WalkBatchTest, EngineRunIndependentOfTrialRangeSplit) {
-  // Run([0, n)) must equal Run([0, k)) + Run([k, n)) folded into the same
-  // accumulators — the property the trial-block loop is built on, checked
-  // here directly at the engine level with a multi-tree configuration.
+  // Run([0, n)) must equal Run([0, a)) + Run([a, b)) + Run([b, n)) folded
+  // into the same accumulators — the property the trial-block loop is built
+  // on, checked here directly at the engine level. The range is longer than
+  // a few hundred trials (a tile then holds one candidate's whole range),
+  // both modes run (corrected mode scales every hit by d(w)), and every
+  // batch size must equal the batch-1 scalar twin.
   Rng rng(43);
   const Graph g = ErdosRenyi(60, 240, false, &rng);
-  const ReverseReachableTree t0 =
-      BuildRevReach(g, 1, 6, 0.6, RevReachMode::kPaper);
-  const ReverseReachableTree t1 =
-      BuildRevReach(g, 2, 6, 0.6, RevReachMode::kPaper);
-  const ReverseReachableTree* trees[] = {&t0, &t1};
+  CrashSimOptions corrected = Options(1, 1);
+  corrected.mode = RevReachMode::kCorrected;
+  corrected.diag_samples = 200;
+  const SharedDiagonal diag = CrashSim(corrected).EstimateDiagonal(g);
   const std::vector<NodeId> candidates = {5, 9, 14, 33, 59};
   const double sqrt_c = std::sqrt(0.6);
-  for (const int batch : {1, 32}) {
-    const WalkBatchEngine engine(g, trees, {}, sqrt_c, 7, /*salt=*/99, batch);
-    std::vector<double> whole(2 * candidates.size(), 0.0);
-    std::vector<double> split(2 * candidates.size(), 0.0);
-    std::vector<WalkBatchStats> sw(candidates.size());
-    std::vector<WalkBatchStats> ss(candidates.size());
-    engine.Run(candidates, -1, 0, 500, whole, candidates.size(), sw);
-    engine.Run(candidates, -1, 0, 123, split, candidates.size(), ss);
-    engine.Run(candidates, -1, 123, 500, split, candidates.size(), ss);
-    for (size_t i = 0; i < whole.size(); ++i) {
-      // Trial-order folding makes even the float accumulation sequence
-      // identical, so exact equality is the right assertion.
-      EXPECT_EQ(whole[i], split[i]) << "batch=" << batch << " slot=" << i;
-    }
-    for (size_t i = 0; i < candidates.size(); ++i) {
-      EXPECT_EQ(sw[i].walk_steps, ss[i].walk_steps);
-      EXPECT_EQ(sw[i].tree_hits, ss[i].tree_hits);
+  for (const RevReachMode mode :
+       {RevReachMode::kPaper, RevReachMode::kCorrected}) {
+    const ReverseReachableTree tree = BuildRevReach(g, 1, 6, 0.6, mode);
+    const std::span<const double> d = mode == RevReachMode::kCorrected
+                                          ? std::span<const double>(*diag)
+                                          : std::span<const double>();
+    std::vector<double> scalar;
+    for (const int batch : {1, 32, 256}) {
+      const WalkBatchEngine engine(g, tree, d, sqrt_c, 7, /*salt=*/99, batch);
+      std::vector<double> whole(candidates.size(), 0.0);
+      std::vector<double> split(candidates.size(), 0.0);
+      std::vector<WalkBatchStats> sw(candidates.size());
+      std::vector<WalkBatchStats> ss(candidates.size());
+      engine.Run(candidates, -1, 0, 600, whole, sw);
+      engine.Run(candidates, -1, 0, 123, split, ss);
+      engine.Run(candidates, -1, 123, 300, split, ss);
+      engine.Run(candidates, -1, 300, 600, split, ss);
+      // Each Run folds per candidate in trial order straight into the
+      // accumulator, so even the float addition sequence is identical and
+      // exact equality is the right assertion.
+      EXPECT_EQ(whole, split) << "batch=" << batch;
+      for (size_t i = 0; i < candidates.size(); ++i) {
+        EXPECT_EQ(sw[i].walk_steps, ss[i].walk_steps);
+        EXPECT_EQ(sw[i].tree_hits, ss[i].tree_hits);
+      }
+      if (batch == 1) {
+        scalar = whole;
+      } else {
+        EXPECT_EQ(scalar, whole) << "batch=" << batch;
+      }
     }
   }
 }

@@ -7,6 +7,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <arpa/inet.h>
@@ -952,6 +953,49 @@ TEST(ServerTest, NonIntegralOrOutOfRangeIntegerFieldsAreInvalidArgument) {
     EXPECT_EQ(response->GetInt("begin", -1), 1);
     EXPECT_EQ(response->GetInt("end", -1), 3);
   }
+  server.Shutdown();
+}
+
+// The temporal number and string fields are typed too: a present field of
+// another JSON type is INVALID_ARGUMENT naming it, never replaced by the
+// default ({"theta": "0.5"} must not run with theta = 0.05).
+TEST(ServerTest, WrongTypedTemporalFieldsAreInvalidArgument) {
+  ServerOptions options = TestServerOptions();
+  options.engine.mc.trials_override = 80;
+  Server server(TemporalProjection(), TestTemporalGraph(), options);
+  ASSERT_TRUE(server.Start().ok());
+  Client client(server.port());
+  ASSERT_TRUE(client.connected());
+
+  const std::pair<const char*, JsonValue> rejected[] = {
+      {"theta", JsonValue(std::string("0.5"))},
+      {"theta", JsonValue(true)},
+      {"theta", JsonValue()},
+      {"tolerance", JsonValue(std::string("0.1"))},
+      {"tolerance", JsonValue::Array()},
+      {"kind", JsonValue(int64_t{5})},
+      {"kind", JsonValue(false)},
+      {"kind", JsonValue::Object()},
+  };
+  for (const auto& [field, value] : rejected) {
+    JsonValue request = TemporalRequest(503);
+    request.Set(field, value);
+    SCOPED_TRACE(request.Write());
+    StatusOr<JsonValue> response = client.Call(request);
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    EXPECT_EQ(response->GetString("status", ""), "INVALID_ARGUMENT");
+    EXPECT_NE(response->GetString("message", "").find(field),
+              std::string::npos);
+  }
+
+  // Absent fields keep their defaults: a threshold query.
+  JsonValue bare = JsonValue::Object();
+  bare.Set("op", JsonValue(std::string("temporal")));
+  bare.Set("source", JsonValue(int64_t{503}));
+  StatusOr<JsonValue> response = client.Call(bare);
+  ASSERT_TRUE(response.ok());
+  EXPECT_EQ(response->GetString("status", ""), "OK");
+  EXPECT_EQ(response->GetString("kind", ""), "threshold");
   server.Shutdown();
 }
 
