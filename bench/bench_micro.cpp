@@ -451,11 +451,12 @@ bool WriteJson(const std::string& path,
 
 // One traced CrashSim query (num_threads = 2 so the pool emits
 // parallel_for.shard spans even on a single-core host), exported as Chrome
-// trace-event JSON. Runs after the benchmark loop: tracing stays disabled
+// trace-event JSON. Runs after the benchmark loop: no collector is installed
 // while anything is being timed.
 bool WriteTrace(const std::string& path) {
-  StartTracing();
+  RequestTrace trace(/*request_id=*/0, RequestTrace::kRunCapacity);
   {
+    const TraceRequestScope scope(&trace);
     const Graph& g = FixtureGraph(1000);
     CrashSimOptions opt;
     opt.mc.trials_override = 200;
@@ -466,13 +467,12 @@ bool WriteTrace(const std::string& path) {
     const PartialResult result = algo.SingleSource(1, &ctx);
     benchmark::DoNotOptimize(result.trials_done);
   }
-  StopTracing();
   std::ofstream out(path);
   if (!out) {
     std::fprintf(stderr, "cannot open --trace_out path %s\n", path.c_str());
     return false;
   }
-  out << ExportChromeTrace();
+  out << ExportChromeTrace(trace);
   return static_cast<bool>(out);
 }
 

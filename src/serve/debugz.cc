@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
-#include <map>
 #include <utility>
 
 #include <poll.h>
@@ -15,6 +14,7 @@ namespace crashsim {
 namespace {
 
 constexpr size_t kMaxHeadBytes = 8192;
+constexpr double kSendTimeoutMs = 2000;
 
 }  // namespace
 
@@ -79,56 +79,60 @@ void SendHttpResponse(int fd, const std::string& status_line,
   std::string response = status_line + "\r\nContent-Type: " + content_type +
                          "\r\nContent-Length: " + std::to_string(body.size()) +
                          "\r\nConnection: close\r\n\r\n" + body;
+  // A scraper that requests a large body and never (or barely) reads must
+  // not wedge the listener thread, and with it Shutdown, which joins that
+  // thread: the whole response gets one budget, like the head read.
+  const Stopwatch timer;
   size_t sent = 0;
   while (sent < response.size()) {
     const ssize_t n = send(fd, response.data() + sent, response.size() - sent,
-                           MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return;  // peer gone; nothing useful to do on a scrape socket
+                           MSG_NOSIGNAL | MSG_DONTWAIT);
+    if (n >= 0) {
+      sent += static_cast<size_t>(n);
+      continue;
     }
-    sent += static_cast<size_t>(n);
+    if (errno == EINTR) continue;
+    // Anything but a full socket buffer means the peer is gone.
+    if (errno != EAGAIN && errno != EWOULDBLOCK) return;
+    const double remaining_ms =
+        kSendTimeoutMs - timer.ElapsedSeconds() * 1e3;
+    struct pollfd pfd;
+    pfd.fd = fd;
+    pfd.events = POLLOUT;
+    pfd.revents = 0;
+    if (remaining_ms <= 0 ||
+        poll(&pfd, 1, static_cast<int>(remaining_ms) + 1) == 0) {
+      return;  // stalled past the budget: treat the peer as gone
+    }
   }
 }
 
 namespace {
 
-// Intermediate span node: built first, converted to JsonValue second,
-// because JsonValue's move-on-grow storage invalidates interior pointers
-// while the bracket stack is still live.
-struct SpanNode {
-  const char* name = nullptr;
-  int64_t begin_ns = 0;
-  int64_t end_ns = 0;
-  std::vector<uint64_t> flow_out;
-  std::vector<uint64_t> flow_in;
-  std::vector<SpanNode> children;
-};
+JsonValue FlowIds(const TraceSpanNode& node, TraceEvent::Phase phase) {
+  JsonValue ids = JsonValue::Array();
+  for (const TraceEvent& flow : node.flows) {
+    if (flow.phase == phase) {
+      ids.Append(JsonValue(static_cast<int64_t>(flow.flow_id)));
+    }
+  }
+  return ids;
+}
 
-JsonValue SpanToJson(const SpanNode& node, int64_t t0_ns) {
+JsonValue SpanToJson(const TraceSpanNode& node, int64_t t0_ns) {
   JsonValue span = JsonValue::Object();
   span.Set("name", JsonValue(std::string(node.name)));
   span.Set("start_us",
            JsonValue(static_cast<double>(node.begin_ns - t0_ns) / 1e3));
   span.Set("dur_us",
            JsonValue(static_cast<double>(node.end_ns - node.begin_ns) / 1e3));
-  if (!node.flow_out.empty()) {
-    JsonValue flows = JsonValue::Array();
-    for (const uint64_t id : node.flow_out) {
-      flows.Append(JsonValue(static_cast<int64_t>(id)));
-    }
-    span.Set("flow_out", std::move(flows));
-  }
-  if (!node.flow_in.empty()) {
-    JsonValue flows = JsonValue::Array();
-    for (const uint64_t id : node.flow_in) {
-      flows.Append(JsonValue(static_cast<int64_t>(id)));
-    }
-    span.Set("flow_in", std::move(flows));
-  }
+  JsonValue flow_out = FlowIds(node, TraceEvent::Phase::kFlowOut);
+  if (!flow_out.items().empty()) span.Set("flow_out", std::move(flow_out));
+  JsonValue flow_in = FlowIds(node, TraceEvent::Phase::kFlowIn);
+  if (!flow_in.items().empty()) span.Set("flow_in", std::move(flow_in));
   if (!node.children.empty()) {
     JsonValue children = JsonValue::Array();
-    for (const SpanNode& child : node.children) {
+    for (const TraceSpanNode& child : node.children) {
       children.Append(SpanToJson(child, t0_ns));
     }
     span.Set("children", std::move(children));
@@ -139,83 +143,22 @@ JsonValue SpanToJson(const SpanNode& node, int64_t t0_ns) {
 }  // namespace
 
 JsonValue BuildSpanTreeJson(const RequestTrace& trace) {
-  return BuildSpanTreeJson(trace.request_id(), trace.dropped(),
-                           trace.events());
-}
-
-JsonValue BuildSpanTreeJson(uint64_t request_id, int64_t dropped,
-                            std::span<const RequestTrace::Event> events) {
-  // Slot claims are fetch_add-ordered, so filtering the slot sequence by
-  // tid yields each thread's events in program order — well-bracketed
-  // begin/end pairs with flow markers inside the enclosing span.
-  std::map<uint32_t, std::vector<const RequestTrace::Event*>> by_tid;
-  int64_t t0_ns = 0;
-  for (const RequestTrace::Event& e : events) {
-    if (t0_ns == 0 || e.ts_ns < t0_ns) t0_ns = e.ts_ns;
-    by_tid[e.tid].push_back(&e);
-  }
-
+  const TraceSpanForest forest = BuildSpanForest(trace.events());
   JsonValue threads = JsonValue::Array();
-  for (const auto& [tid, thread_events] : by_tid) {
-    std::vector<SpanNode> roots;
-    std::vector<SpanNode> stack;
-    int64_t last_ts_ns = t0_ns;
-    for (const RequestTrace::Event* e : thread_events) {
-      last_ts_ns = std::max(last_ts_ns, e->ts_ns);
-      switch (e->phase) {
-        case TraceEvent::Phase::kBegin: {
-          SpanNode node;
-          node.name = e->name;
-          node.begin_ns = e->ts_ns;
-          node.end_ns = e->ts_ns;
-          stack.push_back(std::move(node));
-          break;
-        }
-        case TraceEvent::Phase::kEnd: {
-          if (stack.empty()) break;  // truncated trace: end without begin
-          SpanNode done = std::move(stack.back());
-          stack.pop_back();
-          done.end_ns = e->ts_ns;
-          if (stack.empty()) {
-            roots.push_back(std::move(done));
-          } else {
-            stack.back().children.push_back(std::move(done));
-          }
-          break;
-        }
-        case TraceEvent::Phase::kFlowOut:
-          if (!stack.empty()) stack.back().flow_out.push_back(e->flow_id);
-          break;
-        case TraceEvent::Phase::kFlowIn:
-          if (!stack.empty()) stack.back().flow_in.push_back(e->flow_id);
-          break;
-      }
-    }
-    // Spans still open when the trace filled up (or the snapshot was cut):
-    // close them at the thread's last timestamp, innermost first.
-    while (!stack.empty()) {
-      SpanNode done = std::move(stack.back());
-      stack.pop_back();
-      done.end_ns = last_ts_ns;
-      if (stack.empty()) {
-        roots.push_back(std::move(done));
-      } else {
-        stack.back().children.push_back(std::move(done));
-      }
-    }
+  for (const TraceThreadSpans& thread_spans : forest.threads) {
     JsonValue thread = JsonValue::Object();
-    thread.Set("tid", JsonValue(static_cast<int64_t>(tid)));
+    thread.Set("tid", JsonValue(static_cast<int64_t>(thread_spans.tid)));
     JsonValue spans = JsonValue::Array();
-    for (const SpanNode& root : roots) {
-      spans.Append(SpanToJson(root, t0_ns));
+    for (const TraceSpanNode& root : thread_spans.roots) {
+      spans.Append(SpanToJson(root, forest.t0_ns));
     }
     thread.Set("spans", std::move(spans));
     threads.Append(std::move(thread));
   }
 
   JsonValue out = JsonValue::Object();
-  out.Set("request_id", JsonValue(static_cast<int64_t>(request_id)));
-  out.Set("dropped", JsonValue(dropped));
+  out.Set("request_id", JsonValue(static_cast<int64_t>(trace.request_id())));
+  out.Set("dropped", JsonValue(trace.dropped()));
   out.Set("threads", std::move(threads));
   return out;
 }

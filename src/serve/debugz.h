@@ -2,7 +2,7 @@
 #define CRASHSIM_SERVE_DEBUGZ_H_
 
 #include <cstdint>
-#include <span>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -16,7 +16,7 @@ namespace crashsim {
 
 // Support pieces for the debug side of the metrics HTTP listener
 // (docs/OBSERVABILITY.md "Request-scoped observability"): tolerant HTTP
-// request-head reading, the per-request span-tree reassembler behind
+// request-head reading, the per-request span-tree renderer behind
 // GET /tracez, and the bounded ring that retains the most recent sampled
 // request traces.
 
@@ -39,32 +39,29 @@ struct HttpRequestLine {
 HttpRequestLine ParseHttpRequestLine(const std::string& head);
 
 // Writes status line + minimal headers + body, looping over partial
-// send()s. Best effort — scrape sockets get no error channel anyway.
+// send()s. Best effort — scrape sockets get no error channel anyway — and
+// bounded: a peer that has not taken the whole response within 2 s (the
+// head-read budget) is treated as gone.
 void SendHttpResponse(int fd, const std::string& status_line,
                       const std::string& content_type,
                       const std::string& body);
 
 // --- request span trees -----------------------------------------------------
 
-// Reassembles a quiesced RequestTrace into a span forest, one tree list per
-// recording thread:
+// Renders a quiesced RequestTrace's span forest (BuildSpanForest) as JSON,
+// one tree list per recording thread:
 //
 //   {"request_id": 17, "dropped": 0, "threads": [
 //     {"tid": 0, "spans": [{"name": "serve.request", "start_us": 0.0,
 //       "dur_us": 1234.5, "flow_out": [7], "children": [...]}, ...]}, ...]}
 //
-// Timestamps are microseconds relative to the request's first event. Spans
-// still open at the end of the sequence are closed at the thread's last
-// timestamp (snapshot semantics, same as the Chrome exporter); flow ids on
-// a span tie a ParallelFor call ("flow_out") to the worker shards that ran
-// it ("flow_in" on parallel_for.shard spans in other threads' lists).
+// Timestamps are microseconds relative to the request's first event; flow
+// ids on a span tie a ParallelFor call ("flow_out") to the worker shards
+// that ran it ("flow_in" on parallel_for.shard spans in other threads'
+// lists).
 //
 // Caller contract: same as RequestTrace's read side — every writer joined.
 JsonValue BuildSpanTreeJson(const RequestTrace& trace);
-// The same reassembly over events copied out of a RequestTrace earlier
-// (the /tracez ring keeps those, not the tree).
-JsonValue BuildSpanTreeJson(uint64_t request_id, int64_t dropped,
-                            std::span<const RequestTrace::Event> events);
 
 // --- /tracez ring -----------------------------------------------------------
 
@@ -79,12 +76,10 @@ class TracezRing {
     std::string status;
     double elapsed_ms = 0.0;
     bool slow = false;  // retained because it crossed the slow threshold
-    // The request's raw span events, copied out of its RequestTrace at
-    // insert time (at most RequestTrace::kCapacity of them, 32 bytes each)
-    // and reassembled with BuildSpanTreeJson at scrape time, so a full ring
-    // holds kilobytes per entry rather than a parsed tree.
-    int64_t dropped = 0;
-    std::vector<RequestTrace::Event> events;
+    // The request's quiesced collector (RequestTrace::kServeCapacity events
+    // of 32 bytes, 16 KiB), reassembled with BuildSpanTreeJson at scrape
+    // time; shared so a scrape's snapshot copies no events.
+    std::shared_ptr<const RequestTrace> trace;
   };
 
   explicit TracezRing(size_t capacity);

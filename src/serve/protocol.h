@@ -29,6 +29,12 @@ namespace crashsim {
 // that a hostile length prefix cannot make the server allocate blindly.
 inline constexpr uint32_t kMaxFramePayloadBytes = 64u << 20;
 
+// Ceiling the server reads request frames with. Requests are a few hundred
+// bytes of JSON, and ReadFrame allocates the declared length as soon as the
+// header lands, so a client that sends only a header must not make the
+// server commit the response-sized limit above.
+inline constexpr uint32_t kMaxRequestFrameBytes = 1u << 20;
+
 // Writes one frame. Blocks until fully written or the connection fails.
 [[nodiscard]] Status WriteFrame(int fd, std::string_view payload);
 

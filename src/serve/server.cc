@@ -350,7 +350,7 @@ void Server::AcceptLoop() {
 void Server::ServeConnection(int fd) {
   for (;;) {
     StatusOr<std::string> payload =
-        ReadFrame(fd, kMaxFramePayloadBytes, &stop_);
+        ReadFrame(fd, kMaxRequestFrameBytes, &stop_);
     if (!payload.ok()) {
       // kUnavailable: the peer closed between frames (normal end).
       // kCancelled: shutdown while idle. Anything else is a framing fault;
@@ -378,17 +378,19 @@ std::string Server::HandleRequest(const std::string& payload) {
   // collector before any span opens, so the ingress span, the executor
   // spans (queries run synchronously on this thread), and the ParallelFor
   // worker shards (the scope propagates through Shard) all land in one
-  // reassemblable tree. The collector lives on this stack frame; workers
-  // are joined before Observe reads it (read-after-quiesce contract).
+  // reassemblable tree. Workers are joined before Observe reads it
+  // (read-after-quiesce contract). Without /tracez nothing is collected.
   const uint64_t request_id =
       next_request_id_.fetch_add(1, std::memory_order_relaxed) + 1;
-  RequestTrace rtrace(request_id);
+  std::shared_ptr<RequestTrace> rtrace =
+      tracez_ != nullptr ? std::make_shared<RequestTrace>(
+                               request_id, RequestTrace::kServeCapacity)
+                         : nullptr;
   const Stopwatch timer;
   Reply reply;
   std::string out;
   {
-    std::optional<TraceRequestScope> trace_scope;
-    if (tracez_ != nullptr) trace_scope.emplace(&rtrace);
+    const TraceRequestScope trace_scope(rtrace.get());
     TRACE_SPAN("serve.request");
     JsonValue response = JsonValue::Object();
     StatusOr<JsonValue> request = ParseJson(payload);
@@ -438,7 +440,7 @@ std::string Server::HandleRequest(const std::string& payload) {
     out = response.Write();
   }  // span closed, collector uninstalled: the trace is complete
   reply.elapsed_ms = timer.ElapsedMillis();
-  Observe(request_id, reply, rtrace);
+  Observe(request_id, reply, std::move(rtrace));
   return out;
 }
 
@@ -627,7 +629,7 @@ Server::Reply Server::HandleTemporal(const Query& query) {
 }
 
 void Server::Observe(uint64_t request_id, const Reply& reply,
-                     const RequestTrace& trace) {
+                     std::shared_ptr<const RequestTrace> trace) {
   const std::string status(StatusCodeName(reply.status.code()));
   requests_.fetch_add(1, std::memory_order_relaxed);
   RequestsCounter().Add(1);
@@ -677,9 +679,7 @@ void Server::Observe(uint64_t request_id, const Reply& reply,
     entry.status = status;
     entry.elapsed_ms = reply.elapsed_ms;
     entry.slow = slow;
-    entry.dropped = trace.dropped();
-    const std::span<const RequestTrace::Event> events = trace.events();
-    entry.events.assign(events.begin(), events.end());
+    entry.trace = std::move(trace);
     tracez_->Add(std::move(entry));
   }
 }
@@ -858,8 +858,7 @@ std::string Server::BuildTracezJson() const {
       t.Set("status", JsonValue(entry.status));
       t.Set("elapsed_ms", JsonValue(entry.elapsed_ms));
       t.Set("slow", JsonValue(entry.slow));
-      t.Set("trace", BuildSpanTreeJson(entry.request_id, entry.dropped,
-                                       entry.events));
+      t.Set("trace", BuildSpanTreeJson(*entry.trace));
       traces.Append(std::move(t));
     }
   }

@@ -190,9 +190,10 @@ class Server {
   QueryOutcome RunQuery(const Query& query,
                         std::function<PartialResult(QueryContext*)> run,
                         Reply* reply);
-  // Feeds one finished request to every sink.
+  // Feeds one finished request to every sink; `trace` is its quiesced span
+  // collector (null when /tracez is off).
   void Observe(uint64_t request_id, const Reply& reply,
-               const class RequestTrace& trace);
+               std::shared_ptr<const class RequestTrace> trace);
   // /statusz and /tracez bodies (serialized JSON).
   std::string BuildStatuszJson() const;
   std::string BuildTracezJson() const;

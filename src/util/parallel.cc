@@ -69,10 +69,10 @@ struct ForState {
 };
 
 // A contiguous shard of one ParallelFor range, queued for a pool worker.
-// flow_id ties the shard back to the spawning ParallelFor span in traces
-// (0 = tracing was off at submit time). request_trace carries the
-// submitting thread's request collector so worker-side spans land in the
-// same per-request trace (nullptr = no request scope at submit time).
+// request_trace carries the submitting thread's trace collector so
+// worker-side spans land in the same trace (nullptr = none installed at
+// submit time); flow_id ties the shard back to the spawning ParallelFor span
+// (0 when nothing records it).
 struct Shard {
   ForState* state = nullptr;
   int64_t begin = 0;
@@ -129,10 +129,10 @@ class ThreadPool {
         queue_.pop_front();
       }
       try {
-        // The submitting thread's request collector follows the shard onto
-        // this worker, so the shard span plus the flow-in arrow make worker
+        // The submitting thread's collector follows the shard onto this
+        // worker, so the shard span plus the flow-in arrow make worker
         // execution attributable both to the ParallelFor call that spawned
-        // it (Perfetto) and to the serving request it belongs to (/tracez).
+        // it (Perfetto) and to the traced request or run it belongs to.
         const TraceRequestScope request_scope(shard.request_trace);
         TRACE_SPAN("parallel_for.shard");
         TraceFlowIn(shard.flow_id);
@@ -196,12 +196,10 @@ void ParallelFor(int64_t n, const std::function<void(int64_t, int64_t)>& fn,
   ForState state;
   state.fn = &fn;
 
-  // Flow arrow from this call's span to every shard span it spawns. A
-  // request scope counts as a recorder: its collector receives the flow
-  // events even when global tracing is off.
+  // Flow arrow from this call's span to every shard span it spawns, minted
+  // only when a collector is installed to record it.
   RequestTrace* const request_trace = CurrentRequestTrace();
-  const uint64_t flow_id =
-      (TraceEnabled() || request_trace != nullptr) ? NewTraceFlowId() : 0;
+  const uint64_t flow_id = request_trace != nullptr ? NewTraceFlowId() : 0;
   TraceFlowOut(flow_id);
 
   std::vector<Shard> shards;

@@ -2,184 +2,38 @@
 
 #include <algorithm>
 #include <map>
-#include <memory>
 #include <utility>
 
 #include "util/metrics.h"
-#include "util/mutex.h"
 #include "util/string_util.h"
-#include "util/thread_annotations.h"
 #include "util/timer.h"
 
 namespace crashsim {
 namespace {
 
-// Drops across both recorders (global rings and request collectors),
-// exported as crashsim_trace_dropped_events_total so silent overflow is
-// visible on /metrics (the in-process TraceDroppedEvents() only covers the
-// global rings and resets with StartTracing()).
+// Drops across every collector, exported as
+// crashsim_trace_dropped_events_total so silent overflow is visible on
+// /metrics.
 Counter& TraceDropCounter() {
   static Counter& c =
       MetricsRegistry::Global().counter("trace.dropped_events");
   return c;
 }
 
-}  // namespace
+std::atomic<uint64_t> g_next_flow_id{1};
 
-namespace trace_internal {
-
-std::atomic<bool> g_trace_enabled{false};
-
-thread_local constinit RequestTrace* g_request_trace = nullptr;
-
-// Per-thread event buffer. Only the owning thread writes slots; size_ is a
-// release-store after the slot write, so a reader that acquire-loads size_
-// sees fully written events below it. The buffer never wraps or reallocates:
-// when full, events are dropped and counted — recording must never block,
-// allocate, or tear an event another thread might read.
-class ThreadBuffer {
- public:
-  // 64Ki events (~2 MiB) per thread: block/level-granularity spans stay far
-  // below this for any realistic query; the drop counter reports overflow.
-  static constexpr size_t kCapacity = size_t{1} << 16;
-
-  explicit ThreadBuffer(uint32_t tid)
-      : tid_(tid), slots_(new TraceEvent[kCapacity]) {}
-
-  uint32_t tid() const { return tid_; }
-
-  void Push(const char* name, TraceEvent::Phase phase, uint64_t flow_id,
-            uint64_t request_id) {
-    const size_t i = size_.load(std::memory_order_relaxed);
-    if (i >= kCapacity) {
-      dropped_.fetch_add(1, std::memory_order_relaxed);
-      TraceDropCounter().Add(1);
-      return;
-    }
-    TraceEvent& e = slots_[i];
-    e.name = name;
-    e.ts_ns = SteadyNowNanos();
-    e.flow_id = flow_id;
-    e.request_id = request_id;
-    e.phase = phase;
-    size_.store(i + 1, std::memory_order_release);
-  }
-
-  // Reader side (export/snapshot): events visible at the acquire point.
-  std::vector<TraceEvent> Snapshot() const {
-    const size_t n = size_.load(std::memory_order_acquire);
-    return std::vector<TraceEvent>(slots_.get(), slots_.get() + n);
-  }
-
-  int64_t dropped() const {
-    return dropped_.load(std::memory_order_relaxed);
-  }
-
-  // StartTracing() only: rewinds the buffer. Racing recorders at worst land
-  // events from the old session in the new one (the atomics keep this
-  // race benign); the export contract requires quiesced writers anyway.
-  void Reset() {
-    size_.store(0, std::memory_order_relaxed);
-    dropped_.store(0, std::memory_order_relaxed);
-  }
-
- private:
-  const uint32_t tid_;
-  std::unique_ptr<TraceEvent[]> slots_;
-  std::atomic<size_t> size_{0};
-  std::atomic<int64_t> dropped_{0};
-};
-
-namespace {
-
-struct Registry {
-  Mutex mu;
-  std::vector<std::unique_ptr<ThreadBuffer>> buffers CRASHSIM_GUARDED_BY(mu);
-  std::atomic<uint64_t> next_flow_id{1};
-};
-
-Registry& GlobalRegistry() {
-  static Registry* const registry = new Registry();  // leaked: recording
-  return *registry;  // threads may outlive static destruction order
+// The calling thread's trace id: drawn once per thread from a counter, so
+// ids are dense and recording allocates nothing.
+uint32_t CurrentTid() {
+  static std::atomic<uint32_t> next_tid{0};
+  thread_local const uint32_t tid =
+      next_tid.fetch_add(1, std::memory_order_relaxed);
+  return tid;
 }
 
-}  // namespace
-
-ThreadBuffer* CurrentThreadBuffer() {
-  thread_local ThreadBuffer* const buffer = [] {
-    Registry& r = GlobalRegistry();
-    const MutexLock lock(r.mu);
-    r.buffers.push_back(std::make_unique<ThreadBuffer>(
-        static_cast<uint32_t>(r.buffers.size())));
-    return r.buffers.back().get();
-  }();
-  return buffer;
-}
-
-void Record(ThreadBuffer* buf, const char* name, TraceEvent::Phase phase,
-            uint64_t flow_id, uint64_t request_id) {
-  buf->Push(name, phase, flow_id, request_id);
-}
-
-}  // namespace trace_internal
-
-void RequestTrace::Append(const char* name, TraceEvent::Phase phase,
-                          uint64_t flow_id) {
-  // Claim-then-write: claims are ordered per thread, so the slots filtered
-  // by tid reconstruct each thread's bracketed sequence. Publication to the
-  // reader is external (the quiesce contract in the header), so relaxed
-  // claim ordering suffices.
-  const size_t i = next_.fetch_add(1, std::memory_order_relaxed);
-  if (i >= kCapacity) {
-    TraceDropCounter().Add(1);
-    return;
-  }
-  Event& e = events_[i];
-  e.name = name;
-  e.ts_ns = SteadyNowNanos();
-  e.flow_id = flow_id;
-  e.tid = trace_internal::CurrentThreadBuffer()->tid();
-  e.phase = phase;
-}
-
-namespace {
-
-using trace_internal::GlobalRegistry;
-
-// Walks one thread's events, calling span(name, begin_ns, end_ns, depth,
-// child_ns) for every span in close order. Orphan end events (their begin
-// was lost to a buffer reset) are skipped; spans still open at the end of
-// the sequence are closed at the thread's last timestamp, so every begin
-// yields exactly one span.
-template <typename SpanFn>
-void WalkSpans(const std::vector<TraceEvent>& events, SpanFn&& span) {
-  struct Open {
-    const char* name;
-    int64_t begin_ns;
-    int64_t child_ns = 0;
-  };
-  std::vector<Open> stack;
-  int64_t last_ts = 0;
-  for (const TraceEvent& e : events) {
-    last_ts = std::max(last_ts, e.ts_ns);
-    if (e.phase == TraceEvent::Phase::kBegin) {
-      stack.push_back({e.name, e.ts_ns});
-    } else if (e.phase == TraceEvent::Phase::kEnd) {
-      if (stack.empty()) continue;  // orphan end
-      const Open top = stack.back();
-      stack.pop_back();
-      const int64_t dur = e.ts_ns - top.begin_ns;
-      if (!stack.empty()) stack.back().child_ns += dur;
-      span(top.name, top.begin_ns, e.ts_ns, stack.size(), top.child_ns);
-    }
-  }
-  while (!stack.empty()) {
-    const Open top = stack.back();
-    stack.pop_back();
-    const int64_t dur = last_ts - top.begin_ns;
-    if (!stack.empty()) stack.back().child_ns += dur;
-    span(top.name, top.begin_ns, last_ts, stack.size(), top.child_ns);
-  }
+void AppendFlow(TraceEvent::Phase phase, uint64_t flow_id) {
+  RequestTrace* const trace = trace_internal::g_request_trace;
+  if (flow_id != 0 && trace != nullptr) trace->Append("flow", phase, flow_id);
 }
 
 std::string JsonEscape(const char* s) {
@@ -195,162 +49,151 @@ std::string JsonEscape(const char* s) {
 // precision (the format takes doubles).
 void AppendChromeEvent(std::string* out, bool* first, const char* name,
                        const char* phase, uint32_t tid, int64_t ts_ns,
-                       int64_t epoch_ns, const char* extra) {
+                       int64_t epoch_ns, const std::string& extra) {
   if (!*first) *out += ",\n";
   *first = false;
   *out += StrFormat(
       "  {\"name\": \"%s\", \"cat\": \"crashsim\", \"ph\": \"%s\", "
       "\"pid\": 1, \"tid\": %u, \"ts\": %.3f%s}",
       JsonEscape(name).c_str(), phase, tid,
-      static_cast<double>(ts_ns - epoch_ns) / 1e3, extra);
+      static_cast<double>(ts_ns - epoch_ns) / 1e3, extra.c_str());
+}
+
+// A span as a B event, its flow arrows, its children, and an E event —
+// depth-first, so a thread's B/E events come out properly bracketed.
+void AppendChromeSpan(const TraceSpanNode& node, uint32_t tid,
+                      int64_t epoch_ns, bool* first, std::string* out) {
+  AppendChromeEvent(out, first, node.name, "B", tid, node.begin_ns, epoch_ns,
+                    "");
+  for (const TraceEvent& flow : node.flows) {
+    const auto id = static_cast<unsigned long long>(flow.flow_id);
+    if (flow.phase == TraceEvent::Phase::kFlowOut) {
+      AppendChromeEvent(out, first, flow.name, "s", tid, flow.ts_ns, epoch_ns,
+                        StrFormat(", \"id\": %llu", id));
+    } else {
+      AppendChromeEvent(out, first, flow.name, "f", tid, flow.ts_ns, epoch_ns,
+                        StrFormat(", \"bp\": \"e\", \"id\": %llu", id));
+    }
+  }
+  for (const TraceSpanNode& child : node.children) {
+    AppendChromeSpan(child, tid, epoch_ns, first, out);
+  }
+  AppendChromeEvent(out, first, node.name, "E", tid, node.end_ns, epoch_ns,
+                    "");
+}
+
+// Folds `node`'s subtree into `by_name`; returns the node's duration.
+int64_t AggregateSpan(const TraceSpanNode& node,
+                      std::map<std::string, TraceAggregateRow>* by_name) {
+  int64_t child_ns = 0;
+  for (const TraceSpanNode& child : node.children) {
+    child_ns += AggregateSpan(child, by_name);
+  }
+  const int64_t dur = node.end_ns - node.begin_ns;
+  TraceAggregateRow& row = (*by_name)[node.name];
+  row.name = node.name;
+  ++row.count;
+  row.total_ns += dur;
+  row.self_ns += dur - child_ns;
+  return dur;
 }
 
 }  // namespace
 
-bool TraceEnabled() {
-  return trace_internal::g_trace_enabled.load(std::memory_order_relaxed);
-}
+namespace trace_internal {
 
-void StartTracing() {
-  auto& r = GlobalRegistry();
-  const MutexLock lock(r.mu);
-  for (auto& buf : r.buffers) buf->Reset();
-  trace_internal::g_trace_enabled.store(true, std::memory_order_relaxed);
-}
+thread_local constinit RequestTrace* g_request_trace = nullptr;
 
-void StopTracing() {
-  trace_internal::g_trace_enabled.store(false, std::memory_order_relaxed);
+}  // namespace trace_internal
+
+void RequestTrace::Append(const char* name, TraceEvent::Phase phase,
+                          uint64_t flow_id) {
+  // Claim-then-write: claims are ordered per thread, so the slots filtered
+  // by tid reconstruct each thread's bracketed sequence. Publication to the
+  // reader is external (the quiesce contract in the header), so relaxed
+  // claim ordering suffices.
+  const size_t i = next_.fetch_add(1, std::memory_order_relaxed);
+  if (i >= capacity_) {
+    TraceDropCounter().Add(1);
+    return;
+  }
+  events_[i] = {name, SteadyNowNanos(), flow_id, CurrentTid(), phase};
 }
 
 uint64_t NewTraceFlowId() {
-  return GlobalRegistry().next_flow_id.fetch_add(1,
-                                                 std::memory_order_relaxed);
+  return g_next_flow_id.fetch_add(1, std::memory_order_relaxed);
 }
 
 void TraceFlowOut(uint64_t flow_id) {
-  if (flow_id == 0) return;
-  RequestTrace* const req = trace_internal::g_request_trace;
-  if (TraceEnabled()) {
-    trace_internal::Record(trace_internal::CurrentThreadBuffer(),
-                           "flow", TraceEvent::Phase::kFlowOut, flow_id,
-                           req != nullptr ? req->request_id() : 0);
-  }
-  if (req != nullptr) {
-    req->Append("flow", TraceEvent::Phase::kFlowOut, flow_id);
-  }
+  AppendFlow(TraceEvent::Phase::kFlowOut, flow_id);
 }
 
 void TraceFlowIn(uint64_t flow_id) {
-  if (flow_id == 0) return;
-  RequestTrace* const req = trace_internal::g_request_trace;
-  if (TraceEnabled()) {
-    trace_internal::Record(trace_internal::CurrentThreadBuffer(),
-                           "flow", TraceEvent::Phase::kFlowIn, flow_id,
-                           req != nullptr ? req->request_id() : 0);
-  }
-  if (req != nullptr) {
-    req->Append("flow", TraceEvent::Phase::kFlowIn, flow_id);
-  }
+  AppendFlow(TraceEvent::Phase::kFlowIn, flow_id);
 }
 
-std::vector<TraceThreadEvents> SnapshotTraceEvents() {
-  auto& r = GlobalRegistry();
-  const MutexLock lock(r.mu);
-  std::vector<TraceThreadEvents> out;
-  out.reserve(r.buffers.size());
-  for (const auto& buf : r.buffers) {
-    TraceThreadEvents t;
-    t.tid = buf->tid();
-    t.events = buf->Snapshot();
-    if (!t.events.empty()) out.push_back(std::move(t));
-  }
-  return out;
-}
+TraceSpanForest BuildSpanForest(std::span<const TraceEvent> events) {
+  TraceSpanForest forest;
+  if (events.empty()) return forest;
+  forest.t0_ns = std::ranges::min(events, {}, &TraceEvent::ts_ns).ts_ns;
+  std::map<uint32_t, std::vector<const TraceEvent*>> by_tid;
+  for (const TraceEvent& e : events) by_tid[e.tid].push_back(&e);
 
-int64_t TraceDroppedEvents() {
-  auto& r = GlobalRegistry();
-  const MutexLock lock(r.mu);
-  int64_t total = 0;
-  for (const auto& buf : r.buffers) total += buf->dropped();
-  return total;
-}
-
-std::string ExportChromeTrace() {
-  const std::vector<TraceThreadEvents> threads = SnapshotTraceEvents();
-  // Relative timestamps: microsecond offsets from the first recorded event.
-  int64_t epoch_ns = 0;
-  bool have_epoch = false;
-  for (const TraceThreadEvents& t : threads) {
-    for (const TraceEvent& e : t.events) {
-      if (!have_epoch || e.ts_ns < epoch_ns) {
-        epoch_ns = e.ts_ns;
-        have_epoch = true;
+  for (const auto& [tid, thread_events] : by_tid) {
+    TraceThreadSpans& thread = forest.threads.emplace_back();
+    thread.tid = tid;
+    std::vector<TraceSpanNode> open;
+    // Ends the innermost open span and hands it to its parent (or roots).
+    const auto close = [&open, &thread](int64_t end_ns) {
+      TraceSpanNode done = std::move(open.back());
+      open.pop_back();
+      done.end_ns = end_ns;
+      (open.empty() ? thread.roots : open.back().children)
+          .push_back(std::move(done));
+    };
+    int64_t last_ts_ns = forest.t0_ns;
+    for (const TraceEvent* e : thread_events) {
+      last_ts_ns = std::max(last_ts_ns, e->ts_ns);
+      switch (e->phase) {
+        case TraceEvent::Phase::kBegin:
+          open.push_back({e->name, e->ts_ns, e->ts_ns, {}, {}});
+          break;
+        case TraceEvent::Phase::kEnd:
+          if (!open.empty()) close(e->ts_ns);  // else: orphan end, skipped
+          break;
+        case TraceEvent::Phase::kFlowOut:
+        case TraceEvent::Phase::kFlowIn:
+          if (!open.empty()) open.back().flows.push_back(*e);
+          break;
       }
     }
+    // Spans still open when the collector filled up (or the run was cut):
+    // close them at the thread's last timestamp, innermost first.
+    while (!open.empty()) close(last_ts_ns);
   }
+  return forest;
+}
 
+std::string ExportChromeTrace(const RequestTrace& trace) {
+  const TraceSpanForest forest = BuildSpanForest(trace.events());
   std::string out = "{\"displayTimeUnit\": \"ms\", \"traceEvents\": [\n";
   bool first = true;
-  for (const TraceThreadEvents& t : threads) {
-    // Duration events, re-bracketed by the walker so unmatched begins are
-    // closed and orphan ends vanish: Perfetto rejects unbalanced B/E.
-    std::vector<std::pair<int64_t, std::string>> spans;  // (ts, rendered B/E)
-    WalkSpans(t.events,
-              [&](const char* name, int64_t begin_ns, int64_t end_ns,
-                  size_t /*depth*/, int64_t /*child_ns*/) {
-                std::string b;
-                bool bf = true;
-                AppendChromeEvent(&b, &bf, name, "B", t.tid, begin_ns,
-                                  epoch_ns, "");
-                spans.push_back({begin_ns, std::move(b)});
-                std::string e;
-                bool ef = true;
-                AppendChromeEvent(&e, &ef, name, "E", t.tid, end_ns, epoch_ns,
-                                  "");
-                spans.push_back({end_ns, std::move(e)});
-              });
-    // WalkSpans emits in close order; B events must precede nested E events
-    // with equal timestamps, so sort stably by timestamp.
-    std::stable_sort(spans.begin(), spans.end(),
-                     [](const auto& a, const auto& b) {
-                       return a.first < b.first;
-                     });
-    for (auto& [ts, rendered] : spans) {
-      if (!first) out += ",\n";
-      first = false;
-      out += rendered;
-    }
-    for (const TraceEvent& e : t.events) {
-      if (e.phase == TraceEvent::Phase::kFlowOut) {
-        AppendChromeEvent(&out, &first, e.name, "s", t.tid, e.ts_ns, epoch_ns,
-                          StrFormat(", \"id\": %llu",
-                                    static_cast<unsigned long long>(e.flow_id))
-                              .c_str());
-      } else if (e.phase == TraceEvent::Phase::kFlowIn) {
-        AppendChromeEvent(&out, &first, e.name, "f", t.tid, e.ts_ns, epoch_ns,
-                          StrFormat(", \"bp\": \"e\", \"id\": %llu",
-                                    static_cast<unsigned long long>(e.flow_id))
-                              .c_str());
-      }
+  for (const TraceThreadSpans& thread : forest.threads) {
+    for (const TraceSpanNode& root : thread.roots) {
+      AppendChromeSpan(root, thread.tid, forest.t0_ns, &first, &out);
     }
   }
   out += "\n]}\n";
   return out;
 }
 
-std::vector<TraceAggregateRow> AggregateTrace() {
+std::vector<TraceAggregateRow> AggregateTrace(const RequestTrace& trace) {
   std::map<std::string, TraceAggregateRow> by_name;
-  for (const TraceThreadEvents& t : SnapshotTraceEvents()) {
-    WalkSpans(t.events, [&](const char* name, int64_t begin_ns,
-                            int64_t end_ns, size_t /*depth*/,
-                            int64_t child_ns) {
-      TraceAggregateRow& row = by_name[name];
-      if (row.name.empty()) row.name = name;
-      ++row.count;
-      const int64_t dur = end_ns - begin_ns;
-      row.total_ns += dur;
-      row.self_ns += dur - child_ns;
-    });
+  for (const TraceThreadSpans& thread :
+       BuildSpanForest(trace.events()).threads) {
+    for (const TraceSpanNode& root : thread.roots) {
+      AggregateSpan(root, &by_name);
+    }
   }
   std::vector<TraceAggregateRow> rows;
   rows.reserve(by_name.size());
@@ -362,44 +205,20 @@ std::vector<TraceAggregateRow> AggregateTrace() {
   return rows;
 }
 
-std::string ExportTraceAggregateTable() {
-  const std::vector<TraceAggregateRow> rows = AggregateTrace();
+std::string ExportTraceAggregateTable(const RequestTrace& trace) {
   std::string out = StrFormat("%-32s %8s %12s %12s\n", "span", "count",
                               "total_ms", "self_ms");
-  for (const TraceAggregateRow& row : rows) {
+  for (const TraceAggregateRow& row : AggregateTrace(trace)) {
     out += StrFormat("%-32s %8lld %12.3f %12.3f\n", row.name.c_str(),
                      static_cast<long long>(row.count),
                      static_cast<double>(row.total_ns) / 1e6,
                      static_cast<double>(row.self_ns) / 1e6);
   }
-  const int64_t dropped = TraceDroppedEvents();
-  if (dropped > 0) {
+  if (const int64_t dropped = trace.dropped(); dropped > 0) {
     out += StrFormat("(%lld event(s) dropped: buffer full)\n",
                      static_cast<long long>(dropped));
   }
   return out;
-}
-
-void TraceSpan::Begin(const char* name) {
-  name_ = name;
-  req_ = trace_internal::g_request_trace;
-  // The global ring and the request collector record independently: global
-  // tracing may be off while a request scope is installed (the always-on
-  // serving path) and vice versa (offline CLI tracing).
-  if (trace_internal::g_trace_enabled.load(std::memory_order_relaxed)) {
-    buf_ = trace_internal::CurrentThreadBuffer();
-    trace_internal::Record(buf_, name, TraceEvent::Phase::kBegin, 0,
-                           req_ != nullptr ? req_->request_id() : 0);
-  }
-  if (req_ != nullptr) req_->Append(name, TraceEvent::Phase::kBegin, 0);
-}
-
-void TraceSpan::End() {
-  if (buf_ != nullptr) {
-    trace_internal::Record(buf_, name_, TraceEvent::Phase::kEnd, 0,
-                           req_ != nullptr ? req_->request_id() : 0);
-  }
-  if (req_ != nullptr) req_->Append(name_, TraceEvent::Phase::kEnd, 0);
 }
 
 }  // namespace crashsim

@@ -1,6 +1,8 @@
 #include "serve/debugz.h"
 
-#include <span>
+#include <chrono>
+#include <future>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -10,8 +12,12 @@
 
 #include <gtest/gtest.h>
 
+#include "core/crashsim.h"
+#include "core/query_context.h"
+#include "graph/generators.h"
 #include "serve/json.h"
 #include "util/parallel.h"
+#include "util/rng.h"
 #include "util/trace.h"
 
 namespace crashsim {
@@ -134,8 +140,29 @@ TEST(SendHttpResponseTest, WritesStatusHeadersAndBody) {
   EXPECT_NE(got.find("\r\n\r\n{\"ok\": true}"), std::string::npos);
 }
 
+// A scraper that asks for a large body and never reads must not wedge the
+// listener: the send gives up at its 2 s budget. The watchdog shuts
+// the peer down late, so a send without a timeout fails the bound instead
+// of hanging the test.
+TEST(SendHttpResponseTest, GivesUpOnPeerThatNeverReads) {
+  SocketPair pair;
+  std::promise<void> returned;
+  std::thread watchdog([&pair, done = returned.get_future()] {
+    if (done.wait_for(std::chrono::seconds(15)) != std::future_status::ready) {
+      shutdown(pair.peer(), SHUT_RDWR);
+    }
+  });
+  const std::string body(8u << 20, 'x');  // far beyond the socket buffers
+  const auto start = std::chrono::steady_clock::now();
+  SendHttpResponse(pair.ours(), "HTTP/1.1 200 OK", "application/json", body);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  returned.set_value();
+  watchdog.join();
+  EXPECT_LT(elapsed, std::chrono::seconds(5));
+}
+
 TEST(BuildSpanTreeJsonTest, RebuildsNestingFromBracketedEvents) {
-  RequestTrace trace(17);
+  RequestTrace trace(17, RequestTrace::kServeCapacity);
   {
     const TraceRequestScope scope(&trace);
     TRACE_SPAN("serve.request");
@@ -171,7 +198,7 @@ TEST(BuildSpanTreeJsonTest, RebuildsNestingFromBracketedEvents) {
 }
 
 TEST(BuildSpanTreeJsonTest, ParallelShardsAppearOnTheirOwnThreads) {
-  RequestTrace trace(18);
+  RequestTrace trace(18, RequestTrace::kServeCapacity);
   {
     const TraceRequestScope scope(&trace);
     TRACE_SPAN("serve.request");
@@ -197,7 +224,7 @@ TEST(BuildSpanTreeJsonTest, ParallelShardsAppearOnTheirOwnThreads) {
 TEST(BuildSpanTreeJsonTest, OpenSpansAreClosedAtLastTimestamp) {
   // Simulate a trace that quiesced with a span still open (snapshot
   // semantics): the builder must still emit a structurally complete tree.
-  RequestTrace trace(19);
+  RequestTrace trace(19, RequestTrace::kServeCapacity);
   trace.Append("serve.request", TraceEvent::Phase::kBegin, 0);
   trace.Append("engine.walk", TraceEvent::Phase::kBegin, 0);
   trace.Append("engine.walk", TraceEvent::Phase::kEnd, 0);
@@ -213,6 +240,68 @@ TEST(BuildSpanTreeJsonTest, OpenSpansAreClosedAtLastTimestamp) {
   EXPECT_GE(spans->items()[0].GetDouble("dur_us", -1.0), 0.0);
 }
 
+// Span name -> count, over a /tracez span list and its children.
+void CountTreeSpans(const JsonValue& spans, std::map<std::string, int>* out) {
+  for (const JsonValue& span : spans.items()) {
+    ++(*out)[span.GetString("name", "")];
+    if (const JsonValue* children = span.Find("children")) {
+      CountTreeSpans(*children, out);
+    }
+  }
+}
+
+// The Chrome export, the aggregate table and the /tracez tree all read one
+// reassembly, so they agree span name by span name on a real 2-thread query.
+TEST(SpanForestTest, EveryExportCountsTheSameSpans) {
+  Rng rng(5);
+  const Graph g = ErdosRenyi(400, 2000, /*undirected=*/false, &rng);
+  RequestTrace trace(31, RequestTrace::kRunCapacity);
+  {
+    const TraceRequestScope scope(&trace);
+    CrashSimOptions opt;
+    opt.mc.trials_override = 200;
+    opt.num_threads = 2;
+    CrashSim algo(opt);
+    algo.Bind(&g);
+    QueryContext ctx;
+    EXPECT_EQ(algo.SingleSource(1, &ctx).trials_done, 200);
+  }
+  ASSERT_EQ(trace.dropped(), 0);
+
+  std::map<std::string, int> chrome_begins;
+  std::map<std::string, int> chrome_ends;
+  const StatusOr<JsonValue> chrome = ParseJson(ExportChromeTrace(trace));
+  ASSERT_TRUE(chrome.ok()) << chrome.status().ToString();
+  for (const JsonValue& e : chrome->Find("traceEvents")->items()) {
+    const std::string phase = e.GetString("ph", "");
+    if (phase == "B") ++chrome_begins[e.GetString("name", "")];
+    if (phase == "E") ++chrome_ends[e.GetString("name", "")];
+  }
+
+  std::map<std::string, int> aggregate;
+  for (const TraceAggregateRow& row : AggregateTrace(trace)) {
+    aggregate[row.name] = static_cast<int>(row.count);
+  }
+
+  std::map<std::string, int> tree;
+  const JsonValue doc = BuildSpanTreeJson(trace);
+  int threads = 0;
+  for (const JsonValue& thread : doc.Find("threads")->items()) {
+    ++threads;
+    CountTreeSpans(*thread.Find("spans"), &tree);
+  }
+
+  EXPECT_GE(threads, 2);
+  for (const char* name :
+       {"rev_reach.build", "crashsim.trial_block", "parallel_for",
+        "parallel_for.shard"}) {
+    EXPECT_GT(tree[name], 0) << name;
+  }
+  EXPECT_EQ(chrome_begins, tree);
+  EXPECT_EQ(chrome_ends, tree);
+  EXPECT_EQ(aggregate, tree);
+}
+
 TracezRing::Entry MakeEntry(uint64_t id) {
   TracezRing::Entry entry;
   entry.request_id = id;
@@ -222,39 +311,35 @@ TracezRing::Entry MakeEntry(uint64_t id) {
   return entry;
 }
 
-// A retained entry stores the request's raw events, never more than one
-// full RequestTrace's worth, and reassembles to the same tree the live
-// trace gives.
+// A retained entry holds the request's collector, never more than one
+// full trace's worth of events, and renders the same tree the live trace
+// gives.
 TEST(TracezRingTest, FullEntryStoresAtMostOneTraceOfRawEvents) {
-  RequestTrace trace(23);
+  auto trace = std::make_shared<RequestTrace>(23, RequestTrace::kServeCapacity);
   {
-    const TraceRequestScope scope(&trace);
-    for (size_t i = 0; i < RequestTrace::kCapacity; ++i) {
+    const TraceRequestScope scope(trace.get());
+    for (size_t i = 0; i < RequestTrace::kServeCapacity; ++i) {
       TRACE_SPAN("engine.walk");  // two events each: the trace overflows
     }
   }
-  ASSERT_EQ(trace.size(), RequestTrace::kCapacity);
-  ASSERT_GT(trace.dropped(), 0);
+  ASSERT_EQ(trace->size(), RequestTrace::kServeCapacity);
+  ASSERT_GT(trace->dropped(), 0);
+  const std::string live = BuildSpanTreeJson(*trace).Write();
 
   TracezRing::Entry entry = MakeEntry(23);
-  entry.dropped = trace.dropped();
-  const std::span<const RequestTrace::Event> events = trace.events();
-  entry.events.assign(events.begin(), events.end());
-
-  EXPECT_LE(sizeof(RequestTrace::Event), 32u);
+  entry.trace = trace;
+  EXPECT_LE(sizeof(TraceEvent), 32u);
   const size_t stored_bytes =
       sizeof(entry) + entry.op.capacity() + entry.status.capacity() +
-      entry.events.capacity() * sizeof(RequestTrace::Event);
+      sizeof(RequestTrace) + trace->capacity() * sizeof(TraceEvent);
   EXPECT_LE(stored_bytes, 16u * 1024u + 256u);
 
   TracezRing ring(1);
   ring.Add(std::move(entry));
+  trace.reset();  // the ring keeps the collector alive on its own
   const std::vector<TracezRing::Entry> snapshot = ring.Snapshot();
   ASSERT_EQ(snapshot.size(), 1u);
-  EXPECT_EQ(BuildSpanTreeJson(snapshot[0].request_id, snapshot[0].dropped,
-                              snapshot[0].events)
-                .Write(),
-            BuildSpanTreeJson(trace).Write());
+  EXPECT_EQ(BuildSpanTreeJson(*snapshot[0].trace).Write(), live);
 }
 
 TEST(TracezRingTest, KeepsNewestEntriesNewestFirst) {

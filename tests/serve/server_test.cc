@@ -12,6 +12,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -55,6 +56,7 @@ class Client {
   Client& operator=(const Client&) = delete;
 
   bool connected() const { return connected_; }
+  int fd() const { return fd_; }
 
   // One request/response round trip; returns the parsed response object.
   StatusOr<JsonValue> Call(const JsonValue& request) {
@@ -355,6 +357,40 @@ TEST(ServerTest, MalformedFrameGetsErrorResponse) {
   StatusOr<JsonValue> response = client.Call(JsonValue(std::string("{nope")));
   ASSERT_TRUE(response.ok());
   EXPECT_EQ(response->GetString("status", ""), "INVALID_ARGUMENT");
+  server.Shutdown();
+}
+
+// True when fd turns readable (data or EOF) within timeout_ms.
+bool ReadableWithin(int fd, int timeout_ms) {
+  pollfd pfd = {fd, POLLIN, 0};
+  return poll(&pfd, 1, timeout_ms) == 1;
+}
+
+// A header that declares more than the request cap is refused at once:
+// the server must neither allocate the declared length nor wait for a
+// payload that never comes.
+TEST(ServerTest, OversizedRequestHeaderIsRefusedWithoutWaiting) {
+  Server server(TestGraph(), std::nullopt, TestServerOptions());
+  ASSERT_TRUE(server.Start().ok());
+  Client client(server.port());
+  ASSERT_TRUE(client.connected());
+
+  const uint32_t len = kMaxRequestFrameBytes + 1;
+  const char header[4] = {static_cast<char>(len >> 24),
+                          static_cast<char>(len >> 16),
+                          static_cast<char>(len >> 8),
+                          static_cast<char>(len)};
+  ASSERT_EQ(send(client.fd(), header, sizeof(header), MSG_NOSIGNAL), 4);
+
+  ASSERT_TRUE(ReadableWithin(client.fd(), 5000)) << "server waited";
+  StatusOr<std::string> payload = ReadFrame(client.fd());
+  ASSERT_TRUE(payload.ok()) << payload.status().ToString();
+  StatusOr<JsonValue> response = ParseJson(*payload);
+  ASSERT_TRUE(response.ok());
+  EXPECT_EQ(response->GetString("status", ""), "RESOURCE_EXHAUSTED");
+  // Then the server closes the connection.
+  ASSERT_TRUE(ReadableWithin(client.fd(), 5000));
+  EXPECT_EQ(ReadFrame(client.fd()).status().code(), StatusCode::kUnavailable);
   server.Shutdown();
 }
 

@@ -303,43 +303,52 @@ TEST(ConcurrencyStressTest, ParallelQueriesShareEngineReadOnly) {
   }
 }
 
-TEST(ConcurrencyStressTest, TracingRecordersRaceStartStopToggles) {
-  // Recorder threads hammer the per-thread ring buffers (spans + flow
-  // events) while the main thread flips StartTracing/StopTracing, which
-  // concurrently resets every registered buffer. Under TSan this exercises
-  // the single-writer/many-reset protocol: size_ is the only cross-thread
-  // handoff, published with release stores and reread with acquire loads.
+TEST(ConcurrencyStressTest, TracingRecordersRaceIntoOneSmallCollector) {
+  // Recorder threads share one collector (spans + flow events) and keep
+  // appending well past its capacity. Under TSan this exercises the
+  // lock-free claim protocol: fetch_add hands every slot to exactly one
+  // writer, claims past capacity only count, and the join publishes every
+  // written slot to the exporting thread.
   constexpr int kRecorders = 4;
-  std::atomic<bool> stop{false};
+  constexpr int kSpansPerRecorder = 2000;
+  RequestTrace trace(/*request_id=*/1, /*capacity=*/1024);
   std::vector<std::thread> threads;
   threads.reserve(kRecorders);
   for (int t = 0; t < kRecorders; ++t) {
-    threads.emplace_back([&stop] {
-      while (!stop.load(std::memory_order_relaxed)) {
+    threads.emplace_back([&trace] {
+      const TraceRequestScope scope(&trace);
+      for (int i = 0; i < kSpansPerRecorder; ++i) {
         TRACE_SPAN("stress.outer");
-        TraceFlowOut(TraceEnabled() ? NewTraceFlowId() : 0);
+        TraceFlowOut(NewTraceFlowId());
         {
           TRACE_SPAN("stress.inner");
         }
       }
     });
   }
-  for (int i = 0; i < 50; ++i) {
-    StartTracing();
-    std::this_thread::sleep_for(std::chrono::microseconds(200));
-    StopTracing();
-  }
-  stop.store(true, std::memory_order_relaxed);
   for (std::thread& th : threads) th.join();
 
+  // 5 events per iteration against 1024 slots: every claim past the
+  // capacity was dropped and counted, none lost.
+  EXPECT_EQ(trace.size(), trace.capacity());
+  EXPECT_EQ(trace.dropped(),
+            int64_t{kRecorders} * kSpansPerRecorder * 5 -
+                static_cast<int64_t>(trace.capacity()));
   // Writers have joined, so exporting is safe and must stay balanced even
-  // though mid-span resets left torn begin/end pairs in the buffers.
-  const std::string json = ExportChromeTrace();
-  EXPECT_FALSE(json.empty());
-  const std::string table = ExportTraceAggregateTable();
-  EXPECT_FALSE(table.empty());
-  StartTracing();  // leave no stale events behind for later tests
-  StopTracing();
+  // though overflow cut every thread's sequence mid-span.
+  const std::string json = ExportChromeTrace(trace);
+  const auto count = [&json](const std::string& needle) {
+    int n = 0;
+    for (size_t pos = json.find(needle); pos != std::string::npos;
+         pos = json.find(needle, pos + 1)) {
+      ++n;
+    }
+    return n;
+  };
+  EXPECT_EQ(count("\"ph\": \"B\""), count("\"ph\": \"E\""));
+  const std::string table = ExportTraceAggregateTable(trace);
+  EXPECT_NE(table.find("stress.outer"), std::string::npos);
+  EXPECT_NE(table.find("dropped"), std::string::npos);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -26,46 +27,34 @@ int CountOccurrences(const std::string& hay, const std::string& needle) {
   return count;
 }
 
-// This thread's recorded events (tests run single-threaded unless they
-// explicitly spawn work, so the first non-empty buffer is ours).
-std::vector<TraceEvent> OwnThreadEvents() {
-  for (TraceThreadEvents& t : SnapshotTraceEvents()) {
-    if (!t.events.empty()) return std::move(t.events);
-  }
-  return {};
-}
-
-TEST(TraceTest, DisabledByDefaultAndToggles) {
-  EXPECT_FALSE(TraceEnabled());
-  StartTracing();
-  EXPECT_TRUE(TraceEnabled());
-  StopTracing();
-  EXPECT_FALSE(TraceEnabled());
+// A collector sized for a whole traced run, like the CLI's.
+std::unique_ptr<RequestTrace> RunTrace() {
+  return std::make_unique<RequestTrace>(/*request_id=*/0,
+                                        RequestTrace::kRunCapacity);
 }
 
 TEST(TraceTest, DisabledSpansRecordNothing) {
-  StartTracing();
-  StopTracing();  // resets buffers, leaves tracing off
+  RequestTrace trace(1, /*capacity=*/8);
+  const TraceRequestScope scope(&trace);
   {
+    const TraceRequestScope off(nullptr);  // a null scope disables recording
     TRACE_SPAN("never.recorded");
   }
-  for (const TraceThreadEvents& t : SnapshotTraceEvents()) {
-    for (const TraceEvent& e : t.events) {
-      EXPECT_STRNE(e.name, "never.recorded");
-    }
-  }
+  EXPECT_EQ(trace.size(), 0u);
 }
 
 TEST(TraceTest, BeginEndPairsAreBalancedAndNested) {
-  StartTracing();
+  RequestTrace trace(/*request_id=*/42, /*capacity=*/8);
   {
+    const TraceRequestScope scope(&trace);
     TRACE_SPAN("outer");
     {
       TRACE_SPAN("inner");
     }
   }
-  StopTracing();
-  const std::vector<TraceEvent> events = OwnThreadEvents();
+  EXPECT_EQ(trace.request_id(), 42u);
+  EXPECT_EQ(trace.dropped(), 0);
+  const std::span<const TraceEvent> events = trace.events();
   ASSERT_EQ(events.size(), 4u);
   EXPECT_STREQ(events[0].name, "outer");
   EXPECT_EQ(events[0].phase, TraceEvent::Phase::kBegin);
@@ -82,8 +71,9 @@ TEST(TraceTest, BeginEndPairsAreBalancedAndNested) {
 }
 
 TEST(TraceTest, AggregateSplitsSelfFromTotal) {
-  StartTracing();
+  const auto trace = RunTrace();
   {
+    const TraceRequestScope scope(trace.get());
     TRACE_SPAN("agg.outer");
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
     {
@@ -91,8 +81,7 @@ TEST(TraceTest, AggregateSplitsSelfFromTotal) {
       std::this_thread::sleep_for(std::chrono::milliseconds(10));
     }
   }
-  StopTracing();
-  const std::vector<TraceAggregateRow> rows = AggregateTrace();
+  const std::vector<TraceAggregateRow> rows = AggregateTrace(*trace);
   const TraceAggregateRow* outer = nullptr;
   const TraceAggregateRow* inner = nullptr;
   for (const TraceAggregateRow& r : rows) {
@@ -109,19 +98,19 @@ TEST(TraceTest, AggregateSplitsSelfFromTotal) {
   // inner has no children: self == total, and it slept >= 10ms.
   EXPECT_EQ(inner->self_ns, inner->total_ns);
   EXPECT_GE(inner->total_ns, 9 * 1000 * 1000);
-  const std::string table = ExportTraceAggregateTable();
+  const std::string table = ExportTraceAggregateTable(*trace);
   EXPECT_NE(table.find("agg.outer"), std::string::npos);
   EXPECT_NE(table.find("self_ms"), std::string::npos);
 }
 
 TEST(TraceTest, ChromeExportIsBalancedJson) {
-  StartTracing();
+  const auto trace = RunTrace();
   {
+    const TraceRequestScope scope(trace.get());
     TRACE_SPAN("chrome \"quoted\\name\"");  // exercises JSON escaping
     TRACE_SPAN("chrome.second");
   }
-  StopTracing();
-  const std::string json = ExportChromeTrace();
+  const std::string json = ExportChromeTrace(*trace);
   EXPECT_EQ(json.front(), '{');
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
   EXPECT_EQ(CountOccurrences(json, "\"ph\": \"B\""),
@@ -134,16 +123,21 @@ TEST(TraceTest, ChromeExportIsBalancedJson) {
 }
 
 TEST(TraceTest, UnclosedSpanIsSynthesizedClosed) {
-  auto* leak = new TraceSpan("pre.start");  // never recorded: tracing off
-  StartTracing();
-  auto* open = new TraceSpan("left.open");
+  auto* leak = new TraceSpan("pre.start");  // never recorded: no collector
+  const auto trace = RunTrace();
+  TraceSpan* open = nullptr;
   {
-    TRACE_SPAN("closed.child");
+    const TraceRequestScope scope(trace.get());
+    open = new TraceSpan("left.open");
+    {
+      TRACE_SPAN("closed.child");
+    }
   }
-  StopTracing();
-  const std::string json = ExportChromeTrace();
+  // Exported while "left.open" has not ended.
+  const std::string json = ExportChromeTrace(*trace);
   // The open span appears and the export is still balanced.
   EXPECT_NE(json.find("left.open"), std::string::npos);
+  EXPECT_EQ(json.find("pre.start"), std::string::npos);
   EXPECT_EQ(CountOccurrences(json, "\"ph\": \"B\""),
             CountOccurrences(json, "\"ph\": \"E\""));
   delete open;
@@ -151,29 +145,29 @@ TEST(TraceTest, UnclosedSpanIsSynthesizedClosed) {
 }
 
 TEST(TraceTest, ParallelForShardsCarryFlowEvents) {
-  StartTracing();
+  const auto trace = RunTrace();
   std::atomic<int64_t> sum{0};
-  // min_chunk 1 and an explicit 2-thread budget: even a single-core host's
-  // one-worker pool receives a shard, so a flow arrow must exist.
-  ParallelFor(
-      8, [&sum](int64_t begin, int64_t end) { sum.fetch_add(end - begin); },
-      /*min_chunk=*/1, /*max_threads=*/2);
-  StopTracing();
+  {
+    const TraceRequestScope scope(trace.get());
+    // min_chunk 1 and an explicit 2-thread budget: even a single-core
+    // host's one-worker pool receives a shard, so a flow arrow must exist.
+    ParallelFor(
+        8, [&sum](int64_t begin, int64_t end) { sum.fetch_add(end - begin); },
+        /*min_chunk=*/1, /*max_threads=*/2);
+  }
   EXPECT_EQ(sum.load(), 8);
 
   std::vector<uint64_t> flow_out_ids;
   std::vector<uint64_t> flow_in_ids;
   bool saw_shard_span = false;
-  for (const TraceThreadEvents& t : SnapshotTraceEvents()) {
-    for (const TraceEvent& e : t.events) {
-      if (e.phase == TraceEvent::Phase::kFlowOut) {
-        flow_out_ids.push_back(e.flow_id);
-      } else if (e.phase == TraceEvent::Phase::kFlowIn) {
-        flow_in_ids.push_back(e.flow_id);
-      } else if (e.phase == TraceEvent::Phase::kBegin &&
-                 std::string(e.name) == "parallel_for.shard") {
-        saw_shard_span = true;
-      }
+  for (const TraceEvent& e : trace->events()) {
+    if (e.phase == TraceEvent::Phase::kFlowOut) {
+      flow_out_ids.push_back(e.flow_id);
+    } else if (e.phase == TraceEvent::Phase::kFlowIn) {
+      flow_in_ids.push_back(e.flow_id);
+    } else if (e.phase == TraceEvent::Phase::kBegin &&
+               std::string(e.name) == "parallel_for.shard") {
+      saw_shard_span = true;
     }
   }
   EXPECT_TRUE(saw_shard_span);
@@ -186,48 +180,47 @@ TEST(TraceTest, ParallelForShardsCarryFlowEvents) {
               flow_out_ids.end());
   }
   // And the Chrome export renders them as s/f events sharing ids.
-  const std::string json = ExportChromeTrace();
+  const std::string json = ExportChromeTrace(*trace);
   EXPECT_NE(json.find("\"ph\": \"s\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\": \"f\""), std::string::npos);
   EXPECT_NE(json.find("\"bp\": \"e\""), std::string::npos);
 }
 
 TEST(TraceTest, OverflowDropsEventsButStaysBalanced) {
-  StartTracing();
-  // 2 events per span against a 64Ki-event buffer: guaranteed overflow.
-  for (int i = 0; i < 40000; ++i) {
-    TRACE_SPAN("spam");
+  RequestTrace trace(/*request_id=*/0, /*capacity=*/64);
+  {
+    const TraceRequestScope scope(&trace);
+    TRACE_SPAN("outer");  // its end event is dropped with the rest
+    // 2 events per span against a 64-event collector: guaranteed overflow.
+    for (int i = 0; i < 100; ++i) {
+      TRACE_SPAN("spam");
+    }
   }
-  StopTracing();
-  EXPECT_GT(TraceDroppedEvents(), 0);
-  const std::string json = ExportChromeTrace();
+  EXPECT_EQ(trace.size(), 64u);
+  EXPECT_GT(trace.dropped(), 0);
+  const std::string json = ExportChromeTrace(trace);
   EXPECT_EQ(CountOccurrences(json, "\"ph\": \"B\""),
             CountOccurrences(json, "\"ph\": \"E\""));
-  const std::string table = ExportTraceAggregateTable();
+  const std::string table = ExportTraceAggregateTable(trace);
   EXPECT_NE(table.find("dropped"), std::string::npos);
 }
 
 TEST(TraceTest, FlowHelpersNoOpWhenDisabledOrZero) {
-  StartTracing();
-  StopTracing();  // buffers reset and tracing off
-  TraceFlowOut(NewTraceFlowId());
+  RequestTrace trace(1, /*capacity=*/8);
+  TraceFlowOut(NewTraceFlowId());  // no collector installed: no event
   TraceFlowIn(7);
-  StartTracing();
-  TraceFlowOut(0);  // id 0 = "tracing was off at id-mint time": no event
-  TraceFlowIn(0);
-  StopTracing();
-  for (const TraceThreadEvents& t : SnapshotTraceEvents()) {
-    for (const TraceEvent& e : t.events) {
-      EXPECT_NE(e.phase, TraceEvent::Phase::kFlowOut);
-      EXPECT_NE(e.phase, TraceEvent::Phase::kFlowIn);
-    }
+  {
+    const TraceRequestScope scope(&trace);
+    TraceFlowOut(0);  // id 0 = "nothing recorded at id-mint time": no event
+    TraceFlowIn(0);
   }
+  EXPECT_EQ(trace.size(), 0u);
 }
 
 TEST(RequestTraceTest, CollectsSpansWhileGlobalTracingIsOff) {
-  StopTracing();
-  ASSERT_FALSE(TraceEnabled());
-  RequestTrace trace(/*request_id=*/42);
+  // There is no process-wide switch: an installed collector alone records.
+  ASSERT_EQ(CurrentRequestTrace(), nullptr);
+  RequestTrace trace(/*request_id=*/42, RequestTrace::kServeCapacity);
   {
     const TraceRequestScope scope(&trace);
     TRACE_SPAN("request.outer");
@@ -245,17 +238,16 @@ TEST(RequestTraceTest, CollectsSpansWhileGlobalTracingIsOff) {
   EXPECT_STREQ(trace.event(3).name, "request.outer");
   EXPECT_EQ(trace.event(3).phase, TraceEvent::Phase::kEnd);
   EXPECT_EQ(trace.dropped(), 0);
-  // The global rings stayed empty: nothing was enabled.
-  for (const TraceThreadEvents& t : SnapshotTraceEvents()) {
-    for (const TraceEvent& e : t.events) {
-      EXPECT_STRNE(e.name, "request.outer");
-    }
+  // Once the scope is gone, spans record nowhere.
+  {
+    TRACE_SPAN("request.after");
   }
+  EXPECT_EQ(trace.size(), 4u);
 }
 
 TEST(RequestTraceTest, ScopesNestAndRestore) {
-  RequestTrace outer_trace(1);
-  RequestTrace inner_trace(2);
+  RequestTrace outer_trace(1, /*capacity=*/8);
+  RequestTrace inner_trace(2, /*capacity=*/8);
   EXPECT_EQ(CurrentRequestTrace(), nullptr);
   {
     const TraceRequestScope outer(&outer_trace);
@@ -273,20 +265,19 @@ TEST(RequestTraceTest, ScopesNestAndRestore) {
 }
 
 TEST(RequestTraceTest, OverflowDropsAndCounts) {
-  RequestTrace trace(3);
+  constexpr size_t kCapacity = 32;
+  RequestTrace trace(3, kCapacity);
   const TraceRequestScope scope(&trace);
-  const int spans = static_cast<int>(RequestTrace::kCapacity);  // 2x events
-  for (int i = 0; i < spans; ++i) {
+  for (size_t i = 0; i < kCapacity; ++i) {  // 2x capacity events
     TRACE_SPAN("request.spam");
   }
-  EXPECT_EQ(trace.size(), RequestTrace::kCapacity);
-  EXPECT_EQ(trace.dropped(),
-            static_cast<int64_t>(RequestTrace::kCapacity));
+  EXPECT_EQ(trace.capacity(), kCapacity);
+  EXPECT_EQ(trace.size(), kCapacity);
+  EXPECT_EQ(trace.dropped(), static_cast<int64_t>(kCapacity));
 }
 
 TEST(RequestTraceTest, ParallelForShardsInheritTheRequestScope) {
-  StopTracing();
-  RequestTrace trace(7);
+  RequestTrace trace(7, RequestTrace::kServeCapacity);
   {
     const TraceRequestScope scope(&trace);
     TRACE_SPAN("request.parallel");
@@ -302,7 +293,7 @@ TEST(RequestTraceTest, ParallelForShardsInheritTheRequestScope) {
   std::vector<uint64_t> flow_out_ids;
   std::vector<uint64_t> flow_in_ids;
   for (size_t i = 0; i < trace.size(); ++i) {
-    const RequestTrace::Event& e = trace.event(i);
+    const TraceEvent& e = trace.event(i);
     if (e.phase == TraceEvent::Phase::kFlowOut) {
       flow_out_ids.push_back(e.flow_id);
     } else if (e.phase == TraceEvent::Phase::kFlowIn) {
@@ -323,7 +314,7 @@ TEST(RequestTraceTest, ParallelForShardsInheritTheRequestScope) {
 TEST(RequestTraceTest, SpanRecordsToInstallTimeCollector) {
   // A span records to the collector current at its *construction*: a scope
   // that ends while the span is open must not lose the End event.
-  RequestTrace trace(9);
+  RequestTrace trace(9, /*capacity=*/8);
   auto scope = std::make_unique<TraceRequestScope>(&trace);
   auto span = std::make_unique<TraceSpan>("straddling.span");
   scope.reset();  // uninstall while the span is open
@@ -333,11 +324,10 @@ TEST(RequestTraceTest, SpanRecordsToInstallTimeCollector) {
 }
 
 TEST(TraceTest, DisabledSpanOverheadIsNanoseconds) {
-  StopTracing();
-  ASSERT_FALSE(TraceEnabled());
+  ASSERT_EQ(CurrentRequestTrace(), nullptr);
   constexpr int kIters = 2'000'000;
-  // Best of three reps: the bound guards the order of magnitude (one relaxed
-  // load + branch ≈ 1-2 ns), not a precise figure; the minimum shields the
+  // Best of three reps: the bound guards the order of magnitude (one
+  // thread-local load + branch ≈ 1-2 ns), not a precise figure; the minimum shields the
   // guard from scheduler noise on loaded single-core CI hosts.
   double best_ns = 1e9;
   for (int rep = 0; rep < 3; ++rep) {

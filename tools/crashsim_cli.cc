@@ -202,33 +202,37 @@ void PrintAnytimeFooter(int64_t trials_done, int64_t trials_target,
               static_cast<long long>(trials_target), epsilon_achieved);
 }
 
-// Scoped tracing for one CLI query: StartTracing() on construction when the
-// user asked for a trace, and on destruction — every exit path, including
-// deadline/cancel failures, where a timeline is most useful — StopTracing(),
-// write the Chrome JSON, and print the aggregate table. Write failures warn
-// on stderr without changing the exit code: the query outcome already
+// Scoped tracing for one CLI run: when the user asked for a trace, installs
+// a whole-run collector on the main thread (ParallelFor carries it to the
+// pool shards), and on destruction — every exit path, including
+// deadline/cancel failures, where a timeline is most useful — writes the
+// Chrome JSON and prints the aggregate table. Write failures
+// warn on stderr without changing the exit code: the query outcome already
 // happened and stays authoritative.
 class ScopedCliTrace {
  public:
   explicit ScopedCliTrace(const FlagSet& flags)
       : trace_out_(flags.GetString("trace_out")),
-        summary_(flags.GetBool("trace_summary")) {
-    if (enabled()) StartTracing();
-  }
+        summary_(flags.GetBool("trace_summary")),
+        trace_(!trace_out_.empty() || summary_
+                   ? std::make_unique<RequestTrace>(
+                         /*request_id=*/0, RequestTrace::kRunCapacity)
+                   : nullptr),
+        scope_(trace_.get()) {}
   ~ScopedCliTrace() {
-    if (!enabled()) return;
-    StopTracing();
+    if (trace_ == nullptr) return;
     if (!trace_out_.empty()) {
       std::ofstream out(trace_out_);
-      if (out) out << ExportChromeTrace();
+      if (out) out << ExportChromeTrace(*trace_);
       if (!out) {
         std::fprintf(stderr, "warning: cannot write trace to %s\n",
                      trace_out_.c_str());
       }
     }
-    if (summary_) std::printf("%s", ExportTraceAggregateTable().c_str());
+    if (summary_) {
+      std::printf("%s", ExportTraceAggregateTable(*trace_).c_str());
+    }
   }
-  bool enabled() const { return !trace_out_.empty() || summary_; }
 
   ScopedCliTrace(const ScopedCliTrace&) = delete;
   ScopedCliTrace& operator=(const ScopedCliTrace&) = delete;
@@ -236,6 +240,8 @@ class ScopedCliTrace {
  private:
   std::string trace_out_;
   bool summary_;
+  const std::unique_ptr<RequestTrace> trace_;  // null: no trace asked for
+  const TraceRequestScope scope_;  // installs trace_ (a no-op when null)
 };
 
 // Dumps the process-wide registry (Prometheus text exposition format) to

@@ -168,18 +168,42 @@ print("query_stats schema OK")
 PY
 
   # Execution-tracing end to end: a traced 2-thread topk query must produce
-  # a balanced Chrome trace with the revReach / trial-block / ParallelFor
-  # shard spans and the flow events tying shards to their spawning call, and
-  # --metrics_out must pass the Prometheus format checker. The bench_micro
-  # --trace_out timeline written above gets the same structural validation.
+  # a balanced Chrome trace covering the whole run (graph load included)
+  # with the revReach / trial-block / ParallelFor shard spans and the flow
+  # events tying shards to their spawning call; a traced temporal query must
+  # carry its per-snapshot spans; --trace_summary must print a trial-block
+  # row; and --metrics_out must pass the Prometheus format checker. The
+  # bench_micro --trace_out timeline written above gets the same structural
+  # validation. A trace collector installed too late, or not carried to the
+  # pool shards, fails one of these.
   "${CLI}" topk --graph "${TMP_DIR}/tiny.el" --source "${SRC}" --k 5 \
     --trials 200 --threads 2 --trace_out "${TMP_DIR}/topk_trace.json" \
     --metrics_out "${TMP_DIR}/metrics.txt" > /dev/null
-  python3 - "${TMP_DIR}/topk_trace.json" \
+  "${CLI}" temporal --graph "${TMP_DIR}/tiny.tel" --source "${SRC}" \
+    --kind threshold --theta 0.01 --trials 200 --threads 2 \
+    --trace_out "${TMP_DIR}/temporal_trace.json" > /dev/null
+  "${CLI}" topk --graph "${TMP_DIR}/tiny.el" --source "${SRC}" --k 5 \
+    --trials 200 --threads 2 --trace_summary > "${TMP_DIR}/topk_summary.txt"
+  if ! grep -Eq '^crashsim\.trial_block +[0-9]+ ' \
+      "${TMP_DIR}/topk_summary.txt"; then
+    echo "trace summary check failed: no crashsim.trial_block row" >&2
+    cat "${TMP_DIR}/topk_summary.txt" >&2
+    exit 1
+  fi
+  python3 - "${TMP_DIR}/topk_trace.json" "${TMP_DIR}/temporal_trace.json" \
     "${OUT_DIR}/BENCH_trace_smoke.json" <<'PY'
 import json, sys
 
-for path in sys.argv[1:]:
+topk, temporal, bench = sys.argv[1:]
+required = {
+    topk: ("graph_io.load_edge_list", "rev_reach.build",
+           "crashsim.trial_block", "parallel_for", "parallel_for.shard"),
+    temporal: ("graph_io.load_temporal_edge_list", "crashsim_t.snapshot",
+               "parallel_for.shard"),
+    bench: ("rev_reach.build", "crashsim.trial_block", "parallel_for",
+            "parallel_for.shard"),
+}
+for path, wants in required.items():
     with open(path) as f:
         trace = json.load(f)
     events = trace["traceEvents"]
@@ -194,8 +218,7 @@ for path in sys.argv[1:]:
             assert depth[e["tid"]] >= 0, (path, e)
     assert all(v == 0 for v in depth.values()), (path, depth)
     names = {e["name"] for e in events if e["ph"] == "B"}
-    for want in ("rev_reach.build", "crashsim.trial_block", "parallel_for",
-                 "parallel_for.shard"):
+    for want in wants:
         assert want in names, (path, want, sorted(names))
     out_ids = {e["id"] for e in events if e["ph"] == "s"}
     in_ids = {e["id"] for e in events if e["ph"] == "f"}
