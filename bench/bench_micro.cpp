@@ -188,13 +188,15 @@ BENCHMARK(BM_CrashSimTrialBatch)->Arg(1000)->Arg(10000);
 //                       into a vector) with an immediate tree.Probability
 //                       per position — what shipped before the batch
 //                       engine, kept as the gate's denominator workload.
-//   BM_WalkBatchSoA     the production path: WalkBatchEngine at the full
-//                       256-lane width (alias-sampled lengths, SoA lanes,
-//                       prefetched CSR rows and tree levels, batched
-//                       probes).
-//   BM_WalkBatchLanes   lane-width sweep (including 1 = the engine's scalar
-//                       twin used by the differential suite) for tuning the
-//                       batch_size default; not gated.
+//   BM_WalkBatchSoA     the production path: WalkBatchEngine sweeping
+//                       256 walks per tile (alias-sampled lengths, one
+//                       tree level per step, dense rows or a batched
+//                       search per level).
+//   BM_WalkBatchLanes   walks-per-tile sweep (including 1 = the engine's
+//                       scalar twin used by the differential suite) for
+//                       tuning the batch_size default; not gated. The
+//                       names predate the step-major kernel and stay, as
+//                       the baseline and the CI floor key on them.
 void BM_WalkBatchScalar(benchmark::State& state) {
   const Graph& g = FixtureGraph(state.range(0));
   CrashSimOptions opt;

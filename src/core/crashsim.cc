@@ -174,9 +174,9 @@ PartialResult CrashSim::PartialWithTree(const ReverseReachableTree& tree,
   result.trials_target = n_r;
   result.scores.assign(candidates.size(), 0.0);
 
-  // The Monte-Carlo inner loop lives in WalkBatchEngine: SoA walk batches
-  // with prefetched CSR rows and batched tree probes (or its bit-identical
-  // scalar twin at batch_size 1 / tiny jobs). Every walk draws from the
+  // The Monte-Carlo inner loop lives in WalkBatchEngine: tiles of walks
+  // swept one tree level per step (or its bit-identical scalar twin at
+  // batch_size 1 / tiny jobs). Every walk draws from the
   // substream PerWalkSeed(ChainSeed(seed, source), candidate, trial) —
   // util/rng.h documents the derivation — so scores depend only on (seed,
   // trials run), never on thread count, batch size, or where a deadline

@@ -33,9 +33,9 @@ struct CrashSimOptions {
   // deterministic in (seed, source, candidate, trial) and independent of the
   // actual thread count.
   int num_threads = 1;
-  // Lanes of the SoA batch walk engine (core/walk_batch.h): how many
-  // candidate walks each thread advances in lockstep. 1 runs the scalar
-  // reference loop. Any value in [1, kMaxWalkBatch] produces bit-identical
+  // Walks per tile of the batched walk engine (core/walk_batch.h): how
+  // many candidate walks each thread sweeps one tree level at a time. 1
+  // runs the scalar reference loop. Any value in [1, kMaxWalkBatch] produces bit-identical
   // scores — the per-walk RNG streams depend only on (seed, source,
   // candidate, trial) — so this knob trades nothing but speed; the
   // differential suite tests/core/walk_batch_test.cc enforces the identity.

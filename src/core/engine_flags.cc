@@ -9,8 +9,9 @@ void DefineEngineFlags(FlagSet* flags) {
   flags->DefineInt("trials", 0, "Monte-Carlo trials (0 = from epsilon/delta)");
   flags->DefineInt("threads", 1, "CrashSim candidate-evaluation threads");
   flags->DefineInt("batch_size", 64,
-                   "CrashSim SoA walk lanes per thread (1 = scalar loop; "
-                   "scores are identical at every setting)");
+                   "CrashSim walks per tile of the batched walk kernel "
+                   "(1 = scalar loop; scores are identical at every "
+                   "setting)");
   flags->DefineInt("seed", 42, "RNG seed");
   flags->DefineBool("paper_mode", false,
                     "use the paper-verbatim revReach recurrence");

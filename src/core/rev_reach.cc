@@ -1,6 +1,7 @@
 #include "core/rev_reach.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <mutex>
 
@@ -70,77 +71,28 @@ const ReverseReachableTree::DenseRows& ReverseReachableTree::EnsureDenseRows()
   return cache.rows;
 }
 
-void ReverseReachableTree::ProbabilityBatch(std::span<const int> levels,
+void ReverseReachableTree::ProbabilityBatch(int level,
                                             std::span<const NodeId> nodes,
-                                            std::span<double> out,
-                                            ProbeScratch* scratch) const {
-  const size_t count = nodes.size();
-  CRASHSIM_CHECK(levels.size() == count && out.size() >= count);
-  scratch->base.resize(count);
-  scratch->len.resize(count);
-  scratch->item.clear();
-  // Setup pass: resolve bitset rejects, empty levels, and single-entry
-  // levels immediately; queue everything else for the lockstep search with
-  // its first pivot prefetched.
-  size_t pending = 0;
-  for (size_t i = 0; i < count; ++i) {
-    const int level = levels[i];
-    const NodeId v = nodes[i];
-    if (level < 0 || level > max_level()) {
-      out[i] = 0.0;
-      continue;
-    }
-    const size_t l = static_cast<size_t>(level);
-    const int64_t bits = bits_offset_[l];
-    if (bits >= 0 &&
-        !((level_bits_[static_cast<size_t>(bits) +
-                       (static_cast<size_t>(v) >> 6)] >>
-           (static_cast<uint64_t>(v) & 63)) &
-          1)) {
-      out[i] = 0.0;
-      continue;
-    }
-    const Entry* base = entries_.data() + level_offsets_[l];
-    const size_t len =
-        static_cast<size_t>(level_offsets_[l + 1] - level_offsets_[l]);
-    if (len == 0) {
-      out[i] = 0.0;
-      continue;
-    }
-    if (len == 1) {
-      out[i] = base->node == v ? base->prob : 0.0;
-      continue;
-    }
-    scratch->base[pending] = base;
-    scratch->len[pending] = len;
-    scratch->item.push_back(static_cast<uint32_t>(i));
-    __builtin_prefetch(base + len / 2 - 1);
-    ++pending;
+                                            std::span<double> out) const {
+  CRASHSIM_CHECK(out.size() >= nodes.size());
+  const std::span<const Entry> slice = Level(level);
+  if (slice.empty()) {
+    std::fill_n(out.begin(), nodes.size(), 0.0);
+    return;
   }
-  // Lockstep rounds: one bisection step per pending probe per round, so the
-  // pivot loads of all pending probes miss (and resolve) concurrently.
-  while (pending > 0) {
-    size_t keep = 0;
-    for (size_t a = 0; a < pending; ++a) {
-      const Entry* base = scratch->base[a];
-      size_t len = scratch->len[a];
-      const uint32_t i = scratch->item[a];
-      const NodeId v = nodes[i];
+  for (size_t i = 0; i < nodes.size(); ++i) {
+    const NodeId v = nodes[i];
+    // The search of Probability(), with both selects as masks: the nodes
+    // are data-random, so a branch would mispredict half the time.
+    const Entry* base = slice.data();
+    for (size_t len = slice.size(); len > 1;) {
       const size_t half = len / 2;
-      base += (base[half - 1].node < v) ? half : 0;
+      base += half & (0 - static_cast<size_t>(base[half - 1].node < v));
       len -= half;
-      if (len > 1) {
-        __builtin_prefetch(base + len / 2 - 1);
-        scratch->base[keep] = base;
-        scratch->len[keep] = len;
-        scratch->item[keep] = i;
-        ++keep;
-      } else {
-        out[i] = base->node == v ? base->prob : 0.0;
-      }
     }
-    pending = keep;
-    scratch->item.resize(pending);
+    const uint32_t match = 0u - static_cast<uint32_t>(base->node == v);
+    out[i] = static_cast<double>(
+        std::bit_cast<float>(std::bit_cast<uint32_t>(base->prob) & match));
   }
 }
 

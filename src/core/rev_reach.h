@@ -80,42 +80,12 @@ class ReverseReachableTree {
     return base->node == v ? base->prob : 0.0;
   }
 
-  // Prefetches the cache lines a subsequent Probability(level, v) touches
-  // first: the level's bitset word and the first binary-search pivot. The
-  // batch walk engine issues these one round ahead so probe latency overlaps
-  // other lanes' advances; a prefetch of an out-of-range level is a no-op.
-  void PrefetchProbability(int level, NodeId v) const {
-    if (level < 0 || level > max_level()) return;
-    const size_t l = static_cast<size_t>(level);
-    const int64_t bits = bits_offset_[l];
-    if (bits >= 0) {
-      __builtin_prefetch(level_bits_.data() + static_cast<size_t>(bits) +
-                         (static_cast<size_t>(v) >> 6));
-    }
-    const size_t len =
-        static_cast<size_t>(level_offsets_[l + 1] - level_offsets_[l]);
-    if (len > 1) {
-      __builtin_prefetch(entries_.data() + level_offsets_[l] + len / 2 - 1);
-    }
-  }
-
-  // Reusable buffers of ProbabilityBatch (callers keep one across calls so
-  // the probe loop never allocates).
-  struct ProbeScratch {
-    std::vector<const Entry*> base;
-    std::vector<size_t> len;
-    std::vector<uint32_t> item;
-  };
-
-  // Batched probe: out[i] = Probability(levels[i], nodes[i]) for every i.
-  // Same results as the scalar probe; the searches run breadth-first in
-  // lockstep (every pending probe does one bisection step per round, with
-  // the next pivot line prefetched), so up to levels.size() cache misses
-  // are in flight at once instead of one — the memory-level parallelism
-  // that the batch walk engine's speedup on out-of-cache trees comes from.
-  void ProbabilityBatch(std::span<const int> levels,
-                        std::span<const NodeId> nodes, std::span<double> out,
-                        ProbeScratch* scratch) const;
+  // Batched probe of one level: out[i] = Probability(level, nodes[i]) for
+  // every i. The slice is looked up once and each search is branchless
+  // (no bitset test), so the searches of different nodes are independent
+  // chains of loads that the CPU overlaps.
+  void ProbabilityBatch(int level, std::span<const NodeId> nodes,
+                        std::span<double> out) const;
 
   // Dense direct-index probe rows: for every level holding at least n/64
   // entries (the same density regime that earns a membership bitset), the

@@ -7,14 +7,25 @@
 #include "util/rng.h"
 
 namespace crashsim {
+
 namespace {
 
-// Target number of (candidate, trial) jobs per tile: enough to keep every
-// lane busy through several refills (so lane-drain tail cost amortises),
-// small enough that the per-tile walk-total buffer stays cache-resident.
-// A tile always holds whole candidates, so it reaches the Run's trial count
-// when that exceeds the target (CrashSim's trial blocks are at most 64).
-constexpr int64_t kMinTileJobs = 1024;
+// One walk of the sweep: its SplitMix64 state, current node, job index
+// inside the tile, and drawn length in nodes.
+struct Walk {
+  uint64_t rng;
+  NodeId cur;
+  uint32_t job;
+  int32_t len;
+};
+
+// Per-job accumulators: crash mass folded in step order, steps taken, and
+// tree hits.
+struct JobTotals {
+  double mass;
+  int32_t steps;
+  int32_t hits;
+};
 
 }  // namespace
 
@@ -53,8 +64,8 @@ void WalkBatchEngine::Run(std::span<const NodeId> candidates, NodeId skip,
   if (eligible == 0) return;
 
   // Both paths honour the same per-walk draw and fold contract, so routing
-  // tiny jobs through the scalar loop is pure policy: below ~two batches of
-  // work the SoA setup costs more than it hides.
+  // tiny jobs through the scalar loop is pure policy: below ~two tiles of
+  // work the tile setup costs more than the sweep saves.
   if (batch_size_ <= 1 ||
       eligible * trials < 2 * static_cast<int64_t>(batch_size_)) {
     RunScalar(candidates, skip, trial_begin, trial_end, mass, stats);
@@ -100,240 +111,141 @@ void WalkBatchEngine::RunScalar(std::span<const NodeId> candidates,
   }
 }
 
-// SoA lane and tile state of one RunBatched call (heap-allocated once per
-// Run; every round after that is allocation-free).
-struct WalkBatchEngine::Scratch {
-  // Lane state, one slot per in-flight walk. Slots [0, active) are live.
-  std::vector<NodeId> cur;
-  std::vector<int32_t> pos;
-  std::vector<int32_t> len;
-  std::vector<uint64_t> rng_state;
-  std::vector<uint32_t> job;     // job index inside the current tile
-  std::vector<uint32_t> cand;    // tile-local candidate index of the job
-                                 // (kept beside job so retiring a walk
-                                 // never divides to recover it)
-  std::vector<int32_t> hits;     // per-walk tree-hit count; the step count
-                                 // needs no slot — it is pos at retirement
-  // Fallback probe staging of the current round: probes on levels without
-  // a dense row, at most one per lane, resolved by the batched binary
-  // search in phase B. Dense probes never stage — they are one L2-resident
-  // load and fold inline in phase A.
-  std::vector<uint32_t> fb_lane;
-  std::vector<int> fb_level;
-  std::vector<NodeId> fb_node;
-  std::vector<double> fb_out;
-  ReverseReachableTree::ProbeScratch probe_scratch;
-  // Current tile: eligible candidates (local index + per-candidate seed)
-  // and the per-job walk totals, ordered candidate-major then trial.
-  std::vector<uint32_t> tile_ci;
-  std::vector<uint64_t> tile_seed;
-  std::vector<double> job_mass;
-};
-
 void WalkBatchEngine::RunBatched(std::span<const NodeId> candidates,
                                  NodeId skip, int64_t trial_begin,
                                  int64_t trial_end, std::span<double> mass,
                                  std::span<WalkBatchStats> stats) const {
-  const size_t lanes = static_cast<size_t>(batch_size_);
-  Scratch sc;
-  sc.cur.resize(lanes);
-  sc.pos.resize(lanes);
-  sc.len.resize(lanes);
-  sc.rng_state.resize(lanes);
-  sc.job.resize(lanes);
-  sc.cand.resize(lanes);
-  sc.hits.resize(lanes);
-  sc.fb_lane.resize(lanes);
-  sc.fb_level.resize(lanes);
-  sc.fb_node.resize(lanes);
-  sc.fb_out.resize(lanes);
-
-  // Raw views of the lane state and the dense probe rows. The hot loop
-  // stores through a double* (job_mass) every step; without these locals
-  // the compiler must assume each such store aliases the vectors' heap
-  // blocks and reload every .data() pointer on every access.
-  NodeId* const cur = sc.cur.data();
-  int32_t* const pos = sc.pos.data();
-  int32_t* const len = sc.len.data();
-  uint64_t* const rng = sc.rng_state.data();
-  uint32_t* const job = sc.job.data();
-  uint32_t* const cand = sc.cand.data();
-  int32_t* const hits = sc.hits.data();
-  uint32_t* const fb_lane = sc.fb_lane.data();
-  int* const fb_level = sc.fb_level.data();
-  NodeId* const fb_node = sc.fb_node.data();
+  // Per-tile buffers, allocated once per Run. Totals live per job — the
+  // tile's candidate-major (candidate, trial) order, in which they fold —
+  // and walks per sweep slot: slots [0, live) hold the walks that take the
+  // next step, compacted after every step. node/node_job stage the nodes a
+  // step reached, and their jobs, for the search of a level without a
+  // dense row, and found receives that search's results.
+  const size_t tile_cap = static_cast<size_t>(batch_size_);
+  std::vector<uint32_t> job_ci_buf(tile_cap);  // index into candidates
+  std::vector<JobTotals> totals_buf(tile_cap);
+  std::vector<Walk> walks_buf(tile_cap);
+  std::vector<NodeId> node_buf(tile_cap);
+  std::vector<uint32_t> node_job_buf(tile_cap);
+  std::vector<double> found(tile_cap);
+  // Raw views. The sweep stores through these every step; without the
+  // locals the compiler must assume each store may alias a vector's
+  // bookkeeping and reload every .data() pointer.
+  uint32_t* const job_ci = job_ci_buf.data();
+  JobTotals* const totals = totals_buf.data();
+  Walk* const walks = walks_buf.data();
+  NodeId* const node = node_buf.data();
+  uint32_t* const node_job = node_job_buf.data();
   const double* const diag = diag_.empty() ? nullptr : diag_.data();
-  const float* const dense_prob = dense_.prob;
-  const int64_t* const dense_off = dense_.row_off;
-  const size_t dense_levels = dense_.levels;
 
-  const size_t trials = static_cast<size_t>(trial_end - trial_begin);
-  const int64_t target_jobs =
-      std::max<int64_t>(4 * static_cast<int64_t>(lanes), kMinTileJobs);
-  const size_t cand_tile = static_cast<size_t>(
-      std::max<int64_t>(1, target_jobs / static_cast<int64_t>(trials)));
-
-  for (size_t c0 = 0; c0 < candidates.size(); c0 += cand_tile) {
-    const size_t c1 = std::min(candidates.size(), c0 + cand_tile);
-    sc.tile_ci.clear();
-    sc.tile_seed.clear();
-    for (size_t ci = c0; ci < c1; ++ci) {
+  size_t ci = 0;
+  int64_t k = trial_begin;
+  while (ci < candidates.size()) {
+    // Start up to batch_size walks in job order: draw each length (the
+    // first draw of the walk's stream) and keep the walk in the sweep only
+    // if it takes a step at all. Every slot is written and the live count
+    // advances by the keep flag, so no branch depends on the draw.
+    size_t tile_n = 0;
+    size_t live = 0;
+    while (tile_n < tile_cap && ci < candidates.size()) {
       const NodeId v = candidates[ci];
-      if (v == skip) continue;
-      sc.tile_ci.push_back(static_cast<uint32_t>(ci));
-      sc.tile_seed.push_back(ChainSeed(salt_, static_cast<uint64_t>(v)));
+      if (v == skip) {
+        ++ci;
+        continue;
+      }
+      const uint64_t cand_seed = ChainSeed(salt_, static_cast<uint64_t>(v));
+      const bool can_step = g_.InDegree(v) > 0;
+      const int64_t k_end = std::min<int64_t>(
+          trial_end, k + static_cast<int64_t>(tile_cap - tile_n));
+      for (; k < k_end; ++k, ++tile_n) {
+        Walk& w = walks[live];
+        w.rng = ChainSeed(cand_seed, static_cast<uint64_t>(k));
+        w.len = 1 + static_cast<int32_t>(
+                        len_sampler_.Sample(SplitMix64Next(w.rng)));
+        w.cur = v;
+        w.job = static_cast<uint32_t>(tile_n);
+        job_ci[tile_n] = static_cast<uint32_t>(ci);
+        totals[tile_n] = {0.0, can_step ? w.len - 1 : 0, 0};
+        live += static_cast<size_t>(can_step & (w.len > 1));
+      }
+      if (k == trial_end) {
+        k = trial_begin;
+        ++ci;
+      }
     }
-    if (sc.tile_ci.empty()) continue;
-    const uint32_t* const tci = sc.tile_ci.data();
-    const uint64_t* const tseed = sc.tile_seed.data();
-    const size_t tile_n = sc.tile_ci.size();
-    sc.job_mass.assign(tile_n * trials, 0.0);
-    double* const jm = sc.job_mass.data();
 
-    // Job cursor, candidate-major: job j = e * trials + (k - trial_begin).
-    size_t next_e = 0;
-    int64_t next_k = trial_begin;
-    size_t active = 0;
-    // Starts the walk of the cursor's job in `slot`; false when the tile
-    // has no jobs left.
-    auto refill = [&](size_t slot) {
-      if (next_e == tile_n) return false;
-      const size_t e = next_e;
-      const int64_t k = next_k;
-      if (++next_k == trial_end) {
-        next_k = trial_begin;
-        ++next_e;
-      }
-      job[slot] = static_cast<uint32_t>(
-          e * trials + static_cast<size_t>(k - trial_begin));
-      cand[slot] = static_cast<uint32_t>(e);
-      uint64_t state = ChainSeed(tseed[e], static_cast<uint64_t>(k));
-      const int walk_len =
-          1 + static_cast<int>(len_sampler_.Sample(SplitMix64Next(state)));
-      rng[slot] = state;
-      cur[slot] = candidates[tci[e]];
-      pos[slot] = 0;
-      len[slot] = walk_len;
-      hits[slot] = 0;
-      return true;
-    };
-    // Flushes a finished walk's integer counters straight to the candidate
-    // slot (integer adds commute, so retire order cannot matter; the step
-    // count is just the final position). Its crash mass needs no flush:
-    // probe hits fold directly into the walk's job_mass slot — per walk in
-    // step order, exactly the grouping the scalar loop's walk accumulator
-    // produces.
-    auto retire = [&](size_t slot) {
-      if (!stats.empty()) {
-        const uint32_t ci = tci[cand[slot]];
-        stats[ci].walk_steps += pos[slot];
-        stats[ci].tree_hits += hits[slot];
-      }
-    };
-
-    while (active < lanes && refill(active)) ++active;
-    while (active > 0) {
-      // Phase A: advance every live lane one step, resolving dense probes
-      // inline and prefetching what the next round will touch. A lane
-      // whose walk ends is retired and refilled in place, so lanes stay
-      // full until the tile's jobs run out; a lane is only compacted away
-      // (swap with the last live slot) when there is nothing left to
-      // refill with. The swapped-in lane always comes from beyond the
-      // current slot, so it has not advanced — or staged a probe — this
-      // round yet.
-      size_t n_staged = 0;
-      size_t slot = 0;
-      while (slot < active) {
-        bool advanced = false;
-        for (;;) {
-          if (pos[slot] + 1 < len[slot]) {
-            const std::span<const NodeId> row = g_.InNeighbors(cur[slot]);
-            if (!row.empty()) {
-              const uint64_t draw = SplitMix64Next(rng[slot]);
-              const NodeId nxt =
-                  row[DiscreteSampler::UniformIndex(draw, row.size())];
-              cur[slot] = nxt;
-              ++pos[slot];
-              g_.PrefetchInNeighbors(nxt);
-              // Probe the tree at the new position. A dense level is one
-              // L2-resident load with an independent address, so it
-              // resolves and folds right here — out-of-order execution
-              // overlaps the loads across lanes. A sparse level stages for
-              // phase B's batched search and prefetches its first pivot.
-              // Either way a lane folds at most one hit per round, so the
-              // per-lane add order (one per step) is the scalar loop's.
-              const int lvl = pos[slot];
-              const int64_t off = static_cast<size_t>(lvl) < dense_levels
-                                      ? dense_off[static_cast<size_t>(lvl)]
-                                      : -1;
-              if (off >= 0) {
-                // Branchless fold: a miss reads 0.0 and adds 0.0. mass is
-                // a sum of non-negative terms (never -0.0), so x + 0.0 is
-                // bitwise x and the skip the scalar loop performs is
-                // unobservable. Hit probability is data-random, so a
-                // conditional here would mispredict constantly.
-                const double hit = static_cast<double>(
-                    dense_prob[static_cast<size_t>(off) +
-                               static_cast<size_t>(nxt)]);
-                hits[slot] += static_cast<int32_t>(hit != 0.0);
-                jm[job[slot]] +=
-                    diag == nullptr ? hit
-                                    : hit * diag[static_cast<size_t>(nxt)];
-              } else {
-                tree_->PrefetchProbability(lvl, nxt);
-                fb_lane[n_staged] = static_cast<uint32_t>(slot);
-                fb_level[n_staged] = lvl;
-                fb_node[n_staged] = nxt;
-                ++n_staged;
-              }
-              advanced = true;
-              break;
-            }
-            // Dead end: forced stop, same as the scalar break.
-            len[slot] = pos[slot] + 1;
-          }
-          retire(slot);
-          if (refill(slot)) continue;
-          --active;
-          if (slot >= active) break;
-          cur[slot] = cur[active];
-          pos[slot] = pos[active];
-          len[slot] = len[active];
-          rng[slot] = rng[active];
-          job[slot] = job[active];
-          cand[slot] = cand[active];
-          hits[slot] = hits[active];
+    // Sweep: step s moves every live walk from position s - 1 to s and
+    // probes tree level s only — one dense row that stays in L1, or one
+    // sorted sparse slice. `probe(w, t)` sees walk w, with its job totals
+    // t, on its new node. A walk folds at most one hit per step into its
+    // own job slot, so its mass still sums in step order. A walk stays
+    // live while it has steps left, compacted without a branch like the
+    // start-up above; a dead end (no in-neighbour) is the scalar loop's
+    // break, so the walk stops short and is dropped.
+    auto step = [&](int s, auto probe) {
+      size_t kept = 0;
+      for (size_t i = 0; i < live; ++i) {
+        Walk w = walks[i];
+        JobTotals& t = totals[w.job];
+        const std::span<const NodeId> row = g_.InNeighbors(w.cur);
+        if (row.empty()) {
+          t.steps = s - 1;
+          continue;
         }
-        if (advanced) ++slot;
+        w.cur = row[DiscreteSampler::UniformIndex(SplitMix64Next(w.rng),
+                                                  row.size())];
+        probe(w, t);
+        walks[kept] = w;
+        kept += static_cast<size_t>(w.len > s + 1);
       }
-
-      // Phase B: resolve the sparse-level probes phase A staged through
-      // the lockstep batched search, and fold hits into the per-lane walk
-      // totals. Dense probes already folded in phase A and never reach
-      // here.
-      if (n_staged == 0) continue;
-      tree_->ProbabilityBatch(
-          std::span<const int>(fb_level, n_staged),
-          std::span<const NodeId>(fb_node, n_staged),
-          std::span<double>(sc.fb_out.data(), n_staged), &sc.probe_scratch);
-      for (size_t i = 0; i < n_staged; ++i) {
-        // Branchless for the same reason as the dense fold above.
-        const double hit = sc.fb_out[i];
-        const size_t lane = fb_lane[i];
-        hits[lane] += static_cast<int32_t>(hit != 0.0);
-        jm[job[lane]] += diag == nullptr
-                             ? hit
-                             : hit * diag[static_cast<size_t>(fb_node[i])];
+      return kept;
+    };
+    // Branchless fold: a miss adds 0.0. mass is a sum of non-negative
+    // terms (never -0.0), so x + 0.0 is bitwise x and the skip the scalar
+    // loop performs is unobservable. Hit probability is data-random, so a
+    // conditional here would mispredict constantly.
+    auto fold = [diag](JobTotals& t, double hit, NodeId w) {
+      t.hits += static_cast<int32_t>(hit != 0.0);
+      t.mass += diag == nullptr ? hit : hit * diag[w];
+    };
+    for (int s = 1; live > 0; ++s) {
+      const size_t lvl = static_cast<size_t>(s);
+      const int64_t off = lvl < dense_.levels ? dense_.row_off[lvl] : -1;
+      if (off >= 0) {
+        const float* const dense = dense_.prob + off;
+        live = step(s, [&](const Walk& w, JobTotals& t) {
+          fold(t, static_cast<double>(dense[static_cast<size_t>(w.cur)]),
+               w.cur);
+        });
+      } else if (tree_->Level(s).empty()) {
+        live = step(s, [](const Walk&, JobTotals&) {});
+      } else {
+        // No dense row: search the level for every walk that stepped onto
+        // it at once, then fold the same way.
+        size_t stepped = 0;
+        live = step(s, [&](const Walk& w, JobTotals&) {
+          node[stepped] = w.cur;
+          node_job[stepped] = w.job;
+          ++stepped;
+        });
+        tree_->ProbabilityBatch(s, std::span<const NodeId>(node, stepped),
+                                found);
+        for (size_t i = 0; i < stepped; ++i) {
+          fold(totals[node_job[i]], found[i], node[i]);
+        }
       }
     }
 
-    // Tile fold: per candidate, walk totals in ascending-trial order
-    // straight into the caller's slot — the exact addition sequence
-    // RunScalar performs.
-    for (size_t e = 0; e < tile_n; ++e) {
-      double& acc = mass[tci[e]];
-      const double* row = jm + e * trials;
-      for (size_t k = 0; k < trials; ++k) acc += row[k];
+    // Tile fold in job order: per candidate, walk totals in ascending-trial
+    // order straight into the caller's slot — the exact addition sequence
+    // RunScalar performs. A candidate split across tiles continues in the
+    // next tile where this one stopped.
+    for (size_t j = 0; j < tile_n; ++j) {
+      mass[job_ci[j]] += totals[j].mass;
+      if (!stats.empty()) {
+        stats[job_ci[j]].walk_steps += totals[j].steps;
+        stats[job_ci[j]].tree_hits += totals[j].hits;
+      }
     }
   }
 }

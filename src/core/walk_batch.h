@@ -10,49 +10,49 @@
 
 namespace crashsim {
 
-// Upper bound on CrashSimOptions::batch_size. Past a few hundred lanes the
-// SoA state itself stops fitting in L1/L2 and the memory-level-parallelism
-// win flattens; 4096 leaves generous headroom above the measured knee.
+// Upper bound on CrashSimOptions::batch_size, the walks swept per tile. A
+// tile's buffers take 64 bytes per walk, so even 4096 walks (256 KiB) stay
+// in L2 beside the tree level being probed; past a few hundred walks the
+// per-level loop overhead is already amortised.
 inline constexpr int kMaxWalkBatch = 4096;
 
 // Per-candidate observability slot filled by WalkBatchEngine::Run. The
 // counts are integers, so they commute: totals depend only on the jobs run,
-// never on batch size, thread count, or lane scheduling.
+// never on batch size, thread count, or sweep order.
 struct WalkBatchStats {
   int64_t walk_steps = 0;
   int64_t tree_hits = 0;
 };
 
-// The Monte-Carlo inner loop of CrashSim (Algorithm 1 lines 8-11),
-// restructured as a structure-of-arrays batch: up to batch_size candidate
-// walks are advanced in lockstep, with contiguous per-lane state (cur node,
-// position, length, raw SplitMix64 state) and software prefetch of the next
-// step's CSR row and tree probe.
+// The Monte-Carlo inner loop of CrashSim (Algorithm 1 lines 8-11) as a
+// step-major sweep: the (candidate, trial) walks are cut into tiles of
+// batch_size, and a tile advances all its live walks one step at a time,
+// so step s probes tree level s only (DESIGN.md §3b).
 //
-// Tree probes — the dominant cost of a trial — resolve through the tree's
-// dense direct-index rows (ReverseReachableTree::EnsureDenseRows, built
-// once per tree and shared by every engine over it): a probe against a
-// densified level is ONE cache-friendly load of the exact float
+// Tree probes resolve through the tree's dense direct-index rows
+// (ReverseReachableTree::EnsureDenseRows, built once per tree and shared
+// by every engine over it): a probe against a densified level is ONE load,
+// from a row that stays in L1 for the whole step, of the exact float
 // Entry::prob holds, so widening it is bit-identical to Probability().
-// Sparse levels (and everything past kDenseRowBudgetBytes) fall back to
-// the lockstep batched binary search ProbabilityBatch, so the resolution
-// path is invisible in the output.
+// Sparse levels (and everything past kDenseRowBudgetBytes) are searched
+// for the whole step at once by ProbabilityBatch, so the resolution path
+// is invisible in the output.
 //
 // Bit-identity contract (the reason this class can replace the scalar loop
 // wholesale): the output is a pure function of (stream_salt, candidate,
 // trial range) per candidate. It does not depend on batch_size, on how the
-// caller splits candidates across Run calls or threads, or on lane
-// scheduling, because
+// caller splits candidates across Run calls or threads, or on the order
+// of the sweep, because
 //   * walk (candidate, trial) draws from its private SplitMix64 stream
 //     seeded PerWalkSeed(stream_salt, candidate, trial) — one draw for the
 //     walk length (DiscreteSampler over the truncated-geometric
 //     distribution), then exactly one draw per step mapped uniformly onto
 //     the in-neighbour row (see util/rng.h for the derivation contract);
 //   * floating-point crash mass is folded deterministically: per walk in
-//     step order, then per candidate in trial order straight into the
-//     caller's accumulator — the same grouping the scalar reference path
-//     uses. Run([a, b)) followed by Run([b, c)) on the same accumulator is
-//     therefore bitwise Run([a, c)).
+//     step order into the walk's own slot, then per candidate in trial
+//     order straight into the caller's accumulator — the same grouping the
+//     scalar reference path uses. Run([a, b)) followed by Run([b, c)) on
+//     the same accumulator is therefore bitwise Run([a, c)).
 // The scalar path (batch_size = 1, also used for tiny jobs) is therefore
 // not an approximation of the batched one but an exact twin; the
 // differential suite tests/core/walk_batch_test.cc holds them equal.
@@ -84,8 +84,6 @@ class WalkBatchEngine {
            std::span<WalkBatchStats> stats) const;
 
  private:
-  struct Scratch;
-
   // Borrowed view of the tree's dense probe rows (storage owned by the
   // tree's cache, which outlives the engine with the tree itself). levels
   // is 0 when the engine runs scalar and never asked for rows.

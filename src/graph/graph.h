@@ -44,14 +44,6 @@ class Graph {
             out_neighbors_.data() + out_offsets_[v + 1]};
   }
 
-  // Prefetches the in-adjacency offsets line a subsequent InNeighbors(v)
-  // dereferences first. The batch walk engine calls this as soon as a lane
-  // samples its next node, so the CSR row lookup of the following step
-  // overlaps the other lanes' work instead of stalling on it.
-  void PrefetchInNeighbors(NodeId v) const {
-    __builtin_prefetch(in_offsets_.data() + v);
-  }
-
   int32_t InDegree(NodeId v) const {
     return static_cast<int32_t>(in_offsets_[v + 1] - in_offsets_[v]);
   }

@@ -78,7 +78,7 @@ class DiscreteSampler {
 
  private:
   // Both sampling kernels live in the header so per-draw call sites (one
-  // call per walk in the batch engine's refill path) inline to a handful
+  // call per walk when the batch engine starts a tile) inline to a handful
   // of instructions instead of paying an opaque cross-TU call.
   uint32_t SampleCdf(uint64_t draw) const {
     return static_cast<uint32_t>(
@@ -89,7 +89,10 @@ class DiscreteSampler {
     const __uint128_t m = static_cast<__uint128_t>(draw) * n_;
     const uint32_t j = static_cast<uint32_t>(m >> 64);
     const uint64_t frac = static_cast<uint64_t>(m);
-    return frac < cutoff_[j] ? j : alias_[j];
+    // Accept/alias is data-random, so the select is a mask: a branch would
+    // mispredict on every split bucket.
+    const uint32_t accept = 0u - static_cast<uint32_t>(frac < cutoff_[j]);
+    return (j & accept) | (alias_[j] & ~accept);
   }
 
   size_t n_ = 0;

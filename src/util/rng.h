@@ -16,8 +16,8 @@ inline uint64_t Mix64(uint64_t x) {
   return x ^ (x >> 31);
 }
 
-// One SplitMix64 step over caller-owned raw state. Structure-of-arrays batch
-// engines keep one uint64 state per lane and call this directly; the
+// One SplitMix64 step over caller-owned raw state. The batched walk engine
+// keeps one uint64 state per walk and calls this directly; the
 // SplitMix64 class below is the same sequence behind an object interface.
 inline uint64_t SplitMix64Next(uint64_t& state) {
   return Mix64(state += 0x9e3779b97f4a7c15ULL);

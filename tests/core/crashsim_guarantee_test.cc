@@ -36,8 +36,8 @@ CrashSimOptions GuaranteeOptions(uint64_t seed) {
   opt.mc.seed = seed;
   opt.mode = RevReachMode::kCorrected;
   opt.diag_samples = 4000;
-  // Run the guarantee population through the SoA batch engine at full lane
-  // width and with candidate parallelism: batch_size and num_threads are
+  // Run the guarantee population through the batched walk engine at 256
+  // walks per tile and with candidate parallelism: batch_size and num_threads are
   // bit-identity knobs (tests/core/walk_batch_test.cc), so the statistical
   // claims proven here cover the batched production path, not a scalar
   // stand-in — and BatchSizesShareTheGuaranteeStreams below re-checks the
@@ -50,7 +50,7 @@ CrashSimOptions GuaranteeOptions(uint64_t seed) {
 TEST(CrashSimGuaranteeTest, BatchSizesShareTheGuaranteeStreams) {
   // Cheap differential at guarantee scale: the exact score vector of one
   // guarantee-sized query must be the same whether the walks run scalar or
-  // 256 lanes wide. This is what entitles the suite to test Theorem 1 once
+  // 256 per tile. This is what entitles the suite to test Theorem 1 once
   // instead of once per batch size.
   Rng graph_rng(77);
   const Graph g = ErdosRenyi(40, 160, false, &graph_rng);

@@ -1,5 +1,5 @@
 // QueryStats determinism contract: every counter-valued field must be a pure
-// function of (seed, options, query) — never of num_threads. The engine
+// function of (seed, options, query) — never of num_threads or batch_size. The engine
 // guarantees this by deriving each candidate's RNG stream from
 // (seed, source, candidate) and folding per-candidate counters in index
 // order after parallel regions join; these tests pin that contract for both
@@ -59,32 +59,42 @@ std::vector<int64_t> CounterFields(const QueryStats& qs) {
 }
 
 TEST(QueryStatsDeterminismTest, CrashSimCountersIndependentOfThreadCount) {
+  // Batch size is the other scheduling knob: the batched walk kernel must
+  // count the same walks, steps and tree hits as its batch-1 scalar twin.
   Rng rng(9);
   const Graph g = ErdosRenyi(60, 240, false, &rng);
 
-  QueryStats stats_by_threads[2];
-  std::vector<double> scores_by_threads[2];
-  const int thread_counts[2] = {1, 8};
-  for (int i = 0; i < 2; ++i) {
-    CrashSimOptions opt;
-    opt.mc.c = 0.6;
-    opt.mc.trials_override = 400;
-    opt.mc.seed = 77;
-    opt.num_threads = thread_counts[i];
-    CrashSim algo(opt);
-    algo.Bind(&g);
-    QueryContext ctx;
-    ctx.set_stats(&stats_by_threads[i]);
-    const PartialResult result = algo.SingleSource(5, &ctx);
-    ASSERT_TRUE(result.complete()) << "threads=" << thread_counts[i];
-    scores_by_threads[i] = result.scores;
+  QueryStats reference_stats;
+  std::vector<double> reference_scores;
+  for (const int batch : {1, 64, 256}) {
+    for (const int threads : {1, 8}) {
+      CrashSimOptions opt;
+      opt.mc.c = 0.6;
+      opt.mc.trials_override = 400;
+      opt.mc.seed = 77;
+      opt.num_threads = threads;
+      opt.batch_size = batch;
+      CrashSim algo(opt);
+      algo.Bind(&g);
+      QueryStats stats;
+      QueryContext ctx;
+      ctx.set_stats(&stats);
+      const PartialResult result = algo.SingleSource(5, &ctx);
+      ASSERT_TRUE(result.complete())
+          << "batch=" << batch << " threads=" << threads;
+      if (reference_scores.empty()) {
+        reference_stats = stats;
+        reference_scores = result.scores;
+        continue;
+      }
+      EXPECT_EQ(CounterFields(reference_stats), CounterFields(stats))
+          << "batch=" << batch << " threads=" << threads;
+      EXPECT_EQ(reference_stats.epsilon_achieved, stats.epsilon_achieved);
+      // The scores themselves are bit-identical too — same contract.
+      EXPECT_EQ(reference_scores, result.scores)
+          << "batch=" << batch << " threads=" << threads;
+    }
   }
-  EXPECT_EQ(CounterFields(stats_by_threads[0]),
-            CounterFields(stats_by_threads[1]));
-  EXPECT_EQ(stats_by_threads[0].epsilon_achieved,
-            stats_by_threads[1].epsilon_achieved);
-  // The scores themselves are bit-identical too — same contract.
-  EXPECT_EQ(scores_by_threads[0], scores_by_threads[1]);
 }
 
 TEST(QueryStatsDeterminismTest, CrashSimTCountersIndependentOfThreadCount) {

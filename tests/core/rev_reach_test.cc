@@ -272,25 +272,36 @@ std::vector<float> DenseReference(const Graph& g, NodeId u, int l_max,
 
 TEST(RevReachSparseTest, ProbabilityMatchesDenseBaselineBothModes) {
   // Randomised graphs x both recurrences x pruned/unpruned: every (level,
-  // node) lookup must equal the dense matrix the old representation stored.
+  // node) lookup must equal the dense matrix the old representation stored,
+  // through the scalar probe and through the walk engine's per-level batch
+  // search alike.
   for (uint64_t seed : {1u, 2u, 3u}) {
     Rng rng(seed);
     const Graph g = ErdosRenyi(120, 600, false, &rng);
     const int l_max = 9;
+    std::vector<NodeId> nodes(static_cast<size_t>(g.num_nodes()));
+    for (NodeId v = 0; v < g.num_nodes(); ++v) {
+      nodes[static_cast<size_t>(v)] = v;
+    }
+    std::vector<double> batch(nodes.size());
     for (RevReachMode mode :
          {RevReachMode::kPaper, RevReachMode::kCorrected}) {
       for (double prune : {0.0, 1e-4}) {
         const auto tree = BuildRevReach(g, 3, l_max, 0.6, mode, prune);
         const auto dense = DenseReference(g, 3, l_max, 0.6, mode, prune);
         for (int level = 0; level <= l_max; ++level) {
+          tree.ProbabilityBatch(level, nodes, batch);
           for (NodeId v = 0; v < g.num_nodes(); ++v) {
-            ASSERT_EQ(tree.Probability(level, v),
-                      dense[static_cast<size_t>(level) *
-                                static_cast<size_t>(g.num_nodes()) +
-                            static_cast<size_t>(v)])
+            const double want = dense[static_cast<size_t>(level) *
+                                          static_cast<size_t>(g.num_nodes()) +
+                                      static_cast<size_t>(v)];
+            ASSERT_EQ(tree.Probability(level, v), want)
                 << "seed " << seed << " mode "
                 << (mode == RevReachMode::kPaper ? "paper" : "corrected")
                 << " prune " << prune << " level " << level << " node " << v;
+            ASSERT_EQ(batch[static_cast<size_t>(v)], want)
+                << "batch: seed " << seed << " level " << level << " node "
+                << v;
           }
         }
       }

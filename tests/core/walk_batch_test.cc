@@ -228,8 +228,8 @@ TEST(WalkBatchTest, PartialCandidateSubsetsMatchFullRun) {
 
 TEST(WalkBatchTest, EdgeGraphShapesMatchScalarExactly) {
   // Dead ends (path sources), forced single-node walks, hub fan-in (star):
-  // the lane retire/refill machinery must agree with the scalar loop on
-  // every degenerate shape, not just on well-mixed random graphs.
+  // the sweep's compaction and dead-end drop must agree with the scalar
+  // loop on every degenerate shape, not just on well-mixed random graphs.
   const Graph shapes[] = {PathGraph(40, false), StarGraph(64, false),
                           CycleGraph(12, false)};
   for (const Graph& g : shapes) {
@@ -249,50 +249,105 @@ TEST(WalkBatchTest, EdgeGraphShapesMatchScalarExactly) {
   }
 }
 
+// The nodes of `g` with in-degree in [lo, hi], ascending.
+std::vector<NodeId> NodesWithInDegree(const Graph& g, int lo, int hi) {
+  std::vector<NodeId> out;
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    if (g.InDegree(v) >= lo && g.InDegree(v) <= hi) out.push_back(v);
+  }
+  return out;
+}
+
 TEST(WalkBatchTest, EngineRunIndependentOfTrialRangeSplit) {
   // Run([0, n)) must equal Run([0, a)) + Run([a, b)) + Run([b, n)) folded
   // into the same accumulators — the property the trial-block loop is built
   // on, checked here directly at the engine level. The range is longer than
   // a few hundred trials (a tile then holds one candidate's whole range),
   // both modes run (corrected mode scales every hit by d(w)), and every
-  // batch size must equal the batch-1 scalar twin.
+  // batch size must equal the batch-1 scalar twin in scores and counters.
+  //
+  // Two inputs. A small graph, where every probed level earns a dense row
+  // (n / 64 <= 1). And a 2000-node graph with a source of in-degree 2..4:
+  // its first levels hold fewer than n / 64 entries, so walks probe them
+  // through ProbabilityBatch's multi-round search, and its zero-in-degree
+  // nodes cut walks short at dead ends on those levels too.
   Rng rng(43);
-  const Graph g = ErdosRenyi(60, 240, false, &rng);
-  CrashSimOptions corrected = Options(1, 1);
-  corrected.mode = RevReachMode::kCorrected;
-  corrected.diag_samples = 200;
-  const SharedDiagonal diag = CrashSim(corrected).EstimateDiagonal(g);
-  const std::vector<NodeId> candidates = {5, 9, 14, 33, 59};
+  const Graph small = ErdosRenyi(60, 240, false, &rng);
+  const Graph large = ErdosRenyi(2000, 5000, false, &rng);
+  const std::vector<NodeId> low_in = NodesWithInDegree(large, 2, 4);
+  ASSERT_FALSE(low_in.empty());
+  std::vector<NodeId> large_candidates;
+  for (NodeId v = 0; v < large.num_nodes(); v += 17) {
+    large_candidates.push_back(v);
+  }
+  ASSERT_FALSE(NodesWithInDegree(large, 0, 0).empty());
+  struct Input {
+    const Graph* g;
+    NodeId source;
+    std::vector<NodeId> candidates;
+    bool sparse_level;  // expect a probed level on the search path
+  };
+  const Input inputs[] = {
+      {&small, 1, {5, 9, 14, 33, 59}, false},
+      {&large, low_in.front(), large_candidates, true},
+  };
   const double sqrt_c = std::sqrt(0.6);
-  for (const RevReachMode mode :
-       {RevReachMode::kPaper, RevReachMode::kCorrected}) {
-    const ReverseReachableTree tree = BuildRevReach(g, 1, 6, 0.6, mode);
-    const std::span<const double> d = mode == RevReachMode::kCorrected
-                                          ? std::span<const double>(*diag)
-                                          : std::span<const double>();
-    std::vector<double> scalar;
-    for (const int batch : {1, 32, 256}) {
-      const WalkBatchEngine engine(g, tree, d, sqrt_c, 7, /*salt=*/99, batch);
-      std::vector<double> whole(candidates.size(), 0.0);
-      std::vector<double> split(candidates.size(), 0.0);
-      std::vector<WalkBatchStats> sw(candidates.size());
-      std::vector<WalkBatchStats> ss(candidates.size());
-      engine.Run(candidates, -1, 0, 600, whole, sw);
-      engine.Run(candidates, -1, 0, 123, split, ss);
-      engine.Run(candidates, -1, 123, 300, split, ss);
-      engine.Run(candidates, -1, 300, 600, split, ss);
-      // Each Run folds per candidate in trial order straight into the
-      // accumulator, so even the float addition sequence is identical and
-      // exact equality is the right assertion.
-      EXPECT_EQ(whole, split) << "batch=" << batch;
-      for (size_t i = 0; i < candidates.size(); ++i) {
-        EXPECT_EQ(sw[i].walk_steps, ss[i].walk_steps);
-        EXPECT_EQ(sw[i].tree_hits, ss[i].tree_hits);
+  for (const Input& in : inputs) {
+    const Graph& g = *in.g;
+    CrashSimOptions corrected = Options(1, 1);
+    corrected.mode = RevReachMode::kCorrected;
+    corrected.diag_samples = 200;
+    const SharedDiagonal diag = CrashSim(corrected).EstimateDiagonal(g);
+    const size_t nc = in.candidates.size();
+    for (const RevReachMode mode :
+         {RevReachMode::kPaper, RevReachMode::kCorrected}) {
+      const ReverseReachableTree tree =
+          BuildRevReach(g, in.source, 6, 0.6, mode);
+      if (in.sparse_level) {
+        const ReverseReachableTree::DenseRows& rows = tree.EnsureDenseRows();
+        bool searched = false;
+        for (int l = 1; l <= tree.max_level(); ++l) {
+          searched |= rows.row_off[static_cast<size_t>(l)] == -1 &&
+                      tree.Level(l).size() >= 2;
+        }
+        EXPECT_TRUE(searched) << "no probed level takes the search path";
       }
-      if (batch == 1) {
-        scalar = whole;
-      } else {
+      const std::span<const double> d = mode == RevReachMode::kCorrected
+                                            ? std::span<const double>(*diag)
+                                            : std::span<const double>();
+      std::vector<double> scalar;
+      std::vector<WalkBatchStats> scalar_stats;
+      for (const int batch : {1, 32, 256}) {
+        const WalkBatchEngine engine(g, tree, d, sqrt_c, 7, /*salt=*/99,
+                                     batch);
+        std::vector<double> whole(nc, 0.0);
+        std::vector<double> split(nc, 0.0);
+        std::vector<WalkBatchStats> sw(nc);
+        std::vector<WalkBatchStats> ss(nc);
+        engine.Run(in.candidates, -1, 0, 600, whole, sw);
+        engine.Run(in.candidates, -1, 0, 123, split, ss);
+        engine.Run(in.candidates, -1, 123, 300, split, ss);
+        engine.Run(in.candidates, -1, 300, 600, split, ss);
+        // Each Run folds per candidate in trial order straight into the
+        // accumulator, so even the float addition sequence is identical
+        // and exact equality is the right assertion.
+        EXPECT_EQ(whole, split) << "batch=" << batch;
+        for (size_t i = 0; i < nc; ++i) {
+          EXPECT_EQ(sw[i].walk_steps, ss[i].walk_steps);
+          EXPECT_EQ(sw[i].tree_hits, ss[i].tree_hits);
+        }
+        if (batch == 1) {
+          scalar = whole;
+          scalar_stats = sw;
+          continue;
+        }
         EXPECT_EQ(scalar, whole) << "batch=" << batch;
+        for (size_t i = 0; i < nc; ++i) {
+          EXPECT_EQ(scalar_stats[i].walk_steps, sw[i].walk_steps)
+              << "batch=" << batch << " candidate " << in.candidates[i];
+          EXPECT_EQ(scalar_stats[i].tree_hits, sw[i].tree_hits)
+              << "batch=" << batch << " candidate " << in.candidates[i];
+        }
       }
     }
   }

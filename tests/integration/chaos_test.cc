@@ -341,12 +341,12 @@ TEST(ChaosTest, WorkerFaultInParallelTrialBlockKeepsPartialExact) {
 }
 
 TEST(ChaosTest, BatchedWalkEngineRollsBackFaultedBlocksExactly) {
-  // Same rollback contract with the SoA batch engine at full lane width and
-  // BOTH fault surfaces armed at once: crashsim.trial_block fires at block
-  // granularity, parallel.worker inside the pool mid-block. A faulted block
-  // under batching discards whole lane tiles — the partial answer must
-  // still be the exact result of trials_done complete trials, proven by a
-  // bit-identical fault-free replay with trials_override = trials_done.
+  // Same rollback contract with the batched walk engine at 256 walks per
+  // tile and BOTH fault surfaces armed at once: crashsim.trial_block fires
+  // at block granularity, parallel.worker inside the pool mid-block. A
+  // faulted block under batching discards whole tiles — the partial answer
+  // must still be the exact result of trials_done complete trials, proven
+  // by a bit-identical fault-free replay with trials_override = trials_done.
   const Graph g = ChaosGraph();
   CrashSimOptions opt = EngineOptions(47);
   opt.num_threads = 4;
