@@ -32,8 +32,7 @@ using namespace crashsim;
 std::vector<NodeId> ExactAnswer(const TemporalGraph& tg,
                                 const TemporalQuery& query) {
   CandidateFilter filter(query, tg.num_nodes());
-  SnapshotCursor cursor(&tg);
-  while (cursor.snapshot_index() < query.begin_snapshot) cursor.Advance();
+  SnapshotCursor cursor(&tg, query.begin_snapshot);
   for (int t = query.begin_snapshot; t <= query.end_snapshot; ++t) {
     const SimRankMatrix exact = PowerMethodAllPairs(cursor.graph(), 0.6, 55);
     std::vector<double> gathered;

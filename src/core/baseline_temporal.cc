@@ -55,8 +55,7 @@ TemporalAnswer StaticRecomputeEngine::AnswerImpl(const TemporalGraph& tg,
   if (!answer.status.ok()) return answer;
   CandidateFilter filter(query, tg.num_nodes());
 
-  SnapshotCursor cursor(&tg);
-  while (cursor.snapshot_index() < query.begin_snapshot) cursor.Advance();
+  SnapshotCursor cursor(&tg, query.begin_snapshot);
 
   for (int t = query.begin_snapshot; t <= query.end_snapshot; ++t) {
     const Graph& g = cursor.graph();
@@ -87,8 +86,7 @@ TemporalAnswer ReadsTemporalEngine::AnswerImpl(const TemporalGraph& tg,
   if (!answer.status.ok()) return answer;
   CandidateFilter filter(query, tg.num_nodes());
 
-  SnapshotCursor cursor(&tg);
-  while (cursor.snapshot_index() < query.begin_snapshot) cursor.Advance();
+  SnapshotCursor cursor(&tg, query.begin_snapshot);
   reads_.Bind(&cursor.graph());
 
   for (int t = query.begin_snapshot; t <= query.end_snapshot; ++t) {

@@ -107,8 +107,7 @@ TemporalAnswer CrashSimT::AnswerImpl(const TemporalGraph& tg,
                          options_.crashsim.tree_prune_threshold, ctx);
   };
 
-  SnapshotCursor cursor(&tg);
-  while (cursor.snapshot_index() < query.begin_snapshot) cursor.Advance();
+  SnapshotCursor cursor(&tg, query.begin_snapshot);
 
   // Snapshot T_1: full partial evaluation over all candidates (line 2).
   const std::string first_snapshot =

@@ -44,8 +44,7 @@ DurableTopKAnswer CrashSimDurableTopK::Answer(const TemporalGraph& tg,
   }
   std::vector<double> running_min(static_cast<size_t>(tg.num_nodes()), 0.0);
 
-  SnapshotCursor cursor(&tg);
-  while (cursor.snapshot_index() < query.begin_snapshot) cursor.Advance();
+  SnapshotCursor cursor(&tg, query.begin_snapshot);
 
   for (int t = query.begin_snapshot;
        t <= query.end_snapshot && !candidates.empty(); ++t) {

@@ -4,7 +4,6 @@
 #include <bit>
 #include <cmath>
 #include <mutex>
-
 #include <new>
 
 #include "core/query_stats.h"
@@ -149,6 +148,13 @@ ReverseReachableTree BuildRevReach(const Graph& g, NodeId u, int l_max,
       .value();
 }
 
+// Bytes of O(n) build scratch: cur[], touched's words, paper mode's parents.
+static int64_t BuildScratchBytes(NodeId n, RevReachMode mode) {
+  const int64_t per_node =
+      sizeof(float) + (mode == RevReachMode::kPaper ? 3 * sizeof(NodeId) : 0);
+  return int64_t{n} * per_node + (int64_t{n} + 63) / 64 * 8;
+}
+
 StatusOr<ReverseReachableTree> BuildRevReach(const Graph& g, NodeId u,
                                              int l_max, double c,
                                              RevReachMode mode,
@@ -158,6 +164,7 @@ StatusOr<ReverseReachableTree> BuildRevReach(const Graph& g, NodeId u,
   // real ones or bad_alloc injected through the rev_reach.alloc failpoint —
   // are caught at the end of this function and surface as a clean
   // kResourceExhausted with the byte estimate, never as a crash.
+  const int64_t scratch_bytes = BuildScratchBytes(g.num_nodes(), mode);
   try {
   RETURN_IF_ERROR(ValidateNodeId(u, g.num_nodes(), "source"));
   CRASHSIM_CHECK_GE(l_max, 0);
@@ -166,6 +173,7 @@ StatusOr<ReverseReachableTree> BuildRevReach(const Graph& g, NodeId u,
   const Stopwatch build_timer;
   const double sqrt_c = std::sqrt(c);
   const NodeId n = g.num_nodes();
+  const bool paper = mode == RevReachMode::kPaper;
 
   // Per-query memory accounting (util/memory_budget.h): the O(n) build
   // scratch is charged up front and refunded when the build ends; the
@@ -173,9 +181,6 @@ StatusOr<ReverseReachableTree> BuildRevReach(const Graph& g, NodeId u,
   // (the tree outlives the build — the per-query budget is torn down with
   // the query). Every error path refunds through the RAII guards.
   MemoryBudget* budget = ctx != nullptr ? ctx->memory_budget() : nullptr;
-  const int64_t scratch_bytes =
-      static_cast<int64_t>(n) *
-      static_cast<int64_t>(sizeof(float) + 3 * sizeof(NodeId));
   int64_t scratch_charged = 0;
   int64_t tree_charged = 0;
   ScopedBudgetRelease scratch_release(budget, &scratch_charged);
@@ -201,72 +206,68 @@ StatusOr<ReverseReachableTree> BuildRevReach(const Graph& g, NodeId u,
     return OkStatus();
   };
 
-  // O(n) build scratch, reset lazily through the touched list: cur[v]
-  // accumulates the level being built (float, double-precision products —
-  // the exact arithmetic the dense representation used).
+  // O(n) scratch, cleared as each level is collected: cur[v] sums the next
+  // level (float, double-precision products); touched marks each v reached.
   RETURN_IF_ERROR(CRASHSIM_FAILPOINT("rev_reach.alloc"));
   std::vector<float> cur(static_cast<size_t>(n), 0.0f);
-  // first_parent[v] = first contributor to v on the level being built; -1
-  // when untouched.
-  std::vector<NodeId> first_parent(static_cast<size_t>(n), -1);
-  // parent_of[x] = recorded tree parent of x on the *current* level.
-  std::vector<NodeId> parent_of(static_cast<size_t>(n), -1);
-  std::vector<NodeId> next_parent_of(static_cast<size_t>(n), -1);
-  std::vector<NodeId> touched;
+  std::vector<uint64_t> touched((static_cast<size_t>(n) + 63) / 64, 0);
+  // Paper mode only: first_parent[v] = first, so smallest, contributor to v
+  // on the next level (n if none); parent_of[x] = tree parent of x.
+  const size_t paper_n = paper ? static_cast<size_t>(n) : 0;
+  std::vector<NodeId> first_parent(paper_n, n);
+  std::vector<NodeId> parent_of(paper_n, -1);
+  std::vector<NodeId> next_parent_of(paper_n, -1);
 
   std::vector<ReverseReachableTree::Entry> frontier{{u, 1.0f}};
   std::vector<ReverseReachableTree::Entry> level_entries;
   tree.AppendLevel(frontier);
-  parent_of[static_cast<size_t>(u)] = -1;
 
   for (int level = 0; level < l_max && !frontier.empty(); ++level) {
     TRACE_SPAN("rev_reach.level");
     // One deadline/cancel checkpoint per level: each level is O(m) work, the
     // build's natural quantum.
     if (ctx != nullptr) RETURN_IF_ERROR(ctx->Check());
-    touched.clear();
+    // Push: the frontier is sorted by node, so every cur[v] receives its
+    // additions in ascending-x order — the order the tree's bits depend on.
     for (const auto& [x, prob] : frontier) {
-      const NodeId exclude = (mode == RevReachMode::kPaper)
-                                 ? parent_of[static_cast<size_t>(x)]
-                                 : -1;
       const auto in = g.InNeighbors(x);
-      if (in.empty()) continue;
-      const double out_factor =
-          (mode == RevReachMode::kCorrected)
-              ? sqrt_c / static_cast<double>(in.size())
-              : 0.0;  // per-child factor computed below in paper mode
+      const NodeId exclude = paper ? parent_of[static_cast<size_t>(x)] : -1;
+      // Corrected mode divides by the parent's in-degree: one term per x.
+      const float term = static_cast<float>(
+          static_cast<double>(prob) *
+          (sqrt_c / static_cast<double>(std::max<size_t>(1, in.size()))));
       for (NodeId v : in) {
         if (v == exclude) continue;
+        const size_t vi = static_cast<size_t>(v);
+        touched[vi >> 6] |= uint64_t{1} << (vi & 63);
+        if (!paper) {
+          cur[vi] += term;
+          continue;
+        }
+        first_parent[vi] = std::min(first_parent[vi], x);
         // Paper mode divides by the *child's* in-degree (Algorithm 2 line
         // 12); the pseudocode leaves |I(v)| = 0 undefined, so clamp to 1 —
         // such a child is a leaf of the tree either way.
-        const double factor =
-            (mode == RevReachMode::kPaper)
-                ? sqrt_c / static_cast<double>(std::max(1, g.InDegree(v)))
-                : out_factor;
-        float& slot = cur[static_cast<size_t>(v)];
-        if (first_parent[static_cast<size_t>(v)] < 0) {
-          first_parent[static_cast<size_t>(v)] = x;
-          touched.push_back(v);
-        }
-        slot += static_cast<float>(static_cast<double>(prob) * factor);
+        cur[vi] += static_cast<float>(
+            static_cast<double>(prob) *
+            (sqrt_c / static_cast<double>(std::max(1, g.InDegree(v)))));
       }
     }
-    // Materialise the level: prune, sort, pack, and roll the parent records.
+    // Collect the level from the bitset in node order (already sorted),
+    // prune, reset the scratch, and roll the parent records.
     level_entries.clear();
-    level_entries.reserve(touched.size());
-    for (NodeId v : touched) {
-      float& slot = cur[static_cast<size_t>(v)];
-      if (slot > prune_threshold) {
-        level_entries.push_back({v, slot});
-        next_parent_of[static_cast<size_t>(v)] =
-            first_parent[static_cast<size_t>(v)];
+    for (size_t w = 0; w < touched.size(); ++w) {
+      for (uint64_t bits = touched[w]; bits != 0; bits &= bits - 1) {
+        const size_t vi = w * 64 + static_cast<size_t>(std::countr_zero(bits));
+        if (cur[vi] > prune_threshold) {
+          level_entries.push_back({static_cast<NodeId>(vi), cur[vi]});
+          if (paper) next_parent_of[vi] = first_parent[vi];
+        }
+        cur[vi] = 0.0f;
+        if (paper) first_parent[vi] = n;
       }
-      slot = 0.0f;
-      first_parent[static_cast<size_t>(v)] = -1;
+      touched[w] = 0;
     }
-    std::sort(level_entries.begin(), level_entries.end(),
-              [](const auto& a, const auto& b) { return a.node < b.node; });
     tree.AppendLevel(level_entries);
     RETURN_IF_ERROR(charge_tree_growth());
     parent_of.swap(next_parent_of);
@@ -306,8 +307,7 @@ StatusOr<ReverseReachableTree> BuildRevReach(const Graph& g, NodeId u,
         "out of memory building revReach tree for source %lld "
         "(n=%lld nodes, ~%lld bytes of build scratch)",
         static_cast<long long>(u), static_cast<long long>(g.num_nodes()),
-        static_cast<long long>(g.num_nodes()) *
-            static_cast<long long>(sizeof(float) + 3 * sizeof(NodeId))));
+        static_cast<long long>(scratch_bytes)));
   }
 }
 

@@ -181,8 +181,11 @@ inline constexpr size_t kDenseRowBudgetBytes = size_t{128} << 20;
 // Builds the tree: l_max + 1 levels, level 0 = {u: 1}. Entries whose
 // probability falls below prune_threshold are dropped (0 keeps everything
 // non-zero; CrashSim uses a tiny epsilon-scaled default to bound work).
-// Worst case O(l_max * m) time, matching the paper's O(m)-per-level claim;
-// peak memory is O(n) scratch plus the packed output.
+// Each level pushes the frontier's in-edges into an n-float accumulator and
+// marks the reached nodes in an n-bit set, then collects the level in node
+// order by scanning the set: O(tree edges + l_max * n/64) time, no sort,
+// within the paper's O(m)-per-level claim. Peak memory is O(n) scratch
+// (plus three n-entry parent arrays in paper mode) and the packed output.
 // CHECK-fails on an out-of-range source (programmer error on this path).
 ReverseReachableTree BuildRevReach(const Graph& g, NodeId u, int l_max,
                                    double c, RevReachMode mode,

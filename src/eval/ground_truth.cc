@@ -13,8 +13,7 @@ TemporalAnswer ExactTemporalEngine::AnswerImpl(const TemporalGraph& tg,
   if (!answer.status.ok()) return answer;
   CandidateFilter filter(query, tg.num_nodes());
 
-  SnapshotCursor cursor(&tg);
-  while (cursor.snapshot_index() < query.begin_snapshot) cursor.Advance();
+  SnapshotCursor cursor(&tg, query.begin_snapshot);
 
   for (int t = query.begin_snapshot; t <= query.end_snapshot; ++t) {
     const SimRankMatrix exact =

@@ -73,9 +73,11 @@ TemporalGraph TemporalGraphBuilder::Build() const {
   return tg;
 }
 
-SnapshotCursor::SnapshotCursor(const TemporalGraph* tg) : tg_(tg) {
-  CRASHSIM_CHECK_GT(tg->num_snapshots(), 0);
-  ApplyDelta(tg_->Delta(0), &edges_);
+SnapshotCursor::SnapshotCursor(const TemporalGraph* tg, int start)
+    : tg_(tg), index_(start) {
+  CRASHSIM_CHECK(start >= 0 && start < tg->num_snapshots())
+      << "snapshot " << start << " of " << tg->num_snapshots();
+  for (int t = 0; t <= start; ++t) ApplyDelta(tg_->Delta(t), &edges_);
   Rebuild();
 }
 

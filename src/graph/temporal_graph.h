@@ -89,13 +89,17 @@ class TemporalGraphBuilder {
   std::vector<Edge> current_;  // sorted edges of the latest snapshot
 };
 
-// Incremental cursor over a TemporalGraph's snapshots. Applies deltas to a
-// sorted edge set and rebuilds the CSR per step: O(m_t log m_t) per snapshot
-// instead of O(Σ events) re-scans, and it avoids keeping T graphs alive.
+// Incremental cursor over a TemporalGraph's snapshots. It keeps the current
+// snapshot's sorted edge set, merges each delta into it in O(m_t + |Δ_t|)
+// and builds the CSR once per position: no O(Σ events) re-scan per
+// snapshot, and no T graphs kept alive. Opening at snapshot `start` merges
+// deltas 0..start and builds the CSR once, so a window that begins late pays
+// one build, not one per skipped snapshot.
 class SnapshotCursor {
  public:
-  // Positions at snapshot 0.
-  explicit SnapshotCursor(const TemporalGraph* tg);
+  // Positions at snapshot start; CHECK-fails unless 0 <= start <
+  // num_snapshots().
+  explicit SnapshotCursor(const TemporalGraph* tg, int start = 0);
 
   int snapshot_index() const { return index_; }
   const Graph& graph() const { return graph_; }

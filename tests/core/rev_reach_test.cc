@@ -271,42 +271,85 @@ std::vector<float> DenseReference(const Graph& g, NodeId u, int l_max,
 }
 
 TEST(RevReachSparseTest, ProbabilityMatchesDenseBaselineBothModes) {
-  // Randomised graphs x both recurrences x pruned/unpruned: every (level,
-  // node) lookup must equal the dense matrix the old representation stored,
-  // through the scalar probe and through the walk engine's per-level batch
-  // search alike.
+  // Randomised graphs x both recurrences x prune thresholds: every (level,
+  // node) lookup must equal the dense matrix the old push-and-sort builder
+  // stored, through the scalar probe and through the walk engine's
+  // per-level batch search alike, and the tree holds exactly the non-zero
+  // cells. The larger graphs span many bitset words with a partial last
+  // word; the undirected one makes paper-mode parent exclusion fire.
+  struct Case {
+    std::string name;
+    Graph g;
+    int l_max;
+    std::vector<double> prunes;
+    std::vector<NodeId> sources;
+  };
+  std::vector<Case> cases;
   for (uint64_t seed : {1u, 2u, 3u}) {
     Rng rng(seed);
-    const Graph g = ErdosRenyi(120, 600, false, &rng);
-    const int l_max = 9;
-    std::vector<NodeId> nodes(static_cast<size_t>(g.num_nodes()));
-    for (NodeId v = 0; v < g.num_nodes(); ++v) {
-      nodes[static_cast<size_t>(v)] = v;
+    cases.push_back({"er120/" + std::to_string(seed),
+                     ErdosRenyi(120, 600, false, &rng), 9, {0.0, 1e-4}, {3}});
+  }
+  Rng rng(11);
+  cases.push_back({"er1000", ErdosRenyi(1000, 5000, false, &rng), 35, {}, {}});
+  cases.push_back({"ba2000", BarabasiAlbert(2000, 3, false, &rng), 35, {}, {}});
+  cases.push_back(
+      {"ba700-undirected", BarabasiAlbert(700, 2, true, &rng), 35, {}, {}});
+  bool saw_in_degree_zero = false;
+  for (Case& tc : cases) {
+    const NodeId n = tc.g.num_nodes();
+    if (tc.sources.empty()) {
+      tc.prunes = {0.0, 1e-9, 1e-4};
+      NodeId hub = 0;
+      for (NodeId v = 1; v < n; ++v) {
+        if (tc.g.InDegree(v) > tc.g.InDegree(hub)) hub = v;
+      }
+      tc.sources = {hub, 63, 64, n - 1};
+      for (NodeId v = 0; v < n; ++v) {
+        if (tc.g.InDegree(v) == 0) {
+          tc.sources.push_back(v);
+          saw_in_degree_zero = true;
+          break;
+        }
+      }
     }
+    std::vector<NodeId> nodes(static_cast<size_t>(n));
+    for (NodeId v = 0; v < n; ++v) nodes[static_cast<size_t>(v)] = v;
     std::vector<double> batch(nodes.size());
-    for (RevReachMode mode :
-         {RevReachMode::kPaper, RevReachMode::kCorrected}) {
-      for (double prune : {0.0, 1e-4}) {
-        const auto tree = BuildRevReach(g, 3, l_max, 0.6, mode, prune);
-        const auto dense = DenseReference(g, 3, l_max, 0.6, mode, prune);
-        for (int level = 0; level <= l_max; ++level) {
-          tree.ProbabilityBatch(level, nodes, batch);
-          for (NodeId v = 0; v < g.num_nodes(); ++v) {
-            const double want = dense[static_cast<size_t>(level) *
-                                          static_cast<size_t>(g.num_nodes()) +
-                                      static_cast<size_t>(v)];
-            ASSERT_EQ(tree.Probability(level, v), want)
-                << "seed " << seed << " mode "
-                << (mode == RevReachMode::kPaper ? "paper" : "corrected")
-                << " prune " << prune << " level " << level << " node " << v;
-            ASSERT_EQ(batch[static_cast<size_t>(v)], want)
-                << "batch: seed " << seed << " level " << level << " node "
-                << v;
+    for (NodeId src : tc.sources) {
+      for (RevReachMode mode :
+           {RevReachMode::kPaper, RevReachMode::kCorrected}) {
+        for (double prune : tc.prunes) {
+          const std::string where =
+              tc.name + " source " + std::to_string(src) + " mode " +
+              (mode == RevReachMode::kPaper ? "paper" : "corrected") +
+              " prune " + std::to_string(prune);
+          const auto tree =
+              BuildRevReach(tc.g, src, tc.l_max, 0.6, mode, prune);
+          const auto dense =
+              DenseReference(tc.g, src, tc.l_max, 0.6, mode, prune);
+          ASSERT_EQ(tree.EntryCount(),
+                    std::count_if(dense.begin(), dense.end(),
+                                  [](float p) { return p != 0.0f; }))
+              << where;
+          for (int level = 0; level <= tc.l_max; ++level) {
+            tree.ProbabilityBatch(level, nodes, batch);
+            for (NodeId v = 0; v < n; ++v) {
+              const double want = dense[static_cast<size_t>(level) *
+                                            static_cast<size_t>(n) +
+                                        static_cast<size_t>(v)];
+              ASSERT_EQ(tree.Probability(level, v), want)
+                  << where << " level " << level << " node " << v;
+              ASSERT_EQ(batch[static_cast<size_t>(v)], want)
+                  << "batch: " << where << " level " << level << " node "
+                  << v;
+            }
           }
         }
       }
     }
   }
+  EXPECT_TRUE(saw_in_degree_zero);
 }
 
 TEST(RevReachSparseTest, MemoryScalesWithEntriesNotLevelsTimesNodes) {

@@ -103,6 +103,40 @@ TEST(SnapshotCursorTest, WalksAllSnapshots) {
   EXPECT_EQ(cursor.snapshot_index(), 2);
 }
 
+TEST(SnapshotCursorTest, StartAtMatchesAdvancedCursor) {
+  // Five snapshots with additions and removals at every step, so each start
+  // position replays a different prefix of deltas.
+  TemporalGraphBuilder b(6);
+  b.AddSnapshot({{0, 1}, {1, 2}, {2, 3}});
+  b.AddDelta({{3, 4}, {4, 0}}, {{1, 2}});
+  b.AddDelta({{1, 2}, {5, 1}}, {{0, 1}, {3, 4}});
+  b.AddDelta({{0, 5}}, {{2, 3}, {4, 0}});
+  b.AddDelta({{2, 3}, {3, 4}}, {{5, 1}});
+  const TemporalGraph tg = b.Build();
+  for (int t = 0; t < tg.num_snapshots(); ++t) {
+    SnapshotCursor started(&tg, t);
+    SnapshotCursor advanced(&tg);
+    for (int i = 0; i < t; ++i) ASSERT_TRUE(advanced.Advance());
+    EXPECT_EQ(started.snapshot_index(), t);
+    EXPECT_TRUE(started.graph() == tg.Snapshot(t)) << "start " << t;
+    EXPECT_TRUE(started.graph() == advanced.graph()) << "start " << t;
+    // The started cursor keeps stepping like one that walked there.
+    const bool more = started.Advance();
+    EXPECT_EQ(more, advanced.Advance()) << "start " << t;
+    EXPECT_EQ(more, t + 1 < tg.num_snapshots());
+    EXPECT_EQ(started.snapshot_index(), advanced.snapshot_index());
+    EXPECT_TRUE(started.graph() == advanced.graph()) << "after " << t;
+    EXPECT_TRUE(started.graph() == tg.Snapshot(started.snapshot_index()))
+        << "after " << t;
+  }
+}
+
+TEST(SnapshotCursorDeathTest, StartOutOfRangeChecks) {
+  const TemporalGraph tg = ThreeSnapshots();
+  EXPECT_DEATH(SnapshotCursor(&tg, -1), "snapshot -1 of 3");
+  EXPECT_DEATH(SnapshotCursor(&tg, 3), "snapshot 3 of 3");
+}
+
 TEST(SnapshotCursorTest, GraphAddressStableAcrossAdvance) {
   const TemporalGraph tg = ThreeSnapshots();
   SnapshotCursor cursor(&tg);

@@ -18,7 +18,10 @@
 #   7. require 404 on unknown debug paths and 405 on non-GET methods;
 #   8. send repeated temporal queries over overlapping windows and require
 #      crashsim_temporal_diag_estimates_total on /metrics to stay within the
-#      snapshot count (each snapshot's d(w) is estimated once, then shared);
+#      snapshot count (each snapshot's d(w) is estimated once, then shared),
+#      then diff one served answer per kind, on a window starting past
+#      snapshot 0, against `crashsim_cli temporal` on the same graph/seed
+#      (nodes and snapshots_processed must match);
 #   9. SIGTERM the server mid-replay and require a clean drain ("clean
 #      shutdown" banner, exit code 0, replay tolerating the cut).
 #
@@ -198,6 +201,48 @@ echo "   diagonal estimates=$ESTIMATES over $SNAPSHOTS snapshots"
 [[ -n "$ESTIMATES" && "$ESTIMATES" -ge 1 && "$ESTIMATES" -le "$SNAPSHOTS" ]] || {
   echo "FAIL: expected 1..$SNAPSHOTS diagonal estimates, got $ESTIMATES" >&2
   exit 1; }
+
+echo "== temporal bit-identity vs crashsim_cli temporal"
+python3 - "$PORT" "$SNAPSHOTS" "$CLI" "$WORK/tiny.tel" <<'PY'
+import json, re, socket, struct, subprocess, sys
+port, snapshots, cli, tel = (int(sys.argv[1]), int(sys.argv[2]), sys.argv[3],
+                             sys.argv[4])
+begin = 2  # past snapshot 0: the engine opens its cursor mid-history
+
+def recv_exact(s, n):
+    data = b""
+    while len(data) < n:
+        chunk = s.recv(n - len(data))
+        if not chunk:
+            raise SystemExit("FAIL: server closed mid-frame")
+        data += chunk
+    return data
+
+s = socket.create_connection(("127.0.0.1", port), timeout=30)
+for kind in ("threshold", "increasing", "decreasing"):
+    body = json.dumps({"op": "temporal", "source": 3, "kind": kind,
+                       "begin": begin, "end": snapshots - 1,
+                       "theta": 0.01}).encode()
+    s.sendall(struct.pack(">I", len(body)) + body)
+    (size,) = struct.unpack(">I", recv_exact(s, 4))
+    reply = json.loads(recv_exact(s, size))
+    if reply.get("status") != "OK":
+        raise SystemExit("FAIL: temporal query answered %r" % reply)
+    served = (reply["nodes"], reply["snapshots_processed"])
+    out = subprocess.run(
+        [cli, "temporal", "--graph", tel, "--undirected", "--source", "3",
+         "--kind", kind, "--begin", str(begin), "--theta", "0.01",
+         "--trials", "2000", "--seed", "42"],
+        check=True, capture_output=True, text=True).stdout
+    direct = ([int(line) for line in re.findall(r"^  (-?\d+)$", out, re.M)],
+              int(re.search(r"^\((\d+) snapshots,", out, re.M).group(1)))
+    if served != direct:
+        raise SystemExit("FAIL: served %s answer %r differs from the CLI's %r"
+                         % (kind, served, direct))
+    print("   %s: %d nodes over %d snapshots, identical"
+          % (kind, len(direct[0]), direct[1]))
+s.close()
+PY
 
 echo "== graceful shutdown under load"
 "$CLI" replay --port "$PORT" --clients 4 --requests 200 --sources "3" \
