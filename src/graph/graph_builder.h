@@ -38,10 +38,16 @@ class GraphBuilder {
   size_t staged_edges() const { return edges_.size(); }
 
   // Sorts, deduplicates, and builds both CSR directions. The builder can be
-  // reused afterwards (staged edges are kept).
+  // reused afterwards (staged edges are kept). Already sorted,
+  // duplicate-free staged edges are neither copied nor sorted: the build is
+  // then O(n + m).
   Graph Build() const;
 
  private:
+  // Both CSR directions of a strictly ascending (src, dst) list of staged
+  // edges.
+  Graph FromSorted(const std::vector<Edge>& sorted) const;
+
   NodeId num_nodes_;
   bool undirected_;
   std::vector<Edge> edges_;
@@ -50,6 +56,10 @@ class GraphBuilder {
 // Convenience: builds a graph directly from an edge vector.
 Graph BuildGraph(NodeId num_nodes, const std::vector<Edge>& edges,
                  bool undirected = false);
+
+// Sorts `edges` by (src, dst) and drops duplicates; an already sorted,
+// duplicate-free list is left as it is after one O(m) check.
+void SortUniqueEdges(std::vector<Edge>* edges);
 
 }  // namespace crashsim
 

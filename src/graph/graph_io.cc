@@ -1,14 +1,17 @@
 #include "graph/graph_io.h"
 
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <istream>
 #include <map>
+#include <memory>
 #include <new>
 #include <ostream>
-#include <sstream>
+#include <string_view>
 
 #include "graph/graph_builder.h"
+#include "graph/id_remapper.h"
 #include "util/failpoint.h"
 #include "util/string_util.h"
 #include "util/trace.h"
@@ -16,65 +19,168 @@
 namespace crashsim {
 namespace {
 
-// Assigns dense ids in first-appearance order.
-class IdRemapper {
+constexpr size_t kBlockBytes = size_t{64} << 10;
+
+// The one edge-list reader. It reads the stream in kBlockBytes blocks,
+// splits each line's fields in place and parses them with ParseInt64, so a
+// row allocates nothing; only a line that spans two blocks is copied, into
+// a carry buffer of at most kMaxEdgeListLineBytes plus one block. Lines are
+// what std::getline returns: split at '\n', the last one needs no '\n', and
+// a trailing '\r' is whitespace (CRLF files load like LF files).
+class RowReader {
  public:
-  NodeId Map(int64_t original) {
-    auto [it, inserted] = to_dense_.emplace(original, next_);
-    if (inserted) {
-      originals_.push_back(original);
-      ++next_;
+  // Rows must have exactly `want` (<= 3) integer fields, or more with
+  // limits.allow_extra_columns; `what` names the row shape in diagnostics.
+  RowReader(std::istream& in, size_t want, const char* what,
+            const EdgeListLimits& limits)
+      : in_(in),
+        want_(want),
+        what_(what),
+        allow_extra_columns_(limits.allow_extra_columns) {}
+
+  // Advances to the next data row, skipping comments and blank lines.
+  // Returns false at the end of input or at the first bad line; status()
+  // then tells which (OK, the bad line, or DATA_LOSS when the stream failed).
+  bool Next() {
+    std::string_view line;
+    while (NextLine(&line)) {
+      bool is_row = false;
+      if (!ParseRow(line, &is_row)) return false;
+      if (is_row) return true;
     }
-    return it->second;
+    return false;
   }
 
-  NodeId size() const { return next_; }
-  std::vector<int64_t> TakeOriginals() { return std::move(originals_); }
+  // Field i of the current row.
+  int64_t operator[](size_t i) const { return values_[i]; }
+  int lineno() const { return lineno_; }
+  const Status& status() const { return status_; }
 
  private:
-  std::map<int64_t, NodeId> to_dense_;
-  std::vector<int64_t> originals_;
-  NodeId next_ = 0;
-};
+  static constexpr size_t kMaxFields = 3;
 
-// Parses one line into exactly `want` int64 fields (or zero fields for
-// comments/blanks). `what` names the expected row shape for diagnostics.
-// Windows CRLF endings are tolerated: Trim strips the trailing '\r'.
-Status ParseLineFields(const std::string& line, int lineno, size_t want,
-                       const char* what, const EdgeListLimits& limits,
-                       std::vector<int64_t>* out) {
-  out->clear();
-  const std::string_view trimmed = Trim(line);
-  if (trimmed.empty() || trimmed[0] == '#' || trimmed[0] == '%') {
-    return OkStatus();  // comment / blank: not an error, no fields
-  }
-  const std::vector<std::string> fields = SplitWhitespace(trimmed);
-  if (fields.size() != want &&
-      !(limits.allow_extra_columns && fields.size() > want)) {
-    return InvalidArgumentError(
-        StrFormat("line %d: expected '%s' (%zu fields), got %zu field%s",
-                  lineno, what, want, fields.size(),
-                  fields.size() == 1 ? "" : "s"));
-  }
-  for (size_t i = 0; i < want; ++i) {
-    int64_t v;
-    if (!ParseInt64(fields[i], &v)) {
-      return InvalidArgumentError(
-          StrFormat("line %d: field %zu '%s' is not a valid 64-bit integer "
-                    "(overflow or garbage)",
-                    lineno, i + 1, fields[i].c_str()));
+  bool NextLine(std::string_view* line) {
+    carry_.clear();
+    while (true) {
+      if (pos_ != end_) {
+        const auto avail = static_cast<size_t>(end_ - pos_);
+        const auto* nl =
+            static_cast<const char*>(std::memchr(pos_, '\n', avail));
+        if (nl != nullptr) {
+          std::string_view piece(pos_, static_cast<size_t>(nl - pos_));
+          pos_ = nl + 1;
+          ++lineno_;
+          if (!carry_.empty()) {
+            carry_.append(piece);
+            piece = carry_;
+          }
+          if (piece.size() > kMaxEdgeListLineBytes) return LineTooLong();
+          *line = piece;
+          return true;
+        }
+        carry_.append(pos_, avail);
+        pos_ = end_;
+        if (carry_.size() > kMaxEdgeListLineBytes) {
+          ++lineno_;
+          return LineTooLong();
+        }
+      }
+      if (!Refill()) {
+        // bad() means the underlying stream failed mid-read (I/O error,
+        // truncated device, ...); its unterminated tail is not a line.
+        if (in_.bad()) {
+          status_ = DataLossError("stream read error before EOF");
+          return false;
+        }
+        if (carry_.empty()) return false;
+        ++lineno_;
+        *line = carry_;
+        return true;
+      }
     }
-    out->push_back(v);
   }
-  return OkStatus();
-}
 
-Status CheckStreamHealthy(const std::istream& in) {
-  // getline loops end at eof normally; bad() means the underlying stream
-  // failed mid-read (I/O error, truncated device, ...).
-  if (in.bad()) return DataLossError("stream read error before EOF");
-  return OkStatus();
-}
+  // Fills the block with up to kBlockBytes. peek() makes the stream's own
+  // buffer deliver more bytes (or sets eofbit/badbit), and readsome() copies
+  // only bytes already delivered, so when the device fails every byte read
+  // before the failure is still parsed, as with std::getline
+  // (istream::read would drop a partially filled count).
+  bool Refill() {
+    // Allocated on first use, inside the callers' bad_alloc boundary.
+    if (!block_) block_ = std::make_unique<char[]>(kBlockBytes);
+    char* block = block_.get();
+    size_t got = 0;
+    while (got < kBlockBytes &&
+           in_.peek() != std::istream::traits_type::eof()) {
+      const std::streamsize n = in_.readsome(
+          block + got, static_cast<std::streamsize>(kBlockBytes - got));
+      if (n > 0) {
+        got += static_cast<size_t>(n);
+      } else {
+        block[got++] = static_cast<char>(in_.get());  // unbuffered stream
+      }
+    }
+    pos_ = block;
+    end_ = block + got;
+    return got > 0;
+  }
+
+  bool LineTooLong() {
+    status_ = InvalidArgumentError(StrFormat(
+        "line %d: longer than %zu bytes", lineno_, kMaxEdgeListLineBytes));
+    return false;
+  }
+
+  // Parses one line into exactly want_ fields, or into none for a comment
+  // or blank line (*is_row = false). The column count is checked before any
+  // field is parsed. False (with status_ set) on a bad line.
+  bool ParseRow(std::string_view line, bool* is_row) {
+    std::string_view tokens[kMaxFields];
+    size_t count = 0;
+    size_t i = 0;
+    while (i < line.size() && IsAsciiSpace(line[i])) ++i;
+    if (i == line.size() || line[i] == '#' || line[i] == '%') {
+      *is_row = false;
+      return true;
+    }
+    while (i < line.size()) {
+      const size_t start = i;
+      while (i < line.size() && !IsAsciiSpace(line[i])) ++i;
+      if (count < want_) tokens[count] = line.substr(start, i - start);
+      ++count;
+      while (i < line.size() && IsAsciiSpace(line[i])) ++i;
+    }
+    if (count != want_ && !(allow_extra_columns_ && count > want_)) {
+      status_ = InvalidArgumentError(
+          StrFormat("line %d: expected '%s' (%zu fields), got %zu field%s",
+                    lineno_, what_, want_, count, count == 1 ? "" : "s"));
+      return false;
+    }
+    for (size_t f = 0; f < want_; ++f) {
+      if (!ParseInt64(tokens[f], &values_[f])) {
+        status_ = InvalidArgumentError(
+            StrFormat("line %d: field %zu '%s' is not a valid 64-bit integer "
+                      "(overflow or garbage)",
+                      lineno_, f + 1, std::string(tokens[f]).c_str()));
+        return false;
+      }
+    }
+    *is_row = true;
+    return true;
+  }
+
+  std::istream& in_;
+  const size_t want_;
+  const char* const what_;
+  const bool allow_extra_columns_;
+  std::unique_ptr<char[]> block_;
+  const char* pos_ = nullptr;
+  const char* end_ = nullptr;
+  std::string carry_;
+  int lineno_ = 0;
+  int64_t values_[kMaxFields] = {};
+  Status status_;
+};
 
 Status CheckNodeLimit(const IdRemapper& remap, const EdgeListLimits& limits,
                       int lineno) {
@@ -112,40 +218,80 @@ Status LoadOutOfMemoryError(const std::string& path, const char* stage) {
                 path.c_str(), static_cast<long long>(file_bytes)));
 }
 
+// ReadTemporalEdgeList without the bad_alloc boundary: the file loader
+// reports an allocation failure with its path and size instead.
+StatusOr<LoadedTemporalGraph> ReadTemporalRows(std::istream& in,
+                                               bool undirected,
+                                               const EdgeListLimits& limits) {
+  RowReader row(in, 3, "src dst snapshot", limits);
+  int64_t rows = 0;
+  IdRemapper remap;
+  // snapshot original index -> rows. A file lists a snapshot's rows
+  // together, so the last snapshot's list is kept at hand.
+  std::map<int64_t, std::vector<Edge>> snapshots;
+  std::vector<Edge>* snapshot = nullptr;
+  int64_t snapshot_index = -1;
+  while (row.Next()) {
+    RETURN_IF_ERROR(CRASHSIM_FAILPOINT("graph_io.alloc"));
+    if (row[0] < 0 || row[1] < 0) {
+      return InvalidArgumentError(
+          StrFormat("line %d: negative node id %lld", row.lineno(),
+                    static_cast<long long>(row[0] < 0 ? row[0] : row[1])));
+    }
+    if (row[2] < 0) {
+      return InvalidArgumentError(
+          StrFormat("line %d: negative snapshot index %lld", row.lineno(),
+                    static_cast<long long>(row[2])));
+    }
+    if (row[2] != snapshot_index) {
+      snapshot_index = row[2];
+      snapshot = &snapshots[snapshot_index];
+    }
+    snapshot->push_back(Edge{remap.Map(row[0]), remap.Map(row[1])});
+    ++rows;
+    RETURN_IF_ERROR(CheckNodeLimit(remap, limits, row.lineno()));
+    RETURN_IF_ERROR(CheckEdgeLimit(rows, limits, row.lineno()));
+  }
+  RETURN_IF_ERROR(row.status());
+  if (snapshots.empty()) {
+    return InvalidArgumentError("no snapshots (file has no data rows)");
+  }
+  TemporalGraphBuilder builder(remap.size(), undirected);
+  for (auto& [t, edges] : snapshots) builder.AddSnapshot(std::move(edges));
+  LoadedTemporalGraph out;
+  out.graph = std::move(builder).Build();
+  out.original_ids = remap.TakeOriginals();
+  return out;
+}
+
 }  // namespace
 
 StatusOr<std::vector<std::pair<int64_t, int64_t>>> ReadEdgeList(
     std::istream& in, const EdgeListLimits& limits) {
   RETURN_IF_ERROR(CRASHSIM_FAILPOINT("graph_io.load"));
   std::vector<std::pair<int64_t, int64_t>> edges;
-  std::string line;
-  int lineno = 0;
-  std::vector<int64_t> fields;
+  RowReader row(in, 2, "src dst", limits);
   try {
-    while (std::getline(in, line)) {
-      ++lineno;
-      RETURN_IF_ERROR(
-          ParseLineFields(line, lineno, 2, "src dst", limits, &fields));
-      if (fields.empty()) continue;
-      if (fields[0] < 0 || fields[1] < 0) {
-        return InvalidArgumentError(StrFormat(
-            "line %d: negative node id %lld", lineno,
-            static_cast<long long>(fields[0] < 0 ? fields[0] : fields[1])));
+    while (row.Next()) {
+      if (row[0] < 0 || row[1] < 0) {
+        return InvalidArgumentError(
+            StrFormat("line %d: negative node id %lld", row.lineno(),
+                      static_cast<long long>(row[0] < 0 ? row[0] : row[1])));
       }
       RETURN_IF_ERROR(CRASHSIM_FAILPOINT("graph_io.alloc"));
-      edges.emplace_back(fields[0], fields[1]);
-      RETURN_IF_ERROR(
-          CheckEdgeLimit(static_cast<int64_t>(edges.size()), limits, lineno));
+      edges.emplace_back(row[0], row[1]);
+      RETURN_IF_ERROR(CheckEdgeLimit(static_cast<int64_t>(edges.size()),
+                                     limits, row.lineno()));
     }
   } catch (const std::bad_alloc&) {
     return ResourceExhaustedError(StrFormat(
         "line %d: out of memory buffering edge list (~%lld bytes for %lld "
         "edges so far)",
-        lineno,
+        row.lineno(),
         static_cast<long long>(edges.capacity() * sizeof(edges.front())),
         static_cast<long long>(edges.size())));
   }
-  RETURN_IF_ERROR(CheckStreamHealthy(in));
+  RETURN_IF_ERROR(row.status());
   return edges;
 }
 
@@ -187,6 +333,15 @@ void WriteEdgeList(const Graph& g, std::ostream& out) {
   for (const Edge& e : g.Edges()) out << e.src << ' ' << e.dst << '\n';
 }
 
+StatusOr<LoadedTemporalGraph> ReadTemporalEdgeList(
+    std::istream& in, bool undirected, const EdgeListLimits& limits) {
+  try {
+    return ReadTemporalRows(in, undirected, limits);
+  } catch (const std::bad_alloc&) {
+    return ResourceExhaustedError("out of memory loading temporal edge list");
+  }
+}
+
 StatusOr<LoadedTemporalGraph> LoadTemporalEdgeListFile(
     const std::string& path, bool undirected, const EdgeListLimits& limits) {
   TRACE_SPAN("graph_io.load_temporal_edge_list");
@@ -196,60 +351,10 @@ StatusOr<LoadedTemporalGraph> LoadTemporalEdgeListFile(
   std::ifstream in(path);
   if (!in) return NotFoundError("cannot open " + path);
   try {
-  std::string line;
-  int lineno = 0;
-  int64_t rows = 0;
-  std::vector<int64_t> fields;
-  IdRemapper remap;
-  // snapshot original index -> rows
-  std::map<int64_t, std::vector<Edge>> snapshots;
-  while (std::getline(in, line)) {
-    ++lineno;
-    if (Status s = ParseLineFields(line, lineno, 3, "src dst snapshot",
-                                   limits, &fields);
-        !s.ok()) {
-      return s.WithContext(path);
-    }
-    if (fields.empty()) continue;
-    if (Status s = CRASHSIM_FAILPOINT("graph_io.alloc"); !s.ok()) {
-      return s.WithContext(path);
-    }
-    if (fields[0] < 0 || fields[1] < 0) {
-      return InvalidArgumentError(
-                 StrFormat("line %d: negative node id %lld", lineno,
-                           static_cast<long long>(
-                               fields[0] < 0 ? fields[0] : fields[1])))
-          .WithContext(path);
-    }
-    if (fields[2] < 0) {
-      return InvalidArgumentError(
-                 StrFormat("line %d: negative snapshot index %lld", lineno,
-                           static_cast<long long>(fields[2])))
-          .WithContext(path);
-    }
-    snapshots[fields[2]].push_back(
-        Edge{remap.Map(fields[0]), remap.Map(fields[1])});
-    ++rows;
-    if (Status s = CheckNodeLimit(remap, limits, lineno); !s.ok()) {
-      return s.WithContext(path);
-    }
-    if (Status s = CheckEdgeLimit(rows, limits, lineno); !s.ok()) {
-      return s.WithContext(path);
-    }
-  }
-  if (Status s = CheckStreamHealthy(in); !s.ok()) {
-    return s.WithContext(path);
-  }
-  if (snapshots.empty()) {
-    return InvalidArgumentError("no snapshots (file has no data rows)")
-        .WithContext(path);
-  }
-  TemporalGraphBuilder builder(remap.size(), undirected);
-  for (const auto& [t, edges] : snapshots) builder.AddSnapshot(edges);
-  LoadedTemporalGraph out;
-  out.graph = builder.Build();
-  out.original_ids = remap.TakeOriginals();
-  return out;
+    StatusOr<LoadedTemporalGraph> out =
+        ReadTemporalRows(in, undirected, limits);
+    if (!out.ok()) return out.status().WithContext(path);
+    return out;
   } catch (const std::bad_alloc&) {
     return LoadOutOfMemoryError(path, "loading temporal edge list");
   }

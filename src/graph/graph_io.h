@@ -1,6 +1,7 @@
 #ifndef CRASHSIM_GRAPH_GRAPH_IO_H_
 #define CRASHSIM_GRAPH_GRAPH_IO_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <string>
@@ -23,6 +24,11 @@ namespace crashsim {
 // whose message pins the line number and the offending token (overflowing
 // ids, negative ids, wrong column counts, ...). They never crash and never
 // silently accept garbage; see docs/ERRORS.md for the code taxonomy.
+
+// Longest accepted line, in bytes without its '\n'. A longer line is
+// kInvalidArgument naming the line, so a file without newlines costs a
+// bounded buffer, not a string as long as the file.
+inline constexpr size_t kMaxEdgeListLineBytes = size_t{64} << 10;
 
 // Caller-configurable safety rails for untrusted input.
 struct EdgeListLimits {
@@ -63,11 +69,17 @@ struct LoadedTemporalGraph {
   std::vector<int64_t> original_ids;
 };
 
-// Loads "src dst snapshot" lines; snapshot indices must be non-negative and
-// are remapped to dense 0..T-1 preserving order, and each snapshot's edge
-// set is *cumulative over listed rows for that snapshot only* (i.e. a row
-// states the edge exists in that snapshot). A file with no data rows is
+// Parses "src dst snapshot" lines from a stream; snapshot indices must be
+// non-negative and are remapped to dense 0..T-1 preserving order, and each
+// snapshot's edge set is *cumulative over listed rows for that snapshot
+// only* (i.e. a row states the edge exists in that snapshot). Node ids are
+// remapped densely in first-appearance order. A stream with no data rows is
 // kInvalidArgument (a temporal graph needs at least one snapshot).
+[[nodiscard]] StatusOr<LoadedTemporalGraph> ReadTemporalEdgeList(
+    std::istream& in, bool undirected, const EdgeListLimits& limits = {});
+
+// Loads a temporal graph from a file with ReadTemporalEdgeList (kNotFound if
+// it cannot be opened).
 [[nodiscard]] StatusOr<LoadedTemporalGraph> LoadTemporalEdgeListFile(
     const std::string& path, bool undirected,
     const EdgeListLimits& limits = {});

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <unordered_set>
+#include <utility>
 
 #include "graph/graph_builder.h"
 #include "util/logging.h"
@@ -79,7 +80,7 @@ TemporalGraph EvolveWithChurn(const Graph& base, const ChurnOptions& options,
     }
     builder.AddSnapshot(current);
   }
-  return builder.Build();
+  return std::move(builder).Build();
 }
 
 TemporalGraph GrowTemporalGraph(NodeId n, bool undirected,
@@ -157,7 +158,7 @@ TemporalGraph GrowTemporalGraph(NodeId n, bool undirected,
     }
     builder.AddSnapshot(current);
   }
-  return builder.Build();
+  return std::move(builder).Build();
 }
 
 }  // namespace crashsim

@@ -1,6 +1,6 @@
 #include "graph/temporal_graph.h"
 
-#include <algorithm>
+#include <utility>
 
 #include "graph/graph_builder.h"
 #include "graph/snapshot_diff.h"
@@ -30,26 +30,30 @@ TemporalGraphBuilder::TemporalGraphBuilder(NodeId num_nodes, bool undirected)
   CRASHSIM_CHECK_GE(num_nodes, 0);
 }
 
-std::vector<Edge> TemporalGraphBuilder::Normalize(
-    const std::vector<Edge>& edges) const {
-  std::vector<Edge> out;
-  out.reserve(edges.size() * (undirected_ ? 2 : 1));
-  for (const Edge& e : edges) {
+void TemporalGraphBuilder::Normalize(std::vector<Edge>* edges) const {
+  const size_t listed = edges->size();
+  size_t kept = 0;
+  for (size_t i = 0; i < listed; ++i) {
+    const Edge e = (*edges)[i];
     CRASHSIM_CHECK(e.src >= 0 && e.src < num_nodes_) << "bad src " << e.src;
     CRASHSIM_CHECK(e.dst >= 0 && e.dst < num_nodes_) << "bad dst " << e.dst;
-    if (e.src == e.dst) continue;
-    out.push_back(e);
-    if (undirected_) out.push_back(Edge{e.dst, e.src});
+    if (e.src != e.dst) (*edges)[kept++] = e;
   }
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  return out;
+  edges->resize(kept);
+  if (undirected_) {
+    edges->reserve(2 * kept);
+    for (size_t i = 0; i < kept; ++i) {
+      const Edge e = (*edges)[i];
+      edges->push_back(Edge{e.dst, e.src});
+    }
+  }
+  SortUniqueEdges(edges);
 }
 
-void TemporalGraphBuilder::AddSnapshot(const std::vector<Edge>& edges) {
-  std::vector<Edge> next = Normalize(edges);
-  deltas_.push_back(DiffEdgeSets(current_, next));
-  current_.swap(next);
+void TemporalGraphBuilder::AddSnapshot(std::vector<Edge> edges) {
+  Normalize(&edges);
+  deltas_.push_back(DiffEdgeSets(current_, edges));
+  current_.swap(edges);
 }
 
 void TemporalGraphBuilder::AddDelta(const std::vector<Edge>& added,
@@ -58,18 +62,28 @@ void TemporalGraphBuilder::AddDelta(const std::vector<Edge>& added,
       << "AddDelta requires an initial snapshot";
   std::vector<Edge> next = current_;
   EdgeDelta raw;
-  raw.added = Normalize(added);
-  raw.removed = Normalize(removed);
+  raw.added = added;
+  raw.removed = removed;
+  Normalize(&raw.added);
+  Normalize(&raw.removed);
   ApplyDelta(raw, &next);
   deltas_.push_back(DiffEdgeSets(current_, next));
   current_.swap(next);
 }
 
-TemporalGraph TemporalGraphBuilder::Build() const {
+TemporalGraph TemporalGraphBuilder::Build() const& {
   TemporalGraph tg;
   tg.num_nodes_ = num_nodes_;
   tg.undirected_ = undirected_;
   tg.deltas_ = deltas_;
+  return tg;
+}
+
+TemporalGraph TemporalGraphBuilder::Build() && {
+  TemporalGraph tg;
+  tg.num_nodes_ = num_nodes_;
+  tg.undirected_ = undirected_;
+  tg.deltas_ = std::move(deltas_);
   return tg;
 }
 

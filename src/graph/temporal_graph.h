@@ -61,14 +61,15 @@ class TemporalGraph {
 //   TemporalGraphBuilder b(n, /*undirected=*/true);
 //   b.AddSnapshot(edges_t1);
 //   b.AddSnapshot(edges_t2);   // delta computed internally
-//   TemporalGraph tg = b.Build();
+//   TemporalGraph tg = std::move(b).Build();
 class TemporalGraphBuilder {
  public:
   explicit TemporalGraphBuilder(NodeId num_nodes, bool undirected = false);
 
   // Appends a snapshot given its full (directed or to-be-symmetrised) edge
-  // list; self-loops and duplicates are dropped.
-  void AddSnapshot(const std::vector<Edge>& edges);
+  // list; self-loops and duplicates are dropped. The list is normalised in
+  // place, so a moved-in list is not copied.
+  void AddSnapshot(std::vector<Edge> edges);
 
   // Appends a snapshot expressed as a delta on the previous snapshot. Must
   // not be the first snapshot. Additions already present and removals not
@@ -77,11 +78,15 @@ class TemporalGraphBuilder {
 
   int num_snapshots() const { return static_cast<int>(deltas_.size()); }
 
-  TemporalGraph Build() const;
+  // Copies the deltas; the rvalue form moves them out of the builder, so a
+  // loader holds them once.
+  TemporalGraph Build() const&;
+  TemporalGraph Build() &&;
 
  private:
-  // Normalises an edge list: drops self-loops/dups, symmetrises if needed.
-  std::vector<Edge> Normalize(const std::vector<Edge>& edges) const;
+  // Normalises an edge list in place: drops self-loops/dups, symmetrises if
+  // needed, sorts.
+  void Normalize(std::vector<Edge>* edges) const;
 
   NodeId num_nodes_;
   bool undirected_;

@@ -1,6 +1,7 @@
 #ifndef CRASHSIM_UTIL_RNG_H_
 #define CRASHSIM_UTIL_RNG_H_
 
+#include <bit>
 #include <cstdint>
 #include <limits>
 
@@ -92,21 +93,52 @@ class Rng {
   }
   result_type operator()() { return NextU64(); }
 
+  // The draws below are defined in this header: the d(w) estimate and the
+  // generators make millions of them, and an out-of-line call costs more
+  // than the draw itself.
+
   // Returns the next raw 64-bit value.
-  uint64_t NextU64();
+  uint64_t NextU64() {
+    const uint64_t result = std::rotl(s_[1] * 5, 7) * 9;
+    const uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = std::rotl(s_[3], 45);
+    return result;
+  }
 
   // Returns a uniform double in [0, 1).
-  double NextDouble();
+  double NextDouble() {
+    // 53 high bits -> uniform in [0, 1).
+    return static_cast<double>(NextU64() >> 11) * 0x1.0p-53;
+  }
 
   // Returns a uniform integer in [0, bound) using Lemire's multiply-shift
   // rejection method; bound must be > 0.
-  uint64_t NextBounded(uint64_t bound);
+  uint64_t NextBounded(uint64_t bound) {
+    // Lemire's nearly-divisionless method.
+    uint64_t x = NextU64();
+    __uint128_t m = static_cast<__uint128_t>(x) * bound;
+    uint64_t l = static_cast<uint64_t>(m);
+    if (l < bound) {
+      const uint64_t threshold = -bound % bound;
+      while (l < threshold) {
+        x = NextU64();
+        m = static_cast<__uint128_t>(x) * bound;
+        l = static_cast<uint64_t>(m);
+      }
+    }
+    return static_cast<uint64_t>(m >> 64);
+  }
 
   // Returns a uniform integer in [lo, hi] inclusive; requires lo <= hi.
   int64_t UniformInt(int64_t lo, int64_t hi);
 
   // Returns true with probability p (clamped to [0, 1]).
-  bool Bernoulli(double p);
+  bool Bernoulli(double p) { return NextDouble() < p; }
 
   // Samples the number of trials until the first failure of a Bernoulli(p)
   // success process, i.e. a Geometric(1-p) variate in {1, 2, ...}. Used for

@@ -1,7 +1,7 @@
 #include "util/string_util.h"
 
-#include <cctype>
 #include <cerrno>
+#include <charconv>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
@@ -22,23 +22,11 @@ std::vector<std::string> Split(std::string_view s, char delim) {
   }
 }
 
-std::vector<std::string> SplitWhitespace(std::string_view s) {
-  std::vector<std::string> out;
-  size_t i = 0;
-  while (i < s.size()) {
-    while (i < s.size() && std::isspace(static_cast<unsigned char>(s[i]))) ++i;
-    size_t start = i;
-    while (i < s.size() && !std::isspace(static_cast<unsigned char>(s[i]))) ++i;
-    if (i > start) out.emplace_back(s.substr(start, i - start));
-  }
-  return out;
-}
-
 std::string_view Trim(std::string_view s) {
   size_t b = 0;
   size_t e = s.size();
-  while (b < e && std::isspace(static_cast<unsigned char>(s[b]))) ++b;
-  while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1]))) --e;
+  while (b < e && IsAsciiSpace(s[b])) ++b;
+  while (e > b && IsAsciiSpace(s[e - 1])) --e;
   return s.substr(b, e - b);
 }
 
@@ -47,12 +35,18 @@ bool StartsWith(std::string_view s, std::string_view prefix) {
 }
 
 bool ParseInt64(std::string_view s, int64_t* out) {
-  const std::string str(Trim(s));
-  if (str.empty()) return false;
-  errno = 0;
-  char* end = nullptr;
-  const long long v = std::strtoll(str.c_str(), &end, 10);
-  if (errno != 0 || end != str.c_str() + str.size()) return false;
+  s = Trim(s);
+  // Same language as base-10 strtoll: one optional sign, then digits.
+  // from_chars takes '-' but not '+', so a '+' is stripped here and must be
+  // followed by a digit ("+-7" and "++7" are rejected, as strtoll does).
+  if (!s.empty() && s.front() == '+') {
+    s.remove_prefix(1);
+    if (s.empty() || s.front() < '0' || s.front() > '9') return false;
+  }
+  int64_t v = 0;
+  const char* end = s.data() + s.size();
+  const auto [ptr, ec] = std::from_chars(s.data(), end, v, 10);
+  if (ec != std::errc() || ptr != end) return false;
   *out = v;
   return true;
 }

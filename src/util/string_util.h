@@ -11,8 +11,11 @@ namespace crashsim {
 // fields (CSV semantics).
 std::vector<std::string> Split(std::string_view s, char delim);
 
-// Splits on any run of ASCII whitespace; never yields empty fields.
-std::vector<std::string> SplitWhitespace(std::string_view s);
+// ASCII whitespace as std::isspace classifies it in the "C" locale:
+// ' ', '\t', '\n', '\v', '\f', '\r'.
+constexpr bool IsAsciiSpace(char c) {
+  return c == ' ' || (c >= '\t' && c <= '\r');
+}
 
 // Removes leading/trailing ASCII whitespace.
 std::string_view Trim(std::string_view s);
@@ -21,7 +24,9 @@ std::string_view Trim(std::string_view s);
 bool StartsWith(std::string_view s, std::string_view prefix);
 
 // Parses signed/unsigned/floating values; returns false on any trailing
-// garbage or range error (strict, unlike atoi).
+// garbage or range error (strict, unlike atoi). Surrounding whitespace is
+// ignored. ParseInt64 accepts exactly what base-10 strtoll accepts and
+// allocates nothing; the flag parser and the edge-list loaders share it.
 bool ParseInt64(std::string_view s, int64_t* out);
 bool ParseDouble(std::string_view s, double* out);
 

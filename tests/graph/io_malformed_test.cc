@@ -41,6 +41,12 @@ struct MalformedCase {
 };
 
 TEST(MalformedInputTest, EveryRowOfTheTableFailsDescriptively) {
+  // One byte past the line limit: a row ended by '\n', and a final comment
+  // without one (rejected while buffered, before the end of input).
+  const std::string overlong_static =
+      "1 2\n" + std::string(kMaxEdgeListLineBytes + 1, '1') + "\n";
+  const std::string overlong_temporal =
+      "1 2 0\n" + std::string(kMaxEdgeListLineBytes + 1, '%');
   const std::vector<MalformedCase> kTable = {
       {"static-int64-overflow", "1 2\n99999999999999999999999999 3\n", false,
        StatusCode::kInvalidArgument, "line 2"},
@@ -68,6 +74,10 @@ TEST(MalformedInputTest, EveryRowOfTheTableFailsDescriptively) {
        StatusCode::kInvalidArgument, "no snapshots"},
       {"temporal-negative-node", "1 -2 0\n", true,
        StatusCode::kInvalidArgument, "negative node id -2"},
+      {"static-line-too-long", overlong_static.c_str(), false,
+       StatusCode::kInvalidArgument, "line 2: longer than 65536 bytes"},
+      {"temporal-line-too-long", overlong_temporal.c_str(), true,
+       StatusCode::kInvalidArgument, "line 2: longer than 65536 bytes"},
   };
   for (const MalformedCase& c : kTable) {
     TempFile f(c.content);

@@ -1,5 +1,8 @@
 #include "graph/temporal_graph.h"
 
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "graph/graph_builder.h"
@@ -79,6 +82,22 @@ TEST(TemporalGraphBuilderTest, AddDeltaForm) {
   EXPECT_FALSE(g1.HasEdge(0, 1));
   EXPECT_TRUE(g1.HasEdge(2, 3));
   EXPECT_TRUE(g1.HasEdge(1, 2));
+}
+
+TEST(TemporalGraphBuilderTest, MovingBuildMatchesCopyingBuild) {
+  TemporalGraphBuilder b(4, /*undirected=*/true);
+  b.AddSnapshot({{3, 1}, {0, 1}, {1, 0}, {2, 2}});
+  b.AddSnapshot({{2, 3}, {0, 1}});
+  const TemporalGraph copied = b.Build();
+  const TemporalGraph moved = std::move(b).Build();
+  ASSERT_EQ(moved.num_snapshots(), copied.num_snapshots());
+  EXPECT_TRUE(moved.undirected());
+  for (int t = 0; t < moved.num_snapshots(); ++t) {
+    EXPECT_EQ(moved.Delta(t).added, copied.Delta(t).added);
+    EXPECT_EQ(moved.Delta(t).removed, copied.Delta(t).removed);
+  }
+  EXPECT_EQ(moved.SnapshotEdges(0),
+            (std::vector<Edge>{{0, 1}, {1, 0}, {1, 3}, {3, 1}}));
 }
 
 TEST(TemporalGraphBuilderTest, AddDeltaIgnoresNoOps) {

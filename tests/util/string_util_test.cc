@@ -1,5 +1,7 @@
 #include "util/string_util.h"
 
+#include <cstdint>
+
 #include <gtest/gtest.h>
 
 namespace crashsim {
@@ -27,19 +29,6 @@ TEST(SplitTest, NoDelimiter) {
   EXPECT_EQ(parts[0], "abc");
 }
 
-TEST(SplitWhitespaceTest, CollapsesRuns) {
-  const auto parts = SplitWhitespace("  1\t\t2  3 \n");
-  ASSERT_EQ(parts.size(), 3u);
-  EXPECT_EQ(parts[0], "1");
-  EXPECT_EQ(parts[1], "2");
-  EXPECT_EQ(parts[2], "3");
-}
-
-TEST(SplitWhitespaceTest, EmptyAndAllSpace) {
-  EXPECT_TRUE(SplitWhitespace("").empty());
-  EXPECT_TRUE(SplitWhitespace("   \t ").empty());
-}
-
 TEST(TrimTest, TrimsBothEnds) {
   EXPECT_EQ(Trim("  hi  "), "hi");
   EXPECT_EQ(Trim("hi"), "hi");
@@ -62,6 +51,17 @@ TEST(ParseInt64Test, ValidInputs) {
   EXPECT_EQ(v, -7);
   EXPECT_TRUE(ParseInt64("  13  ", &v));
   EXPECT_EQ(v, 13);
+  // The strtoll language: a leading '+', "-0" and both int64 extremes.
+  EXPECT_TRUE(ParseInt64("+7", &v));
+  EXPECT_EQ(v, 7);
+  EXPECT_TRUE(ParseInt64("-0", &v));
+  EXPECT_EQ(v, 0);
+  EXPECT_TRUE(ParseInt64("007", &v));
+  EXPECT_EQ(v, 7);
+  EXPECT_TRUE(ParseInt64("9223372036854775807", &v));
+  EXPECT_EQ(v, INT64_MAX);
+  EXPECT_TRUE(ParseInt64("-9223372036854775808", &v));
+  EXPECT_EQ(v, INT64_MIN);
 }
 
 TEST(ParseInt64Test, RejectsGarbage) {
@@ -71,6 +71,15 @@ TEST(ParseInt64Test, RejectsGarbage) {
   EXPECT_FALSE(ParseInt64("x12", &v));
   EXPECT_FALSE(ParseInt64("1 2", &v));
   EXPECT_FALSE(ParseInt64("99999999999999999999999", &v));
+  EXPECT_FALSE(ParseInt64("9223372036854775808", &v));
+  EXPECT_FALSE(ParseInt64("-9223372036854775809", &v));
+  EXPECT_FALSE(ParseInt64("+-7", &v));
+  EXPECT_FALSE(ParseInt64("++7", &v));
+  EXPECT_FALSE(ParseInt64("-+7", &v));
+  EXPECT_FALSE(ParseInt64("+", &v));
+  EXPECT_FALSE(ParseInt64("-", &v));
+  EXPECT_FALSE(ParseInt64("+ 7", &v));
+  EXPECT_FALSE(ParseInt64("0x10", &v));
 }
 
 TEST(ParseDoubleTest, ValidInputs) {
