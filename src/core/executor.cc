@@ -9,60 +9,11 @@
 #include "util/failpoint.h"
 #include "util/logging.h"
 #include "util/memory_budget.h"
-#include "util/metrics.h"
 #include "util/string_util.h"
 #include "util/trace.h"
 
 namespace crashsim {
 namespace {
-
-// Process-wide executor telemetry (util/metrics.h); per-instance numbers
-// live in QueryExecutor::Stats. Function-local static references so the
-// registry lookup happens once.
-Counter& SubmittedCounter() {
-  static Counter& c = MetricsRegistry::Global().counter("executor.submitted");
-  return c;
-}
-Counter& AdmittedCounter() {
-  static Counter& c = MetricsRegistry::Global().counter("executor.admitted");
-  return c;
-}
-Counter& ShedQueueFullCounter() {
-  static Counter& c =
-      MetricsRegistry::Global().counter("executor.shed_queue_full");
-  return c;
-}
-Counter& ShedDeadlineCounter() {
-  static Counter& c =
-      MetricsRegistry::Global().counter("executor.shed_deadline");
-  return c;
-}
-Counter& ExpiredInQueueCounter() {
-  static Counter& c =
-      MetricsRegistry::Global().counter("executor.expired_in_queue");
-  return c;
-}
-Counter& CancelledInQueueCounter() {
-  static Counter& c =
-      MetricsRegistry::Global().counter("executor.cancelled_in_queue");
-  return c;
-}
-Counter& DegradedCounter() {
-  static Counter& c = MetricsRegistry::Global().counter("executor.degraded");
-  return c;
-}
-Counter& RetriesCounter() {
-  static Counter& c = MetricsRegistry::Global().counter("executor.retries");
-  return c;
-}
-Counter& CompletedCounter() {
-  static Counter& c = MetricsRegistry::Global().counter("executor.completed");
-  return c;
-}
-Counter& FailedCounter() {
-  static Counter& c = MetricsRegistry::Global().counter("executor.failed");
-  return c;
-}
 
 double SecondsUntil(std::chrono::steady_clock::time_point deadline) {
   return std::chrono::duration<double>(deadline -
@@ -139,13 +90,11 @@ QueryOutcome QueryExecutor::Execute(const QueryRequest& request) {
   }
 
   submitted_.fetch_add(1, std::memory_order_relaxed);
-  SubmittedCounter().Add(1);
   const auto submit_time = std::chrono::steady_clock::now();
 
   // Injected admission fault (chaos tier): behaves like a shed.
   if (Status s = CRASHSIM_FAILPOINT("executor.admit"); !s.ok()) {
     shed_queue_full_.fetch_add(1, std::memory_order_relaxed);
-    ShedQueueFullCounter().Add(1);
     outcome.result.status = s;
     return outcome;
   }
@@ -159,7 +108,6 @@ QueryOutcome QueryExecutor::Execute(const QueryRequest& request) {
     if (running_ >= options_.max_concurrent || queued_ > 0) {
       if (queued_ >= options_.max_queue) {
         shed_queue_full_.fetch_add(1, std::memory_order_relaxed);
-        ShedQueueFullCounter().Add(1);
         outcome.result.status = ResourceExhaustedError(StrFormat(
             "query shed: admission queue full (%d running, %d queued, "
             "max_queue %d)",
@@ -177,7 +125,6 @@ QueryOutcome QueryExecutor::Execute(const QueryRequest& request) {
         const double slack = SecondsUntil(ctx->deadline());
         if (projected_wait > slack) {
           shed_deadline_.fetch_add(1, std::memory_order_relaxed);
-          ShedDeadlineCounter().Add(1);
           outcome.result.status = ResourceExhaustedError(StrFormat(
               "query shed: projected queue wait %.1f ms exceeds deadline "
               "slack %.1f ms",
@@ -192,7 +139,6 @@ QueryOutcome QueryExecutor::Execute(const QueryRequest& request) {
         if (ctx->cancelled()) {
           --queued_;
           cancelled_in_queue_.fetch_add(1, std::memory_order_relaxed);
-          CancelledInQueueCounter().Add(1);
           outcome.result.status =
               CancelledError("query cancelled while queued for admission");
           return outcome;
@@ -201,7 +147,6 @@ QueryOutcome QueryExecutor::Execute(const QueryRequest& request) {
             std::chrono::steady_clock::now() >= ctx->deadline()) {
           --queued_;
           expired_in_queue_.fetch_add(1, std::memory_order_relaxed);
-          ExpiredInQueueCounter().Add(1);
           outcome.result.status = DeadlineExceededError(
               "query deadline expired while queued for admission");
           return outcome;
@@ -212,7 +157,6 @@ QueryOutcome QueryExecutor::Execute(const QueryRequest& request) {
     }
     ++running_;
     admitted_.fetch_add(1, std::memory_order_relaxed);
-    AdmittedCounter().Add(1);
     outcome.admitted = true;
     // Degradation decision at start-of-run load: trade accuracy for
     // liveness once the backlog crosses degrade_at, floor at
@@ -236,7 +180,6 @@ QueryOutcome QueryExecutor::Execute(const QueryRequest& request) {
   if (trial_fraction < 1.0) {
     outcome.degraded = true;
     degraded_.fetch_add(1, std::memory_order_relaxed);
-    DegradedCounter().Add(1);
     ctx->set_trial_fraction(trial_fraction);
   }
   outcome.trial_fraction = trial_fraction;
@@ -289,7 +232,6 @@ QueryOutcome QueryExecutor::Execute(const QueryRequest& request) {
     }
     ++outcome.retries;
     retries_.fetch_add(1, std::memory_order_relaxed);
-    RetriesCounter().Add(1);
   }
   outcome.run_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -303,10 +245,8 @@ QueryOutcome QueryExecutor::Execute(const QueryRequest& request) {
   if (trial_fraction < 1.0) ctx->set_trial_fraction(saved_fraction);
   if (outcome.result.status.ok()) {
     completed_.fetch_add(1, std::memory_order_relaxed);
-    CompletedCounter().Add(1);
   } else {
     failed_.fetch_add(1, std::memory_order_relaxed);
-    FailedCounter().Add(1);
   }
 
   {
@@ -320,6 +260,21 @@ QueryOutcome QueryExecutor::Execute(const QueryRequest& request) {
   }
   slot_free_.NotifyOne();
   return outcome;
+}
+
+std::vector<LedgerValue> QueryExecutor::Stats::Values() const {
+  return {{"submitted", submitted},
+          {"admitted", admitted},
+          {"shed_queue_full", shed_queue_full},
+          {"shed_deadline", shed_deadline},
+          {"expired_in_queue", expired_in_queue},
+          {"cancelled_in_queue", cancelled_in_queue},
+          {"degraded", degraded},
+          {"retries", retries},
+          {"completed", completed},
+          {"failed", failed},
+          {"running", running, /*gauge=*/true},
+          {"queued", queued, /*gauge=*/true}};
 }
 
 QueryExecutor::Stats QueryExecutor::stats() const {

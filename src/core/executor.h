@@ -4,8 +4,10 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <vector>
 
 #include "core/query_context.h"
+#include "util/metrics.h"
 #include "util/mutex.h"
 #include "util/status.h"
 #include "util/thread_annotations.h"
@@ -15,8 +17,8 @@ namespace crashsim {
 // Admission-controlled query execution for the serving core (ROADMAP item
 // 1): overload sheds or degrades queries — it never aborts the process,
 // never corrupts shared state, and reports what it did through the Status
-// taxonomy and the executor.* metrics. Policy details and the failure-mode
-// catalog live in docs/ROBUSTNESS.md.
+// taxonomy and its Stats ledger (the executor.* metrics). Policy details
+// and the failure-mode catalog live in docs/ROBUSTNESS.md.
 //
 // The executor runs each query synchronously on the submitting thread (the
 // engines parallelise internally on the shared ParallelFor pool); what it
@@ -105,8 +107,9 @@ class QueryExecutor {
   // outlived the query) and admitted == false.
   QueryOutcome Execute(const QueryRequest& request);
 
-  // Point-in-time counters (exact once submitters quiesce). The same
-  // numbers feed the global executor.* metrics for Prometheus export.
+  // Point-in-time counters (exact once submitters quiesce). The only copy
+  // of the executor ledger: /statusz and /metrics both render it through
+  // Values().
   struct Stats {
     int64_t submitted = 0;
     int64_t admitted = 0;
@@ -120,6 +123,11 @@ class QueryExecutor {
     int64_t failed = 0;     // admitted and finished non-OK
     int running = 0;
     int queued = 0;
+
+    // Every field above in declaration order, named as /statusz keys them
+    // and as the executor.* /metrics families; running and queued are
+    // gauges.
+    std::vector<LedgerValue> Values() const;
   };
   Stats stats() const;
 

@@ -60,7 +60,7 @@ struct QueryStats {
 
   // --- shared tree cache (serving path; core/tree_cache.h) ---
   // Per-request attribution of TreeCache::GetOrBuild outcomes — the
-  // process-wide cache.* metrics aggregated to this one query. All zero
+  // cache-wide cache.* ledger narrowed to this one query. All zero
   // when the query never touched a cache (the CLI/library default).
   int64_t cache_hits = 0;       // calls served by a resident tree
   int64_t cache_misses = 0;     // calls where this query became the builder

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <mutex>
 #include <new>
 
 #include "core/query_stats.h"
@@ -17,57 +16,43 @@
 
 namespace crashsim {
 
-// Boxed once-flag + rows (see the header): the flag is not movable, the
-// tree is.
-struct ReverseReachableTree::DenseCache {
-  std::once_flag once;
-  DenseRows rows;
-};
-
 int64_t ReverseReachableTree::MemoryBytes() const {
   return static_cast<int64_t>(entries_.capacity() * sizeof(Entry) +
                               level_offsets_.capacity() * sizeof(int64_t) +
                               level_bits_.capacity() * sizeof(uint64_t) +
-                              bits_offset_.capacity() * sizeof(int64_t));
+                              bits_offset_.capacity() * sizeof(int64_t) +
+                              dense_.prob.capacity() * sizeof(float) +
+                              dense_.row_off.capacity() * sizeof(int64_t));
 }
 
-const ReverseReachableTree::DenseRows& ReverseReachableTree::EnsureDenseRows()
-    const {
-  static const DenseRows kEmpty;
-  if (dense_cache_ == nullptr) return kEmpty;
-  DenseCache& cache = *dense_cache_;
-  std::call_once(cache.once, [&] {
-    const size_t n = static_cast<size_t>(n_);
-    if (n == 0) return;
-    // Densify in level order under the byte budget; the floor mirrors the
-    // bitset policy above — below n/64 entries the probes rarely share a
-    // cache line and the compact search path is the better miss. One
-    // sizing pass, one zero-fill, one scatter per level: no regrows.
-    const size_t dense_min = std::max<size_t>(1, n / 64);
-    const size_t row_bytes = n * sizeof(float);
-    size_t budget = kDenseRowBudgetBytes;
-    cache.rows.row_off.assign(static_cast<size_t>(num_levels()), -1);
-    size_t rows = 0;
-    // Level 0 holds only the source and is never probed by a walk
-    // (positions start at 1), so it never earns a row.
-    for (int lvl = 1; lvl <= max_level(); ++lvl) {
-      if (Level(lvl).size() < dense_min || row_bytes > budget) continue;
-      budget -= row_bytes;
-      cache.rows.row_off[static_cast<size_t>(lvl)] =
-          static_cast<int64_t>(rows * n);
-      ++rows;
-    }
-    cache.rows.prob.assign(rows * n, 0.0f);
-    for (int lvl = 1; lvl <= max_level(); ++lvl) {
-      const int64_t off = cache.rows.row_off[static_cast<size_t>(lvl)];
-      if (off < 0) continue;
-      float* row = cache.rows.prob.data() + off;
-      for (const Entry& e : Level(lvl)) {
-        row[static_cast<size_t>(e.node)] = e.prob;
-      }
-    }
-  });
-  return cache.rows;
+void ReverseReachableTree::BuildDenseRows() {
+  const size_t n = static_cast<size_t>(n_);
+  if (n == 0) return;
+  // Densify in level order under the byte budget; as with AppendLevel's
+  // bitsets, a sparse level keeps the search path — below n/64 entries the
+  // probes rarely share a cache line and the compact search is the better
+  // miss. One sizing pass, one zero-fill, one scatter per level: no
+  // regrows.
+  const size_t dense_min = std::max<size_t>(1, n / 64);
+  const size_t row_bytes = n * sizeof(float);
+  size_t budget = kDenseRowBudgetBytes;
+  dense_.row_off.assign(static_cast<size_t>(num_levels()), -1);
+  size_t rows = 0;
+  // Level 0 holds only the source and is never probed by a walk (positions
+  // start at 1), so it never earns a row.
+  for (int lvl = 1; lvl <= max_level(); ++lvl) {
+    if (Level(lvl).size() < dense_min || row_bytes > budget) continue;
+    budget -= row_bytes;
+    dense_.row_off[static_cast<size_t>(lvl)] = static_cast<int64_t>(rows * n);
+    ++rows;
+  }
+  dense_.prob.assign(rows * n, 0.0f);
+  for (int lvl = 1; lvl <= max_level(); ++lvl) {
+    const int64_t off = dense_.row_off[static_cast<size_t>(lvl)];
+    if (off < 0) continue;
+    float* row = dense_.prob.data() + off;
+    for (const Entry& e : Level(lvl)) row[static_cast<size_t>(e.node)] = e.prob;
+  }
 }
 
 void ReverseReachableTree::ProbabilityBatch(int level,
@@ -113,11 +98,6 @@ bool operator==(const ReverseReachableTree& a, const ReverseReachableTree& b) {
 }
 
 void ReverseReachableTree::AppendLevel(std::span<const Entry> level) {
-  if (dense_cache_ == nullptr) {
-    // Allocated here — on the single-threaded build path — so the lazy
-    // EnsureDenseRows never has to create the box under concurrency.
-    dense_cache_ = std::make_shared<DenseCache>();
-  }
   entries_.insert(entries_.end(), level.begin(), level.end());
   level_offsets_.push_back(static_cast<int64_t>(entries_.size()));
   // A level earns a bitset once the n/64 words cost at most a few bytes per
@@ -278,9 +258,11 @@ StatusOr<ReverseReachableTree> BuildRevReach(const Graph& g, NodeId u,
   while (tree.max_level() < l_max) tree.AppendLevel({});
   tree.entries_.shrink_to_fit();
   tree.level_bits_.shrink_to_fit();
+  tree.BuildDenseRows();
   if (budget != nullptr) {
-    // shrink_to_fit may have returned capacity; settle the charge to the
-    // final footprint, then keep it charged for the query's lifetime.
+    // shrink_to_fit may have returned capacity and the dense rows added
+    // some; settle the charge to the final footprint, then keep it charged
+    // for the query's lifetime.
     const int64_t final_bytes = tree.MemoryBytes();
     if (final_bytes < tree_charged) {
       budget->Release(tree_charged - final_bytes);

@@ -2,7 +2,6 @@
 #define CRASHSIM_CORE_REV_REACH_H_
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -100,13 +99,11 @@ class ReverseReachableTree {
     std::vector<int64_t> row_off;
   };
 
-  // Returns the dense rows, building them on first use. The build is
-  // cached on the tree (the batch walk engine asks once per query, and
-  // shared trees — the serving cache, repeated trial blocks — would
-  // otherwise re-pay the O(levels * n) scatter every time). Thread-safe:
-  // concurrent first calls race through std::call_once.
-  // A default-constructed tree returns empty rows.
-  const DenseRows& EnsureDenseRows() const;
+  // The dense rows, built with the tree at the end of BuildRevReach, so
+  // MemoryBytes() — and with it the builder's MemoryBudget charge and the
+  // serving cache's capacity — counts them. A default-constructed tree
+  // has none.
+  const DenseRows& EnsureDenseRows() const { return dense_; }
 
   // Sparse non-zero entries of one level, sorted by node id.
   std::span<const Entry> Level(int level) const {
@@ -127,9 +124,9 @@ class ReverseReachableTree {
   // Total non-zero (level, node) cells.
   int64_t EntryCount() const { return static_cast<int64_t>(entries_.size()); }
 
-  // Heap bytes held by this tree (entries + offsets + bitsets). The bench
-  // harness reports it; the memory-shape regression test pins it to
-  // O(EntryCount()), not O(l_max * n).
+  // Heap bytes held by this tree (entries + offsets + bitsets + dense
+  // rows). The bench harness reports it; the memory-shape regression test
+  // pins it to O(EntryCount()), not O(l_max * n).
   int64_t MemoryBytes() const;
 
   // Sorted unique nodes appearing at any level (the tree's support) —
@@ -152,6 +149,8 @@ class ReverseReachableTree {
   // level is dense enough that n/64 bitset words cost less than a few bytes
   // per entry, its membership bitset.
   void AppendLevel(std::span<const Entry> level);
+  // Fills dense_ from the finished levels.
+  void BuildDenseRows();
 
   NodeId n_ = 0;
   NodeId source_ = -1;
@@ -162,16 +161,10 @@ class ReverseReachableTree {
   // level is sparse enough that binary search alone is the better trade.
   std::vector<uint64_t> level_bits_;
   std::vector<int64_t> bits_offset_;
-  // Lazily built dense probe rows, boxed so the tree stays movable (a
-  // std::once_flag is neither movable nor copyable). Allocated by the
-  // first AppendLevel — i.e. during the single-threaded build — and null
-  // for a default-constructed tree. Copies share the box, which is sound
-  // because the rows are a pure function of the immutable tree content.
-  struct DenseCache;
-  mutable std::shared_ptr<DenseCache> dense_cache_;
+  DenseRows dense_;
 };
 
-// Cap on the bytes of dense probe rows one tree may cache (a row costs
+// Cap on the bytes of dense probe rows one tree may hold (a row costs
 // 4 * n bytes). Levels densify in level order until the budget runs out;
 // the remainder keeps the bitset + binary-search path. 128 MB covers every
 // level of any query-sized tree while staying far below the resident set

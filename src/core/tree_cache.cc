@@ -7,42 +7,12 @@
 #include "core/query_stats.h"
 #include "util/failpoint.h"
 #include "util/logging.h"
-#include "util/metrics.h"
 #include "util/rng.h"
 #include "util/string_util.h"
 #include "util/timer.h"
 #include "util/trace.h"
 
 namespace crashsim {
-namespace {
-
-Counter& HitsCounter() {
-  static Counter& c = MetricsRegistry::Global().counter("cache.hits");
-  return c;
-}
-Counter& MissesCounter() {
-  static Counter& c = MetricsRegistry::Global().counter("cache.misses");
-  return c;
-}
-Counter& CoalescedCounter() {
-  static Counter& c = MetricsRegistry::Global().counter("cache.coalesced");
-  return c;
-}
-Counter& EvictionsCounter() {
-  static Counter& c = MetricsRegistry::Global().counter("cache.evictions");
-  return c;
-}
-Gauge& BytesGauge() {
-  static Gauge& g = MetricsRegistry::Global().gauge("cache.bytes");
-  return g;
-}
-Gauge& TreesGauge() {
-  static Gauge& g = MetricsRegistry::Global().gauge("cache.trees");
-  return g;
-}
-
-}  // namespace
-
 Status TreeCacheOptions::Validate() const {
   if (!(c > 0.0 && c < 1.0)) {
     return InvalidArgumentError(StrFormat("c must be in (0, 1), got %g", c));
@@ -80,8 +50,8 @@ StatusOr<TreeCache::TreePtr> TreeCache::GetOrBuild(NodeId source, int l_max,
                                                    RevReachMode mode,
                                                    QueryContext* ctx) {
   TRACE_SPAN("tree_cache.get");
-  // Per-request attribution (the process-wide cache.* counters cannot say
-  // which query paid for a build): outcome counts plus the wall time this
+  // Per-request attribution (the cache-wide Stats cannot say which query
+  // paid for a build): outcome counts plus the wall time this
   // query spent inside the cache, recorded on every exit path.
   QueryStats* const qstats = ctx != nullptr ? ctx->stats() : nullptr;
   struct WaitRecorder {
@@ -97,7 +67,6 @@ StatusOr<TreeCache::TreePtr> TreeCache::GetOrBuild(NodeId source, int l_max,
     auto it = slots_.find(key);
     if (it != slots_.end() && !it->second.building) {
       ++hits_;
-      HitsCounter().Add(1);
       if (qstats != nullptr) ++qstats->cache_hits;
       // Refresh LRU position: this key is hot again.
       lru_.splice(lru_.begin(), lru_, it->second.lru_it);
@@ -108,7 +77,6 @@ StatusOr<TreeCache::TreePtr> TreeCache::GetOrBuild(NodeId source, int l_max,
       // Bounded waits so this query's own deadline/cancellation is honoured
       // promptly even if the builder stalls.
       ++coalesced_;
-      CoalescedCounter().Add(1);
       if (qstats != nullptr) ++qstats->cache_coalesced;
       for (;;) {
         built_.WaitFor(mu_, std::chrono::milliseconds(5));
@@ -131,7 +99,6 @@ StatusOr<TreeCache::TreePtr> TreeCache::GetOrBuild(NodeId source, int l_max,
     // outside the lock so waiters and unrelated keys are not serialised
     // behind an O(l_max * m) build.
     ++misses_;
-    MissesCounter().Add(1);
     if (qstats != nullptr) ++qstats->cache_misses;
     slots_.emplace(key, Slot{});
     lock.Unlock();
@@ -183,8 +150,6 @@ StatusOr<TreeCache::TreePtr> TreeCache::GetOrBuild(NodeId source, int l_max,
     slot.lru_it = lru_.begin();
     bytes_ += slot.bytes;
     EvictOverCapacityLocked();
-    BytesGauge().Set(bytes_);
-    TreesGauge().Set(static_cast<int64_t>(lru_.size()));
     built_.NotifyAll();
     return tree;
   }
@@ -201,8 +166,16 @@ void TreeCache::EvictOverCapacityLocked() {
     bytes_ -= it->second.bytes;
     slots_.erase(it);
     ++evictions_;
-    EvictionsCounter().Add(1);
   }
+}
+
+std::vector<LedgerValue> TreeCache::Stats::Values() const {
+  return {{"hits", hits},
+          {"misses", misses},
+          {"coalesced", coalesced},
+          {"evictions", evictions},
+          {"bytes", bytes, /*gauge=*/true},
+          {"trees", trees, /*gauge=*/true}};
 }
 
 TreeCache::Stats TreeCache::stats() const {

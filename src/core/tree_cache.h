@@ -5,10 +5,12 @@
 #include <list>
 #include <memory>
 #include <unordered_map>
+#include <vector>
 
 #include "core/query_context.h"
 #include "core/rev_reach.h"
 #include "graph/graph.h"
+#include "util/metrics.h"
 #include "util/mutex.h"
 #include "util/status.h"
 #include "util/thread_annotations.h"
@@ -78,8 +80,8 @@ class TreeCache {
                                              RevReachMode mode,
                                              QueryContext* ctx);
 
-  // Point-in-time counters; the same numbers feed the global cache.*
-  // metrics for Prometheus export.
+  // Point-in-time counters: the only copy of the cache ledger, rendered by
+  // /statusz and /metrics through Values().
   struct Stats {
     int64_t hits = 0;       // tree was resident
     int64_t misses = 0;     // this query became the builder
@@ -87,6 +89,10 @@ class TreeCache {
     int64_t evictions = 0;
     int64_t bytes = 0;      // resident tree bytes
     int64_t trees = 0;      // resident tree count
+
+    // Every field above in declaration order, named as /statusz keys them
+    // and as the cache.* /metrics families; bytes and trees are gauges.
+    std::vector<LedgerValue> Values() const;
   };
   Stats stats() const;
 

@@ -43,12 +43,8 @@ WalkBatchEngine::WalkBatchEngine(const Graph& g,
                    DiscreteSampler::Backend::kAuto) {
   CRASHSIM_CHECK(max_walk_nodes >= 1);
   CRASHSIM_CHECK(batch_size_ >= 1 && batch_size_ <= kMaxWalkBatch);
-  // A scalar engine resolves probes through tree.Probability and never
-  // reads dense rows; don't make the tree build them for nothing.
-  if (batch_size_ > 1) {
-    const ReverseReachableTree::DenseRows& rows = tree.EnsureDenseRows();
-    dense_ = {rows.prob.data(), rows.row_off.data(), rows.row_off.size()};
-  }
+  const ReverseReachableTree::DenseRows& rows = tree.EnsureDenseRows();
+  dense_ = {rows.prob.data(), rows.row_off.data(), rows.row_off.size()};
 }
 
 void WalkBatchEngine::Run(std::span<const NodeId> candidates, NodeId skip,

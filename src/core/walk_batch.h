@@ -30,7 +30,7 @@ struct WalkBatchStats {
 // so step s probes tree level s only (DESIGN.md §3b).
 //
 // Tree probes resolve through the tree's dense direct-index rows
-// (ReverseReachableTree::EnsureDenseRows, built once per tree and shared
+// (ReverseReachableTree::EnsureDenseRows, built with the tree and shared
 // by every engine over it): a probe against a densified level is ONE load,
 // from a row that stays in L1 for the whole step, of the exact float
 // Entry::prob holds, so widening it is bit-identical to Probability().
@@ -85,8 +85,8 @@ class WalkBatchEngine {
 
  private:
   // Borrowed view of the tree's dense probe rows (storage owned by the
-  // tree's cache, which outlives the engine with the tree itself). levels
-  // is 0 when the engine runs scalar and never asked for rows.
+  // tree, which outlives the engine). levels is 0 for a tree without
+  // rows; the scalar path never reads them.
   struct DenseView {
     const float* prob = nullptr;
     const int64_t* row_off = nullptr;

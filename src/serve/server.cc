@@ -33,18 +33,6 @@
 namespace crashsim {
 namespace {
 
-Counter& RequestsCounter() {
-  static Counter& c = MetricsRegistry::Global().counter("serve.requests");
-  return c;
-}
-Counter& ErrorsCounter() {
-  static Counter& c = MetricsRegistry::Global().counter("serve.errors");
-  return c;
-}
-Counter& ConnectionsCounter() {
-  static Counter& c = MetricsRegistry::Global().counter("serve.connections");
-  return c;
-}
 FixedHistogram& TopKLatencyHistogram() {
   static FixedHistogram& h = MetricsRegistry::Global().histogram(
       "serve.topk_ms", ExponentialBuckets(1, 2.0, 14));
@@ -323,7 +311,6 @@ void Server::AcceptLoop() {
       continue;
     }
     connections_accepted_.fetch_add(1, std::memory_order_relaxed);
-    ConnectionsCounter().Add(1);
     active_connections_.fetch_add(1, std::memory_order_relaxed);
     const MutexLock lock(conn_mu_);
     // Reap finished connection threads so a long-lived server does not
@@ -485,7 +472,9 @@ Server::Reply Server::Dispatch(const std::string& op,
   ctx->set_stats(&stats);
   ctx->set_request_id(request_id);
   const Query query{request, temporal, original_source, it->second, &*ctx};
-  return temporal ? HandleTemporal(query) : HandleTopK(query);
+  Reply reply = temporal ? HandleTemporal(query) : HandleTopK(query);
+  reply.stats = std::move(stats);
+  return reply;
 }
 
 QueryOutcome Server::RunQuery(const Query& query,
@@ -510,14 +499,13 @@ QueryOutcome Server::RunQuery(const Query& query,
   reply->run_ms = outcome.run_seconds * 1e3;
   reply->cache_ms = stats.cache_wait_seconds * 1e3;
   reply->walk_ms = std::max(0.0, reply->run_ms - reply->cache_ms);
-  QueryStatsEnvelope envelope;
+  QueryStatsEnvelope& envelope = reply->envelope;
   envelope.query = query.temporal ? "temporal" : "topk";
   envelope.algo = query.temporal ? "crashsim-t" : "crashsim";
   envelope.n = query.temporal ? temporal_->graph.num_nodes()
                               : graph_.graph.num_nodes();
   envelope.m = query.temporal ? 0 : graph_.graph.num_edges();
   envelope.elapsed_seconds = outcome.queue_wait_seconds + outcome.run_seconds;
-  reply->stats_json = QueryStatsJson(envelope, stats);
   return outcome;
 }
 
@@ -632,11 +620,7 @@ void Server::Observe(uint64_t request_id, const Reply& reply,
                      std::shared_ptr<const RequestTrace> trace) {
   const std::string status(StatusCodeName(reply.status.code()));
   requests_.fetch_add(1, std::memory_order_relaxed);
-  RequestsCounter().Add(1);
-  if (!reply.status.ok()) {
-    errors_.fetch_add(1, std::memory_order_relaxed);
-    ErrorsCounter().Add(1);
-  }
+  if (!reply.status.ok()) errors_.fetch_add(1, std::memory_order_relaxed);
   if (reply.op == "topk" || reply.op == "temporal") {
     const bool topk = reply.op == "topk";
     const auto latency = static_cast<int64_t>(reply.elapsed_ms);
@@ -665,8 +649,8 @@ void Server::Observe(uint64_t request_id, const Reply& reply,
         .Bool("admitted", reply.admitted)
         .Bool("degraded", reply.degraded)
         .Int("retries", reply.retries);
-    if (!reply.stats_json.empty()) {
-      event.Raw("query_stats", reply.stats_json);
+    if (reply.ran) {
+      event.Raw("query_stats", QueryStatsJson(reply.envelope, reply.stats));
     }
     options_.event_log->Log(event.Finish());
   }
@@ -707,7 +691,7 @@ void Server::MetricsLoop() {
                        "only GET is supported here\n");
     } else if (line.path == "/metrics") {
       SendHttpResponse(fd, "HTTP/1.1 200 OK", kPrometheusType,
-                       MetricsRegistry::Global().ExportPrometheusText());
+                       BuildMetricsText());
     } else if (line.path == "/statusz") {
       SendHttpResponse(fd, "HTTP/1.1 200 OK", "application/json",
                        BuildStatuszJson());
@@ -763,31 +747,17 @@ std::string Server::BuildStatuszJson() const {
 
   // The executor admission ledger: every submitted query lands in exactly
   // one of admitted / shed / expired / cancelled, and every admitted one in
-  // completed / failed (plus the live running/queued gauges).
-  const QueryExecutor::Stats exec = executor_->stats();
-  JsonValue executor = JsonValue::Object();
-  executor.Set("submitted", JsonValue(exec.submitted));
-  executor.Set("admitted", JsonValue(exec.admitted));
-  executor.Set("shed_queue_full", JsonValue(exec.shed_queue_full));
-  executor.Set("shed_deadline", JsonValue(exec.shed_deadline));
-  executor.Set("expired_in_queue", JsonValue(exec.expired_in_queue));
-  executor.Set("cancelled_in_queue", JsonValue(exec.cancelled_in_queue));
-  executor.Set("degraded", JsonValue(exec.degraded));
-  executor.Set("retries", JsonValue(exec.retries));
-  executor.Set("completed", JsonValue(exec.completed));
-  executor.Set("failed", JsonValue(exec.failed));
-  executor.Set("running", JsonValue(static_cast<int64_t>(exec.running)));
-  executor.Set("queued", JsonValue(static_cast<int64_t>(exec.queued)));
-  out.Set("executor", std::move(executor));
+  // completed / failed (plus the live running/queued gauges). Both blocks
+  // list the same values /metrics renders.
+  const auto ledger_json = [](const std::vector<LedgerValue>& values) {
+    JsonValue block = JsonValue::Object();
+    for (const LedgerValue& v : values) block.Set(v.name, JsonValue(v.value));
+    return block;
+  };
+  out.Set("executor", ledger_json(executor_->stats().Values()));
 
   const TreeCache::Stats cache = cache_->stats();
-  JsonValue cache_json = JsonValue::Object();
-  cache_json.Set("hits", JsonValue(cache.hits));
-  cache_json.Set("misses", JsonValue(cache.misses));
-  cache_json.Set("coalesced", JsonValue(cache.coalesced));
-  cache_json.Set("evictions", JsonValue(cache.evictions));
-  cache_json.Set("bytes", JsonValue(cache.bytes));
-  cache_json.Set("trees", JsonValue(cache.trees));
+  JsonValue cache_json = ledger_json(cache.Values());
   const int64_t lookups = cache.hits + cache.misses + cache.coalesced;
   cache_json.Set("hit_rate",
                  JsonValue(lookups > 0
@@ -839,6 +809,22 @@ std::string Server::BuildStatuszJson() const {
   out.Set("slo", std::move(slo_json));
 
   return out.Write();
+}
+
+std::string Server::BuildMetricsText() const {
+  MetricSamples samples = MetricsRegistry::Global().Snapshot();
+  const Stats s = stats();
+  const LedgerValue serve[] = {{"requests", s.requests},
+                               {"errors", s.errors},
+                               {"connections", s.connections_accepted}};
+  samples.AddLedger("serve", serve);
+  samples.AddLedger("executor", executor_->stats().Values());
+  samples.AddLedger("cache", cache_->stats().Values());
+  if (options_.event_log != nullptr) {
+    const LedgerValue eventlog[] = {{"dropped", options_.event_log->dropped()}};
+    samples.AddLedger("eventlog", eventlog);
+  }
+  return RenderPrometheusText(std::move(samples));
 }
 
 std::string Server::BuildTracezJson() const {

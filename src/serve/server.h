@@ -13,6 +13,7 @@
 
 #include "core/crashsim.h"
 #include "core/executor.h"
+#include "core/query_stats.h"
 #include "core/snapshot_diagonals.h"
 #include "core/tree_cache.h"
 #include "graph/graph_io.h"
@@ -45,8 +46,10 @@ class EventLog;  // util/event_log.h
 // per-query build. The CI smoke lane diffs exactly that.
 //
 // A second listener serves GET /metrics in Prometheus text format for
-// scraping (cache.*, executor.*, serve.* and everything else in the
-// registry), plus the debug endpoints GET /statusz (uptime, build info,
+// scraping: this server's own serve.*, executor.* and cache.* ledgers
+// (its Stats, the executor's and the cache's, read at scrape time, so a
+// second Server in the process never adds to them) plus the process-wide
+// registry, and the debug endpoints GET /statusz (uptime, build info,
 // executor ledger, cache occupancy, rolling per-minute latency
 // percentiles, SLO burn) and GET /tracez (the most recent sampled request
 // span trees). Unknown paths get 404, non-GET methods 405, and request
@@ -163,7 +166,10 @@ class Server {
     double walk_ms = 0.0;       // run time minus cache time
     double serialize_ms = 0.0;  // answer and response assembly
     Stopwatch answer_timer;     // restarted when the engine returns
-    std::string stats_json;     // crashsim.query_stats.v1, "" when not run
+    // The query's own record, set when it ran; rendered as
+    // crashsim.query_stats.v1 only for the slow-query log.
+    QueryStats stats;
+    QueryStatsEnvelope envelope;
   };
 
   // A query op's source and request-scoped context, resolved once by the
@@ -194,6 +200,8 @@ class Server {
   // collector (null when /tracez is off).
   void Observe(uint64_t request_id, const Reply& reply,
                std::shared_ptr<const class RequestTrace> trace);
+  // /metrics body (Prometheus text).
+  std::string BuildMetricsText() const;
   // /statusz and /tracez bodies (serialized JSON).
   std::string BuildStatuszJson() const;
   std::string BuildTracezJson() const;

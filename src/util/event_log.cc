@@ -4,19 +4,10 @@
 #include <cmath>
 #include <utility>
 
-#include "util/metrics.h"
 #include "util/string_util.h"
 
 namespace crashsim {
 namespace {
-
-// Process-wide overflow visibility: exported on /metrics as
-// crashsim_eventlog_dropped_total, mirroring the per-instance dropped()
-// counter (one EventLog per process in practice).
-Counter& EventLogDropCounter() {
-  static Counter& c = MetricsRegistry::Global().counter("eventlog.dropped");
-  return c;
-}
 
 int64_t WallNowMillis() {
   return std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -220,7 +211,6 @@ EventLog::~EventLog() {
 void EventLog::Log(std::string line) {
   if (!queue_.TryPush(std::move(line))) {
     dropped_.fetch_add(1, std::memory_order_relaxed);
-    EventLogDropCounter().Add(1);
     return;
   }
   enqueued_.fetch_add(1, std::memory_order_release);

@@ -29,8 +29,8 @@ namespace crashsim {
 // which enqueues it on a bounded lock-free MPMC queue (Vyukov-style
 // sequence-stamped ring) consumed by one dedicated writer thread. Log()
 // never blocks and never does file I/O: when the queue is full the line is
-// dropped and counted (instance dropped() + the process-wide
-// crashsim_eventlog_dropped_total counter) — the serving hot path must
+// dropped and counted in dropped(), which a server owning the log exports
+// as crashsim_eventlog_dropped_total — the serving hot path must
 // degrade by losing log lines, never by stalling on a slow disk.
 
 // Renders one event line. Key order is emission order; keys must be ASCII

@@ -211,36 +211,32 @@ FixedHistogram& MetricsRegistry::histogram(const std::string& name,
   return *slot;
 }
 
-std::vector<MetricsRegistry::Sample> MetricsRegistry::SnapshotCounters()
-    const {
+MetricSamples MetricsRegistry::Snapshot() const {
   const MutexLock lock(mu_);
-  std::vector<Sample> out;
-  out.reserve(counters_.size());
+  MetricSamples out;
   for (const auto& [name, counter] : counters_) {
-    out.push_back({name, counter->Value()});
+    out.counters.push_back({name, counter->Value()});
   }
-  return out;
-}
-
-std::vector<MetricsRegistry::Sample> MetricsRegistry::SnapshotGauges() const {
-  const MutexLock lock(mu_);
-  std::vector<Sample> out;
-  out.reserve(gauges_.size());
   for (const auto& [name, gauge] : gauges_) {
-    out.push_back({name, gauge->Value()});
+    out.gauges.push_back({name, gauge->Value()});
+  }
+  for (const auto& [name, hist] : histograms_) {
+    out.histograms.push_back({name, hist->TakeSnapshot()});
   }
   return out;
 }
 
-std::vector<MetricsRegistry::HistogramSample>
-MetricsRegistry::SnapshotHistograms() const {
-  const MutexLock lock(mu_);
-  std::vector<HistogramSample> out;
-  out.reserve(histograms_.size());
-  for (const auto& [name, hist] : histograms_) {
-    out.push_back({name, hist->TakeSnapshot()});
+std::string MetricsRegistry::ExportPrometheusText() const {
+  return RenderPrometheusText(Snapshot());
+}
+
+void MetricSamples::AddLedger(std::string_view prefix,
+                              std::span<const LedgerValue> values) {
+  for (const LedgerValue& v : values) {
+    if (!v.gauge && v.value == 0) continue;
+    (v.gauge ? gauges : counters)
+        .push_back({std::string(prefix) + "." + v.name, v.value});
   }
-  return out;
 }
 
 namespace {
@@ -258,21 +254,30 @@ std::string PrometheusName(const std::string& name) {
   return out;
 }
 
+template <typename T>
+void SortByName(std::vector<T>* samples) {
+  std::sort(samples->begin(), samples->end(),
+            [](const T& a, const T& b) { return a.name < b.name; });
+}
+
 }  // namespace
 
-std::string MetricsRegistry::ExportPrometheusText() const {
+std::string RenderPrometheusText(MetricSamples samples) {
+  SortByName(&samples.counters);
+  SortByName(&samples.gauges);
+  SortByName(&samples.histograms);
   std::string out;
-  for (const Sample& s : SnapshotCounters()) {
+  for (const MetricSample& s : samples.counters) {
     const std::string name = PrometheusName(s.name) + "_total";
     out += StrFormat("# TYPE %s counter\n%s %lld\n", name.c_str(),
                      name.c_str(), static_cast<long long>(s.value));
   }
-  for (const Sample& s : SnapshotGauges()) {
+  for (const MetricSample& s : samples.gauges) {
     const std::string name = PrometheusName(s.name);
     out += StrFormat("# TYPE %s gauge\n%s %lld\n", name.c_str(), name.c_str(),
                      static_cast<long long>(s.value));
   }
-  for (const HistogramSample& h : SnapshotHistograms()) {
+  for (const HistogramSample& h : samples.histograms) {
     const std::string name = PrometheusName(h.name);
     out += StrFormat("# TYPE %s histogram\n", name.c_str());
     const FixedHistogram::Snapshot& snap = h.snapshot;

@@ -6,7 +6,9 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/mutex.h"
@@ -25,7 +27,10 @@ namespace crashsim {
 // (core/query_stats.h) through an explicit QueryContext sink, so callers
 // opt in without global state. The registry is for process-lifetime signals
 // (ParallelFor shard accounting, CLI query latency) that have no single
-// query to attach to.
+// query to attach to. Nor do instance ledgers live here: a QueryExecutor or
+// TreeCache counts into its own Stats, and an exporter that owns one adds
+// it to the exposition at render time (MetricSamples::AddLedger), so two
+// instances in one process never sum into one family.
 
 // Monotonic counter. Add() is wait-free and contention-free across threads;
 // Value() is a relaxed sum over the shards (exact once writers quiesce).
@@ -172,6 +177,47 @@ class SlidingHistogram {
   std::vector<Slot> slots_ CRASHSIM_GUARDED_BY(mu_);
 };
 
+// One point-in-time metric read, for exposition.
+struct MetricSample {
+  std::string name;
+  int64_t value = 0;
+};
+
+struct HistogramSample {
+  std::string name;
+  FixedHistogram::Snapshot snapshot;
+};
+
+// One value of a component-owned ledger (QueryExecutor::Stats,
+// TreeCache::Stats): `name` is its /statusz key and, under the component's
+// prefix, its /metrics family. Gauges describe current state; every other
+// value is a monotonic counter.
+struct LedgerValue {
+  const char* name;
+  int64_t value;
+  bool gauge = false;
+};
+
+// The samples of one exposition: a registry snapshot plus whatever
+// component ledgers the exporter owns.
+struct MetricSamples {
+  std::vector<MetricSample> counters;
+  std::vector<MetricSample> gauges;
+  std::vector<HistogramSample> histograms;
+
+  // Adds `values` as "<prefix>.<name>" samples: gauges always, counters
+  // once non-zero, so a ledger counter's family appears on its first
+  // increment, as a registry counter's does on its first lookup.
+  void AddLedger(std::string_view prefix, std::span<const LedgerValue> values);
+};
+
+// Prometheus text exposition format (version 0.0.4): every metric name is
+// sanitised to [a-zA-Z0-9_] and prefixed "crashsim_"; counters gain the
+// "_total" suffix; histograms emit cumulative "_bucket" series with an
+// le="+Inf" bucket plus "_sum"/"_count". Each kind is rendered in name
+// order. Validated by tools/check_prometheus.py.
+std::string RenderPrometheusText(MetricSamples samples);
+
 // Named registry. Lookup-or-create takes a mutex; the returned references
 // are stable for the registry's lifetime, so hot paths resolve a metric
 // once (function-local static reference) and then touch only the metric.
@@ -191,28 +237,13 @@ class MetricsRegistry {
   FixedHistogram& histogram(const std::string& name,
                             std::vector<int64_t> bounds);
 
-  struct Sample {
-    std::string name;
-    int64_t value = 0;
-  };
-  // Name-sorted point-in-time reads.
-  std::vector<Sample> SnapshotCounters() const;
-  std::vector<Sample> SnapshotGauges() const;
-
-  struct HistogramSample {
-    std::string name;
-    FixedHistogram::Snapshot snapshot;
-  };
-  std::vector<HistogramSample> SnapshotHistograms() const;
+  // Point-in-time read of every metric, name-sorted within each kind.
+  MetricSamples Snapshot() const;
 
   // Multi-line human dump of every metric (counters, gauges, histograms).
   std::string ToString() const;
 
-  // Prometheus text exposition format (version 0.0.4): every metric name is
-  // sanitised to [a-zA-Z0-9_] and prefixed "crashsim_"; counters gain the
-  // "_total" suffix; histograms emit cumulative "_bucket" series with an
-  // le="+Inf" bucket plus "_sum"/"_count", straight from
-  // FixedHistogram::TakeSnapshot(). Validated by tools/check_prometheus.py.
+  // RenderPrometheusText(Snapshot()).
   std::string ExportPrometheusText() const;
 
   // Zeroes all counters (gauges and histogram contents are left alone —

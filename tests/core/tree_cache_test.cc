@@ -242,6 +242,48 @@ TEST(TreeCacheTest, BudgetShedBuildIsNotCachedAndSlotRecovers) {
   EXPECT_EQ(cache.stats().trees, 1);
 }
 
+// A tree's dense probe rows are part of its footprint: MemoryBytes()
+// counts them, so a capacity that holds the sparse levels but not the rows
+// beside them cannot keep the tree, and the cache evicts it.
+TEST(TreeCacheTest, DenseRowsCountAgainstCapacity) {
+  Rng rng(31);
+  const Graph g = ErdosRenyi(300, 1500, /*undirected=*/false, &rng);
+  const CrashSimOptions eopt = TestEngineOptions();
+  CrashSim engine(eopt);
+  engine.Bind(&g);
+  const ReverseReachableTree probe = engine.BuildTree(0);
+  const ReverseReachableTree::DenseRows& rows = probe.EnsureDenseRows();
+  ASSERT_FALSE(rows.prob.empty()) << "expected dense levels";
+  const int64_t row_bytes =
+      static_cast<int64_t>(rows.prob.size() * sizeof(float) +
+                           rows.row_off.size() * sizeof(int64_t));
+  const int64_t entry_bytes = probe.EntryCount() *
+                              static_cast<int64_t>(sizeof(
+                                  ReverseReachableTree::Entry));
+  EXPECT_GE(probe.MemoryBytes(), entry_bytes + row_bytes);
+
+  // An upper bound on the sparse form alone: the entries, the level
+  // offsets, and a bitset plus its offset (with growth slack) per level.
+  const int64_t levels = probe.num_levels();
+  const int64_t words = (g.num_nodes() + 63) / 64;
+  const int64_t sparse_bound =
+      entry_bytes + (levels + 1) * 8 + levels * (words + 2) * 8;
+  ASSERT_LT(sparse_bound, probe.MemoryBytes());
+
+  TreeCacheOptions copt = MatchingCacheOptions(eopt);
+  copt.capacity_bytes = sparse_bound;
+  TreeCache cache(&g, copt);
+  QueryContext ctx;
+  StatusOr<TreeCache::TreePtr> tree =
+      cache.GetOrBuild(0, engine.LMax(), eopt.mode, &ctx);
+  ASSERT_TRUE(tree.ok());
+  EXPECT_TRUE(**tree == probe);
+  const TreeCache::Stats stats = cache.stats();
+  EXPECT_EQ(stats.evictions, 1);
+  EXPECT_EQ(stats.trees, 0);
+  EXPECT_EQ(stats.bytes, 0);
+}
+
 // LRU eviction under byte pressure: capacity for roughly one tree means
 // inserting a second evicts the first, resident bytes stay bounded, and an
 // evicted tree already handed to a query remains valid (shared ownership).

@@ -532,6 +532,85 @@ TEST(ServerTest, MetricsEndpointServesPrometheusText) {
   server.Shutdown();
 }
 
+// Two servers in one process keep separate ledgers: each one's /metrics
+// serve.*, executor.* and cache.* samples are its own stats() and /statusz
+// values, never the sum over every server the process has run.
+TEST(ServerTest, TwoServersInOneProcessExportOnlyTheirOwnCounters) {
+  Server first(TestGraph(), std::nullopt, TestServerOptions());
+  Server second(TestGraph(), std::nullopt, TestServerOptions());
+  ASSERT_TRUE(first.Start().ok());
+  ASSERT_TRUE(second.Start().ok());
+  {
+    Client client(first.port());
+    ASSERT_TRUE(client.connected());
+    for (const int64_t source : {1007, 1008, 1007, 99999}) {
+      ASSERT_TRUE(client.Call(TopKRequest(source, 5)).ok());
+    }
+  }
+  {
+    Client client(second.port());
+    ASSERT_TRUE(client.connected());
+    ASSERT_TRUE(client.Call(TopKRequest(1009, 5)).ok());
+  }
+
+  for (Server* server : {&first, &second}) {
+    SCOPED_TRACE(server == &first ? "first" : "second");
+    const std::string metrics =
+        HttpBody(HttpGet(server->metrics_port(), "/metrics"));
+    StatusOr<JsonValue> statusz =
+        ParseJson(HttpBody(HttpGet(server->metrics_port(), "/statusz")));
+    ASSERT_TRUE(statusz.ok()) << statusz.status().ToString();
+
+    // One TYPE line per family (tools/check_prometheus.py's rule).
+    std::set<std::string> families;
+    for (size_t at = metrics.find("# TYPE "); at != std::string::npos;
+         at = metrics.find("# TYPE ", at + 1)) {
+      const size_t name = at + 7;
+      EXPECT_TRUE(
+          families.insert(metrics.substr(name, metrics.find(' ', name) - name))
+              .second)
+          << "duplicate TYPE at offset " << at;
+    }
+
+    const Server::Stats stats = server->stats();
+    EXPECT_EQ(PrometheusSample(metrics, "crashsim_serve_requests_total"),
+              stats.requests);
+    EXPECT_EQ(PrometheusSample(metrics, "crashsim_serve_errors_total"),
+              stats.errors);
+    EXPECT_EQ(PrometheusSample(metrics, "crashsim_serve_connections_total"),
+              stats.connections_accepted);
+    const JsonValue* statusz_server = statusz->Find("server");
+    ASSERT_NE(statusz_server, nullptr);
+    EXPECT_EQ(statusz_server->GetInt("requests", -1), stats.requests);
+    EXPECT_EQ(statusz_server->GetInt("errors", -1), stats.errors);
+
+    const auto expect_ledger = [&](const char* prefix,
+                                   const std::vector<LedgerValue>& values) {
+      const JsonValue* block = statusz->Find(prefix);
+      ASSERT_NE(block, nullptr) << prefix;
+      for (const LedgerValue& v : values) {
+        const std::string family = std::string("crashsim_") + prefix + "_" +
+                                   v.name + (v.gauge ? "" : "_total");
+        EXPECT_EQ(block->GetInt(v.name, -1), v.value) << family;
+        EXPECT_EQ(PrometheusSample(metrics, family),
+                  static_cast<double>(v.value))
+            << family;
+      }
+    };
+    expect_ledger("executor", server->executor().stats().Values());
+    expect_ledger("cache", server->tree_cache().stats().Values());
+  }
+  EXPECT_EQ(first.stats().requests, 4);
+  EXPECT_EQ(first.stats().errors, 1);
+  EXPECT_EQ(first.executor().stats().submitted, 3);
+  EXPECT_EQ(first.tree_cache().stats().misses, 2);
+  EXPECT_EQ(second.stats().requests, 1);
+  EXPECT_EQ(second.executor().stats().submitted, 1);
+  EXPECT_EQ(second.tree_cache().stats().misses, 1);
+  first.Shutdown();
+  second.Shutdown();
+}
+
 TEST(ServerTest, ResponsesCarryRequestIdAndStageBreakdown) {
   Server server(TestGraph(), std::nullopt, TestServerOptions());
   ASSERT_TRUE(server.Start().ok());
@@ -721,13 +800,18 @@ TEST(ServerTest, SlowQueryEventsLandInTheEventLog) {
       EXPECT_GE(event->GetDouble(key, -1.0), 0.0) << key;
     }
     const int64_t id = event->GetInt("request_id", 0);
+    // query_stats is rendered for a query that ran, and only then.
+    const JsonValue* query_stats = event->Find("query_stats");
     if (id == ok_id) {
       saw_ok = true;
       EXPECT_EQ(event->GetString("status", ""), "OK");
       EXPECT_EQ(event->GetString("op", ""), "topk");
+      ASSERT_NE(query_stats, nullptr);
+      EXPECT_EQ(query_stats->GetString("query", ""), "topk");
     } else if (id == error_id) {
       saw_error = true;
       EXPECT_EQ(event->GetString("status", ""), "NOT_FOUND");
+      EXPECT_EQ(query_stats, nullptr);
     }
   }
   EXPECT_TRUE(saw_ok);

@@ -171,7 +171,7 @@ TEST(ConcurrencyStressTest, MetricsRegistryConcurrentMutation) {
   std::atomic<bool> stop{false};
   threads.emplace_back([&registry, &stop] {
     while (!stop.load(std::memory_order_relaxed)) {
-      (void)registry.SnapshotCounters();
+      (void)registry.Snapshot();
       (void)registry.ToString();
     }
   });

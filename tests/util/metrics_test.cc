@@ -104,13 +104,14 @@ TEST(MetricsRegistryTest, SnapshotsAreNameSorted) {
   registry.counter("z.last").Add(1);
   registry.counter("a.first").Add(2);
   registry.gauge("mid.gauge").Set(9);
-  const auto counters = registry.SnapshotCounters();
+  const MetricSamples snapshot = registry.Snapshot();
+  const std::vector<MetricSample>& counters = snapshot.counters;
   ASSERT_EQ(counters.size(), 2u);
   EXPECT_EQ(counters[0].name, "a.first");
   EXPECT_EQ(counters[0].value, 2);
   EXPECT_EQ(counters[1].name, "z.last");
   EXPECT_EQ(counters[1].value, 1);
-  const auto gauges = registry.SnapshotGauges();
+  const std::vector<MetricSample>& gauges = snapshot.gauges;
   ASSERT_EQ(gauges.size(), 1u);
   EXPECT_EQ(gauges[0].name, "mid.gauge");
   EXPECT_EQ(gauges[0].value, 9);
@@ -165,6 +166,29 @@ TEST(MetricsRegistryTest, PrometheusExportFollowsTextFormat) {
   // Exposition ends with a newline (required by the 0.0.4 text format).
   ASSERT_FALSE(text.empty());
   EXPECT_EQ(text.back(), '\n');
+}
+
+// A component ledger renders beside the registry's metrics in one
+// exposition: name-sorted within each kind, a gauge always, a counter once
+// it is non-zero (as a registry counter appears on its first lookup).
+TEST(MetricsRegistryTest, LedgerSamplesRenderBesideTheRegistry) {
+  MetricsRegistry registry;
+  registry.counter("z.registry").Add(1);
+  MetricSamples samples = registry.Snapshot();
+  const LedgerValue ledger[] = {
+      {"hits", 3}, {"misses", 0}, {"bytes", 0, /*gauge=*/true}};
+  samples.AddLedger("cache", ledger);
+  const std::string text = RenderPrometheusText(std::move(samples));
+
+  const size_t hits = text.find(
+      "# TYPE crashsim_cache_hits_total counter\n"
+      "crashsim_cache_hits_total 3\n");
+  ASSERT_NE(hits, std::string::npos) << text;
+  EXPECT_LT(hits, text.find("crashsim_z_registry_total 1"));
+  EXPECT_EQ(text.find("crashsim_cache_misses"), std::string::npos);
+  EXPECT_NE(text.find("# TYPE crashsim_cache_bytes gauge\n"
+                      "crashsim_cache_bytes 0\n"),
+            std::string::npos);
 }
 
 TEST(SlidingHistogramTest, WindowMergesOnlyRecentSlots) {

@@ -17,8 +17,9 @@ Checks, beyond "every line parses":
 Exit 0 when the file is a valid exposition with at least one sample; 1
 otherwise, with one line per problem. Stdlib only (runs in CI).
 
-MetricsRegistry::ExportPrometheusText() (src/util/metrics.cc) is the
-producer under test; crashsim_cli --metrics_out wires it to disk.
+RenderPrometheusText() (src/util/metrics.cc) is the producer under test;
+crashsim_cli --metrics_out wires it to disk and crashsim_serve to
+GET /metrics.
 """
 
 import re

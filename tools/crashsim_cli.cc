@@ -244,16 +244,21 @@ class ScopedCliTrace {
   const TraceRequestScope scope_;  // installs trace_ (a no-op when null)
 };
 
-// Dumps the process-wide registry (Prometheus text exposition format) to
-// `path` on scope exit; empty path = disabled. Scoped for the same reason as
-// the tracer: error exits still produce the file.
+// Dumps the process-wide registry (Prometheus text exposition format), plus
+// any component ledgers added along the way, to `path` on scope exit; empty
+// path = disabled. Scoped for the same reason as the tracer: error exits
+// still produce the file.
 class ScopedMetricsExport {
  public:
   explicit ScopedMetricsExport(std::string path) : path_(std::move(path)) {}
   ~ScopedMetricsExport() {
     if (path_.empty()) return;
+    MetricSamples samples = MetricsRegistry::Global().Snapshot();
+    for (const auto& [prefix, values] : ledgers_) {
+      samples.AddLedger(prefix, values);
+    }
     std::ofstream out(path_);
-    if (out) out << MetricsRegistry::Global().ExportPrometheusText();
+    if (out) out << RenderPrometheusText(std::move(samples));
     if (!out) {
       std::fprintf(stderr, "warning: cannot write metrics to %s\n",
                    path_.c_str());
@@ -263,8 +268,15 @@ class ScopedMetricsExport {
   ScopedMetricsExport(const ScopedMetricsExport&) = delete;
   ScopedMetricsExport& operator=(const ScopedMetricsExport&) = delete;
 
+  // Exports `values` under "<prefix>.": a snapshot, so the component may be
+  // gone by the time the file is written.
+  void AddLedger(std::string prefix, std::vector<LedgerValue> values) {
+    ledgers_.emplace_back(std::move(prefix), std::move(values));
+  }
+
  private:
   std::string path_;
+  std::vector<std::pair<std::string, std::vector<LedgerValue>>> ledgers_;
 };
 
 // CLI query latency lands in the process registry so --metrics_out always
@@ -603,7 +615,7 @@ int RunStress(int argc, char** argv) {
                      "write process metrics in Prometheus text exposition "
                      "format on exit");
   if (!flags.Parse(argc, argv)) return 1;
-  const ScopedMetricsExport metrics_export(flags.GetString("metrics_out"));
+  ScopedMetricsExport metrics_export(flags.GetString("metrics_out"));
 
   const auto loaded_or = LoadEdgeListFile(flags.GetString("graph"),
                                           flags.GetBool("undirected"));
@@ -691,6 +703,8 @@ int RunStress(int argc, char** argv) {
     });
   }
   for (std::thread& t : workers) t.join();
+  const QueryExecutor::Stats stats = executor.stats();
+  metrics_export.AddLedger("executor", stats.Values());
 
   std::printf("stress: %d clients x %lld queries (%s) on %lld nodes\n",
               clients, static_cast<long long>(queries),
@@ -702,7 +716,6 @@ int RunStress(int argc, char** argv) {
   }
   std::printf("\n");
   PrintLatencyPercentiles(&latencies_ms);
-  const QueryExecutor::Stats stats = executor.stats();
   std::printf(
       "executor: admitted %lld  shed_queue_full %lld  shed_deadline %lld  "
       "expired_in_queue %lld  degraded %lld  retries %lld "

@@ -10,11 +10,13 @@
 #      on the same graph/seed — the serving path must not change results;
 #   5. scrape GET /metrics and validate the Prometheus exposition format
 #      with tools/check_prometheus.py;
-#   6. scrape GET /statusz and GET /tracez, validate both schemas with
-#      tools/check_statusz.py, and require one request id to correlate
-#      end-to-end: replay --latency_out CSV -> slow-query event log ->
-#      /tracez span tree (the server runs with --slow_query_ms 0 and
-#      --tracez_sample_every 1 so every request is logged and sampled);
+#   6. scrape GET /statusz and GET /tracez, require /statusz's executor and
+#      cache counters to equal the /metrics samples scraped before it,
+#      validate both schemas with tools/check_statusz.py, and require one
+#      request id to correlate end-to-end: replay --latency_out CSV ->
+#      slow-query event log -> /tracez span tree (the server runs with
+#      --slow_query_ms 0 and --tracez_sample_every 1 so every request is
+#      logged and sampled);
 #   7. require 404 on unknown debug paths and 405 on non-GET methods;
 #   8. send repeated temporal queries over overlapping windows and require
 #      crashsim_temporal_diag_estimates_total on /metrics to stay within the
@@ -121,6 +123,25 @@ sys.stdout.buffer.write(urllib.request.urlopen(sys.argv[1]).read())" "$1" > "$2"
 }
 fetch "http://127.0.0.1:${MPORT}/statusz" "$WORK/statusz.json"
 fetch "http://127.0.0.1:${MPORT}/tracez" "$WORK/tracez.json"
+# No request ran between the /metrics scrape and this /statusz, so the two
+# must read the same ledger values: /metrics renders the executor's and the
+# cache's own Stats, the same records /statusz lists.
+python3 - "$WORK/statusz.json" "$SCRAPE" <<'PY'
+import json, sys
+statusz = json.load(open(sys.argv[1]))
+samples = {}
+for line in open(sys.argv[2]):
+    parts = line.split()
+    if len(parts) == 2 and not line.startswith("#"):
+        samples[parts[0]] = float(parts[1])
+for block, key in (("executor", "submitted"), ("executor", "completed"),
+                   ("cache", "hits"), ("cache", "misses")):
+    family = "crashsim_%s_%s_total" % (block, key)
+    if samples.get(family, 0) != statusz[block][key]:
+        raise SystemExit("FAIL: /metrics %s = %s but /statusz %s.%s = %s" % (
+            family, samples.get(family), block, key, statusz[block][key]))
+print("   /statusz executor and cache ledgers match /metrics")
+PY
 # slow_query_ms 0 logs every request; give the async writer a beat to drain.
 sleep 0.3
 python3 "${REPO_ROOT}/tools/check_statusz.py" \
