@@ -5,12 +5,13 @@
 // spike late rank high instantaneously but poorly durably.
 #include <algorithm>
 #include <cstdio>
+#include <utility>
 #include <vector>
 
 #include "core/durable_topk.h"
 #include "datasets/datasets.h"
-#include "simrank/topk.h"
 #include "util/string_util.h"
+#include "util/top_k.h"
 
 int main() {
   using namespace crashsim;
@@ -39,12 +40,15 @@ int main() {
   CrashSim instant(options);
   const Graph last = ds.temporal.Snapshot(ds.temporal.num_snapshots() - 1);
   instant.Bind(&last);
-  const TopKResult now = TopKSimRank(&instant, query.source, query.k);
+  using Ranking = std::vector<std::pair<double, NodeId>>;
+  const Ranking now = SelectTopK<NodeId>(instant.SingleSource(query.source),
+                                         query.source,
+                                         static_cast<size_t>(query.k));
 
   std::printf("top-%d by durable similarity (min over %d snapshots) vs by\n"
               "final-snapshot similarity, to node %d:\n\n",
               query.k, ds.spec.snapshots, query.source);
-  auto entry = [](const TopKResult& list, int i) {
+  auto entry = [](const Ranking& list, int i) {
     if (i >= static_cast<int>(list.size())) return std::string("-");
     const auto& [score, node] = list[static_cast<size_t>(i)];
     return StrFormat("node %-5d s=%.4f", node, score);

@@ -80,15 +80,6 @@ void ReverseReachableTree::ProbabilityBatch(int level,
   }
 }
 
-std::vector<NodeId> ReverseReachableTree::SupportNodes() const {
-  std::vector<NodeId> nodes;
-  nodes.reserve(entries_.size());
-  for (const Entry& e : entries_) nodes.push_back(e.node);
-  std::sort(nodes.begin(), nodes.end());
-  nodes.erase(std::unique(nodes.begin(), nodes.end()), nodes.end());
-  return nodes;
-}
-
 bool operator==(const ReverseReachableTree& a, const ReverseReachableTree& b) {
   // The bitsets are derived from (level_offsets_, entries_), so comparing
   // the CSR pair is the exact structural equality the dense representation
@@ -203,7 +194,6 @@ StatusOr<ReverseReachableTree> BuildRevReach(const Graph& g, NodeId u,
   tree.AppendLevel(frontier);
 
   for (int level = 0; level < l_max && !frontier.empty(); ++level) {
-    TRACE_SPAN("rev_reach.level");
     // One deadline/cancel checkpoint per level: each level is O(m) work, the
     // build's natural quantum.
     if (ctx != nullptr) RETURN_IF_ERROR(ctx->Check());

@@ -129,11 +129,6 @@ class ReverseReachableTree {
   // pins it to O(EntryCount()), not O(l_max * n).
   int64_t MemoryBytes() const;
 
-  // Sorted unique nodes appearing at any level (the tree's support) —
-  // "the altered nodes in the reverse reachable tree" of Theorem 2 are
-  // detected against this set.
-  std::vector<NodeId> SupportNodes() const;
-
   // Exact structural equality (same levels, nodes, and probabilities) —
   // the test used by difference pruning (Property 2).
   friend bool operator==(const ReverseReachableTree& a,

@@ -33,17 +33,6 @@
 namespace crashsim {
 namespace {
 
-FixedHistogram& TopKLatencyHistogram() {
-  static FixedHistogram& h = MetricsRegistry::Global().histogram(
-      "serve.topk_ms", ExponentialBuckets(1, 2.0, 14));
-  return h;
-}
-FixedHistogram& TemporalLatencyHistogram() {
-  static FixedHistogram& h = MetricsRegistry::Global().histogram(
-      "serve.temporal_ms", ExponentialBuckets(1, 2.0, 14));
-  return h;
-}
-
 // Binds a listening TCP socket on host:port (port 0 = ephemeral). On
 // success stores the fd and the actually bound port.
 Status BindListener(const std::string& host, int port, int* out_fd,
@@ -180,11 +169,6 @@ Status ServerOptions::Validate() const {
     return InvalidArgumentError(
         StrFormat("max_k must be >= 1, got %lld",
                   static_cast<long long>(max_k)));
-  }
-  if (default_timeout_ms < 0) {
-    return InvalidArgumentError(
-        StrFormat("default_timeout_ms must be >= 0, got %lld",
-                  static_cast<long long>(default_timeout_ms)));
   }
   if (slow_query_ms < -1) {
     return InvalidArgumentError(
@@ -459,8 +443,9 @@ Server::Reply Server::Dispatch(const std::string& op,
                                    temporal ? "temporal graph" : "graph"));
   }
   ASSIGN_OR_RETURN(const int64_t timeout_ms,
-                   ReadInt(request, "timeout_ms", options_.default_timeout_ms,
-                           0, kMaxTimeoutMs));
+                   ReadInt(request, "timeout_ms",
+                           options_.executor.default_deadline_ms, 0,
+                           kMaxTimeoutMs));
   // QueryContext is neither copyable nor movable; emplace the right ctor.
   std::optional<QueryContext> ctx;
   if (timeout_ms > 0) {
@@ -624,8 +609,7 @@ void Server::Observe(uint64_t request_id, const Reply& reply,
   if (reply.op == "topk" || reply.op == "temporal") {
     const bool topk = reply.op == "topk";
     const auto latency = static_cast<int64_t>(reply.elapsed_ms);
-    (topk ? TopKLatencyHistogram() : TemporalLatencyHistogram())
-        .Record(latency);
+    (topk ? topk_ms_ : temporal_ms_).Record(latency);
     (topk ? topk_window_ : temporal_window_)->Record(latency);
     slo_window_->Record(latency);
     if (latency > options_.slo_ms) {
@@ -818,6 +802,9 @@ std::string Server::BuildMetricsText() const {
                                {"errors", s.errors},
                                {"connections", s.connections_accepted}};
   samples.AddLedger("serve", serve);
+  samples.histograms.push_back({"serve.topk_ms", topk_ms_.TakeSnapshot()});
+  samples.histograms.push_back(
+      {"serve.temporal_ms", temporal_ms_.TakeSnapshot()});
   samples.AddLedger("executor", executor_->stats().Values());
   samples.AddLedger("cache", cache_->stats().Values());
   if (options_.event_log != nullptr) {

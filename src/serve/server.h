@@ -47,13 +47,14 @@ class EventLog;  // util/event_log.h
 //
 // A second listener serves GET /metrics in Prometheus text format for
 // scraping: this server's own serve.*, executor.* and cache.* ledgers
-// (its Stats, the executor's and the cache's, read at scrape time, so a
-// second Server in the process never adds to them) plus the process-wide
-// registry, and the debug endpoints GET /statusz (uptime, build info,
-// executor ledger, cache occupancy, rolling per-minute latency
-// percentiles, SLO burn) and GET /tracez (the most recent sampled request
-// span trees). Unknown paths get 404, non-GET methods 405, and request
-// heads split across arbitrarily many writes still parse.
+// (its Stats and latency histograms, the executor's and the cache's, read
+// at scrape time, so a second Server in the process never adds to them)
+// plus the process-wide registry, and the debug endpoints GET /statusz
+// (uptime, build info, executor ledger, cache occupancy, rolling
+// per-minute latency percentiles, SLO burn) and GET /tracez (the most
+// recent sampled request span trees). Unknown paths get 404, non-GET
+// methods 405, and request heads split across arbitrarily many writes
+// still parse.
 //
 // One record per request (docs/OBSERVABILITY.md): every request is
 // assigned a monotonically increasing request_id at ingress, stamped on
@@ -79,8 +80,6 @@ struct ServerOptions {
   int max_connections = 64;
   // Hard ceiling on requested k.
   int64_t max_k = 1'000'000;
-  // Deadline applied to requests that do not carry timeout_ms; 0 = none.
-  int64_t default_timeout_ms = 0;
 
   // --- request-scoped observability ---
   // Structured event sink (util/event_log.h), borrowed — must outlive the
@@ -99,6 +98,8 @@ struct ServerOptions {
   // window's query requests slower than this.
   int64_t slo_ms = 500;
 
+  // executor.default_deadline_ms is the deadline of requests that do not
+  // carry timeout_ms (0 = none).
   ExecutorOptions executor;
   // capacity_bytes is honoured; c / prune_threshold are overridden from the
   // engine options so cache keys can never disagree with the engine.
@@ -224,6 +225,10 @@ class Server {
   // at 1 and 0 stays the "not request-scoped" sentinel of QueryContext.
   std::atomic<uint64_t> next_request_id_{0};
   std::unique_ptr<class TracezRing> tracez_;  // null when capacity == 0
+  // Cumulative per-op latency behind /metrics (serve.topk_ms and
+  // serve.temporal_ms), present from start-up.
+  FixedHistogram topk_ms_{ExponentialBuckets(1, 2.0, 14)};
+  FixedHistogram temporal_ms_{ExponentialBuckets(1, 2.0, 14)};
   // Rolling per-minute latency windows behind /statusz: per-op percentiles
   // plus a two-bucket ({slo_ms}) window for the SLO burn rate.
   std::unique_ptr<SlidingHistogram> topk_window_;

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <istream>
-#include <ostream>
 #include <vector>
 
 #include "util/failpoint.h"
@@ -161,74 +159,6 @@ PartialResult Reads::SingleSourceImpl(NodeId u, QueryContext* ctx) {
 
 int64_t Reads::IndexBytes() const {
   return static_cast<int64_t>(next_.size() * sizeof(NodeId));
-}
-
-namespace {
-constexpr uint32_t kReadsIndexMagic = 0x52454144;  // "READ"
-constexpr uint32_t kReadsIndexVersion = 1;
-
-template <typename T>
-void WritePod(std::ostream& out, T value) {
-  out.write(reinterpret_cast<const char*>(&value), sizeof(T));
-}
-
-template <typename T>
-bool ReadPod(std::istream& in, T* value) {
-  in.read(reinterpret_cast<char*>(value), sizeof(T));
-  return static_cast<bool>(in);
-}
-}  // namespace
-
-void Reads::SaveIndex(std::ostream& out) const {
-  CRASHSIM_CHECK(graph() != nullptr) << "SaveIndex requires a bound graph";
-  WritePod(out, kReadsIndexMagic);
-  WritePod(out, kReadsIndexVersion);
-  WritePod(out, static_cast<int32_t>(options_.r));
-  WritePod(out, static_cast<int32_t>(options_.t));
-  WritePod(out, graph()->num_nodes());
-  out.write(reinterpret_cast<const char*>(next_.data()),
-            static_cast<std::streamsize>(next_.size() * sizeof(NodeId)));
-}
-
-bool Reads::LoadIndex(std::istream& in, std::string* error) {
-  CRASHSIM_CHECK(graph() != nullptr) << "LoadIndex requires a bound graph";
-  uint32_t magic = 0;
-  uint32_t version = 0;
-  int32_t r = 0;
-  int32_t t = 0;
-  NodeId n = 0;
-  if (!ReadPod(in, &magic) || magic != kReadsIndexMagic) {
-    *error = "not a READS index (bad magic)";
-    return false;
-  }
-  if (!ReadPod(in, &version) || version != kReadsIndexVersion) {
-    *error = "unsupported READS index version";
-    return false;
-  }
-  if (!ReadPod(in, &r) || !ReadPod(in, &t) || !ReadPod(in, &n)) {
-    *error = "truncated READS index header";
-    return false;
-  }
-  if (r != options_.r || n != graph()->num_nodes()) {
-    *error = "READS index shape mismatch (r or node count differ)";
-    return false;
-  }
-  std::vector<NodeId> loaded(static_cast<size_t>(r) * static_cast<size_t>(n));
-  in.read(reinterpret_cast<char*>(loaded.data()),
-          static_cast<std::streamsize>(loaded.size() * sizeof(NodeId)));
-  if (!in) {
-    *error = "truncated READS index body";
-    return false;
-  }
-  for (NodeId pointer : loaded) {
-    if (pointer < -1 || pointer >= n) {
-      *error = "READS index contains out-of-range pointers";
-      return false;
-    }
-  }
-  options_.t = t;
-  next_ = std::move(loaded);
-  return true;
 }
 
 }  // namespace crashsim

@@ -1,7 +1,6 @@
 #ifndef CRASHSIM_SIMRANK_READS_H_
 #define CRASHSIM_SIMRANK_READS_H_
 
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -54,15 +53,6 @@ class Reads : public SimRankAlgorithm {
   void ApplyDelta(const EdgeDelta& delta, const Graph* updated);
 
   int64_t IndexBytes() const;
-
-  // Index persistence: the one-way-graph pointers are the expensive state
-  // (r walks per node), so a restarted process can reload them instead of
-  // resampling. The stream format is versioned and self-describing;
-  // LoadIndex returns false (and leaves the index untouched) on a magic/
-  // version/shape mismatch — including an index built for a different r or
-  // node count than the currently bound graph.
-  void SaveIndex(std::ostream& out) const;
-  bool LoadIndex(std::istream& in, std::string* error);
 
  protected:
   // READS has no trial loop to shrink — r is baked into the index — so

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <istream>
-#include <ostream>
 
 #include "simrank/walk.h"
 #include "util/logging.h"
@@ -144,114 +142,6 @@ PartialResult Sling::SingleSourceImpl(NodeId u, QueryContext* /*ctx*/) {
   for (NodeId x : touched_cur) cur[static_cast<size_t>(x)] = 0.0;
   scores[static_cast<size_t>(u)] = 1.0;
   return result;
-}
-
-namespace {
-constexpr uint32_t kSlingIndexMagic = 0x534c4e47;  // "SLNG"
-constexpr uint32_t kSlingIndexVersion = 1;
-
-template <typename T>
-void WritePod(std::ostream& out, T value) {
-  out.write(reinterpret_cast<const char*>(&value), sizeof(T));
-}
-
-template <typename T>
-bool ReadPod(std::istream& in, T* value) {
-  in.read(reinterpret_cast<char*>(value), sizeof(T));
-  return static_cast<bool>(in);
-}
-}  // namespace
-
-void Sling::SaveIndex(std::ostream& out) const {
-  CRASHSIM_CHECK(graph() != nullptr) << "SaveIndex requires a bound graph";
-  const NodeId n = graph()->num_nodes();
-  WritePod(out, kSlingIndexMagic);
-  WritePod(out, kSlingIndexVersion);
-  WritePod(out, n);
-  WritePod(out, static_cast<int32_t>(max_depth_));
-  WritePod(out, prune_threshold_);
-  out.write(reinterpret_cast<const char*>(diag_.data()),
-            static_cast<std::streamsize>(diag_.size() * sizeof(double)));
-  for (NodeId w = 0; w < n; ++w) {
-    const auto& levels = reverse_[static_cast<size_t>(w)];
-    WritePod(out, static_cast<int32_t>(levels.size()));
-    for (const auto& level : levels) {
-      WritePod(out, static_cast<int32_t>(level.size()));
-      out.write(reinterpret_cast<const char*>(level.data()),
-                static_cast<std::streamsize>(level.size() * sizeof(LevelEntry)));
-    }
-  }
-}
-
-bool Sling::LoadIndex(std::istream& in, std::string* error) {
-  CRASHSIM_CHECK(graph() != nullptr) << "LoadIndex requires a bound graph";
-  uint32_t magic = 0;
-  uint32_t version = 0;
-  NodeId n = 0;
-  int32_t depth = 0;
-  double threshold = 0.0;
-  if (!ReadPod(in, &magic) || magic != kSlingIndexMagic) {
-    *error = "not a SLING index (bad magic)";
-    return false;
-  }
-  if (!ReadPod(in, &version) || version != kSlingIndexVersion) {
-    *error = "unsupported SLING index version";
-    return false;
-  }
-  if (!ReadPod(in, &n) || !ReadPod(in, &depth) || !ReadPod(in, &threshold)) {
-    *error = "truncated SLING index header";
-    return false;
-  }
-  if (n != graph()->num_nodes()) {
-    *error = "SLING index shape mismatch (node count differs)";
-    return false;
-  }
-  std::vector<double> diag(static_cast<size_t>(n));
-  in.read(reinterpret_cast<char*>(diag.data()),
-          static_cast<std::streamsize>(diag.size() * sizeof(double)));
-  if (!in) {
-    *error = "truncated SLING index diagonal";
-    return false;
-  }
-  std::vector<std::vector<std::vector<LevelEntry>>> reverse(
-      static_cast<size_t>(n));
-  int64_t entries = 0;
-  for (NodeId w = 0; w < n; ++w) {
-    int32_t num_levels = 0;
-    if (!ReadPod(in, &num_levels) || num_levels < 0 || num_levels > depth + 1) {
-      *error = "corrupt SLING index levels";
-      return false;
-    }
-    auto& levels = reverse[static_cast<size_t>(w)];
-    levels.resize(static_cast<size_t>(num_levels));
-    for (auto& level : levels) {
-      int32_t count = 0;
-      if (!ReadPod(in, &count) || count < 0 || count > n) {
-        *error = "corrupt SLING index level size";
-        return false;
-      }
-      level.resize(static_cast<size_t>(count));
-      in.read(reinterpret_cast<char*>(level.data()),
-              static_cast<std::streamsize>(level.size() * sizeof(LevelEntry)));
-      if (!in) {
-        *error = "truncated SLING index body";
-        return false;
-      }
-      for (const LevelEntry& e : level) {
-        if (e.v < 0 || e.v >= n) {
-          *error = "SLING index contains out-of-range nodes";
-          return false;
-        }
-      }
-      entries += count;
-    }
-  }
-  max_depth_ = depth;
-  prune_threshold_ = threshold;
-  diag_ = std::move(diag);
-  reverse_ = std::move(reverse);
-  stats_.reverse_entries = entries;
-  return true;
 }
 
 }  // namespace crashsim

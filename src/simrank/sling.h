@@ -1,7 +1,6 @@
 #ifndef CRASHSIM_SIMRANK_SLING_H_
 #define CRASHSIM_SIMRANK_SLING_H_
 
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -38,14 +37,6 @@ class Sling : public SimRankAlgorithm {
   void Bind(const Graph* g) override;
 
   const IndexStats& index_stats() const { return stats_; }
-
-  // Index persistence. SLING's index is the expensive artefact (the paper
-  // reports hours of construction at large scale), so a restarted process
-  // reloads it instead of rebuilding. Save requires a bound graph; Load
-  // validates magic/version/shape against the currently bound graph and
-  // returns false without touching the live index on any mismatch.
-  void SaveIndex(std::ostream& out) const;
-  bool LoadIndex(std::istream& in, std::string* error);
 
   // Push/probe mass below this threshold is dropped. Defaults to
   // epsilon / 8: the three approximation sources (forward push, reverse

@@ -83,8 +83,8 @@ void TraceFlowIn(uint64_t flow_id);
 class RequestTrace {
  public:
   // A served request's ingress/executor/cache/engine spans plus per-shard
-  // spans fit in 512 events (16 KiB); deep per-level walk detail overflows
-  // by design and is reported via dropped().
+  // spans fit in 512 events (16 KiB); events past that are counted by
+  // dropped().
   static constexpr size_t kServeCapacity = 512;
   // A whole traced CLI or benchmark run, graph load included.
   static constexpr size_t kRunCapacity = size_t{1} << 16;

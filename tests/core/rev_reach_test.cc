@@ -125,18 +125,6 @@ TEST(RevReachCorrectedModeTest, MarginalMatchesMonteCarlo) {
   }
 }
 
-TEST(RevReachTest, SupportNodesSortedUnique) {
-  const Graph g = PaperExampleGraph();
-  const auto tree = BuildRevReach(g, A, 6, 0.25, RevReachMode::kPaper);
-  const auto support = tree.SupportNodes();
-  EXPECT_TRUE(std::is_sorted(support.begin(), support.end()));
-  EXPECT_TRUE(std::adjacent_find(support.begin(), support.end()) ==
-              support.end());
-  // A, B, C appear by level 3 at the latest.
-  EXPECT_TRUE(std::binary_search(support.begin(), support.end(), A));
-  EXPECT_TRUE(std::binary_search(support.begin(), support.end(), B));
-}
-
 TEST(RevReachTest, EqualityDetectsGraphChange) {
   const Graph g1 = PaperExampleGraph();
   const auto t1 = BuildRevReach(g1, A, 6, 0.25, RevReachMode::kPaper);

@@ -85,10 +85,10 @@ LoadedGraph TestGraph() {
   return loaded;
 }
 
-LoadedTemporalGraph TestTemporalGraph() {
+LoadedTemporalGraph TestTemporalGraph(int snapshots = 4) {
   Rng rng(13);
   TemporalGraphBuilder builder(40, /*undirected=*/true);
-  for (int t = 0; t < 4; ++t) {
+  for (int t = 0; t < snapshots; ++t) {
     const Graph g = ErdosRenyi(40, 120 + 10 * t, /*undirected=*/true, &rng);
     builder.AddSnapshot(g.Edges());
   }
@@ -183,6 +183,26 @@ LoadedGraph TemporalProjection() {
   loaded.graph = temporal.graph.Snapshot(0);
   loaded.original_ids = temporal.original_ids;
   return loaded;
+}
+
+// Every span name in one /tracez entry's trace, in tree order.
+std::vector<std::string> SpanNames(const JsonValue& trace) {
+  std::vector<std::string> names;
+  std::function<void(const JsonValue&)> walk = [&](const JsonValue& span) {
+    names.push_back(span.GetString("name", ""));
+    if (const JsonValue* children = span.Find("children");
+        children != nullptr) {
+      for (const JsonValue& child : children->items()) walk(child);
+    }
+  };
+  if (const JsonValue* threads = trace.Find("threads"); threads != nullptr) {
+    for (const JsonValue& thread : threads->items()) {
+      if (const JsonValue* spans = thread.Find("spans"); spans != nullptr) {
+        for (const JsonValue& span : spans->items()) walk(span);
+      }
+    }
+  }
+  return names;
 }
 
 JsonValue TemporalRequest(int64_t source) {
@@ -533,8 +553,9 @@ TEST(ServerTest, MetricsEndpointServesPrometheusText) {
 }
 
 // Two servers in one process keep separate ledgers: each one's /metrics
-// serve.*, executor.* and cache.* samples are its own stats() and /statusz
-// values, never the sum over every server the process has run.
+// serve.*, executor.* and cache.* samples (latency histograms included) are
+// its own stats() and /statusz values, never the sum over every server the
+// process has run.
 TEST(ServerTest, TwoServersInOneProcessExportOnlyTheirOwnCounters) {
   Server first(TestGraph(), std::nullopt, TestServerOptions());
   Server second(TestGraph(), std::nullopt, TestServerOptions());
@@ -599,6 +620,13 @@ TEST(ServerTest, TwoServersInOneProcessExportOnlyTheirOwnCounters) {
     };
     expect_ledger("executor", server->executor().stats().Values());
     expect_ledger("cache", server->tree_cache().stats().Values());
+
+    // The latency histograms are the server's own too, each present from
+    // start-up: every request above was a topk one.
+    EXPECT_EQ(PrometheusSample(metrics, "crashsim_serve_topk_ms_count"),
+              stats.requests);
+    EXPECT_NE(metrics.find("\ncrashsim_serve_temporal_ms_count 0\n"),
+              std::string::npos);
   }
   EXPECT_EQ(first.stats().requests, 4);
   EXPECT_EQ(first.stats().errors, 1);
@@ -715,26 +743,63 @@ TEST(ServerTest, TracezReassemblesIngressToEngineSpanTree) {
     const JsonValue* tree = entry.Find("trace");
     ASSERT_NE(tree, nullptr);
     EXPECT_EQ(tree->GetInt("request_id", -1), request_id);
-    std::vector<std::string> names;
     const JsonValue* threads = tree->Find("threads");
     ASSERT_NE(threads, nullptr);
-    std::function<void(const JsonValue&)> walk =
-        [&](const JsonValue& span) {
-          names.push_back(span.GetString("name", ""));
-          if (const JsonValue* children = span.Find("children");
-              children != nullptr) {
-            for (const JsonValue& child : children->items()) walk(child);
-          }
-        };
     for (const JsonValue& thread : threads->items()) {
-      const JsonValue* spans = thread.Find("spans");
-      ASSERT_NE(spans, nullptr);
-      for (const JsonValue& span : spans->items()) walk(span);
+      ASSERT_NE(thread.Find("spans"), nullptr);
     }
+    const std::vector<std::string> names = SpanNames(*tree);
     EXPECT_NE(std::find(names.begin(), names.end(), "serve.request"),
               names.end());
     EXPECT_NE(std::find(names.begin(), names.end(), "executor.query"),
               names.end());
+  }
+  EXPECT_TRUE(found) << "request " << request_id << " not sampled";
+  server.Shutdown();
+}
+
+// A temporal request that rebuilds its source tree at every snapshot of a
+// long window keeps its whole span tree within the request's trace
+// collector (RequestTrace::kServeCapacity events): nothing is dropped.
+TEST(ServerTest, TemporalSpanTreeFitsTheRequestCollector) {
+  constexpr int kSnapshots = 8;
+  ServerOptions options = TestServerOptions();
+  options.engine.mc.trials_override = 200;
+  options.tracez_sample_every = 1;
+  Server server(TemporalProjection(), TestTemporalGraph(kSnapshots), options);
+  ASSERT_TRUE(server.Start().ok());
+  int64_t request_id = 0;
+  {
+    Client client(server.port());
+    ASSERT_TRUE(client.connected());
+    JsonValue request = TemporalRequest(503);
+    request.Set("theta", JsonValue(0.001));
+    StatusOr<JsonValue> response = client.Call(request);
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    ASSERT_EQ(response->GetString("status", ""), "OK");
+    EXPECT_EQ(response->GetInt("snapshots_processed", -1), kSnapshots);
+    request_id = response->GetInt("request_id", 0);
+  }
+
+  StatusOr<JsonValue> doc =
+      ParseJson(HttpBody(HttpGet(server.metrics_port(), "/tracez")));
+  ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+  const JsonValue* traces = doc->Find("traces");
+  ASSERT_NE(traces, nullptr);
+  bool found = false;
+  for (const JsonValue& entry : traces->items()) {
+    if (entry.GetInt("request_id", -1) != request_id) continue;
+    found = true;
+    const JsonValue* tree = entry.Find("trace");
+    ASSERT_NE(tree, nullptr);
+    EXPECT_EQ(tree->GetInt("dropped", -1), 0);
+    const std::vector<std::string> names = SpanNames(*tree);
+    // Each snapshot's random graph moves the source's reverse reach, so
+    // every snapshot builds a fresh source tree.
+    EXPECT_EQ(std::count(names.begin(), names.end(), "rev_reach.build"),
+              kSnapshots);
+    EXPECT_EQ(std::count(names.begin(), names.end(), "crashsim_t.snapshot"),
+              kSnapshots - 1);
   }
   EXPECT_TRUE(found) << "request " << request_id << " not sampled";
   server.Shutdown();
@@ -962,14 +1027,35 @@ TEST(ServerTest, PartialDeadlineAnswerCountsAsAnErrorInEverySink) {
   EXPECT_TRUE(logged) << "request " << request_id << " not in the slow log";
 }
 
+// A request without timeout_ms runs under the executor's default deadline
+// (crashsim_serve --default_timeout_ms fills it) and is cut by it.
+TEST(ServerTest, RequestWithoutTimeoutGetsTheExecutorDefaultDeadline) {
+  ServerOptions options = TestServerOptions();
+  options.executor.default_deadline_ms = 100;
+  Server server(TestGraph(), std::nullopt, options);
+  ASSERT_TRUE(server.Start().ok());
+  // As above: every trial block first sleeps 300 ms, so the default
+  // deadline has passed at the second block's checkpoint.
+  FailpointScope failpoints(9);
+  FailpointSpec slow;
+  slow.action = FailpointAction::kLatency;
+  slow.latency_ms = 300;
+  ASSERT_TRUE(ConfigureFailpoint("crashsim.trial_block", slow).ok());
+  {
+    Client client(server.port());
+    ASSERT_TRUE(client.connected());
+    StatusOr<JsonValue> response = client.Call(TopKRequest(1007, 5));
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    EXPECT_EQ(response->GetString("status", ""), "DEADLINE_EXCEEDED");
+    EXPECT_EQ(response->GetInt("trials_done", -1), 1);
+  }
+  server.Shutdown();
+}
+
 // serve.topk_ms (the cumulative /metrics histogram) and the rolling
 // /statusz windows count the same requests: every topk request, rejected
 // ones included.
 TEST(ServerTest, EveryTopKRequestLandsInEveryLatencySink) {
-  // The registry is process-global: compare the histogram's change.
-  const FixedHistogram& topk_ms = MetricsRegistry::Global().histogram(
-      "serve.topk_ms", ExponentialBuckets(1, 2.0, 14));
-  const int64_t before = topk_ms.TakeSnapshot().total;
   Server server(TestGraph(), std::nullopt, TestServerOptions());
   ASSERT_TRUE(server.Start().ok());
   {
@@ -992,7 +1078,9 @@ TEST(ServerTest, EveryTopKRequestLandsInEveryLatencySink) {
       EXPECT_EQ(response->GetString("status", ""), status);
     }
   }
-  const int64_t recorded = topk_ms.TakeSnapshot().total - before;
+  const double recorded = PrometheusSample(
+      HttpBody(HttpGet(server.metrics_port(), "/metrics")),
+      "crashsim_serve_topk_ms_count");
 
   StatusOr<JsonValue> doc =
       ParseJson(HttpBody(HttpGet(server.metrics_port(), "/statusz")));
@@ -1001,7 +1089,7 @@ TEST(ServerTest, EveryTopKRequestLandsInEveryLatencySink) {
   ASSERT_NE(latency, nullptr);
   ASSERT_NE(latency->Find("topk"), nullptr);
   EXPECT_EQ(recorded, latency->Find("topk")->GetInt("count", -1));
-  EXPECT_EQ(recorded, 9);
+  EXPECT_EQ(recorded, 9.0);
   ASSERT_NE(doc->Find("slo"), nullptr);
   EXPECT_EQ(doc->Find("slo")->GetInt("window_total", -1), 9);
   server.Shutdown();

@@ -72,6 +72,15 @@ TEST(SelectTopKTest, SkipsTheExcludedIndex) {
   EXPECT_EQ(top[0], std::make_pair(0.9, 2));
   EXPECT_EQ(top[1], std::make_pair(0.5, 4));
   EXPECT_EQ(top[2], std::make_pair(0.2, 1));  // tie: smaller index first
+
+  // k beyond the n - 1 candidates returns every one but the excluded index,
+  // best first, the smaller index first on ties.
+  const std::vector<std::pair<double, int>> rest = {
+      {1.0, 0}, {0.5, 4}, {0.2, 1}, {0.2, 3}};
+  EXPECT_EQ(SelectTopK(scores, /*exclude=*/2, 10), rest);
+  const std::vector<double> flat = {0.3, 0.3, 0.3, 0.3};
+  const std::vector<std::pair<double, int>> first_two = {{0.3, 0}, {0.3, 2}};
+  EXPECT_EQ(SelectTopK(flat, /*exclude=*/1, 2), first_two);
 }
 
 TEST(SelectTopKTest, MatchesTopKOverAllButTheExcluded) {

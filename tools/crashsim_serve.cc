@@ -96,10 +96,10 @@ int Run(int argc, char** argv) {
   options.port = static_cast<int>(flags.GetInt("port"));
   options.metrics_port = static_cast<int>(flags.GetInt("metrics_port"));
   options.max_connections = static_cast<int>(flags.GetInt("max_connections"));
-  options.default_timeout_ms = flags.GetInt("default_timeout_ms");
   StatusOr<ExecutorOptions> executor_or = ExecutorOptionsFromFlags(flags);
   if (!executor_or.ok()) return FailStatus(executor_or.status());
   options.executor = *executor_or;
+  options.executor.default_deadline_ms = flags.GetInt("default_timeout_ms");
   StatusOr<CrashSimOptions> engine_or = EngineOptionsFromFlags(flags);
   if (!engine_or.ok()) return FailStatus(engine_or.status());
   options.engine = *engine_or;

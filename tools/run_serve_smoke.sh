@@ -8,8 +8,9 @@
 #      N revReach builds);
 #   4. diff a served topk answer byte-for-byte against `crashsim_cli topk`
 #      on the same graph/seed — the serving path must not change results;
-#   5. scrape GET /metrics and validate the Prometheus exposition format
-#      with tools/check_prometheus.py;
+#   5. scrape GET /metrics, validate the Prometheus exposition format
+#      with tools/check_prometheus.py, and require the topk latency
+#      histogram's count to equal the topk requests the replay sent;
 #   6. scrape GET /statusz and GET /tracez, require /statusz's executor and
 #      cache counters to equal the /metrics samples scraped before it,
 #      validate both schemas with tools/check_statusz.py, and require one
@@ -111,6 +112,16 @@ echo "   cache hits=$HITS misses=$MISSES"
 # 3 distinct sources -> at most 3 builds; everything else must reuse.
 [[ -n "$MISSES" && "$MISSES" -le 3 ]] || {
   echo "FAIL: expected <= 3 tree builds, got $MISSES" >&2; exit 1; }
+
+echo "== topk latency histogram counts every topk request"
+# Every replay request is a topk one; the histogram is this server's own.
+SENT="$(awk '$1 == "outcomes:" {for (i = 3; i <= NF; i += 2) n += $i}
+  END {print n + 0}' "$WORK/replay.txt")"
+TOPK_COUNT="$(awk '$1 == "crashsim_serve_topk_ms_count" {print $2}' "$SCRAPE")"
+echo "   topk requests sent=$SENT crashsim_serve_topk_ms_count=$TOPK_COUNT"
+[[ -n "$TOPK_COUNT" && "$TOPK_COUNT" -eq "$SENT" ]] || {
+  echo "FAIL: expected $SENT topk latency samples, got $TOPK_COUNT" >&2
+  exit 1; }
 
 echo "== debug endpoints: /statusz + /tracez + event log correlation"
 fetch() {  # fetch URL OUT — curl when present, stdlib python otherwise
