@@ -197,6 +197,15 @@ BENCHMARK(BM_CrashSimTrialBatch)->Arg(1000)->Arg(10000);
 //                       tuning the batch_size default; not gated. The
 //                       names predate the step-major kernel and stay, as
 //                       the baseline and the CI floor key on them.
+//
+// The gate's denominator calls the production
+// ReverseReachableTree::Probability(), so a change to the tree's probe path
+// moves the 3.0x floor, not only the engine. A prototype in which
+// Probability() read the dense rows (bitsets deleted) took
+// BM_WalkBatchScalar/10000 from 6.6-8.2 ms to 2.0-2.5 ms and
+// BM_WalkBatchSoA/10000 from 1.7-1.8 ms to 1.2-1.6 ms: the ratio fell from
+// about 4.3x to about 1.5x (Release, 3 runs per side, shared 4-vCPU host).
+// Such a change must re-anchor the floor (or the denominator) with it.
 void BM_WalkBatchScalar(benchmark::State& state) {
   const Graph& g = FixtureGraph(state.range(0));
   CrashSimOptions opt;

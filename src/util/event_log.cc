@@ -1,5 +1,6 @@
 #include "util/event_log.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <utility>
@@ -42,12 +43,6 @@ void AppendJsonEscaped(std::string* out, std::string_view s) {
         }
     }
   }
-}
-
-size_t RoundUpPow2(size_t v) {
-  size_t p = 1;
-  while (p < v) p <<= 1;
-  return p;
 }
 
 }  // namespace
@@ -113,75 +108,10 @@ std::string EventBuilder::Finish() {
   return std::move(out_);
 }
 
-// --- BoundedQueue -----------------------------------------------------------
-
-namespace event_log_internal {
-
-BoundedQueue::BoundedQueue(size_t min_capacity) {
-  const size_t cap = RoundUpPow2(min_capacity < 2 ? 2 : min_capacity);
-  mask_ = cap - 1;
-  cells_.reset(new Cell[cap]);
-  for (size_t i = 0; i < cap; ++i) {
-    cells_[i].seq.store(i, std::memory_order_relaxed);
-  }
-}
-
-// Vyukov bounded MPMC: each cell carries a sequence stamp. A cell is free
-// for the producer claiming ticket `pos` when seq == pos, and holds data
-// for the consumer claiming ticket `pos` when seq == pos + 1. The CAS on
-// the position counter hands out tickets; the seq store publishes the
-// cell's payload (release) to whoever acquires it next.
-bool BoundedQueue::TryPush(std::string&& value) {
-  size_t pos = enqueue_pos_.load(std::memory_order_relaxed);
-  for (;;) {
-    Cell& cell = cells_[pos & mask_];
-    const size_t seq = cell.seq.load(std::memory_order_acquire);
-    const auto diff =
-        static_cast<intptr_t>(seq) - static_cast<intptr_t>(pos);
-    if (diff == 0) {
-      if (enqueue_pos_.compare_exchange_weak(pos, pos + 1,
-                                             std::memory_order_relaxed)) {
-        cell.value = std::move(value);
-        cell.seq.store(pos + 1, std::memory_order_release);
-        return true;
-      }
-    } else if (diff < 0) {
-      return false;  // full: the cell still holds an unconsumed line
-    } else {
-      pos = enqueue_pos_.load(std::memory_order_relaxed);
-    }
-  }
-}
-
-bool BoundedQueue::TryPop(std::string* out) {
-  size_t pos = dequeue_pos_.load(std::memory_order_relaxed);
-  for (;;) {
-    Cell& cell = cells_[pos & mask_];
-    const size_t seq = cell.seq.load(std::memory_order_acquire);
-    const auto diff =
-        static_cast<intptr_t>(seq) - static_cast<intptr_t>(pos + 1);
-    if (diff == 0) {
-      if (dequeue_pos_.compare_exchange_weak(pos, pos + 1,
-                                             std::memory_order_relaxed)) {
-        *out = std::move(cell.value);
-        cell.value.clear();  // release the line's heap storage eagerly
-        cell.seq.store(pos + mask_ + 1, std::memory_order_release);
-        return true;
-      }
-    } else if (diff < 0) {
-      return false;  // empty
-    } else {
-      pos = dequeue_pos_.load(std::memory_order_relaxed);
-    }
-  }
-}
-
-}  // namespace event_log_internal
-
 // --- EventLog ---------------------------------------------------------------
 
 EventLog::EventLog(const Options& options)
-    : queue_(options.queue_capacity) {
+    : capacity_(std::max<size_t>(options.queue_capacity, 1)) {
   if (options.path.empty()) {
     out_ = stderr;
     ok_ = true;
@@ -203,65 +133,55 @@ EventLog::~EventLog() {
     const MutexLock lock(mu_);
     stop_ = true;
   }
-  wake_.NotifyAll();
+  wake_.NotifyOne();
   writer_.join();
   if (owns_out_) std::fclose(out_);
 }
 
 void EventLog::Log(std::string line) {
-  if (!queue_.TryPush(std::move(line))) {
-    dropped_.fetch_add(1, std::memory_order_relaxed);
-    return;
+  {
+    const MutexLock lock(mu_);
+    if (pending_.size() >= capacity_) {
+      ++dropped_;
+      return;
+    }
+    pending_.push_back(std::move(line));
+    ++enqueued_;
   }
-  enqueued_.fetch_add(1, std::memory_order_release);
-  wake_.NotifyOne();  // no mutex held: a missed wake costs one poll interval
+  wake_.NotifyOne();
 }
 
 void EventLog::Flush() {
-  const int64_t target = enqueued_.load(std::memory_order_acquire);
   MutexLock lock(mu_);
-  while (flushed_.load(std::memory_order_acquire) < target) {
-    wake_.NotifyAll();  // writer might be asleep with work pending
-    wake_.WaitFor(mu_, std::chrono::milliseconds(2));
-  }
+  const int64_t target = enqueued_;
+  while (written_ < target) flushed_.Wait(mu_);
+}
+
+int64_t EventLog::dropped() const {
+  const MutexLock lock(mu_);
+  return dropped_;
 }
 
 void EventLog::WriterLoop() {
-  int64_t written = 0;
+  MutexLock lock(mu_);
   for (;;) {
-    // Drain everything available, then flush once per batch: one fflush
-    // per wakeup amortises the syscall without holding lines hostage.
-    std::string line;
-    bool wrote_any = false;
-    while (queue_.TryPop(&line)) {
+    while (pending_.empty() && !stop_) wake_.Wait(mu_);
+    // The destructor sets stop_ only after the last Log() (no Log() races
+    // the destructor), so an empty queue here means everything is written.
+    if (pending_.empty()) return;
+    std::deque<std::string> batch;
+    batch.swap(pending_);
+    lock.Unlock();
+    // One fflush per batch amortises the syscall without holding lines
+    // hostage.
+    for (std::string& line : batch) {
       line += '\n';
       std::fwrite(line.data(), 1, line.size(), out_);
-      ++written;
-      wrote_any = true;
     }
-    if (wrote_any) {
-      std::fflush(out_);
-      flushed_.store(written, std::memory_order_release);
-      wake_.NotifyAll();  // Flush() waiters
-    }
-    MutexLock lock(mu_);
-    if (stop_) {
-      lock.Unlock();
-      // Producers are done by the destructor contract (no Log() races the
-      // destructor); one final drain catches lines enqueued after the last
-      // sweep but before stop_ was visible.
-      while (queue_.TryPop(&line)) {
-        line += '\n';
-        std::fwrite(line.data(), 1, line.size(), out_);
-        ++written;
-      }
-      std::fflush(out_);
-      flushed_.store(written, std::memory_order_release);
-      return;
-    }
-    // Bounded sleep: Log()'s lock-free notify may be missed, so cap the
-    // added latency at one poll interval.
-    wake_.WaitFor(mu_, std::chrono::milliseconds(5));
+    std::fflush(out_);
+    lock.Lock();
+    written_ += static_cast<int64_t>(batch.size());
+    flushed_.NotifyAll();
   }
 }
 

@@ -1,10 +1,9 @@
 #ifndef CRASHSIM_UTIL_EVENT_LOG_H_
 #define CRASHSIM_UTIL_EVENT_LOG_H_
 
-#include <atomic>
 #include <cstdint>
 #include <cstdio>
-#include <memory>
+#include <deque>
 #include <string>
 #include <string_view>
 #include <thread>  // lint:allow(thread-primitives): EventLog owns its single writer thread; declared here, justified in event_log.cc
@@ -26,12 +25,15 @@ namespace crashsim {
 // pin "schema" and ignore unknown keys.
 //
 // Producers render a line with EventBuilder and hand it to EventLog::Log(),
-// which enqueues it on a bounded lock-free MPMC queue (Vyukov-style
-// sequence-stamped ring) consumed by one dedicated writer thread. Log()
-// never blocks and never does file I/O: when the queue is full the line is
-// dropped and counted in dropped(), which a server owning the log exports
-// as crashsim_eventlog_dropped_total — the serving hot path must
-// degrade by losing log lines, never by stalling on a slow disk.
+// which appends it to a bounded queue under a mutex; one dedicated writer
+// thread sleeps on a condition variable until lines are pending, takes them
+// all, and writes them with the mutex released. Log() holds the mutex only
+// for the append and never does file I/O: when the queue is full the line
+// is dropped and counted in dropped(), which a server owning the log
+// exports as crashsim_eventlog_dropped_total — the serving hot path must
+// degrade by losing log lines, never by stalling on a slow disk. Traffic is
+// at most one line per served request, so the lock is rarely contended,
+// and an idle writer sleeps until a line or the destructor wakes it.
 
 // Renders one event line. Key order is emission order; keys must be ASCII
 // without escapes (they are written verbatim); values are JSON-escaped.
@@ -60,44 +62,14 @@ class EventBuilder {
   std::string out_;
 };
 
-namespace event_log_internal {
-
-// Bounded lock-free MPMC queue of rendered lines (Vyukov sequence-stamped
-// ring). Capacity is fixed at construction and rounded up to a power of
-// two. Exposed for the unit test; production code goes through EventLog.
-class BoundedQueue {
- public:
-  explicit BoundedQueue(size_t min_capacity);
-
-  size_t capacity() const { return mask_ + 1; }
-
-  // False when the queue is full (the caller drops the line).
-  bool TryPush(std::string&& value);
-  // False when the queue is empty.
-  bool TryPop(std::string* out);
-
- private:
-  struct Cell {
-    std::atomic<size_t> seq{0};
-    std::string value;
-  };
-
-  std::unique_ptr<Cell[]> cells_;
-  size_t mask_ = 0;
-  alignas(64) std::atomic<size_t> enqueue_pos_{0};
-  alignas(64) std::atomic<size_t> dequeue_pos_{0};
-};
-
-}  // namespace event_log_internal
-
 class EventLog {
  public:
   struct Options {
     // Append target; empty writes to stderr (the crashsim_serve default
     // before --event_log is given).
     std::string path;
-    // Queue slots (rounded up to a power of two). One slot is one pending
-    // line; overflow drops newest.
+    // Lines that may be pending (enqueued, not yet taken by the writer);
+    // 0 acts as 1. Overflow drops the newest line.
     size_t queue_capacity = 1024;
   };
 
@@ -113,7 +85,8 @@ class EventLog {
   bool ok() const { return ok_; }
 
   // Enqueues one rendered line (EventBuilder::Finish() output — the writer
-  // appends the newline). Safe from any thread; never blocks.
+  // appends the newline). Safe from any thread; holds the mutex only for
+  // the append, never across the writer's I/O.
   void Log(std::string line);
 
   // Blocks until every line enqueued before the call is written and
@@ -121,24 +94,23 @@ class EventLog {
   void Flush();
 
   // Lines dropped on queue overflow since construction.
-  int64_t dropped() const {
-    return dropped_.load(std::memory_order_relaxed);
-  }
+  int64_t dropped() const;
 
  private:
   void WriterLoop();
 
-  event_log_internal::BoundedQueue queue_;
+  const size_t capacity_;
   std::FILE* out_ = nullptr;  // borrowed stderr or owned fopen handle
   bool owns_out_ = false;
   bool ok_ = false;
 
-  std::atomic<int64_t> enqueued_{0};  // successful TryPush count
-  std::atomic<int64_t> flushed_{0};   // lines written and fflush()ed
-  std::atomic<int64_t> dropped_{0};
-
-  Mutex mu_;
-  CondVar wake_;                         // writer sleep / stop / flush waits
+  mutable Mutex mu_;
+  CondVar wake_;     // writer: lines pending or stop_
+  CondVar flushed_;  // Flush(): written_ advanced
+  std::deque<std::string> pending_ CRASHSIM_GUARDED_BY(mu_);
+  int64_t enqueued_ CRASHSIM_GUARDED_BY(mu_) = 0;  // lines accepted
+  int64_t written_ CRASHSIM_GUARDED_BY(mu_) = 0;   // written, fflush()ed
+  int64_t dropped_ CRASHSIM_GUARDED_BY(mu_) = 0;
   bool stop_ CRASHSIM_GUARDED_BY(mu_) = false;
 
   std::thread writer_;  // lint:allow(thread-primitives): the event-log writer is the module's one dedicated I/O thread, joined in the destructor

@@ -8,13 +8,6 @@
 
 namespace crashsim {
 
-size_t Counter::ShardIndex() {
-  static std::atomic<size_t> next{0};
-  thread_local const size_t slot =
-      next.fetch_add(1, std::memory_order_relaxed) % kShards;
-  return slot;
-}
-
 FixedHistogram::FixedHistogram(std::vector<int64_t> bounds)
     : bounds_(std::move(bounds)),
       counts_(bounds_.size() + 1) {

@@ -1,7 +1,6 @@
 #ifndef CRASHSIM_UTIL_METRICS_H_
 #define CRASHSIM_UTIL_METRICS_H_
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <map>
@@ -18,10 +17,9 @@ namespace crashsim {
 
 // Process-wide observability primitives: monotonic counters, last-value
 // gauges, and fixed-bucket histograms, collected in a named registry.
-// Counters are sharded across cache-line-padded slots indexed by a
-// thread-local slot id, so hot-path increments never contend on one cache
-// line; reads sum the shards. Everything is lock-free after registration
-// (the registry itself takes a mutex only when a metric is first named).
+// Counters and gauges are single relaxed atomics. Everything is lock-free
+// after registration (the registry itself takes a mutex only when a metric
+// is first named).
 //
 // Per-query statistics do NOT live here — they are carried by QueryStats
 // (core/query_stats.h) through an explicit QueryContext sink, so callers
@@ -32,34 +30,20 @@ namespace crashsim {
 // it to the exposition at render time (MetricSamples::AddLedger), so two
 // instances in one process never sum into one family.
 
-// Monotonic counter. Add() is wait-free and contention-free across threads;
-// Value() is a relaxed sum over the shards (exact once writers quiesce).
+// Monotonic counter: one relaxed atomic. Registry counters are bumped once
+// per ParallelFor call, failpoint evaluation, dropped trace event or d(w)
+// estimate — never per walk — so their one shared cache line is not a
+// contention point.
 class Counter {
  public:
   void Add(int64_t delta = 1) {
-    shards_[ShardIndex()].value.fetch_add(delta, std::memory_order_relaxed);
+    value_.fetch_add(delta, std::memory_order_relaxed);
   }
-  int64_t Value() const {
-    int64_t total = 0;
-    for (const Shard& s : shards_) {
-      total += s.value.load(std::memory_order_relaxed);
-    }
-    return total;
-  }
-  void Reset() {
-    for (Shard& s : shards_) s.value.store(0, std::memory_order_relaxed);
-  }
+  int64_t Value() const { return value_.load(std::memory_order_relaxed); }
+  void Reset() { value_.store(0, std::memory_order_relaxed); }
 
  private:
-  // Threads are assigned round-robin slots on first use; 16 slots keep
-  // pool-sized writer sets (hardware threads) spread across lines.
-  static size_t ShardIndex();
-
-  static constexpr size_t kShards = 16;
-  struct alignas(64) Shard {
-    std::atomic<int64_t> value{0};
-  };
-  std::array<Shard, kShards> shards_{};
+  std::atomic<int64_t> value_{0};
 };
 
 // Last-written value (e.g. pool size, current capacity). Set/Value are

@@ -17,7 +17,7 @@ namespace {
 
 // Process-wide ParallelFor telemetry (util/metrics.h). Function-local static
 // references: the registry lookup happens once, the hot path only touches
-// sharded counters. "parallel.inline_calls" counts calls that ran entirely on
+// the counters. "parallel.inline_calls" counts calls that ran entirely on
 // the calling thread (budget <= 1 or nested on a pool worker);
 // "parallel.shards" totals the shards handed to pool workers, so
 // shards / (for_calls - inline_calls) is the mean fan-out of the calls that

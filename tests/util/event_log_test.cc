@@ -5,15 +5,13 @@
 #include <fstream>
 #include <sstream>
 #include <string>
-#include <thread>  // lint:allow(thread-primitives): test drives the MPMC queue and EventLog from raw threads on purpose
+#include <thread>  // lint:allow(thread-primitives): test drives EventLog from raw producer threads on purpose
 #include <vector>
 
 #include "gtest/gtest.h"
 
 namespace crashsim {
 namespace {
-
-using event_log_internal::BoundedQueue;
 
 std::string TempPath(const char* name) {
   return testing::TempDir() + "/" + name;
@@ -55,60 +53,6 @@ TEST(EventBuilderTest, EscapesStringsAndRejectsNonFiniteDoubles) {
                                .Finish();
   EXPECT_NE(line.find("\"s\": \"a\\\"b\\\\c\\nd\\te\""), std::string::npos);
   EXPECT_NE(line.find("\"inf\": null"), std::string::npos);
-}
-
-TEST(BoundedQueueTest, RoundsCapacityUpToPowerOfTwo) {
-  BoundedQueue q(5);
-  EXPECT_EQ(q.capacity(), 8u);
-}
-
-TEST(BoundedQueueTest, FifoUntilFullThenRejects) {
-  BoundedQueue q(4);
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_TRUE(q.TryPush(std::to_string(i)));
-  }
-  EXPECT_FALSE(q.TryPush("overflow"));
-  std::string out;
-  for (int i = 0; i < 4; ++i) {
-    ASSERT_TRUE(q.TryPop(&out));
-    EXPECT_EQ(out, std::to_string(i));
-  }
-  EXPECT_FALSE(q.TryPop(&out));
-}
-
-TEST(BoundedQueueTest, SlotsAreReusableAcrossManyWraps) {
-  BoundedQueue q(2);
-  std::string out;
-  for (int round = 0; round < 100; ++round) {
-    ASSERT_TRUE(q.TryPush(std::to_string(round)));
-    ASSERT_TRUE(q.TryPop(&out));
-    EXPECT_EQ(out, std::to_string(round));
-  }
-}
-
-TEST(BoundedQueueTest, ConcurrentProducersLoseNothingBelowCapacity) {
-  BoundedQueue q(1024);
-  constexpr int kThreads = 4;
-  constexpr int kPerThread = 200;  // 800 < 1024: no drops expected
-  std::vector<std::thread> producers;
-  for (int t = 0; t < kThreads; ++t) {
-    producers.emplace_back([&q, t] {
-      for (int i = 0; i < kPerThread; ++i) {
-        ASSERT_TRUE(q.TryPush(std::to_string(t * kPerThread + i)));
-      }
-    });
-  }
-  for (std::thread& t : producers) t.join();
-  std::vector<bool> seen(kThreads * kPerThread, false);
-  std::string out;
-  int popped = 0;
-  while (q.TryPop(&out)) {
-    const int value = std::stoi(out);
-    ASSERT_FALSE(seen[static_cast<size_t>(value)]) << "duplicate " << value;
-    seen[static_cast<size_t>(value)] = true;
-    ++popped;
-  }
-  EXPECT_EQ(popped, kThreads * kPerThread);
 }
 
 TEST(EventLogTest, WritesOneJsonLinePerEvent) {
@@ -156,6 +100,16 @@ TEST(EventLogTest, AppendsAcrossInstances) {
   EXPECT_EQ(ReadLines(path).size(), 2u);
 }
 
+// Value of integer field `key` in a rendered event line.
+int IntField(const std::string& line, const std::string& key) {
+  const size_t at = line.find("\"" + key + "\": ");
+  if (at == std::string::npos) {
+    ADD_FAILURE() << key << " missing from " << line;
+    return -1;
+  }
+  return std::stoi(line.substr(at + key.size() + 4));
+}
+
 TEST(EventLogTest, ConcurrentLoggersAllLand) {
   const std::string path = TempPath("event_log_mt.jsonl");
   std::remove(path.c_str());
@@ -178,29 +132,42 @@ TEST(EventLogTest, ConcurrentLoggersAllLand) {
     log.Flush();
     EXPECT_EQ(log.dropped(), 0);
   }
-  EXPECT_EQ(ReadLines(path).size(),
-            static_cast<size_t>(kThreads * kPerThread));
+  const std::vector<std::string> lines = ReadLines(path);
+  EXPECT_EQ(lines.size(), static_cast<size_t>(kThreads * kPerThread));
+  // Interleaving across producers is free, but each producer's lines must
+  // land in the order it logged them.
+  std::vector<int> next_i(kThreads, 0);
+  for (const std::string& line : lines) {
+    const int t = IntField(line, "t");
+    ASSERT_GE(t, 0);
+    ASSERT_LT(t, kThreads);
+    EXPECT_EQ(IntField(line, "i"), next_i[static_cast<size_t>(t)]) << line;
+    ++next_i[static_cast<size_t>(t)];
+  }
 }
 
 TEST(EventLogTest, OverflowDropsAndCountsInsteadOfBlocking) {
-  const std::string path = TempPath("event_log_drop.jsonl");
-  std::remove(path.c_str());
-  EventLog::Options options;
-  options.path = path;
-  options.queue_capacity = 4;
-  EventLog log(options);
-  // Far more lines than the queue can hold, pushed faster than one writer
-  // can drain: some must drop, none may block, and the tally must add up.
-  constexpr int kLines = 10000;
-  for (int i = 0; i < kLines; ++i) {
-    log.Log(EventBuilder("burst").Int("i", i).Finish());
+  for (const size_t capacity : {size_t{4}, size_t{1}}) {
+    SCOPED_TRACE(testing::Message() << "queue_capacity " << capacity);
+    const std::string path = TempPath("event_log_drop.jsonl");
+    std::remove(path.c_str());
+    EventLog::Options options;
+    options.path = path;
+    options.queue_capacity = capacity;
+    EventLog log(options);
+    // Far more lines than the queue can hold, pushed faster than one
+    // writer can drain: some must drop, none may block, and the tally must
+    // add up.
+    constexpr int kLines = 10000;
+    for (int i = 0; i < kLines; ++i) {
+      log.Log(EventBuilder("burst").Int("i", i).Finish());
+    }
+    log.Flush();
+    const int64_t dropped = log.dropped();
+    EXPECT_GT(dropped, 0);
+    EXPECT_LT(dropped, kLines);  // the writer kept up with at least some
+    EXPECT_EQ(static_cast<int64_t>(ReadLines(path).size()) + dropped, kLines);
   }
-  log.Flush();
-  const int64_t dropped = log.dropped();
-  EXPECT_GT(dropped, 0);
-  EXPECT_LT(dropped, kLines);  // the writer kept up with at least some
-  log.Flush();
-  EXPECT_EQ(static_cast<int64_t>(ReadLines(path).size()) + dropped, kLines);
 }
 
 TEST(EventLogTest, UnopenablePathFallsBackToStderr) {

@@ -13,10 +13,12 @@
 #                crashsim.query_stats.v1 schema, the Chrome trace export,
 #                and the Prometheus metrics export end to end.
 #   --check      after the run, compare ns/op against the committed
-#                <repo>/BENCH_baseline.json with tools/compare_bench.py and
-#                fail on regressions beyond BENCH_CHECK_THRESHOLD (default
-#                0.25 = +25%). Bumps the smoke measurement budget so the
-#                numbers are stable enough to gate on.
+#                <repo>/BENCH_baseline.json with tools/compare_bench.py
+#                (regressions beyond BENCH_CHECK_THRESHOLD, default 0.25 =
+#                +25%) and check the walk-batch speedup floor; both gates
+#                are printed, and the script fails if either failed. Bumps
+#                the smoke measurement budget so the numbers are stable
+#                enough to gate on.
 #   --update-baseline  rewrite <repo>/BENCH_baseline.json from this run
 #                (same measurement budget as --check); commit the result.
 #   --build-dir  build tree containing bench/bench_micro (default: the
@@ -54,7 +56,7 @@ OUT_DIR="${OUT_DIR:-${BUILD_DIR}}"
 check_against_baseline() {
   if [[ ! -f "${BASELINE}" ]]; then
     echo "--check: baseline ${BASELINE} not found" >&2
-    exit 1
+    return 1
   fi
   python3 "${REPO_ROOT}/tools/compare_bench.py" \
     --baseline "${BASELINE}" --current "$1" \
@@ -84,6 +86,15 @@ print(f"batch speedup: scalar {scalar:.0f} ns/op, SoA {soa:.0f} ns/op, "
 if ratio < floor:
     sys.exit(f"batch speedup {ratio:.2f}x below the {floor}x floor")
 PY
+}
+
+# --check: evaluates and prints both gates on `$1`, then fails if either
+# failed, so a baseline regression never hides the batch-speedup ratio.
+run_checks() {
+  local status=0
+  check_against_baseline "$1" || status=1
+  check_batch_speedup "$1" || status=1
+  return "${status}"
 }
 
 BENCH_MICRO="${BUILD_DIR}/bench/bench_micro"
@@ -233,8 +244,7 @@ PY
     echo "baseline updated: ${BASELINE}"
   fi
   if [[ "${CHECK}" -eq 1 ]]; then
-    check_against_baseline "${OUT}"
-    check_batch_speedup "${OUT}"
+    run_checks "${OUT}" || exit 1
   fi
   echo "smoke OK: $(grep -c '"bench"' "${OUT}") records in ${OUT}"
   exit 0
@@ -253,7 +263,6 @@ if [[ "${UPDATE_BASELINE}" -eq 1 ]]; then
   exit 1
 fi
 if [[ "${CHECK}" -eq 1 ]]; then
-  check_against_baseline "${OUT_DIR}/BENCH_micro.json"
-  check_batch_speedup "${OUT_DIR}/BENCH_micro.json"
+  run_checks "${OUT_DIR}/BENCH_micro.json" || exit 1
 fi
 echo "results in ${OUT_DIR}/BENCH_*.json and BENCH_*.csv"
