@@ -19,12 +19,6 @@ std::vector<Edge> TemporalGraph::SnapshotEdges(int t) const {
   return edges;
 }
 
-int64_t TemporalGraph::TotalEvents() const {
-  int64_t total = 0;
-  for (const EdgeDelta& d : deltas_) total += static_cast<int64_t>(d.Size());
-  return total;
-}
-
 TemporalGraphBuilder::TemporalGraphBuilder(NodeId num_nodes, bool undirected)
     : num_nodes_(num_nodes), undirected_(undirected) {
   CRASHSIM_CHECK_GE(num_nodes, 0);

@@ -44,10 +44,6 @@ class TemporalGraph {
   // Sorted directed edge set of snapshot t.
   std::vector<Edge> SnapshotEdges(int t) const;
 
-  // Total number of directed edge events (additions + removals) across all
-  // deltas; proxies dataset churn in reports.
-  int64_t TotalEvents() const;
-
  private:
   friend class TemporalGraphBuilder;
 

@@ -23,7 +23,7 @@ StatusOr<std::string> ReadHttpRequestHead(int fd, int timeout_ms) {
   const Stopwatch timer;
   for (;;) {
     // A scraper may split the request line across arbitrarily many writes;
-    // keep polling until the blank line lands or the budget runs out.
+    // wait out the rest of the budget until the blank line lands.
     if (head.find("\r\n\r\n") != std::string::npos) return head;
     if (head.size() >= kMaxHeadBytes) {
       return InvalidArgumentError("HTTP request head exceeds 8 KiB");
@@ -37,8 +37,7 @@ StatusOr<std::string> ReadHttpRequestHead(int fd, int timeout_ms) {
     pfd.fd = fd;
     pfd.events = POLLIN;
     pfd.revents = 0;
-    const int rc =
-        poll(&pfd, 1, std::min(50, static_cast<int>(remaining_ms) + 1));
+    const int rc = poll(&pfd, 1, static_cast<int>(remaining_ms) + 1);
     if (rc < 0 && errno != EINTR) {
       return UnavailableError("poll failed reading HTTP request head");
     }

@@ -3,7 +3,6 @@
 #include <cerrno>
 #include <cstring>
 
-#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -12,36 +11,12 @@
 namespace crashsim {
 namespace {
 
-// Waits until fd is readable, the peer hangs up, or stop flips. Returns
-// kCancelled on stop, kDataLoss on poll failure, OK when bytes (or EOF) are
-// ready to be read.
-Status WaitReadable(int fd, const std::atomic<bool>* stop) {
-  for (;;) {
-    if (stop != nullptr && stop->load(std::memory_order_relaxed)) {
-      return CancelledError("connection wait abandoned: server stopping");
-    }
-    struct pollfd pfd;
-    pfd.fd = fd;
-    pfd.events = POLLIN;
-    pfd.revents = 0;
-    const int rc = poll(&pfd, 1, /*timeout_ms=*/50);
-    if (rc < 0) {
-      if (errno == EINTR) continue;
-      return DataLossError(
-          StrFormat("poll failed: %s", std::strerror(errno)));
-    }
-    if (rc > 0) return OkStatus();
-  }
-}
-
 // Reads exactly `len` bytes. `boundary` marks a read whose clean EOF before
 // the first byte is the peer closing between frames (kUnavailable) rather
 // than a truncation (kDataLoss).
-Status ReadExactly(int fd, char* buf, size_t len, bool boundary,
-                   const std::atomic<bool>* stop) {
+Status ReadExactly(int fd, char* buf, size_t len, bool boundary) {
   size_t done = 0;
   while (done < len) {
-    RETURN_IF_ERROR(WaitReadable(fd, stop));
     const ssize_t n = recv(fd, buf + done, len - done, 0);
     if (n < 0) {
       if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) continue;
@@ -91,11 +66,9 @@ Status WriteFrame(int fd, std::string_view payload) {
   return OkStatus();
 }
 
-StatusOr<std::string> ReadFrame(int fd, uint32_t max_bytes,
-                                const std::atomic<bool>* stop) {
+StatusOr<std::string> ReadFrame(int fd, uint32_t max_bytes) {
   char header[4];
-  RETURN_IF_ERROR(
-      ReadExactly(fd, header, sizeof(header), /*boundary=*/true, stop));
+  RETURN_IF_ERROR(ReadExactly(fd, header, sizeof(header), /*boundary=*/true));
   const uint32_t len =
       (static_cast<uint32_t>(static_cast<unsigned char>(header[0])) << 24) |
       (static_cast<uint32_t>(static_cast<unsigned char>(header[1])) << 16) |
@@ -109,8 +82,7 @@ StatusOr<std::string> ReadFrame(int fd, uint32_t max_bytes,
   }
   std::string payload(len, '\0');
   if (len > 0) {
-    RETURN_IF_ERROR(
-        ReadExactly(fd, payload.data(), len, /*boundary=*/false, stop));
+    RETURN_IF_ERROR(ReadExactly(fd, payload.data(), len, /*boundary=*/false));
   }
   return payload;
 }

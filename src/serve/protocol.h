@@ -1,7 +1,6 @@
 #ifndef CRASHSIM_SERVE_PROTOCOL_H_
 #define CRASHSIM_SERVE_PROTOCOL_H_
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -18,11 +17,11 @@ namespace crashsim {
 //
 // All functions handle partial reads/writes and EINTR, and never raise
 // SIGPIPE (sends use MSG_NOSIGNAL). Error taxonomy:
-//   kUnavailable       clean EOF at a frame boundary (peer closed; the
-//                      normal end of a connection, not a fault)
+//   kUnavailable       clean EOF at a frame boundary (peer closed, or the
+//                      reading side was shut down; the normal end of a
+//                      connection, not a fault)
 //   kDataLoss          EOF or error mid-frame (truncated stream)
 //   kResourceExhausted frame length exceeds max_bytes
-//   kCancelled         *stop flipped true while waiting for bytes
 
 // Hard ceiling a frame may declare, shared by both directions. Large enough
 // for a full single-source score vector on the bench graphs, small enough
@@ -38,12 +37,13 @@ inline constexpr uint32_t kMaxRequestFrameBytes = 1u << 20;
 // Writes one frame. Blocks until fully written or the connection fails.
 [[nodiscard]] Status WriteFrame(int fd, std::string_view payload);
 
-// Reads one frame. `stop` (nullable) is polled between 50 ms waits so a
-// server draining for shutdown can abandon an idle connection promptly;
-// a frame whose bytes have started arriving is still read to completion.
+// Reads one frame, blocking in recv until it is complete or the stream
+// ends. There is no timeout: a server stopping for shutdown wakes the read
+// with shutdown(fd, SHUT_RD), which ends it as an EOF would. An idle
+// connection then ends with kUnavailable; a frame that was part-received
+// ends with kDataLoss, unless its remaining bytes had already arrived.
 [[nodiscard]] StatusOr<std::string> ReadFrame(
-    int fd, uint32_t max_bytes = kMaxFramePayloadBytes,
-    const std::atomic<bool>* stop = nullptr);
+    int fd, uint32_t max_bytes = kMaxFramePayloadBytes);
 
 }  // namespace crashsim
 

@@ -11,7 +11,6 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
-#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -75,21 +74,6 @@ Status BindListener(const std::string& host, int port, int* out_fd,
   *out_fd = fd;
   *out_port = static_cast<int>(ntohs(bound.sin_port));
   return OkStatus();
-}
-
-// Polls fd for readability in 50 ms slices until stop flips. Returns true
-// when readable, false on stop / unrecoverable poll error.
-bool WaitAcceptable(int fd, const std::atomic<bool>& stop) {
-  while (!stop.load(std::memory_order_relaxed)) {
-    struct pollfd pfd;
-    pfd.fd = fd;
-    pfd.events = POLLIN;
-    pfd.revents = 0;
-    const int rc = poll(&pfd, 1, 50);
-    if (rc < 0 && errno != EINTR) return false;
-    if (rc > 0) return true;
-  }
-  return false;
 }
 
 // Largest magnitude a JSON number (a double) holds exactly as an integer.
@@ -260,20 +244,28 @@ Status Server::Start() {
 void Server::Shutdown() {
   bool expected = false;
   if (!shutdown_done_.compare_exchange_strong(expected, true)) return;
-  stop_.store(true, std::memory_order_relaxed);
+  stop_.store(true);
+  // A thread blocked in accept() on a listener that is shut down returns
+  // EINVAL. The fds stay open until their threads are joined, so neither
+  // loop can see its fd number reused.
+  for (const int fd : {listen_fd_, metrics_fd_}) {
+    if (fd >= 0) (void)shutdown(fd, SHUT_RDWR);
+  }
   if (accept_thread_.joinable()) accept_thread_.join();
   if (metrics_thread_.joinable()) metrics_thread_.join();
-  if (listen_fd_ >= 0) {
-    close(listen_fd_);
-    listen_fd_ = -1;
+  for (int* fd : {&listen_fd_, &metrics_fd_}) {
+    if (*fd >= 0) close(*fd);
+    *fd = -1;
   }
-  if (metrics_fd_ >= 0) {
-    close(metrics_fd_);
-    metrics_fd_ = -1;
-  }
+  // No connection can appear now. After SHUT_RD a blocked recv returns 0,
+  // so an idle connection ends at once, while a request being handled is
+  // still answered in full (the drain guarantee).
   std::vector<std::unique_ptr<Connection>> pending;
   {
     const MutexLock lock(conn_mu_);
+    for (const auto& conn : connections_) {
+      if (conn->fd >= 0) (void)shutdown(conn->fd, SHUT_RD);
+    }
     pending.swap(connections_);
   }
   for (const auto& conn : pending) {
@@ -281,12 +273,27 @@ void Server::Shutdown() {
   }
 }
 
+bool Server::AcceptFailed(int err) {
+  if (stop_.load()) return false;  // the listener was shut down
+  // An interrupted call, a failure of one pending connection, or a network
+  // error accept(2) says to treat like EAGAIN: retry at once.
+  constexpr int kRetryNow[] = {EINTR, EAGAIN, ECONNABORTED, EPROTO, ENETDOWN,
+                               ENOPROTOOPT, EHOSTDOWN, ENONET, EHOSTUNREACH,
+                               EOPNOTSUPP, ENETUNREACH};
+  if (std::ranges::find(kRetryNow, err) != std::end(kRetryNow)) return true;
+  // EMFILE, ENFILE, ENOBUFS, ENOMEM: the connection stays queued and every
+  // retry fails until fds or memory free up, so pause instead of spinning.
+  connections_rejected_.fetch_add(1, std::memory_order_relaxed);
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  return true;
+}
+
 void Server::AcceptLoop() {
-  while (WaitAcceptable(listen_fd_, stop_)) {
+  for (;;) {
     const int fd = accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) {
-      if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) continue;
-      break;
+      if (AcceptFailed(errno)) continue;
+      return;
     }
     if (active_connections_.load(std::memory_order_relaxed) >=
         options_.max_connections) {
@@ -309,25 +316,27 @@ void Server::AcceptLoop() {
     }
     auto conn = std::make_unique<Connection>();
     Connection* raw = conn.get();
+    raw->fd = fd;
     connections_.push_back(std::move(conn));
     raw->thread = std::thread([this, fd, raw] {
-      ServeConnection(fd);
+      ServeConnection(fd, raw);
       active_connections_.fetch_sub(1, std::memory_order_relaxed);
       raw->done.store(true, std::memory_order_release);
     });
   }
 }
 
-void Server::ServeConnection(int fd) {
-  for (;;) {
-    StatusOr<std::string> payload =
-        ReadFrame(fd, kMaxRequestFrameBytes, &stop_);
+void Server::ServeConnection(int fd, Connection* conn) {
+  // Shutdown() wakes a blocked read with shutdown(SHUT_RD), but Linux still
+  // delivers bytes that arrive after it, so stop_ is checked before each
+  // frame: a client that keeps sending cannot hold the drain open.
+  while (!stop_.load()) {
+    StatusOr<std::string> payload = ReadFrame(fd, kMaxRequestFrameBytes);
     if (!payload.ok()) {
-      // kUnavailable: the peer closed between frames (normal end).
-      // kCancelled: shutdown while idle. Anything else is a framing fault;
-      // best-effort report it, then drop the connection either way.
-      if (payload.status().code() != StatusCode::kUnavailable &&
-          payload.status().code() != StatusCode::kCancelled) {
+      // kUnavailable: the peer closed, or shutdown woke an idle read (the
+      // normal end). Anything else, a frame cut short by shutdown too, is a
+      // framing fault; best-effort report it, then drop the connection.
+      if (payload.status().code() != StatusCode::kUnavailable) {
         JsonValue error = JsonValue::Object();
         error.Set("status", JsonValue(std::string(
                                 StatusCodeName(payload.status().code()))));
@@ -336,12 +345,15 @@ void Server::ServeConnection(int fd) {
       }
       break;
     }
-    // A request that started before shutdown is answered in full (the drain
-    // guarantee); the loop re-checks stop_ at the next ReadFrame.
+    // A request read before shutdown is answered in full (the drain
+    // guarantee): SHUT_RD leaves the write side open.
     const std::string response = HandleRequest(*payload);
     if (Status s = WriteFrame(fd, response); !s.ok()) break;
   }
+  // Under conn_mu_, so Shutdown never shuts down a reused fd number.
+  const MutexLock lock(conn_mu_);
   close(fd);
+  conn->fd = -1;
 }
 
 std::string Server::HandleRequest(const std::string& payload) {
@@ -655,11 +667,11 @@ void Server::Observe(uint64_t request_id, const Reply& reply,
 void Server::MetricsLoop() {
   constexpr char kPrometheusType[] =
       "text/plain; version=0.0.4; charset=utf-8";
-  while (WaitAcceptable(metrics_fd_, stop_)) {
+  for (;;) {
     const int fd = accept(metrics_fd_, nullptr, nullptr);
     if (fd < 0) {
-      if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) continue;
-      break;
+      if (AcceptFailed(errno)) continue;
+      return;
     }
     // Minimal but tolerant HTTP: reassemble the head across split writes,
     // then route GET /metrics | /statusz | /tracez; 404 unknown paths, 405

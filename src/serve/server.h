@@ -126,6 +126,8 @@ class Server {
 
   // Graceful shutdown: stop accepting, let every in-flight request finish
   // and flush its response, then join all connection threads. Idempotent.
+  // Blocked threads are woken through their sockets (shutdown(2) on the
+  // listeners and on every live connection's read side), not by polling.
   void Shutdown();
 
   // Bound ports, valid after Start() (0 / -1 when not listening).
@@ -183,9 +185,15 @@ class Server {
     QueryContext* ctx;  // carries the deadline, request id and stats sink
   };
 
+  struct Connection;
+
   void AcceptLoop();
   void MetricsLoop();
-  void ServeConnection(int fd);
+  // What an accept loop does after accept() failed with `err`: false ends
+  // the loop (Shutdown() shut the listener down); otherwise it retries, so
+  // no per-connection or resource error ends accepting.
+  bool AcceptFailed(int err);
+  void ServeConnection(int fd, Connection* conn);
   // Handles one request payload; always returns a serialized response.
   std::string HandleRequest(const std::string& payload);
   Reply Dispatch(const std::string& op, const JsonValue& request,
@@ -249,6 +257,9 @@ class Server {
   // reap finished threads instead of holding every handle until shutdown.
   struct Connection {
     std::thread thread;
+    // The connection's socket, guarded by conn_mu_: -1 once ServeConnection
+    // closed it, so Shutdown never shuts down a reused fd number.
+    int fd = -1;
     std::atomic<bool> done{false};
   };
   Mutex conn_mu_;

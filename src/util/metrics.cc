@@ -173,10 +173,6 @@ int64_t SlidingHistogram::SnapshotQuantile(
   return snap.bounds.back();  // overflow bucket: the window's floor estimate
 }
 
-int64_t SlidingHistogram::WindowQuantile(double q) const {
-  return SnapshotQuantile(WindowSnapshot(), q);
-}
-
 MetricsRegistry& MetricsRegistry::Global() {
   static MetricsRegistry* const registry = new MetricsRegistry();
   return *registry;

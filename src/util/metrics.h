@@ -135,16 +135,13 @@ class SlidingHistogram {
   FixedHistogram::Snapshot WindowSnapshot() const;
   FixedHistogram::Snapshot WindowSnapshotAt(int64_t now_seconds) const;
 
-  // Nearest-rank quantile (q in [0,1]) over the current window, resolved
-  // to the upper bound of the containing bucket (the last finite bound for
-  // the overflow bucket). 0 when the window is empty.
-  int64_t WindowQuantile(double q) const;
-
   int window_seconds() const { return static_cast<int>(slots_.size()); }
   const std::vector<int64_t>& bounds() const { return bounds_; }
 
-  // Nearest-rank quantile over an already-taken snapshot (same resolution
-  // rules as WindowQuantile) — take one snapshot, derive many quantiles.
+  // Nearest-rank quantile (q in [0,1]) over an already-taken snapshot,
+  // resolved to the upper bound of the containing bucket (the last finite
+  // bound for the overflow bucket); 0 when the snapshot is empty. Take one
+  // snapshot, derive many quantiles.
   static int64_t SnapshotQuantile(const FixedHistogram::Snapshot& snap,
                                   double q);
 

@@ -27,10 +27,4 @@ int Rng::GeometricLength(double p) {
   return len < 1 ? 1 : len;
 }
 
-Rng Rng::Fork(uint64_t salt) {
-  SplitMix64 sm(NextU64() ^ (salt * 0x9e3779b97f4a7c15ULL + 0x632be59bd9b4e019ULL));
-  Rng child(sm.Next());
-  return child;
-}
-
 }  // namespace crashsim

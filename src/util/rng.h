@@ -145,10 +145,6 @@ class Rng {
   // sqrt(c)-walk lengths: each step continues with probability p.
   int GeometricLength(double p);
 
-  // Derives an independent child stream; deterministic in (this stream's
-  // current state, salt). The parent stream advances by one draw.
-  Rng Fork(uint64_t salt);
-
  private:
   uint64_t s_[4];
 };

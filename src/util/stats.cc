@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 
 namespace crashsim {
 
@@ -43,17 +42,6 @@ void OnlineStats::Merge(const OnlineStats& other) {
   count_ += other.count_;
 }
 
-double PercentileSorted(const std::vector<double>& sorted, double q) {
-  if (sorted.empty()) return 0.0;
-  if (q <= 0.0) return sorted.front();
-  if (q >= 1.0) return sorted.back();
-  const double pos = q * static_cast<double>(sorted.size() - 1);
-  const size_t lo = static_cast<size_t>(pos);
-  const double frac = pos - static_cast<double>(lo);
-  if (lo + 1 >= sorted.size()) return sorted.back();
-  return sorted[lo] * (1.0 - frac) + sorted[lo + 1] * frac;
-}
-
 double PercentileNearestRank(const std::vector<double>& sorted, double q) {
   if (sorted.empty()) return 0.0;
   if (q <= 0.0) return sorted.front();
@@ -65,33 +53,6 @@ double PercentileNearestRank(const std::vector<double>& sorted, double q) {
   if (rank < 1) rank = 1;
   if (rank > sorted.size()) rank = sorted.size();
   return sorted[rank - 1];
-}
-
-SampleSummary Summarize(const std::vector<double>& values) {
-  SampleSummary s;
-  if (values.empty()) return s;
-  std::vector<double> sorted = values;
-  std::sort(sorted.begin(), sorted.end());
-  OnlineStats acc;
-  for (double v : sorted) acc.Add(v);
-  s.count = acc.count();
-  s.mean = acc.mean();
-  s.stddev = acc.Stddev();
-  s.min = sorted.front();
-  s.p50 = PercentileSorted(sorted, 0.50);
-  s.p90 = PercentileSorted(sorted, 0.90);
-  s.p99 = PercentileSorted(sorted, 0.99);
-  s.max = sorted.back();
-  return s;
-}
-
-std::string ToString(const SampleSummary& s) {
-  char buf[160];
-  std::snprintf(buf, sizeof(buf),
-                "n=%zu mean=%.6g sd=%.3g min=%.6g p50=%.6g p90=%.6g p99=%.6g "
-                "max=%.6g",
-                s.count, s.mean, s.stddev, s.min, s.p50, s.p90, s.p99, s.max);
-  return buf;
 }
 
 }  // namespace crashsim

@@ -2,7 +2,6 @@
 #define CRASHSIM_UTIL_STATS_H_
 
 #include <cstddef>
-#include <string>
 #include <vector>
 
 namespace crashsim {
@@ -34,34 +33,13 @@ class OnlineStats {
   double max_ = 0.0;
 };
 
-// Five-number-style summary of a sample, computed in one pass over a copy.
-struct SampleSummary {
-  size_t count = 0;
-  double mean = 0.0;
-  double stddev = 0.0;
-  double min = 0.0;
-  double p50 = 0.0;
-  double p90 = 0.0;
-  double p99 = 0.0;
-  double max = 0.0;
-};
-
-// Computes a SampleSummary. The input is copied so callers keep ordering.
-SampleSummary Summarize(const std::vector<double>& values);
-
-// Linear-interpolated percentile of a *sorted* vector; q in [0, 1].
-double PercentileSorted(const std::vector<double>& sorted, double q);
-
 // Nearest-rank percentile of a *sorted* vector: the ceil(q * n)-th order
 // statistic (1-based), i.e. the smallest observed value v such that at least
-// q * n observations are <= v. Unlike PercentileSorted this never
-// interpolates — it always returns a member of the sample, which is what
-// latency reporting wants (p50 of 100 samples is sorted[49], not a blend).
+// q * n observations are <= v. It never interpolates: it always returns a
+// member of the sample, which is what latency reporting wants (p50 of 100
+// samples is sorted[49], not a blend).
 // q <= 0 returns the minimum, q >= 1 the maximum, an empty sample 0.
 double PercentileNearestRank(const std::vector<double>& sorted, double q);
-
-// Renders a summary as "mean=... p50=... p99=..." for log lines.
-std::string ToString(const SampleSummary& s);
 
 }  // namespace crashsim
 

@@ -49,11 +49,6 @@ TEST(TemporalGraphTest, SnapshotMaterialisation) {
   EXPECT_TRUE(g2.HasEdge(0, 1));
 }
 
-TEST(TemporalGraphTest, TotalEvents) {
-  const TemporalGraph tg = ThreeSnapshots();
-  EXPECT_EQ(tg.TotalEvents(), 2 + 2 + 1);
-}
-
 TEST(TemporalGraphBuilderTest, DuplicateAndSelfLoopNormalisation) {
   TemporalGraphBuilder b(3);
   b.AddSnapshot({{0, 1}, {0, 1}, {2, 2}});

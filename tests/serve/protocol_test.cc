@@ -1,8 +1,6 @@
 #include "serve/protocol.h"
 
-#include <atomic>
 #include <string>
-#include <thread>
 
 #include <sys/socket.h>
 #include <unistd.h>
@@ -78,18 +76,6 @@ TEST_F(SocketPair, OversizedLengthPrefixIsRejectedWithoutAllocating) {
   ASSERT_TRUE(WriteFrame(a_, std::string(64, 'y')).ok());
   EXPECT_EQ(ReadFrame(b_, /*max_bytes=*/16).status().code(),
             StatusCode::kResourceExhausted);
-}
-
-TEST_F(SocketPair, StopFlagAbandonsIdleWait) {
-  std::atomic<bool> stop{false};
-  std::thread flipper([&stop] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(80));
-    stop.store(true);
-  });
-  // No bytes ever arrive; the wait must end via the stop flag, not block.
-  const Status s = ReadFrame(b_, kMaxFramePayloadBytes, &stop).status();
-  flipper.join();
-  EXPECT_EQ(s.code(), StatusCode::kCancelled);
 }
 
 TEST_F(SocketPair, OversizedWriteIsRefused) {

@@ -1,8 +1,13 @@
 #include "serve/server.h"
 
 #include <algorithm>
+#include <atomic>
+#include <cerrno>
+#include <chrono>
 #include <cstring>
+#include <filesystem>
 #include <functional>
+#include <future>
 #include <numeric>
 #include <set>
 #include <string>
@@ -13,6 +18,7 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <poll.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -36,18 +42,22 @@ namespace {
 
 using std::chrono::milliseconds;
 
+// Connects socket fd to the test server on 127.0.0.1:port.
+bool ConnectTo(int fd, int port) {
+  sockaddr_in addr;
+  std::memset(&addr, 0, sizeof(addr));
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<uint16_t>(port));
+  inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  return connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0;
+}
+
 // An owned client connection to a test server.
 class Client {
  public:
   explicit Client(int port) {
     fd_ = socket(AF_INET, SOCK_STREAM, 0);
-    sockaddr_in addr;
-    std::memset(&addr, 0, sizeof(addr));
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(static_cast<uint16_t>(port));
-    inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-    connected_ =
-        connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0;
+    connected_ = ConnectTo(fd_, port);
   }
   ~Client() {
     if (fd_ >= 0) close(fd_);
@@ -110,6 +120,12 @@ ServerOptions TestServerOptions() {
   opt.executor.max_queue = 32;
   opt.metrics_port = 0;
   return opt;
+}
+
+JsonValue PingRequest() {
+  JsonValue request = JsonValue::Object();
+  request.Set("op", JsonValue(std::string("ping")));
+  return request;
 }
 
 JsonValue TopKRequest(int64_t source, int64_t k) {
@@ -280,8 +296,7 @@ TEST(ServerTest, StartPingShutdown) {
 
   Client client(server.port());
   ASSERT_TRUE(client.connected());
-  JsonValue request = JsonValue::Object();
-  request.Set("op", JsonValue(std::string("ping")));
+  JsonValue request = PingRequest();
   request.Set("id", JsonValue(int64_t{42}));
   StatusOr<JsonValue> response = client.Call(request);
   ASSERT_TRUE(response.ok()) << response.status().ToString();
@@ -513,6 +528,151 @@ TEST(ServerTest, GracefulShutdownDrainsInFlightQuery) {
   EXPECT_EQ(response->Find("scores")->items().size(), 5u);
 }
 
+// Shutdown() ends every blocked wait through its socket, so it takes a few
+// milliseconds. The bound is far above that, so it holds under sanitizers;
+// a wait that never ends fails the test instead of hanging it, because
+// `unblock` then releases the server.
+constexpr milliseconds kShutdownBound{2000};
+
+milliseconds TimedShutdown(Server& server,
+                           const std::function<void()>& unblock) {
+  const auto start = std::chrono::steady_clock::now();
+  std::future<void> done =
+      std::async(std::launch::async, [&server] { server.Shutdown(); });
+  if (done.wait_for(kShutdownBound) != std::future_status::ready) unblock();
+  done.get();
+  return std::chrono::duration_cast<milliseconds>(
+      std::chrono::steady_clock::now() - start);
+}
+
+TEST(ServerTest, ShutdownWakesIdleConnection) {
+  Server server(TestGraph(), std::nullopt, TestServerOptions());
+  ASSERT_TRUE(server.Start().ok());
+  Client client(server.port());
+  ASSERT_TRUE(client.connected());
+  // The round trip puts the connection thread in its read of the next frame.
+  ASSERT_TRUE(client.Call(PingRequest()).ok());
+
+  EXPECT_LT(TimedShutdown(server,
+                          [&client] { shutdown(client.fd(), SHUT_RDWR); }),
+            kShutdownBound);
+  // The idle connection ends at a frame boundary: closed, no error frame.
+  EXPECT_EQ(ReadFrame(client.fd()).status().code(), StatusCode::kUnavailable);
+}
+
+TEST(ServerTest, ShutdownEndsHalfReceivedFrame) {
+  Server server(TestGraph(), std::nullopt, TestServerOptions());
+  ASSERT_TRUE(server.Start().ok());
+  Client client(server.port());
+  ASSERT_TRUE(client.connected());
+  ASSERT_TRUE(client.Call(PingRequest()).ok());
+
+  // A header declaring 100 bytes, then half of them.
+  const char frame[4 + 50] = {0, 0, 0, 100};
+  ASSERT_EQ(send(client.fd(), frame, sizeof(frame), MSG_NOSIGNAL),
+            static_cast<ssize_t>(sizeof(frame)));
+  std::this_thread::sleep_for(milliseconds(50));
+  EXPECT_LT(TimedShutdown(server,
+                          [&client] { shutdown(client.fd(), SHUT_RDWR); }),
+            kShutdownBound);
+  // The cut frame is reported as DATA_LOSS, or the connection just closes.
+  StatusOr<std::string> payload = ReadFrame(client.fd());
+  if (payload.ok()) {
+    StatusOr<JsonValue> response = ParseJson(*payload);
+    ASSERT_TRUE(response.ok());
+    EXPECT_EQ(response->GetString("status", ""), "DATA_LOSS");
+  } else {
+    const StatusCode code = payload.status().code();
+    EXPECT_TRUE(code == StatusCode::kUnavailable ||
+                code == StatusCode::kDataLoss)
+        << payload.status().ToString();
+  }
+}
+
+TEST(ServerTest, ShutdownFinishesWhileClientsKeepConnecting) {
+  Server server(TestGraph(), std::nullopt, TestServerOptions());
+  ASSERT_TRUE(server.Start().ok());
+  std::atomic<bool> stop{false};
+  std::atomic<int> answered{0};
+  std::vector<std::thread> clients;
+  for (int i = 0; i < 4; ++i) {
+    clients.emplace_back([&] {
+      while (!stop.load()) {
+        Client client(server.port());
+        if (client.connected() && client.Call(PingRequest()).ok()) {
+          answered.fetch_add(1);
+        }
+      }
+    });
+  }
+  // Shut down only once connections are being served.
+  for (int i = 0; i < 5000 && answered.load() < 20; ++i) {
+    std::this_thread::sleep_for(milliseconds(1));
+  }
+  EXPECT_GE(answered.load(), 20);
+  EXPECT_LT(TimedShutdown(server, [&stop] { stop.store(true); }),
+            kShutdownBound);
+  stop.store(true);
+  for (std::thread& t : clients) t.join();
+}
+
+// Restores the soft RLIMIT_NOFILE it found, even when the test fails.
+class NoFileLimit {
+ public:
+  NoFileLimit() { getrlimit(RLIMIT_NOFILE, &saved_); }
+  ~NoFileLimit() { setrlimit(RLIMIT_NOFILE, &saved_); }
+  NoFileLimit(const NoFileLimit&) = delete;
+  NoFileLimit& operator=(const NoFileLimit&) = delete;
+  bool LowerTo(rlim_t soft) {
+    rlimit lowered = saved_;
+    lowered.rlim_cur = soft;
+    return setrlimit(RLIMIT_NOFILE, &lowered) == 0;
+  }
+
+ private:
+  rlimit saved_{};
+};
+
+// One EMFILE burst must not end the accept loop: the server counts the
+// failed accepts as rejections, and once fds are free again it serves the
+// very connection that was waiting.
+TEST(ServerTest, AcceptLoopSurvivesFdExhaustion) {
+  Server server(TestGraph(), std::nullopt, TestServerOptions());
+  ASSERT_TRUE(server.Start().ok());
+  // The client's own socket exists before the process runs out of fds.
+  const int fd = socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+
+  std::vector<int> filler;
+  {
+    NoFileLimit limit;
+    int highest = fd;
+    for (const auto& entry :
+         std::filesystem::directory_iterator("/proc/self/fd")) {
+      highest = std::max(highest, std::stoi(entry.path().filename().string()));
+    }
+    ASSERT_TRUE(limit.LowerTo(static_cast<rlim_t>(highest) + 8));
+    for (int next = dup(fd); next >= 0; next = dup(fd)) filler.push_back(next);
+    ASSERT_EQ(errno, EMFILE);
+    ASSERT_TRUE(ConnectTo(fd, server.port()));
+    for (int i = 0; i < 5000 && server.stats().connections_rejected == 0; ++i) {
+      std::this_thread::sleep_for(milliseconds(1));
+    }
+    for (int f : filler) close(f);
+  }
+  EXPECT_GT(server.stats().connections_rejected, 0);
+
+  ASSERT_TRUE(WriteFrame(fd, PingRequest().Write()).ok());
+  ASSERT_TRUE(ReadableWithin(fd, 5000)) << "the accept loop stopped";
+  StatusOr<std::string> payload = ReadFrame(fd);
+  ASSERT_TRUE(payload.ok()) << payload.status().ToString();
+  StatusOr<JsonValue> response = ParseJson(*payload);
+  ASSERT_TRUE(response.ok());
+  EXPECT_EQ(response->GetString("status", ""), "OK");
+  close(fd);
+  server.Shutdown();
+}
+
 TEST(ServerTest, MetricsEndpointServesPrometheusText) {
   Server server(TestGraph(), std::nullopt, TestServerOptions());
   ASSERT_TRUE(server.Start().ok());
@@ -522,9 +682,7 @@ TEST(ServerTest, MetricsEndpointServesPrometheusText) {
   {
     Client client(server.port());
     ASSERT_TRUE(client.connected());
-    JsonValue ping = JsonValue::Object();
-    ping.Set("op", JsonValue(std::string("ping")));
-    ASSERT_TRUE(client.Call(ping).ok());
+    ASSERT_TRUE(client.Call(PingRequest()).ok());
   }
 
   const int fd = socket(AF_INET, SOCK_STREAM, 0);
@@ -904,8 +1062,7 @@ TEST(ServerTest, EveryResponseKindKeepsItsKeySet) {
     EXPECT_TRUE(response.ok()) << response.status().ToString();
     return response.ok() ? JsonValue(*response) : JsonValue();
   };
-  JsonValue ping = JsonValue::Object();
-  ping.Set("op", JsonValue(std::string("ping")));
+  const JsonValue ping = PingRequest();
   JsonValue unknown_op = JsonValue::Object();
   unknown_op.Set("op", JsonValue(std::string("frobnicate")));
   StatusOr<JsonValue> unparseable = client.CallRaw("{nope");

@@ -222,7 +222,8 @@ TEST(SlidingHistogramTest, SlotRecyclesWhenItsSecondComesAround) {
 
 TEST(SlidingHistogramTest, EmptyWindowQuantileIsZero) {
   SlidingHistogram h({10, 100}, /*window_seconds=*/5);
-  EXPECT_EQ(h.WindowQuantile(0.5), 0);
+  EXPECT_EQ(SlidingHistogram::SnapshotQuantile(h.WindowSnapshotAt(10), 0.5),
+            0);
   h.RecordAt(5, 10);
   // 1000 seconds later nothing is left in the window.
   EXPECT_EQ(SlidingHistogram::SnapshotQuantile(h.WindowSnapshotAt(1010), 0.5),
@@ -251,8 +252,9 @@ TEST(SlidingHistogramTest, SteadyClockPathRecordsIntoCurrentWindow) {
   SlidingHistogram h({10, 100}, /*window_seconds=*/60);
   h.Record(5);
   h.Record(50);
-  EXPECT_EQ(h.WindowSnapshot().total, 2);
-  EXPECT_EQ(h.WindowQuantile(1.0), 100);
+  const FixedHistogram::Snapshot snap = h.WindowSnapshot();
+  EXPECT_EQ(snap.total, 2);
+  EXPECT_EQ(SlidingHistogram::SnapshotQuantile(snap, 1.0), 100);
 }
 
 }  // namespace

@@ -120,22 +120,6 @@ TEST(RngTest, GeometricLengthTailProbability) {
   EXPECT_NEAR(static_cast<double>(longer) / kN, 1.0 / 32.0, 0.005);
 }
 
-TEST(RngTest, ForkProducesDecorrelatedStream) {
-  Rng parent(41);
-  Rng child = parent.Fork(1);
-  // Child differs from a fresh parent-seeded stream and from the parent.
-  Rng parent_again(41);
-  EXPECT_NE(child.NextU64(), parent_again.NextU64());
-}
-
-TEST(RngTest, ForkIsDeterministic) {
-  Rng a(43);
-  Rng b(43);
-  Rng ca = a.Fork(9);
-  Rng cb = b.Fork(9);
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(ca.NextU64(), cb.NextU64());
-}
-
 TEST(StreamDerivationTest, Mix64IsBijectiveOnSamples) {
   // Mix64 is a bijection of u64 (invertible multiply/xorshift rounds), so
   // distinct inputs must give distinct outputs; sample densely around the

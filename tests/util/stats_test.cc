@@ -63,19 +63,6 @@ TEST(OnlineStatsTest, MergeWithEmpty) {
   EXPECT_DOUBLE_EQ(empty.mean(), 1.0);
 }
 
-TEST(PercentileTest, InterpolatesLinearly) {
-  const std::vector<double> sorted{0.0, 10.0};
-  EXPECT_DOUBLE_EQ(PercentileSorted(sorted, 0.0), 0.0);
-  EXPECT_DOUBLE_EQ(PercentileSorted(sorted, 0.5), 5.0);
-  EXPECT_DOUBLE_EQ(PercentileSorted(sorted, 1.0), 10.0);
-  EXPECT_DOUBLE_EQ(PercentileSorted(sorted, 0.25), 2.5);
-}
-
-TEST(PercentileTest, EmptyAndSingle) {
-  EXPECT_EQ(PercentileSorted({}, 0.5), 0.0);
-  EXPECT_DOUBLE_EQ(PercentileSorted({3.0}, 0.99), 3.0);
-}
-
 TEST(PercentileNearestRankTest, KnownQuantilesOfHundredSamples) {
   std::vector<double> sorted;
   for (int i = 1; i <= 100; ++i) sorted.push_back(i);
@@ -111,30 +98,6 @@ TEST(PercentileNearestRankTest, EmptyAndExtremes) {
   EXPECT_DOUBLE_EQ(PercentileNearestRank(sorted, -1.0), 2.0);
   EXPECT_DOUBLE_EQ(PercentileNearestRank(sorted, 1.0), 6.0);
   EXPECT_DOUBLE_EQ(PercentileNearestRank(sorted, 2.0), 6.0);
-}
-
-TEST(SummarizeTest, BasicSummary) {
-  std::vector<double> values;
-  for (int i = 100; i >= 1; --i) values.push_back(i);  // 1..100 reversed
-  const SampleSummary s = Summarize(values);
-  EXPECT_EQ(s.count, 100u);
-  EXPECT_DOUBLE_EQ(s.mean, 50.5);
-  EXPECT_DOUBLE_EQ(s.min, 1.0);
-  EXPECT_DOUBLE_EQ(s.max, 100.0);
-  EXPECT_NEAR(s.p50, 50.5, 1e-9);
-  EXPECT_NEAR(s.p90, 90.1, 1e-9);
-}
-
-TEST(SummarizeTest, EmptyInput) {
-  const SampleSummary s = Summarize({});
-  EXPECT_EQ(s.count, 0u);
-}
-
-TEST(SummarizeTest, ToStringMentionsFields) {
-  const SampleSummary s = Summarize({1.0, 2.0, 3.0});
-  const std::string text = ToString(s);
-  EXPECT_NE(text.find("mean="), std::string::npos);
-  EXPECT_NE(text.find("p99="), std::string::npos);
 }
 
 }  // namespace

@@ -10,14 +10,13 @@
 // Exit codes follow the crashsim_cli table (ExitCodeFor, docs/ERRORS.md): 0
 // clean shutdown, 1 usage error, 2 INVALID_ARGUMENT, 8 UNAVAILABLE (bind
 // failed).
-#include <atomic>
-#include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <fstream>
 #include <optional>
 #include <string>
-#include <thread>
+
+#include <pthread.h>
 
 #include "core/engine_flags.h"
 #include "graph/graph_io.h"
@@ -29,16 +28,21 @@
 namespace crashsim {
 namespace {
 
-std::atomic<bool> g_stop{false};
-
-void HandleSignal(int) { g_stop.store(true, std::memory_order_relaxed); }
-
 int FailStatus(const Status& status) {
   std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
   return ExitCodeFor(status.code());
 }
 
 int Run(int argc, char** argv) {
+  // SIGINT and SIGTERM stay blocked in every thread (threads inherit the
+  // mask), so the main thread takes them in sigwait below and no thread
+  // polls a stop flag. One arriving during start-up waits until then.
+  sigset_t stop_signals;
+  sigemptyset(&stop_signals);
+  sigaddset(&stop_signals, SIGINT);
+  sigaddset(&stop_signals, SIGTERM);
+  pthread_sigmask(SIG_BLOCK, &stop_signals, nullptr);
+
   FlagSet flags;
   flags.DefineString("graph", "", "static edge-list file (required)");
   flags.DefineString("temporal", "",
@@ -146,13 +150,8 @@ int Run(int argc, char** argv) {
     }
   }
 
-  struct sigaction action = {};
-  action.sa_handler = HandleSignal;
-  sigaction(SIGINT, &action, nullptr);
-  sigaction(SIGTERM, &action, nullptr);
-  while (!g_stop.load(std::memory_order_relaxed)) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  }
+  int received = 0;
+  sigwait(&stop_signals, &received);
 
   std::printf("draining...\n");
   std::fflush(stdout);

@@ -27,6 +27,10 @@
 #      (nodes and snapshots_processed must match);
 #   9. SIGTERM the server mid-replay and require a clean drain ("clean
 #      shutdown" banner, exit code 0, replay tolerating the cut).
+#  10. start a second server, hold 3 idle client connections on it, and
+#      require its threads to make at most IDLE_SWITCHES_MAX voluntary
+#      context switches in 2 s (every wait blocks on its event, none wakes
+#      on a timer), then require SIGTERM to drain it within DRAIN_MS_MAX.
 #
 #   tools/run_serve_smoke.sh [--build-dir DIR]
 set -euo pipefail
@@ -48,10 +52,13 @@ done
 
 WORK="$(mktemp -d)"
 SERVER_PID=""
+HOLDER_PID=""
 cleanup() {
-  if [[ -n "$SERVER_PID" ]] && kill -0 "$SERVER_PID" 2>/dev/null; then
-    kill -KILL "$SERVER_PID" 2>/dev/null || true
-  fi
+  for pid in "$SERVER_PID" "$HOLDER_PID"; do
+    if [[ -n "$pid" ]] && kill -0 "$pid" 2>/dev/null; then
+      kill -KILL "$pid" 2>/dev/null || true
+    fi
+  done
   rm -rf "$WORK"
 }
 trap cleanup EXIT
@@ -291,5 +298,64 @@ grep -q "clean shutdown" "$WORK/serve.log" || {
   echo "FAIL: no clean-shutdown banner"; cat "$WORK/serve.log" >&2; exit 1; }
 SERVER_PID=""
 echo "   drained cleanly"
+
+echo "== idle cost and idle drain"
+IDLE_SWITCHES_MAX=10
+DRAIN_MS_MAX=1000
+rm -f "$WORK/ports.txt"
+"$SERVE" --graph "$WORK/tiny.el" --temporal "$WORK/tiny.tel" --undirected \
+  --event_log "$WORK/idle_events.jsonl" \
+  --port_file "$WORK/ports.txt" > "$WORK/idle_serve.log" 2>&1 &
+SERVER_PID=$!
+for _ in $(seq 1 50); do
+  [[ -s "$WORK/ports.txt" ]] && break
+  kill -0 "$SERVER_PID" 2>/dev/null || {
+    cat "$WORK/idle_serve.log" >&2; exit 1; }
+  sleep 0.1
+done
+[[ -s "$WORK/ports.txt" ]] || { echo "idle server never bound" >&2; exit 1; }
+PORT="$(awk '{print $1}' "$WORK/ports.txt")"
+# Three idle connections, held until the server closes them.
+python3 - "$PORT" "$WORK/held" <<'PY' &
+import socket, sys
+socks = [socket.create_connection(("127.0.0.1", int(sys.argv[1])))
+         for _ in range(3)]
+open(sys.argv[2], "w").close()
+for s in socks:
+    s.recv(1)
+PY
+HOLDER_PID=$!
+for _ in $(seq 1 50); do
+  [[ -e "$WORK/held" ]] && break
+  sleep 0.1
+done
+[[ -e "$WORK/held" ]] || {
+  echo "FAIL: idle clients never connected" >&2; exit 1; }
+sleep 0.3  # let the connection threads reach their first read
+switches() {
+  cat /proc/"$SERVER_PID"/task/*/status 2>/dev/null |
+    awk '$1 == "voluntary_ctxt_switches:" {n += $2} END {print n + 0}'
+}
+THREADS="$(ls /proc/"$SERVER_PID"/task | wc -l)"
+BEFORE="$(switches)"
+sleep 2
+IDLE_SWITCHES=$(( $(switches) - BEFORE ))
+echo "   $THREADS threads, $IDLE_SWITCHES voluntary context switches in 2 s"
+[[ "$IDLE_SWITCHES" -le "$IDLE_SWITCHES_MAX" ]] || {
+  echo "FAIL: idle server woke $IDLE_SWITCHES times in 2 s" \
+    "(max $IDLE_SWITCHES_MAX)" >&2; exit 1; }
+DRAIN_START="$(date +%s%N)"
+kill -TERM "$SERVER_PID"
+SERVE_RC=0
+wait "$SERVER_PID" || SERVE_RC=$?
+DRAIN_MS=$(( ($(date +%s%N) - DRAIN_START) / 1000000 ))
+SERVER_PID=""
+wait "$HOLDER_PID" || true
+HOLDER_PID=""
+echo "   SIGTERM drain with 3 idle connections: ${DRAIN_MS} ms"
+[[ "$SERVE_RC" -eq 0 ]] || {
+  echo "FAIL: idle server exited $SERVE_RC on SIGTERM" >&2; exit 1; }
+[[ "$DRAIN_MS" -le "$DRAIN_MS_MAX" ]] || {
+  echo "FAIL: idle drain took ${DRAIN_MS} ms (max $DRAIN_MS_MAX)" >&2; exit 1; }
 
 echo "serve smoke: OK"
