@@ -8,8 +8,8 @@
 #include "bench_common.h"
 #include "core/crashsim.h"
 #include "datasets/datasets.h"
-#include "eval/ground_truth.h"
 #include "eval/metrics.h"
+#include "simrank/power_method.h"
 #include "simrank/walk.h"
 #include "util/rng.h"
 #include "util/stats.h"
@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
     const Dataset ds =
         MakeDataset(spec.name, cfg.scale, cfg.snapshots, cfg.seed);
     const Graph& g = ds.static_graph;
-    GroundTruth gt(0.6, 55);
+    PowerMethod gt(0.6, 55);
     gt.Bind(&g);
     Rng source_rng(cfg.seed * 31 + 1);
     const std::vector<NodeId> sources =

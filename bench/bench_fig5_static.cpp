@@ -20,8 +20,8 @@
 #include "bench_common.h"
 #include "core/crashsim.h"
 #include "datasets/datasets.h"
-#include "eval/ground_truth.h"
 #include "eval/metrics.h"
+#include "simrank/power_method.h"
 #include "simrank/probesim.h"
 #include "simrank/reads.h"
 #include "simrank/sling.h"
@@ -44,7 +44,7 @@ struct Row {
 };
 
 Row RunAlgorithm(SimRankAlgorithm* algo, const std::string& label,
-                 int64_t trials, const Graph& g, const GroundTruth& gt,
+                 int64_t trials, const Graph& g, const PowerMethod& gt,
                  const std::vector<NodeId>& sources) {
   Row row;
   row.algorithm = label;
@@ -89,7 +89,7 @@ int main(int argc, char** argv) {
     const Dataset ds =
         MakeDataset(spec.name, cfg.scale, cfg.snapshots, cfg.seed);
     const Graph& g = ds.static_graph;
-    GroundTruth gt(0.6, 55);
+    PowerMethod gt(0.6, 55);
     gt.Bind(&g);
     Rng source_rng(cfg.seed * 977 + 5);
     // Sample sources with at least one in-neighbour: a dead-end source has

@@ -4,8 +4,8 @@
 // precision = |v(k1) ∩ v(k2)| / max(k1, k2), where v(k1) is the result set
 // of the power method evaluated per snapshot (the paper's ground truth) and
 // v(k2) the engine's answer. CrashSim-T runs at epsilon = 0.025 (corrected
-// estimator mode); ProbeSim/SLING are the Section II-D per-snapshot
-// adaptations; READS-T repairs its index incrementally. Expected shape:
+// estimator mode); the truth, ProbeSim/SLING and READS-T are the Section
+// II-D per-snapshot adaptations; READS-T repairs its index incrementally. Expected shape:
 // CrashSim-T highest precision (paper: ~0.97), READS lowest.
 #include <iostream>
 #include <memory>
@@ -26,25 +26,6 @@
 namespace {
 
 using namespace crashsim;
-
-// Exact per-snapshot evaluation of a query (one matrix per snapshot, reused
-// across both query kinds by the caller via the same helper).
-std::vector<NodeId> ExactAnswer(const TemporalGraph& tg,
-                                const TemporalQuery& query) {
-  CandidateFilter filter(query, tg.num_nodes());
-  SnapshotCursor cursor(&tg, query.begin_snapshot);
-  for (int t = query.begin_snapshot; t <= query.end_snapshot; ++t) {
-    const SimRankMatrix exact = PowerMethodAllPairs(cursor.graph(), 0.6, 55);
-    std::vector<double> gathered;
-    gathered.reserve(filter.candidates().size());
-    for (NodeId v : filter.candidates()) {
-      gathered.push_back(exact.At(query.source, v));
-    }
-    filter.Observe(gathered);
-    if (t < query.end_snapshot) cursor.Advance();
-  }
-  return filter.candidates();
-}
 
 // Picks a threshold giving a non-trivial ground-truth set: the k-th largest
 // exact first-snapshot score (k ~ 5% of n), nudged down slightly so the set
@@ -87,6 +68,8 @@ int main(int argc, char** argv) {
         MakeDataset(spec.name, cfg.scale, cfg.snapshots, cfg.seed);
     const NodeId source = ds.temporal.num_nodes() / 3;
     const double theta = PickTheta(ds.temporal, source);
+    PowerMethod power_method(0.6, 55);
+    StaticRecomputeEngine exact(&power_method);
 
     for (TemporalQueryKind kind : {TemporalQueryKind::kTrendIncreasing,
                                    TemporalQueryKind::kThreshold}) {
@@ -98,7 +81,7 @@ int main(int argc, char** argv) {
       query.theta = theta;
       query.trend_tolerance = tol;
 
-      const std::vector<NodeId> truth = ExactAnswer(ds.temporal, query);
+      const std::vector<NodeId> truth = exact.Answer(ds.temporal, query).nodes;
 
       const int64_t trials = bench::BudgetedTrials(
           CrashSimTrialCount(0.6, 0.025, 0.01, ds.temporal.num_nodes()),
@@ -124,14 +107,13 @@ int main(int argc, char** argv) {
       engines.push_back(std::make_unique<StaticRecomputeEngine>(&probesim));
       Sling sling(mc);
       engines.push_back(std::make_unique<StaticRecomputeEngine>(&sling));
-      {
-        ReadsOptions ro;
-        ro.r = 100;
-        ro.r_q = 10;
-        ro.t = 10;
-        ro.seed = cfg.seed;
-        engines.push_back(std::make_unique<ReadsTemporalEngine>(ro));
-      }
+      ReadsOptions ro;
+      ro.r = 100;
+      ro.r_q = 10;
+      ro.t = 10;
+      ro.seed = cfg.seed;
+      Reads reads(ro);
+      engines.push_back(std::make_unique<StaticRecomputeEngine>(&reads));
 
       for (auto& engine : engines) {
         const TemporalAnswer answer = engine->Answer(ds.temporal, query);

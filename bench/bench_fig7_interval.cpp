@@ -83,7 +83,8 @@ int main(int argc, char** argv) {
     ro.r_q = 10;
     ro.t = 10;
     ro.seed = cfg.seed;
-    ReadsTemporalEngine reads_t(ro);
+    Reads reads(ro);
+    StaticRecomputeEngine reads_t(&reads);
 
     TemporalEngine* engines[] = {&crashsim_t, &probesim_t, &sling_t, &reads_t};
     for (TemporalEngine* engine : engines) {

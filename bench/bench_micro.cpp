@@ -36,6 +36,7 @@
 #include "simrank/sling.h"
 #include "simrank/walk.h"
 #include "util/rng.h"
+#include "util/string_util.h"
 #include "util/timer.h"
 #include "util/trace.h"
 
@@ -375,15 +376,6 @@ class CollectingReporter : public benchmark::ConsoleReporter {
   std::vector<Run> runs_;
 };
 
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
-
 double CounterOrZero(const benchmark::UserCounters& counters,
                      const std::string& key) {
   const auto it = counters.find(key);
@@ -445,8 +437,9 @@ bool WriteJson(const std::string& path,
                   static_cast<double>(run.iterations);
     if (!first) out << ",\n";
     first = false;
-    out << "  {\"bench\": \"" << JsonEscape(run.benchmark_name())
-        << "\", \"n\": "
+    std::string name;
+    AppendJsonString(run.benchmark_name(), &name);
+    out << "  {\"bench\": " << name << ", \"n\": "
         << static_cast<int64_t>(CounterOrZero(run.counters, "n"))
         << ", \"m\": "
         << static_cast<int64_t>(CounterOrZero(run.counters, "m"))

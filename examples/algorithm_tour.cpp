@@ -11,8 +11,8 @@
 #include "core/crashsim.h"
 #include "datasets/datasets.h"
 #include "eval/experiment.h"
-#include "eval/ground_truth.h"
 #include "eval/metrics.h"
+#include "simrank/power_method.h"
 #include "simrank/probesim.h"
 #include "simrank/reads.h"
 #include "simrank/sling.h"
@@ -30,7 +30,7 @@ int main() {
               static_cast<long long>(g.num_edges()));
 
   std::printf("computing ground truth (power method, 55 iterations)...\n");
-  GroundTruth gt(0.6, 55);
+  PowerMethod gt(0.6, 55);
   gt.Bind(&g);
   const NodeId source = g.num_nodes() / 2;
   const std::vector<double> truth = gt.matrix().Row(source);

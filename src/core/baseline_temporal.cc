@@ -56,41 +56,12 @@ TemporalAnswer StaticRecomputeEngine::AnswerImpl(const TemporalGraph& tg,
   CandidateFilter filter(query, tg.num_nodes());
 
   SnapshotCursor cursor(&tg, query.begin_snapshot);
+  algorithm_->Bind(&cursor.graph());
 
   for (int t = query.begin_snapshot; t <= query.end_snapshot; ++t) {
-    const Graph& g = cursor.graph();
-    algorithm_->Bind(&g);
     // Full single-source recomputation every snapshot: the baseline cannot
     // restrict itself to the surviving candidates.
     const PartialResult all = algorithm_->SingleSource(query.source, ctx);
-    if (!all.complete()) {
-      answer.status = all.status.WithContext(StrFormat("snapshot %d", t));
-      break;
-    }
-    answer.stats.scores_computed += g.num_nodes() - 1;
-    filter.Observe(Gather(all.scores, filter.candidates()));
-    ++answer.stats.snapshots_processed;
-    if (t < query.end_snapshot) cursor.Advance();
-  }
-  answer.nodes = filter.candidates();
-  answer.stats.total_seconds = timer.ElapsedSeconds();
-  return answer;
-}
-
-TemporalAnswer ReadsTemporalEngine::AnswerImpl(const TemporalGraph& tg,
-                                               const TemporalQuery& query,
-                                               QueryContext* ctx) {
-  Stopwatch timer;
-  TemporalAnswer answer;
-  answer.status = ValidateQueryInterval(tg, query);
-  if (!answer.status.ok()) return answer;
-  CandidateFilter filter(query, tg.num_nodes());
-
-  SnapshotCursor cursor(&tg, query.begin_snapshot);
-  reads_.Bind(&cursor.graph());
-
-  for (int t = query.begin_snapshot; t <= query.end_snapshot; ++t) {
-    const PartialResult all = reads_.SingleSource(query.source, ctx);
     if (!all.complete()) {
       answer.status = all.status.WithContext(StrFormat("snapshot %d", t));
       break;
@@ -100,8 +71,7 @@ TemporalAnswer ReadsTemporalEngine::AnswerImpl(const TemporalGraph& tg,
     ++answer.stats.snapshots_processed;
     if (t < query.end_snapshot) {
       cursor.Advance();
-      // Incremental index repair instead of a rebuild.
-      reads_.ApplyDelta(tg.Delta(cursor.snapshot_index()), &cursor.graph());
+      algorithm_->Update(&cursor.graph(), tg.Delta(cursor.snapshot_index()));
     }
   }
   answer.nodes = filter.candidates();

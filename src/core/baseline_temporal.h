@@ -8,7 +8,6 @@
 #include "core/query_context.h"
 #include "core/temporal_query.h"
 #include "graph/temporal_graph.h"
-#include "simrank/reads.h"
 #include "simrank/simrank.h"
 #include "util/status.h"
 
@@ -80,8 +79,12 @@ class TemporalEngine {
 };
 
 // The straightforward extension of a static algorithm (ProbeSim, SLING,
-// CrashSim-without-pruning, ...) described in Section II-D: rebind and
-// recompute the full single-source result at every snapshot, then filter.
+// READS, the power method, ...) described in Section II-D: recompute the
+// full single-source result at every snapshot, then filter. The algorithm is
+// bound at the first snapshot and moved along by SimRankAlgorithm::Update
+// after each advance: a rebuild for most, READS's incremental index repair,
+// whose single-source evaluation still covers the whole node set (the
+// paper's point that dynamic-graph indexes miss the shrinking candidate set).
 // The wrapped algorithm is borrowed and must outlive the engine.
 class StaticRecomputeEngine : public TemporalEngine {
  public:
@@ -97,27 +100,6 @@ class StaticRecomputeEngine : public TemporalEngine {
 
  private:
   SimRankAlgorithm* algorithm_;
-};
-
-// READS adapted to temporal queries: the one-way-graph index is built once
-// and repaired per snapshot via Reads::ApplyDelta (its dynamic-update path),
-// but the single-source evaluation still runs on every snapshot for the
-// whole node set — the paper's point that dynamic-graph indexes miss the
-// shrinking-candidate-set opportunity.
-class ReadsTemporalEngine : public TemporalEngine {
- public:
-  explicit ReadsTemporalEngine(const ReadsOptions& options)
-      : reads_(options) {}
-
-  std::string name() const override { return "READS-T"; }
-
- protected:
-  TemporalAnswer AnswerImpl(const TemporalGraph& tg,
-                            const TemporalQuery& query,
-                            QueryContext* ctx) override;
-
- private:
-  Reads reads_;
 };
 
 // Validates the query interval and source against the temporal graph:

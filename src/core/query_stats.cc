@@ -13,16 +13,6 @@ std::string JsonDouble(double v) {
   return StrFormat("%.9g", v);
 }
 
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
-
 void AppendRow(std::string* out, const char* label, const std::string& value) {
   *out += StrFormat("  %-28s %s\n", label, value.c_str());
 }
@@ -84,8 +74,10 @@ std::string QueryStatsJson(const QueryStatsEnvelope& envelope,
                            const QueryStats& stats) {
   std::string out = "{";
   out += "\"schema\": \"crashsim.query_stats.v1\"";
-  out += ", \"query\": \"" + JsonEscape(envelope.query) + "\"";
-  out += ", \"algo\": \"" + JsonEscape(envelope.algo) + "\"";
+  out += ", \"query\": ";
+  AppendJsonString(envelope.query, &out);
+  out += ", \"algo\": ";
+  AppendJsonString(envelope.algo, &out);
   out += ", \"n\": " + I64(envelope.n);
   out += ", \"m\": " + I64(envelope.m);
   out += ", \"elapsed_seconds\": " + JsonDouble(envelope.elapsed_seconds);

@@ -13,31 +13,6 @@ namespace {
 
 constexpr int kMaxDepth = 32;
 
-void AppendEscaped(const std::string& s, std::string* out) {
-  out->push_back('"');
-  for (const char ch : s) {
-    switch (ch) {
-      case '"': out->append("\\\""); break;
-      case '\\': out->append("\\\\"); break;
-      case '\b': out->append("\\b"); break;
-      case '\f': out->append("\\f"); break;
-      case '\n': out->append("\\n"); break;
-      case '\r': out->append("\\r"); break;
-      case '\t': out->append("\\t"); break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(ch)));
-          out->append(buf);
-        } else {
-          out->push_back(ch);
-        }
-    }
-  }
-  out->push_back('"');
-}
-
 void AppendNumber(double d, std::string* out) {
   if (std::isnan(d) || std::isinf(d)) {
     // JSON has no NaN/Inf; the protocol encodes "no bound" as null before
@@ -324,7 +299,7 @@ std::string JsonValue::Write() const {
     case Type::kNull: out = "null"; break;
     case Type::kBool: out = bool_ ? "true" : "false"; break;
     case Type::kNumber: AppendNumber(number_, &out); break;
-    case Type::kString: AppendEscaped(string_, &out); break;
+    case Type::kString: AppendJsonString(string_, &out); break;
     case Type::kArray: {
       out.push_back('[');
       for (size_t i = 0; i < items_.size(); ++i) {
@@ -338,7 +313,7 @@ std::string JsonValue::Write() const {
       out.push_back('{');
       for (size_t i = 0; i < members_.size(); ++i) {
         if (i > 0) out.push_back(',');
-        AppendEscaped(members_[i].first, &out);
+        AppendJsonString(members_[i].first, &out);
         out.push_back(':');
         out.append(members_[i].second.Write());
       }

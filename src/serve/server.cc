@@ -251,6 +251,12 @@ void Server::Shutdown() {
   for (const int fd : {listen_fd_, metrics_fd_}) {
     if (fd >= 0) (void)shutdown(fd, SHUT_RDWR);
   }
+  {
+    // A scrape whose request head is still being read ends at once; one
+    // being answered is answered in full.
+    const MutexLock lock(conn_mu_);
+    if (scrape_fd_ >= 0) (void)shutdown(scrape_fd_, SHUT_RD);
+  }
   if (accept_thread_.joinable()) accept_thread_.join();
   if (metrics_thread_.joinable()) metrics_thread_.join();
   for (int* fd : {&listen_fd_, &metrics_fd_}) {
@@ -673,32 +679,42 @@ void Server::MetricsLoop() {
       if (AcceptFailed(errno)) continue;
       return;
     }
+    {
+      // Shutdown() sets stop_ before it looks for a scrape to wake, so a
+      // scrape registered after that look finds stop_ set here.
+      const MutexLock lock(conn_mu_);
+      if (stop_.load()) {
+        close(fd);
+        return;
+      }
+      scrape_fd_ = fd;
+    }
     // Minimal but tolerant HTTP: reassemble the head across split writes,
     // then route GET /metrics | /statusz | /tracez; 404 unknown paths, 405
     // non-GET methods.
-    StatusOr<std::string> head = ReadHttpRequestHead(fd);
-    if (!head.ok()) {
-      close(fd);
-      continue;
+    if (StatusOr<std::string> head = ReadHttpRequestHead(fd); head.ok()) {
+      const HttpRequestLine line = ParseHttpRequestLine(*head);
+      if (line.method != "GET") {
+        SendHttpResponse(fd, "HTTP/1.1 405 Method Not Allowed", "text/plain",
+                         "only GET is supported here\n");
+      } else if (line.path == "/metrics") {
+        SendHttpResponse(fd, "HTTP/1.1 200 OK", kPrometheusType,
+                         BuildMetricsText());
+      } else if (line.path == "/statusz") {
+        SendHttpResponse(fd, "HTTP/1.1 200 OK", "application/json",
+                         BuildStatuszJson());
+      } else if (line.path == "/tracez") {
+        SendHttpResponse(fd, "HTTP/1.1 200 OK", "application/json",
+                         BuildTracezJson());
+      } else {
+        SendHttpResponse(fd, "HTTP/1.1 404 Not Found", "text/plain",
+                         "served paths: /metrics /statusz /tracez\n");
+      }
     }
-    const HttpRequestLine line = ParseHttpRequestLine(*head);
-    if (line.method != "GET") {
-      SendHttpResponse(fd, "HTTP/1.1 405 Method Not Allowed", "text/plain",
-                       "only GET is supported here\n");
-    } else if (line.path == "/metrics") {
-      SendHttpResponse(fd, "HTTP/1.1 200 OK", kPrometheusType,
-                       BuildMetricsText());
-    } else if (line.path == "/statusz") {
-      SendHttpResponse(fd, "HTTP/1.1 200 OK", "application/json",
-                       BuildStatuszJson());
-    } else if (line.path == "/tracez") {
-      SendHttpResponse(fd, "HTTP/1.1 200 OK", "application/json",
-                       BuildTracezJson());
-    } else {
-      SendHttpResponse(fd, "HTTP/1.1 404 Not Found", "text/plain",
-                       "served paths: /metrics /statusz /tracez\n");
-    }
+    // Under conn_mu_, so Shutdown never shuts down a reused fd number.
+    const MutexLock lock(conn_mu_);
     close(fd);
+    scrape_fd_ = -1;
   }
 }
 

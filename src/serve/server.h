@@ -265,6 +265,9 @@ class Server {
   Mutex conn_mu_;
   std::vector<std::unique_ptr<Connection>> connections_
       CRASHSIM_GUARDED_BY(conn_mu_);
+  // The /metrics connection whose request MetricsLoop is serving, or -1; like
+  // Connection::fd, so Shutdown can wake a scraper that sends nothing.
+  int scrape_fd_ CRASHSIM_GUARDED_BY(conn_mu_) = -1;
   std::atomic<int> active_connections_{0};
 
   std::atomic<int64_t> connections_accepted_{0};

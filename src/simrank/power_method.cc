@@ -70,9 +70,17 @@ SimRankMatrix PowerMethodAllPairs(const Graph& g, double c, int iterations,
   return s;
 }
 
-std::vector<double> PowerMethodSingleSource(const Graph& g, NodeId u, double c,
-                                            int iterations) {
-  return PowerMethodAllPairs(g, c, iterations).Row(u);
+void PowerMethod::Bind(const Graph* g) {
+  set_graph(g);
+  matrix_ = SimRankMatrix();  // free the old matrix before the 2*n^2 scratch
+  matrix_ = PowerMethodAllPairs(*g, c_, iterations_);
+}
+
+PartialResult PowerMethod::SingleSourceImpl(NodeId u, QueryContext* /*ctx*/) {
+  PartialResult result;
+  result.status = ValidateNodeId(u, matrix_.num_nodes(), "source");
+  if (result.status.ok()) result.scores = matrix_.Row(u);
+  return result;
 }
 
 }  // namespace crashsim

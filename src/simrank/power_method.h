@@ -1,9 +1,11 @@
 #ifndef CRASHSIM_SIMRANK_POWER_METHOD_H_
 #define CRASHSIM_SIMRANK_POWER_METHOD_H_
 
+#include <string>
 #include <vector>
 
 #include "graph/graph.h"
+#include "simrank/simrank.h"
 
 namespace crashsim {
 
@@ -52,10 +54,28 @@ class SimRankMatrix {
 SimRankMatrix PowerMethodAllPairs(const Graph& g, double c, int iterations,
                                   NodeId max_nodes = 20000);
 
-// Convenience for tests: exact single-source row (computes the full matrix;
-// cache the matrix via PowerMethodAllPairs when querying many sources).
-std::vector<double> PowerMethodSingleSource(const Graph& g, NodeId u, double c,
-                                            int iterations);
+// The power method as a SimRankAlgorithm: the ground truth every estimator
+// is measured against (55 iterations in the paper). Bind computes the
+// all-pairs matrix, so a single-source query is a row copy; callers that
+// read many rows use matrix() directly. No checkpoint: ctx is ignored.
+class PowerMethod : public SimRankAlgorithm {
+ public:
+  explicit PowerMethod(double c = 0.6, int iterations = 55)
+      : c_(c), iterations_(iterations) {}
+
+  std::string name() const override { return "PowerMethod"; }
+  void Bind(const Graph* g) override;
+
+  const SimRankMatrix& matrix() const { return matrix_; }
+
+ protected:
+  PartialResult SingleSourceImpl(NodeId u, QueryContext* ctx) override;
+
+ private:
+  double c_;
+  int iterations_;
+  SimRankMatrix matrix_;
+};
 
 }  // namespace crashsim
 

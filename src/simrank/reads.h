@@ -38,14 +38,17 @@ struct ReadsOptions {
 // mechanism).
 //
 // Dynamic maintenance: inserting/deleting edge x -> y changes I(y) only, so
-// each sample just resamples y's pointer — O(r) per edge event. The READS
-// temporal adapter uses this instead of rebuilding.
+// each sample just resamples y's pointer — O(r) per edge event. Update()
+// runs this instead of rebuilding, so READS-T repairs its index per snapshot.
 class Reads : public SimRankAlgorithm {
  public:
   explicit Reads(const ReadsOptions& options);
 
   std::string name() const override { return "READS"; }
   void Bind(const Graph* g) override;
+  void Update(const Graph* next, const EdgeDelta& delta) override {
+    ApplyDelta(delta, next);
+  }
 
   // Applies an edge delta to the bound graph's index. `updated` must be the
   // post-delta graph (the caller owns snapshot materialisation); the index

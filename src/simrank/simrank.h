@@ -12,6 +12,8 @@
 
 namespace crashsim {
 
+struct EdgeDelta;  // graph/temporal_graph.h
+
 // Shared knobs for the Monte-Carlo SimRank estimators (CrashSim, ProbeSim,
 // SLING, READS). Each algorithm interprets the subset it needs.
 struct SimRankOptions {
@@ -67,6 +69,13 @@ class SimRankAlgorithm {
   // (Re)binds the algorithm to `g` and rebuilds internal state. The graph
   // must outlive the binding.
   virtual void Bind(const Graph* g) = 0;
+
+  // Moves the binding to `next`, the graph after `delta` was applied to the
+  // bound one. The default rebinds from scratch; an index with a dynamic
+  // update path (READS) repairs itself instead.
+  virtual void Update(const Graph* next, const EdgeDelta& /*delta*/) {
+    Bind(next);
+  }
 
   // Estimated SimRank scores s(u, v) for every node v; the scores have size
   // num_nodes with scores[u] == 1. `ctx` (nullptr = unbounded) carries the

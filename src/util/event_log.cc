@@ -16,35 +16,6 @@ int64_t WallNowMillis() {
       .count();
 }
 
-void AppendJsonEscaped(std::string* out, std::string_view s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      case '\n':
-        *out += "\\n";
-        break;
-      case '\r':
-        *out += "\\r";
-        break;
-      case '\t':
-        *out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          *out += StrFormat("\\u%04x", static_cast<unsigned>(
-                                           static_cast<unsigned char>(c)));
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-}
-
 }  // namespace
 
 // --- EventBuilder -----------------------------------------------------------
@@ -63,9 +34,7 @@ void EventBuilder::Key(std::string_view key) {
 
 EventBuilder& EventBuilder::Str(std::string_view key, std::string_view value) {
   Key(key);
-  out_ += '"';
-  AppendJsonEscaped(&out_, value);
-  out_ += '"';
+  AppendJsonString(value, &out_);
   return *this;
 }
 

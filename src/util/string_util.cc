@@ -78,6 +78,31 @@ std::string StrFormat(const char* fmt, ...) {
   return out;
 }
 
+void AppendJsonString(std::string_view s, std::string* out) {
+  out->push_back('"');
+  for (const char ch : s) {
+    switch (ch) {
+      case '"': out->append("\\\""); break;
+      case '\\': out->append("\\\\"); break;
+      case '\b': out->append("\\b"); break;
+      case '\f': out->append("\\f"); break;
+      case '\n': out->append("\\n"); break;
+      case '\r': out->append("\\r"); break;
+      case '\t': out->append("\\t"); break;
+      default:
+        if (static_cast<unsigned char>(ch) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x",
+                        static_cast<unsigned>(static_cast<unsigned char>(ch)));
+          out->append(buf);
+        } else {
+          out->push_back(ch);
+        }
+    }
+  }
+  out->push_back('"');
+}
+
 std::string WithThousands(int64_t v) {
   const bool neg = v < 0;
   std::string digits = std::to_string(neg ? -v : v);

@@ -33,6 +33,12 @@ bool ParseDouble(std::string_view s, double* out);
 // printf-style formatting into a std::string.
 std::string StrFormat(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
 
+// Appends `s` to `out` as a quoted JSON string literal: '"' and '\\' are
+// backslash-escaped, \b \f \n \r \t use their short escapes, other bytes
+// below 0x20 become \u00XX, and every other byte (UTF-8 included) is copied
+// as is. Every JSON emitter in the library writes its strings with it.
+void AppendJsonString(std::string_view s, std::string* out);
+
 // Human-readable count, e.g. 12345678 -> "12,345,678".
 std::string WithThousands(int64_t v);
 

@@ -36,15 +36,6 @@ void AppendFlow(TraceEvent::Phase phase, uint64_t flow_id) {
   if (flow_id != 0 && trace != nullptr) trace->Append("flow", phase, flow_id);
 }
 
-std::string JsonEscape(const char* s) {
-  std::string out;
-  for (; *s != '\0'; ++s) {
-    if (*s == '"' || *s == '\\') out.push_back('\\');
-    out.push_back(*s);
-  }
-  return out;
-}
-
 // One Chrome trace-event object. ts/dur are microseconds with nanosecond
 // precision (the format takes doubles).
 void AppendChromeEvent(std::string* out, bool* first, const char* name,
@@ -52,11 +43,12 @@ void AppendChromeEvent(std::string* out, bool* first, const char* name,
                        int64_t epoch_ns, const std::string& extra) {
   if (!*first) *out += ",\n";
   *first = false;
+  *out += "  {\"name\": ";
+  AppendJsonString(name, out);
   *out += StrFormat(
-      "  {\"name\": \"%s\", \"cat\": \"crashsim\", \"ph\": \"%s\", "
-      "\"pid\": 1, \"tid\": %u, \"ts\": %.3f%s}",
-      JsonEscape(name).c_str(), phase, tid,
-      static_cast<double>(ts_ns - epoch_ns) / 1e3, extra.c_str());
+      ", \"cat\": \"crashsim\", \"ph\": \"%s\", \"pid\": 1, \"tid\": %u, "
+      "\"ts\": %.3f%s}",
+      phase, tid, static_cast<double>(ts_ns - epoch_ns) / 1e3, extra.c_str());
 }
 
 // A span as a B event, its flow arrows, its children, and an E event —

@@ -1,5 +1,8 @@
 #include "core/baseline_temporal.h"
 
+#include <cstring>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "core/crashsim.h"
@@ -73,11 +76,73 @@ TEST(ReadsTemporalEngineTest, FindsCoLeavesWithIncrementalIndex) {
   ReadsOptions opt;
   opt.r = 2000;  // tighten READS noise for a stable assertion
   opt.seed = 3;
-  ReadsTemporalEngine engine(opt);
+  Reads reads(opt);
+  StaticRecomputeEngine engine(&reads);
   EXPECT_EQ(engine.name(), "READS-T");
   const TemporalAnswer answer = engine.Answer(tg, LeafQuery(4, 0.4));
   EXPECT_EQ(answer.nodes, (std::vector<NodeId>{2, 3, 4, 5}));
   EXPECT_EQ(answer.stats.scores_computed, 9 * 5);
+}
+
+// The default Update rebinds: ProbeSim moved along by Update scores
+// exactly like one rebound with Bind, query for query.
+TEST(AlgorithmUpdateTest, DefaultUpdateScoresLikeFreshBind) {
+  const TemporalGraph tg = SplitWorld(3);
+  const Graph g0 = tg.Snapshot(0);
+  const Graph g1 = tg.Snapshot(1);
+  SimRankOptions mc;
+  mc.trials_override = 500;
+  ProbeSim updated(mc);
+  ProbeSim rebound(mc);
+  updated.Bind(&g0);
+  rebound.Bind(&g0);
+  EXPECT_EQ(updated.SingleSource(1), rebound.SingleSource(1));
+  updated.Update(&g1, tg.Delta(1));
+  rebound.Bind(&g1);
+  EXPECT_EQ(updated.SingleSource(1), rebound.SingleSource(1));
+  EXPECT_EQ(updated.SingleSource(6), rebound.SingleSource(6));
+}
+
+// READS-T is StaticRecomputeEngine over Reads: Bind at the first snapshot,
+// then one ApplyDelta per advance, with a full query at every snapshot.
+// The hand-written sequence must leave the same answer and the same index
+// (and RNG) state, so a follow-up query agrees bit for bit.
+TEST(AlgorithmUpdateTest, ReadsEngineMatchesHandWrittenDeltaSequence) {
+  const TemporalGraph tg = SplitWorld(3);
+  const TemporalQuery q = LeafQuery(2, 0.4);
+  ReadsOptions opt;
+  opt.r = 500;
+  opt.seed = 5;
+
+  Reads engine_reads(opt);
+  StaticRecomputeEngine engine(&engine_reads);
+  const TemporalAnswer answer = engine.Answer(tg, q);
+
+  std::vector<Graph> snapshots;
+  for (int t = 0; t < 3; ++t) snapshots.push_back(tg.Snapshot(t));
+  Reads hand(opt);
+  CandidateFilter filter(q, tg.num_nodes());
+  hand.Bind(&snapshots[0]);
+  for (int t = 0; t < 3; ++t) {
+    if (t > 0) hand.ApplyDelta(tg.Delta(t), &snapshots[t]);
+    const std::vector<double> all = hand.SingleSource(q.source);
+    std::vector<double> gathered;
+    for (NodeId v : filter.candidates()) {
+      gathered.push_back(all[static_cast<size_t>(v)]);
+    }
+    filter.Observe(gathered);
+  }
+
+  EXPECT_EQ(answer.nodes, filter.candidates());
+  EXPECT_EQ(answer.stats.snapshots_processed, 3);
+  // The engine's snapshot died with its cursor: an empty delta points the
+  // index at an identical copy without resampling anything.
+  engine_reads.ApplyDelta(EdgeDelta{}, &snapshots[2]);
+  const std::vector<double> from_engine = engine_reads.SingleSource(q.source);
+  const std::vector<double> from_hand = hand.SingleSource(q.source);
+  ASSERT_EQ(from_engine.size(), from_hand.size());
+  EXPECT_EQ(0, std::memcmp(from_engine.data(), from_hand.data(),
+                           from_hand.size() * sizeof(double)));
 }
 
 TEST(EnginesAgreeTest, AllEnginesReturnSameSetOnRobustScenario) {
@@ -91,7 +156,8 @@ TEST(EnginesAgreeTest, AllEnginesReturnSameSetOnRobustScenario) {
 
   ReadsOptions ro;
   ro.r = 2000;
-  ReadsTemporalEngine reads_t(ro);
+  Reads reads(ro);
+  StaticRecomputeEngine reads_t(&reads);
 
   CrashSimTOptions ct;
   ct.crashsim.mc.trials_override = 5000;
@@ -112,7 +178,8 @@ TEST(CheckQueryIntervalTest, AcceptsValidInterval) {
   const TemporalGraph tg = SplitWorld(3);
   TemporalQuery q = LeafQuery(2, 0.5);
   EXPECT_TRUE(ValidateQueryInterval(tg, q).ok());
-  ReadsTemporalEngine engine(ReadsOptions{});
+  Reads reads(ReadsOptions{});
+  StaticRecomputeEngine engine(&reads);
   EXPECT_EQ(engine.Answer(tg, q).stats.snapshots_processed, 3);  // no death
 }
 
@@ -121,7 +188,8 @@ using CheckQueryIntervalDeathTest = testing::Test;
 TEST(CheckQueryIntervalDeathTest, RejectsOutOfRangeEnd) {
   const TemporalGraph tg = SplitWorld(3);
   TemporalQuery q = LeafQuery(5, 0.5);
-  ReadsTemporalEngine engine(ReadsOptions{});
+  Reads reads(ReadsOptions{});
+  StaticRecomputeEngine engine(&reads);
   EXPECT_EQ(engine.Answer(tg, q, nullptr).status.code(),
             StatusCode::kInvalidArgument);
   EXPECT_DEATH(engine.Answer(tg, q), "CHECK failed");
@@ -131,7 +199,8 @@ TEST(CheckQueryIntervalDeathTest, RejectsInvertedInterval) {
   const TemporalGraph tg = SplitWorld(3);
   TemporalQuery q = LeafQuery(1, 0.5);
   q.begin_snapshot = 2;
-  ReadsTemporalEngine engine(ReadsOptions{});
+  Reads reads(ReadsOptions{});
+  StaticRecomputeEngine engine(&reads);
   EXPECT_EQ(engine.Answer(tg, q, nullptr).status.code(),
             StatusCode::kInvalidArgument);
   EXPECT_DEATH(engine.Answer(tg, q), "CHECK failed");

@@ -2,8 +2,9 @@
 
 #include <gtest/gtest.h>
 
-#include "eval/ground_truth.h"
+#include "core/baseline_temporal.h"
 #include "graph/temporal_graph.h"
+#include "simrank/power_method.h"
 
 namespace crashsim {
 namespace {
@@ -117,7 +118,8 @@ TEST(DurableTopKTest, SubsumesThresholdQuerySemantics) {
   tq.begin_snapshot = 0;
   tq.end_snapshot = 2;
   tq.theta = 0.5;
-  ExactTemporalEngine exact(0.6, 55);
+  PowerMethod power_method(0.6, 55);
+  StaticRecomputeEngine exact(&power_method);
   const TemporalAnswer truth = exact.Answer(tg, tq);
 
   std::vector<NodeId> got;

@@ -1,16 +1,16 @@
-#include "eval/ground_truth.h"
-
 #include <gtest/gtest.h>
 
+#include "core/baseline_temporal.h"
 #include "graph/generators.h"
 #include "graph/temporal_graph.h"
+#include "simrank/power_method.h"
 
 namespace crashsim {
 namespace {
 
 TEST(GroundTruthTest, BindComputesMatrix) {
   const Graph g = PaperExampleGraph();
-  GroundTruth gt(0.6, 55);
+  PowerMethod gt(0.6, 55);
   gt.Bind(&g);
   EXPECT_EQ(gt.matrix().num_nodes(), 8);
   const auto row = gt.matrix().Row(0);
@@ -23,7 +23,7 @@ TEST(GroundTruthTest, BindComputesMatrix) {
 
 TEST(GroundTruthTest, RowMatchesMatrix) {
   const Graph g = PaperExampleGraph();
-  GroundTruth gt(0.25, 30);
+  PowerMethod gt(0.25, 30);
   gt.Bind(&g);
   const auto row = gt.matrix().Row(3);
   for (NodeId v = 0; v < 8; ++v) {
@@ -47,7 +47,8 @@ TEST(ExactTemporalEngineTest, ThresholdOnStaticStar) {
   q.end_snapshot = 3;
   q.theta = 0.5;  // below c = 0.6
 
-  ExactTemporalEngine engine(0.6, 55);
+  PowerMethod power_method(0.6, 55);
+  StaticRecomputeEngine engine(&power_method);
   const TemporalAnswer answer = engine.Answer(tg, q);
   EXPECT_EQ(answer.nodes, (std::vector<NodeId>{2, 3, 4, 5}));
   EXPECT_EQ(answer.stats.snapshots_processed, 4);
@@ -66,7 +67,8 @@ TEST(ExactTemporalEngineTest, TrendOnStaticGraphKeepsEveryone) {
   q.begin_snapshot = 0;
   q.end_snapshot = 2;
 
-  ExactTemporalEngine engine(0.6, 40);
+  PowerMethod power_method(0.6, 40);
+  StaticRecomputeEngine engine(&power_method);
   const TemporalAnswer answer = engine.Answer(tg, q);
   EXPECT_EQ(answer.nodes.size(), 4u);
 }

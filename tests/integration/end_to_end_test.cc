@@ -8,8 +8,8 @@
 #include "core/crashsim.h"
 #include "core/crashsim_t.h"
 #include "datasets/datasets.h"
-#include "eval/ground_truth.h"
 #include "eval/metrics.h"
+#include "simrank/power_method.h"
 #include "simrank/probesim.h"
 #include "simrank/reads.h"
 #include "simrank/sling.h"
@@ -20,7 +20,7 @@ namespace {
 TEST(EndToEndStaticTest, AllAlgorithmsOnDatasetStandIn) {
   const Dataset ds = MakeDataset("hepth", 0.015, 5);  // ~150 nodes
   const Graph& g = ds.static_graph;
-  GroundTruth gt(0.6, 55);
+  PowerMethod gt(0.6, 55);
   gt.Bind(&g);
 
   SimRankOptions mc;
@@ -67,7 +67,8 @@ TEST(EndToEndTemporalTest, ThresholdPrecisionAgainstExactEngine) {
   q.end_snapshot = 4;
   q.theta = 0.1;
 
-  ExactTemporalEngine exact(0.6, 55);
+  PowerMethod power_method(0.6, 55);
+  StaticRecomputeEngine exact(&power_method);
   const TemporalAnswer truth = exact.Answer(ds.temporal, q);
 
   CrashSimTOptions ct;
@@ -92,7 +93,8 @@ TEST(EndToEndTemporalTest, AllEnginesProduceOverlappingAnswers) {
   q.end_snapshot = 3;
   q.theta = 0.05;
 
-  ExactTemporalEngine exact(0.6, 55);
+  PowerMethod power_method(0.6, 55);
+  StaticRecomputeEngine exact(&power_method);
   const TemporalAnswer truth = exact.Answer(ds.temporal, q);
 
   SimRankOptions mc;
@@ -105,7 +107,8 @@ TEST(EndToEndTemporalTest, AllEnginesProduceOverlappingAnswers) {
   ReadsOptions ro;
   ro.r = 500;
   ro.seed = 29;
-  ReadsTemporalEngine reads_t(ro);
+  Reads reads(ro);
+  StaticRecomputeEngine reads_t(&reads);
   CrashSimTOptions ct;
   ct.crashsim.mc = mc;
   ct.crashsim.mode = RevReachMode::kCorrected;

@@ -46,7 +46,9 @@ EngineBundle MakeEngine(const std::string& name, uint64_t seed) {
     ReadsOptions ro;
     ro.r = 60;
     ro.seed = seed;
-    bundle.engine = std::make_unique<ReadsTemporalEngine>(ro);
+    bundle.algorithm = std::make_unique<Reads>(ro);
+    bundle.engine =
+        std::make_unique<StaticRecomputeEngine>(bundle.algorithm.get());
   }
   return bundle;
 }

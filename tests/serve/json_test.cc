@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/query_stats.h"
+#include "util/event_log.h"
 #include "util/status.h"
 
 namespace crashsim {
@@ -104,6 +106,38 @@ TEST(JsonTest, NestedDocumentRoundTrips) {
   StatusOr<JsonValue> twice = Roundtrip(doc);
   ASSERT_TRUE(twice.ok());
   EXPECT_EQ(twice->Write(), doc);
+}
+
+// Every JSON emitter writes its strings with AppendJsonString, so a string
+// holding every control character, both escaped ASCII characters and UTF-8
+// parses back unchanged from each of them.
+TEST(JsonTest, ControlCharactersRoundTripThroughEveryEmitter) {
+  std::string nasty = "quote\" backslash\\ slash/ ";
+  for (int c = 0; c < 0x20; ++c) nasty.push_back(static_cast<char>(c));
+  nasty += "\x7f \xc3\xa9";
+
+  JsonValue object = JsonValue::Object();
+  object.Set(nasty, JsonValue(nasty));
+  StatusOr<JsonValue> parsed = ParseJson(object.Write());
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  ASSERT_EQ(parsed->members().size(), 1u);
+  EXPECT_EQ(parsed->members()[0].first, nasty);
+  EXPECT_EQ(parsed->GetString(nasty, ""), nasty);
+
+  EventBuilder event("probe");
+  event.Str("value", nasty);
+  parsed = ParseJson(event.Finish());
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  EXPECT_EQ(parsed->GetString("event", ""), "probe");
+  EXPECT_EQ(parsed->GetString("value", ""), nasty);
+
+  QueryStatsEnvelope envelope;
+  envelope.query = nasty;
+  envelope.algo = nasty + "!";
+  parsed = ParseJson(QueryStatsJson(envelope, QueryStats{}));
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  EXPECT_EQ(parsed->GetString("query", ""), nasty);
+  EXPECT_EQ(parsed->GetString("algo", ""), nasty + "!");
 }
 
 }  // namespace

@@ -560,6 +560,23 @@ TEST(ServerTest, ShutdownWakesIdleConnection) {
   EXPECT_EQ(ReadFrame(client.fd()).status().code(), StatusCode::kUnavailable);
 }
 
+// A /metrics client that connects and sends nothing must not hold the
+// drain for the 2 s the listener allows a request head.
+TEST(ServerTest, ShutdownWakesSilentMetricsScrape) {
+  Server server(TestGraph(), std::nullopt, TestServerOptions());
+  ASSERT_TRUE(server.Start().ok());
+  ASSERT_GT(server.metrics_port(), 0);
+  const int fd = socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  ASSERT_TRUE(ConnectTo(fd, server.metrics_port()));
+  // Let the listener accept the scrape and block reading its head.
+  std::this_thread::sleep_for(milliseconds(100));
+
+  EXPECT_LT(TimedShutdown(server, [fd] { shutdown(fd, SHUT_RDWR); }),
+            milliseconds(500));
+  close(fd);
+}
+
 TEST(ServerTest, ShutdownEndsHalfReceivedFrame) {
   Server server(TestGraph(), std::nullopt, TestServerOptions());
   ASSERT_TRUE(server.Start().ok());

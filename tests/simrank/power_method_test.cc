@@ -1,6 +1,7 @@
 #include "simrank/power_method.h"
 
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -131,9 +132,41 @@ TEST(PowerMethodTest, ConvergedByPaperIterationCount) {
 TEST(PowerMethodTest, SingleSourceMatchesMatrixRow) {
   const Graph g = PaperExampleGraph();
   const SimRankMatrix s = PowerMethodAllPairs(g, 0.25, 30);
-  const std::vector<double> row = PowerMethodSingleSource(g, 0, 0.25, 30);
+  PowerMethod power_method(0.25, 30);
+  power_method.Bind(&g);
+  const std::vector<double> row = power_method.SingleSource(0);
   ASSERT_EQ(row.size(), 8u);
   for (NodeId v = 0; v < 8; ++v) EXPECT_NEAR(row[v], s.At(0, v), 1e-7);
+}
+
+// The algorithm form serves the matrix it bound, row for row, bit for bit.
+TEST(PowerMethodTest, AlgorithmRowIsBitwiseMatrixRow) {
+  Rng rng(13);
+  const Graph g = ErdosRenyi(40, 160, false, &rng);
+  const SimRankMatrix s = PowerMethodAllPairs(g, 0.6, 55);
+  PowerMethod power_method(0.6, 55);
+  EXPECT_EQ(power_method.name(), "PowerMethod");
+  power_method.Bind(&g);
+  for (NodeId u = 0; u < g.num_nodes(); ++u) {
+    const PartialResult result = power_method.SingleSource(u, nullptr);
+    ASSERT_TRUE(result.complete()) << result.status;
+    const std::vector<double> row = s.Row(u);
+    ASSERT_EQ(result.scores.size(), row.size());
+    EXPECT_EQ(0, std::memcmp(result.scores.data(), row.data(),
+                             row.size() * sizeof(double)))
+        << "source " << u;
+  }
+}
+
+TEST(PowerMethodTest, AlgorithmRejectsOutOfRangeSource) {
+  const Graph g = PaperExampleGraph();
+  PowerMethod power_method;
+  power_method.Bind(&g);
+  for (const NodeId bad : {NodeId{-1}, NodeId{8}}) {
+    const PartialResult result = power_method.SingleSource(bad, nullptr);
+    EXPECT_EQ(result.status.code(), StatusCode::kInvalidArgument);
+    EXPECT_TRUE(result.scores.empty());
+  }
 }
 
 TEST(PowerMethodTest, ZeroIterationsIsIdentity) {

@@ -157,8 +157,8 @@ ReadsOptions ReadsOptionsFor(const SimRankOptions& mc) {
   return options;
 }
 
-// The `algo` estimator over validated engine options; nullptr for an
-// unknown name ("exact" included: the power method is not an estimator).
+// The `algo` SimRank algorithm over validated engine options ("exact" is the
+// power method at the paper's 55 iterations); nullptr for an unknown name.
 std::unique_ptr<SimRankAlgorithm> MakeAlgorithm(const std::string& algo,
                                                 const CrashSimOptions& options) {
   if (algo == "crashsim") return std::make_unique<CrashSim>(options);
@@ -168,6 +168,7 @@ std::unique_ptr<SimRankAlgorithm> MakeAlgorithm(const std::string& algo,
     return std::make_unique<Reads>(ReadsOptionsFor(options.mc));
   }
   if (algo == "mc") return std::make_unique<PairwiseMonteCarlo>(options.mc);
+  if (algo == "exact") return std::make_unique<PowerMethod>(options.mc.c, 55);
   return nullptr;
 }
 
@@ -314,10 +315,10 @@ int RunStats(int argc, char** argv) {
   return 0;
 }
 
-// One query path for every --algo: validated options, the estimator (or the
-// power method for "exact"), one context-aware SingleSource, top-k
-// selection. A deadline cut still prints the ranking the completed trials
-// support, then exits with the deadline/cancel code.
+// One query path for every --algo: validated options, the algorithm, one
+// context-aware SingleSource, top-k selection. A deadline cut still prints
+// the ranking the completed trials support, then exits with the
+// deadline/cancel code.
 int RunTopK(int argc, char** argv) {
   FlagSet flags;
   flags.DefineString("graph", "", "edge-list file");
@@ -354,26 +355,19 @@ int RunTopK(int argc, char** argv) {
   const StatusOr<CrashSimOptions> options = EngineOptionsFromFlags(flags);
   if (!options.ok()) return FailStatus(options.status());
 
-  PartialResult result;
-  QueryStats qstats;
-  double elapsed = 0.0;
-  const bool exact = algo_name == "exact";
-  if (exact) {
-    result.scores = PowerMethodAllPairs(g, options->mc.c, 55).Row(source);
-  } else {
-    const std::unique_ptr<SimRankAlgorithm> algo =
-        MakeAlgorithm(algo_name, *options);
-    if (!algo) {
-      return FailStatus(InvalidArgumentError("unknown --algo " + algo_name));
-    }
-    algo->Bind(&g);
-    std::optional<QueryContext> ctx;
-    EmplaceQueryContext(flags, &qstats, &ctx);
-    const Stopwatch query_timer;
-    result = algo->SingleSource(source, &*ctx);
-    elapsed = query_timer.ElapsedSeconds();
-    RecordCliQueryMillis(elapsed * 1e3);
+  const std::unique_ptr<SimRankAlgorithm> algo =
+      MakeAlgorithm(algo_name, *options);
+  if (!algo) {
+    return FailStatus(InvalidArgumentError("unknown --algo " + algo_name));
   }
+  algo->Bind(&g);
+  QueryStats qstats;
+  std::optional<QueryContext> ctx;
+  EmplaceQueryContext(flags, &qstats, &ctx);
+  const Stopwatch query_timer;
+  const PartialResult result = algo->SingleSource(source, &*ctx);
+  const double elapsed = query_timer.ElapsedSeconds();
+  RecordCliQueryMillis(elapsed * 1e3);
   if (result.scores.empty()) return FailStatus(result.status);
 
   std::vector<std::pair<double, int64_t>> ranking;
@@ -382,7 +376,8 @@ int RunTopK(int argc, char** argv) {
     ranking.emplace_back(score, loaded.original_ids[static_cast<size_t>(v)]);
   }
   PrintRanking(flags.GetInt("k"), original_source, ranking);
-  if (!exact) {
+  // The power method has no trial budget to report.
+  if (algo_name != "exact") {
     PrintAnytimeFooter(result.trials_done, result.trials_target,
                        result.epsilon_achieved);
   }
@@ -462,13 +457,12 @@ int RunTemporal(int argc, char** argv) {
     CrashSimTOptions opt;
     opt.crashsim = *options;
     engine = std::make_unique<CrashSimT>(opt);
-  } else if (engine_name == "probesim-t" || engine_name == "sling-t") {
-    algo = MakeAlgorithm(engine_name == "probesim-t" ? "probesim" : "sling",
+  } else if (engine_name == "probesim-t" || engine_name == "sling-t" ||
+             engine_name == "reads-t") {
+    // The estimator the engine name carries, without its "-t".
+    algo = MakeAlgorithm(engine_name.substr(0, engine_name.size() - 2),
                          *options);
     engine = std::make_unique<StaticRecomputeEngine>(algo.get());
-  } else if (engine_name == "reads-t") {
-    engine =
-        std::make_unique<ReadsTemporalEngine>(ReadsOptionsFor(options->mc));
   } else {
     return FailStatus(InvalidArgumentError("unknown --engine " + engine_name));
   }

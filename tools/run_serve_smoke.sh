@@ -30,7 +30,9 @@
 #  10. start a second server, hold 3 idle client connections on it, and
 #      require its threads to make at most IDLE_SWITCHES_MAX voluntary
 #      context switches in 2 s (every wait blocks on its event, none wakes
-#      on a timer), then require SIGTERM to drain it within DRAIN_MS_MAX.
+#      on a timer), then open one /metrics connection that sends nothing
+#      and require SIGTERM to drain the server within DRAIN_MS_MAX (the
+#      listener would otherwise wait 2 s for the scrape's request head).
 #
 #   tools/run_serve_smoke.sh [--build-dir DIR]
 set -euo pipefail
@@ -53,8 +55,9 @@ done
 WORK="$(mktemp -d)"
 SERVER_PID=""
 HOLDER_PID=""
+SCRAPER_PID=""
 cleanup() {
-  for pid in "$SERVER_PID" "$HOLDER_PID"; do
+  for pid in "$SERVER_PID" "$HOLDER_PID" "$SCRAPER_PID"; do
     if [[ -n "$pid" ]] && kill -0 "$pid" 2>/dev/null; then
       kill -KILL "$pid" 2>/dev/null || true
     fi
@@ -315,6 +318,7 @@ for _ in $(seq 1 50); do
 done
 [[ -s "$WORK/ports.txt" ]] || { echo "idle server never bound" >&2; exit 1; }
 PORT="$(awk '{print $1}' "$WORK/ports.txt")"
+MPORT="$(awk '{print $2}' "$WORK/ports.txt")"
 # Three idle connections, held until the server closes them.
 python3 - "$PORT" "$WORK/held" <<'PY' &
 import socket, sys
@@ -344,6 +348,22 @@ echo "   $THREADS threads, $IDLE_SWITCHES voluntary context switches in 2 s"
 [[ "$IDLE_SWITCHES" -le "$IDLE_SWITCHES_MAX" ]] || {
   echo "FAIL: idle server woke $IDLE_SWITCHES times in 2 s" \
     "(max $IDLE_SWITCHES_MAX)" >&2; exit 1; }
+# A silent scraper, opened only now: the listener gives up on a request head
+# after 2 s, so one held through the sample above would be gone already.
+python3 - "$MPORT" "$WORK/scraping" <<'PY' &
+import socket, sys
+s = socket.create_connection(("127.0.0.1", int(sys.argv[1])))
+open(sys.argv[2], "w").close()
+s.recv(1)
+PY
+SCRAPER_PID=$!
+for _ in $(seq 1 50); do
+  [[ -e "$WORK/scraping" ]] && break
+  sleep 0.1
+done
+[[ -e "$WORK/scraping" ]] || {
+  echo "FAIL: silent scraper never connected" >&2; exit 1; }
+sleep 0.2  # let the /metrics listener accept it and block on its head
 DRAIN_START="$(date +%s%N)"
 kill -TERM "$SERVER_PID"
 SERVE_RC=0
@@ -352,7 +372,10 @@ DRAIN_MS=$(( ($(date +%s%N) - DRAIN_START) / 1000000 ))
 SERVER_PID=""
 wait "$HOLDER_PID" || true
 HOLDER_PID=""
-echo "   SIGTERM drain with 3 idle connections: ${DRAIN_MS} ms"
+wait "$SCRAPER_PID" || true
+SCRAPER_PID=""
+echo "   SIGTERM drain with 3 idle connections and a silent scraper:" \
+  "${DRAIN_MS} ms"
 [[ "$SERVE_RC" -eq 0 ]] || {
   echo "FAIL: idle server exited $SERVE_RC on SIGTERM" >&2; exit 1; }
 [[ "$DRAIN_MS" -le "$DRAIN_MS_MAX" ]] || {
