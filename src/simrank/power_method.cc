@@ -12,11 +12,10 @@ std::vector<double> SimRankMatrix::Row(NodeId u) const {
   return std::vector<double>(row, row + n_);
 }
 
-SimRankMatrix PowerMethodAllPairs(const Graph& g, double c, int iterations,
-                                  NodeId max_nodes) {
+SimRankMatrix PowerMethodAllPairs(const Graph& g, double c, int iterations) {
   const NodeId n = g.num_nodes();
-  CRASHSIM_CHECK_LE(n, max_nodes)
-      << "all-pairs power method needs 2*n^2 floats; scale the graph down";
+  CRASHSIM_CHECK_LE(n, kPowerMethodMaxNodes)
+      << "all-pairs power method needs 3*n^2 floats; scale the graph down";
   CRASHSIM_CHECK(c > 0.0 && c < 1.0);
 
   SimRankMatrix s(n);

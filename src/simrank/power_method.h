@@ -45,14 +45,18 @@ class SimRankMatrix {
   std::vector<float> data_;
 };
 
+// The largest graph the all-pairs power method accepts: its three n x n
+// float matrices take about 4.8 GB at this size. Callers given a user's
+// graph check it and answer INVALID_ARGUMENT; PowerMethodAllPairs
+// CHECK-fails above it so callers scale datasets rather than thrash.
+inline constexpr NodeId kPowerMethodMaxNodes = 20000;
+
 // Exact (to iteration depth) SimRank by the Jeh & Widom power method:
 //   S_{k+1}(u,v) = c / (|I(u)||I(v)|) * sum_{x in I(u), y in I(v)} S_k(x,y)
 // with S(v,v) = 1 and S_0 = I. Implemented as two sparse-dense products per
-// iteration (cost 2*n*m) with row-parallelism. Memory is 2 * n^2 floats; the
-// call CHECK-fails above `max_nodes` (default 20k ≈ 3.2 GiB) so callers
-// scale datasets rather than thrash.
-SimRankMatrix PowerMethodAllPairs(const Graph& g, double c, int iterations,
-                                  NodeId max_nodes = 20000);
+// iteration (cost 2*n*m) with row-parallelism. Requires
+// g.num_nodes() <= kPowerMethodMaxNodes.
+SimRankMatrix PowerMethodAllPairs(const Graph& g, double c, int iterations);
 
 // The power method as a SimRankAlgorithm: the ground truth every estimator
 // is measured against (55 iterations in the paper). Bind computes the

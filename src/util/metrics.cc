@@ -215,10 +215,6 @@ MetricSamples MetricsRegistry::Snapshot() const {
   return out;
 }
 
-std::string MetricsRegistry::ExportPrometheusText() const {
-  return RenderPrometheusText(Snapshot());
-}
-
 void MetricSamples::AddLedger(std::string_view prefix,
                               std::span<const LedgerValue> values) {
   for (const LedgerValue& v : values) {

@@ -224,9 +224,6 @@ class MetricsRegistry {
   // Multi-line human dump of every metric (counters, gauges, histograms).
   std::string ToString() const;
 
-  // RenderPrometheusText(Snapshot()).
-  std::string ExportPrometheusText() const;
-
   // Zeroes all counters (gauges and histogram contents are left alone —
   // gauges describe current state, histograms have no reset use case yet).
   void ResetCountersForTest();

@@ -6,8 +6,9 @@
 
 namespace crashsim {
 
-// Streaming mean/variance accumulator (Welford). O(1) memory; numerically
-// stable for the long accumulation loops used by the benchmark harness.
+// Streaming mean/min/max accumulator. O(1) memory; numerically stable
+// (incremental mean) for the long accumulation loops of the benchmark
+// harness.
 class OnlineStats {
  public:
   // Adds one observation.
@@ -18,17 +19,9 @@ class OnlineStats {
   double min() const { return min_; }
   double max() const { return max_; }
 
-  // Sample variance (n-1 denominator); 0 for fewer than two observations.
-  double Variance() const;
-  double Stddev() const;
-
-  // Merges another accumulator into this one (parallel-friendly).
-  void Merge(const OnlineStats& other);
-
  private:
   size_t count_ = 0;
   double mean_ = 0.0;
-  double m2_ = 0.0;
   double min_ = 0.0;
   double max_ = 0.0;
 };

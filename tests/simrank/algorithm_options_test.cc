@@ -7,6 +7,7 @@
 
 #include "eval/metrics.h"
 #include "graph/generators.h"
+#include "graph/graph_builder.h"
 #include "simrank/power_method.h"
 #include "simrank/probesim.h"
 #include "simrank/reads.h"
@@ -121,11 +122,10 @@ TEST(ReadsOptionsTest, ZeroRQStillWorks) {
   for (double s : scores) EXPECT_LE(s, 1.0);
 }
 
+// One node over the cap: the CHECK fires before any n x n allocation.
 TEST(PowerMethodGuardTest, NodeCapViolationDies) {
-  Rng rng(9);
-  const Graph g = ErdosRenyi(50, 100, false, &rng);
-  EXPECT_DEATH(PowerMethodAllPairs(g, 0.6, 5, /*max_nodes=*/10),
-               "CHECK failed");
+  const Graph g = GraphBuilder(kPowerMethodMaxNodes + 1).Build();
+  EXPECT_DEATH(PowerMethodAllPairs(g, 0.6, 5), "CHECK failed");
 }
 
 TEST(WalkFormulaGuardTest, InvalidParametersDie) {

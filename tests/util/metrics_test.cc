@@ -141,7 +141,7 @@ TEST(MetricsRegistryTest, PrometheusExportFollowsTextFormat) {
   h.Record(1);
   h.Record(5);
   h.Record(500);
-  const std::string text = registry.ExportPrometheusText();
+  const std::string text = RenderPrometheusText(registry.Snapshot());
 
   // Counters: crashsim_ prefix, sanitised name, _total suffix, TYPE line.
   EXPECT_NE(text.find("# TYPE crashsim_queries_completed_total counter"),

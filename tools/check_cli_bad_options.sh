@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Out-of-domain engine flags (--c 1.5, --threads 0, --batch_size 0) answer
 # INVALID_ARGUMENT (exit 2) with no CHECK failure on every subcommand that
-# builds an engine: `topk` with each --algo, `temporal` with each --engine,
-# `durable` and `stress`. `topk --k 0` is a flag-range error (exit 1).
+# builds an engine: `topk` with each --algo and `temporal` with each
+# --engine. So does `topk --algo exact` on a graph over the power method's
+# node cap (a 20002-node path). `topk --k 0` is a flag-range error (exit 1).
 set -uo pipefail
 CLI="${BUILD_DIR:-$(dirname "$0")/../build}/tools/crashsim_cli"
 WORK="$(mktemp -d)"
@@ -27,7 +28,7 @@ expect() {
 for bad in "--c 1.5" "--threads 0" "--batch_size 0"; do
   # shellcheck disable=SC2086  # $bad is a word list on purpose
   {
-    for algo in crashsim probesim sling reads mc; do
+    for algo in crashsim probesim sling reads mc exact; do
       expect 2 "$CLI" topk --graph "$WORK/g.el" --source 1 --trials 10 \
         --algo "$algo" $bad
     done
@@ -35,11 +36,10 @@ for bad in "--c 1.5" "--threads 0" "--batch_size 0"; do
       expect 2 "$CLI" temporal --graph "$WORK/g.tel" --source 1 --trials 10 \
         --engine "$engine" $bad
     done
-    expect 2 "$CLI" durable --graph "$WORK/g.tel" --source 1 --trials 10 $bad
-    expect 2 "$CLI" stress --graph "$WORK/g.el" --clients 1 --queries 1 \
-      --trials 10 $bad
   }
 done
 expect 1 "$CLI" topk --graph "$WORK/g.el" --source 1 --k 0
+seq 0 20000 | awk '{print $1, $1 + 1}' > "$WORK/path.el"  # 20002 nodes
+expect 2 "$CLI" topk --graph "$WORK/path.el" --source 0 --algo exact
 [[ $status -eq 0 ]] && echo "PASS: bad engine options answer INVALID_ARGUMENT"
 exit $status

@@ -3,7 +3,7 @@
 //   crashsim_cli stats    --graph FILE [--undirected]
 //   crashsim_cli topk     --graph FILE --source ID --k K --algo NAME ...
 //   crashsim_cli temporal --graph FILE --kind KIND --source ID ...
-//   crashsim_cli stress   --graph FILE --clients N --queries Q [--chaos_seed S]
+//   crashsim_cli replay   --port P --sources IDS [--clients N --requests R]
 //   crashsim_cli generate --dataset NAME --scale S [--snapshots T] --out FILE
 //
 // Static graphs are "src dst" edge lists (SNAP format, '#' comments);
@@ -40,9 +40,7 @@
 #include "core/baseline_temporal.h"
 #include "core/crashsim.h"
 #include "core/crashsim_t.h"
-#include "core/durable_topk.h"
 #include "core/engine_flags.h"
-#include "core/executor.h"
 #include "core/query_context.h"
 #include "core/query_stats.h"
 #include "core/temporal_query.h"
@@ -56,7 +54,6 @@
 #include "simrank/probesim.h"
 #include "simrank/reads.h"
 #include "simrank/sling.h"
-#include "util/failpoint.h"
 #include "util/flags.h"
 #include "util/metrics.h"
 #include "util/rng.h"
@@ -245,21 +242,16 @@ class ScopedCliTrace {
   const TraceRequestScope scope_;  // installs trace_ (a no-op when null)
 };
 
-// Dumps the process-wide registry (Prometheus text exposition format), plus
-// any component ledgers added along the way, to `path` on scope exit; empty
-// path = disabled. Scoped for the same reason as the tracer: error exits
-// still produce the file.
+// Dumps the process-wide registry (Prometheus text exposition format) to
+// `path` on scope exit; empty path = disabled. Scoped for the same reason as
+// the tracer: error exits still produce the file.
 class ScopedMetricsExport {
  public:
   explicit ScopedMetricsExport(std::string path) : path_(std::move(path)) {}
   ~ScopedMetricsExport() {
     if (path_.empty()) return;
-    MetricSamples samples = MetricsRegistry::Global().Snapshot();
-    for (const auto& [prefix, values] : ledgers_) {
-      samples.AddLedger(prefix, values);
-    }
     std::ofstream out(path_);
-    if (out) out << RenderPrometheusText(std::move(samples));
+    if (out) out << RenderPrometheusText(MetricsRegistry::Global().Snapshot());
     if (!out) {
       std::fprintf(stderr, "warning: cannot write metrics to %s\n",
                    path_.c_str());
@@ -269,15 +261,8 @@ class ScopedMetricsExport {
   ScopedMetricsExport(const ScopedMetricsExport&) = delete;
   ScopedMetricsExport& operator=(const ScopedMetricsExport&) = delete;
 
-  // Exports `values` under "<prefix>.": a snapshot, so the component may be
-  // gone by the time the file is written.
-  void AddLedger(std::string prefix, std::vector<LedgerValue> values) {
-    ledgers_.emplace_back(std::move(prefix), std::move(values));
-  }
-
  private:
   std::string path_;
-  std::vector<std::pair<std::string, std::vector<LedgerValue>>> ledgers_;
 };
 
 // CLI query latency lands in the process registry so --metrics_out always
@@ -359,6 +344,11 @@ int RunTopK(int argc, char** argv) {
       MakeAlgorithm(algo_name, *options);
   if (!algo) {
     return FailStatus(InvalidArgumentError("unknown --algo " + algo_name));
+  }
+  if (algo_name == "exact" && g.num_nodes() > kPowerMethodMaxNodes) {
+    return FailStatus(InvalidArgumentError(
+        StrFormat("--algo exact supports at most %d nodes (the graph has %d)",
+                  kPowerMethodMaxNodes, g.num_nodes())));
   }
   algo->Bind(&g);
   QueryStats qstats;
@@ -507,60 +497,8 @@ int RunTemporal(int argc, char** argv) {
   return ExitCodeFor(answer.status.code());
 }
 
-int RunDurable(int argc, char** argv) {
-  FlagSet flags;
-  flags.DefineString("graph", "", "temporal edge-list file (src dst snapshot)");
-  flags.DefineBool("undirected", false, "treat edges as undirected");
-  flags.DefineInt("source", 0, "source node id (original file id)");
-  flags.DefineIntInRange("k", 10, 1, 1000000, "result count");
-  flags.DefineInt("begin", 0, "first snapshot of the query interval");
-  flags.DefineInt("end", -1, "last snapshot (-1 = final snapshot)");
-  flags.DefineDouble("floor", 0.0, "discard durable scores below this");
-  DefineAlgoFlags(&flags);
-  if (!flags.Parse(argc, argv)) return 1;
-
-  const auto loaded_or = LoadTemporalEdgeListFile(flags.GetString("graph"),
-                                                  flags.GetBool("undirected"));
-  if (!loaded_or.ok()) return FailStatus(loaded_or.status());
-  const LoadedTemporalGraph& loaded = *loaded_or;
-  const TemporalGraph& tg = loaded.graph;
-  const int64_t original_source = flags.GetInt("source");
-  const StatusOr<NodeId> source_or =
-      DenseSourceId(loaded.original_ids, original_source);
-  if (!source_or.ok()) return FailStatus(source_or.status());
-
-  DurableTopKQuery query;
-  query.source = *source_or;
-  query.begin_snapshot = static_cast<int>(flags.GetInt("begin"));
-  query.end_snapshot = ResolveEndSnapshot(flags.GetInt("end"),
-                                          tg.num_snapshots());
-  query.k = static_cast<int>(flags.GetInt("k"));
-  query.floor = flags.GetDouble("floor");
-  if (Status s = ValidateDurableTopKQuery(tg, query); !s.ok()) {
-    return FailStatus(s);
-  }
-  const StatusOr<CrashSimOptions> options = EngineOptionsFromFlags(flags);
-  if (!options.ok()) return FailStatus(options.status());
-
-  CrashSimDurableTopK engine(*options);
-  const DurableTopKAnswer answer = engine.Answer(tg, query);
-  std::printf("top-%d by durable (min over snapshots [%d, %d]) similarity to "
-              "%lld:\n",
-              query.k, query.begin_snapshot, query.end_snapshot,
-              static_cast<long long>(original_source));
-  for (const auto& [score, v] : answer.result) {
-    std::printf("  %lld  %.5f\n",
-                static_cast<long long>(
-                    loaded.original_ids[static_cast<size_t>(v)]),
-                score);
-  }
-  std::printf("(%.3f s, %lld scores computed)\n", answer.stats.total_seconds,
-              static_cast<long long>(answer.stats.scores_computed));
-  return 0;
-}
-
-// Sorts the per-query latencies and prints the p50/p95/p99/max line that
-// `stress` and `replay` report.
+// Sorts the per-request latencies and prints the p50/p95/p99/max line that
+// `replay` reports.
 void PrintLatencyPercentiles(std::vector<double>* latencies_ms) {
   std::sort(latencies_ms->begin(), latencies_ms->end());
   const auto percentile = [&](double p) {
@@ -569,169 +507,6 @@ void PrintLatencyPercentiles(std::vector<double>* latencies_ms) {
   std::printf("latency ms: p50 %.2f  p95 %.2f  p99 %.2f  max %.2f\n",
               percentile(0.50), percentile(0.95), percentile(0.99),
               latencies_ms->empty() ? 0.0 : latencies_ms->back());
-}
-
-// The chaos profile's failpoints: transient errors on the trial loops
-// (exercises the retry path) plus the tree build (exercises shed
-// accounting).
-constexpr const char* kChaosSites[] = {"crashsim.trial_block",
-                                       "probesim.trial_block", "reads.chunk",
-                                       "rev_reach.build"};
-
-// `stress` — drive a concurrent query mix through the QueryExecutor and
-// report what the overload machinery did: per-StatusCode outcome counts,
-// latency percentiles, and the executor's shed/degrade/retry tallies.
-// Optionally arms the chaos failpoints (--chaos_seed >= 0) so operators can
-// rehearse fault handling on real graphs; determinism then follows the
-// failpoint contract (per-site fire decisions are seed-deterministic, the
-// thread interleaving decides which query absorbs them). Exit code reflects
-// the harness itself: shed or failed queries are *reported*, not fatal.
-int RunStress(int argc, char** argv) {
-  FlagSet flags;
-  flags.DefineString("graph", "", "edge-list file");
-  flags.DefineBool("undirected", false, "treat edges as undirected");
-  flags.DefineIntInRange("clients", 8, 1, 1024, "concurrent client threads");
-  flags.DefineIntInRange("queries", 16, 1, 1000000,
-                         "queries submitted per client");
-  flags.DefineIntInRange("timeout_ms", 0, 0, 86400000,
-                         "per-query deadline in ms (0 = unbounded)");
-  DefineExecutorFlags(&flags);
-  flags.DefineInt("chaos_seed", -1,
-                  "arm the failpoint chaos profile with this seed "
-                  "(-1 = faults off)");
-  flags.DefineDouble("chaos_prob", 0.005,
-                     "per-hit fire probability for the chaos profile; the "
-                     "trial-loop sites are hit once per trial block, so a "
-                     "query at the default epsilon budget takes O(100) hits "
-                     "— keep this small unless every query should fail");
-  DefineAlgoFlags(&flags);
-  flags.DefineString("metrics_out", "",
-                     "write process metrics in Prometheus text exposition "
-                     "format on exit");
-  if (!flags.Parse(argc, argv)) return 1;
-  ScopedMetricsExport metrics_export(flags.GetString("metrics_out"));
-
-  const auto loaded_or = LoadEdgeListFile(flags.GetString("graph"),
-                                          flags.GetBool("undirected"));
-  if (!loaded_or.ok()) return FailStatus(loaded_or.status());
-  const Graph& g = loaded_or->graph;
-  if (g.num_nodes() == 0) {
-    return FailStatus(InvalidArgumentError("graph has no nodes"));
-  }
-
-  StatusOr<ExecutorOptions> eopt = ExecutorOptionsFromFlags(flags);
-  if (!eopt.ok()) return FailStatus(eopt.status());
-  eopt->default_deadline_ms = flags.GetInt("timeout_ms");
-  QueryExecutor executor(*eopt);
-  // Only the estimators whose query loops have deadline checkpoints.
-  const std::string algo_name = flags.GetString("algo");
-  if (algo_name != "crashsim" && algo_name != "probesim" &&
-      algo_name != "reads") {
-    return FailStatus(InvalidArgumentError(
-        "unknown --algo " + algo_name +
-        " (stress supports crashsim|probesim|reads)"));
-  }
-  const StatusOr<CrashSimOptions> options = EngineOptionsFromFlags(flags);
-  if (!options.ok()) return FailStatus(options.status());
-
-  std::optional<FailpointScope> chaos;
-  const int64_t chaos_seed = flags.GetInt("chaos_seed");
-  if (chaos_seed >= 0) {
-    chaos.emplace(static_cast<uint64_t>(chaos_seed));
-    FailpointSpec spec;
-    spec.action = FailpointAction::kError;
-    spec.code = StatusCode::kUnavailable;
-    spec.probability = flags.GetDouble("chaos_prob");
-    for (const char* site : kChaosSites) {
-      if (Status s = ConfigureFailpoint(site, spec); !s.ok()) {
-        return FailStatus(s);
-      }
-    }
-  }
-
-  const int clients = static_cast<int>(flags.GetInt("clients"));
-  const int64_t queries = flags.GetInt("queries");
-
-  std::mutex tally_mu;
-  std::map<StatusCode, int64_t> by_code;        // under tally_mu
-  std::vector<double> latencies_ms;             // under tally_mu
-  int64_t degraded = 0, retried_queries = 0;    // under tally_mu
-
-  std::vector<std::thread> workers;
-  workers.reserve(static_cast<size_t>(clients));
-  for (int c = 0; c < clients; ++c) {
-    workers.emplace_back([&, c] {
-      // A per-client engine (engines keep per-query scratch and a member
-      // RNG, so instances are not shared across threads) bound to the
-      // shared immutable graph, with a distinct seed: the stress mix should
-      // exercise different walks, not one replayed query.
-      CrashSimOptions client_options = *options;
-      client_options.mc.seed += static_cast<uint64_t>(c);
-      const std::unique_ptr<SimRankAlgorithm> engine =
-          MakeAlgorithm(algo_name, client_options);
-      engine->Bind(&g);
-      std::map<StatusCode, int64_t> local_codes;
-      std::vector<double> local_ms;
-      local_ms.reserve(static_cast<size_t>(queries));
-      int64_t local_degraded = 0, local_retried = 0;
-      for (int64_t q = 0; q < queries; ++q) {
-        const NodeId source = static_cast<NodeId>(
-            (static_cast<int64_t>(c) + q * clients) % g.num_nodes());
-        QueryRequest request;
-        request.run = [&engine, source](QueryContext* ctx) {
-          return engine->SingleSource(source, ctx);
-        };
-        const Stopwatch timer;
-        const QueryOutcome outcome = executor.Execute(request);
-        local_ms.push_back(timer.ElapsedSeconds() * 1e3);
-        ++local_codes[outcome.result.status.code()];
-        if (outcome.degraded) ++local_degraded;
-        if (outcome.retries > 0) ++local_retried;
-      }
-      const std::lock_guard<std::mutex> lock(tally_mu);
-      for (const auto& [code, count] : local_codes) by_code[code] += count;
-      latencies_ms.insert(latencies_ms.end(), local_ms.begin(),
-                          local_ms.end());
-      degraded += local_degraded;
-      retried_queries += local_retried;
-    });
-  }
-  for (std::thread& t : workers) t.join();
-  const QueryExecutor::Stats stats = executor.stats();
-  metrics_export.AddLedger("executor", stats.Values());
-
-  std::printf("stress: %d clients x %lld queries (%s) on %lld nodes\n",
-              clients, static_cast<long long>(queries),
-              algo_name.c_str(), static_cast<long long>(g.num_nodes()));
-  std::printf("outcomes:");
-  for (const auto& [code, count] : by_code) {
-    std::printf("  %s %lld", StatusCodeName(code),
-                static_cast<long long>(count));
-  }
-  std::printf("\n");
-  PrintLatencyPercentiles(&latencies_ms);
-  std::printf(
-      "executor: admitted %lld  shed_queue_full %lld  shed_deadline %lld  "
-      "expired_in_queue %lld  degraded %lld  retries %lld "
-      "(%lld queries retried)\n",
-      static_cast<long long>(stats.admitted),
-      static_cast<long long>(stats.shed_queue_full),
-      static_cast<long long>(stats.shed_deadline),
-      static_cast<long long>(stats.expired_in_queue),
-      static_cast<long long>(degraded),
-      static_cast<long long>(stats.retries),
-      static_cast<long long>(retried_queries));
-  if (chaos_seed >= 0) {
-    std::printf("chaos: seed %lld", static_cast<long long>(chaos_seed));
-    for (const char* site : kChaosSites) {
-      const int64_t fires = FailpointFires(site);
-      if (fires > 0) {
-        std::printf("  %s %lld", site, static_cast<long long>(fires));
-      }
-    }
-    std::printf("\n");
-  }
-  return 0;
 }
 
 // --- replay: load generator / client for crashsim_serve ---------------------
@@ -1073,7 +848,7 @@ int RunGenerate(int argc, char** argv) {
 int Usage() {
   std::fprintf(stderr,
                "usage: crashsim_cli "
-               "<stats|topk|temporal|durable|stress|replay|generate> "
+               "<stats|topk|temporal|replay|generate> "
                "[flags]\n"
                "run a subcommand with --help for its flags\n");
   return 1;
@@ -1089,8 +864,6 @@ int main(int argc, char** argv) {
   if (command == "stats") return crashsim::RunStats(argc - 1, argv + 1);
   if (command == "topk") return crashsim::RunTopK(argc - 1, argv + 1);
   if (command == "temporal") return crashsim::RunTemporal(argc - 1, argv + 1);
-  if (command == "durable") return crashsim::RunDurable(argc - 1, argv + 1);
-  if (command == "stress") return crashsim::RunStress(argc - 1, argv + 1);
   if (command == "replay") return crashsim::RunReplay(argc - 1, argv + 1);
   if (command == "generate") return crashsim::RunGenerate(argc - 1, argv + 1);
   return crashsim::Usage();
