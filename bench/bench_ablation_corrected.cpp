@@ -11,6 +11,7 @@
 #include "eval/metrics.h"
 #include "simrank/power_method.h"
 #include "simrank/walk.h"
+#include "util/logging.h"
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/string_util.h"
@@ -34,7 +35,7 @@ int main(int argc, char** argv) {
         MakeDataset(spec.name, cfg.scale, cfg.snapshots, cfg.seed);
     const Graph& g = ds.static_graph;
     PowerMethod gt(0.6, 55);
-    gt.Bind(&g);
+    CRASHSIM_CHECK(gt.Bind(&g).ok());
     Rng source_rng(cfg.seed * 31 + 1);
     const std::vector<NodeId> sources =
         SampleDistinctNodes(g.num_nodes(), cfg.reps, &source_rng);
@@ -49,7 +50,7 @@ int main(int argc, char** argv) {
       opt.mode = mode;
       opt.diag_samples = 100;
       CrashSim algo(opt);
-      algo.Bind(&g);
+      CRASHSIM_CHECK(algo.Bind(&g).ok());
       OnlineStats ms;
       OnlineStats me;
       OnlineStats mae;

@@ -26,6 +26,7 @@
 #include "simrank/reads.h"
 #include "simrank/sling.h"
 #include "simrank/walk.h"
+#include "util/logging.h"
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/string_util.h"
@@ -50,7 +51,7 @@ Row RunAlgorithm(SimRankAlgorithm* algo, const std::string& label,
   row.algorithm = label;
   row.trials = trials;
   Stopwatch bind_timer;
-  algo->Bind(&g);
+  CRASHSIM_CHECK(algo->Bind(&g).ok());
   row.bind_ms = bind_timer.ElapsedMillis();
   OnlineStats query_ms;
   OnlineStats me;
@@ -90,7 +91,7 @@ int main(int argc, char** argv) {
         MakeDataset(spec.name, cfg.scale, cfg.snapshots, cfg.seed);
     const Graph& g = ds.static_graph;
     PowerMethod gt(0.6, 55);
-    gt.Bind(&g);
+    CRASHSIM_CHECK(gt.Bind(&g).ok());
     Rng source_rng(cfg.seed * 977 + 5);
     // Sample sources with at least one in-neighbour: a dead-end source has
     // identically-zero scores under every algorithm and measures nothing.

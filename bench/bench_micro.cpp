@@ -35,6 +35,7 @@
 #include "simrank/reads.h"
 #include "simrank/sling.h"
 #include "simrank/walk.h"
+#include "util/logging.h"
 #include "util/rng.h"
 #include "util/string_util.h"
 #include "util/timer.h"
@@ -164,7 +165,7 @@ void BM_CrashSimTrialBatch(benchmark::State& state) {
   CrashSimOptions opt;
   opt.mc.trials_override = 100;
   CrashSim algo(opt);
-  algo.Bind(&g);
+  CRASHSIM_CHECK(algo.Bind(&g).ok());
   const auto tree = algo.BuildTree(1);
   std::vector<NodeId> candidates;
   for (NodeId v = 0; v < 64; ++v) candidates.push_back(v);
@@ -211,7 +212,7 @@ void BM_WalkBatchScalar(benchmark::State& state) {
   const Graph& g = FixtureGraph(state.range(0));
   CrashSimOptions opt;
   CrashSim algo(opt);
-  algo.Bind(&g);
+  CRASHSIM_CHECK(algo.Bind(&g).ok());
   const auto tree = algo.BuildTree(1);
   const int l_max = algo.LMax();
   const double sqrt_c = std::sqrt(opt.mc.c);
@@ -244,7 +245,7 @@ void RunWalkBatchWorkload(benchmark::State& state, int batch_size) {
   opt.mc.trials_override = 50;
   opt.batch_size = batch_size;
   CrashSim algo(opt);
-  algo.Bind(&g);
+  CRASHSIM_CHECK(algo.Bind(&g).ok());
   const auto tree = algo.BuildTree(1);
   std::vector<NodeId> candidates;
   for (NodeId v = 0; v < 512; ++v) candidates.push_back(v);
@@ -278,7 +279,7 @@ void BM_ProbeSimTrialBatch(benchmark::State& state) {
   SimRankOptions mc;
   mc.trials_override = 100;
   ProbeSim algo(mc);
-  algo.Bind(&g);
+  CRASHSIM_CHECK(algo.Bind(&g).ok());
   for (auto _ : state) {
     auto scores = algo.SingleSource(1);
     benchmark::DoNotOptimize(scores.data());
@@ -292,7 +293,7 @@ void BM_SlingIndexBuild(benchmark::State& state) {
   SimRankOptions mc;
   for (auto _ : state) {
     Sling algo(mc);
-    algo.Bind(&g);
+    CRASHSIM_CHECK(algo.Bind(&g).ok());
     benchmark::DoNotOptimize(algo.index_stats().reverse_entries);
   }
   SetGraphCounters(state, g);
@@ -304,7 +305,7 @@ void BM_ReadsIndexBuild(benchmark::State& state) {
   ReadsOptions ro;
   for (auto _ : state) {
     Reads algo(ro);
-    algo.Bind(&g);
+    CRASHSIM_CHECK(algo.Bind(&g).ok());
     benchmark::DoNotOptimize(algo.IndexBytes());
   }
   SetGraphCounters(state, g);
@@ -315,7 +316,7 @@ void BM_ReadsQuery(benchmark::State& state) {
   const Graph& g = FixtureGraph(state.range(0));
   ReadsOptions ro;
   Reads algo(ro);
-  algo.Bind(&g);
+  CRASHSIM_CHECK(algo.Bind(&g).ok());
   NodeId u = 0;
   for (auto _ : state) {
     auto scores = algo.SingleSource(u);
@@ -392,7 +393,7 @@ std::string QueryStatsProbeRecord() {
   CrashSimOptions opt;
   opt.mc.trials_override = 200;
   CrashSim algo(opt);
-  algo.Bind(&g);
+  CRASHSIM_CHECK(algo.Bind(&g).ok());
   QueryContext ctx;
   QueryStats qs;
   ctx.set_stats(&qs);
@@ -466,7 +467,7 @@ bool WriteTrace(const std::string& path) {
     opt.mc.trials_override = 200;
     opt.num_threads = 2;
     CrashSim algo(opt);
-    algo.Bind(&g);
+    CRASHSIM_CHECK(algo.Bind(&g).ok());
     QueryContext ctx;
     const PartialResult result = algo.SingleSource(1, &ctx);
     benchmark::DoNotOptimize(result.trials_done);

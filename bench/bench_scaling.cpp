@@ -12,6 +12,7 @@
 #include "core/crashsim.h"
 #include "graph/generators.h"
 #include "simrank/probesim.h"
+#include "util/logging.h"
 #include "util/rng.h"
 #include "util/string_util.h"
 #include "util/timer.h"
@@ -48,7 +49,7 @@ int main(int argc, char** argv) {
     copt.mc.trials_override = trials;
     copt.mc.seed = 11;
     CrashSim crash(copt);
-    crash.Bind(&g);
+    CRASHSIM_CHECK(crash.Bind(&g).ok());
     std::vector<NodeId> candidates;
     Rng pick(13);
     for (int i = 0; i < flags.GetInt("candidates"); ++i) {
@@ -60,7 +61,7 @@ int main(int argc, char** argv) {
     popt.trials_override = trials;
     popt.seed = 11;
     ProbeSim probe(popt);
-    probe.Bind(&g);
+    CRASHSIM_CHECK(probe.Bind(&g).ok());
 
     double tree_ms = 0;
     double crash_ms = 0;

@@ -10,6 +10,7 @@
 #include "graph/generators.h"
 #include "simrank/power_method.h"
 #include "util/flags.h"
+#include "util/logging.h"
 #include "util/string_util.h"
 
 int main(int argc, char** argv) {
@@ -32,7 +33,7 @@ int main(int argc, char** argv) {
   opt.mode = RevReachMode::kCorrected;
   opt.diag_samples = 5000;
   CrashSim crashsim(opt);
-  crashsim.Bind(&g);
+  CRASHSIM_CHECK(crashsim.Bind(&g).ok());
   const std::vector<double> estimated = crashsim.SingleSource(0);
 
   std::printf("Table II: SimRank scores with respect to node A "

@@ -31,7 +31,10 @@ int main() {
 
   std::printf("computing ground truth (power method, 55 iterations)...\n");
   PowerMethod gt(0.6, 55);
-  gt.Bind(&g);
+  if (Status s = gt.Bind(&g); !s.ok()) {
+    std::fprintf(stderr, "ground truth: %s\n", s.ToString().c_str());
+    return 1;
+  }
   const NodeId source = g.num_nodes() / 2;
   const std::vector<double> truth = gt.matrix().Row(source);
 
@@ -65,7 +68,11 @@ int main() {
   ResultTable table({"algorithm", "bind+query ms", "max error", "top-10 prec"});
   for (Entry& e : entries) {
     Stopwatch timer;
-    e.algo->Bind(&g);  // index construction counts, as in the paper's Fig. 5
+    // Index construction counts, as in the paper's Fig. 5.
+    if (Status s = e.algo->Bind(&g); !s.ok()) {
+      std::fprintf(stderr, "%s: %s\n", e.label.c_str(), s.ToString().c_str());
+      return 1;
+    }
     const std::vector<double> scores = e.algo->SingleSource(source);
     const double ms = timer.ElapsedMillis();
     table.AddRow({e.label, StrFormat("%.1f", ms),

@@ -31,7 +31,12 @@ int main() {
   options.mc.seed = 2020;
   options.mode = RevReachMode::kCorrected;
   CrashSim crashsim(options);
-  crashsim.Bind(&g);
+  // Bind checks the options; a bad one (c = 1.2, epsilon <= 0) comes back
+  // as kInvalidArgument.
+  if (Status s = crashsim.Bind(&g); !s.ok()) {
+    std::fprintf(stderr, "bind: %s\n", s.ToString().c_str());
+    return 1;
+  }
   std::printf("l_max = %d, trials = %lld\n", crashsim.LMax(),
               static_cast<long long>(crashsim.TrialsFor(g.num_nodes())));
 

@@ -56,9 +56,13 @@ TemporalAnswer StaticRecomputeEngine::AnswerImpl(const TemporalGraph& tg,
   CandidateFilter filter(query, tg.num_nodes());
 
   SnapshotCursor cursor(&tg, query.begin_snapshot);
-  algorithm_->Bind(&cursor.graph());
+  Status bound = algorithm_->Bind(&cursor.graph());
 
   for (int t = query.begin_snapshot; t <= query.end_snapshot; ++t) {
+    if (!bound.ok()) {
+      answer.status = bound.WithContext(StrFormat("snapshot %d", t));
+      break;
+    }
     // Full single-source recomputation every snapshot: the baseline cannot
     // restrict itself to the surviving candidates.
     const PartialResult all = algorithm_->SingleSource(query.source, ctx);
@@ -71,7 +75,8 @@ TemporalAnswer StaticRecomputeEngine::AnswerImpl(const TemporalGraph& tg,
     ++answer.stats.snapshots_processed;
     if (t < query.end_snapshot) {
       cursor.Advance();
-      algorithm_->Update(&cursor.graph(), tg.Delta(cursor.snapshot_index()));
+      bound = algorithm_->Update(&cursor.graph(),
+                                 tg.Delta(cursor.snapshot_index()));
     }
   }
   answer.nodes = filter.candidates();

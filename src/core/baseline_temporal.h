@@ -85,7 +85,8 @@ class TemporalEngine {
 // after each advance: a rebuild for most, READS's incremental index repair,
 // whose single-source evaluation still covers the whole node set (the
 // paper's point that dynamic-graph indexes miss the shrinking candidate set).
-// The wrapped algorithm is borrowed and must outlive the engine.
+// A failed Bind or Update ends the answer with its status, naming the
+// snapshot. The wrapped algorithm is borrowed and must outlive the engine.
 class StaticRecomputeEngine : public TemporalEngine {
  public:
   explicit StaticRecomputeEngine(SimRankAlgorithm* algorithm)

@@ -45,15 +45,13 @@ Status CrashSimOptions::Validate() const {
 CrashSim::CrashSim(const CrashSimOptions& options)
     : options_(options), sqrt_c_(std::sqrt(options.mc.c)) {}
 
-void CrashSim::Bind(const Graph* g) {
-  const Status valid = options_.Validate();
-  CRASHSIM_CHECK(valid.ok()) << valid;
-  Bind(g, EstimateDiagonal(*g));
+Status CrashSim::Bind(const Graph* g) {
+  RETURN_IF_ERROR(options_.Validate());
+  return Bind(g, EstimateDiagonal(*g));
 }
 
-void CrashSim::Bind(const Graph* g, SharedDiagonal diag) {
-  const Status valid = options_.Validate();
-  CRASHSIM_CHECK(valid.ok()) << valid;
+Status CrashSim::Bind(const Graph* g, SharedDiagonal diag) {
+  RETURN_IF_ERROR(options_.Validate());
   if (options_.mode == RevReachMode::kCorrected) {
     CRASHSIM_CHECK(diag != nullptr &&
                    diag->size() == static_cast<size_t>(g->num_nodes()))
@@ -63,6 +61,7 @@ void CrashSim::Bind(const Graph* g, SharedDiagonal diag) {
   }
   set_graph(g);
   diag_ = std::move(diag);
+  return OkStatus();
 }
 
 SharedDiagonal CrashSim::EstimateDiagonal(const Graph& g) const {
@@ -106,10 +105,6 @@ PartialResult CrashSim::PartialImpl(NodeId u,
                                     std::span<const NodeId> candidates,
                                     QueryContext* ctx) {
   PartialResult result;
-  if (Status s = options_.Validate(); !s.ok()) {
-    result.status = s;
-    return result;
-  }
   if (Status s = ValidateNodeId(u, graph()->num_nodes(), "source"); !s.ok()) {
     result.status = s;
     return result;
@@ -137,10 +132,6 @@ PartialResult CrashSim::PartialWithTree(const ReverseReachableTree& tree,
                                         std::span<const NodeId> candidates,
                                         QueryContext* ctx) {
   PartialResult result;
-  if (Status s = options_.Validate(); !s.ok()) {
-    result.status = s;
-    return result;
-  }
   const Graph& g = *graph();
   const NodeId u = tree.source();
   if (Status s = ValidateNodeId(u, g.num_nodes(), "source"); !s.ok()) {
@@ -269,7 +260,6 @@ PartialResult CrashSim::PartialWithTree(const ReverseReachableTree& tree,
     }
     done += batch;
     block = std::min(block * 2, kMaxBlock);
-    if (ctx != nullptr) ctx->ReportTrials(done, n_r);
   }
   result.trials_done = done;
   if (done > 0) {

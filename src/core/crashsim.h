@@ -42,7 +42,7 @@ struct CrashSimOptions {
   int batch_size = 64;
 
   // Domain check (delegates to mc.Validate() and covers the CrashSim-only
-  // knobs). Invoked at Bind and at every context-aware query entry.
+  // knobs). Bind runs it; queries rely on it having passed.
   [[nodiscard]] Status Validate() const;
 };
 
@@ -66,16 +66,20 @@ class CrashSim : public SimRankAlgorithm {
   explicit CrashSim(const CrashSimOptions& options);
 
   std::string name() const override { return "CrashSim"; }
-  // Binds g and, in corrected mode, estimates d(w) with EstimateDiagonal.
-  void Bind(const Graph* g) override;
-  // Binds g with a diagonal estimated earlier: EstimateDiagonal(*g) of an
-  // engine with the same (c, diag_samples, l_max, seed), or nullptr in paper
-  // mode. Scores equal those after Bind(g) bit for bit.
-  void Bind(const Graph* g, SharedDiagonal diag);
+  // Checks the options (kInvalidArgument) and binds g; in corrected mode it
+  // estimates d(w) with EstimateDiagonal.
+  [[nodiscard]] Status Bind(const Graph* g) override;
+  // Checks the options and binds g with a diagonal estimated earlier:
+  // EstimateDiagonal(*g) of an engine with the same (c, diag_samples, l_max,
+  // seed), or nullptr in paper mode. Scores equal those after Bind(g) bit
+  // for bit. A diagonal of the wrong size or mode is a programmer error and
+  // CHECK-fails.
+  [[nodiscard]] Status Bind(const Graph* g, SharedDiagonal diag);
 
   // Corrected mode's d(w) for g, drawn from a fresh Rng(mc.seed) on every
   // call, so it is a pure function of (g, c, diag_samples, l_max, seed) and
   // Bind never depends on what was bound before. nullptr in paper mode.
+  // Requires valid options, like LMax() and TrialsFor().
   SharedDiagonal EstimateDiagonal(const Graph& g) const;
 
   // Scores candidates against a pre-built source tree (CrashSim-T builds the

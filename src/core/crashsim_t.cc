@@ -1,7 +1,6 @@
 #include "core/crashsim_t.h"
 
 #include <algorithm>
-#include <new>
 #include <optional>
 #include <utility>
 
@@ -15,8 +14,6 @@
 
 namespace crashsim {
 
-Status CrashSimTOptions::Validate() const { return crashsim.Validate(); }
-
 CrashSimT::CrashSimT(const CrashSimTOptions& options,
                      SnapshotDiagonals* diagonals)
     : options_(options), crashsim_(options.crashsim), diagonals_(diagonals) {
@@ -26,21 +23,12 @@ CrashSimT::CrashSimT(const CrashSimTOptions& options,
 
 Status CrashSimT::BindSnapshot(const TemporalGraph& tg, int t,
                                const Graph& g) {
-  if (diagonals_ == nullptr) {
-    crashsim_.Bind(&g);
-    return OkStatus();
-  }
+  if (diagonals_ == nullptr) return crashsim_.Bind(&g);
   CRASHSIM_CHECK(diagonals_->graph() == &tg)
       << "the diagonal table belongs to another temporal graph";
-  try {
-    crashsim_.Bind(&g, diagonals_->Get(t, g));
-  } catch (const StatusException& e) {
-    return e.status();
-  } catch (const std::bad_alloc&) {
-    return ResourceExhaustedError(
-        "out of memory estimating the snapshot diagonal");
-  }
-  return OkStatus();
+  StatusOr<SharedDiagonal> diag = diagonals_->Get(t, g);
+  if (!diag.ok()) return diag.status();
+  return crashsim_.Bind(&g, *std::move(diag));
 }
 
 int64_t CrashSimT::CandidateEdgeCount(const Graph& g,
@@ -65,10 +53,6 @@ TemporalAnswer CrashSimT::AnswerImpl(const TemporalGraph& tg,
                                      QueryContext* ctx) {
   Stopwatch timer;
   TemporalAnswer answer;
-  if (Status s = options_.Validate(); !s.ok()) {
-    answer.status = s;
-    return answer;
-  }
   if (Status s = ValidateQueryInterval(tg, query); !s.ok()) {
     answer.status = s;
     return answer;
@@ -100,16 +84,12 @@ TemporalAnswer CrashSimT::AnswerImpl(const TemporalGraph& tg,
     }
     return std::move(answer);
   };
-  const int l_max = crashsim_.LMax();
-  const auto build_tree = [&](const Graph& g, NodeId v) {
-    return BuildRevReach(g, v, l_max, options_.crashsim.mc.c,
-                         options_.crashsim.mode,
-                         options_.crashsim.tree_prune_threshold, ctx);
-  };
 
   SnapshotCursor cursor(&tg, query.begin_snapshot);
 
-  // Snapshot T_1: full partial evaluation over all candidates (line 2).
+  // Snapshot T_1: full partial evaluation over all candidates (line 2). The
+  // first Bind checks the options, so it precedes everything that assumes
+  // them valid (LMax, TrialsFor).
   const std::string first_snapshot =
       StrFormat("snapshot %d", query.begin_snapshot);
   if (Status s = BindSnapshot(tg, query.begin_snapshot, cursor.graph());
@@ -117,6 +97,12 @@ TemporalAnswer CrashSimT::AnswerImpl(const TemporalGraph& tg,
     answer.status = s.WithContext(first_snapshot);
     return finish();
   }
+  const int l_max = crashsim_.LMax();
+  const auto build_tree = [&](const Graph& g, NodeId v) {
+    return BuildRevReach(g, v, l_max, options_.crashsim.mc.c,
+                         options_.crashsim.mode,
+                         options_.crashsim.tree_prune_threshold, ctx);
+  };
   ReverseReachableTree prev_tree;
   {
     StatusOr<ReverseReachableTree> tree_or =

@@ -37,10 +37,6 @@ struct CrashSimTOptions {
   // stable snapshots. Sound — the reachability test is conservative — and
   // verified equivalent to the literal path in tests.
   bool reuse_source_tree = true;
-
-  // Domain check (currently delegates to crashsim.Validate(); the pruning
-  // toggles are unconstrained booleans). Invoked at every query entry.
-  [[nodiscard]] Status Validate() const;
 };
 
 // CrashSim-T (Section IV): answers temporal SimRank trend/threshold queries
@@ -77,8 +73,8 @@ class CrashSimT : public TemporalEngine {
 
  private:
   // Binds crashsim_ to snapshot t (`g`), taking d(w) from diagonals_ when
-  // set. A failed estimate comes back as kResourceExhausted (out of memory)
-  // or the failpoint's injected status.
+  // set. Bad options come back as kInvalidArgument, a failed estimate as
+  // SnapshotDiagonals::Get's status.
   [[nodiscard]] Status BindSnapshot(const TemporalGraph& tg, int t,
                                     const Graph& g);
 

@@ -15,13 +15,13 @@ class MemoryBudget;  // util/memory_budget.h
 struct QueryStats;   // core/query_stats.h
 
 // Per-query lifecycle control: a steady-clock deadline, a cooperative
-// cancellation flag, trial-progress counters a monitoring thread can poll,
-// and an optional QueryStats sink the engine fills as it works. Passed by
+// cancellation flag, and an optional QueryStats sink the engine fills as it
+// works. Passed by
 // pointer into the estimator entry points; nullptr means "no deadline, not
 // cancellable, no stats" and costs nothing.
 //
-// Thread safety: Cancel()/cancelled() and the progress counters are atomic
-// and may be called from any thread while a query runs. The deadline is
+// Thread safety: Cancel()/cancelled() and the trial fraction are atomic and
+// may be called from any thread while a query runs. The deadline is
 // immutable after construction. The stats sink is NOT synchronised: set it
 // before the query starts and read it after the query returns — the engine
 // only writes to it from the querying thread (after parallel regions join),
@@ -54,19 +54,6 @@ class QueryContext {
       return DeadlineExceededError("query deadline exceeded");
     }
     return OkStatus();
-  }
-
-  // Progress counters, published by the estimator after every completed
-  // trial block so an observer can render "k / n_r trials".
-  void ReportTrials(int64_t done, int64_t target) {
-    trials_done_.store(done, std::memory_order_relaxed);
-    trials_target_.store(target, std::memory_order_relaxed);
-  }
-  int64_t trials_done() const {
-    return trials_done_.load(std::memory_order_relaxed);
-  }
-  int64_t trials_target() const {
-    return trials_target_.load(std::memory_order_relaxed);
   }
 
   // Optional per-query observability sink (core/query_stats.h), borrowed —
@@ -105,8 +92,6 @@ class QueryContext {
   std::chrono::steady_clock::time_point deadline_{};
   bool has_deadline_ = false;
   std::atomic<bool> cancelled_{false};
-  std::atomic<int64_t> trials_done_{0};
-  std::atomic<int64_t> trials_target_{0};
   std::atomic<double> trial_fraction_{1.0};
   uint64_t request_id_ = 0;
   QueryStats* stats_ = nullptr;

@@ -1,5 +1,7 @@
 #include "core/snapshot_diagonals.h"
 
+#include <new>
+
 #include "util/failpoint.h"
 #include "util/logging.h"
 #include "util/metrics.h"
@@ -34,10 +36,12 @@ bool SnapshotDiagonals::Matches(const CrashSimOptions& options) const {
          options.mc.seed == own.mc.seed;
 }
 
-SharedDiagonal SnapshotDiagonals::Get(int t, const Graph& g) {
+StatusOr<SharedDiagonal> SnapshotDiagonals::Get(int t, const Graph& g) {
   CRASHSIM_CHECK(t >= 0 && t < static_cast<int>(slots_.size()))
       << "snapshot " << t << " out of range";
-  if (estimator_.options().mode != RevReachMode::kCorrected) return nullptr;
+  if (estimator_.options().mode != RevReachMode::kCorrected) {
+    return SharedDiagonal();
+  }
   Slot& slot = slots_[static_cast<size_t>(t)];
   // Holding the slot's lock across the estimate is the single-flight: a
   // concurrent Get for the same snapshot waits here and then finds the
@@ -45,8 +49,15 @@ SharedDiagonal SnapshotDiagonals::Get(int t, const Graph& g) {
   const MutexLock lock(slot.mu);
   if (slot.diag == nullptr) {
     TRACE_SPAN("snapshot_diagonals.fill");
-    CRASHSIM_FAILPOINT_THROW("snapshot_diagonals.fill");
-    slot.diag = estimator_.EstimateDiagonal(g);
+    // The estimate needs valid options (l_max); checked once per fill.
+    RETURN_IF_ERROR(estimator_.options().Validate());
+    try {
+      RETURN_IF_ERROR(CRASHSIM_FAILPOINT("snapshot_diagonals.fill"));
+      slot.diag = estimator_.EstimateDiagonal(g);
+    } catch (const std::bad_alloc&) {
+      return ResourceExhaustedError(
+          "out of memory estimating the snapshot diagonal");
+    }
     EstimatesCounter().Add(1);
   }
   return slot.diag;

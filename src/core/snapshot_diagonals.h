@@ -40,11 +40,12 @@ class SnapshotDiagonals {
   bool Matches(const CrashSimOptions& options) const;
 
   // d(w) of snapshot t, estimating it on first use; nullptr in paper mode.
-  // `g` must be snapshot t of graph(). An estimate that throws
-  // (std::bad_alloc, or the StatusException / bad_alloc injected at the
-  // "snapshot_diagonals.fill" failpoint) propagates and leaves the slot
-  // empty, so the next Get for t estimates again.
-  SharedDiagonal Get(int t, const Graph& g);
+  // `g` must be snapshot t of graph(). Options that fail Validate() come
+  // back as kInvalidArgument. An estimate that fails (kResourceExhausted for
+  // an allocation failure, or the status injected at the
+  // "snapshot_diagonals.fill" failpoint) leaves the slot empty, so the next
+  // Get for t estimates again.
+  [[nodiscard]] StatusOr<SharedDiagonal> Get(int t, const Graph& g);
 
  private:
   struct Slot {

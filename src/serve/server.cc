@@ -189,17 +189,6 @@ Server::Server(LoadedGraph graph, std::optional<LoadedTemporalGraph> temporal,
       temporal_id_map_(temporal_.has_value()
                            ? IndexIds(temporal_->original_ids)
                            : std::unordered_map<int64_t, NodeId>()) {
-  engine_ = std::make_unique<CrashSim>(options_.engine);
-  engine_->Bind(&graph_.graph);
-  TreeCacheOptions cache_options = options_.cache;
-  cache_options.c = options_.engine.mc.c;
-  cache_options.prune_threshold = options_.engine.tree_prune_threshold;
-  cache_ = std::make_unique<TreeCache>(&graph_.graph, cache_options);
-  if (temporal_.has_value()) {
-    diagonals_ = std::make_unique<SnapshotDiagonals>(&temporal_->graph,
-                                                     options_.engine);
-  }
-  executor_ = std::make_unique<QueryExecutor>(options_.executor);
   if (options_.tracez_capacity > 0) {
     tracez_ = std::make_unique<TracezRing>(
         static_cast<size_t>(options_.tracez_capacity));
@@ -220,6 +209,19 @@ Server::~Server() { Shutdown(); }
 
 Status Server::Start() {
   RETURN_IF_ERROR(options_.Validate());
+  // Built only now: each of these CHECK-fails on options that Validate()
+  // rejects.
+  engine_ = std::make_unique<CrashSim>(options_.engine);
+  RETURN_IF_ERROR(engine_->Bind(&graph_.graph));
+  TreeCacheOptions cache_options = options_.cache;
+  cache_options.c = options_.engine.mc.c;
+  cache_options.prune_threshold = options_.engine.tree_prune_threshold;
+  cache_ = std::make_unique<TreeCache>(&graph_.graph, cache_options);
+  if (temporal_.has_value()) {
+    diagonals_ = std::make_unique<SnapshotDiagonals>(&temporal_->graph,
+                                                     options_.engine);
+  }
+  executor_ = std::make_unique<QueryExecutor>(options_.executor);
   start_ns_ = SteadyNowNanos();
   RETURN_IF_ERROR(
       BindListener(options_.host, options_.port, &listen_fd_, &port_));

@@ -120,8 +120,11 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  // Binds the listeners and spawns the accept threads. kUnavailable when a
-  // port cannot be bound, kInvalidArgument on bad options.
+  // Checks the options, binds the engine to the graph (the corrected-mode
+  // d(w) estimate), builds the tree cache, the snapshot diagonal table and
+  // the executor, then binds the listeners and spawns the accept threads.
+  // kInvalidArgument on bad options (nothing is built), kUnavailable when a
+  // port cannot be bound.
   [[nodiscard]] Status Start();
 
   // Graceful shutdown: stop accepting, let every in-flight request finish
@@ -142,6 +145,7 @@ class Server {
   };
   Stats stats() const;
 
+  // Valid after a successful Start().
   const TreeCache& tree_cache() const { return *cache_; }
   const QueryExecutor& executor() const { return *executor_; }
 
@@ -222,6 +226,7 @@ class Server {
   const std::unordered_map<int64_t, NodeId> id_map_;
   const std::unordered_map<int64_t, NodeId> temporal_id_map_;
 
+  // Built by Start(), after the options passed Validate().
   std::unique_ptr<CrashSim> engine_;       // shared; ctx-path is thread-safe
   std::unique_ptr<TreeCache> cache_;
   // Per-snapshot d(w) of the temporal graph, shared by every temporal

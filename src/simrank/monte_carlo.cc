@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "simrank/walk.h"
-#include "util/logging.h"
 
 namespace crashsim {
 
@@ -15,10 +14,10 @@ PairwiseMonteCarlo::PairwiseMonteCarlo(const SimRankOptions& options)
                                                    : 64),
       rng_(options.seed) {}
 
-void PairwiseMonteCarlo::Bind(const Graph* g) {
-  const Status valid = options_.Validate();
-  CRASHSIM_CHECK(valid.ok()) << valid;
+Status PairwiseMonteCarlo::Bind(const Graph* g) {
+  RETURN_IF_ERROR(options_.Validate());
   set_graph(g);
+  return OkStatus();
 }
 
 int64_t PairwiseMonteCarlo::TrialsFor(NodeId n) const {

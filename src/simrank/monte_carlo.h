@@ -23,7 +23,7 @@ class PairwiseMonteCarlo : public SimRankAlgorithm {
   explicit PairwiseMonteCarlo(const SimRankOptions& options);
 
   std::string name() const override { return "PairwiseMC"; }
-  void Bind(const Graph* g) override;
+  [[nodiscard]] Status Bind(const Graph* g) override;
 
   int64_t TrialsFor(NodeId n) const;
 

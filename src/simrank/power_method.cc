@@ -4,6 +4,7 @@
 
 #include "util/logging.h"
 #include "util/parallel.h"
+#include "util/string_util.h"
 
 namespace crashsim {
 
@@ -69,10 +70,21 @@ SimRankMatrix PowerMethodAllPairs(const Graph& g, double c, int iterations) {
   return s;
 }
 
-void PowerMethod::Bind(const Graph* g) {
+Status PowerMethod::Bind(const Graph* g) {
+  if (!(c_ > 0.0 && c_ < 1.0)) {
+    return InvalidArgumentError(
+        StrFormat("decay factor c must be in (0, 1), got %g", c_));
+  }
+  if (g->num_nodes() > kPowerMethodMaxNodes) {
+    return InvalidArgumentError(StrFormat(
+        "the power method supports at most kPowerMethodMaxNodes = %d nodes "
+        "(the graph has %d)",
+        kPowerMethodMaxNodes, g->num_nodes()));
+  }
   set_graph(g);
   matrix_ = SimRankMatrix();  // free the old matrix before the 2*n^2 scratch
   matrix_ = PowerMethodAllPairs(*g, c_, iterations_);
+  return OkStatus();
 }
 
 PartialResult PowerMethod::SingleSourceImpl(NodeId u, QueryContext* /*ctx*/) {

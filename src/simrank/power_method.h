@@ -46,9 +46,9 @@ class SimRankMatrix {
 };
 
 // The largest graph the all-pairs power method accepts: its three n x n
-// float matrices take about 4.8 GB at this size. Callers given a user's
-// graph check it and answer INVALID_ARGUMENT; PowerMethodAllPairs
-// CHECK-fails above it so callers scale datasets rather than thrash.
+// float matrices take about 4.8 GB at this size. PowerMethod::Bind answers
+// a larger graph with kInvalidArgument; PowerMethodAllPairs CHECK-fails
+// above it, since its callers pass graphs they built themselves.
 inline constexpr NodeId kPowerMethodMaxNodes = 20000;
 
 // Exact (to iteration depth) SimRank by the Jeh & Widom power method:
@@ -62,13 +62,15 @@ SimRankMatrix PowerMethodAllPairs(const Graph& g, double c, int iterations);
 // is measured against (55 iterations in the paper). Bind computes the
 // all-pairs matrix, so a single-source query is a row copy; callers that
 // read many rows use matrix() directly. No checkpoint: ctx is ignored.
+// Bind rejects c outside (0, 1) and graphs over kPowerMethodMaxNodes nodes
+// with kInvalidArgument, before allocating anything.
 class PowerMethod : public SimRankAlgorithm {
  public:
   explicit PowerMethod(double c = 0.6, int iterations = 55)
       : c_(c), iterations_(iterations) {}
 
   std::string name() const override { return "PowerMethod"; }
-  void Bind(const Graph* g) override;
+  [[nodiscard]] Status Bind(const Graph* g) override;
 
   const SimRankMatrix& matrix() const { return matrix_; }
 

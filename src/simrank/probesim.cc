@@ -5,7 +5,6 @@
 
 #include "simrank/walk.h"
 #include "util/failpoint.h"
-#include "util/logging.h"
 #include "util/trace.h"
 
 namespace crashsim {
@@ -17,15 +16,15 @@ ProbeSim::ProbeSim(const SimRankOptions& options)
                                                    : 64),
       rng_(options.seed) {}
 
-void ProbeSim::Bind(const Graph* g) {
-  const Status valid = options_.Validate();
-  CRASHSIM_CHECK(valid.ok()) << valid;
+Status ProbeSim::Bind(const Graph* g) {
+  RETURN_IF_ERROR(options_.Validate());
   set_graph(g);
   const size_t n = static_cast<size_t>(g->num_nodes());
   level_cur_.assign(n, 0.0);
   level_next_.assign(n, 0.0);
   touched_cur_.clear();
   touched_next_.clear();
+  return OkStatus();
 }
 
 int64_t ProbeSim::TrialsFor(NodeId n) const {
@@ -81,10 +80,6 @@ void ProbeSim::Probe(const std::vector<NodeId>& walk, int i,
 
 PartialResult ProbeSim::SingleSourceImpl(NodeId u, QueryContext* ctx) {
   PartialResult result;
-  if (Status s = options_.Validate(); !s.ok()) {
-    result.status = s;
-    return result;
-  }
   const Graph& g = *graph();
   if (Status s = ValidateNodeId(u, g.num_nodes(), "source"); !s.ok()) {
     result.status = s;
@@ -135,7 +130,6 @@ PartialResult ProbeSim::SingleSourceImpl(NodeId u, QueryContext* ctx) {
     }
     done += batch;
     block = std::min(block * 2, kMaxBlock);
-    if (ctx != nullptr) ctx->ReportTrials(done, trials);
   }
   result.trials_done = done;
   if (done > 0) {

@@ -27,7 +27,7 @@ class ProbeSim : public SimRankAlgorithm {
   explicit ProbeSim(const SimRankOptions& options);
 
   std::string name() const override { return "ProbeSim"; }
-  void Bind(const Graph* g) override;
+  [[nodiscard]] Status Bind(const Graph* g) override;
 
   // Number of trials the current options yield on an n-node graph.
   int64_t TrialsFor(NodeId n) const;

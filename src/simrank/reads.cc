@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "util/failpoint.h"
-#include "util/logging.h"
 
 namespace crashsim {
 
@@ -22,18 +21,15 @@ Status ReadsOptions::Validate() const {
 }
 
 Reads::Reads(const ReadsOptions& options)
-    : options_(options), sqrt_c_(std::sqrt(options.c)), rng_(options.seed) {
-  const Status valid = options.Validate();
-  CRASHSIM_CHECK(valid.ok()) << valid;
-}
+    : options_(options), sqrt_c_(std::sqrt(options.c)), rng_(options.seed) {}
 
-void Reads::Bind(const Graph* g) {
-  const Status valid = options_.Validate();
-  CRASHSIM_CHECK(valid.ok()) << valid;
+Status Reads::Bind(const Graph* g) {
+  RETURN_IF_ERROR(options_.Validate());
   set_graph(g);
   const size_t n = static_cast<size_t>(g->num_nodes());
   next_.assign(static_cast<size_t>(options_.r) * n, -1);
   for (NodeId v = 0; v < g->num_nodes(); ++v) ResampleNode(v);
+  return OkStatus();
 }
 
 void Reads::ResampleNode(NodeId v) {
@@ -68,10 +64,6 @@ void Reads::ApplyDelta(const EdgeDelta& delta, const Graph* updated) {
 
 PartialResult Reads::SingleSourceImpl(NodeId u, QueryContext* ctx) {
   PartialResult result;
-  if (Status s = options_.Validate(); !s.ok()) {
-    result.status = s;
-    return result;
-  }
   const Graph& g = *graph();
   if (Status s = ValidateNodeId(u, g.num_nodes(), "source"); !s.ok()) {
     result.status = s;
@@ -148,9 +140,6 @@ PartialResult Reads::SingleSourceImpl(NodeId u, QueryContext* ctx) {
           static_cast<double>(meets) * inv_r;
     }
     scored = v + 1;
-    if (ctx != nullptr && (scored % kChunk == 0 || scored == g.num_nodes())) {
-      ctx->ReportTrials(scored, g.num_nodes());
-    }
   }
   result.scores[static_cast<size_t>(u)] = 1.0;
   result.trials_done = scored;

@@ -45,9 +45,11 @@ class Reads : public SimRankAlgorithm {
   explicit Reads(const ReadsOptions& options);
 
   std::string name() const override { return "READS"; }
-  void Bind(const Graph* g) override;
-  void Update(const Graph* next, const EdgeDelta& delta) override {
+  [[nodiscard]] Status Bind(const Graph* g) override;
+  [[nodiscard]] Status Update(const Graph* next,
+                              const EdgeDelta& delta) override {
     ApplyDelta(delta, next);
+    return OkStatus();
   }
 
   // Applies an edge delta to the bound graph's index. `updated` must be the

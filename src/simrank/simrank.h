@@ -40,9 +40,9 @@ struct SimRankOptions {
   uint64_t seed = 42;
 
   // Domain check: c in (0, 1), epsilon > 0, delta in (0, 1), non-negative
-  // trial knobs. Invoked at every Bind/query entry so a typo'd sweep config
-  // (c = 1.2, epsilon = -0.1) fails loudly instead of silently producing
-  // garbage scores.
+  // trial knobs. Bind runs it once, so a typo'd sweep config (c = 1.2,
+  // epsilon = -0.1) comes back as kInvalidArgument instead of silently
+  // producing garbage scores; the options are immutable after that.
   [[nodiscard]] Status Validate() const;
 };
 
@@ -67,14 +67,19 @@ class SimRankAlgorithm {
   virtual std::string name() const = 0;
 
   // (Re)binds the algorithm to `g` and rebuilds internal state. The graph
-  // must outlive the binding.
-  virtual void Bind(const Graph* g) = 0;
+  // must outlive the binding. The one place an algorithm checks its
+  // options, and the one place an input-dependent failure of the index
+  // build surfaces (the power method's node cap): either comes back as a
+  // non-OK Status, and the algorithm must not be queried until a Bind has
+  // succeeded. Queries never re-check the options.
+  [[nodiscard]] virtual Status Bind(const Graph* g) = 0;
 
   // Moves the binding to `next`, the graph after `delta` was applied to the
   // bound one. The default rebinds from scratch; an index with a dynamic
-  // update path (READS) repairs itself instead.
-  virtual void Update(const Graph* next, const EdgeDelta& /*delta*/) {
-    Bind(next);
+  // update path (READS) repairs itself instead. Fails the way Bind does.
+  [[nodiscard]] virtual Status Update(const Graph* next,
+                                      const EdgeDelta& /*delta*/) {
+    return Bind(next);
   }
 
   // Estimated SimRank scores s(u, v) for every node v; the scores have size

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "simrank/walk.h"
-#include "util/logging.h"
 #include "util/parallel.h"
 #include "util/rng.h"
 #include "util/timer.h"
@@ -16,9 +15,8 @@ Sling::Sling(const SimRankOptions& options)
       sqrt_c_(std::sqrt(options.c)),
       prune_threshold_(options.epsilon / 8.0) {}
 
-void Sling::Bind(const Graph* g) {
-  const Status valid = options_.Validate();
-  CRASHSIM_CHECK(valid.ok()) << valid;
+Status Sling::Bind(const Graph* g) {
+  RETURN_IF_ERROR(options_.Validate());
   set_graph(g);
   Stopwatch timer;
   // Depth where even an un-branched walk's mass falls under the threshold.
@@ -35,6 +33,7 @@ void Sling::Bind(const Graph* g) {
                                       max_depth_ + 1, &rng);
   BuildReverseLists();
   stats_.build_seconds = timer.ElapsedSeconds();
+  return OkStatus();
 }
 
 void Sling::BuildReverseLists() {

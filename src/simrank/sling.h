@@ -34,7 +34,7 @@ class Sling : public SimRankAlgorithm {
   explicit Sling(const SimRankOptions& options);
 
   std::string name() const override { return "SLING"; }
-  void Bind(const Graph* g) override;
+  [[nodiscard]] Status Bind(const Graph* g) override;
 
   const IndexStats& index_stats() const { return stats_; }
 

@@ -53,26 +53,6 @@ FixedHistogram::Snapshot FixedHistogram::TakeSnapshot() const {
   return snap;
 }
 
-std::string FixedHistogram::ToString() const {
-  std::string out;
-  for (int b = 0; b < num_buckets(); ++b) {
-    const int64_t count = BucketCount(b);
-    if (count == 0) continue;
-    if (!out.empty()) out += " ";
-    if (b < static_cast<int>(bounds_.size())) {
-      const int64_t lo = b == 0 ? 0 : bounds_[static_cast<size_t>(b - 1)];
-      out += StrFormat("(%lld..%lld]:%lld", static_cast<long long>(lo),
-                       static_cast<long long>(bounds_[static_cast<size_t>(b)]),
-                       static_cast<long long>(count));
-    } else {
-      out += StrFormat("(%lld..]:%lld",
-                       static_cast<long long>(bounds_.back()),
-                       static_cast<long long>(count));
-    }
-  }
-  return out.empty() ? "(empty)" : out;
-}
-
 std::vector<int64_t> ExponentialBuckets(int64_t start, double factor,
                                         int count) {
   CRASHSIM_CHECK(start > 0 && factor > 1.0 && count > 0);
@@ -277,25 +257,6 @@ std::string RenderPrometheusText(MetricSamples samples) {
                      static_cast<long long>(snap.sum));
     out += StrFormat("%s_count %lld\n", name.c_str(),
                      static_cast<long long>(snap.total));
-  }
-  return out;
-}
-
-std::string MetricsRegistry::ToString() const {
-  const MutexLock lock(mu_);
-  std::string out;
-  for (const auto& [name, counter] : counters_) {
-    out += StrFormat("counter %-32s %lld\n", name.c_str(),
-                     static_cast<long long>(counter->Value()));
-  }
-  for (const auto& [name, gauge] : gauges_) {
-    out += StrFormat("gauge   %-32s %lld\n", name.c_str(),
-                     static_cast<long long>(gauge->Value()));
-  }
-  for (const auto& [name, hist] : histograms_) {
-    out += StrFormat("hist    %-32s n=%lld mean=%.1f %s\n", name.c_str(),
-                     static_cast<long long>(hist->TotalCount()), hist->Mean(),
-                     hist->ToString().c_str());
   }
   return out;
 }

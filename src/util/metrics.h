@@ -93,9 +93,6 @@ class FixedHistogram {
 
   Snapshot TakeSnapshot() const;
 
-  // Renders "(..8]:3 (8..64]:1 (64..]:0" skipping empty buckets.
-  std::string ToString() const;
-
  private:
   std::vector<int64_t> bounds_;
   std::vector<std::atomic<int64_t>> counts_;  // bounds_.size() + 1
@@ -220,9 +217,6 @@ class MetricsRegistry {
 
   // Point-in-time read of every metric, name-sorted within each kind.
   MetricSamples Snapshot() const;
-
-  // Multi-line human dump of every metric (counters, gauges, histograms).
-  std::string ToString() const;
 
   // Zeroes all counters (gauges and histogram contents are left alone —
   // gauges describe current state, histograms have no reset use case yet).

@@ -1,6 +1,7 @@
 #include "core/baseline_temporal.h"
 
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -8,6 +9,7 @@
 #include "core/crashsim.h"
 #include "core/crashsim_t.h"
 #include "graph/temporal_graph.h"
+#include "simrank/power_method.h"
 #include "simrank/probesim.h"
 #include "simrank/reads.h"
 
@@ -71,6 +73,23 @@ TEST(StaticRecomputeEngineTest, RespectsQuerySubInterval) {
   EXPECT_EQ(answer.stats.snapshots_processed, 3);
 }
 
+// A Bind failure (here the power method's node cap) is the answer's status,
+// naming the snapshot, not an abort.
+TEST(StaticRecomputeEngineTest, FailedBindAnswersItsStatus) {
+  TemporalGraphBuilder b(kPowerMethodMaxNodes + 1, /*undirected=*/false);
+  b.AddSnapshot({{0, 1}});
+  b.AddSnapshot({{0, 1}, {1, 2}});
+  const TemporalGraph tg = b.Build();
+  PowerMethod power_method;
+  StaticRecomputeEngine engine(&power_method);
+  const TemporalAnswer answer =
+      engine.Answer(tg, LeafQuery(1, 0.1), /*ctx=*/nullptr);
+  EXPECT_EQ(answer.status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(answer.status.message().find("snapshot 0"), std::string::npos)
+      << answer.status;
+  EXPECT_EQ(answer.stats.snapshots_processed, 0);
+}
+
 TEST(ReadsTemporalEngineTest, FindsCoLeavesWithIncrementalIndex) {
   const TemporalGraph tg = SplitWorld(5);
   ReadsOptions opt;
@@ -94,11 +113,11 @@ TEST(AlgorithmUpdateTest, DefaultUpdateScoresLikeFreshBind) {
   mc.trials_override = 500;
   ProbeSim updated(mc);
   ProbeSim rebound(mc);
-  updated.Bind(&g0);
-  rebound.Bind(&g0);
+  ASSERT_TRUE(updated.Bind(&g0).ok());
+  ASSERT_TRUE(rebound.Bind(&g0).ok());
   EXPECT_EQ(updated.SingleSource(1), rebound.SingleSource(1));
-  updated.Update(&g1, tg.Delta(1));
-  rebound.Bind(&g1);
+  ASSERT_TRUE(updated.Update(&g1, tg.Delta(1)).ok());
+  ASSERT_TRUE(rebound.Bind(&g1).ok());
   EXPECT_EQ(updated.SingleSource(1), rebound.SingleSource(1));
   EXPECT_EQ(updated.SingleSource(6), rebound.SingleSource(6));
 }
@@ -122,7 +141,7 @@ TEST(AlgorithmUpdateTest, ReadsEngineMatchesHandWrittenDeltaSequence) {
   for (int t = 0; t < 3; ++t) snapshots.push_back(tg.Snapshot(t));
   Reads hand(opt);
   CandidateFilter filter(q, tg.num_nodes());
-  hand.Bind(&snapshots[0]);
+  ASSERT_TRUE(hand.Bind(&snapshots[0]).ok());
   for (int t = 0; t < 3; ++t) {
     if (t > 0) hand.ApplyDelta(tg.Delta(t), &snapshots[t]);
     const std::vector<double> all = hand.SingleSource(q.source);

@@ -36,7 +36,7 @@ TEST_P(ErrorBoundSweep, TheoremOneHolds) {
   opt.mode = RevReachMode::kCorrected;
   opt.diag_samples = 4000;
   CrashSim algo(opt);
-  algo.Bind(&g);
+  ASSERT_TRUE(algo.Bind(&g).ok());
 
   Rng source_rng(seed);
   int violations = 0;

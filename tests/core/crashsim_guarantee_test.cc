@@ -59,8 +59,8 @@ TEST(CrashSimGuaranteeTest, BatchSizesShareTheGuaranteeStreams) {
   scalar_opt.num_threads = 1;
   CrashSim scalar(scalar_opt);
   CrashSim batched(GuaranteeOptions(/*seed=*/555));
-  scalar.Bind(&g);
-  batched.Bind(&g);
+  ASSERT_TRUE(scalar.Bind(&g).ok());
+  ASSERT_TRUE(batched.Bind(&g).ok());
   EXPECT_EQ(scalar.SingleSource(13), batched.SingleSource(13));
 }
 
@@ -76,7 +76,7 @@ TEST(CrashSimGuaranteeTest, EpsilonDeltaHoldsOverTwoHundredPairs) {
   int64_t violations = 0;
   for (size_t si = 0; si < sources.size(); ++si) {
     CrashSim algo(GuaranteeOptions(/*seed=*/1000 + si));
-    algo.Bind(&g);
+    ASSERT_TRUE(algo.Bind(&g).ok());
     const NodeId u = sources[si];
     const std::vector<double> scores = algo.SingleSource(u);
     for (NodeId v = 0; v < g.num_nodes(); ++v) {
@@ -106,7 +106,7 @@ TEST(CrashSimGuaranteeTest, StatsTrialBudgetMatchesLemmaThree) {
   Rng graph_rng(2024);
   const Graph g = ErdosRenyi(40, 160, false, &graph_rng);
   CrashSim algo(GuaranteeOptions(/*seed=*/55));
-  algo.Bind(&g);
+  ASSERT_TRUE(algo.Bind(&g).ok());
 
   QueryContext ctx;
   QueryStats qs;

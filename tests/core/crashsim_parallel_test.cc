@@ -22,8 +22,8 @@ TEST(CrashSimParallelTest, DeterministicAcrossRuns) {
   const Graph g = ErdosRenyi(120, 480, false, &rng);
   CrashSim a(Options(4));
   CrashSim b(Options(4));
-  a.Bind(&g);
-  b.Bind(&g);
+  ASSERT_TRUE(a.Bind(&g).ok());
+  ASSERT_TRUE(b.Bind(&g).ok());
   EXPECT_EQ(a.SingleSource(3), b.SingleSource(3));
 }
 
@@ -34,8 +34,8 @@ TEST(CrashSimParallelTest, IndependentOfThreadCount) {
   const Graph g = ErdosRenyi(100, 400, false, &rng);
   CrashSim two(Options(2));
   CrashSim eight(Options(8));
-  two.Bind(&g);
-  eight.Bind(&g);
+  ASSERT_TRUE(two.Bind(&g).ok());
+  ASSERT_TRUE(eight.Bind(&g).ok());
   EXPECT_EQ(two.SingleSource(7), eight.SingleSource(7));
 }
 
@@ -50,7 +50,7 @@ TEST(CrashSimParallelTest, ThreadCountSweepIsBitIdenticalBothPaths) {
   std::vector<std::vector<double>> anytime;
   for (int threads : {1, 2, 8}) {
     CrashSim algo(Options(threads, 1500, 77));
-    algo.Bind(&g);
+    ASSERT_TRUE(algo.Bind(&g).ok());
     if (threads > 1) legacy.push_back(algo.SingleSource(4));
     const PartialResult r = algo.SingleSource(4, nullptr);
     ASSERT_TRUE(r.complete());
@@ -69,7 +69,7 @@ TEST(CrashSimParallelTest, MatchesSequentialStatistically) {
   opt.mode = RevReachMode::kCorrected;
   opt.diag_samples = 2000;
   CrashSim parallel(opt);
-  parallel.Bind(&g);
+  ASSERT_TRUE(parallel.Bind(&g).ok());
   const auto scores = parallel.SingleSource(0);
   for (NodeId v = 1; v < 8; ++v) {
     EXPECT_NEAR(scores[static_cast<size_t>(v)], truth.At(0, v), 0.05)
@@ -84,11 +84,11 @@ TEST(CrashSimParallelTest, PartialSubsetAgreesWithFullRun) {
   Rng rng(3);
   const Graph g = ErdosRenyi(80, 320, false, &rng);
   CrashSim algo(Options(4));
-  algo.Bind(&g);
+  ASSERT_TRUE(algo.Bind(&g).ok());
   const auto all = algo.SingleSource(5);
   const std::vector<NodeId> cands{1, 9, 33, 60};
   CrashSim algo2(Options(4));
-  algo2.Bind(&g);
+  ASSERT_TRUE(algo2.Bind(&g).ok());
   const auto partial = algo2.Partial(5, cands);
   for (size_t i = 0; i < cands.size(); ++i) {
     EXPECT_DOUBLE_EQ(partial[i], all[static_cast<size_t>(cands[i])]);
@@ -108,8 +108,8 @@ TEST(CrashSimParallelTest, CorrectedModeCombinesWithThreads) {
   CrashSim four(opt);
   opt.num_threads = 2;
   CrashSim two(opt);
-  four.Bind(&g);
-  two.Bind(&g);
+  ASSERT_TRUE(four.Bind(&g).ok());
+  ASSERT_TRUE(two.Bind(&g).ok());
   const auto a = four.SingleSource(8);
   EXPECT_EQ(a, two.SingleSource(8));
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
@@ -123,7 +123,7 @@ TEST(CrashSimParallelTest, SelfScoreStillOne) {
   Rng rng(4);
   const Graph g = ErdosRenyi(50, 200, false, &rng);
   CrashSim algo(Options(4, 200));
-  algo.Bind(&g);
+  ASSERT_TRUE(algo.Bind(&g).ok());
   EXPECT_DOUBLE_EQ(algo.SingleSource(11)[11], 1.0);
 }
 

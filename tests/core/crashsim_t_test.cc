@@ -55,6 +55,26 @@ TemporalQuery StarThresholdQuery(int end_snapshot) {
   return q;
 }
 
+// The first snapshot's Bind checks the options before anything reads l_max
+// or n_r, so c = 1.5 is an answer, not an abort in CrashSimLMax, with or
+// without a shared diagonal table.
+TEST(CrashSimTTest, BadOptionsAnswerInvalidArgument) {
+  const TemporalGraph tg = SplitWorld(3);
+  CrashSimTOptions opt = Options(100);
+  opt.crashsim.mc.c = 1.5;
+  opt.crashsim.mode = RevReachMode::kCorrected;
+  SnapshotDiagonals table(&tg, opt.crashsim);
+  CrashSimT own(opt);
+  CrashSimT shared(opt, &table);
+  for (CrashSimT* engine : {&own, &shared}) {
+    const TemporalAnswer answer =
+        engine->Answer(tg, StarThresholdQuery(2), /*ctx=*/nullptr);
+    EXPECT_EQ(answer.status.code(), StatusCode::kInvalidArgument)
+        << answer.status;
+    EXPECT_EQ(answer.stats.snapshots_processed, 0);
+  }
+}
+
 TEST(CrashSimTTest, FindsCoLeavesUnderThreshold) {
   const TemporalGraph tg = SplitWorld(6);
   CrashSimT engine(Options(4000));

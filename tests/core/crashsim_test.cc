@@ -22,17 +22,32 @@ CrashSimOptions FastOptions(int64_t trials, uint64_t seed = 42) {
   return opt;
 }
 
+// Both Bind overloads check the options first and answer kInvalidArgument;
+// the diagonal overload does so before looking at the diagonal.
+TEST(CrashSimTest, BindRejectsBadOptions) {
+  const Graph g = PaperExampleGraph();
+  CrashSimOptions opt = FastOptions(100);
+  opt.mc.c = 1.5;
+  CrashSim algo(opt);
+  EXPECT_EQ(algo.Bind(&g).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(algo.Bind(&g, nullptr).code(), StatusCode::kInvalidArgument);
+  opt = FastOptions(100);
+  opt.batch_size = 0;
+  CrashSim batchless(opt);
+  EXPECT_EQ(batchless.Bind(&g).code(), StatusCode::kInvalidArgument);
+}
+
 TEST(CrashSimTest, SelfScoreIsOne) {
   const Graph g = PaperExampleGraph();
   CrashSim algo(FastOptions(100));
-  algo.Bind(&g);
+  ASSERT_TRUE(algo.Bind(&g).ok());
   EXPECT_DOUBLE_EQ(algo.SingleSource(0)[0], 1.0);
 }
 
 TEST(CrashSimTest, ScoresNonNegative) {
   const Graph g = PaperExampleGraph();
   CrashSim algo(FastOptions(1000));
-  algo.Bind(&g);
+  ASSERT_TRUE(algo.Bind(&g).ok());
   for (NodeId u = 0; u < 8; ++u) {
     for (double s : algo.SingleSource(u)) EXPECT_GE(s, 0.0);
   }
@@ -42,8 +57,8 @@ TEST(CrashSimTest, DeterministicGivenSeed) {
   const Graph g = PaperExampleGraph();
   CrashSim a(FastOptions(500, 3));
   CrashSim b(FastOptions(500, 3));
-  a.Bind(&g);
-  b.Bind(&g);
+  ASSERT_TRUE(a.Bind(&g).ok());
+  ASSERT_TRUE(b.Bind(&g).ok());
   EXPECT_EQ(a.SingleSource(1), b.SingleSource(1));
 }
 
@@ -79,7 +94,7 @@ TEST(CrashSimTest, PartialMatchesSingleSourceSubset) {
   const Graph g = PaperExampleGraph();
   const SimRankMatrix truth = PowerMethodAllPairs(g, 0.6, 55);
   CrashSim algo(FastOptions(20000));
-  algo.Bind(&g);
+  ASSERT_TRUE(algo.Bind(&g).ok());
   const std::vector<NodeId> cands{2, 4, 6};
   const auto partial = algo.Partial(0, cands);
   ASSERT_EQ(partial.size(), 3u);
@@ -91,7 +106,7 @@ TEST(CrashSimTest, PartialMatchesSingleSourceSubset) {
 TEST(CrashSimTest, PartialWithSourceInCandidates) {
   const Graph g = PaperExampleGraph();
   CrashSim algo(FastOptions(100));
-  algo.Bind(&g);
+  ASSERT_TRUE(algo.Bind(&g).ok());
   const std::vector<NodeId> cands{0, 3};
   const auto partial = algo.Partial(0, cands);
   EXPECT_DOUBLE_EQ(partial[0], 1.0);
@@ -100,7 +115,7 @@ TEST(CrashSimTest, PartialWithSourceInCandidates) {
 TEST(CrashSimTest, PartialEmptyCandidates) {
   const Graph g = PaperExampleGraph();
   CrashSim algo(FastOptions(100));
-  algo.Bind(&g);
+  ASSERT_TRUE(algo.Bind(&g).ok());
   EXPECT_TRUE(algo.Partial(0, {}).empty());
 }
 
@@ -108,8 +123,8 @@ TEST(CrashSimTest, PartialWithTreeMatchesPartial) {
   const Graph g = PaperExampleGraph();
   CrashSim a(FastOptions(400, 5));
   CrashSim b(FastOptions(400, 5));
-  a.Bind(&g);
-  b.Bind(&g);
+  ASSERT_TRUE(a.Bind(&g).ok());
+  ASSERT_TRUE(b.Bind(&g).ok());
   const std::vector<NodeId> cands{1, 2, 3};
   const auto tree = b.BuildTree(0);
   EXPECT_EQ(a.Partial(0, cands),
@@ -122,7 +137,7 @@ TEST(CrashSimTest, PaperModeApproximatesGroundTruthOnExample) {
   const Graph g = PaperExampleGraph();
   const SimRankMatrix truth = PowerMethodAllPairs(g, 0.6, 55);
   CrashSim algo(FastOptions(20000));
-  algo.Bind(&g);
+  ASSERT_TRUE(algo.Bind(&g).ok());
   const auto scores = algo.SingleSource(0);
   for (NodeId v = 1; v < 8; ++v) {
     EXPECT_NEAR(scores[static_cast<size_t>(v)], truth.At(0, v), 0.12)
@@ -137,7 +152,7 @@ TEST(CrashSimTest, CorrectedModeApproximatesGroundTruthTightly) {
   opt.mode = RevReachMode::kCorrected;
   opt.diag_samples = 3000;
   CrashSim algo(opt);
-  algo.Bind(&g);
+  ASSERT_TRUE(algo.Bind(&g).ok());
   for (NodeId u : {0, 4}) {
     const auto scores = algo.SingleSource(u);
     for (NodeId v = 0; v < 8; ++v) {
@@ -156,7 +171,7 @@ TEST(CrashSimTest, CorrectedModeOnRandomGraph) {
   opt.mode = RevReachMode::kCorrected;
   opt.diag_samples = 2000;
   CrashSim algo(opt);
-  algo.Bind(&g);
+  ASSERT_TRUE(algo.Bind(&g).ok());
   const auto scores = algo.SingleSource(9);
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
     if (v == 9) continue;
@@ -190,7 +205,7 @@ TEST(CrashSimTest, DeepestTreeLevelContributesToScores) {
   opt.mc.seed = 12;
   opt.lmax_override = l_max;
   CrashSim algo(opt);
-  algo.Bind(&g);
+  ASSERT_TRUE(algo.Bind(&g).ok());
   const auto tree = algo.BuildTree(u);
   ASSERT_EQ(tree.max_level(), l_max);
   ASSERT_GT(tree.Probability(l_max, z), 0.0);      // z sits at the deepest level
@@ -210,7 +225,7 @@ TEST(CrashSimTest, DeepestTreeLevelContributesToScores) {
 TEST(CrashSimTest, SourceWithEmptyTreeGivesZeros) {
   const Graph g = BuildGraph(3, {{0, 1}, {0, 2}});
   CrashSim algo(FastOptions(200));
-  algo.Bind(&g);
+  ASSERT_TRUE(algo.Bind(&g).ok());
   const auto scores = algo.SingleSource(0);
   EXPECT_DOUBLE_EQ(scores[1], 0.0);
   EXPECT_DOUBLE_EQ(scores[2], 0.0);
@@ -226,7 +241,7 @@ TEST(CrashSimTest, StarLeavesScoreNearCInCorrectedMode) {
   opt.mode = RevReachMode::kCorrected;
   opt.diag_samples = 2000;
   CrashSim corrected(opt);
-  corrected.Bind(&g);
+  ASSERT_TRUE(corrected.Bind(&g).ok());
   const auto scores = corrected.SingleSource(1);
   for (NodeId v = 2; v < 8; ++v) {
     EXPECT_NEAR(scores[static_cast<size_t>(v)], 0.6, 0.03)
@@ -234,7 +249,7 @@ TEST(CrashSimTest, StarLeavesScoreNearCInCorrectedMode) {
   }
 
   CrashSim paper(FastOptions(20000));
-  paper.Bind(&g);
+  ASSERT_TRUE(paper.Bind(&g).ok());
   const auto paper_scores = paper.SingleSource(1);
   EXPECT_LT(paper_scores[2], 0.4) << "paper-mode bias disappeared?";
 }

@@ -449,13 +449,13 @@ TEST(ExecutorTest, UnloadedExecutorPreservesEngineResultsExactly) {
   copt.mc.seed = 11;
 
   CrashSim direct(copt);
-  direct.Bind(&g);
+  ASSERT_TRUE(direct.Bind(&g).ok());
   QueryContext direct_ctx;
   const PartialResult expected = direct.SingleSource(5, &direct_ctx);
   ASSERT_TRUE(expected.status.ok());
 
   CrashSim engine(copt);
-  engine.Bind(&g);
+  ASSERT_TRUE(engine.Bind(&g).ok());
   QueryExecutor executor(ExecutorOptions{});
   QueryRequest request;
   request.run = [&](QueryContext* ctx) { return engine.SingleSource(5, ctx); };

@@ -71,21 +71,13 @@ TEST(QueryContextTest, CancellationWinsOverExpiredDeadline) {
   EXPECT_EQ(ctx.Check().code(), StatusCode::kCancelled);
 }
 
-TEST(QueryContextTest, TrialProgressCountersAreVisible) {
-  QueryContext ctx;
-  EXPECT_EQ(ctx.trials_done(), 0);
-  ctx.ReportTrials(17, 4096);
-  EXPECT_EQ(ctx.trials_done(), 17);
-  EXPECT_EQ(ctx.trials_target(), 4096);
-}
-
 // The core determinism contract: interrupting a run after its first trial
 // block produces exactly the scores of a fresh run planned for that many
 // trials with the same seed.
 TEST(AnytimeCrashSimTest, ExpiredDeadlineYieldsOneTrialBlockDeterministically) {
   const Graph g = TestGraph();
   CrashSim algo(Options(5000, 9));
-  algo.Bind(&g);
+  ASSERT_TRUE(algo.Bind(&g).ok());
   const ReverseReachableTree tree = algo.BuildTree(3);
   std::vector<NodeId> cands(static_cast<size_t>(g.num_nodes()));
   std::iota(cands.begin(), cands.end(), 0);
@@ -99,7 +91,7 @@ TEST(AnytimeCrashSimTest, ExpiredDeadlineYieldsOneTrialBlockDeterministically) {
   ASSERT_EQ(cut.scores.size(), cands.size());
 
   CrashSim fresh(Options(1, 9));
-  fresh.Bind(&g);
+  ASSERT_TRUE(fresh.Bind(&g).ok());
   const PartialResult full = fresh.PartialWithTree(tree, cands, nullptr);
   EXPECT_TRUE(full.complete());
   EXPECT_EQ(full.trials_done, 1);
@@ -113,7 +105,7 @@ TEST(AnytimeCrashSimTest, CancelledAtTrialKMatchesFreshRunPlannedForK) {
   const Graph g = TestGraph(300, 8);
   constexpr int64_t kTarget = 8000;
   CrashSim algo(Options(kTarget, 11));
-  algo.Bind(&g);
+  ASSERT_TRUE(algo.Bind(&g).ok());
   const ReverseReachableTree tree = algo.BuildTree(0);
   std::vector<NodeId> cands(static_cast<size_t>(g.num_nodes()));
   std::iota(cands.begin(), cands.end(), 0);
@@ -134,7 +126,7 @@ TEST(AnytimeCrashSimTest, CancelledAtTrialKMatchesFreshRunPlannedForK) {
   }
 
   CrashSim fresh(Options(cut.trials_done, 11));
-  fresh.Bind(&g);
+  ASSERT_TRUE(fresh.Bind(&g).ok());
   const PartialResult full = fresh.PartialWithTree(tree, cands, nullptr);
   EXPECT_TRUE(full.complete());
   EXPECT_EQ(full.trials_done, cut.trials_done);
@@ -144,7 +136,7 @@ TEST(AnytimeCrashSimTest, CancelledAtTrialKMatchesFreshRunPlannedForK) {
 TEST(AnytimeCrashSimTest, EpsilonAchievedMatchesTheAnytimeBound) {
   const Graph g = TestGraph();
   CrashSim algo(Options(5000, 9));
-  algo.Bind(&g);
+  ASSERT_TRUE(algo.Bind(&g).ok());
   // Pre-build the tree so the expired deadline cuts the trial loop, not the
   // tree construction — the first trial block is then guaranteed to run, no
   // matter how slow the machine (or sanitizer) is.
@@ -176,7 +168,7 @@ TEST(AnytimeCrashSimTest, EpsilonAchievedMatchesTheAnytimeBound) {
 TEST(AnytimeCrashSimTest, CompletedRunIsOkAndSelfScoreIsOne) {
   const Graph g = TestGraph(60);
   CrashSim algo(Options(400, 4));
-  algo.Bind(&g);
+  ASSERT_TRUE(algo.Bind(&g).ok());
   QueryContext ctx(std::chrono::hours(1));
   const PartialResult result = algo.SingleSource(7, &ctx);
   EXPECT_TRUE(result.complete());
@@ -201,8 +193,8 @@ TEST(AnytimeCrashSimTest, ParallelAndSequentialContextPathsAgree) {
   par.num_threads = 4;
   CrashSim a(seq);
   CrashSim b(par);
-  a.Bind(&g);
-  b.Bind(&g);
+  ASSERT_TRUE(a.Bind(&g).ok());
+  ASSERT_TRUE(b.Bind(&g).ok());
   const PartialResult ra = a.SingleSource(2, nullptr);
   const PartialResult rb = b.SingleSource(2, nullptr);
   EXPECT_TRUE(ra.complete());
@@ -213,7 +205,7 @@ TEST(AnytimeCrashSimTest, ParallelAndSequentialContextPathsAgree) {
 TEST(AnytimeCrashSimTest, NullContextMatchesUnboundedContext) {
   const Graph g = TestGraph(60);
   CrashSim algo(Options(300, 6));
-  algo.Bind(&g);
+  ASSERT_TRUE(algo.Bind(&g).ok());
   QueryContext unbounded;
   const PartialResult with_ctx = algo.SingleSource(1, &unbounded);
   const PartialResult without = algo.SingleSource(1, nullptr);
@@ -224,7 +216,7 @@ TEST(AnytimeCrashSimTest, NullContextMatchesUnboundedContext) {
 TEST(AnytimeCrashSimTest, InvalidSourceIsStatusNotCrash) {
   const Graph g = TestGraph(50);
   CrashSim algo(Options(100));
-  algo.Bind(&g);
+  ASSERT_TRUE(algo.Bind(&g).ok());
   const PartialResult result = algo.SingleSource(-1, nullptr);
   EXPECT_EQ(result.status.code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(result.trials_done, 0);
@@ -233,7 +225,7 @@ TEST(AnytimeCrashSimTest, InvalidSourceIsStatusNotCrash) {
 TEST(AnytimeCrashSimTest, InvalidCandidateIsStatusNotCrash) {
   const Graph g = TestGraph(50);
   CrashSim algo(Options(100));
-  algo.Bind(&g);
+  ASSERT_TRUE(algo.Bind(&g).ok());
   const std::vector<NodeId> cands = {1, 2, 999};
   const PartialResult result = algo.Partial(0, cands, nullptr);
   EXPECT_EQ(result.status.code(), StatusCode::kInvalidArgument);
@@ -256,7 +248,7 @@ TEST(EstimatorInterfaceTest, InvalidIdsAreStatusNotCrash) {
   algos.push_back(std::make_unique<PairwiseMonteCarlo>(mc));
   for (const std::unique_ptr<SimRankAlgorithm>& algo : algos) {
     SCOPED_TRACE(algo->name());
-    algo->Bind(&g);
+    ASSERT_TRUE(algo->Bind(&g).ok());
     for (const NodeId bad : {NodeId{-1}, NodeId{50}}) {
       const PartialResult source = algo->SingleSource(bad, nullptr);
       EXPECT_EQ(source.status.code(), StatusCode::kInvalidArgument);
@@ -273,7 +265,7 @@ TEST(EstimatorInterfaceTest, InvalidIdsAreStatusNotCrash) {
 TEST(AnytimeCrashSimTest, DeadlineDuringTreeBuildReportsZeroTrials) {
   const Graph g = TestGraph(50);
   CrashSim algo(Options(100));
-  algo.Bind(&g);
+  ASSERT_TRUE(algo.Bind(&g).ok());
   QueryContext ctx(std::chrono::milliseconds(0));
   // SingleSource goes through tree construction, whose per-level checkpoint
   // fires before any trial can run.

@@ -75,7 +75,7 @@ TEST(QueryStatsDeterminismTest, CrashSimCountersIndependentOfThreadCount) {
       opt.num_threads = threads;
       opt.batch_size = batch;
       CrashSim algo(opt);
-      algo.Bind(&g);
+      ASSERT_TRUE(algo.Bind(&g).ok());
       QueryStats stats;
       QueryContext ctx;
       ctx.set_stats(&stats);

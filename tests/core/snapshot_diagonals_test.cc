@@ -9,7 +9,6 @@
 #include "core/snapshot_diagonals.h"
 
 #include <latch>
-#include <new>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -58,12 +57,12 @@ TEST(SnapshotDiagonalsTest, BindIsIndependentOfEarlierBinds) {
   const CrashSimOptions options = CorrectedOptions().crashsim;
   CrashSim reused(options);
   SnapshotCursor cursor(&ds.temporal);
-  reused.Bind(&cursor.graph());
+  ASSERT_TRUE(reused.Bind(&cursor.graph()).ok());
   for (int t = 1; t < ds.temporal.num_snapshots(); ++t) {
     cursor.Advance();
-    reused.Bind(&cursor.graph());
+    ASSERT_TRUE(reused.Bind(&cursor.graph()).ok());
     CrashSim fresh(options);
-    fresh.Bind(&cursor.graph());
+    ASSERT_TRUE(fresh.Bind(&cursor.graph()).ok());
     ASSERT_EQ(reused.diagonal(), fresh.diagonal()) << "snapshot " << t;
     EXPECT_EQ(reused.SingleSource(2), fresh.SingleSource(2))
         << "snapshot " << t;
@@ -90,7 +89,7 @@ TEST(SnapshotDiagonalsTest, SnapshotScoresMatchAFreshBindWhateverTheStart) {
       for (int t = begin; t <= q.end_snapshot && filter.size() > 0; ++t) {
         const Graph g = tg.Snapshot(t);
         CrashSim fresh(options.crashsim);
-        fresh.Bind(&g);
+        ASSERT_TRUE(fresh.Bind(&g).ok());
         filter.Observe(fresh.Partial(q.source, filter.candidates()));
       }
       CrashSimT uncached(options);
@@ -158,7 +157,9 @@ TEST(SnapshotDiagonalsTest, PaperModeStoresNothing) {
   options.crashsim.mode = RevReachMode::kPaper;
   const int64_t before = EstimatesSoFar();
   SnapshotDiagonals table(&ds.temporal, options.crashsim);
-  EXPECT_EQ(table.Get(0, ds.temporal.Snapshot(0)), nullptr);
+  const StatusOr<SharedDiagonal> none = table.Get(0, ds.temporal.Snapshot(0));
+  ASSERT_TRUE(none.ok()) << none.status();
+  EXPECT_EQ(*none, nullptr);
   const TemporalQuery q = Query(TemporalQueryKind::kThreshold, 0, 3);
   CrashSimT uncached(options);
   CrashSimT cached(options, &table);
@@ -205,7 +206,9 @@ TEST(SnapshotDiagonalsConcurrencyStressTest, ConcurrentFirstUseEstimatesOnce) {
     for (int i = 0; i < kThreads; ++i) {
       threads.emplace_back([&, i] {
         start.arrive_and_wait();
-        got[static_cast<size_t>(i)] = table.Get(1, g);
+        const StatusOr<SharedDiagonal> diag = table.Get(1, g);
+        ASSERT_TRUE(diag.ok()) << diag.status();
+        got[static_cast<size_t>(i)] = *diag;
       });
     }
     for (std::thread& t : threads) t.join();
@@ -214,7 +217,7 @@ TEST(SnapshotDiagonalsConcurrencyStressTest, ConcurrentFirstUseEstimatesOnce) {
   ASSERT_NE(got[0], nullptr);
   for (const SharedDiagonal& d : got) EXPECT_EQ(d.get(), got[0].get());
   CrashSim fresh(options);
-  fresh.Bind(&g);
+  ASSERT_TRUE(fresh.Bind(&g).ok());
   EXPECT_EQ(*got[0], fresh.diagonal());
 }
 
@@ -265,8 +268,9 @@ TEST(SnapshotDiagonalsConcurrencyStressTest, FailedFillLeavesSlotRetryable) {
     spec.action = FailpointAction::kBadAlloc;
     spec.max_fires = 2;
     ASSERT_TRUE(ConfigureFailpoint("snapshot_diagonals.fill", spec).ok());
-    EXPECT_THROW(table.Get(0, g), std::bad_alloc);
-    // Through the engine the same fault is a status, not a throw.
+    EXPECT_EQ(table.Get(0, g).status().code(),
+              StatusCode::kResourceExhausted);
+    // Through the engine the same status ends the answer.
     CrashSimT engine(options, &table);
     QueryContext ctx;
     const TemporalAnswer cut =
@@ -277,12 +281,13 @@ TEST(SnapshotDiagonalsConcurrencyStressTest, FailedFillLeavesSlotRetryable) {
   }
   EXPECT_EQ(EstimatesSoFar(), before);  // no fill completed
 
-  const SharedDiagonal retried = table.Get(0, g);
-  ASSERT_NE(retried, nullptr);
+  const StatusOr<SharedDiagonal> retried = table.Get(0, g);
+  ASSERT_TRUE(retried.ok()) << retried.status();
+  ASSERT_NE(*retried, nullptr);
   EXPECT_EQ(EstimatesSoFar() - before, 1);
   CrashSim fresh(options.crashsim);
-  fresh.Bind(&g);
-  EXPECT_EQ(*retried, fresh.diagonal());
+  ASSERT_TRUE(fresh.Bind(&g).ok());
+  EXPECT_EQ(**retried, fresh.diagonal());
 }
 
 }  // namespace

@@ -62,8 +62,8 @@ TEST(Lemma2Test, TruncationShiftsEstimatesByAtMostEpsT) {
   // same source and compare score vectors.
   CrashSim a(truncated);
   CrashSim b(untruncated);
-  a.Bind(&g);
-  b.Bind(&g);
+  ASSERT_TRUE(a.Bind(&g).ok());
+  ASSERT_TRUE(b.Bind(&g).ok());
   const auto sa = a.SingleSource(2);
   const auto sb = b.SingleSource(2);
   double max_gap = 0.0;
@@ -104,7 +104,7 @@ TEST(ComplexityAccountingTest, PartialCostProportionalToCandidates) {
   CrashSimOptions opt;
   opt.mc.trials_override = 50;
   CrashSim algo(opt);
-  algo.Bind(&g);
+  ASSERT_TRUE(algo.Bind(&g).ok());
   const std::vector<NodeId> small{1, 2, 3};
   std::vector<NodeId> large;
   for (NodeId v = 0; v < 60; ++v) large.push_back(v);

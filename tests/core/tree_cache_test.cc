@@ -61,7 +61,7 @@ TEST(TreeCacheTest, CachedTreeEqualsDirectBuild) {
   const Graph g = ErdosRenyi(300, 1500, /*undirected=*/false, &rng);
   const CrashSimOptions eopt = TestEngineOptions();
   CrashSim engine(eopt);
-  engine.Bind(&g);
+  ASSERT_TRUE(engine.Bind(&g).ok());
 
   TreeCache cache(&g, MatchingCacheOptions(eopt));
   QueryContext ctx;
@@ -76,7 +76,7 @@ TEST(TreeCacheTest, SecondLookupHitsAndDistinctKeysMiss) {
   const Graph g = ErdosRenyi(200, 900, /*undirected=*/false, &rng);
   const CrashSimOptions eopt = TestEngineOptions();
   CrashSim engine(eopt);
-  engine.Bind(&g);
+  ASSERT_TRUE(engine.Bind(&g).ok());
   TreeCache cache(&g, MatchingCacheOptions(eopt));
 
   QueryContext ctx;
@@ -103,7 +103,7 @@ TEST(TreeCacheTest, ConcurrentSharedTreeQueriesAreBitIdenticalToUncached) {
   const Graph g = ErdosRenyi(300, 1500, /*undirected=*/false, &rng);
   const CrashSimOptions eopt = TestEngineOptions();
   CrashSim engine(eopt);
-  engine.Bind(&g);
+  ASSERT_TRUE(engine.Bind(&g).ok());
 
   constexpr NodeId kSource = 11;
   QueryContext direct_ctx;
@@ -147,7 +147,7 @@ TEST(TreeCacheTest, InFlightBuildCoalescesWaiters) {
   const Graph g = ErdosRenyi(200, 900, /*undirected=*/false, &rng);
   const CrashSimOptions eopt = TestEngineOptions();
   CrashSim engine(eopt);
-  engine.Bind(&g);
+  ASSERT_TRUE(engine.Bind(&g).ok());
   TreeCache cache(&g, MatchingCacheOptions(eopt));
 
   FailpointScope failpoints(/*seed=*/3);
@@ -188,7 +188,7 @@ TEST(TreeCacheTest, WaiterDeadlineExpiresDuringInFlightBuild) {
   const Graph g = ErdosRenyi(200, 900, /*undirected=*/false, &rng);
   const CrashSimOptions eopt = TestEngineOptions();
   CrashSim engine(eopt);
-  engine.Bind(&g);
+  ASSERT_TRUE(engine.Bind(&g).ok());
   TreeCache cache(&g, MatchingCacheOptions(eopt));
 
   FailpointScope failpoints(/*seed=*/3);
@@ -222,7 +222,7 @@ TEST(TreeCacheTest, BudgetShedBuildIsNotCachedAndSlotRecovers) {
   const Graph g = ErdosRenyi(400, 3000, /*undirected=*/false, &rng);
   const CrashSimOptions eopt = TestEngineOptions();
   CrashSim engine(eopt);
-  engine.Bind(&g);
+  ASSERT_TRUE(engine.Bind(&g).ok());
   TreeCache cache(&g, MatchingCacheOptions(eopt));
 
   MemoryBudget tiny(64);  // far below any revReach scratch allocation
@@ -250,7 +250,7 @@ TEST(TreeCacheTest, DenseRowsCountAgainstCapacity) {
   const Graph g = ErdosRenyi(300, 1500, /*undirected=*/false, &rng);
   const CrashSimOptions eopt = TestEngineOptions();
   CrashSim engine(eopt);
-  engine.Bind(&g);
+  ASSERT_TRUE(engine.Bind(&g).ok());
   const ReverseReachableTree probe = engine.BuildTree(0);
   const ReverseReachableTree::DenseRows& rows = probe.EnsureDenseRows();
   ASSERT_FALSE(rows.prob.empty()) << "expected dense levels";
@@ -292,7 +292,7 @@ TEST(TreeCacheTest, EvictsLeastRecentlyUsedUnderCapacityPressure) {
   const Graph g = ErdosRenyi(300, 1500, /*undirected=*/false, &rng);
   const CrashSimOptions eopt = TestEngineOptions();
   CrashSim engine(eopt);
-  engine.Bind(&g);
+  ASSERT_TRUE(engine.Bind(&g).ok());
 
   QueryContext ctx;
   TreeCacheOptions copt = MatchingCacheOptions(eopt);
@@ -333,7 +333,7 @@ TEST(TreeCacheTest, BadAllocDuringBuildDoesNotPoisonTheKey) {
   const Graph g = ErdosRenyi(200, 900, /*undirected=*/false, &rng);
   const CrashSimOptions eopt = TestEngineOptions();
   CrashSim engine(eopt);
-  engine.Bind(&g);
+  ASSERT_TRUE(engine.Bind(&g).ok());
   TreeCache cache(&g, MatchingCacheOptions(eopt));
 
   {

@@ -46,7 +46,7 @@ TEST(WalkBatchTest, BitIdenticalAcrossBatchSizesAndThreadCounts) {
   for (const int batch : kBatchSweep) {
     for (const int threads : kThreadSweep) {
       CrashSim algo(Options(batch, threads));
-      algo.Bind(&g);
+      ASSERT_TRUE(algo.Bind(&g).ok());
       const PartialResult r = algo.SingleSource(5, nullptr);
       ASSERT_TRUE(r.complete());
       if (reference.empty()) {
@@ -71,7 +71,7 @@ TEST(WalkBatchTest, TopKRankingIdenticalAcrossBatchSizes) {
   std::vector<std::pair<double, NodeId>> reference;
   for (const int batch : kBatchSweep) {
     CrashSim algo(Options(batch, 8, 400, 9));
-    algo.Bind(&g);
+    ASSERT_TRUE(algo.Bind(&g).ok());
     const PartialResult r = algo.SingleSource(0, nullptr);
     ASSERT_TRUE(r.complete());
     std::vector<std::pair<double, NodeId>> ranked;
@@ -102,7 +102,7 @@ TEST(WalkBatchTest, CorrectedModeMatchesAcrossBatchSizes) {
     opt.mode = RevReachMode::kCorrected;
     opt.diag_samples = 200;
     CrashSim algo(opt);
-    algo.Bind(&g);
+    ASSERT_TRUE(algo.Bind(&g).ok());
     const PartialResult r = algo.SingleSource(2, nullptr);
     ASSERT_TRUE(r.complete());
     if (reference.empty()) {
@@ -123,14 +123,14 @@ TEST(WalkBatchTest, DeadlineTruncatedPartialIsBitIdenticalAcrossBatchSizes) {
   std::vector<NodeId> cands(static_cast<size_t>(g.num_nodes()));
   std::iota(cands.begin(), cands.end(), 0);
   CrashSim fresh(Options(1, 1, /*trials=*/1));
-  fresh.Bind(&g);
+  ASSERT_TRUE(fresh.Bind(&g).ok());
   const ReverseReachableTree tree = fresh.BuildTree(4);
   const PartialResult want = fresh.PartialWithTree(tree, cands, nullptr);
   ASSERT_TRUE(want.complete());
   for (const int batch : kBatchSweep) {
     for (const int threads : kThreadSweep) {
       CrashSim algo(Options(batch, threads, 600));
-      algo.Bind(&g);
+      ASSERT_TRUE(algo.Bind(&g).ok());
       QueryContext ctx(std::chrono::milliseconds(-1));
       const PartialResult r = algo.PartialWithTree(tree, cands, &ctx);
       ASSERT_FALSE(r.complete());
@@ -151,13 +151,13 @@ TEST(WalkBatchTest, CancellationBeforeRunStillYieldsOneTrialBlock) {
   std::vector<NodeId> cands(static_cast<size_t>(g.num_nodes()));
   std::iota(cands.begin(), cands.end(), 0);
   CrashSim fresh(Options(1, 1, /*trials=*/1));
-  fresh.Bind(&g);
+  ASSERT_TRUE(fresh.Bind(&g).ok());
   const ReverseReachableTree tree = fresh.BuildTree(6);
   const PartialResult want = fresh.PartialWithTree(tree, cands, nullptr);
   ASSERT_TRUE(want.complete());
   for (const int batch : {4, 256}) {
     CrashSim algo(Options(batch, 8, 600));
-    algo.Bind(&g);
+    ASSERT_TRUE(algo.Bind(&g).ok());
     QueryContext cancelled;
     cancelled.Cancel();
     const PartialResult got = algo.PartialWithTree(tree, cands, &cancelled);
@@ -176,7 +176,7 @@ TEST(WalkBatchTest, CancellationMidRunReplaysToIdenticalPrefix) {
   const Graph g = ErdosRenyi(150, 600, false, &rng);
   for (const int batch : {4, 256}) {
     CrashSim algo(Options(batch, 8, /*trials=*/5000, 31));
-    algo.Bind(&g);
+    ASSERT_TRUE(algo.Bind(&g).ok());
     QueryContext ctx;
     std::atomic<bool> go{false};
     std::thread canceller([&] {
@@ -197,7 +197,7 @@ TEST(WalkBatchTest, CancellationMidRunReplaysToIdenticalPrefix) {
       continue;
     }
     CrashSim replay(Options(1, 1, partial.trials_done, 31));
-    replay.Bind(&g);
+    ASSERT_TRUE(replay.Bind(&g).ok());
     const PartialResult full = replay.SingleSource(9, nullptr);
     ASSERT_TRUE(full.complete());
     EXPECT_EQ(full.scores, partial.scores)
@@ -212,11 +212,11 @@ TEST(WalkBatchTest, PartialCandidateSubsetsMatchFullRun) {
   Rng rng(37);
   const Graph g = ErdosRenyi(100, 400, false, &rng);
   CrashSim algo(Options(32, 1, 500, 5));
-  algo.Bind(&g);
+  ASSERT_TRUE(algo.Bind(&g).ok());
   const PartialResult full = algo.SingleSource(3, nullptr);
   const std::vector<NodeId> subset = {99, 17, 3, 42, 0};
   CrashSim again(Options(256, 1, 500, 5));
-  again.Bind(&g);
+  ASSERT_TRUE(again.Bind(&g).ok());
   const PartialResult part = again.Partial(3, subset, nullptr);
   ASSERT_TRUE(part.complete());
   for (size_t i = 0; i < subset.size(); ++i) {
@@ -236,7 +236,7 @@ TEST(WalkBatchTest, EdgeGraphShapesMatchScalarExactly) {
     std::vector<double> reference;
     for (const int batch : kBatchSweep) {
       CrashSim algo(Options(batch, 1, 400, 13));
-      algo.Bind(&g);
+      ASSERT_TRUE(algo.Bind(&g).ok());
       const PartialResult r = algo.SingleSource(g.num_nodes() - 1, nullptr);
       ASSERT_TRUE(r.complete());
       if (reference.empty()) {

@@ -11,7 +11,7 @@ namespace {
 TEST(GroundTruthTest, BindComputesMatrix) {
   const Graph g = PaperExampleGraph();
   PowerMethod gt(0.6, 55);
-  gt.Bind(&g);
+  ASSERT_TRUE(gt.Bind(&g).ok());
   EXPECT_EQ(gt.matrix().num_nodes(), 8);
   const auto row = gt.matrix().Row(0);
   EXPECT_DOUBLE_EQ(row[0], 1.0);
@@ -24,7 +24,7 @@ TEST(GroundTruthTest, BindComputesMatrix) {
 TEST(GroundTruthTest, RowMatchesMatrix) {
   const Graph g = PaperExampleGraph();
   PowerMethod gt(0.25, 30);
-  gt.Bind(&g);
+  ASSERT_TRUE(gt.Bind(&g).ok());
   const auto row = gt.matrix().Row(3);
   for (NodeId v = 0; v < 8; ++v) {
     EXPECT_DOUBLE_EQ(row[static_cast<size_t>(v)], gt.matrix().At(3, v));

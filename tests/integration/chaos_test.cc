@@ -93,7 +93,7 @@ TEST(ChaosTest, ConcurrentMixSurvivesInjectedFaultsWithCleanTaxonomy) {
   for (int c = 0; c < kClients; ++c) {
     for (int q = 0; q < kQueriesPerClient; ++q) {
       CrashSim engine(EngineOptions(QuerySeed(c, q)));
-      engine.Bind(&g);
+      ASSERT_TRUE(engine.Bind(&g).ok());
       QueryContext ctx;
       baseline[static_cast<size_t>(c)].push_back(
           engine.SingleSource(QuerySource(c, q, g.num_nodes()), &ctx));
@@ -135,7 +135,7 @@ TEST(ChaosTest, ConcurrentMixSurvivesInjectedFaultsWithCleanTaxonomy) {
       clients.emplace_back([&, c] {
         for (int q = 0; q < kQueriesPerClient; ++q) {
           CrashSim engine(EngineOptions(QuerySeed(c, q)));
-          engine.Bind(&g);
+          ASSERT_TRUE(engine.Bind(&g).ok());
           const NodeId source = QuerySource(c, q, g.num_nodes());
           QueryRequest request;
           request.run = [&](QueryContext* ctx) {
@@ -196,7 +196,7 @@ TEST(ChaosTest, FourTimesOverloadShedsOrDegradesButNeverAborts) {
   for (int c = 0; c < kOverloadClients; ++c) {
     clients.emplace_back([&, c] {
       CrashSim engine(EngineOptions(2000 + static_cast<uint64_t>(c)));
-      engine.Bind(&g);
+      ASSERT_TRUE(engine.Bind(&g).ok());
       const NodeId source = static_cast<NodeId>(c % g.num_nodes());
       QueryRequest request;
       request.run = [&](QueryContext* ctx) {
@@ -312,7 +312,7 @@ TEST(ChaosTest, WorkerFaultInParallelTrialBlockKeepsPartialExact) {
     ASSERT_TRUE(ConfigureFailpoint("parallel.worker", spec).ok());
 
     CrashSim engine(opt);
-    engine.Bind(&g);
+    ASSERT_TRUE(engine.Bind(&g).ok());
     QueryContext ctx;
     const PartialResult partial = engine.SingleSource(4, &ctx);
     if (partial.status.ok()) continue;  // this seed spared every worker
@@ -326,7 +326,7 @@ TEST(ChaosTest, WorkerFaultInParallelTrialBlockKeepsPartialExact) {
     CrashSimOptions replay_opt = opt;
     replay_opt.mc.trials_override = partial.trials_done;
     CrashSim replay(replay_opt);
-    replay.Bind(&g);
+    ASSERT_TRUE(replay.Bind(&g).ok());
     QueryContext fresh;
     const PartialResult full = replay.SingleSource(4, &fresh);
     ASSERT_TRUE(full.status.ok());
@@ -369,7 +369,7 @@ TEST(ChaosTest, BatchedWalkEngineRollsBackFaultedBlocksExactly) {
     ASSERT_TRUE(ConfigureFailpoint("parallel.worker", worker_spec).ok());
 
     CrashSim engine(opt);
-    engine.Bind(&g);
+    ASSERT_TRUE(engine.Bind(&g).ok());
     QueryContext ctx;
     const PartialResult partial = engine.SingleSource(4, &ctx);
     if (partial.status.ok()) continue;  // this seed spared every surface
@@ -382,7 +382,7 @@ TEST(ChaosTest, BatchedWalkEngineRollsBackFaultedBlocksExactly) {
     CrashSimOptions replay_opt = opt;
     replay_opt.mc.trials_override = partial.trials_done;
     CrashSim replay(replay_opt);
-    replay.Bind(&g);
+    ASSERT_TRUE(replay.Bind(&g).ok());
     QueryContext fresh;
     const PartialResult full = replay.SingleSource(4, &fresh);
     ASSERT_TRUE(full.status.ok());

@@ -21,7 +21,7 @@ TEST(EndToEndStaticTest, AllAlgorithmsOnDatasetStandIn) {
   const Dataset ds = MakeDataset("hepth", 0.015, 5);  // ~150 nodes
   const Graph& g = ds.static_graph;
   PowerMethod gt(0.6, 55);
-  gt.Bind(&g);
+  ASSERT_TRUE(gt.Bind(&g).ok());
 
   SimRankOptions mc;
   mc.c = 0.6;
@@ -49,7 +49,7 @@ TEST(EndToEndStaticTest, AllAlgorithmsOnDatasetStandIn) {
   };
   for (const Case& c : {Case{&crash, 0.08}, Case{&probe, 0.08},
                         Case{&sling, 0.08}, Case{&reads, 0.15}}) {
-    c.algo->Bind(&g);
+    ASSERT_TRUE(c.algo->Bind(&g).ok());
     const auto scores = c.algo->SingleSource(u);
     const double me = MaxError(scores, truth, u);
     EXPECT_LE(me, c.budget) << c.algo->name();

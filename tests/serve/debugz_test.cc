@@ -262,7 +262,7 @@ TEST(SpanForestTest, EveryExportCountsTheSameSpans) {
     opt.mc.trials_override = 200;
     opt.num_threads = 2;
     CrashSim algo(opt);
-    algo.Bind(&g);
+    ASSERT_TRUE(algo.Bind(&g).ok());
     QueryContext ctx;
     EXPECT_EQ(algo.SingleSource(1, &ctx).trials_done, 200);
   }

@@ -289,6 +289,26 @@ TEST(ServerOptionsTest, ValidateRejectsBadValues) {
   EXPECT_TRUE(TestServerOptions().Validate().ok());
 }
 
+// Start() answers options its members would CHECK-fail on: the executor,
+// the engine's Bind and the tree cache are built only after Validate().
+TEST(ServerTest, StartRejectsBadOptionsWithoutBuildingAnything) {
+  const std::vector<std::pair<const char*, std::function<void(ServerOptions*)>>>
+      cases = {
+          {"executor", [](ServerOptions* o) { o->executor.max_concurrent = 0; }},
+          {"engine", [](ServerOptions* o) { o->engine.mc.c = 1.5; }},
+          {"cache", [](ServerOptions* o) { o->cache.capacity_bytes = -1; }},
+      };
+  for (const auto& [name, mutate] : cases) {
+    ServerOptions opt = TestServerOptions();
+    mutate(&opt);
+    Server server(TestGraph(), TestTemporalGraph(), opt);
+    const Status started = server.Start();
+    EXPECT_EQ(started.code(), StatusCode::kInvalidArgument)
+        << name << ": " << started;
+    EXPECT_EQ(server.port(), 0) << name;
+  }
+}
+
 TEST(ServerTest, StartPingShutdown) {
   Server server(TestGraph(), std::nullopt, TestServerOptions());
   ASSERT_TRUE(server.Start().ok());
@@ -313,7 +333,7 @@ TEST(ServerTest, TopKIsBitIdenticalToDirectEngine) {
 
   // Direct, uncached reference on an identically configured engine.
   CrashSim reference(options.engine);
-  reference.Bind(&loaded.graph);
+  ASSERT_TRUE(reference.Bind(&loaded.graph).ok());
   QueryContext ctx;
   const NodeId source = 7;  // original id 1007
   const PartialResult direct = reference.SingleSource(source, &ctx);

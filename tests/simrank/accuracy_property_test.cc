@@ -96,7 +96,7 @@ TEST_P(AccuracySweep, MaxErrorWithinBudget) {
   const GraphCase gc = MakeGraphCase(graph_name);
   const SimRankMatrix truth = PowerMethodAllPairs(gc.graph, 0.6, 55);
   auto algo = MakeAlgorithm(algo_name);
-  algo->Bind(&gc.graph);
+  ASSERT_TRUE(algo->Bind(&gc.graph).ok());
 
   Rng source_rng(7);
   const double budget = ErrorBudget(algo_name);

@@ -8,6 +8,7 @@
 #include "eval/metrics.h"
 #include "graph/generators.h"
 #include "graph/graph_builder.h"
+#include "simrank/monte_carlo.h"
 #include "simrank/power_method.h"
 #include "simrank/probesim.h"
 #include "simrank/reads.h"
@@ -32,10 +33,10 @@ TEST(ProbeSimOptionsTest, CoarsePruneThresholdOnlyDropsMass) {
   mc.seed = 5;
   ProbeSim fine(mc);
   fine.set_prune_threshold(0.0);
-  fine.Bind(&g);
+  ASSERT_TRUE(fine.Bind(&g).ok());
   ProbeSim coarse(mc);
   coarse.set_prune_threshold(0.01);
-  coarse.Bind(&g);
+  ASSERT_TRUE(coarse.Bind(&g).ok());
   const auto f = fine.SingleSource(2);
   const auto c = coarse.SingleSource(2);
   for (size_t v = 0; v < f.size(); ++v) {
@@ -51,7 +52,7 @@ TEST(ProbeSimOptionsTest, DirectedCyclePhasesNeverMeet) {
   SimRankOptions mc;
   mc.trials_override = 3000;
   ProbeSim algo(mc);
-  algo.Bind(&g);
+  ASSERT_TRUE(algo.Bind(&g).ok());
   const auto scores = algo.SingleSource(0);
   for (NodeId v = 1; v < 8; ++v) EXPECT_EQ(scores[static_cast<size_t>(v)], 0.0);
 }
@@ -64,11 +65,11 @@ TEST(SlingOptionsTest, FinerThresholdImprovesAccuracy) {
   Sling coarse(mc);
   coarse.set_prune_threshold(0.05);
   coarse.set_diag_samples(2000);
-  coarse.Bind(&g);
+  ASSERT_TRUE(coarse.Bind(&g).ok());
   Sling fine(mc);
   fine.set_prune_threshold(0.001);
   fine.set_diag_samples(2000);
-  fine.Bind(&g);
+  ASSERT_TRUE(fine.Bind(&g).ok());
   const auto truth_row = truth.Row(4);
   const double me_coarse = MaxError(coarse.SingleSource(4), truth_row, 4);
   const double me_fine = MaxError(fine.SingleSource(4), truth_row, 4);
@@ -80,10 +81,10 @@ TEST(SlingOptionsTest, FinerThresholdGrowsIndex) {
   SimRankOptions mc;
   Sling coarse(mc);
   coarse.set_prune_threshold(0.05);
-  coarse.Bind(&g);
+  ASSERT_TRUE(coarse.Bind(&g).ok());
   Sling fine(mc);
   fine.set_prune_threshold(0.001);
-  fine.Bind(&g);
+  ASSERT_TRUE(fine.Bind(&g).ok());
   EXPECT_GT(fine.index_stats().reverse_entries,
             coarse.index_stats().reverse_entries);
 }
@@ -99,13 +100,13 @@ TEST(ReadsOptionsTest, MoreSamplesReduceError) {
     small.r = 50;
     small.seed = seed;
     Reads rs(small);
-    rs.Bind(&g);
+    ASSERT_TRUE(rs.Bind(&g).ok());
     me_small_total += MaxError(rs.SingleSource(0), truth_row, 0);
     ReadsOptions large;
     large.r = 5000;
     large.seed = seed;
     Reads rl(large);
-    rl.Bind(&g);
+    ASSERT_TRUE(rl.Bind(&g).ok());
     me_large_total += MaxError(rl.SingleSource(0), truth_row, 0);
   }
   EXPECT_LT(me_large_total, me_small_total);
@@ -116,10 +117,54 @@ TEST(ReadsOptionsTest, ZeroRQStillWorks) {
   ReadsOptions opt;
   opt.r_q = 0;
   Reads reads(opt);
-  reads.Bind(&g);
+  ASSERT_TRUE(reads.Bind(&g).ok());
   const auto scores = reads.SingleSource(1);
   EXPECT_DOUBLE_EQ(scores[1], 1.0);
   for (double s : scores) EXPECT_LE(s, 1.0);
+}
+
+// Bad options come back from Bind as kInvalidArgument, in-process: no
+// estimator aborts, and none is left bound.
+TEST(AlgorithmBindTest, ProbeSimRejectsBadOptions) {
+  const Graph g = PaperExampleGraph();
+  SimRankOptions mc;
+  mc.epsilon = -0.1;
+  ProbeSim algo(mc);
+  EXPECT_EQ(algo.Bind(&g).code(), StatusCode::kInvalidArgument);
+}
+
+TEST(AlgorithmBindTest, SlingRejectsBadOptions) {
+  const Graph g = PaperExampleGraph();
+  SimRankOptions mc;
+  mc.delta = 1.5;
+  Sling algo(mc);
+  EXPECT_EQ(algo.Bind(&g).code(), StatusCode::kInvalidArgument);
+}
+
+TEST(AlgorithmBindTest, PairwiseMonteCarloRejectsBadOptions) {
+  const Graph g = PaperExampleGraph();
+  SimRankOptions mc;
+  mc.trials_cap = -1;
+  PairwiseMonteCarlo algo(mc);
+  EXPECT_EQ(algo.Bind(&g).code(), StatusCode::kInvalidArgument);
+}
+
+TEST(AlgorithmBindTest, ReadsRejectsBadOptions) {
+  const Graph g = PaperExampleGraph();
+  ReadsOptions options;
+  options.r = 0;
+  Reads algo(options);  // constructing with bad options is not an error
+  EXPECT_EQ(algo.Bind(&g).code(), StatusCode::kInvalidArgument);
+}
+
+TEST(AlgorithmBindTest, PowerMethodRejectsGraphOverTheNodeCap) {
+  const Graph g = GraphBuilder(kPowerMethodMaxNodes + 1).Build();
+  PowerMethod algo;
+  const Status bound = algo.Bind(&g);
+  EXPECT_EQ(bound.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(bound.message().find("kPowerMethodMaxNodes"), std::string::npos)
+      << bound;
+  EXPECT_EQ(algo.matrix().num_nodes(), 0);
 }
 
 // One node over the cap: the CHECK fires before any n x n allocation.

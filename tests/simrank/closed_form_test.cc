@@ -46,7 +46,7 @@ TEST_P(ClosedFormSweep, StarLeafPairsScoreC) {
   const auto& [name, c] = GetParam();
   const Graph g = StarGraph(7, /*undirected=*/true);
   auto algo = MakeEstimator(name, c);
-  algo->Bind(&g);
+  ASSERT_TRUE(algo->Bind(&g).ok());
   const auto scores = algo->SingleSource(1);
   for (NodeId v = 2; v < 7; ++v) {
     EXPECT_NEAR(scores[static_cast<size_t>(v)], c, 0.025)
@@ -63,7 +63,7 @@ TEST_P(ClosedFormSweep, CompleteGraphPairFormula) {
   const double exact =
       c * (n - 2) / (nm1 * nm1 - c * (nm1 * nm1 - (n - 2)));
   auto algo = MakeEstimator(name, c);
-  algo->Bind(&g);
+  ASSERT_TRUE(algo->Bind(&g).ok());
   const auto scores = algo->SingleSource(0);
   for (NodeId v = 1; v < n; ++v) {
     EXPECT_NEAR(scores[static_cast<size_t>(v)], exact, 0.03)

@@ -133,7 +133,7 @@ TEST(PowerMethodTest, SingleSourceMatchesMatrixRow) {
   const Graph g = PaperExampleGraph();
   const SimRankMatrix s = PowerMethodAllPairs(g, 0.25, 30);
   PowerMethod power_method(0.25, 30);
-  power_method.Bind(&g);
+  ASSERT_TRUE(power_method.Bind(&g).ok());
   const std::vector<double> row = power_method.SingleSource(0);
   ASSERT_EQ(row.size(), 8u);
   for (NodeId v = 0; v < 8; ++v) EXPECT_NEAR(row[v], s.At(0, v), 1e-7);
@@ -146,7 +146,7 @@ TEST(PowerMethodTest, AlgorithmRowIsBitwiseMatrixRow) {
   const SimRankMatrix s = PowerMethodAllPairs(g, 0.6, 55);
   PowerMethod power_method(0.6, 55);
   EXPECT_EQ(power_method.name(), "PowerMethod");
-  power_method.Bind(&g);
+  ASSERT_TRUE(power_method.Bind(&g).ok());
   for (NodeId u = 0; u < g.num_nodes(); ++u) {
     const PartialResult result = power_method.SingleSource(u, nullptr);
     ASSERT_TRUE(result.complete()) << result.status;
@@ -161,7 +161,7 @@ TEST(PowerMethodTest, AlgorithmRowIsBitwiseMatrixRow) {
 TEST(PowerMethodTest, AlgorithmRejectsOutOfRangeSource) {
   const Graph g = PaperExampleGraph();
   PowerMethod power_method;
-  power_method.Bind(&g);
+  ASSERT_TRUE(power_method.Bind(&g).ok());
   for (const NodeId bad : {NodeId{-1}, NodeId{8}}) {
     const PartialResult result = power_method.SingleSource(bad, nullptr);
     EXPECT_EQ(result.status.code(), StatusCode::kInvalidArgument);

@@ -24,7 +24,7 @@ SimRankOptions FastOptions(int64_t trials, uint64_t seed = 42) {
 TEST(ProbeSimTest, SelfScoreIsOne) {
   const Graph g = PaperExampleGraph();
   ProbeSim algo(FastOptions(100));
-  algo.Bind(&g);
+  ASSERT_TRUE(algo.Bind(&g).ok());
   const auto scores = algo.SingleSource(0);
   EXPECT_DOUBLE_EQ(scores[0], 1.0);
 }
@@ -32,7 +32,7 @@ TEST(ProbeSimTest, SelfScoreIsOne) {
 TEST(ProbeSimTest, ScoresInUnitInterval) {
   const Graph g = PaperExampleGraph();
   ProbeSim algo(FastOptions(500));
-  algo.Bind(&g);
+  ASSERT_TRUE(algo.Bind(&g).ok());
   for (NodeId u = 0; u < g.num_nodes(); ++u) {
     for (double s : algo.SingleSource(u)) {
       EXPECT_GE(s, 0.0);
@@ -45,8 +45,8 @@ TEST(ProbeSimTest, DeterministicGivenSeed) {
   const Graph g = PaperExampleGraph();
   ProbeSim a(FastOptions(200, 7));
   ProbeSim b(FastOptions(200, 7));
-  a.Bind(&g);
-  b.Bind(&g);
+  ASSERT_TRUE(a.Bind(&g).ok());
+  ASSERT_TRUE(b.Bind(&g).ok());
   EXPECT_EQ(a.SingleSource(2), b.SingleSource(2));
 }
 
@@ -54,7 +54,7 @@ TEST(ProbeSimTest, ApproximatesGroundTruthOnExampleGraph) {
   const Graph g = PaperExampleGraph();
   const SimRankMatrix truth = PowerMethodAllPairs(g, 0.6, 55);
   ProbeSim algo(FastOptions(20000));
-  algo.Bind(&g);
+  ASSERT_TRUE(algo.Bind(&g).ok());
   const auto scores = algo.SingleSource(0);
   for (NodeId v = 1; v < 8; ++v) {
     EXPECT_NEAR(scores[v], truth.At(0, v), 0.03) << "node " << v;
@@ -66,7 +66,7 @@ TEST(ProbeSimTest, ApproximatesGroundTruthOnRandomGraph) {
   const Graph g = ErdosRenyi(40, 160, false, &rng);
   const SimRankMatrix truth = PowerMethodAllPairs(g, 0.6, 55);
   ProbeSim algo(FastOptions(15000));
-  algo.Bind(&g);
+  ASSERT_TRUE(algo.Bind(&g).ok());
   const auto scores = algo.SingleSource(5);
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
     if (v == 5) continue;
@@ -77,7 +77,7 @@ TEST(ProbeSimTest, ApproximatesGroundTruthOnRandomGraph) {
 TEST(ProbeSimTest, SourceWithNoInNeighborsScoresZero) {
   const Graph g = BuildGraph(3, {{0, 1}, {0, 2}});
   ProbeSim algo(FastOptions(500));
-  algo.Bind(&g);
+  ASSERT_TRUE(algo.Bind(&g).ok());
   const auto scores = algo.SingleSource(0);
   EXPECT_DOUBLE_EQ(scores[1], 0.0);
   EXPECT_DOUBLE_EQ(scores[2], 0.0);
@@ -86,9 +86,9 @@ TEST(ProbeSimTest, SourceWithNoInNeighborsScoresZero) {
 TEST(ProbeSimTest, PartialDefaultGathersFromSingleSource) {
   const Graph g = PaperExampleGraph();
   ProbeSim algo(FastOptions(300, 9));
-  algo.Bind(&g);
+  ASSERT_TRUE(algo.Bind(&g).ok());
   ProbeSim algo2(FastOptions(300, 9));
-  algo2.Bind(&g);
+  ASSERT_TRUE(algo2.Bind(&g).ok());
   const auto all = algo.SingleSource(1);
   const std::vector<NodeId> cands{2, 5, 7};
   const auto partial = algo2.Partial(1, cands);
@@ -122,9 +122,9 @@ TEST(ProbeSimTest, RebindResetsToNewGraph) {
   const Graph g1 = PaperExampleGraph();
   const Graph g2 = CycleGraph(4, false);
   ProbeSim algo(FastOptions(100));
-  algo.Bind(&g1);
+  ASSERT_TRUE(algo.Bind(&g1).ok());
   EXPECT_EQ(algo.SingleSource(0).size(), 8u);
-  algo.Bind(&g2);
+  ASSERT_TRUE(algo.Bind(&g2).ok());
   EXPECT_EQ(algo.SingleSource(0).size(), 4u);
 }
 
@@ -133,11 +133,11 @@ TEST(ProbeSimTest, RebindResetsToNewGraph) {
 TEST(ProbeSimContextTest, CompleteRunMatchesLegacyEntryPoint) {
   const Graph g = PaperExampleGraph();
   ProbeSim legacy(FastOptions(200));
-  legacy.Bind(&g);
+  ASSERT_TRUE(legacy.Bind(&g).ok());
   const std::vector<double> expected = legacy.SingleSource(0);
 
   ProbeSim algo(FastOptions(200));
-  algo.Bind(&g);
+  ASSERT_TRUE(algo.Bind(&g).ok());
   QueryContext ctx;
   const PartialResult result = algo.SingleSource(0, &ctx);
   ASSERT_TRUE(result.status.ok());
@@ -149,7 +149,7 @@ TEST(ProbeSimContextTest, CompleteRunMatchesLegacyEntryPoint) {
 TEST(ProbeSimContextTest, ExpiredDeadlineYieldsNonEmptyPartialPrefix) {
   const Graph g = PaperExampleGraph();
   ProbeSim algo(FastOptions(100000));
-  algo.Bind(&g);
+  ASSERT_TRUE(algo.Bind(&g).ok());
   QueryContext ctx(std::chrono::milliseconds(0));  // already expired
   const PartialResult result = algo.SingleSource(0, &ctx);
   EXPECT_EQ(result.status.code(), StatusCode::kDeadlineExceeded);
@@ -165,13 +165,13 @@ TEST(ProbeSimContextTest, PartialPrefixIsExactResultOfTrialsDone) {
   // fresh complete run of trials_done trials with the same seed.
   const Graph g = PaperExampleGraph();
   ProbeSim algo(FastOptions(50000));
-  algo.Bind(&g);
+  ASSERT_TRUE(algo.Bind(&g).ok());
   QueryContext ctx(std::chrono::milliseconds(0));
   const PartialResult partial = algo.SingleSource(0, &ctx);
   ASSERT_GE(partial.trials_done, 1);
 
   ProbeSim replay(FastOptions(partial.trials_done));
-  replay.Bind(&g);
+  ASSERT_TRUE(replay.Bind(&g).ok());
   QueryContext fresh;
   const PartialResult full = replay.SingleSource(0, &fresh);
   ASSERT_TRUE(full.status.ok());
@@ -181,7 +181,7 @@ TEST(ProbeSimContextTest, PartialPrefixIsExactResultOfTrialsDone) {
 TEST(ProbeSimContextTest, CancellationStopsBetweenBlocks) {
   const Graph g = PaperExampleGraph();
   ProbeSim algo(FastOptions(100000));
-  algo.Bind(&g);
+  ASSERT_TRUE(algo.Bind(&g).ok());
   QueryContext ctx;
   ctx.Cancel();
   const PartialResult result = algo.SingleSource(0, &ctx);
@@ -193,7 +193,7 @@ TEST(ProbeSimContextTest, CancellationStopsBetweenBlocks) {
 TEST(ProbeSimContextTest, TrialFractionShrinksTheBudget) {
   const Graph g = PaperExampleGraph();
   ProbeSim algo(FastOptions(1000));
-  algo.Bind(&g);
+  ASSERT_TRUE(algo.Bind(&g).ok());
   QueryContext ctx;
   ctx.set_trial_fraction(0.25);
   const PartialResult result = algo.SingleSource(0, &ctx);
@@ -207,7 +207,7 @@ TEST(ProbeSimContextTest, TrialFractionShrinksTheBudget) {
 TEST(ProbeSimContextTest, InvalidSourceIsInvalidArgument) {
   const Graph g = PaperExampleGraph();
   ProbeSim algo(FastOptions(10));
-  algo.Bind(&g);
+  ASSERT_TRUE(algo.Bind(&g).ok());
   QueryContext ctx;
   const PartialResult result = algo.SingleSource(999, &ctx);
   EXPECT_EQ(result.status.code(), StatusCode::kInvalidArgument);

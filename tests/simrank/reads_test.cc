@@ -27,14 +27,14 @@ ReadsOptions Options(int r = 100, uint64_t seed = 42) {
 TEST(ReadsTest, SelfScoreIsOne) {
   const Graph g = PaperExampleGraph();
   Reads algo(Options());
-  algo.Bind(&g);
+  ASSERT_TRUE(algo.Bind(&g).ok());
   EXPECT_DOUBLE_EQ(algo.SingleSource(4)[4], 1.0);
 }
 
 TEST(ReadsTest, ScoresAreSampleFractions) {
   const Graph g = PaperExampleGraph();
   Reads algo(Options(50));
-  algo.Bind(&g);
+  ASSERT_TRUE(algo.Bind(&g).ok());
   for (double s : algo.SingleSource(0)) {
     EXPECT_GE(s, 0.0);
     EXPECT_LE(s, 1.0);
@@ -49,7 +49,7 @@ TEST(ReadsTest, ApproximatesGroundTruthLoosely) {
   const Graph g = PaperExampleGraph();
   const SimRankMatrix truth = PowerMethodAllPairs(g, 0.6, 55);
   Reads algo(Options(4000));
-  algo.Bind(&g);
+  ASSERT_TRUE(algo.Bind(&g).ok());
   const auto scores = algo.SingleSource(0);
   for (NodeId v = 1; v < 8; ++v) {
     EXPECT_NEAR(scores[static_cast<size_t>(v)], truth.At(0, v), 0.08)
@@ -61,17 +61,17 @@ TEST(ReadsTest, DeterministicGivenSeed) {
   const Graph g = PaperExampleGraph();
   Reads a(Options(100, 3));
   Reads b(Options(100, 3));
-  a.Bind(&g);
-  b.Bind(&g);
+  ASSERT_TRUE(a.Bind(&g).ok());
+  ASSERT_TRUE(b.Bind(&g).ok());
   EXPECT_EQ(a.SingleSource(1), b.SingleSource(1));
 }
 
 TEST(ReadsTest, IndexBytesScalesWithRAndN) {
   const Graph g = PaperExampleGraph();
   Reads small(Options(10));
-  small.Bind(&g);
+  ASSERT_TRUE(small.Bind(&g).ok());
   Reads large(Options(100));
-  large.Bind(&g);
+  ASSERT_TRUE(large.Bind(&g).ok());
   EXPECT_EQ(large.IndexBytes(), 10 * small.IndexBytes());
 }
 
@@ -103,11 +103,11 @@ TEST(ReadsTest, ApplyDeltaIsInvariantToDeltaPermutation) {
   std::reverse(permuted.removed.begin(), permuted.removed.end());
 
   Reads a(Options(200));
-  a.Bind(&g1);
+  ASSERT_TRUE(a.Bind(&g1).ok());
   a.ApplyDelta(delta, &g2);
 
   Reads b(Options(200));
-  b.Bind(&g1);
+  ASSERT_TRUE(b.Bind(&g1).ok());
   b.ApplyDelta(permuted, &g2);
 
   for (NodeId u = 0; u < g2.num_nodes(); ++u) {
@@ -134,7 +134,7 @@ TEST(ReadsTest, ApplyDeltaMatchesRebindDistribution) {
   const Graph g2 = BuildGraph(30, updated_edges);
 
   Reads algo(Options(200));
-  algo.Bind(&g1);
+  ASSERT_TRUE(algo.Bind(&g1).ok());
   algo.ApplyDelta(delta, &g2);
   // All scores computable and bounded on the new graph.
   const auto scores = algo.SingleSource(0);
@@ -149,7 +149,7 @@ TEST(ReadsTest, DisconnectedNodesNeverMeet) {
   // Two disjoint 2-cycles: no cross-component meetings possible.
   const Graph g = BuildGraph(4, {{0, 1}, {1, 0}, {2, 3}, {3, 2}});
   Reads algo(Options(500));
-  algo.Bind(&g);
+  ASSERT_TRUE(algo.Bind(&g).ok());
   const auto scores = algo.SingleSource(0);
   EXPECT_DOUBLE_EQ(scores[2], 0.0);
   EXPECT_DOUBLE_EQ(scores[3], 0.0);
@@ -162,7 +162,7 @@ TEST(ReadsTest, WalkCapLimitsMeetingDepth) {
   opt.t = 1;
   const Graph g = PathGraph(6, false);
   Reads algo(opt);
-  algo.Bind(&g);
+  ASSERT_TRUE(algo.Bind(&g).ok());
   const auto scores = algo.SingleSource(5);
   // Node 5's only 1-step destination is node 4's neighbourhood; node 0 is
   // unreachable in one step from anything shared.
@@ -176,11 +176,11 @@ TEST(ReadsContextTest, CompleteRunMatchesLegacyEntryPoint) {
   // complete run is bit-identical.
   const Graph g = CycleGraph(500, /*undirected=*/true);
   Reads legacy(Options());
-  legacy.Bind(&g);
+  ASSERT_TRUE(legacy.Bind(&g).ok());
   const std::vector<double> expected = legacy.SingleSource(3);
 
   Reads algo(Options());
-  algo.Bind(&g);
+  ASSERT_TRUE(algo.Bind(&g).ok());
   QueryContext ctx;
   const PartialResult result = algo.SingleSource(3, &ctx);
   ASSERT_TRUE(result.status.ok());
@@ -194,13 +194,13 @@ TEST(ReadsContextTest, CancellationYieldsExactPartialPrefix) {
   // [0, trials_done) exactly as the full run would and leaves the rest 0.
   const Graph g = CycleGraph(2000, /*undirected=*/true);
   Reads full_algo(Options());
-  full_algo.Bind(&g);
+  ASSERT_TRUE(full_algo.Bind(&g).ok());
   QueryContext full_ctx;
   const PartialResult full = full_algo.SingleSource(3, &full_ctx);
   ASSERT_TRUE(full.status.ok());
 
   Reads algo(Options());
-  algo.Bind(&g);
+  ASSERT_TRUE(algo.Bind(&g).ok());
   QueryContext ctx;
   ctx.Cancel();
   const PartialResult partial = algo.SingleSource(3, &ctx);
@@ -224,7 +224,7 @@ TEST(ReadsContextTest, CancellationYieldsExactPartialPrefix) {
 TEST(ReadsContextTest, ExpiredDeadlineStillScoresFirstChunk) {
   const Graph g = CycleGraph(2000, /*undirected=*/true);
   Reads algo(Options());
-  algo.Bind(&g);
+  ASSERT_TRUE(algo.Bind(&g).ok());
   QueryContext ctx(std::chrono::milliseconds(0));
   const PartialResult result = algo.SingleSource(3, &ctx);
   EXPECT_EQ(result.status.code(), StatusCode::kDeadlineExceeded);
@@ -235,7 +235,7 @@ TEST(ReadsContextTest, ExpiredDeadlineStillScoresFirstChunk) {
 TEST(ReadsContextTest, InvalidSourceIsInvalidArgument) {
   const Graph g = PaperExampleGraph();
   Reads algo(Options());
-  algo.Bind(&g);
+  ASSERT_TRUE(algo.Bind(&g).ok());
   QueryContext ctx;
   const PartialResult result = algo.SingleSource(-1, &ctx);
   EXPECT_EQ(result.status.code(), StatusCode::kInvalidArgument);

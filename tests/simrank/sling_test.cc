@@ -20,14 +20,14 @@ SimRankOptions Options(uint64_t seed = 42) {
 TEST(SlingTest, SelfScoreIsOne) {
   const Graph g = PaperExampleGraph();
   Sling algo(Options());
-  algo.Bind(&g);
+  ASSERT_TRUE(algo.Bind(&g).ok());
   EXPECT_DOUBLE_EQ(algo.SingleSource(3)[3], 1.0);
 }
 
 TEST(SlingTest, ScoresInUnitInterval) {
   const Graph g = PaperExampleGraph();
   Sling algo(Options());
-  algo.Bind(&g);
+  ASSERT_TRUE(algo.Bind(&g).ok());
   for (NodeId u = 0; u < 8; ++u) {
     for (double s : algo.SingleSource(u)) {
       EXPECT_GE(s, 0.0);
@@ -39,7 +39,7 @@ TEST(SlingTest, ScoresInUnitInterval) {
 TEST(SlingTest, IndexIsBuiltOnBind) {
   const Graph g = PaperExampleGraph();
   Sling algo(Options());
-  algo.Bind(&g);
+  ASSERT_TRUE(algo.Bind(&g).ok());
   EXPECT_GT(algo.index_stats().reverse_entries, 0);
   EXPECT_GE(algo.index_stats().build_seconds, 0.0);
 }
@@ -49,7 +49,7 @@ TEST(SlingTest, ApproximatesGroundTruthOnExampleGraph) {
   const SimRankMatrix truth = PowerMethodAllPairs(g, 0.6, 55);
   Sling algo(Options());
   algo.set_diag_samples(3000);
-  algo.Bind(&g);
+  ASSERT_TRUE(algo.Bind(&g).ok());
   for (NodeId u : {0, 3, 6}) {
     const auto scores = algo.SingleSource(u);
     for (NodeId v = 0; v < 8; ++v) {
@@ -66,7 +66,7 @@ TEST(SlingTest, ApproximatesGroundTruthOnRandomGraph) {
   const SimRankMatrix truth = PowerMethodAllPairs(g, 0.6, 55);
   Sling algo(Options());
   algo.set_diag_samples(2000);
-  algo.Bind(&g);
+  ASSERT_TRUE(algo.Bind(&g).ok());
   const auto scores = algo.SingleSource(7);
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
     if (v == 7) continue;
@@ -81,7 +81,7 @@ TEST(SlingTest, SymmetryApproximatelyHolds) {
   const Graph g = PaperExampleGraph();
   Sling algo(Options());
   algo.set_diag_samples(2000);
-  algo.Bind(&g);
+  ASSERT_TRUE(algo.Bind(&g).ok());
   const auto from1 = algo.SingleSource(1);
   const auto from4 = algo.SingleSource(4);
   EXPECT_NEAR(from1[4], from4[1], 0.02);
@@ -91,18 +91,18 @@ TEST(SlingTest, DeterministicGivenSeed) {
   const Graph g = PaperExampleGraph();
   Sling a(Options(11));
   Sling b(Options(11));
-  a.Bind(&g);
-  b.Bind(&g);
+  ASSERT_TRUE(a.Bind(&g).ok());
+  ASSERT_TRUE(b.Bind(&g).ok());
   EXPECT_EQ(a.SingleSource(2), b.SingleSource(2));
 }
 
 TEST(SlingTest, RebuildOnRebindReflectsNewGraph) {
   const Graph g1 = PaperExampleGraph();
   Sling algo(Options());
-  algo.Bind(&g1);
+  ASSERT_TRUE(algo.Bind(&g1).ok());
   const int64_t entries1 = algo.index_stats().reverse_entries;
   const Graph g2 = CycleGraph(3, false);
-  algo.Bind(&g2);
+  ASSERT_TRUE(algo.Bind(&g2).ok());
   EXPECT_NE(algo.index_stats().reverse_entries, entries1);
   EXPECT_EQ(algo.SingleSource(0).size(), 3u);
 }

@@ -142,7 +142,8 @@ TEST(ConcurrencyStressTest, ExceptionMixUnderConcurrentCallers) {
 
 TEST(ConcurrencyStressTest, MetricsRegistryConcurrentMutation) {
   // Concurrent lookup-or-create on overlapping names, wait-free increments,
-  // and snapshot/ToString readers all hammer the global registry at once.
+  // and a Snapshot reader (what every scrape runs) all hammer the global
+  // registry at once.
   MetricsRegistry& registry = MetricsRegistry::Global();
   constexpr int kThreads = 6;
   constexpr int kOpsPerThread = 2000;
@@ -172,7 +173,6 @@ TEST(ConcurrencyStressTest, MetricsRegistryConcurrentMutation) {
   threads.emplace_back([&registry, &stop] {
     while (!stop.load(std::memory_order_relaxed)) {
       (void)registry.Snapshot();
-      (void)registry.ToString();
     }
   });
   for (int t = 0; t < kThreads; ++t) threads[static_cast<size_t>(t)].join();
@@ -190,12 +190,11 @@ TEST(ConcurrencyStressTest, MetricsRegistryConcurrentMutation) {
 }
 
 TEST(ConcurrencyStressTest, DeadlineFiringRacesWorkerStatsWrites) {
-  // A monitor thread polls progress and the deadline fires mid-query while
-  // the engine (possibly on several pool threads) is working and writing
-  // QueryStats through the context. The contract: stats are written only
-  // from the querying thread after parallel regions join, progress counters
-  // are atomics — so TSan must stay silent and the partial result must obey
-  // the anytime semantics.
+  // The deadline fires mid-query while the engine (possibly on several pool
+  // threads) is working and writing QueryStats through the context. The
+  // contract: stats are written only from the querying thread after
+  // parallel regions join — so TSan must stay silent and the partial result
+  // must obey the anytime semantics.
   Rng rng(5);
   const Graph g = ErdosRenyi(300, 1800, false, &rng);
   CrashSimOptions opt;
@@ -204,26 +203,15 @@ TEST(ConcurrencyStressTest, DeadlineFiringRacesWorkerStatsWrites) {
   opt.mc.seed = 11;
   opt.num_threads = 4;
   CrashSim algo(opt);
-  algo.Bind(&g);
+  ASSERT_TRUE(algo.Bind(&g).ok());
 
   for (int round = 0; round < 4; ++round) {
     QueryContext ctx(std::chrono::milliseconds(20 + 10 * round));
     QueryStats stats;
     ctx.set_stats(&stats);
-    std::atomic<bool> done{false};
-    int64_t observed_progress = 0;
-    std::thread monitor([&ctx, &done, &observed_progress] {
-      while (!done.load(std::memory_order_acquire)) {
-        observed_progress = ctx.trials_done();
-        std::this_thread::yield();
-      }
-    });
     const PartialResult result = algo.SingleSource(7, &ctx);
-    done.store(true, std::memory_order_release);
-    monitor.join();
     ASSERT_TRUE(result.status.ok() ||
                 result.status.code() == StatusCode::kDeadlineExceeded);
-    EXPECT_LE(observed_progress, result.trials_target);
     EXPECT_EQ(stats.trials_run, result.trials_done);
   }
 }
@@ -240,7 +228,7 @@ TEST(ConcurrencyStressTest, CancellationRacesRunningQuery) {
   opt.mc.seed = 23;
   opt.num_threads = 4;
   CrashSim algo(opt);
-  algo.Bind(&g);
+  ASSERT_TRUE(algo.Bind(&g).ok());
 
   for (int round = 0; round < 4; ++round) {
     QueryContext ctx;
@@ -286,7 +274,7 @@ TEST(ConcurrencyStressTest, ParallelQueriesShareEngineReadOnly) {
   for (int t = 0; t < kQueryThreads; ++t) {
     threads.emplace_back([t, &g, &concurrent, &make_options] {
       CrashSim algo(make_options(t));
-      algo.Bind(&g);
+      ASSERT_TRUE(algo.Bind(&g).ok());
       const PartialResult r =
           algo.SingleSource(static_cast<NodeId>(t), nullptr);
       concurrent[static_cast<size_t>(t)] = r.scores;
@@ -296,7 +284,7 @@ TEST(ConcurrencyStressTest, ParallelQueriesShareEngineReadOnly) {
 
   for (int t = 0; t < kQueryThreads; ++t) {
     CrashSim algo(make_options(t));
-    algo.Bind(&g);
+    ASSERT_TRUE(algo.Bind(&g).ok());
     const PartialResult r = algo.SingleSource(static_cast<NodeId>(t), nullptr);
     EXPECT_EQ(concurrent[static_cast<size_t>(t)], r.scores)
         << "thread " << t;

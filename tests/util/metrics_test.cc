@@ -56,7 +56,6 @@ TEST(FixedHistogramTest, BucketsByUpperBound) {
   EXPECT_EQ(h.TotalCount(), 5);
   EXPECT_EQ(h.Sum(), 1 + 8 + 9 + 512 + 100000);
   EXPECT_DOUBLE_EQ(h.Mean(), static_cast<double>(h.Sum()) / 5.0);
-  EXPECT_FALSE(h.ToString().empty());
 }
 
 TEST(FixedHistogramTest, SnapshotIsCumulativeWithInfBucket) {
@@ -115,7 +114,6 @@ TEST(MetricsRegistryTest, SnapshotsAreNameSorted) {
   ASSERT_EQ(gauges.size(), 1u);
   EXPECT_EQ(gauges[0].name, "mid.gauge");
   EXPECT_EQ(gauges[0].value, 9);
-  EXPECT_FALSE(registry.ToString().empty());
 }
 
 TEST(MetricsRegistryTest, ResetCountersForTestZeroesCountersOnly) {

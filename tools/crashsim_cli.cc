@@ -300,8 +300,9 @@ int RunStats(int argc, char** argv) {
   return 0;
 }
 
-// One query path for every --algo: validated options, the algorithm, one
-// context-aware SingleSource, top-k selection. A deadline cut still prints
+// One query path for every --algo: validated options, the algorithm's Bind
+// (whose Status answers bad input such as a graph over the power method's
+// node cap), one context-aware SingleSource, top-k selection. A deadline cut still prints
 // the ranking the completed trials support, then exits with the
 // deadline/cancel code.
 int RunTopK(int argc, char** argv) {
@@ -345,12 +346,7 @@ int RunTopK(int argc, char** argv) {
   if (!algo) {
     return FailStatus(InvalidArgumentError("unknown --algo " + algo_name));
   }
-  if (algo_name == "exact" && g.num_nodes() > kPowerMethodMaxNodes) {
-    return FailStatus(InvalidArgumentError(
-        StrFormat("--algo exact supports at most %d nodes (the graph has %d)",
-                  kPowerMethodMaxNodes, g.num_nodes())));
-  }
-  algo->Bind(&g);
+  if (Status s = algo->Bind(&g); !s.ok()) return FailStatus(s);
   QueryStats qstats;
   std::optional<QueryContext> ctx;
   EmplaceQueryContext(flags, &qstats, &ctx);

@@ -77,6 +77,18 @@ Rules (see docs/STATIC_ANALYSIS.md for rationale and suppression policy):
                        catalog can never be armed, so the chaos tier would
                        silently skip it. Applies to src/**.
 
+  status-exception-site
+                       CRASHSIM_FAILPOINT_THROW(...) and
+                       throw StatusException appear only in
+                       src/util/parallel.cc, whose ParallelFor shard bodies
+                       have no Status return channel, and at their
+                       definitions in src/util/failpoint.h and
+                       src/util/status.h. Everywhere else a failure travels
+                       as a returned Status, so there is one error path to
+                       check and no exception for a caller to miss.
+                       Applies to src/**; preprocessor lines are out of
+                       scope.
+
 Suppression: append  // lint:allow(<rule-id>): <justification>  to the
 offending line, or put it on a comment-only line immediately above. The
 justification is mandatory — a bare allow is an error.
@@ -185,6 +197,14 @@ FAILPOINT_NAME_RE = re.compile(
 FAILPOINT_CATALOG_RE = re.compile(
     r"kFailpointCatalog\[\]\s*=\s*\{(.*?)\}", re.DOTALL)
 FAILPOINT_CATALOG_FILE = "src/util/failpoint.cc"
+
+# status-exception-site: the exception channel for a Status, and the one
+# file that needs it plus the two that define it.
+STATUS_EXCEPTION_RE = re.compile(
+    r"\bCRASHSIM_FAILPOINT_THROW\b|\bthrow\s+(?:::)?(?:crashsim::)?"
+    r"StatusException\b")
+STATUS_EXCEPTION_EXEMPT = ("src/util/parallel.cc", "src/util/failpoint.h",
+                           "src/util/status.h")
 
 
 def strip_comments_and_strings(line):
@@ -454,6 +474,16 @@ class Linter:
                             "can never be armed" % (name_m.group(1),
                                                     FAILPOINT_CATALOG_FILE),
                             raw, prev_raw)
+
+        if (rel.startswith("src/") and rel not in STATUS_EXCEPTION_EXEMPT
+                and not code.lstrip().startswith("#")):
+            m = STATUS_EXCEPTION_RE.search(code)
+            if m:
+                self.report(
+                    rel, lineno, "status-exception-site",
+                    "%r outside src/util/parallel.cc — return the Status "
+                    "instead; exceptions carry a Status only out of "
+                    "ParallelFor shard bodies" % m.group(0), raw, prev_raw)
 
     def run(self, paths=None):
         if paths:

@@ -29,6 +29,8 @@ EXPECTED_DIRTY = {
     ("src/eval/bad_iostream.cc", "iostream-write"): 3,
     ("src/core/bad_trace.cc", "trace-span-literal"): 2,
     ("src/core/bad_failpoint.cc", "failpoint-catalog"): 2,
+    ("src/core/bad_failpoint.cc", "status-exception-site"): 1,
+    ("src/core/bad_exception_site.cc", "status-exception-site"): 2,
 }
 
 FINDING_RE = re.compile(r"^(?P<path>[^:]+):(?P<line>\d+): \[(?P<rule>[a-z-]+)\]")
