@@ -9,12 +9,14 @@
 //   --trace_out <path>  (or --trace_out=<path>)
 // --json also writes the results as a stable machine-readable schema: a JSON
 // array of {"bench", "n", "m", "ns_per_op", "tree_bytes"} objects (0 for
-// fields a benchmark does not populate). tools/run_benchmarks.sh feeds the
+// fields a benchmark does not populate; a benchmark run with repetitions
+// adds its median, see WriteJson). tools/run_benchmarks.sh feeds the
 // BENCH_*.json perf trajectory from it. --trace_out runs one instrumented
 // CrashSim query AFTER the benchmarks finish (so span recording never
 // pollutes the timings) and writes its Chrome trace-event timeline.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -104,16 +106,24 @@ void BM_BuildRevReachCorrected(benchmark::State& state) {
 }
 BENCHMARK(BM_BuildRevReachCorrected)->Arg(1000)->Arg(10000);
 
+// The two probe benches time a few nanoseconds per op, and a single
+// measurement of them moves with code placement; each runs this many
+// repetitions and --json gates on their median.
+constexpr int kProbeRepetitions = 9;
+
 void BM_TreeProbabilityHit(benchmark::State& state) {
-  // Lookup throughput on entries known to be present: binary search over
-  // the level slice, preceded by the bitset test on dense levels.
+  // Lookup throughput on cells known to be present, one per level: a row
+  // load on dense levels, the branchless search of the slice on sparse
+  // ones.
   const Graph& g = FixtureGraph(state.range(0));
   const auto tree =
       BuildRevReach(g, 1, 35, 0.6, RevReachMode::kCorrected, 1e-9);
   std::vector<std::pair<int, NodeId>> probes;
   for (int level = 0; level <= tree.max_level(); ++level) {
-    const auto span = tree.Level(level);
-    if (!span.empty()) probes.push_back({level, span[span.size() / 2].node});
+    const auto entries = tree.LevelEntries(level);
+    if (!entries.empty()) {
+      probes.push_back({level, entries[entries.size() / 2].node});
+    }
   }
   size_t i = 0;
   double sink = 0.0;
@@ -127,12 +137,15 @@ void BM_TreeProbabilityHit(benchmark::State& state) {
   SetGraphCounters(state, g);
   state.counters["tree_bytes"] = static_cast<double>(tree.MemoryBytes());
 }
-BENCHMARK(BM_TreeProbabilityHit)->Arg(1000)->Arg(10000);
+BENCHMARK(BM_TreeProbabilityHit)
+    ->Arg(1000)
+    ->Arg(10000)
+    ->Repetitions(kProbeRepetitions);
 
 void BM_TreeProbabilityMiss(benchmark::State& state) {
   // The common case in trial scoring: a walk step that is NOT in the tree.
-  // Probes sweep nodes absent from each level (the bitset fast-reject path
-  // on dense levels, a short binary search otherwise).
+  // Probes sweep nodes absent from each level: a row load that reads 0.0f
+  // on dense levels, a full search of the slice on sparse ones.
   const Graph& g = FixtureGraph(state.range(0));
   const auto tree =
       BuildRevReach(g, 1, 35, 0.6, RevReachMode::kCorrected, 1e-9);
@@ -157,7 +170,10 @@ void BM_TreeProbabilityMiss(benchmark::State& state) {
   SetGraphCounters(state, g);
   state.counters["tree_bytes"] = static_cast<double>(tree.MemoryBytes());
 }
-BENCHMARK(BM_TreeProbabilityMiss)->Arg(1000)->Arg(10000);
+BENCHMARK(BM_TreeProbabilityMiss)
+    ->Arg(1000)
+    ->Arg(10000)
+    ->Repetitions(kProbeRepetitions);
 
 void BM_CrashSimTrialBatch(benchmark::State& state) {
   // 100 trials over a 64-candidate set against a prebuilt tree.
@@ -187,9 +203,10 @@ BENCHMARK(BM_CrashSimTrialBatch)->Arg(1000)->Arg(10000);
 //   BM_WalkBatchScalar  the pre-SoA query loop, reconstructed verbatim: one
 //                       walk at a time via SampleSqrtCWalk (per-step
 //                       Bernoulli stop on a generic Rng, walk materialised
-//                       into a vector) with an immediate tree.Probability
-//                       per position — what shipped before the batch
-//                       engine, kept as the gate's denominator workload.
+//                       into a vector) with an immediate probe per
+//                       position through FrozenSliceProbe, the tree probe
+//                       that shipped with it — kept as the gate's
+//                       denominator workload.
 //   BM_WalkBatchSoA     the production path: WalkBatchEngine sweeping
 //                       256 walks per tile (alias-sampled lengths, one
 //                       tree level per step, dense rows or a batched
@@ -200,20 +217,77 @@ BENCHMARK(BM_CrashSimTrialBatch)->Arg(1000)->Arg(10000);
 //                       names predate the step-major kernel and stay, as
 //                       the baseline and the CI floor key on them.
 //
-// The gate's denominator calls the production
-// ReverseReachableTree::Probability(), so a change to the tree's probe path
-// moves the 3.0x floor, not only the engine. A prototype in which
-// Probability() read the dense rows (bitsets deleted) took
-// BM_WalkBatchScalar/10000 from 6.6-8.2 ms to 2.0-2.5 ms and
-// BM_WalkBatchSoA/10000 from 1.7-1.8 ms to 1.2-1.6 ms: the ratio fell from
-// about 4.3x to about 1.5x (Release, 3 runs per side, shared 4-vCPU host).
-// Such a change must re-anchor the floor (or the denominator) with it.
+// The denominator owns its probe so that a faster production
+// ReverseReachableTree::Probability() cannot move the ratio on its own. On
+// a shared 4-vCPU host (RelWithDebInfo, 4 runs each), a denominator that
+// called the dense-row Probability() read 2.2-3.5 ms and a ratio of
+// 1.6-2.2x; with FrozenSliceProbe it reads 7.3-8.7 ms and 4.5-6.0x, as the
+// bitset-and-search Probability() it froze did (6.6-8.5 ms, 3.8-6.2x).
+
+// The tree probe as it stood when the batch engine replaced the scalar
+// loop: every level a sorted Entry slice, levels holding at least n/256
+// entries also a membership bitset that rejects a miss in one load, and a
+// branchless binary search. Built from LevelEntries(), so it answers
+// exactly what the tree does.
+class FrozenSliceProbe {
+ public:
+  explicit FrozenSliceProbe(const ReverseReachableTree& tree) {
+    const size_t n = static_cast<size_t>(tree.num_nodes());
+    offsets_.push_back(0);
+    for (int level = 0; level <= tree.max_level(); ++level) {
+      const auto cells = tree.LevelEntries(level);
+      entries_.insert(entries_.end(), cells.begin(), cells.end());
+      offsets_.push_back(static_cast<int64_t>(entries_.size()));
+      if (cells.empty() || cells.size() * 256 < n) {
+        bits_offset_.push_back(-1);
+        continue;
+      }
+      bits_offset_.push_back(static_cast<int64_t>(bits_.size()));
+      bits_.resize(bits_.size() + (n + 63) / 64, 0);
+      uint64_t* bits = bits_.data() + bits_offset_.back();
+      for (const auto& e : cells) {
+        bits[static_cast<size_t>(e.node) >> 6] |=
+            uint64_t{1} << (static_cast<uint64_t>(e.node) & 63);
+      }
+    }
+  }
+
+  double Probability(int level, NodeId v) const {
+    if (level < 0 || static_cast<size_t>(level) >= bits_offset_.size()) {
+      return 0.0;
+    }
+    const size_t l = static_cast<size_t>(level);
+    const int64_t bits = bits_offset_[l];
+    if (bits >= 0 &&
+        !((bits_[static_cast<size_t>(bits) + (static_cast<size_t>(v) >> 6)] >>
+           (static_cast<uint64_t>(v) & 63)) &
+          1)) {
+      return 0.0;
+    }
+    const ReverseReachableTree::Entry* base = entries_.data() + offsets_[l];
+    size_t len = static_cast<size_t>(offsets_[l + 1] - offsets_[l]);
+    if (len == 0) return 0.0;
+    while (len > 1) {
+      const size_t half = len / 2;
+      base += (base[half - 1].node < v) ? half : 0;
+      len -= half;
+    }
+    return base->node == v ? base->prob : 0.0;
+  }
+
+ private:
+  std::vector<ReverseReachableTree::Entry> entries_;
+  std::vector<int64_t> offsets_;
+  std::vector<uint64_t> bits_;
+  std::vector<int64_t> bits_offset_;
+};
+
 void BM_WalkBatchScalar(benchmark::State& state) {
   const Graph& g = FixtureGraph(state.range(0));
   CrashSimOptions opt;
   CrashSim algo(opt);
   CRASHSIM_CHECK(algo.Bind(&g).ok());
-  const auto tree = algo.BuildTree(1);
+  const FrozenSliceProbe probe(algo.BuildTree(1));
   const int l_max = algo.LMax();
   const double sqrt_c = std::sqrt(opt.mc.c);
   Rng rng(opt.mc.seed);
@@ -227,7 +301,7 @@ void BM_WalkBatchScalar(benchmark::State& state) {
             SampleSqrtCWalk(g, v, sqrt_c, l_max + 1, &rng, &walk);
         double score = 0.0;
         for (int pos = 1; pos < len; ++pos) {
-          score += tree.Probability(pos, walk[static_cast<size_t>(pos)]);
+          score += probe.Probability(pos, walk[static_cast<size_t>(pos)]);
         }
         scores[static_cast<size_t>(v)] += score;
       }
@@ -419,7 +493,11 @@ std::string QueryStatsProbeRecord() {
 }
 
 // Stable schema consumed by tools/run_benchmarks.sh: a JSON array of
-// {bench, n, m, ns_per_op, tree_bytes}. Additive changes only.
+// {bench, n, m, ns_per_op, tree_bytes}. A benchmark registered with
+// repetitions is one record, named without its "/repeats:N" suffix, whose
+// ns_per_op is the mean over the repetitions and which adds "repetitions"
+// and "ns_per_op_median" (what tools/compare_bench.py gates on). Additive
+// changes only.
 bool WriteJson(const std::string& path,
                const std::vector<benchmark::BenchmarkReporter::Run>& runs) {
   std::ofstream out(path);
@@ -427,28 +505,49 @@ bool WriteJson(const std::string& path,
     std::fprintf(stderr, "cannot open --json path %s\n", path.c_str());
     return false;
   }
-  out << "[\n";
-  bool first = true;
+  // Per-repetition ns/op of each benchmark, in first-run order; the
+  // library's own aggregate runs are skipped.
+  std::vector<std::pair<const benchmark::BenchmarkReporter::Run*,
+                        std::vector<double>>>
+      benches;
+  std::map<std::string, size_t> index;
   for (const auto& run : runs) {
-    if (run.error_occurred) continue;
-    const double ns_per_op =
-        run.iterations == 0
-            ? 0.0
-            : run.real_accumulated_time * 1e9 /
-                  static_cast<double>(run.iterations);
-    if (!first) out << ",\n";
-    first = false;
-    std::string name;
-    AppendJsonString(run.benchmark_name(), &name);
-    out << "  {\"bench\": " << name << ", \"n\": "
-        << static_cast<int64_t>(CounterOrZero(run.counters, "n"))
-        << ", \"m\": "
-        << static_cast<int64_t>(CounterOrZero(run.counters, "m"))
-        << ", \"ns_per_op\": " << ns_per_op << ", \"tree_bytes\": "
-        << static_cast<int64_t>(CounterOrZero(run.counters, "tree_bytes"))
-        << "}";
+    if (run.error_occurred ||
+        run.run_type != benchmark::BenchmarkReporter::Run::RT_Iteration) {
+      continue;
+    }
+    const auto [it, added] =
+        index.emplace(run.benchmark_name(), benches.size());
+    if (added) benches.push_back({&run, {}});
+    benches[it->second].second.push_back(
+        run.iterations == 0 ? 0.0
+                            : run.real_accumulated_time * 1e9 /
+                                  static_cast<double>(run.iterations));
   }
-  if (!first) out << ",\n";
+  out << "[\n";
+  for (auto& [run, ns] : benches) {
+    benchmark::BenchmarkName run_name = run->run_name;
+    run_name.repetitions.clear();
+    std::string name;
+    AppendJsonString(run_name.str(), &name);
+    double mean = 0.0;
+    for (double x : ns) mean += x / static_cast<double>(ns.size());
+    out << "  {\"bench\": " << name << ", \"n\": "
+        << static_cast<int64_t>(CounterOrZero(run->counters, "n"))
+        << ", \"m\": "
+        << static_cast<int64_t>(CounterOrZero(run->counters, "m"))
+        << ", \"ns_per_op\": " << mean << ", \"tree_bytes\": "
+        << static_cast<int64_t>(CounterOrZero(run->counters, "tree_bytes"));
+    if (ns.size() > 1) {
+      std::sort(ns.begin(), ns.end());
+      const size_t mid = ns.size() / 2;
+      const double median =
+          ns.size() % 2 == 1 ? ns[mid] : (ns[mid - 1] + ns[mid]) / 2.0;
+      out << ", \"repetitions\": " << ns.size()
+          << ", \"ns_per_op_median\": " << median;
+    }
+    out << "},\n";
+  }
   out << "  " << QueryStatsProbeRecord();
   out << "\n]\n";
   return static_cast<bool>(out);

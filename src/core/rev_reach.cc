@@ -17,48 +17,35 @@
 namespace crashsim {
 
 int64_t ReverseReachableTree::MemoryBytes() const {
-  return static_cast<int64_t>(entries_.capacity() * sizeof(Entry) +
-                              level_offsets_.capacity() * sizeof(int64_t) +
-                              level_bits_.capacity() * sizeof(uint64_t) +
-                              bits_offset_.capacity() * sizeof(int64_t) +
-                              dense_.prob.capacity() * sizeof(float) +
-                              dense_.row_off.capacity() * sizeof(int64_t));
+  return static_cast<int64_t>(dense_.prob.capacity() * sizeof(float) +
+                              entries_.capacity() * sizeof(Entry) +
+                              (level_offsets_.capacity() +
+                               dense_.row_off.capacity()) *
+                                  sizeof(int64_t));
 }
 
-void ReverseReachableTree::BuildDenseRows() {
-  const size_t n = static_cast<size_t>(n_);
-  if (n == 0) return;
-  // Densify in level order under the byte budget; as with AppendLevel's
-  // bitsets, a sparse level keeps the search path — below n/64 entries the
-  // probes rarely share a cache line and the compact search is the better
-  // miss. One sizing pass, one zero-fill, one scatter per level: no
-  // regrows.
-  const size_t dense_min = std::max<size_t>(1, n / 64);
-  const size_t row_bytes = n * sizeof(float);
-  size_t budget = kDenseRowBudgetBytes;
-  dense_.row_off.assign(static_cast<size_t>(num_levels()), -1);
-  size_t rows = 0;
-  // Level 0 holds only the source and is never probed by a walk (positions
-  // start at 1), so it never earns a row.
-  for (int lvl = 1; lvl <= max_level(); ++lvl) {
-    if (Level(lvl).size() < dense_min || row_bytes > budget) continue;
-    budget -= row_bytes;
-    dense_.row_off[static_cast<size_t>(lvl)] = static_cast<int64_t>(rows * n);
-    ++rows;
+std::vector<ReverseReachableTree::Entry> ReverseReachableTree::LevelEntries(
+    int level) const {
+  const float* row = Row(level);
+  if (row == nullptr) {
+    const std::span<const Entry> slice = Level(level);
+    return {slice.begin(), slice.end()};
   }
-  dense_.prob.assign(rows * n, 0.0f);
-  for (int lvl = 1; lvl <= max_level(); ++lvl) {
-    const int64_t off = dense_.row_off[static_cast<size_t>(lvl)];
-    if (off < 0) continue;
-    float* row = dense_.prob.data() + off;
-    for (const Entry& e : Level(lvl)) row[static_cast<size_t>(e.node)] = e.prob;
+  std::vector<Entry> out;
+  for (NodeId v = 0; v < n_; ++v) {
+    if (row[v] != 0.0f) out.push_back({v, row[v]});
   }
+  return out;
 }
 
 void ReverseReachableTree::ProbabilityBatch(int level,
                                             std::span<const NodeId> nodes,
                                             std::span<double> out) const {
   CRASHSIM_CHECK(out.size() >= nodes.size());
+  if (const float* row = Row(level); row != nullptr) {
+    for (size_t i = 0; i < nodes.size(); ++i) out[i] = row[nodes[i]];
+    return;
+  }
   const std::span<const Entry> slice = Level(level);
   if (slice.empty()) {
     std::fill_n(out.begin(), nodes.size(), 0.0);
@@ -81,32 +68,33 @@ void ReverseReachableTree::ProbabilityBatch(int level,
 }
 
 bool operator==(const ReverseReachableTree& a, const ReverseReachableTree& b) {
-  // The bitsets are derived from (level_offsets_, entries_), so comparing
-  // the CSR pair is the exact structural equality the dense representation
-  // used to provide.
   return a.n_ == b.n_ && a.source_ == b.source_ &&
-         a.level_offsets_ == b.level_offsets_ && a.entries_ == b.entries_;
+         a.entry_count_ == b.entry_count_ &&
+         a.level_offsets_ == b.level_offsets_ &&
+         a.dense_.row_off == b.dense_.row_off && a.entries_ == b.entries_ &&
+         a.dense_.prob == b.dense_.prob;
 }
 
 void ReverseReachableTree::AppendLevel(std::span<const Entry> level) {
-  entries_.insert(entries_.end(), level.begin(), level.end());
-  level_offsets_.push_back(static_cast<int64_t>(entries_.size()));
-  // A level earns a bitset once the n/64 words cost at most a few bytes per
-  // entry (size >= n/256): lookups against dense levels are the hot miss
-  // path, and the bitset keeps total storage O(EntryCount()).
-  if (!level.empty() && static_cast<int64_t>(level.size()) * 256 >=
-                            static_cast<int64_t>(n_)) {
-    const size_t words = (static_cast<size_t>(n_) + 63) / 64;
-    bits_offset_.push_back(static_cast<int64_t>(level_bits_.size()));
-    level_bits_.resize(level_bits_.size() + words, 0);
-    uint64_t* bits = level_bits_.data() + bits_offset_.back();
-    for (const Entry& e : level) {
-      bits[static_cast<size_t>(e.node) >> 6] |=
-          uint64_t{1} << (static_cast<uint64_t>(e.node) & 63);
-    }
+  // Below n/64 entries the probes rarely share a cache line and the compact
+  // search is the better trade. Level 0 holds only the source and is never
+  // probed by a walk (positions start at 1), so it never earns a row.
+  const size_t n = static_cast<size_t>(n_);
+  const size_t row_start = dense_.prob.size();
+  const bool dense = num_levels() > 0 &&
+                     level.size() >= std::max<size_t>(1, n / 64) &&
+                     (row_start + n) * sizeof(float) <= kDenseRowBudgetBytes;
+  entry_count_ += static_cast<int64_t>(level.size());
+  if (dense) {
+    dense_.row_off.push_back(static_cast<int64_t>(row_start));
+    dense_.prob.resize(row_start + n, 0.0f);
+    float* row = dense_.prob.data() + row_start;
+    for (const Entry& e : level) row[static_cast<size_t>(e.node)] = e.prob;
   } else {
-    bits_offset_.push_back(-1);
+    dense_.row_off.push_back(-1);
+    entries_.insert(entries_.end(), level.begin(), level.end());
   }
+  level_offsets_.push_back(static_cast<int64_t>(entries_.size()));
 }
 
 ReverseReachableTree BuildRevReach(const Graph& g, NodeId u, int l_max,
@@ -165,6 +153,7 @@ StatusOr<ReverseReachableTree> BuildRevReach(const Graph& g, NodeId u,
   tree.source_ = u;
   tree.level_offsets_.reserve(static_cast<size_t>(l_max) + 2);
   tree.level_offsets_.push_back(0);
+  tree.dense_.row_off.reserve(static_cast<size_t>(l_max) + 1);
 
   // Charges the growth of the tree's footprint since the last call; *not*
   // charged: transient frontier/level buffers (covered by the scratch term).
@@ -247,12 +236,11 @@ StatusOr<ReverseReachableTree> BuildRevReach(const Graph& g, NodeId u,
   // (trailing empties), preserving the dense representation's shape.
   while (tree.max_level() < l_max) tree.AppendLevel({});
   tree.entries_.shrink_to_fit();
-  tree.level_bits_.shrink_to_fit();
-  tree.BuildDenseRows();
+  tree.dense_.prob.shrink_to_fit();
   if (budget != nullptr) {
-    // shrink_to_fit may have returned capacity and the dense rows added
-    // some; settle the charge to the final footprint, then keep it charged
-    // for the query's lifetime.
+    // shrink_to_fit may have returned growth slack, and a build without a
+    // pushed level charged nothing yet; settle the charge to the final
+    // footprint, then keep it charged for the query's lifetime.
     const int64_t final_bytes = tree.MemoryBytes();
     if (final_bytes < tree_charged) {
       budget->Release(tree_charged - final_bytes);

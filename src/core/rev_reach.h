@@ -33,12 +33,16 @@ namespace crashsim {
 enum class RevReachMode { kPaper, kCorrected };
 
 // The truncated reverse-reachable tree of a source u: U(level, v) for
-// level in [0, l_max], stored sparsely in CSR form — one flat Entry array
-// sorted by (level, node) plus per-level offsets — so a tree's footprint is
-// O(EntryCount()), not O(l_max * n). Probability() is a branchless binary
-// search over the level's slice, short-circuited by a per-level bitset on
-// levels dense enough to amortise one (most walk steps miss the tree, and
-// the bitset answers a miss in one load). See DESIGN.md §3a.
+// level in [0, l_max]. Each level is stored once, in the form its size
+// earns as the builder collects it (DESIGN.md §3a):
+//   * dense — a level past level 0 holding at least max(1, n/64) entries,
+//     while the tree's rows fit kDenseRowBudgetBytes, is one row of n
+//     floats indexed by node (0.0f marks absence), so a probe is one load;
+//   * sparse — every other level is a slice of Entry pairs sorted by node
+//     inside one flat CSR array, searched branchlessly.
+// A row holds at least n/64 entries in 4n bytes (at most 256 bytes per
+// entry) and a slice 8 bytes per entry, so a tree's footprint is
+// O(EntryCount()), not O(l_max * n).
 class ReverseReachableTree {
  public:
   struct Entry {
@@ -53,24 +57,17 @@ class ReverseReachableTree {
   int max_level() const { return num_levels() - 1; }
   NodeId source() const { return source_; }
 
-  // U(level, v); zero outside the stored range. O(log |level|) worst case,
-  // O(1) for misses on bitset-backed levels.
+  // U(level, v); zero outside the stored range. One load on a dense level,
+  // an O(log |level|) search on a sparse one.
   double Probability(int level, NodeId v) const {
-    if (level < 0 || level > max_level()) return 0.0;
-    const size_t l = static_cast<size_t>(level);
-    const int64_t bits = bits_offset_[l];
-    if (bits >= 0 &&
-        !((level_bits_[static_cast<size_t>(bits) +
-                       (static_cast<size_t>(v) >> 6)] >>
-           (static_cast<uint64_t>(v) & 63)) &
-          1)) {
-      return 0.0;
+    if (const float* row = Row(level); row != nullptr) {
+      return row[static_cast<size_t>(v)];
     }
     // Branchless binary search over the sorted level slice.
-    const Entry* base = entries_.data() + level_offsets_[l];
-    size_t len =
-        static_cast<size_t>(level_offsets_[l + 1] - level_offsets_[l]);
-    if (len == 0) return 0.0;
+    const std::span<const Entry> slice = Level(level);
+    if (slice.empty()) return 0.0;
+    const Entry* base = slice.data();
+    size_t len = slice.size();
     while (len > 1) {
       const size_t half = len / 2;
       base += (base[half - 1].node < v) ? half : 0;
@@ -80,38 +77,39 @@ class ReverseReachableTree {
   }
 
   // Batched probe of one level: out[i] = Probability(level, nodes[i]) for
-  // every i. The slice is looked up once and each search is branchless
-  // (no bitset test), so the searches of different nodes are independent
-  // chains of loads that the CPU overlaps.
+  // every i. The level's form is looked up once; on a sparse level each
+  // search is branchless, so the searches of different nodes are
+  // independent chains of loads that the CPU overlaps.
   void ProbabilityBatch(int level, std::span<const NodeId> nodes,
                         std::span<double> out) const;
 
-  // Dense direct-index probe rows: for every level holding at least n/64
-  // entries (the same density regime that earns a membership bitset), the
-  // level's probabilities flattened into a row of n floats, so a probe is
-  // one data-independent load — prob[row_off[level] + v] — instead of a
-  // bitset test plus binary search. 0.0f marks absence and rows store the
-  // same floats Entry::prob holds, so a dense lookup widened to double is
-  // bit-identical to Probability(). row_off[level] is -1 for levels that
-  // stay on the search path (too sparse, or past kDenseRowBudgetBytes).
+  // The dense levels' rows, flattened: level l's row is
+  // prob[row_off[l], row_off[l] + n), and row_off[l] is -1 for a sparse
+  // level. A row cell holds the float an Entry for that cell would hold,
+  // so the form a level takes never shows in a probe's result.
   struct DenseRows {
     std::vector<float> prob;
     std::vector<int64_t> row_off;
   };
 
-  // The dense rows, built with the tree at the end of BuildRevReach, so
-  // MemoryBytes() — and with it the builder's MemoryBudget charge and the
-  // serving cache's capacity — counts them. A default-constructed tree
-  // has none.
+  // The dense rows, written by BuildRevReach as it collects each level —
+  // the only copy of those levels. A default-constructed tree has none.
   const DenseRows& EnsureDenseRows() const { return dense_; }
 
-  // Sparse non-zero entries of one level, sorted by node id.
+  // The stored slice of a sparse level, sorted by node id. Empty for a
+  // dense level, whose cells live in its row: LevelEntries() enumerates a
+  // level whatever its form.
   std::span<const Entry> Level(int level) const {
     if (level < 0 || level > max_level()) return {};
     const size_t l = static_cast<size_t>(level);
     return {entries_.data() + level_offsets_[l],
             static_cast<size_t>(level_offsets_[l + 1] - level_offsets_[l])};
   }
+
+  // The non-zero cells of one level in node order, whatever its form: a
+  // copy of a sparse level's slice, or a scan of a dense level's row
+  // (O(n)). For tests and tools; walks probe the level's own form.
+  std::vector<Entry> LevelEntries(int level) const;
 
   // Number of stored levels (max_level() + 1); 0 for a default-constructed
   // tree.
@@ -121,16 +119,18 @@ class ReverseReachableTree {
                : static_cast<int>(level_offsets_.size()) - 1;
   }
 
-  // Total non-zero (level, node) cells.
-  int64_t EntryCount() const { return static_cast<int64_t>(entries_.size()); }
+  // Total non-zero (level, node) cells over both forms.
+  int64_t EntryCount() const { return entry_count_; }
 
-  // Heap bytes held by this tree (entries + offsets + bitsets + dense
-  // rows). The bench harness reports it; the memory-shape regression test
-  // pins it to O(EntryCount()), not O(l_max * n).
+  // Heap bytes held by this tree: dense rows, sparse slices, and the two
+  // per-level offset arrays. The serving cache charges it against
+  // --cache_mb; the memory-shape regression test pins it to
+  // O(EntryCount()), not O(l_max * n).
   int64_t MemoryBytes() const;
 
   // Exact structural equality (same levels, nodes, and probabilities) —
-  // the test used by difference pruning (Property 2).
+  // the test used by difference pruning (Property 2). A level's form is a
+  // function of the level sizes, so equal trees store equal forms.
   friend bool operator==(const ReverseReachableTree& a,
                          const ReverseReachableTree& b);
 
@@ -140,30 +140,31 @@ class ReverseReachableTree {
                                                       RevReachMode, double,
                                                       const QueryContext*);
 
-  // Appends one materialised level (entries sorted by node) and, when the
-  // level is dense enough that n/64 bitset words cost less than a few bytes
-  // per entry, its membership bitset.
+  // Appends one collected level (entries sorted by node) in the form its
+  // size earns: scattered into a new dense row, or copied into entries_.
   void AppendLevel(std::span<const Entry> level);
-  // Fills dense_ from the finished levels.
-  void BuildDenseRows();
+  // A dense level's row; nullptr for a sparse level or one out of range.
+  const float* Row(int level) const {
+    if (level < 0 || level > max_level()) return nullptr;
+    const int64_t off = dense_.row_off[static_cast<size_t>(level)];
+    return off < 0 ? nullptr : dense_.prob.data() + off;
+  }
 
   NodeId n_ = 0;
   NodeId source_ = -1;
-  std::vector<Entry> entries_;          // CSR payload, sorted by (level, node)
-  std::vector<int64_t> level_offsets_;  // size num_levels() + 1
-  // Per-level fast-reject bitsets, concatenated. bits_offset_[l] is the
-  // word offset of level l's n-bit set inside level_bits_, or -1 when the
-  // level is sparse enough that binary search alone is the better trade.
-  std::vector<uint64_t> level_bits_;
-  std::vector<int64_t> bits_offset_;
-  DenseRows dense_;
+  int64_t entry_count_ = 0;
+  // Sparse levels' slices, sorted by (level, node); level_offsets_ has
+  // num_levels() + 1 slots, and a dense level's slice is empty.
+  std::vector<Entry> entries_;
+  std::vector<int64_t> level_offsets_;
+  DenseRows dense_;  // row_off has num_levels() slots
 };
 
-// Cap on the bytes of dense probe rows one tree may hold (a row costs
-// 4 * n bytes). Levels densify in level order until the budget runs out;
-// the remainder keeps the bitset + binary-search path. 128 MB covers every
-// level of any query-sized tree while staying far below the resident set
-// of the graphs such trees come from.
+// Cap on the bytes of dense rows one tree may hold (a row costs 4 * n
+// bytes). Levels densify in level order until the budget runs out; the
+// remainder stays sparse. 128 MB covers every level of any query-sized tree
+// while staying far below the resident set of the graphs such trees come
+// from.
 inline constexpr size_t kDenseRowBudgetBytes = size_t{128} << 20;
 
 // Builds the tree: l_max + 1 levels, level 0 = {u: 1}. Entries whose
@@ -171,9 +172,10 @@ inline constexpr size_t kDenseRowBudgetBytes = size_t{128} << 20;
 // non-zero; CrashSim uses a tiny epsilon-scaled default to bound work).
 // Each level pushes the frontier's in-edges into an n-float accumulator and
 // marks the reached nodes in an n-bit set, then collects the level in node
-// order by scanning the set: O(tree edges + l_max * n/64) time, no sort,
+// order by scanning the set and stores it as a row or a slice:
+// O(tree edges + l_max * n/64) time plus O(n) per dense row, no sort,
 // within the paper's O(m)-per-level claim. Peak memory is O(n) scratch
-// (plus three n-entry parent arrays in paper mode) and the packed output.
+// (plus three n-entry parent arrays in paper mode) and the tree itself.
 // CHECK-fails on an out-of-range source (programmer error on this path).
 ReverseReachableTree BuildRevReach(const Graph& g, NodeId u, int l_max,
                                    double c, RevReachMode mode,

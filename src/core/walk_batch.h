@@ -29,14 +29,13 @@ struct WalkBatchStats {
 // batch_size, and a tile advances all its live walks one step at a time,
 // so step s probes tree level s only (DESIGN.md §3b).
 //
-// Tree probes resolve through the tree's dense direct-index rows
-// (ReverseReachableTree::EnsureDenseRows, built with the tree and shared
-// by every engine over it): a probe against a densified level is ONE load,
-// from a row that stays in L1 for the whole step, of the exact float
-// Entry::prob holds, so widening it is bit-identical to Probability().
-// Sparse levels (and everything past kDenseRowBudgetBytes) are searched
-// for the whole step at once by ProbabilityBatch, so the resolution path
-// is invisible in the output.
+// Tree probes follow the form each level is stored in
+// (ReverseReachableTree): a probe against a dense level is ONE load from
+// its row (ReverseReachableTree::EnsureDenseRows, the level's only copy,
+// shared by every engine over the tree), which stays in L1 for the whole
+// step; a sparse level is searched for the whole step at once by
+// ProbabilityBatch. Both return what Probability() does, so the
+// resolution path is invisible in the output.
 //
 // Bit-identity contract (the reason this class can replace the scalar loop
 // wholesale): the output is a pure function of (stream_salt, candidate,
@@ -84,9 +83,9 @@ class WalkBatchEngine {
            std::span<WalkBatchStats> stats) const;
 
  private:
-  // Borrowed view of the tree's dense probe rows (storage owned by the
-  // tree, which outlives the engine). levels is 0 for a tree without
-  // rows; the scalar path never reads them.
+  // Borrowed view of the tree's dense rows (storage owned by the tree,
+  // which outlives the engine). levels is 0 for a default-constructed
+  // tree; the scalar path probes through Probability() instead.
   struct DenseView {
     const float* prob = nullptr;
     const int64_t* row_off = nullptr;

@@ -26,7 +26,7 @@ TEST(RevReachPaperModeTest, ReproducesExample2Level1) {
   EXPECT_DOUBLE_EQ(tree.Probability(0, A), 1.0);
   EXPECT_NEAR(tree.Probability(1, B), 0.25, 1e-6);
   EXPECT_NEAR(tree.Probability(1, C), 0.5 / 3.0, 1e-6);
-  EXPECT_EQ(tree.Level(1).size(), 2u);
+  EXPECT_EQ(tree.LevelEntries(1).size(), 2u);
 }
 
 TEST(RevReachPaperModeTest, ReproducesExample2Level2) {
@@ -36,7 +36,7 @@ TEST(RevReachPaperModeTest, ReproducesExample2Level2) {
   EXPECT_NEAR(tree.Probability(2, E), 0.0625, 1e-4);
   EXPECT_NEAR(tree.Probability(2, B), 0.0417, 1e-4);
   EXPECT_NEAR(tree.Probability(2, D), 0.0417, 1e-4);
-  EXPECT_EQ(tree.Level(2).size(), 3u);
+  EXPECT_EQ(tree.LevelEntries(2).size(), 3u);
 }
 
 TEST(RevReachPaperModeTest, ReproducesExample2Level3) {
@@ -47,7 +47,7 @@ TEST(RevReachPaperModeTest, ReproducesExample2Level3) {
   EXPECT_NEAR(tree.Probability(3, A), 0.0104, 1e-4);
   EXPECT_NEAR(tree.Probability(3, E), 0.0104, 1e-4);
   EXPECT_NEAR(tree.Probability(3, B), 0.0104, 1e-4);
-  EXPECT_EQ(tree.Level(3).size(), 4u);
+  EXPECT_EQ(tree.LevelEntries(3).size(), 4u);
 }
 
 TEST(RevReachPaperModeTest, ReproducesExample2WalkScore) {
@@ -84,7 +84,7 @@ TEST(RevReachCorrectedModeTest, LevelsAreTrueWalkMarginals) {
   const auto tree = BuildRevReach(g, 0, 8, c, RevReachMode::kCorrected);
   for (int level = 0; level <= 8; ++level) {
     double total = 0.0;
-    for (const auto& e : tree.Level(level)) {
+    for (const auto& e : tree.LevelEntries(level)) {
       total += e.prob;
     }
     EXPECT_NEAR(total, std::pow(std::sqrt(c), level), 1e-5)
@@ -154,7 +154,7 @@ TEST(RevReachTest, PruneThresholdDropsTinyEntries) {
   const auto pruned = BuildRevReach(g, A, 6, 0.25, RevReachMode::kPaper, 0.02);
   EXPECT_LT(pruned.EntryCount(), full.EntryCount());
   // Level 1 survives (0.25 and 0.167 both above threshold).
-  EXPECT_EQ(pruned.Level(1).size(), 2u);
+  EXPECT_EQ(pruned.LevelEntries(1).size(), 2u);
 }
 
 TEST(RevReachTest, SourceWithNoInNeighbours) {
@@ -177,19 +177,19 @@ TEST(RevReachSparseTest, LevelSpansPartitionEntriesSorted) {
   const auto tree = BuildRevReach(g, 7, 12, 0.6, RevReachMode::kCorrected);
   int64_t total = 0;
   for (int level = 0; level <= tree.max_level(); ++level) {
-    const auto span = tree.Level(level);
-    total += static_cast<int64_t>(span.size());
-    for (size_t i = 0; i + 1 < span.size(); ++i) {
-      EXPECT_LT(span[i].node, span[i + 1].node) << "level " << level;
+    const auto entries = tree.LevelEntries(level);
+    total += static_cast<int64_t>(entries.size());
+    for (size_t i = 0; i + 1 < entries.size(); ++i) {
+      EXPECT_LT(entries[i].node, entries[i + 1].node) << "level " << level;
     }
-    // Every packed entry is served back verbatim by the lookup path.
-    for (const auto& e : span) {
+    // Every stored cell is served back verbatim by the lookup path.
+    for (const auto& e : entries) {
       EXPECT_EQ(tree.Probability(level, e.node), e.prob);
     }
   }
   EXPECT_EQ(total, tree.EntryCount());
-  EXPECT_TRUE(tree.Level(-1).empty());
-  EXPECT_TRUE(tree.Level(tree.max_level() + 1).empty());
+  EXPECT_TRUE(tree.LevelEntries(-1).empty());
+  EXPECT_TRUE(tree.LevelEntries(tree.max_level() + 1).empty());
 }
 
 // Dense reference builder: the exact recurrence of BuildRevReach replayed
@@ -258,13 +258,13 @@ std::vector<float> DenseReference(const Graph& g, NodeId u, int l_max,
   return dense;
 }
 
-TEST(RevReachSparseTest, ProbabilityMatchesDenseBaselineBothModes) {
-  // Randomised graphs x both recurrences x prune thresholds: every (level,
-  // node) lookup must equal the dense matrix the old push-and-sort builder
-  // stored, through the scalar probe and through the walk engine's
-  // per-level batch search alike, and the tree holds exactly the non-zero
-  // cells. The larger graphs span many bitset words with a partial last
-  // word; the undirected one makes paper-mode parent exclusion fire.
+// Randomised graphs x both recurrences x prune thresholds, each tree handed
+// to `check` beside its DenseReference matrix. The larger graphs span many
+// bitset words with a partial last word, and hold levels on both sides of
+// the n/64 density rule; the undirected one makes paper-mode parent
+// exclusion fire. Returns whether a source of in-degree zero was covered.
+template <typename Check>
+bool ForEachBaselineTree(Check check) {
   struct Case {
     std::string name;
     Graph g;
@@ -301,9 +301,6 @@ TEST(RevReachSparseTest, ProbabilityMatchesDenseBaselineBothModes) {
         }
       }
     }
-    std::vector<NodeId> nodes(static_cast<size_t>(n));
-    for (NodeId v = 0; v < n; ++v) nodes[static_cast<size_t>(v)] = v;
-    std::vector<double> batch(nodes.size());
     for (NodeId src : tc.sources) {
       for (RevReachMode mode :
            {RevReachMode::kPaper, RevReachMode::kCorrected}) {
@@ -312,32 +309,113 @@ TEST(RevReachSparseTest, ProbabilityMatchesDenseBaselineBothModes) {
               tc.name + " source " + std::to_string(src) + " mode " +
               (mode == RevReachMode::kPaper ? "paper" : "corrected") +
               " prune " + std::to_string(prune);
-          const auto tree =
-              BuildRevReach(tc.g, src, tc.l_max, 0.6, mode, prune);
-          const auto dense =
-              DenseReference(tc.g, src, tc.l_max, 0.6, mode, prune);
-          ASSERT_EQ(tree.EntryCount(),
-                    std::count_if(dense.begin(), dense.end(),
-                                  [](float p) { return p != 0.0f; }))
-              << where;
-          for (int level = 0; level <= tc.l_max; ++level) {
-            tree.ProbabilityBatch(level, nodes, batch);
-            for (NodeId v = 0; v < n; ++v) {
-              const double want = dense[static_cast<size_t>(level) *
-                                            static_cast<size_t>(n) +
-                                        static_cast<size_t>(v)];
-              ASSERT_EQ(tree.Probability(level, v), want)
-                  << where << " level " << level << " node " << v;
-              ASSERT_EQ(batch[static_cast<size_t>(v)], want)
-                  << "batch: " << where << " level " << level << " node "
-                  << v;
-            }
-          }
+          check(tc.g, BuildRevReach(tc.g, src, tc.l_max, 0.6, mode, prune),
+                DenseReference(tc.g, src, tc.l_max, 0.6, mode, prune), where);
         }
       }
     }
   }
+  return saw_in_degree_zero;
+}
+
+TEST(RevReachSparseTest, ProbabilityMatchesDenseBaselineBothModes) {
+  // Every (level, node) lookup must equal the dense matrix the old
+  // push-and-sort builder stored, through the scalar probe, the walk
+  // engine's per-level batch probe and the level enumerator alike, and the
+  // tree holds exactly the non-zero cells.
+  const bool saw_in_degree_zero = ForEachBaselineTree(
+      [](const Graph& g, const ReverseReachableTree& tree,
+         const std::vector<float>& dense, const std::string& where) {
+        const NodeId n = g.num_nodes();
+        std::vector<NodeId> nodes(static_cast<size_t>(n));
+        for (NodeId v = 0; v < n; ++v) nodes[static_cast<size_t>(v)] = v;
+        std::vector<double> batch(nodes.size());
+        ASSERT_EQ(tree.EntryCount(),
+                  std::count_if(dense.begin(), dense.end(),
+                                [](float p) { return p != 0.0f; }))
+            << where;
+        for (int level = 0; level <= tree.max_level(); ++level) {
+          const float* row = dense.data() + static_cast<size_t>(level) *
+                                                static_cast<size_t>(n);
+          std::vector<ReverseReachableTree::Entry> want_entries;
+          for (NodeId v = 0; v < n; ++v) {
+            if (row[v] != 0.0f) want_entries.push_back({v, row[v]});
+          }
+          ASSERT_EQ(tree.LevelEntries(level), want_entries)
+              << "enumerator: " << where << " level " << level;
+          tree.ProbabilityBatch(level, nodes, batch);
+          for (NodeId v = 0; v < n; ++v) {
+            const double want = row[v];
+            ASSERT_EQ(tree.Probability(level, v), want)
+                << where << " level " << level << " node " << v;
+            ASSERT_EQ(batch[static_cast<size_t>(v)], want)
+                << "batch: " << where << " level " << level << " node " << v;
+          }
+        }
+      });
   EXPECT_TRUE(saw_in_degree_zero);
+}
+
+TEST(RevReachLayoutTest, EachLevelIsStoredOnceInTheFormItsSizeEarns) {
+  // A level past level 0 with at least max(1, n/64) cells is a dense row
+  // and nothing else; every other level is a slice and nothing else. The
+  // footprint is exactly the rows, the slices and the two offset arrays.
+  ForEachBaselineTree([](const Graph& g, const ReverseReachableTree& tree,
+                         const std::vector<float>&, const std::string& where) {
+    const size_t n = static_cast<size_t>(g.num_nodes());
+    const ReverseReachableTree::DenseRows& rows = tree.EnsureDenseRows();
+    const size_t levels = static_cast<size_t>(tree.num_levels());
+    ASSERT_EQ(rows.row_off.size(), levels) << where;
+    size_t dense_levels = 0;
+    int64_t slice_entries = 0;
+    for (int level = 0; level <= tree.max_level(); ++level) {
+      const size_t cells = tree.LevelEntries(level).size();
+      const int64_t off = rows.row_off[static_cast<size_t>(level)];
+      const bool earns_row =
+          level > 0 && cells >= std::max<size_t>(1, n / 64);
+      ASSERT_EQ(off >= 0, earns_row) << where << " level " << level;
+      if (earns_row) {
+        EXPECT_EQ(off, static_cast<int64_t>(dense_levels * n)) << where;
+        EXPECT_TRUE(tree.Level(level).empty()) << where << " level " << level;
+        ++dense_levels;
+      } else {
+        EXPECT_EQ(tree.Level(level).size(), cells)
+            << where << " level " << level;
+      }
+      slice_entries += static_cast<int64_t>(tree.Level(level).size());
+    }
+    EXPECT_EQ(rows.prob.size(), dense_levels * n) << where;
+    const int64_t want_bytes = static_cast<int64_t>(
+        rows.prob.size() * sizeof(float) +
+        static_cast<size_t>(slice_entries) *
+            sizeof(ReverseReachableTree::Entry) +
+        (2 * levels + 1) * sizeof(int64_t));
+    EXPECT_EQ(tree.MemoryBytes(), want_bytes) << where;
+  });
+}
+
+// The tree of source 0 over 0 <- 1, 0 <- 2, 2 <- 3 (plus 2 <- 4 when
+// `second_parent`) in n nodes, paper mode, l_max 1: level 1 is {1, 2}, and
+// U(1, 2) = sqrt(c) / |I(2)| is the only cell the extra edge changes.
+ReverseReachableTree OneCellApart(NodeId n, bool second_parent) {
+  std::vector<Edge> edges = {{1, 0}, {2, 0}, {3, 2}};
+  if (second_parent) edges.push_back({4, 2});
+  return BuildRevReach(BuildGraph(n, edges), 0, 1, 0.6, RevReachMode::kPaper);
+}
+
+TEST(RevReachLayoutTest, EqualityRejectsOneChangedCellInEitherForm) {
+  // n = 5: two cells meet max(1, n/64) = 1, so level 1 is a dense row.
+  // n = 200: they fall short of n/64 = 3, so level 1 is a sparse slice.
+  for (const NodeId n : {5, 200}) {
+    const ReverseReachableTree a = OneCellApart(n, false);
+    const ReverseReachableTree b = OneCellApart(n, true);
+    ASSERT_EQ(a.EnsureDenseRows().row_off[1] >= 0, n == 5) << "n " << n;
+    ASSERT_EQ(a.EntryCount(), b.EntryCount()) << "n " << n;
+    ASSERT_EQ(a.Probability(1, 1), b.Probability(1, 1)) << "n " << n;
+    ASSERT_NE(a.Probability(1, 2), b.Probability(1, 2)) << "n " << n;
+    EXPECT_FALSE(a == b) << "n " << n;
+    EXPECT_TRUE(a == OneCellApart(n, false)) << "n " << n;
+  }
 }
 
 TEST(RevReachSparseTest, MemoryScalesWithEntriesNotLevelsTimesNodes) {
@@ -425,16 +503,17 @@ TEST(RevReachRobustnessTest, GenerousBudgetKeepsTreeBytesChargedOnSuccess) {
   EXPECT_TRUE(*tree_or == plain);
 }
 
-TEST(RevReachSparseTest, BitsetLevelsStillAnswerMissesExactly) {
-  // A dense level (star hub reaches every leaf at level 1) takes the bitset
-  // fast-reject path; spot-check hits and misses against Level().
+TEST(RevReachSparseTest, DenseLevelsAnswerMissesExactly) {
+  // A dense level (star hub reaches every leaf at level 1) is a row load;
+  // spot-check hits and misses against LevelEntries().
   const Graph g = StarGraph(400, /*undirected=*/true);
   const auto tree = BuildRevReach(g, 0, 3, 0.6, RevReachMode::kCorrected);
-  const auto level1 = tree.Level(1);
-  ASSERT_EQ(level1.size(), 399u);  // all leaves
+  ASSERT_GE(tree.EnsureDenseRows().row_off[1], 0);
+  ASSERT_EQ(tree.LevelEntries(1).size(), 399u);  // all leaves
   for (NodeId v = 1; v < 400; ++v) EXPECT_GT(tree.Probability(1, v), 0.0);
   EXPECT_EQ(tree.Probability(1, 0), 0.0);  // hub absent at level 1
-  // Level 2 holds only the hub: every leaf is a bitset/binary-search miss.
+  // Level 2 holds only the hub, a sparse slice: every leaf is a search miss.
+  ASSERT_EQ(tree.EnsureDenseRows().row_off[2], -1);
   for (NodeId v = 1; v < 400; ++v) EXPECT_EQ(tree.Probability(2, v), 0.0);
   EXPECT_GT(tree.Probability(2, 0), 0.0);
 }

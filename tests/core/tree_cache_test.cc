@@ -242,9 +242,9 @@ TEST(TreeCacheTest, BudgetShedBuildIsNotCachedAndSlotRecovers) {
   EXPECT_EQ(cache.stats().trees, 1);
 }
 
-// A tree's dense probe rows are part of its footprint: MemoryBytes()
-// counts them, so a capacity that holds the sparse levels but not the rows
-// beside them cannot keep the tree, and the cache evicts it.
+// A tree's footprint is exactly what it stores — each dense level's row,
+// each sparse level's slice, and the per-level offsets — and the cache
+// charges all of it: a capacity one byte short cannot keep the tree.
 TEST(TreeCacheTest, DenseRowsCountAgainstCapacity) {
   Rng rng(31);
   const Graph g = ErdosRenyi(300, 1500, /*undirected=*/false, &rng);
@@ -254,24 +254,19 @@ TEST(TreeCacheTest, DenseRowsCountAgainstCapacity) {
   const ReverseReachableTree probe = engine.BuildTree(0);
   const ReverseReachableTree::DenseRows& rows = probe.EnsureDenseRows();
   ASSERT_FALSE(rows.prob.empty()) << "expected dense levels";
-  const int64_t row_bytes =
-      static_cast<int64_t>(rows.prob.size() * sizeof(float) +
-                           rows.row_off.size() * sizeof(int64_t));
-  const int64_t entry_bytes = probe.EntryCount() *
-                              static_cast<int64_t>(sizeof(
-                                  ReverseReachableTree::Entry));
-  EXPECT_GE(probe.MemoryBytes(), entry_bytes + row_bytes);
-
-  // An upper bound on the sparse form alone: the entries, the level
-  // offsets, and a bitset plus its offset (with growth slack) per level.
+  int64_t slice_entries = 0;
+  for (int l = 0; l <= probe.max_level(); ++l) {
+    slice_entries += static_cast<int64_t>(probe.Level(l).size());
+  }
   const int64_t levels = probe.num_levels();
-  const int64_t words = (g.num_nodes() + 63) / 64;
-  const int64_t sparse_bound =
-      entry_bytes + (levels + 1) * 8 + levels * (words + 2) * 8;
-  ASSERT_LT(sparse_bound, probe.MemoryBytes());
+  EXPECT_EQ(probe.MemoryBytes(),
+            static_cast<int64_t>(rows.prob.size() * sizeof(float)) +
+                slice_entries *
+                    static_cast<int64_t>(sizeof(ReverseReachableTree::Entry)) +
+                (2 * levels + 1) * static_cast<int64_t>(sizeof(int64_t)));
 
   TreeCacheOptions copt = MatchingCacheOptions(eopt);
-  copt.capacity_bytes = sparse_bound;
+  copt.capacity_bytes = probe.MemoryBytes() - 1;
   TreeCache cache(&g, copt);
   QueryContext ctx;
   StatusOr<TreeCache::TreePtr> tree =
@@ -282,6 +277,30 @@ TEST(TreeCacheTest, DenseRowsCountAgainstCapacity) {
   EXPECT_EQ(stats.evictions, 1);
   EXPECT_EQ(stats.trees, 0);
   EXPECT_EQ(stats.bytes, 0);
+}
+
+// A capacity of exactly three trees' footprints keeps all three resident:
+// nothing beyond MemoryBytes() is charged.
+TEST(TreeCacheTest, CapacityOfThreeTreesKeepsThreeResident) {
+  Rng rng(31);
+  const Graph g = ErdosRenyi(300, 1500, /*undirected=*/false, &rng);
+  const CrashSimOptions eopt = TestEngineOptions();
+  CrashSim engine(eopt);
+  ASSERT_TRUE(engine.Bind(&g).ok());
+  TreeCacheOptions copt = MatchingCacheOptions(eopt);
+  copt.capacity_bytes = 0;
+  for (NodeId u = 0; u < 3; ++u) {
+    copt.capacity_bytes += engine.BuildTree(u).MemoryBytes();
+  }
+  TreeCache cache(&g, copt);
+  QueryContext ctx;
+  for (NodeId u = 0; u < 3; ++u) {
+    ASSERT_TRUE(cache.GetOrBuild(u, engine.LMax(), eopt.mode, &ctx).ok());
+  }
+  const TreeCache::Stats stats = cache.stats();
+  EXPECT_EQ(stats.trees, 3);
+  EXPECT_EQ(stats.evictions, 0);
+  EXPECT_EQ(stats.bytes, copt.capacity_bytes);
 }
 
 // LRU eviction under byte pressure: capacity for roughly one tree means

@@ -5,14 +5,16 @@ Usage:
   compare_bench.py --baseline BENCH_baseline.json --current BENCH_run.json \
       [--threshold 0.25]
 
-Records are matched by their "bench" name; only records with ns_per_op > 0
-on BOTH sides participate (the QueryStatsProbe record and benchmarks absent
-from one side are skipped with a note). A benchmark whose current ns/op
-exceeds baseline * (1 + threshold) is a regression; any regression makes the
-exit code 1, which is what `run_benchmarks.sh --check` (and the CI bench
-lane) keys off. Improvements beyond the threshold are reported informationally
-but never fail the run — ratcheting the baseline down is a deliberate,
-reviewed action (`run_benchmarks.sh --update-baseline`).
+Records are matched by their "bench" name and compared on ns/op: the
+"ns_per_op_median" of a benchmark run with repetitions, else "ns_per_op".
+Only records with ns/op > 0 on BOTH sides participate (the QueryStatsProbe
+record and benchmarks absent from one side are skipped with a note). A
+benchmark whose current ns/op exceeds baseline * (1 + threshold) is a
+regression; any regression makes the exit code 1, which is what
+`run_benchmarks.sh --check` (and the CI bench lane) keys off. Improvements
+beyond the threshold are reported informationally but never fail the run —
+ratcheting the baseline down is a deliberate, reviewed action
+(`run_benchmarks.sh --update-baseline`).
 
 Stdlib only: this runs in CI and in the bare benchmark container.
 """
@@ -36,6 +38,12 @@ def load_records(path):
     return out
 
 
+def ns_per_op(rec):
+    """The figure a record is gated on: its median over repetitions if it
+    has one, else its single ns/op."""
+    return rec.get("ns_per_op_median", rec.get("ns_per_op", 0))
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--baseline", required=True)
@@ -50,14 +58,14 @@ def main():
     compared = 0
     regressions = []
     for name in sorted(baseline):
-        base_ns = baseline[name].get("ns_per_op", 0)
+        base_ns = ns_per_op(baseline[name])
         if not isinstance(base_ns, (int, float)) or base_ns <= 0:
             continue
         cur = current.get(name)
         if cur is None:
             print(f"note: {name}: in baseline but not in current run, skipped")
             continue
-        cur_ns = cur.get("ns_per_op", 0)
+        cur_ns = ns_per_op(cur)
         if not isinstance(cur_ns, (int, float)) or cur_ns <= 0:
             print(f"note: {name}: current run has no ns/op, skipped")
             continue
@@ -69,12 +77,13 @@ def main():
             regressions.append(name)
         elif ratio < 1.0 / (1.0 + args.threshold):
             verdict = "improved (consider --update-baseline)"
-        print(f"{name:44s} {base_ns:14.1f} -> {cur_ns:14.1f} ns/op "
+        stat = " (median)" if "ns_per_op_median" in cur else ""
+        print(f"{name:44s} {base_ns:14.1f} -> {cur_ns:14.1f} ns/op{stat} "
               f"({ratio:6.2f}x)  {verdict}")
 
     new_names = sorted(set(current) - set(baseline))
     for name in new_names:
-        if current[name].get("ns_per_op", 0) > 0:
+        if ns_per_op(current[name]) > 0:
             print(f"note: {name}: not in baseline (new benchmark?)")
 
     if compared == 0:

@@ -12,8 +12,10 @@
 #                an instrumented crashsim_cli query and validates the
 #                crashsim.query_stats.v1 schema, the Chrome trace export,
 #                and the Prometheus metrics export end to end.
-#   --check      after the run, compare ns/op against the committed
-#                <repo>/BENCH_baseline.json with tools/compare_bench.py
+#   --check      after the run, compare ns/op (the median over repetitions
+#                for the benchmarks that repeat, BM_TreeProbability*)
+#                against the committed <repo>/BENCH_baseline.json with
+#                tools/compare_bench.py
 #                (regressions beyond BENCH_CHECK_THRESHOLD, default 0.25 =
 #                +25%) and check the walk-batch speedup floor; both gates
 #                are printed, and the script fails if either failed. Bumps
@@ -115,7 +117,7 @@ if [[ "${SMOKE}" -eq 1 ]]; then
     MIN_TIME=0.05
   fi
   "${BENCH_MICRO}" \
-    --benchmark_filter='((BM_BuildRevReach(Paper|Corrected)|BM_TreeProbability(Hit|Miss))/1000|BM_WalkBatch(Scalar|SoA)/10000)$' \
+    --benchmark_filter='((BM_BuildRevReach(Paper|Corrected)|BM_TreeProbability(Hit|Miss))/1000(/repeats:[0-9]+)?|BM_WalkBatch(Scalar|SoA)/10000)$' \
     --benchmark_min_time="${MIN_TIME}" \
     --json "${OUT}" \
     --trace_out "${OUT_DIR}/BENCH_trace_smoke.json"
