@@ -66,10 +66,10 @@ Status CrashSim::Bind(const Graph* g, SharedDiagonal diag) {
 
 SharedDiagonal CrashSim::EstimateDiagonal(const Graph& g) const {
   if (options_.mode != RevReachMode::kCorrected) return nullptr;
-  Rng rng(options_.mc.seed);
   return std::make_shared<const std::vector<double>>(
       EstimateDiagonalCorrections(g, options_.mc.c, options_.diag_samples,
-                                  LMax() + 1, &rng));
+                                  LMax() + 1, options_.mc.seed,
+                                  options_.num_threads));
 }
 
 const std::vector<double>& CrashSim::diagonal() const {

@@ -76,10 +76,13 @@ class CrashSim : public SimRankAlgorithm {
   // CHECK-fails.
   [[nodiscard]] Status Bind(const Graph* g, SharedDiagonal diag);
 
-  // Corrected mode's d(w) for g, drawn from a fresh Rng(mc.seed) on every
-  // call, so it is a pure function of (g, c, diag_samples, l_max, seed) and
-  // Bind never depends on what was bound before. nullptr in paper mode.
-  // Requires valid options, like LMax() and TrialsFor().
+  // Corrected mode's d(w) for g (EstimateDiagonalCorrections, simrank/
+  // walk.h): every walk pair draws from its own substream of mc.seed, so
+  // the result is a pure function of (g, c, diag_samples, l_max, seed) —
+  // Bind never depends on what was bound before, and num_threads > 1 splits
+  // the nodes over the trial loop's ParallelFor without changing a bit.
+  // nullptr in paper mode. Requires valid options, like LMax() and
+  // TrialsFor().
   SharedDiagonal EstimateDiagonal(const Graph& g) const;
 
   // Scores candidates against a pre-built source tree (CrashSim-T builds the

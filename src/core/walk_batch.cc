@@ -56,7 +56,7 @@ void WalkBatchEngine::Run(std::span<const NodeId> candidates, NodeId skip,
   CRASHSIM_CHECK(stats.empty() || stats.size() >= candidates.size());
   CRASHSIM_CHECK(mass.size() >= candidates.size());
   int64_t eligible = 0;
-  for (NodeId v : candidates) eligible += v == skip ? 0 : 1;
+  for (NodeId v : candidates) eligible += DrawsWalks(v, skip) ? 1 : 0;
   if (eligible == 0) return;
 
   // Both paths honour the same per-walk draw and fold contract, so routing
@@ -76,7 +76,7 @@ void WalkBatchEngine::RunScalar(std::span<const NodeId> candidates,
                                 std::span<WalkBatchStats> stats) const {
   for (size_t ci = 0; ci < candidates.size(); ++ci) {
     const NodeId v = candidates[ci];
-    if (v == skip) continue;
+    if (!DrawsWalks(v, skip)) continue;
     const uint64_t cand_seed = ChainSeed(salt_, static_cast<uint64_t>(v));
     int64_t steps = 0;
     int64_t hits = 0;
@@ -145,12 +145,11 @@ void WalkBatchEngine::RunBatched(std::span<const NodeId> candidates,
     size_t live = 0;
     while (tile_n < tile_cap && ci < candidates.size()) {
       const NodeId v = candidates[ci];
-      if (v == skip) {
+      if (!DrawsWalks(v, skip)) {
         ++ci;
         continue;
       }
       const uint64_t cand_seed = ChainSeed(salt_, static_cast<uint64_t>(v));
-      const bool can_step = g_.InDegree(v) > 0;
       const int64_t k_end = std::min<int64_t>(
           trial_end, k + static_cast<int64_t>(tile_cap - tile_n));
       for (; k < k_end; ++k, ++tile_n) {
@@ -161,8 +160,8 @@ void WalkBatchEngine::RunBatched(std::span<const NodeId> candidates,
         w.cur = v;
         w.job = static_cast<uint32_t>(tile_n);
         job_ci[tile_n] = static_cast<uint32_t>(ci);
-        totals[tile_n] = {0.0, can_step ? w.len - 1 : 0, 0};
-        live += static_cast<size_t>(can_step & (w.len > 1));
+        totals[tile_n] = {0.0, w.len - 1, 0};
+        live += static_cast<size_t>(w.len > 1);
       }
       if (k == trial_end) {
         k = trial_begin;

@@ -75,9 +75,12 @@ class WalkBatchEngine {
   //   stats[ci] += walk steps / tree hits (may be empty to skip stats
   //                collection),
   // where ci indexes `candidates`. Skipped candidates consume no draws and
-  // add nothing. Callers parallelise by candidate range: disjoint
-  // sub-spans (with mass/stats sliced to match) write disjoint slots, and
-  // per the contract above the results do not depend on the split.
+  // add nothing, and neither do candidates with no in-neighbours: every
+  // walk from one stops before its first step, so its mass and counts are
+  // 0 whether or not it is drawn. Callers parallelise by candidate range:
+  // disjoint sub-spans (with mass/stats sliced to match) write disjoint
+  // slots, and per the contract above the results do not depend on the
+  // split.
   void Run(std::span<const NodeId> candidates, NodeId skip,
            int64_t trial_begin, int64_t trial_end, std::span<double> mass,
            std::span<WalkBatchStats> stats) const;
@@ -91,6 +94,12 @@ class WalkBatchEngine {
     const int64_t* row_off = nullptr;
     size_t levels = 0;
   };
+
+  // True when candidate v draws walks: it is not `skip` and a walk from it
+  // can take a step.
+  bool DrawsWalks(NodeId v, NodeId skip) const {
+    return v != skip && g_.InDegree(v) > 0;
+  }
 
   void RunScalar(std::span<const NodeId> candidates, NodeId skip,
                  int64_t trial_begin, int64_t trial_end,

@@ -212,7 +212,9 @@ Status Server::Start() {
   // Built only now: each of these CHECK-fails on options that Validate()
   // rejects.
   engine_ = std::make_unique<CrashSim>(options_.engine);
+  const Stopwatch bind_timer;
   RETURN_IF_ERROR(engine_->Bind(&graph_.graph));
+  bind_ms_ = bind_timer.ElapsedMillis();
   TreeCacheOptions cache_options = options_.cache;
   cache_options.c = options_.engine.mc.c;
   cache_options.prune_threshold = options_.engine.tree_prune_threshold;
@@ -725,6 +727,12 @@ std::string Server::BuildStatuszJson() const {
   out.Set("schema", JsonValue(std::string("crashsim.statusz.v1")));
   out.Set("uptime_seconds",
           JsonValue(static_cast<double>(SteadyNowNanos() - start_ns_) / 1e9));
+
+  // Start-up cost paid before the listener opened: the engine's Bind, which
+  // in corrected mode is the d(w) estimate.
+  JsonValue startup = JsonValue::Object();
+  startup.Set("bind_ms", JsonValue(bind_ms_));
+  out.Set("startup", std::move(startup));
 
   JsonValue build = JsonValue::Object();
   build.Set("compiler", JsonValue(std::string(__VERSION__)));

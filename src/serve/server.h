@@ -249,6 +249,7 @@ class Server {
   std::unique_ptr<SlidingHistogram> slo_window_;
   std::atomic<int64_t> slo_breaches_total_{0};
   int64_t start_ns_ = 0;  // Start() time, for /statusz uptime
+  double bind_ms_ = 0.0;  // Start()'s engine Bind, for /statusz startup
 
   std::atomic<bool> stop_{false};
   std::atomic<bool> shutdown_done_{false};

@@ -5,7 +5,6 @@
 
 #include "simrank/walk.h"
 #include "util/parallel.h"
-#include "util/rng.h"
 #include "util/timer.h"
 
 namespace crashsim {
@@ -26,11 +25,11 @@ Status Sling::Bind(const Graph* g) {
   if (options_.max_walk_length > 0) {
     max_depth_ = std::min(max_depth_, options_.max_walk_length);
   }
-  // d(w) draws from a fresh Rng(seed) on every Bind, so the index is a pure
-  // function of (graph, options) and never of what was bound before.
-  Rng rng(options_.seed);
+  // d(w) is a pure function of (graph, options), so the index never depends
+  // on what was bound before.
   diag_ = EstimateDiagonalCorrections(*g, options_.c, diag_samples_,
-                                      max_depth_ + 1, &rng);
+                                      max_depth_ + 1, options_.seed,
+                                      /*max_threads=*/0);
   BuildReverseLists();
   stats_.build_seconds = timer.ElapsedSeconds();
   return OkStatus();

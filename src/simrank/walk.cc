@@ -3,7 +3,9 @@
 #include <cmath>
 #include <limits>
 
+#include "simrank/alias_sampler.h"
 #include "util/logging.h"
+#include "util/parallel.h"
 
 namespace crashsim {
 
@@ -73,32 +75,64 @@ double CrashSimAchievedEpsilon(double c, double delta, NodeId n, int l_max,
 
 std::vector<double> EstimateDiagonalCorrections(const Graph& g, double c,
                                                 int samples, int max_len,
-                                                Rng* rng) {
+                                                uint64_t seed,
+                                                int max_threads) {
   CRASHSIM_CHECK_GE(samples, 1);
-  const double sqrt_c = std::sqrt(c);
-  const NodeId n = g.num_nodes();
-  std::vector<double> d(static_cast<size_t>(n), 1.0);
-  std::vector<NodeId> wa;
-  std::vector<NodeId> wb;
-  for (NodeId w = 0; w < n; ++w) {
-    if (g.InDegree(w) == 0) continue;  // walks stop immediately: d(w) = 1
-    int never_met = 0;
-    for (int s = 0; s < samples; ++s) {
-      SampleSqrtCWalk(g, w, sqrt_c, max_len, rng, &wa);
-      SampleSqrtCWalk(g, w, sqrt_c, max_len, rng, &wb);
-      const size_t steps = std::min(wa.size(), wb.size());
-      bool met = false;
-      for (size_t t = 1; t < steps; ++t) {
-        if (wa[t] == wb[t]) {
-          met = true;
-          break;
-        }
+  // Outcome i is a pair's common budget of i steps (ALGORITHMS.md).
+  const DiscreteSampler budget(TruncatedGeometricWeights(c, max_len),
+                               DiscreteSampler::Backend::kAuto);
+  const uint64_t salt = ChainSeed(seed, kDiagonalDomain);
+  std::vector<double> d(static_cast<size_t>(g.num_nodes()), 1.0);
+  // One walk pair: its stream, both walks' nodes, and its steps left.
+  struct Pair {
+    uint64_t rng;
+    NodeId a;
+    NodeId b;
+    uint32_t left;
+  };
+  const auto estimate = [&](int64_t begin, int64_t end) {
+    std::vector<Pair> pairs(static_cast<size_t>(samples));
+    for (NodeId w = static_cast<NodeId>(begin); w < end; ++w) {
+      if (g.InDegree(w) == 0) continue;  // walks stop immediately: d(w) = 1
+      const uint64_t node_seed = ChainSeed(salt, static_cast<uint64_t>(w));
+      // Step-major sweep, like WalkBatchEngine's: slots [0, live) hold the
+      // pairs that take the next step, compacted without a branch. A pair
+      // leaves at its first meeting, at a dead end on either side or when
+      // its budget is spent; the draws it makes past that are unused.
+      size_t live = 0;
+      for (int s = 0; s < samples; ++s) {
+        Pair& p = pairs[live];
+        p = {ChainSeed(node_seed, static_cast<uint64_t>(s)), w, w, 0};
+        p.left = budget.Sample(SplitMix64Next(p.rng));
+        live += p.left > 0 ? 1 : 0;
       }
-      if (!met) ++never_met;
+      int met = 0;
+      while (live > 0) {
+        size_t kept = 0;
+        for (size_t i = 0; i < live; ++i) {
+          Pair p = pairs[i];
+          const auto in_a = g.InNeighbors(p.a);
+          const auto in_b = g.InNeighbors(p.b);
+          const bool step = !in_a.empty() && !in_b.empty();
+          const uint32_t ia = DiscreteSampler::UniformIndex(
+              SplitMix64Next(p.rng), in_a.size());
+          const uint32_t ib = DiscreteSampler::UniformIndex(
+              SplitMix64Next(p.rng), in_b.size());
+          p.a = *(step ? in_a.data() + ia : &p.a);
+          p.b = *(step ? in_b.data() + ib : &p.b);
+          const bool meet = step && p.a == p.b;
+          met += meet ? 1 : 0;
+          --p.left;
+          pairs[kept] = p;
+          kept += step && !meet && p.left > 0 ? 1 : 0;
+        }
+        live = kept;
+      }
+      d[static_cast<size_t>(w)] = static_cast<double>(samples - met) /
+                                  static_cast<double>(samples);
     }
-    d[static_cast<size_t>(w)] =
-        static_cast<double>(never_met) / static_cast<double>(samples);
-  }
+  };
+  ParallelFor(g.num_nodes(), estimate, /*min_chunk=*/128, max_threads);
   return d;
 }
 

@@ -49,11 +49,15 @@ double CrashSimAchievedEpsilon(double c, double delta, NodeId n, int l_max,
 // Diagonal correction factors d(w) of the SLING decomposition
 //   s(u, v) = sum_t sum_w h_t(u, w) h_t(v, w) d(w):
 // d(w) = Pr[two independent sqrt(c)-walks from w never occupy the same node
-// at the same step >= 1]. Estimated by `samples` paired walks per node.
-// Shared by SLING and by CrashSim's corrected mode.
+// at the same step >= 1], estimated by `samples` walk pairs per node that
+// draw a common step budget and stop at their first meeting (ALGORITHMS.md,
+// "Diagonal corrections"; streams: kDiagonalDomain in util/rng.h). Each d(w)
+// is a pure function of (g, c, samples, max_len, seed, w), so max_threads
+// (ParallelFor's cap) changes no bit. Shared by SLING and CrashSim.
 std::vector<double> EstimateDiagonalCorrections(const Graph& g, double c,
                                                 int samples, int max_len,
-                                                Rng* rng);
+                                                uint64_t seed,
+                                                int max_threads);
 
 }  // namespace crashsim
 

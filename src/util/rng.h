@@ -51,6 +51,14 @@ inline uint64_t PerWalkSeed(uint64_t salt, uint64_t candidate,
   return ChainSeed(ChainSeed(salt, candidate), trial);
 }
 
+// Domain word of the diagonal-correction estimate (simrank/walk.h): walk
+// pair (w, s) of node w's d(w) draws from
+//   PerWalkSeed(ChainSeed(seed, kDiagonalDomain), w, s),
+// the per-walk contract above with the domain word where a query puts its
+// source. The word lies above every NodeId (int32), so the d(w) streams
+// never share a salt with a query's walks.
+inline constexpr uint64_t kDiagonalDomain = 0xd1a90a11;
+
 // Maps a uniform 64-bit draw onto [0, bound) by fixed-point multiply
 // (Lemire's method without the rejection step; bound must be > 0). The
 // |bias| per outcome is < bound / 2^64 — immaterial for bound up to graph
@@ -93,9 +101,9 @@ class Rng {
   }
   result_type operator()() { return NextU64(); }
 
-  // The draws below are defined in this header: the d(w) estimate and the
-  // generators make millions of them, and an out-of-line call costs more
-  // than the draw itself.
+  // The draws below are defined in this header: the baselines' walks and
+  // the generators make millions of them, and an out-of-line call costs
+  // more than the draw itself.
 
   // Returns the next raw 64-bit value.
   uint64_t NextU64() {

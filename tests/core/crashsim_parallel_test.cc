@@ -1,3 +1,5 @@
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "core/crashsim.h"
@@ -60,6 +62,24 @@ TEST(CrashSimParallelTest, ThreadCountSweepIsBitIdenticalBothPaths) {
   EXPECT_EQ(legacy[0], legacy[1]);
   EXPECT_EQ(anytime[0], anytime[1]);
   EXPECT_EQ(anytime[0], anytime[2]);
+}
+
+TEST(CrashSimParallelTest, EstimateDiagonalBitIdenticalAcrossThreadCounts) {
+  // Every d(w) is a pure function of (graph, options, w): splitting the
+  // nodes over 2 or 4 threads, or estimating again, changes no bit. 2000
+  // nodes is several ParallelFor chunks at each thread count.
+  Rng rng(21);
+  const Graph g = BarabasiAlbert(2000, 4, /*undirected=*/false, &rng);
+  std::vector<std::vector<double>> runs;
+  for (int threads : {1, 2, 4, 1, 4}) {
+    CrashSimOptions opt = Options(threads);
+    opt.mode = RevReachMode::kCorrected;
+    const SharedDiagonal diag = CrashSim(opt).EstimateDiagonal(g);
+    ASSERT_NE(diag, nullptr);
+    runs.push_back(*diag);
+  }
+  ASSERT_EQ(runs[0].size(), 2000u);
+  for (size_t i = 1; i < runs.size(); ++i) EXPECT_EQ(runs[i], runs[0]) << i;
 }
 
 TEST(CrashSimParallelTest, MatchesSequentialStatistically) {

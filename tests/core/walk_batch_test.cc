@@ -353,5 +353,61 @@ TEST(WalkBatchTest, EngineRunIndependentOfTrialRangeSplit) {
   }
 }
 
+
+TEST(WalkBatchTest, CandidatesWithoutInNeighboursLeaveOthersBitIdentical) {
+  // A candidate with no in-neighbours draws no walks: its mass stays
+  // exactly 0.0 and its counts 0, and putting such candidates between
+  // others changes no other candidate's mass or counts, on the scalar path
+  // (batch 1) and the batched one (batch 256), in both modes.
+  Rng rng(47);
+  const Graph g = ErdosRenyi(2000, 5000, false, &rng);
+  const std::vector<NodeId> dead = NodesWithInDegree(g, 0, 0);
+  const std::vector<NodeId> live = NodesWithInDegree(g, 1, 1 << 30);
+  ASSERT_GE(dead.size(), 20u);
+  std::vector<NodeId> alone;
+  std::vector<NodeId> mixed;
+  std::vector<size_t> live_slot;  // index in `mixed` of alone[i]
+  for (size_t i = 0; i < 20; ++i) {
+    alone.push_back(live[i * 37]);
+    live_slot.push_back(mixed.size());
+    mixed.push_back(live[i * 37]);
+    mixed.push_back(dead[i]);
+    if (i % 3 == 0) mixed.push_back(dead[i + 1]);
+  }
+  CrashSimOptions corrected = Options(1, 1);
+  corrected.mode = RevReachMode::kCorrected;
+  corrected.diag_samples = 50;
+  const SharedDiagonal diag = CrashSim(corrected).EstimateDiagonal(g);
+  for (const RevReachMode mode :
+       {RevReachMode::kPaper, RevReachMode::kCorrected}) {
+    const ReverseReachableTree tree = BuildRevReach(g, live[5], 6, 0.6, mode);
+    const std::span<const double> d = mode == RevReachMode::kCorrected
+                                          ? std::span<const double>(*diag)
+                                          : std::span<const double>();
+    for (const int batch : {1, 256}) {
+      const WalkBatchEngine engine(g, tree, d, std::sqrt(0.6), 7,
+                                   /*salt=*/5, batch);
+      std::vector<double> alone_mass(alone.size(), 0.0);
+      std::vector<WalkBatchStats> alone_stats(alone.size());
+      std::vector<double> mixed_mass(mixed.size(), 0.0);
+      std::vector<WalkBatchStats> mixed_stats(mixed.size());
+      engine.Run(alone, -1, 0, 200, alone_mass, alone_stats);
+      engine.Run(mixed, -1, 0, 200, mixed_mass, mixed_stats);
+      for (size_t i = 0; i < alone.size(); ++i) {
+        const size_t j = live_slot[i];
+        EXPECT_EQ(alone_mass[i], mixed_mass[j]) << "batch=" << batch;
+        EXPECT_EQ(alone_stats[i].walk_steps, mixed_stats[j].walk_steps);
+        EXPECT_EQ(alone_stats[i].tree_hits, mixed_stats[j].tree_hits);
+      }
+      for (size_t j = 0; j < mixed.size(); ++j) {
+        if (g.InDegree(mixed[j]) > 0) continue;
+        EXPECT_EQ(mixed_mass[j], 0.0) << "batch=" << batch;
+        EXPECT_EQ(mixed_stats[j].walk_steps, 0);
+        EXPECT_EQ(mixed_stats[j].tree_hits, 0);
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace crashsim

@@ -878,6 +878,9 @@ TEST(ServerTest, StatuszReportsLedgerCacheAndRollingLatency) {
   ASSERT_TRUE(doc.ok()) << doc.status().ToString();
   EXPECT_EQ(doc->GetString("schema", ""), "crashsim.statusz.v1");
   EXPECT_GE(doc->GetDouble("uptime_seconds", -1.0), 0.0);
+  const JsonValue* startup = doc->Find("startup");
+  ASSERT_NE(startup, nullptr);
+  EXPECT_GE(startup->GetDouble("bind_ms", -1.0), 0.0);
   const JsonValue* graph = doc->Find("graph");
   ASSERT_NE(graph, nullptr);
   EXPECT_EQ(graph->GetInt("nodes", 0), 300);

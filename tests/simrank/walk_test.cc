@@ -1,6 +1,9 @@
 #include "simrank/walk.h"
 
+#include <algorithm>
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -112,8 +115,8 @@ TEST(TrialCountTest, ProbeSimClosedForm) {
 
 TEST(DiagonalCorrectionTest, RangeAndDeadEnds) {
   const Graph g = PaperExampleGraph();
-  Rng rng(6);
-  const auto d = EstimateDiagonalCorrections(g, 0.6, 200, 36, &rng);
+  const auto d = EstimateDiagonalCorrections(g, 0.6, 200, 36, /*seed=*/6,
+                                             /*max_threads=*/1);
   ASSERT_EQ(d.size(), 8u);
   for (double x : d) {
     EXPECT_GE(x, 0.0);
@@ -124,8 +127,8 @@ TEST(DiagonalCorrectionTest, RangeAndDeadEnds) {
 TEST(DiagonalCorrectionTest, IsolatedNodeIsOne) {
   // Node 2 has no in-edges: walks stop instantly, never meet again.
   const Graph g = BuildGraph(3, {{2, 0}, {0, 1}});
-  Rng rng(7);
-  const auto d = EstimateDiagonalCorrections(g, 0.6, 100, 20, &rng);
+  const auto d = EstimateDiagonalCorrections(g, 0.6, 100, 20, /*seed=*/7,
+                                             /*max_threads=*/1);
   EXPECT_DOUBLE_EQ(d[2], 1.0);
 }
 
@@ -134,9 +137,72 @@ TEST(DiagonalCorrectionTest, SingleInNeighbourForcesMeeting) {
   // they re-meet whenever both survive one step: d = Pr[at least one stops]
   // = 1 - c.
   const Graph g = CycleGraph(4, false);
-  Rng rng(8);
-  const auto d = EstimateDiagonalCorrections(g, 0.6, 20000, 64, &rng);
+  const auto d = EstimateDiagonalCorrections(g, 0.6, 20000, 64, /*seed=*/8,
+                                             /*max_threads=*/1);
   EXPECT_NEAR(d[0], 1.0 - 0.6, 0.02);
+}
+
+
+// The estimator as it stood before the per-pair stream: two whole
+// sqrt(c)-walks from one sequential Rng, then a search for a meeting.
+std::vector<double> TwoWalkDiagonal(const Graph& g, double c, int samples,
+                                    int max_len, Rng* rng) {
+  const double sqrt_c = std::sqrt(c);
+  std::vector<double> d(static_cast<size_t>(g.num_nodes()), 1.0);
+  std::vector<NodeId> wa;
+  std::vector<NodeId> wb;
+  for (NodeId w = 0; w < g.num_nodes(); ++w) {
+    if (g.InDegree(w) == 0) continue;
+    int never_met = 0;
+    for (int s = 0; s < samples; ++s) {
+      SampleSqrtCWalk(g, w, sqrt_c, max_len, rng, &wa);
+      SampleSqrtCWalk(g, w, sqrt_c, max_len, rng, &wb);
+      const size_t steps = std::min(wa.size(), wb.size());
+      bool met = false;
+      for (size_t t = 1; t < steps && !met; ++t) met = wa[t] == wb[t];
+      if (!met) ++never_met;
+    }
+    d[static_cast<size_t>(w)] =
+        static_cast<double>(never_met) / static_cast<double>(samples);
+  }
+  return d;
+}
+
+TEST(DiagonalCorrectionTest, MatchesTwoWalkEstimatorWithinFourStandardErrors) {
+  // The shared step budget, the dead-end stop and the early exit at the
+  // first meeting change the draws, not the per-pair distribution: on
+  // every node both estimates agree within 4 standard errors of their
+  // difference. The graphs cover a meeting-heavy example, a star whose
+  // leaves point at the hub (a pair from the hub stops at a dead end one
+  // step later unless it met there), and a cycle with chords (in-degrees 1
+  // and 2).
+  constexpr int kSamples = 20000;
+  constexpr double kC = 0.6;
+  constexpr int kMaxLen = 36;
+  const Graph chorded =
+      BuildGraph(8, {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 6}, {6, 7},
+                     {7, 0}, {0, 4}, {2, 6}, {5, 1}, {7, 3}});
+  std::vector<Edge> spokes;
+  for (NodeId leaf = 1; leaf < 9; ++leaf) spokes.push_back({leaf, 0});
+  const std::pair<const char*, Graph> graphs[] = {
+      {"paper_example", PaperExampleGraph()},
+      {"star", BuildGraph(9, spokes)},
+      {"cycle_with_chords", chorded},
+  };
+  for (const auto& [name, g] : graphs) {
+    Rng rng(11);
+    const auto old = TwoWalkDiagonal(g, kC, kSamples, kMaxLen, &rng);
+    const auto now = EstimateDiagonalCorrections(g, kC, kSamples, kMaxLen,
+                                                 /*seed=*/11,
+                                                 /*max_threads=*/1);
+    ASSERT_EQ(now.size(), old.size()) << name;
+    for (size_t w = 0; w < now.size(); ++w) {
+      const double var =
+          (old[w] * (1.0 - old[w]) + now[w] * (1.0 - now[w])) / kSamples;
+      EXPECT_LE(std::abs(now[w] - old[w]), 4.0 * std::sqrt(var))
+          << name << " node " << w << ": " << now[w] << " vs " << old[w];
+    }
+  }
 }
 
 }  // namespace

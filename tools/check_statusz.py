@@ -43,10 +43,13 @@ def check_statusz(path):
             f"statusz schema is {doc.get('schema')!r}")
     require(isinstance(doc.get("uptime_seconds"), (int, float))
             and doc["uptime_seconds"] >= 0, "bad uptime_seconds")
-    for section in ("build", "graph", "server", "executor", "cache",
-                    "latency", "slo"):
+    for section in ("startup", "build", "graph", "server", "executor",
+                    "cache", "latency", "slo"):
         require(isinstance(doc.get(section), dict),
                 f"statusz missing object {section!r}")
+    bind_ms = doc["startup"].get("bind_ms")
+    require(isinstance(bind_ms, (int, float)) and bind_ms >= 0,
+            "startup.bind_ms must be a number >= 0")
     graph = doc["graph"]
     require(graph.get("nodes", 0) > 0, "graph.nodes must be > 0")
     server = doc["server"]
