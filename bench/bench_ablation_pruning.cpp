@@ -16,6 +16,7 @@
 #include "simrank/walk.h"
 #include "util/rng.h"
 #include "util/string_util.h"
+#include "util/timer.h"
 
 namespace {
 
@@ -75,12 +76,13 @@ void RunConfigs(const TemporalGraph& tg, const TemporalQuery& query,
     opt.enable_delta_pruning = c.delta;
     opt.enable_difference_pruning = c.difference;
     CrashSimT engine(opt);
+    const Stopwatch timer;
     const TemporalAnswer answer = engine.Answer(tg, query);
     table->AddRow({workload, c.label,
-                   StrFormat("%.3f", answer.stats.total_seconds),
+                   StrFormat("%.3f", timer.ElapsedSeconds()),
                    std::to_string(answer.stats.scores_computed),
-                   std::to_string(answer.stats.pruned_by_delta),
-                   std::to_string(answer.stats.pruned_by_difference),
+                   std::to_string(answer.stats.delta_prune_hits),
+                   std::to_string(answer.stats.difference_prune_hits),
                    std::to_string(answer.nodes.size())});
   }
 }

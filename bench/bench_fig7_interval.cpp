@@ -16,6 +16,7 @@
 #include "simrank/sling.h"
 #include "simrank/walk.h"
 #include "util/string_util.h"
+#include "util/timer.h"
 
 int main(int argc, char** argv) {
   using namespace crashsim;
@@ -88,13 +89,13 @@ int main(int argc, char** argv) {
 
     TemporalEngine* engines[] = {&crashsim_t, &probesim_t, &sling_t, &reads_t};
     for (TemporalEngine* engine : engines) {
+      const Stopwatch timer;
       const TemporalAnswer answer = engine->Answer(ds.temporal, query);
       table.AddRow(
           {std::to_string(interval), engine->name(),
-           StrFormat("%.2f", answer.stats.total_seconds),
+           StrFormat("%.2f", timer.ElapsedSeconds()),
            std::to_string(answer.stats.scores_computed),
-           std::to_string(answer.stats.pruned_by_delta +
-                          answer.stats.pruned_by_difference),
+           std::to_string(answer.stats.CandidatesSkipped()),
            std::to_string(answer.nodes.size())});
     }
   }

@@ -34,8 +34,7 @@ void RunTrend(const crashsim::Dataset& ds, crashsim::TemporalQueryKind kind,
   std::printf("%-20s %4zu authors", label, answer.nodes.size());
   std::printf("  (computed %lld scores; pruned %lld)\n",
               static_cast<long long>(answer.stats.scores_computed),
-              static_cast<long long>(answer.stats.pruned_by_delta +
-                                     answer.stats.pruned_by_difference));
+              static_cast<long long>(answer.stats.CandidatesSkipped()));
 }
 
 }  // namespace

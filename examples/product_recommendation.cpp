@@ -71,8 +71,8 @@ int main() {
   std::printf("\npruning effectiveness: %lld scores computed, %lld retired by\n"
               "delta pruning, %lld by difference pruning over %d snapshots.\n",
               static_cast<long long>(stable.stats.scores_computed),
-              static_cast<long long>(stable.stats.pruned_by_delta),
-              static_cast<long long>(stable.stats.pruned_by_difference),
+              static_cast<long long>(stable.stats.delta_prune_hits),
+              static_cast<long long>(stable.stats.difference_prune_hits),
               stable.stats.snapshots_processed);
   return 0;
 }

@@ -2,9 +2,32 @@
 
 #include "util/logging.h"
 #include "util/string_util.h"
-#include "util/timer.h"
 
 namespace crashsim {
+
+TemporalAnswer TemporalEngine::Answer(const TemporalGraph& tg,
+                                      const TemporalQuery& query,
+                                      QueryContext* ctx) {
+  TemporalAnswer answer = AnswerImpl(tg, query, ctx);
+  QueryStats* const sink = ctx != nullptr ? ctx->stats() : nullptr;
+  if (sink != nullptr) {
+    const QueryStats& s = answer.stats;
+    sink->snapshots_processed += s.snapshots_processed;
+    sink->stable_tree_snapshots += s.stable_tree_snapshots;
+    sink->source_tree_rebuilds += s.source_tree_rebuilds;
+    sink->source_tree_reuses += s.source_tree_reuses;
+    sink->delta_prune_checks += s.delta_prune_checks;
+    sink->delta_prune_hits += s.delta_prune_hits;
+    sink->difference_prune_checks += s.difference_prune_checks;
+    sink->difference_prune_hits += s.difference_prune_hits;
+    sink->difference_prefilter_skips += s.difference_prefilter_skips;
+    sink->difference_tree_rebuilds += s.difference_tree_rebuilds;
+    sink->scores_computed += s.scores_computed;
+    sink->snapshots.insert(sink->snapshots.end(), s.snapshots.begin(),
+                           s.snapshots.end());
+  }
+  return answer;
+}
 
 TemporalAnswer TemporalEngine::Answer(const TemporalGraph& tg,
                                       const TemporalQuery& query) {
@@ -49,7 +72,6 @@ std::vector<double> Gather(const std::vector<double>& all,
 TemporalAnswer StaticRecomputeEngine::AnswerImpl(const TemporalGraph& tg,
                                                  const TemporalQuery& query,
                                                  QueryContext* ctx) {
-  Stopwatch timer;
   TemporalAnswer answer;
   answer.status = ValidateQueryInterval(tg, query);
   if (!answer.status.ok()) return answer;
@@ -80,7 +102,6 @@ TemporalAnswer StaticRecomputeEngine::AnswerImpl(const TemporalGraph& tg,
     }
   }
   answer.nodes = filter.candidates();
-  answer.stats.total_seconds = timer.ElapsedSeconds();
   return answer;
 }
 

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "core/query_context.h"
+#include "core/query_stats.h"
 #include "core/temporal_query.h"
 #include "graph/temporal_graph.h"
 #include "simrank/simrank.h"
@@ -13,36 +14,14 @@
 
 namespace crashsim {
 
-// Outcome of a temporal SimRank query plus the bookkeeping the benchmark
-// harness reports.
-struct TemporalAnswerStats {
-  int snapshots_processed = 0;
-  double total_seconds = 0.0;
-  // (snapshot, node) scores actually recomputed; pruning shrinks this.
-  int64_t scores_computed = 0;
-  int64_t pruned_by_delta = 0;
-  int64_t pruned_by_difference = 0;
-  // Snapshots where the source tree matched and pruning was attempted.
-  int stable_tree_snapshots = 0;
-  // Pruning-rule effort behind the hit counts above (CrashSim-T only; the
-  // recompute-everything baselines leave them zero). Checks count the
-  // candidates each rule examined, so hits/checks is the rule's hit rate —
-  // the Properties 1-2 effectiveness evidence docs/OBSERVABILITY.md maps to
-  // the paper.
-  int64_t delta_prune_checks = 0;
-  int64_t difference_prune_checks = 0;
-  // Property 2 hits resolved by the reachability prefilter (no rebuild) vs
-  // candidate revReach trees rebuilt for the literal comparison.
-  int64_t difference_prefilter_skips = 0;
-  int64_t difference_tree_rebuilds = 0;
-  // Snapshots after the first that rebuilt vs reused the source tree.
-  int source_tree_rebuilds = 0;
-  int source_tree_reuses = 0;
-};
-
+// Outcome of a temporal SimRank query. `stats` holds the query's temporal
+// counters under QueryStats' names (snapshots_processed, scores_computed,
+// the pruning counters and, for CrashSim-T, one `snapshots` entry per
+// processed snapshot); its trial and tree fields stay zero, because the
+// engine's nested calls record that work straight into the ctx sink.
 struct TemporalAnswer {
   std::vector<NodeId> nodes;  // the result set Omega, sorted
-  TemporalAnswerStats stats;
+  QueryStats stats;
   // OK when the whole interval was processed. kDeadlineExceeded/kCancelled
   // when a QueryContext stopped the engine early: `nodes` then reflects the
   // filter state after the last *fully processed* snapshot (see
@@ -64,11 +43,10 @@ class TemporalEngine {
   // is passed on to every stage that takes one; when it stops the engine
   // early the answer is the sound prefix answer described on
   // TemporalAnswer. A bad interval or source id comes back as
-  // kInvalidArgument.
+  // kInvalidArgument. When ctx carries a stats sink, the answer's temporal
+  // counters and `snapshots` entries are added to it on return.
   TemporalAnswer Answer(const TemporalGraph& tg, const TemporalQuery& query,
-                        QueryContext* ctx) {
-    return AnswerImpl(tg, query, ctx);
-  }
+                        QueryContext* ctx);
   // Unbounded form: ctx = nullptr, CHECK-fails on any non-OK status.
   TemporalAnswer Answer(const TemporalGraph& tg, const TemporalQuery& query);
 

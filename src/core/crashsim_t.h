@@ -61,9 +61,9 @@ class CrashSimT : public TemporalEngine {
   const CrashSimTOptions& options() const { return options_; }
 
  protected:
-  // The context is checked before every snapshot and threaded into the
-  // per-snapshot tree builds and CrashSim evaluation; on deadline/cancel the
-  // answer carries the candidate set after the last fully processed
+  // The context is checked before every snapshot advance and threaded into
+  // the per-snapshot tree builds and CrashSim evaluation; on deadline/cancel
+  // the answer carries the candidate set after the last fully processed
   // snapshot plus a non-OK status — partially evaluated snapshots are never
   // observed, so the prefix answer is exactly what an unbounded run over
   // the shorter interval would have produced.

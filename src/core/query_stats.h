@@ -90,8 +90,8 @@ struct QueryStats {
   int64_t difference_tree_rebuilds = 0;    // literal tree-pair comparisons
   int64_t scores_computed = 0;     // (snapshot, candidate) scores recomputed
 
-  // Per-snapshot pruning breakdown, appended by the context-aware
-  // CrashSim-T path (empty for static queries).
+  // Per-snapshot pruning breakdown, one entry per snapshot CrashSim-T
+  // processed (empty for static queries and the recompute baselines).
   struct SnapshotStats {
     int snapshot = 0;          // snapshot index within the query interval
     int64_t candidates = 0;    // |Omega| entering the snapshot

@@ -31,43 +31,33 @@ void ApplyDelta(const EdgeDelta& delta, std::vector<Edge>* edges) {
   }
 }
 
-namespace {
-
-// Shared bounded BFS; `forward` walks out-edges, otherwise in-edges.
-std::vector<NodeId> BoundedBfs(const Graph& g, NodeId start, int max_depth,
-                               bool forward) {
-  std::vector<NodeId> result;
-  std::vector<char> seen(static_cast<size_t>(g.num_nodes()), 0);
-  std::vector<NodeId> frontier{start};
-  seen[static_cast<size_t>(start)] = 1;
-  result.push_back(start);
-  for (int depth = 0; depth < max_depth && !frontier.empty(); ++depth) {
-    std::vector<NodeId> next;
+std::vector<int> BoundedHops(const Graph& g, const std::vector<NodeId>& seeds,
+                             int max_depth, EdgeDirection direction) {
+  std::vector<int> hops(static_cast<size_t>(g.num_nodes()), max_depth + 1);
+  std::vector<NodeId> frontier;
+  for (NodeId s : seeds) {
+    if (hops[static_cast<size_t>(s)] != 0) {
+      hops[static_cast<size_t>(s)] = 0;
+      frontier.push_back(s);
+    }
+  }
+  std::vector<NodeId> next;
+  for (int depth = 1; depth <= max_depth && !frontier.empty(); ++depth) {
     for (NodeId u : frontier) {
-      const auto neighbors = forward ? g.OutNeighbors(u) : g.InNeighbors(u);
+      const auto neighbors = direction == EdgeDirection::kOut
+                                 ? g.OutNeighbors(u)
+                                 : g.InNeighbors(u);
       for (NodeId v : neighbors) {
-        if (!seen[static_cast<size_t>(v)]) {
-          seen[static_cast<size_t>(v)] = 1;
+        if (hops[static_cast<size_t>(v)] > depth) {
+          hops[static_cast<size_t>(v)] = depth;
           next.push_back(v);
-          result.push_back(v);
         }
       }
     }
     frontier.swap(next);
+    next.clear();
   }
-  return result;
-}
-
-}  // namespace
-
-std::vector<NodeId> ForwardReachableWithin(const Graph& g, NodeId start,
-                                           int max_depth) {
-  return BoundedBfs(g, start, max_depth, /*forward=*/true);
-}
-
-std::vector<NodeId> ReverseReachableWithin(const Graph& g, NodeId target,
-                                           int max_depth) {
-  return BoundedBfs(g, target, max_depth, /*forward=*/false);
+  return hops;
 }
 
 }  // namespace crashsim

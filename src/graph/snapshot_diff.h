@@ -18,22 +18,24 @@ EdgeDelta DiffEdgeSets(const std::vector<Edge>& before,
 // not present and additions already present are tolerated (no-ops).
 void ApplyDelta(const EdgeDelta& delta, std::vector<Edge>* edges);
 
-// Nodes reachable from `start` by following *out*-edges within `max_depth`
-// hops, including `start` itself. This is the "l_max - 1 length reachable
-// nodes of y" set of Theorem 2 (delta pruning's affected area): a changed
-// edge x->y perturbs the sqrt(c)-walk distribution of exactly the nodes
-// whose walks can reach y, i.e. the out-reachable set of y.
-std::vector<NodeId> ForwardReachableWithin(const Graph& g, NodeId start,
-                                           int max_depth);
+// Which adjacency a bounded BFS follows: out-edges or in-edges.
+enum class EdgeDirection { kOut, kIn };
 
-// Nodes that can reach `target` by following directed edges within
-// `max_depth` hops (BFS over *in*-edges), including `target`. This is the
-// support bound of the source's reverse-reachable tree: a changed edge
-// x->y can alter the tree of u only if y is in this set (its in-list and
-// in-degree are otherwise never consulted), which is what CrashSim-T's
-// source-tree reuse tests.
-std::vector<NodeId> ReverseReachableWithin(const Graph& g, NodeId target,
-                                           int max_depth);
+// Hop distance from the nearest of `seeds` to every node of `g`, by one
+// multi-source BFS along `direction` that stops after `max_depth` hops.
+// Seeds read 0; a node more than `max_depth` hops from every seed, or not
+// reachable at all, reads max_depth + 1. Seeds may repeat; an empty seed set
+// leaves every node at max_depth + 1.
+//
+// CrashSim-T asks it two things. Over out-edges from the heads y of the
+// changed edges x->y, distance <= l_max - 1 is Theorem 2's affected area (a
+// changed edge perturbs the sqrt(c)-walks of exactly the nodes that reach y)
+// and distance <= l_max bounds the candidates whose revReach tree can
+// change. Over in-edges from the source, distance <= l_max is the support of
+// the source's revReach tree: a changed edge x->y can alter it only if y is
+// in that set.
+std::vector<int> BoundedHops(const Graph& g, const std::vector<NodeId>& seeds,
+                             int max_depth, EdgeDirection direction);
 
 }  // namespace crashsim
 

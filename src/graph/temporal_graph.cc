@@ -93,6 +93,7 @@ bool SnapshotCursor::Advance() {
   if (index_ + 1 >= tg_->num_snapshots()) return false;
   ++index_;
   ApplyDelta(tg_->Delta(index_), &edges_);
+  previous_ = std::move(graph_);
   Rebuild();
   return true;
 }

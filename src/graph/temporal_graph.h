@@ -1,6 +1,7 @@
 #ifndef CRASHSIM_GRAPH_TEMPORAL_GRAPH_H_
 #define CRASHSIM_GRAPH_TEMPORAL_GRAPH_H_
 
+#include <optional>
 #include <vector>
 
 #include "graph/edge.h"
@@ -95,7 +96,9 @@ class TemporalGraphBuilder {
 // and builds the CSR once per position: no O(Σ events) re-scan per
 // snapshot, and no T graphs kept alive. Opening at snapshot `start` merges
 // deltas 0..start and builds the CSR once, so a window that begins late pays
-// one build, not one per skipped snapshot.
+// one build, not one per skipped snapshot. Advance() moves the current CSR
+// into previous() before it builds the next, so a caller comparing adjacent
+// snapshots holds both without copying either.
 class SnapshotCursor {
  public:
   // Positions at snapshot start; CHECK-fails unless 0 <= start <
@@ -104,6 +107,11 @@ class SnapshotCursor {
 
   int snapshot_index() const { return index_; }
   const Graph& graph() const { return graph_; }
+  // Snapshot snapshot_index() - 1 as graph() held it before the last
+  // Advance(); nullptr until the first Advance().
+  const Graph* previous() const {
+    return previous_.has_value() ? &*previous_ : nullptr;
+  }
 
   // Advances to the next snapshot; returns false when already at the last.
   bool Advance();
@@ -115,6 +123,7 @@ class SnapshotCursor {
   int index_ = 0;
   std::vector<Edge> edges_;  // sorted
   Graph graph_;
+  std::optional<Graph> previous_;
 };
 
 }  // namespace crashsim

@@ -74,8 +74,8 @@ TEST(PruningCountersTest, DifferencePruningSkipsEverythingViaPrefilter) {
   // 4 candidates examined at each of the 5 stable snapshots, all pruned.
   EXPECT_EQ(answer.stats.stable_tree_snapshots, 5);
   EXPECT_EQ(answer.stats.difference_prune_checks, 4 * 5);
-  EXPECT_EQ(answer.stats.pruned_by_difference, 4 * 5);
-  EXPECT_EQ(answer.stats.pruned_by_delta, 0);
+  EXPECT_EQ(answer.stats.difference_prune_hits, 4 * 5);
+  EXPECT_EQ(answer.stats.delta_prune_hits, 0);
   // Every hit resolved by the reachability prefilter: no candidate tree was
   // ever rebuilt for a literal comparison.
   EXPECT_EQ(answer.stats.difference_prefilter_skips, 4 * 5);
@@ -97,7 +97,7 @@ TEST(PruningCountersTest, DifferencePruningSkipsEverythingViaLiteralTrees) {
   ASSERT_EQ(answer.nodes, (std::vector<NodeId>{2, 3, 4, 5}));
 
   EXPECT_EQ(answer.stats.difference_prune_checks, 4 * 5);
-  EXPECT_EQ(answer.stats.pruned_by_difference, 4 * 5);
+  EXPECT_EQ(answer.stats.difference_prune_hits, 4 * 5);
   EXPECT_EQ(answer.stats.difference_prefilter_skips, 0);
   // One comparison (a rebuilt pair counts once) per examined candidate.
   EXPECT_EQ(answer.stats.difference_tree_rebuilds, 4 * 5);
@@ -135,7 +135,7 @@ TEST(PruningCountersTest, DeltaPruningFiresAndMatchesUnprunedBaseline) {
   // The rule actually fired: all 4 surviving candidates examined and pruned
   // at each of the 5 churn snapshots, mirrored into the stats sink.
   EXPECT_EQ(pruned.stats.delta_prune_checks, 4 * 5);
-  EXPECT_EQ(pruned.stats.pruned_by_delta, 4 * 5);
+  EXPECT_EQ(pruned.stats.delta_prune_hits, 4 * 5);
   EXPECT_EQ(qs.delta_prune_checks, 4 * 5);
   EXPECT_EQ(qs.delta_prune_hits, 4 * 5);
   EXPECT_EQ(qs.scores_computed, 9);

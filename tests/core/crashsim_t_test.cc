@@ -90,8 +90,8 @@ TEST(CrashSimTTest, PruningRetiresUnaffectedCandidates) {
   const TemporalAnswer answer = engine.Answer(tg, StarThresholdQuery(5));
   // After snapshot 0 the candidate set is {2,3,4,5}; every later snapshot's
   // delta is confined to the far component, so all 4 are pruned each time.
-  EXPECT_EQ(answer.stats.pruned_by_delta +
-                answer.stats.pruned_by_difference,
+  EXPECT_EQ(answer.stats.delta_prune_hits +
+                answer.stats.difference_prune_hits,
             4 * 5);
   EXPECT_EQ(answer.stats.stable_tree_snapshots, 5);
   // Only snapshot 0 computed scores (9 candidates).
@@ -106,8 +106,8 @@ TEST(CrashSimTTest, DisabledPruningRecomputesEverything) {
   CrashSimT engine(opt);
   const TemporalAnswer answer = engine.Answer(tg, StarThresholdQuery(5));
   EXPECT_EQ(answer.nodes, (std::vector<NodeId>{2, 3, 4, 5}));
-  EXPECT_EQ(answer.stats.pruned_by_delta, 0);
-  EXPECT_EQ(answer.stats.pruned_by_difference, 0);
+  EXPECT_EQ(answer.stats.delta_prune_hits, 0);
+  EXPECT_EQ(answer.stats.difference_prune_hits, 0);
   // 9 at snapshot 0, then 4 per remaining snapshot.
   EXPECT_EQ(answer.stats.scores_computed, 9 + 4 * 5);
 }
@@ -149,8 +149,8 @@ TEST(CrashSimTTest, PrefilterEquivalentToLiteralTreeComparison) {
   const TemporalAnswer a = CrashSimT(with_prefilter).Answer(tg, q);
   const TemporalAnswer b = CrashSimT(literal).Answer(tg, q);
   EXPECT_EQ(a.nodes, b.nodes);
-  EXPECT_EQ(a.stats.pruned_by_delta, b.stats.pruned_by_delta);
-  EXPECT_EQ(a.stats.pruned_by_difference, b.stats.pruned_by_difference);
+  EXPECT_EQ(a.stats.delta_prune_hits, b.stats.delta_prune_hits);
+  EXPECT_EQ(a.stats.difference_prune_hits, b.stats.difference_prune_hits);
   EXPECT_EQ(a.stats.scores_computed, b.stats.scores_computed);
 }
 
@@ -168,7 +168,7 @@ TEST(CrashSimTTest, TreeReuseMatchesLiteralRebuildExactly) {
   const TemporalAnswer a = CrashSimT(reuse).Answer(tg, q);
   const TemporalAnswer b = CrashSimT(literal).Answer(tg, q);
   EXPECT_EQ(a.nodes, b.nodes);
-  EXPECT_EQ(a.stats.pruned_by_delta, b.stats.pruned_by_delta);
+  EXPECT_EQ(a.stats.delta_prune_hits, b.stats.delta_prune_hits);
   EXPECT_EQ(a.stats.scores_computed, b.stats.scores_computed);
   EXPECT_EQ(a.stats.stable_tree_snapshots, b.stats.stable_tree_snapshots);
 }

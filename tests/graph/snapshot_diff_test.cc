@@ -66,33 +66,72 @@ TEST(ApplyDeltaTest, ToleratesNoOps) {
   EXPECT_EQ(edges, (std::vector<Edge>{{0, 1}}));
 }
 
+// Nodes within `max_depth` hops of `seed` along `direction`, by one
+// single-source BFS: the per-seed set BoundedHops must union to.
+std::vector<NodeId> ReachableWithin(const Graph& g, NodeId seed, int max_depth,
+                                    EdgeDirection direction) {
+  std::vector<char> seen(static_cast<size_t>(g.num_nodes()), 0);
+  std::vector<NodeId> result{seed};
+  seen[static_cast<size_t>(seed)] = 1;
+  size_t level_begin = 0;
+  for (int depth = 0; depth < max_depth; ++depth) {
+    const size_t level_end = result.size();
+    for (size_t i = level_begin; i < level_end; ++i) {
+      const NodeId u = result[i];
+      for (NodeId v : direction == EdgeDirection::kOut ? g.OutNeighbors(u)
+                                                       : g.InNeighbors(u)) {
+        if (!seen[static_cast<size_t>(v)]) {
+          seen[static_cast<size_t>(v)] = 1;
+          result.push_back(v);
+        }
+      }
+    }
+    level_begin = level_end;
+  }
+  std::sort(result.begin(), result.end());
+  return result;
+}
+
+// The nodes BoundedHops places within `depth` hops, sorted.
+std::vector<NodeId> Within(const std::vector<int>& hops, int depth) {
+  std::vector<NodeId> nodes;
+  for (size_t v = 0; v < hops.size(); ++v) {
+    if (hops[v] <= depth) nodes.push_back(static_cast<NodeId>(v));
+  }
+  return nodes;
+}
+
 TEST(ForwardReachableTest, PathDepths) {
   const Graph g = PathGraph(5, false);  // 0->1->2->3->4
-  EXPECT_EQ(ForwardReachableWithin(g, 0, 0), (std::vector<NodeId>{0}));
-  EXPECT_EQ(ForwardReachableWithin(g, 0, 2), (std::vector<NodeId>{0, 1, 2}));
-  EXPECT_EQ(ForwardReachableWithin(g, 0, 10),
-            (std::vector<NodeId>{0, 1, 2, 3, 4}));
-  EXPECT_EQ(ForwardReachableWithin(g, 4, 3), (std::vector<NodeId>{4}));
+  constexpr EdgeDirection kOut = EdgeDirection::kOut;
+  EXPECT_EQ(BoundedHops(g, {0}, 0, kOut), (std::vector<int>{0, 1, 1, 1, 1}));
+  EXPECT_EQ(BoundedHops(g, {0}, 2, kOut), (std::vector<int>{0, 1, 2, 3, 3}));
+  EXPECT_EQ(BoundedHops(g, {0}, 10, kOut),
+            (std::vector<int>{0, 1, 2, 3, 4}));
+  EXPECT_EQ(Within(BoundedHops(g, {4}, 3, kOut), 3), (std::vector<NodeId>{4}));
 }
 
 TEST(ForwardReachableTest, CycleSaturates) {
   const Graph g = CycleGraph(4, false);
-  const auto r = ForwardReachableWithin(g, 0, 100);
-  EXPECT_EQ(r.size(), 4u);
+  EXPECT_EQ(Within(BoundedHops(g, {0}, 100, EdgeDirection::kOut), 100).size(),
+            4u);
 }
 
 TEST(ForwardReachableTest, BranchingBfsOrder) {
   // 0 -> {1, 2}, 1 -> 3.
   const Graph g = BuildGraph(4, {{0, 1}, {0, 2}, {1, 3}});
-  const auto r = ForwardReachableWithin(g, 0, 1);
-  EXPECT_EQ(r, (std::vector<NodeId>{0, 1, 2}));
+  EXPECT_EQ(BoundedHops(g, {0}, 1, EdgeDirection::kOut),
+            (std::vector<int>{0, 1, 1, 2}));
+  EXPECT_EQ(BoundedHops(g, {0}, 2, EdgeDirection::kOut),
+            (std::vector<int>{0, 1, 1, 2}));
 }
 
 TEST(ReverseReachableTest, PathDepths) {
   const Graph g = PathGraph(5, false);  // 0->1->2->3->4
-  EXPECT_EQ(ReverseReachableWithin(g, 4, 0), (std::vector<NodeId>{4}));
-  EXPECT_EQ(ReverseReachableWithin(g, 4, 2), (std::vector<NodeId>{4, 3, 2}));
-  EXPECT_EQ(ReverseReachableWithin(g, 0, 3), (std::vector<NodeId>{0}));
+  constexpr EdgeDirection kIn = EdgeDirection::kIn;
+  EXPECT_EQ(Within(BoundedHops(g, {4}, 0, kIn), 0), (std::vector<NodeId>{4}));
+  EXPECT_EQ(BoundedHops(g, {4}, 2, kIn), (std::vector<int>{3, 3, 2, 1, 0}));
+  EXPECT_EQ(Within(BoundedHops(g, {0}, 3, kIn), 3), (std::vector<NodeId>{0}));
 }
 
 TEST(ReverseReachableTest, MirrorsForwardOnReversedGraph) {
@@ -103,11 +142,60 @@ TEST(ReverseReachableTest, MirrorsForwardOnReversedGraph) {
   for (const Edge& e : g.Edges()) flipped.push_back({e.dst, e.src});
   const Graph rev = BuildGraph(30, flipped);
   for (NodeId v : {0, 7, 19}) {
-    auto a = ReverseReachableWithin(g, v, 3);
-    auto b = ForwardReachableWithin(rev, v, 3);
-    std::sort(a.begin(), a.end());
-    std::sort(b.begin(), b.end());
-    EXPECT_EQ(a, b) << "node " << static_cast<int>(v);
+    EXPECT_EQ(BoundedHops(g, {v}, 3, EdgeDirection::kIn),
+              BoundedHops(rev, {v}, 3, EdgeDirection::kOut))
+        << "node " << static_cast<int>(v);
+  }
+}
+
+// One multi-source BFS equals the union of per-seed single-source BFS at
+// every depth, in both directions, for empty, single, repeated and
+// multi-node seed sets, and reads max_depth + 1 beyond the union.
+TEST(BoundedHopsTest, EqualsUnionOfSingleSourceBfs) {
+  constexpr int kLMax = 5;
+  Rng rng(41);
+  for (int trial = 0; trial < 8; ++trial) {
+    const NodeId n = 40;
+    const Graph g = ErdosRenyi(n, 70 + 15 * trial, false, &rng);
+    std::vector<std::vector<NodeId>> seed_sets{{}, {3}, {3, 3}};
+    for (int k = 0; k < 4; ++k) {
+      std::vector<NodeId> seeds;
+      for (int i = 0; i <= k; ++i) {
+        seeds.push_back(static_cast<NodeId>(rng.NextBounded(n)));
+      }
+      seeds.push_back(seeds.front());  // one repeat in every set
+      seed_sets.push_back(seeds);
+    }
+    for (const EdgeDirection direction :
+         {EdgeDirection::kOut, EdgeDirection::kIn}) {
+      for (const std::vector<NodeId>& seeds : seed_sets) {
+        for (int depth = 0; depth <= kLMax; ++depth) {
+          SCOPED_TRACE(testing::Message()
+                       << "trial " << trial << " direction "
+                       << static_cast<int>(direction) << " seeds "
+                       << seeds.size() << " depth " << depth);
+          const std::vector<int> hops =
+              BoundedHops(g, seeds, depth, direction);
+          ASSERT_EQ(hops.size(), static_cast<size_t>(n));
+          for (int d = 0; d <= depth; ++d) {
+            std::vector<NodeId> expected;
+            for (NodeId seed : seeds) {
+              const std::vector<NodeId> r =
+                  ReachableWithin(g, seed, d, direction);
+              expected.insert(expected.end(), r.begin(), r.end());
+            }
+            std::sort(expected.begin(), expected.end());
+            expected.erase(std::unique(expected.begin(), expected.end()),
+                           expected.end());
+            EXPECT_EQ(Within(hops, d), expected) << "within " << d;
+          }
+          for (int h : hops) {
+            EXPECT_GE(h, 0);
+            EXPECT_LE(h, depth + 1);
+          }
+        }
+      }
+    }
   }
 }
 

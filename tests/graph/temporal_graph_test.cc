@@ -109,12 +109,17 @@ TEST(SnapshotCursorTest, WalksAllSnapshots) {
   SnapshotCursor cursor(&tg);
   EXPECT_EQ(cursor.snapshot_index(), 0);
   EXPECT_TRUE(cursor.graph() == tg.Snapshot(0));
+  EXPECT_EQ(cursor.previous(), nullptr);
   ASSERT_TRUE(cursor.Advance());
   EXPECT_TRUE(cursor.graph() == tg.Snapshot(1));
+  ASSERT_NE(cursor.previous(), nullptr);
+  EXPECT_TRUE(*cursor.previous() == tg.Snapshot(0));
   ASSERT_TRUE(cursor.Advance());
   EXPECT_TRUE(cursor.graph() == tg.Snapshot(2));
+  EXPECT_TRUE(*cursor.previous() == tg.Snapshot(1));
   EXPECT_FALSE(cursor.Advance());
   EXPECT_EQ(cursor.snapshot_index(), 2);
+  EXPECT_TRUE(*cursor.previous() == tg.Snapshot(1));
 }
 
 TEST(SnapshotCursorTest, StartAtMatchesAdvancedCursor) {

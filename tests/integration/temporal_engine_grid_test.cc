@@ -87,7 +87,6 @@ TEST_P(TemporalEngineGrid, ContractHolds) {
     EXPECT_EQ(answer.stats.snapshots_processed, 4);
   }
   EXPECT_GT(answer.stats.scores_computed, 0);
-  EXPECT_GE(answer.stats.total_seconds, 0.0);
 
   // Determinism: a second engine with the same seed agrees exactly.
   EngineBundle b = MakeEngine(engine_name, 77);
