@@ -1,7 +1,8 @@
 // Component microbenchmarks (google-benchmark): the primitive costs behind
 // the paper-level experiments — walk sampling, revReach construction in both
 // modes, sparse-tree Probability() lookup throughput (hit and miss paths),
-// the corrected-mode d(w) estimate, a ProbeSim trial, SLING/READS index
+// the corrected-mode d(w) estimate, CrashSim's single-source sweep, a
+// ProbeSim trial, SLING/READS index
 // construction and queries, the power-method iteration, and snapshot
 // materialisation.
 //
@@ -22,6 +23,7 @@
 #include <cstdio>
 #include <fstream>
 #include <map>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -219,6 +221,26 @@ void BM_CrashSimTrialBatch(benchmark::State& state) {
   state.counters["tree_bytes"] = static_cast<double>(tree.MemoryBytes());
 }
 BENCHMARK(BM_CrashSimTrialBatch)->Arg(1000)->Arg(10000);
+
+// CrashSim's sweep over a prebuilt tree: the full single-source query
+// served top-k runs (l_max passes over the in-CSR, every node scored).
+// Gated on the median of its repetitions, like the probe benches.
+void BM_SingleSourceSweep(benchmark::State& state) {
+  const Graph& g = FixtureGraph(state.range(0));
+  CrashSimOptions opt;
+  opt.mode = RevReachMode::kCorrected;
+  CrashSim algo(opt);
+  CRASHSIM_CHECK(algo.Bind(&g).ok());
+  const auto tree = algo.BuildTree(1);
+  for (auto _ : state) {
+    auto scores = algo.SweepWithTree(tree, nullptr).scores;
+    benchmark::DoNotOptimize(scores.data());
+  }
+  state.SetItemsProcessed(state.iterations() * g.num_nodes());
+  SetGraphCounters(state, g);
+  state.counters["tree_bytes"] = static_cast<double>(tree.MemoryBytes());
+}
+BENCHMARK(BM_SingleSourceSweep)->Arg(10000)->Repetitions(kGateRepetitions);
 
 // The walk-engine trio behind run_benchmarks.sh's batch-speedup gate, all
 // on the same TreeProbabilityHit-heavy query workload: 512 candidates, 50
@@ -483,6 +505,14 @@ double CounterOrZero(const benchmark::UserCounters& counters,
   return it == counters.end() ? 0.0 : static_cast<double>(it->second);
 }
 
+// Every node of g: the candidate set of the walking queries below (a
+// SingleSource query would sweep and walk nothing).
+std::vector<NodeId> AllNodes(const Graph& g) {
+  std::vector<NodeId> all(static_cast<size_t>(g.num_nodes()));
+  std::iota(all.begin(), all.end(), 0);
+  return all;
+}
+
 // One instrumented CrashSim query whose crashsim.query_stats.v1 blob rides
 // along with every --json export, so a perf trajectory can correlate ns/op
 // with the trial/tree/hit counts that produced it. Returned as a complete
@@ -498,7 +528,7 @@ std::string QueryStatsProbeRecord() {
   QueryStats qs;
   ctx.set_stats(&qs);
   const Stopwatch timer;
-  const PartialResult result = algo.SingleSource(1, &ctx);
+  const PartialResult result = algo.Partial(1, AllNodes(g), &ctx);
   benchmark::DoNotOptimize(result.trials_done);
   QueryStatsEnvelope env;
   env.query = "bench";
@@ -579,10 +609,10 @@ bool WriteJson(const std::string& path,
   return static_cast<bool>(out);
 }
 
-// One traced CrashSim query (num_threads = 2 so the pool emits
-// parallel_for.shard spans even on a single-core host), exported as Chrome
-// trace-event JSON. Runs after the benchmark loop: no collector is installed
-// while anything is being timed.
+// One traced, walking CrashSim query over every node (num_threads = 2 so
+// the pool emits parallel_for.shard spans even on a single-core host),
+// exported as Chrome trace-event JSON. Runs after the benchmark loop: no
+// collector is installed while anything is being timed.
 bool WriteTrace(const std::string& path) {
   RequestTrace trace(/*request_id=*/0, RequestTrace::kRunCapacity);
   {
@@ -594,7 +624,7 @@ bool WriteTrace(const std::string& path) {
     CrashSim algo(opt);
     CRASHSIM_CHECK(algo.Bind(&g).ok());
     QueryContext ctx;
-    const PartialResult result = algo.SingleSource(1, &ctx);
+    const PartialResult result = algo.Partial(1, AllNodes(g), &ctx);
     benchmark::DoNotOptimize(result.trials_done);
   }
   std::ofstream out(path);

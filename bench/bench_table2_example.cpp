@@ -3,6 +3,8 @@
 // at c = 0.25 (the decay the paper uses for the worked example). CrashSim's
 // estimates are printed alongside for a first sanity comparison.
 #include <iostream>
+#include <numeric>
+#include <vector>
 
 #include "bench_common.h"
 #include "core/crashsim.h"
@@ -34,7 +36,10 @@ int main(int argc, char** argv) {
   opt.diag_samples = 5000;
   CrashSim crashsim(opt);
   CRASHSIM_CHECK(crashsim.Bind(&g).ok());
-  const std::vector<double> estimated = crashsim.SingleSource(0);
+  // The walks at --trials (SingleSource would sweep instead).
+  std::vector<NodeId> all(static_cast<size_t>(g.num_nodes()));
+  std::iota(all.begin(), all.end(), 0);
+  const std::vector<double> estimated = crashsim.Partial(0, all);
 
   std::printf("Table II: SimRank scores with respect to node A "
               "(c = 0.25, power method)\n\n");

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <numeric>
 #include <utility>
 
 #include "core/query_stats.h"
@@ -16,6 +15,27 @@
 #include "util/trace.h"
 
 namespace crashsim {
+
+namespace {
+
+// The sink fields both query paths fill after scoring against `tree`: its
+// shape (for callers that prebuilt the tree outside a context-aware
+// BuildRevReach, so tree_builds stays untouched) and the deadline slack.
+void RecordTreeAndSlack(const ReverseReachableTree& tree,
+                        const QueryContext& ctx, QueryStats* qs) {
+  qs->tree_entries = tree.EntryCount();
+  qs->tree_bytes = tree.MemoryBytes();
+  qs->tree_levels = tree.num_levels();
+  if (ctx.has_deadline()) {
+    qs->had_deadline = true;
+    qs->deadline_slack_seconds =
+        std::chrono::duration<double>(ctx.deadline() -
+                                      std::chrono::steady_clock::now())
+            .count();
+  }
+}
+
+}  // namespace
 
 Status CrashSimOptions::Validate() const {
   RETURN_IF_ERROR(mc.Validate());
@@ -96,9 +116,110 @@ ReverseReachableTree CrashSim::BuildTree(NodeId u) const {
 }
 
 PartialResult CrashSim::SingleSourceImpl(NodeId u, QueryContext* ctx) {
-  std::vector<NodeId> all(static_cast<size_t>(graph()->num_nodes()));
-  std::iota(all.begin(), all.end(), 0);
-  return PartialImpl(u, all, ctx);
+  PartialResult result;
+  if (Status s = ValidateNodeId(u, graph()->num_nodes(), "source"); !s.ok()) {
+    result.status = s;
+    return result;
+  }
+  StatusOr<ReverseReachableTree> tree =
+      BuildRevReach(*graph(), u, LMax(), options_.mc.c, options_.mode,
+                    options_.tree_prune_threshold, ctx);
+  if (!tree.ok()) {
+    result.status = tree.status().WithContext("revReach tree construction");
+    return result;
+  }
+  return SweepWithTree(*tree, ctx);
+}
+
+PartialResult CrashSim::SweepWithTree(const ReverseReachableTree& tree,
+                                      QueryContext* ctx) const {
+  PartialResult result;
+  const Graph& g = *graph();
+  const NodeId u = tree.source();
+  if (Status s = ValidateNodeId(u, g.num_nodes(), "source"); !s.ok()) {
+    result.status = s;
+    return result;
+  }
+  TRACE_SPAN("crashsim.sweep");
+  const bool corrected = options_.mode == RevReachMode::kCorrected;
+  CRASHSIM_CHECK(!corrected || diag_ != nullptr)
+      << "corrected mode requires Bind() to estimate d(w)";
+  const std::span<const double> diag =
+      corrected ? std::span<const double>(*diag_) : std::span<const double>();
+  CRASHSIM_CHECK(tree.num_nodes() == g.num_nodes())
+      << "the tree belongs to another graph";
+  const size_t n = static_cast<size_t>(g.num_nodes());
+  const ReverseReachableTree::DenseRows& rows = tree.EnsureDenseRows();
+  auto level_empty = [&](int l) {
+    return rows.row_off[static_cast<size_t>(l)] < 0 && tree.Level(l).empty();
+  };
+  int top = tree.max_level();
+  while (top >= 1 && level_empty(top)) --top;
+
+  // x holds acc + U(l, .) * d while the next acc is gathered into `next`;
+  // the two swap after every level.
+  std::vector<double> x(n, 0.0);
+  std::vector<double> next(n, 0.0);
+  const double sqrt_c = sqrt_c_;
+  auto gather = [&](int64_t begin, int64_t end) {
+    const double* const in_x = x.data();
+    double* const out = next.data();
+    for (NodeId v = static_cast<NodeId>(begin); v < end; ++v) {
+      const std::span<const NodeId> in = g.InNeighbors(v);
+      double sum = 0.0;
+      for (NodeId w : in) sum += in_x[w];
+      out[v] = in.empty() ? 0.0
+                          : sqrt_c * (sum / static_cast<double>(in.size()));
+    }
+  };
+  for (int l = top; l >= 1; --l) {
+    if (ctx != nullptr) {
+      if (Status s = ctx->Check(); !s.ok()) {
+        result.status = s;
+        return result;
+      }
+    }
+    if (Status s = CRASHSIM_FAILPOINT("crashsim.sweep_level"); !s.ok()) {
+      result.status = s;
+      return result;
+    }
+    if (const int64_t off = rows.row_off[static_cast<size_t>(l)]; off >= 0) {
+      const float* row = rows.prob.data() + off;
+      for (size_t w = 0; w < n; ++w) {
+        x[w] += static_cast<double>(row[w]) * (diag.empty() ? 1.0 : diag[w]);
+      }
+    } else {
+      for (const auto& [w, prob] : tree.Level(l)) {
+        const size_t wi = static_cast<size_t>(w);
+        x[wi] += static_cast<double>(prob) * (diag.empty() ? 1.0 : diag[wi]);
+      }
+    }
+    if (options_.num_threads > 1) {
+      try {
+        ParallelFor(static_cast<int64_t>(n), gather, /*min_chunk=*/1024,
+                    options_.num_threads);
+      } catch (const StatusException& e) {
+        result.status = e.status();
+        return result;
+      } catch (const std::bad_alloc&) {
+        result.status = ResourceExhaustedError("out of memory during sweep");
+        return result;
+      }
+    } else {
+      gather(0, static_cast<int64_t>(n));
+    }
+    x.swap(next);
+  }
+  x[static_cast<size_t>(u)] = 1.0;
+  result.scores = std::move(x);
+  result.epsilon_achieved = CrashSimTruncationBound(options_.mc.c, LMax());
+  if (QueryStats* qs = ctx != nullptr ? ctx->stats() : nullptr;
+      qs != nullptr) {
+    qs->epsilon_achieved = result.epsilon_achieved;
+    qs->candidates_evaluated += static_cast<int64_t>(n) - 1;
+    RecordTreeAndSlack(tree, *ctx, qs);
+  }
+  return result;
 }
 
 PartialResult CrashSim::PartialImpl(NodeId u,
@@ -286,18 +407,7 @@ PartialResult CrashSim::PartialWithTree(const ReverseReachableTree& tree,
       qs->walk_steps += stat_slots[ci].walk_steps;
       qs->tree_hits += stat_slots[ci].tree_hits;
     }
-    // Tree shape, for callers that prebuilt the tree outside a context-aware
-    // BuildRevReach (tree_builds stays untouched — no build happened here).
-    qs->tree_entries = tree.EntryCount();
-    qs->tree_bytes = tree.MemoryBytes();
-    qs->tree_levels = tree.num_levels();
-    if (ctx->has_deadline()) {
-      qs->had_deadline = true;
-      qs->deadline_slack_seconds =
-          std::chrono::duration<double>(ctx->deadline() -
-                                        std::chrono::steady_clock::now())
-              .count();
-    }
+    RecordTreeAndSlack(tree, *ctx, qs);
   }
   return result;
 }

@@ -28,10 +28,10 @@ struct CrashSimOptions {
   // Corrected mode only: paired-walk samples per node for the diagonal
   // corrections d(w).
   int diag_samples = 100;
-  // > 1 evaluates candidates in parallel on the shared thread pool, using at
-  // most this many threads (the pool never spawns per query). Results are
-  // deterministic in (seed, source, candidate, trial) and independent of the
-  // actual thread count.
+  // > 1 evaluates candidates (and the sweep's nodes) in parallel on the
+  // shared thread pool, using at most this many threads (the pool never
+  // spawns per query). Results are deterministic in (seed, source,
+  // candidate, trial) and independent of the actual thread count.
   int num_threads = 1;
   // Walks per tile of the batched walk engine (core/walk_batch.h): how
   // many candidate walks each thread sweeps one tree level at a time. 1
@@ -54,13 +54,15 @@ using SharedDiagonal = std::shared_ptr<const std::vector<double>>;
 // *partial* SimRank with the (epsilon, delta) guarantee of Theorem 1.
 //
 // Per query it builds one truncated reverse-reachable tree U for the source
-// (Algorithm 2), then runs n_r trials; each trial samples one truncated
-// sqrt(c)-walk W(v) per candidate v and accumulates
+// (Algorithm 2). A partial query then runs n_r trials; each trial samples
+// one truncated sqrt(c)-walk W(v) per candidate v and accumulates
 //   s_k(u, v) += U(i - 1, W_i(v))   for i in [2, |W(v)|]
 // — the probability mass of W(u) "crashing" into the sampled walk. Unlike
 // ProbeSim, nothing is recomputed per candidate beyond its own walk, which
 // is what makes partial evaluation (candidate sets that shrink over time)
-// natural.
+// natural. A full single-source query instead computes that estimator's
+// expectation for every node at once with one deterministic sweep over the
+// tree (SweepWithTree): no random numbers, no sampling error.
 class CrashSim : public SimRankAlgorithm {
  public:
   explicit CrashSim(const CrashSimOptions& options);
@@ -102,6 +104,26 @@ class CrashSim : public SimRankAlgorithm {
                                 std::span<const NodeId> candidates,
                                 QueryContext* ctx);
 
+  // Full single-source scores against a pre-built source tree: the
+  // expectation of the estimator PartialWithTree samples, for every node at
+  // once (docs/ALGORITHMS.md, "The sweep"). A walk takes step l with
+  // probability (sqrt c)^l, so
+  //   s(u, v) = sum_{l=1..l_max} (sqrt c)^l sum_w P^l[v, w] U(l, w) d(w),
+  // P the uniform step over v's in-list (d = 1 in paper mode). It is
+  // evaluated by Horner's rule from the deepest non-empty level down:
+  //   x = acc + U(l, .) * d;  acc[v] = sqrt(c) * mean_{w in I(v)} x[w],
+  // O(l_max * (n + m)) time and two n-vectors of scratch. The scores hold
+  // one entry per node; a node without in-neighbours scores 0 and the
+  // source 1. Each acc[v] sums its in-list in CSR order, so the bits do not
+  // depend on num_threads (a ParallelFor over v splits each level).
+  //
+  // No trials run: trials_done = trials_target = 0, and epsilon_achieved is
+  // the truncation term alone (CrashSimTruncationBound). The context is
+  // checked once per level, like BuildRevReach; a deadline or cancellation
+  // returns its status with no scores, since a cut sweep answers nothing.
+  PartialResult SweepWithTree(const ReverseReachableTree& tree,
+                              QueryContext* ctx) const;
+
   // Builds the source tree with this instance's parameters.
   ReverseReachableTree BuildTree(NodeId u) const;
 
@@ -115,6 +137,7 @@ class CrashSim : public SimRankAlgorithm {
   const std::vector<double>& diagonal() const;
 
  protected:
+  // Builds the source tree and sweeps it (SweepWithTree).
   PartialResult SingleSourceImpl(NodeId u, QueryContext* ctx) override;
   // True partial evaluation: cost O(tree + n_r * |candidates| * E[len]).
   PartialResult PartialImpl(NodeId u, std::span<const NodeId> candidates,

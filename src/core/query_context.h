@@ -109,7 +109,9 @@ struct PartialResult {
   std::vector<double> scores;
   int64_t trials_done = 0;
   int64_t trials_target = 0;
-  // +infinity when trials_done == 0 (no bound without at least one trial).
+  // +infinity when trials_done == 0 (no bound without at least one trial),
+  // except for a CrashSim sweep, which runs no trials and reports its
+  // truncation term p * eps_t.
   double epsilon_achieved = std::numeric_limits<double>::infinity();
   // kOk, kDeadlineExceeded, kCancelled, or kInvalidArgument (bad options /
   // out-of-range ids; scores are empty in that case).

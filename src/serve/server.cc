@@ -6,7 +6,6 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
-#include <numeric>
 #include <utility>
 
 #include <arpa/inet.h>
@@ -495,7 +494,8 @@ QueryOutcome Server::RunQuery(const Query& query,
 
   // Stage split: engine run time divides into cache (inside GetOrBuild:
   // build, hit, or coalesced wait; temporal queries never use the cache)
-  // and walk (everything else — the MC trial loop).
+  // and walk (everything else: the sweep on top-k, the trial loops of
+  // CrashSim-T's snapshots on temporal).
   const QueryStats& stats = *query.ctx->stats();
   reply->status = outcome.result.status;
   reply->ran = true;
@@ -526,10 +526,9 @@ Server::Reply Server::HandleTopK(const Query& query) {
       query,
       [this, source](QueryContext* ctx) -> PartialResult {
         // Shared-tree fast path: one BuildRevReach per hot source
-        // process-wide; scoring against the shared tree is bit-identical to
-        // an uncached SingleSource (the tree build is deterministic in the
-        // key + cache params, and trial streams derive from (seed, source,
-        // candidate)).
+        // process-wide; sweeping the shared tree is bit-identical to an
+        // uncached SingleSource (the tree build is deterministic in the key
+        // + cache params, and the sweep draws no random numbers).
         StatusOr<TreeCache::TreePtr> tree = cache_->GetOrBuild(
             source, engine_->LMax(), options_.engine.mode, ctx);
         if (!tree.ok()) {
@@ -537,9 +536,7 @@ Server::Reply Server::HandleTopK(const Query& query) {
           r.status = tree.status();
           return r;
         }
-        std::vector<NodeId> all(static_cast<size_t>(graph_.graph.num_nodes()));
-        std::iota(all.begin(), all.end(), 0);
-        return engine_->PartialWithTree(**tree, all, ctx);
+        return engine_->SweepWithTree(**tree, ctx);
       },
       &reply);
   if (outcome.result.scores.empty()) return reply;  // no answer to give

@@ -84,8 +84,9 @@ class SimRankAlgorithm {
 
   // Estimated SimRank scores s(u, v) for every node v; the scores have size
   // num_nodes with scores[u] == 1. `ctx` (nullptr = unbounded) carries the
-  // deadline, cancellation, trial fraction and stats sink; estimators with
-  // checkpoints return an anytime partial answer when it expires, the others
+  // deadline, cancellation, trial fraction and stats sink; Monte-Carlo
+  // estimators with checkpoints return an anytime partial answer when it
+  // expires (CrashSim's sweep returns the status with no scores), the others
   // run to completion. Bad ids come back as kInvalidArgument.
   PartialResult SingleSource(NodeId u, QueryContext* ctx) {
     return SingleSourceImpl(u, ctx);

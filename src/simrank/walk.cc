@@ -62,15 +62,17 @@ int64_t ProbeSimTrialCount(double c, double epsilon, double delta, NodeId n) {
   return static_cast<int64_t>(std::ceil(nr));
 }
 
+double CrashSimTruncationBound(double c, int l_max) {
+  return CrashSimTruncationMass(c, l_max) * CrashSimTruncationError(c, l_max);
+}
+
 double CrashSimAchievedEpsilon(double c, double delta, NodeId n, int l_max,
                                int64_t n_done) {
   if (n_done <= 0) return std::numeric_limits<double>::infinity();
-  const double p = CrashSimTruncationMass(c, l_max);
-  const double eps_t = CrashSimTruncationError(c, l_max);
   const double mc_term =
       std::sqrt(3.0 * c * std::log(static_cast<double>(n) / delta) /
                 static_cast<double>(n_done));
-  return mc_term + p * eps_t;
+  return mc_term + CrashSimTruncationBound(c, l_max);
 }
 
 std::vector<double> EstimateDiagonalCorrections(const Graph& g, double c,

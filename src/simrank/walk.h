@@ -38,6 +38,10 @@ int64_t CrashSimTrialCount(double c, double epsilon, double delta, NodeId n);
 // (from [10], quoted in the proof of Lemma 3).
 int64_t ProbeSimTrialCount(double c, double epsilon, double delta, NodeId n);
 
+// p * epsilon_t at l_max: Theorem 1's truncation term. It is the whole
+// bound of CrashSim's sweep, which samples nothing (ALGORITHMS.md).
+double CrashSimTruncationBound(double c, int l_max);
+
 // The anytime reading of Theorem 1: inverting Lemma 3, after n_done
 // completed trials (of a possibly larger plan) the achieved error bound is
 //   epsilon_achieved = sqrt(3 c log(n / delta) / n_done) + p * eps_t

@@ -22,6 +22,7 @@ namespace {
 // CRASHSIM_FAILPOINT whose literal is missing here, so the catalog can never
 // drift from the call sites. Document new entries in docs/ROBUSTNESS.md.
 const char* const kFailpointCatalog[] = {
+    "crashsim.sweep_level",  // before each level of CrashSim's sweep
     "crashsim.trial_block",  // between CrashSim trial blocks
     "crashsim_t.snapshot",   // before each CrashSim-T snapshot is answered
     "executor.admit",        // QueryExecutor admission decision

@@ -4,7 +4,9 @@
 // sources; a bounded number of per-node violations is tolerated per the
 // delta failure budget.
 #include <cmath>
+#include <numeric>
 #include <tuple>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -44,7 +46,10 @@ TEST_P(ErrorBoundSweep, TheoremOneHolds) {
   for (int rep = 0; rep < 2; ++rep) {
     const NodeId u = static_cast<NodeId>(
         source_rng.NextBounded(static_cast<uint64_t>(g.num_nodes())));
-    const auto scores = algo.SingleSource(u);
+    // Theorem 1 bounds the trials, which Partial over every node runs.
+    std::vector<NodeId> all(static_cast<size_t>(g.num_nodes()));
+    std::iota(all.begin(), all.end(), 0);
+    const auto scores = algo.Partial(u, all);
     for (NodeId v = 0; v < g.num_nodes(); ++v) {
       if (v == u) continue;
       ++checked;

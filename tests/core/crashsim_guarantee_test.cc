@@ -8,6 +8,7 @@
 // exceed the requested epsilon.
 #include <cmath>
 #include <cstdint>
+#include <numeric>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -47,6 +48,14 @@ CrashSimOptions GuaranteeOptions(uint64_t seed) {
   return opt;
 }
 
+// Every node of g. Theorem 1 is a claim about the Monte-Carlo trials, which
+// Partial over every node runs (SingleSource sweeps and samples nothing).
+std::vector<NodeId> AllNodes(const Graph& g) {
+  std::vector<NodeId> all(static_cast<size_t>(g.num_nodes()));
+  std::iota(all.begin(), all.end(), 0);
+  return all;
+}
+
 TEST(CrashSimGuaranteeTest, BatchSizesShareTheGuaranteeStreams) {
   // Cheap differential at guarantee scale: the exact score vector of one
   // guarantee-sized query must be the same whether the walks run scalar or
@@ -61,7 +70,8 @@ TEST(CrashSimGuaranteeTest, BatchSizesShareTheGuaranteeStreams) {
   CrashSim batched(GuaranteeOptions(/*seed=*/555));
   ASSERT_TRUE(scalar.Bind(&g).ok());
   ASSERT_TRUE(batched.Bind(&g).ok());
-  EXPECT_EQ(scalar.SingleSource(13), batched.SingleSource(13));
+  EXPECT_EQ(scalar.Partial(13, AllNodes(g)),
+            batched.Partial(13, AllNodes(g)));
 }
 
 TEST(CrashSimGuaranteeTest, EpsilonDeltaHoldsOverTwoHundredPairs) {
@@ -78,7 +88,7 @@ TEST(CrashSimGuaranteeTest, EpsilonDeltaHoldsOverTwoHundredPairs) {
     CrashSim algo(GuaranteeOptions(/*seed=*/1000 + si));
     ASSERT_TRUE(algo.Bind(&g).ok());
     const NodeId u = sources[si];
-    const std::vector<double> scores = algo.SingleSource(u);
+    const std::vector<double> scores = algo.Partial(u, AllNodes(g));
     for (NodeId v = 0; v < g.num_nodes(); ++v) {
       if (v == u) continue;
       ++checked;
@@ -111,7 +121,7 @@ TEST(CrashSimGuaranteeTest, StatsTrialBudgetMatchesLemmaThree) {
   QueryContext ctx;
   QueryStats qs;
   ctx.set_stats(&qs);
-  const PartialResult result = algo.SingleSource(4, &ctx);
+  const PartialResult result = algo.Partial(4, AllNodes(g), &ctx);
   ASSERT_TRUE(result.complete());
 
   // The planned and executed budgets both equal the closed-form n_r, and a

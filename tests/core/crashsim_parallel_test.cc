@@ -1,3 +1,4 @@
+#include <numeric>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -19,6 +20,14 @@ CrashSimOptions Options(int threads, int64_t trials = 2000,
   return opt;
 }
 
+// Every node of g: Partial over it runs the Monte-Carlo trials these tests
+// are about (SingleSource sweeps instead; see SweepBitIdenticalAcrossThreads).
+std::vector<NodeId> AllNodes(const Graph& g) {
+  std::vector<NodeId> all(static_cast<size_t>(g.num_nodes()));
+  std::iota(all.begin(), all.end(), 0);
+  return all;
+}
+
 TEST(CrashSimParallelTest, DeterministicAcrossRuns) {
   Rng rng(1);
   const Graph g = ErdosRenyi(120, 480, false, &rng);
@@ -26,7 +35,7 @@ TEST(CrashSimParallelTest, DeterministicAcrossRuns) {
   CrashSim b(Options(4));
   ASSERT_TRUE(a.Bind(&g).ok());
   ASSERT_TRUE(b.Bind(&g).ok());
-  EXPECT_EQ(a.SingleSource(3), b.SingleSource(3));
+  EXPECT_EQ(a.Partial(3, AllNodes(g)), b.Partial(3, AllNodes(g)));
 }
 
 TEST(CrashSimParallelTest, IndependentOfThreadCount) {
@@ -38,7 +47,7 @@ TEST(CrashSimParallelTest, IndependentOfThreadCount) {
   CrashSim eight(Options(8));
   ASSERT_TRUE(two.Bind(&g).ok());
   ASSERT_TRUE(eight.Bind(&g).ok());
-  EXPECT_EQ(two.SingleSource(7), eight.SingleSource(7));
+  EXPECT_EQ(two.Partial(7, AllNodes(g)), eight.Partial(7, AllNodes(g)));
 }
 
 TEST(CrashSimParallelTest, ThreadCountSweepIsBitIdenticalBothPaths) {
@@ -53,8 +62,8 @@ TEST(CrashSimParallelTest, ThreadCountSweepIsBitIdenticalBothPaths) {
   for (int threads : {1, 2, 8}) {
     CrashSim algo(Options(threads, 1500, 77));
     ASSERT_TRUE(algo.Bind(&g).ok());
-    if (threads > 1) legacy.push_back(algo.SingleSource(4));
-    const PartialResult r = algo.SingleSource(4, nullptr);
+    if (threads > 1) legacy.push_back(algo.Partial(4, AllNodes(g)));
+    const PartialResult r = algo.Partial(4, AllNodes(g), nullptr);
     ASSERT_TRUE(r.complete());
     anytime.push_back(r.scores);
   }
@@ -90,7 +99,7 @@ TEST(CrashSimParallelTest, MatchesSequentialStatistically) {
   opt.diag_samples = 2000;
   CrashSim parallel(opt);
   ASSERT_TRUE(parallel.Bind(&g).ok());
-  const auto scores = parallel.SingleSource(0);
+  const auto scores = parallel.Partial(0, AllNodes(g));
   for (NodeId v = 1; v < 8; ++v) {
     EXPECT_NEAR(scores[static_cast<size_t>(v)], truth.At(0, v), 0.05)
         << "node " << static_cast<int>(v);
@@ -99,13 +108,13 @@ TEST(CrashSimParallelTest, MatchesSequentialStatistically) {
 
 TEST(CrashSimParallelTest, PartialSubsetAgreesWithFullRun) {
   // In parallel mode a candidate's stream does not depend on which other
-  // candidates are in the batch, so Partial results embed into SingleSource
-  // results exactly.
+  // candidates are in the batch, so Partial results embed into a Partial run
+  // over every node exactly.
   Rng rng(3);
   const Graph g = ErdosRenyi(80, 320, false, &rng);
   CrashSim algo(Options(4));
   ASSERT_TRUE(algo.Bind(&g).ok());
-  const auto all = algo.SingleSource(5);
+  const auto all = algo.Partial(5, AllNodes(g));
   const std::vector<NodeId> cands{1, 9, 33, 60};
   CrashSim algo2(Options(4));
   ASSERT_TRUE(algo2.Bind(&g).ok());
@@ -130,8 +139,8 @@ TEST(CrashSimParallelTest, CorrectedModeCombinesWithThreads) {
   CrashSim two(opt);
   ASSERT_TRUE(four.Bind(&g).ok());
   ASSERT_TRUE(two.Bind(&g).ok());
-  const auto a = four.SingleSource(8);
-  EXPECT_EQ(a, two.SingleSource(8));
+  const auto a = four.Partial(8, AllNodes(g));
+  EXPECT_EQ(a, two.Partial(8, AllNodes(g)));
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
     if (v == 8) continue;
     EXPECT_NEAR(a[static_cast<size_t>(v)], truth.At(8, v), 0.06)
@@ -144,7 +153,30 @@ TEST(CrashSimParallelTest, SelfScoreStillOne) {
   const Graph g = ErdosRenyi(50, 200, false, &rng);
   CrashSim algo(Options(4, 200));
   ASSERT_TRUE(algo.Bind(&g).ok());
+  EXPECT_DOUBLE_EQ(algo.Partial(11, AllNodes(g))[11], 1.0);
   EXPECT_DOUBLE_EQ(algo.SingleSource(11)[11], 1.0);
+}
+
+TEST(CrashSimParallelTest, SweepBitIdenticalAcrossThreads) {
+  // The sweep sums each node's in-list in CSR order, so splitting the nodes
+  // over 4 threads changes no bit, in either mode. 5000 nodes is several
+  // ParallelFor chunks per level.
+  Rng rng(31);
+  const Graph g = BarabasiAlbert(5000, 4, /*undirected=*/false, &rng);
+  for (RevReachMode mode : {RevReachMode::kPaper, RevReachMode::kCorrected}) {
+    std::vector<std::vector<double>> runs;
+    for (int threads : {1, 4}) {
+      CrashSimOptions opt = Options(threads);
+      opt.mode = mode;
+      CrashSim algo(opt);
+      ASSERT_TRUE(algo.Bind(&g).ok());
+      const PartialResult r = algo.SingleSource(17, nullptr);
+      ASSERT_TRUE(r.complete());
+      EXPECT_EQ(r.trials_done, 0);
+      runs.push_back(r.scores);
+    }
+    EXPECT_EQ(runs[0], runs[1]);
+  }
 }
 
 }  // namespace

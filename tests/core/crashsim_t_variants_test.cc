@@ -239,5 +239,57 @@ TEST(CrashSimTVariantsTest, ContextNeverChangesTheAnswer) {
   ExpectSameTemporalStats(qs, answer.stats);
 }
 
+// FNV-1a over 64-bit words: a fingerprint of a sequence of answers.
+uint64_t Fold(uint64_t hash, int64_t word) {
+  for (int byte = 0; byte < 8; ++byte) {
+    hash ^= (static_cast<uint64_t>(word) >> (8 * byte)) & 0xff;
+    hash *= 0x100000001b3ULL;
+  }
+  return hash;
+}
+
+// CrashSim-T scores its residual sets by walks (PartialWithTree), never by
+// the sweep that answers full single-source queries, so its answers and
+// pruning counts over the grid above are pinned: the fingerprint below was
+// taken before the sweep existed. A change to the walks, the trees or the
+// pruning rules moves it; record the reason when re-pinning.
+TEST(CrashSimTVariantsTest, GridAnswersMatchThePinnedFingerprint) {
+  const Dataset ds = MakeDataset("as733", 0.015, 30);
+  uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const RevReachMode mode :
+       {RevReachMode::kPaper, RevReachMode::kCorrected}) {
+    for (const TemporalQueryKind kind :
+         {TemporalQueryKind::kThreshold, TemporalQueryKind::kTrendIncreasing,
+          TemporalQueryKind::kTrendDecreasing}) {
+      for (int toggles = 0; toggles < 16; ++toggles) {
+        CrashSimTOptions opt = Options(300, 11);
+        opt.crashsim.mode = mode;
+        opt.crashsim.diag_samples = 40;
+        opt.crashsim.lmax_override = 2;
+        opt.enable_delta_pruning = (toggles & 1) != 0;
+        opt.enable_difference_pruning = (toggles & 2) != 0;
+        opt.difference_reachability_prefilter = (toggles & 4) != 0;
+        opt.reuse_source_tree = (toggles & 8) != 0;
+        TemporalQuery q;
+        q.kind = kind;
+        q.source = 9;
+        q.begin_snapshot = 0;
+        q.end_snapshot = 29;
+        q.theta = 0.001;
+        CrashSimT engine(opt);
+        const TemporalAnswer a = engine.Answer(ds.temporal, q);
+        ASSERT_TRUE(a.status.ok()) << a.status;
+        hash = Fold(hash, static_cast<int64_t>(a.nodes.size()));
+        for (const NodeId v : a.nodes) hash = Fold(hash, v);
+        hash = Fold(hash, a.stats.snapshots_processed);
+        hash = Fold(hash, a.stats.scores_computed);
+        hash = Fold(hash, a.stats.delta_prune_hits);
+        hash = Fold(hash, a.stats.difference_prune_hits);
+      }
+    }
+  }
+  EXPECT_EQ(hash, 0xeb6b0d75d5529c7dULL) << std::hex << "0x" << hash;
+}
+
 }  // namespace
 }  // namespace crashsim

@@ -40,6 +40,14 @@ Graph TestGraph(NodeId n = 200, uint64_t seed = 5) {
   return BarabasiAlbert(n, 3, /*undirected=*/true, &rng);
 }
 
+// Every node of g: Partial over it runs CrashSim's anytime trial loop
+// (SingleSource sweeps instead and runs no trials).
+std::vector<NodeId> AllNodes(const Graph& g) {
+  std::vector<NodeId> all(static_cast<size_t>(g.num_nodes()));
+  std::iota(all.begin(), all.end(), 0);
+  return all;
+}
+
 TEST(QueryContextTest, UnboundedContextAlwaysOk) {
   QueryContext ctx;
   EXPECT_FALSE(ctx.has_deadline());
@@ -170,7 +178,7 @@ TEST(AnytimeCrashSimTest, CompletedRunIsOkAndSelfScoreIsOne) {
   CrashSim algo(Options(400, 4));
   ASSERT_TRUE(algo.Bind(&g).ok());
   QueryContext ctx(std::chrono::hours(1));
-  const PartialResult result = algo.SingleSource(7, &ctx);
+  const PartialResult result = algo.Partial(7, AllNodes(g), &ctx);
   EXPECT_TRUE(result.complete());
   EXPECT_EQ(result.trials_done, 400);
   EXPECT_EQ(result.trials_target, 400);
@@ -195,8 +203,8 @@ TEST(AnytimeCrashSimTest, ParallelAndSequentialContextPathsAgree) {
   CrashSim b(par);
   ASSERT_TRUE(a.Bind(&g).ok());
   ASSERT_TRUE(b.Bind(&g).ok());
-  const PartialResult ra = a.SingleSource(2, nullptr);
-  const PartialResult rb = b.SingleSource(2, nullptr);
+  const PartialResult ra = a.Partial(2, AllNodes(g), nullptr);
+  const PartialResult rb = b.Partial(2, AllNodes(g), nullptr);
   EXPECT_TRUE(ra.complete());
   EXPECT_TRUE(rb.complete());
   EXPECT_EQ(ra.scores, rb.scores);

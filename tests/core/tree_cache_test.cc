@@ -94,10 +94,10 @@ TEST(TreeCacheTest, SecondLookupHitsAndDistinctKeysMiss) {
   EXPECT_GT(stats.bytes, 0);
 }
 
-// The serving-path correctness claim: scoring against a cache-shared tree is
-// bit-identical to the uncached SingleSource path, including when many
-// threads share one engine and one cached tree concurrently (ctx-path
-// scores are a pure function of (seed, source, candidate)).
+// Walking against a cache-shared tree is bit-identical to the uncached
+// Partial path over every node, including when many threads share one
+// engine and one cached tree concurrently (ctx-path scores are a pure
+// function of (seed, source, candidate)).
 TEST(TreeCacheTest, ConcurrentSharedTreeQueriesAreBitIdenticalToUncached) {
   Rng rng(9);
   const Graph g = ErdosRenyi(300, 1500, /*undirected=*/false, &rng);
@@ -106,12 +106,12 @@ TEST(TreeCacheTest, ConcurrentSharedTreeQueriesAreBitIdenticalToUncached) {
   ASSERT_TRUE(engine.Bind(&g).ok());
 
   constexpr NodeId kSource = 11;
+  const std::vector<NodeId> all = AllNodes(g);
   QueryContext direct_ctx;
-  const PartialResult expected = engine.SingleSource(kSource, &direct_ctx);
+  const PartialResult expected = engine.Partial(kSource, all, &direct_ctx);
   ASSERT_TRUE(expected.status.ok());
 
   TreeCache cache(&g, MatchingCacheOptions(eopt));
-  const std::vector<NodeId> all = AllNodes(g);
   constexpr int kThreads = 8;
   std::vector<PartialResult> results(kThreads);
   std::vector<std::thread> threads;
@@ -136,6 +136,46 @@ TEST(TreeCacheTest, ConcurrentSharedTreeQueriesAreBitIdenticalToUncached) {
   const TreeCache::Stats stats = cache.stats();
   EXPECT_EQ(stats.misses, 1);  // one build total across all eight threads
   EXPECT_EQ(stats.hits + stats.coalesced, kThreads - 1);
+}
+
+// The serving path's correctness claim: sweeping a cache-shared tree, as
+// served top-k does, is bit-identical to an uncached SingleSource, in both
+// modes and with many threads sweeping one cached tree at once.
+TEST(TreeCacheTest, ConcurrentSharedTreeSweepsEqualSingleSource) {
+  Rng rng(10);
+  const Graph g = ErdosRenyi(300, 1500, /*undirected=*/false, &rng);
+  for (RevReachMode mode : {RevReachMode::kPaper, RevReachMode::kCorrected}) {
+    CrashSimOptions eopt = TestEngineOptions();
+    eopt.mode = mode;
+    CrashSim engine(eopt);
+    ASSERT_TRUE(engine.Bind(&g).ok());
+    constexpr NodeId kSource = 11;
+    const PartialResult expected = engine.SingleSource(kSource, nullptr);
+    ASSERT_TRUE(expected.status.ok());
+
+    TreeCache cache(&g, MatchingCacheOptions(eopt));
+    constexpr int kThreads = 8;
+    std::vector<PartialResult> results(kThreads);
+    std::vector<std::thread> threads;
+    threads.reserve(kThreads);
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        QueryContext ctx;
+        StatusOr<TreeCache::TreePtr> tree =
+            cache.GetOrBuild(kSource, engine.LMax(), eopt.mode, &ctx);
+        ASSERT_TRUE(tree.ok()) << tree.status().ToString();
+        results[static_cast<size_t>(t)] = engine.SweepWithTree(**tree, &ctx);
+      });
+    }
+    for (std::thread& t : threads) t.join();
+    for (const PartialResult& r : results) {
+      ASSERT_TRUE(r.status.ok());
+      EXPECT_EQ(r.trials_done, 0);
+      EXPECT_EQ(r.epsilon_achieved, expected.epsilon_achieved);
+      EXPECT_EQ(r.scores, expected.scores);
+    }
+    EXPECT_EQ(cache.stats().misses, 1);
+  }
 }
 
 // Single-flight observability: with the build slowed by the rev_reach.build

@@ -36,6 +36,14 @@ CrashSimOptions Options(int batch, int threads, int64_t trials = 600,
   return opt;
 }
 
+// Every node of g. Partial over it runs the walks under test; SingleSource
+// sweeps instead and draws no walk (core/crashsim.h).
+std::vector<NodeId> AllNodes(const Graph& g) {
+  std::vector<NodeId> all(static_cast<size_t>(g.num_nodes()));
+  std::iota(all.begin(), all.end(), 0);
+  return all;
+}
+
 const int kBatchSweep[] = {1, 4, 32, 256};
 const int kThreadSweep[] = {1, 8};
 
@@ -47,7 +55,7 @@ TEST(WalkBatchTest, BitIdenticalAcrossBatchSizesAndThreadCounts) {
     for (const int threads : kThreadSweep) {
       CrashSim algo(Options(batch, threads));
       ASSERT_TRUE(algo.Bind(&g).ok());
-      const PartialResult r = algo.SingleSource(5, nullptr);
+      const PartialResult r = algo.Partial(5, AllNodes(g), nullptr);
       ASSERT_TRUE(r.complete());
       if (reference.empty()) {
         reference = r.scores;
@@ -72,7 +80,7 @@ TEST(WalkBatchTest, TopKRankingIdenticalAcrossBatchSizes) {
   for (const int batch : kBatchSweep) {
     CrashSim algo(Options(batch, 8, 400, 9));
     ASSERT_TRUE(algo.Bind(&g).ok());
-    const PartialResult r = algo.SingleSource(0, nullptr);
+    const PartialResult r = algo.Partial(0, AllNodes(g), nullptr);
     ASSERT_TRUE(r.complete());
     std::vector<std::pair<double, NodeId>> ranked;
     for (NodeId v = 0; v < g.num_nodes(); ++v) {
@@ -103,7 +111,7 @@ TEST(WalkBatchTest, CorrectedModeMatchesAcrossBatchSizes) {
     opt.diag_samples = 200;
     CrashSim algo(opt);
     ASSERT_TRUE(algo.Bind(&g).ok());
-    const PartialResult r = algo.SingleSource(2, nullptr);
+    const PartialResult r = algo.Partial(2, AllNodes(g), nullptr);
     ASSERT_TRUE(r.complete());
     if (reference.empty()) {
       reference = r.scores;
@@ -185,7 +193,7 @@ TEST(WalkBatchTest, CancellationMidRunReplaysToIdenticalPrefix) {
       ctx.Cancel();
     });
     go.store(true);
-    const PartialResult partial = algo.SingleSource(9, &ctx);
+    const PartialResult partial = algo.Partial(9, AllNodes(g), &ctx);
     canceller.join();
     if (partial.trials_done == 0) {
       // The cut landed before the first trial block — inside the
@@ -198,7 +206,7 @@ TEST(WalkBatchTest, CancellationMidRunReplaysToIdenticalPrefix) {
     }
     CrashSim replay(Options(1, 1, partial.trials_done, 31));
     ASSERT_TRUE(replay.Bind(&g).ok());
-    const PartialResult full = replay.SingleSource(9, nullptr);
+    const PartialResult full = replay.Partial(9, AllNodes(g), nullptr);
     ASSERT_TRUE(full.complete());
     EXPECT_EQ(full.scores, partial.scores)
         << "batch=" << batch << " trials_done=" << partial.trials_done;
@@ -213,7 +221,7 @@ TEST(WalkBatchTest, PartialCandidateSubsetsMatchFullRun) {
   const Graph g = ErdosRenyi(100, 400, false, &rng);
   CrashSim algo(Options(32, 1, 500, 5));
   ASSERT_TRUE(algo.Bind(&g).ok());
-  const PartialResult full = algo.SingleSource(3, nullptr);
+  const PartialResult full = algo.Partial(3, AllNodes(g), nullptr);
   const std::vector<NodeId> subset = {99, 17, 3, 42, 0};
   CrashSim again(Options(256, 1, 500, 5));
   ASSERT_TRUE(again.Bind(&g).ok());
@@ -237,7 +245,8 @@ TEST(WalkBatchTest, EdgeGraphShapesMatchScalarExactly) {
     for (const int batch : kBatchSweep) {
       CrashSim algo(Options(batch, 1, 400, 13));
       ASSERT_TRUE(algo.Bind(&g).ok());
-      const PartialResult r = algo.SingleSource(g.num_nodes() - 1, nullptr);
+      const PartialResult r =
+          algo.Partial(g.num_nodes() - 1, AllNodes(g), nullptr);
       ASSERT_TRUE(r.complete());
       if (reference.empty()) {
         reference = r.scores;

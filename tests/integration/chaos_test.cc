@@ -16,6 +16,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <numeric>
 #include <string>
 #include <thread>
 #include <vector>
@@ -46,6 +47,15 @@ std::vector<uint64_t> ChaosSeeds() {
 Graph ChaosGraph() {
   Rng rng(99);
   return ErdosRenyi(300, 1500, /*undirected=*/false, &rng);
+}
+
+// Every node of g. Partial over it runs the trial loop whose faults,
+// rollback and degradation these tests drive; SingleSource sweeps instead
+// (SweepFaultsAnswerNothingOrTheBaseline).
+std::vector<NodeId> AllNodes(const Graph& g) {
+  std::vector<NodeId> all(static_cast<size_t>(g.num_nodes()));
+  std::iota(all.begin(), all.end(), 0);
+  return all;
 }
 
 CrashSimOptions EngineOptions(uint64_t seed) {
@@ -96,7 +106,8 @@ TEST(ChaosTest, ConcurrentMixSurvivesInjectedFaultsWithCleanTaxonomy) {
       ASSERT_TRUE(engine.Bind(&g).ok());
       QueryContext ctx;
       baseline[static_cast<size_t>(c)].push_back(
-          engine.SingleSource(QuerySource(c, q, g.num_nodes()), &ctx));
+          engine.Partial(QuerySource(c, q, g.num_nodes()), AllNodes(g),
+                         &ctx));
       ASSERT_TRUE(baseline[static_cast<size_t>(c)].back().status.ok());
     }
   }
@@ -139,7 +150,7 @@ TEST(ChaosTest, ConcurrentMixSurvivesInjectedFaultsWithCleanTaxonomy) {
           const NodeId source = QuerySource(c, q, g.num_nodes());
           QueryRequest request;
           request.run = [&](QueryContext* ctx) {
-            return engine.SingleSource(source, ctx);
+            return engine.Partial(source, AllNodes(g), ctx);
           };
           outcomes[static_cast<size_t>(c)][static_cast<size_t>(q)] =
               executor.Execute(request);
@@ -200,7 +211,7 @@ TEST(ChaosTest, FourTimesOverloadShedsOrDegradesButNeverAborts) {
       const NodeId source = static_cast<NodeId>(c % g.num_nodes());
       QueryRequest request;
       request.run = [&](QueryContext* ctx) {
-        return engine.SingleSource(source, ctx);
+        return engine.Partial(source, AllNodes(g), ctx);
       };
       outcomes[static_cast<size_t>(c)] = executor.Execute(request);
     });
@@ -314,7 +325,7 @@ TEST(ChaosTest, WorkerFaultInParallelTrialBlockKeepsPartialExact) {
     CrashSim engine(opt);
     ASSERT_TRUE(engine.Bind(&g).ok());
     QueryContext ctx;
-    const PartialResult partial = engine.SingleSource(4, &ctx);
+    const PartialResult partial = engine.Partial(4, AllNodes(g), &ctx);
     if (partial.status.ok()) continue;  // this seed spared every worker
     ++seeds_faulted;
     EXPECT_EQ(partial.status.code(), StatusCode::kUnavailable);
@@ -328,7 +339,7 @@ TEST(ChaosTest, WorkerFaultInParallelTrialBlockKeepsPartialExact) {
     CrashSim replay(replay_opt);
     ASSERT_TRUE(replay.Bind(&g).ok());
     QueryContext fresh;
-    const PartialResult full = replay.SingleSource(4, &fresh);
+    const PartialResult full = replay.Partial(4, AllNodes(g), &fresh);
     ASSERT_TRUE(full.status.ok());
     EXPECT_EQ(partial.scores, full.scores);
   }
@@ -371,7 +382,7 @@ TEST(ChaosTest, BatchedWalkEngineRollsBackFaultedBlocksExactly) {
     CrashSim engine(opt);
     ASSERT_TRUE(engine.Bind(&g).ok());
     QueryContext ctx;
-    const PartialResult partial = engine.SingleSource(4, &ctx);
+    const PartialResult partial = engine.Partial(4, AllNodes(g), &ctx);
     if (partial.status.ok()) continue;  // this seed spared every surface
     ++seeds_faulted;
     EXPECT_EQ(partial.status.code(), StatusCode::kUnavailable);
@@ -384,12 +395,60 @@ TEST(ChaosTest, BatchedWalkEngineRollsBackFaultedBlocksExactly) {
     CrashSim replay(replay_opt);
     ASSERT_TRUE(replay.Bind(&g).ok());
     QueryContext fresh;
-    const PartialResult full = replay.SingleSource(4, &fresh);
+    const PartialResult full = replay.Partial(4, AllNodes(g), &fresh);
     ASSERT_TRUE(full.status.ok());
     EXPECT_EQ(partial.scores, full.scores);
   }
   if (std::getenv("CRASHSIM_CHAOS_SEED") == nullptr) {
     EXPECT_GT(seeds_faulted, 0);
+  }
+}
+
+TEST(ChaosTest, SweepFaultsAnswerNothingOrTheBaseline) {
+  // The sweep that answers full single-source queries has two fault
+  // surfaces: crashsim.sweep_level before each level and parallel.worker
+  // inside the pool. A faulted sweep has no partial answer to give, so it
+  // returns the fault's Status with no scores; one the faults spared equals
+  // the fault-free sweep bit for bit.
+  const Graph g = ChaosGraph();
+  CrashSimOptions opt = EngineOptions(51);
+  opt.num_threads = 4;
+  const Graph big = [] {
+    Rng rng(98);
+    // Over ParallelFor's 1024-node chunk, so the pool takes shards.
+    return ErdosRenyi(3000, 15000, /*undirected=*/false, &rng);
+  }();
+  for (const Graph* graph : {&g, &big}) {
+    CrashSim engine(opt);
+    ASSERT_TRUE(engine.Bind(graph).ok());
+    const std::vector<double> baseline = engine.SingleSource(4);
+    int faulted = 0;
+    for (const uint64_t seed : ChaosSeeds()) {
+      SCOPED_TRACE("chaos seed " + std::to_string(seed));
+      FailpointScope chaos(seed);
+      FailpointSpec spec;
+      spec.action = FailpointAction::kError;
+      spec.code = StatusCode::kUnavailable;
+      spec.probability = 0.05;
+      ASSERT_TRUE(ConfigureFailpoint("crashsim.sweep_level", spec).ok());
+      ASSERT_TRUE(ConfigureFailpoint("parallel.worker", spec).ok());
+      for (int q = 0; q < 4; ++q) {
+        QueryContext ctx;
+        const PartialResult r = engine.SingleSource(4, &ctx);
+        EXPECT_EQ(r.trials_done, 0);
+        if (r.status.ok()) {
+          EXPECT_EQ(r.scores, baseline);
+        } else {
+          ++faulted;
+          EXPECT_EQ(r.status.code(), StatusCode::kUnavailable) << r.status;
+          EXPECT_TRUE(r.scores.empty());
+        }
+      }
+      EXPECT_GT(FailpointHits("crashsim.sweep_level"), 0);
+    }
+    if (std::getenv("CRASHSIM_CHAOS_SEED") == nullptr) {
+      EXPECT_GT(faulted, 0);
+    }
   }
 }
 

@@ -3,6 +3,7 @@
 #include <chrono>
 #include <future>
 #include <map>
+#include <numeric>
 #include <string>
 #include <thread>
 #include <vector>
@@ -264,7 +265,10 @@ TEST(SpanForestTest, EveryExportCountsTheSameSpans) {
     CrashSim algo(opt);
     ASSERT_TRUE(algo.Bind(&g).ok());
     QueryContext ctx;
-    EXPECT_EQ(algo.SingleSource(1, &ctx).trials_done, 200);
+    // Partial over every node walks, so the trace holds trial blocks.
+    std::vector<NodeId> all(static_cast<size_t>(g.num_nodes()));
+    std::iota(all.begin(), all.end(), 0);
+    EXPECT_EQ(algo.Partial(1, all, &ctx).trials_done, 200);
   }
   ASSERT_EQ(trace.dropped(), 0);
 

@@ -368,6 +368,50 @@ TEST(ServerTest, TopKIsBitIdenticalToDirectEngine) {
   server.Shutdown();
 }
 
+// Served top-k sweeps the cached source tree. The first request builds the
+// tree and the second one hits it; both answers equal an uncached
+// SingleSource bit for bit, and both say that no trials ran.
+TEST(ServerTest, CachedTreeTopKEqualsSingleSource) {
+  LoadedGraph loaded = TestGraph();
+  ServerOptions options = TestServerOptions();
+  options.engine.mode = RevReachMode::kCorrected;
+  CrashSim reference(options.engine);
+  ASSERT_TRUE(reference.Bind(&loaded.graph).ok());
+  const NodeId source = 8;  // original id 1008
+  const PartialResult direct = reference.SingleSource(source, nullptr);
+  ASSERT_TRUE(direct.status.ok());
+  TopK<NodeId> selector(10);
+  for (NodeId v = 0; v < loaded.graph.num_nodes(); ++v) {
+    if (v != source) selector.Offer(direct.scores[static_cast<size_t>(v)], v);
+  }
+  const auto expected = selector.Sorted();
+
+  Server server(TestGraph(), std::nullopt, options);
+  ASSERT_TRUE(server.Start().ok());
+  Client client(server.port());
+  ASSERT_TRUE(client.connected());
+  for (int call = 0; call < 2; ++call) {
+    SCOPED_TRACE(call == 0 ? "cache miss" : "cache hit");
+    StatusOr<JsonValue> response = client.Call(TopKRequest(1008, 10));
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    ASSERT_EQ(response->GetString("status", ""), "OK");
+    const JsonValue* scores = response->Find("scores");
+    ASSERT_NE(scores, nullptr);
+    ASSERT_EQ(scores->items().size(), expected.size());
+    for (size_t i = 0; i < expected.size(); ++i) {
+      EXPECT_EQ(response->Find("nodes")->items()[i].as_int(),
+                loaded.original_ids[static_cast<size_t>(expected[i].second)]);
+      EXPECT_EQ(scores->items()[i].as_number(), expected[i].first);
+    }
+    EXPECT_EQ(response->GetInt("trials_done", -1), 0);
+    EXPECT_EQ(response->GetInt("trials_target", -1), 0);
+    EXPECT_EQ(response->Find("epsilon_achieved")->as_number(),
+              direct.epsilon_achieved);
+  }
+  EXPECT_EQ(server.tree_cache().stats().hits, 1);
+  server.Shutdown();
+}
+
 TEST(ServerTest, UnknownSourceAndBadRequestsReportCleanErrors) {
   Server server(TestGraph(), std::nullopt, TestServerOptions());
   ASSERT_TRUE(server.Start().ok());
@@ -1155,9 +1199,10 @@ TEST(ServerTest, EveryResponseKindKeepsItsKeySet) {
   static_only.Shutdown();
 }
 
-// A query cut by its deadline answers DEADLINE_EXCEEDED together with its
-// partial scores. It is still a non-OK response, so it counts as an error
-// in the server ledger, in Prometheus and in the slow-query log.
+// A top-k query cut by its deadline answers DEADLINE_EXCEEDED with no
+// scores: the sweep that answers it has no partial answer to give. It is a
+// non-OK response, so it counts as an error in the server ledger, in
+// Prometheus and in the slow-query log.
 TEST(ServerTest, PartialDeadlineAnswerCountsAsAnErrorInEverySink) {
   const std::string path =
       testing::TempDir() + "/server_partial_deadline.jsonl";
@@ -1176,14 +1221,13 @@ TEST(ServerTest, PartialDeadlineAnswerCountsAsAnErrorInEverySink) {
       HttpBody(HttpGet(server.metrics_port(), "/metrics")),
       "crashsim_serve_errors_total");
 
-  // The first trial block always runs. Every block first sleeps 300 ms, so
-  // the 100 ms deadline has passed at the second block's checkpoint and the
-  // answer is cut after exactly one trial.
+  // Every sweep level first sleeps 300 ms, so the 100 ms deadline has
+  // passed at the second level's checkpoint and the sweep is cut there.
   FailpointScope failpoints(9);
   FailpointSpec slow;
   slow.action = FailpointAction::kLatency;
   slow.latency_ms = 300;
-  ASSERT_TRUE(ConfigureFailpoint("crashsim.trial_block", slow).ok());
+  ASSERT_TRUE(ConfigureFailpoint("crashsim.sweep_level", slow).ok());
   JsonValue request = TopKRequest(1007, 5);
   request.Set("id", JsonValue(int64_t{7}));
   request.Set("timeout_ms", JsonValue(int64_t{100}));
@@ -1194,10 +1238,8 @@ TEST(ServerTest, PartialDeadlineAnswerCountsAsAnErrorInEverySink) {
     StatusOr<JsonValue> response = client.Call(request);
     ASSERT_TRUE(response.ok()) << response.status().ToString();
     EXPECT_EQ(response->GetString("status", ""), "DEADLINE_EXCEEDED");
-    EXPECT_EQ(response->GetInt("trials_done", -1), 1);
-    ASSERT_NE(response->Find("scores"), nullptr);
-    EXPECT_EQ(response->Find("scores")->items().size(), 5u);
-    EXPECT_EQ(KeysOf(*response), With(TopKAnswerKeys(), {"message"}));
+    EXPECT_EQ(response->Find("scores"), nullptr);
+    EXPECT_EQ(KeysOf(*response), With(ErrorKeys(), {"admitted"}));
     request_id = response->GetInt("request_id", 0);
   }
 
@@ -1232,20 +1274,20 @@ TEST(ServerTest, RequestWithoutTimeoutGetsTheExecutorDefaultDeadline) {
   options.executor.default_deadline_ms = 100;
   Server server(TestGraph(), std::nullopt, options);
   ASSERT_TRUE(server.Start().ok());
-  // As above: every trial block first sleeps 300 ms, so the default
-  // deadline has passed at the second block's checkpoint.
+  // As above: every sweep level first sleeps 300 ms, so the default
+  // deadline has passed at the second level's checkpoint.
   FailpointScope failpoints(9);
   FailpointSpec slow;
   slow.action = FailpointAction::kLatency;
   slow.latency_ms = 300;
-  ASSERT_TRUE(ConfigureFailpoint("crashsim.trial_block", slow).ok());
+  ASSERT_TRUE(ConfigureFailpoint("crashsim.sweep_level", slow).ok());
   {
     Client client(server.port());
     ASSERT_TRUE(client.connected());
     StatusOr<JsonValue> response = client.Call(TopKRequest(1007, 5));
     ASSERT_TRUE(response.ok()) << response.status().ToString();
     EXPECT_EQ(response->GetString("status", ""), "DEADLINE_EXCEEDED");
-    EXPECT_EQ(response->GetInt("trials_done", -1), 1);
+    EXPECT_EQ(response->Find("scores"), nullptr);
   }
   server.Shutdown();
 }

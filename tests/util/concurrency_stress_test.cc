@@ -19,6 +19,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <numeric>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -194,9 +195,12 @@ TEST(ConcurrencyStressTest, DeadlineFiringRacesWorkerStatsWrites) {
   // threads) is working and writing QueryStats through the context. The
   // contract: stats are written only from the querying thread after
   // parallel regions join — so TSan must stay silent and the partial result
-  // must obey the anytime semantics.
+  // must obey the anytime semantics. Partial over every node runs the trial
+  // loop (SingleSource would sweep, which has no partial answer).
   Rng rng(5);
   const Graph g = ErdosRenyi(300, 1800, false, &rng);
+  std::vector<NodeId> all(static_cast<size_t>(g.num_nodes()));
+  std::iota(all.begin(), all.end(), 0);
   CrashSimOptions opt;
   opt.mc.c = 0.6;
   opt.mc.trials_override = 200000;  // far more than a few ms allows
@@ -209,7 +213,7 @@ TEST(ConcurrencyStressTest, DeadlineFiringRacesWorkerStatsWrites) {
     QueryContext ctx(std::chrono::milliseconds(20 + 10 * round));
     QueryStats stats;
     ctx.set_stats(&stats);
-    const PartialResult result = algo.SingleSource(7, &ctx);
+    const PartialResult result = algo.Partial(7, all, &ctx);
     ASSERT_TRUE(result.status.ok() ||
                 result.status.code() == StatusCode::kDeadlineExceeded);
     EXPECT_EQ(stats.trials_run, result.trials_done);
@@ -219,9 +223,12 @@ TEST(ConcurrencyStressTest, DeadlineFiringRacesWorkerStatsWrites) {
 TEST(ConcurrencyStressTest, CancellationRacesRunningQuery) {
   // Cancel() lands from another thread at a random point in the query. The
   // query must return kCancelled (or OK if it won the race) with coherent
-  // partial scores, and the canceller must never trip a race.
+  // partial scores, and the canceller must never trip a race. Partial over
+  // every node runs the anytime trial loop.
   Rng rng(6);
   const Graph g = ErdosRenyi(250, 1500, false, &rng);
+  std::vector<NodeId> all(static_cast<size_t>(g.num_nodes()));
+  std::iota(all.begin(), all.end(), 0);
   CrashSimOptions opt;
   opt.mc.c = 0.6;
   opt.mc.trials_override = 100000;
@@ -238,7 +245,7 @@ TEST(ConcurrencyStressTest, CancellationRacesRunningQuery) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1 + round * 5));
       ctx.Cancel();
     });
-    const PartialResult result = algo.SingleSource(3, &ctx);
+    const PartialResult result = algo.Partial(3, all, &ctx);
     canceller.join();
     ASSERT_TRUE(result.status.ok() ||
                 result.status.code() == StatusCode::kCancelled)

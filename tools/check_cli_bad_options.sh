@@ -4,6 +4,8 @@
 # builds an engine: `topk` with each --algo and `temporal` with each
 # --engine. So does `topk --algo exact` on a graph over the power method's
 # node cap (a 20002-node path). `topk --k 0` is a flag-range error (exit 1).
+# --stats/--stats_json are accepted by every `temporal` --engine, whose
+# answers all fill the stats sink, and by `topk` with --algo crashsim only.
 set -uo pipefail
 CLI="${BUILD_DIR:-$(dirname "$0")/../build}/tools/crashsim_cli"
 WORK="$(mktemp -d)"
@@ -39,6 +41,11 @@ for bad in "--c 1.5" "--threads 0" "--batch_size 0"; do
   }
 done
 expect 1 "$CLI" topk --graph "$WORK/g.el" --source 1 --k 0
+for engine in crashsim-t probesim-t sling-t reads-t; do
+  expect 0 "$CLI" temporal --graph "$WORK/g.tel" --source 1 --trials 10 \
+    --engine "$engine" --stats --stats_json
+done
+expect 2 "$CLI" topk --graph "$WORK/g.el" --source 1 --algo probesim --stats
 seq 0 20000 | awk '{print $1, $1 + 1}' > "$WORK/path.el"  # 20002 nodes
 expect 2 "$CLI" topk --graph "$WORK/path.el" --source 0 --algo exact
 [[ $status -eq 0 ]] && echo "PASS: bad engine options answer INVALID_ARGUMENT"

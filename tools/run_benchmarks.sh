@@ -13,8 +13,8 @@
 #                crashsim.query_stats.v1 schema, the Chrome trace export,
 #                and the Prometheus metrics export end to end.
 #   --check      after the run, compare ns/op (the median over repetitions
-#                for the benchmarks that repeat, BM_TreeProbability* and
-#                BM_WalkBatchScalar)
+#                for the benchmarks that repeat, BM_TreeProbability*,
+#                BM_WalkBatchScalar and BM_SingleSourceSweep)
 #                against the committed <repo>/BENCH_baseline.json with
 #                tools/compare_bench.py
 #                (regressions beyond BENCH_CHECK_THRESHOLD, default 0.25 =
@@ -120,7 +120,7 @@ if [[ "${SMOKE}" -eq 1 ]]; then
     MIN_TIME=0.05
   fi
   "${BENCH_MICRO}" \
-    --benchmark_filter='((BM_BuildRevReach(Paper|Corrected)|BM_TreeProbability(Hit|Miss))/1000|BM_WalkBatch(Scalar|SoA)/10000)(/repeats:[0-9]+)?$' \
+    --benchmark_filter='((BM_BuildRevReach(Paper|Corrected)|BM_TreeProbability(Hit|Miss))/1000|(BM_WalkBatch(Scalar|SoA)|BM_SingleSourceSweep)/10000)(/repeats:[0-9]+)?$' \
     --benchmark_min_time="${MIN_TIME}" \
     --json "${OUT}" \
     --trace_out "${OUT_DIR}/BENCH_trace_smoke.json"
@@ -185,24 +185,30 @@ PY
 
   # Execution-tracing end to end: a traced 2-thread topk query must produce
   # a balanced Chrome trace covering the whole run (graph load included)
-  # with the revReach / trial-block / ParallelFor shard spans and the flow
-  # events tying shards to their spawning call; a traced temporal query must
-  # carry its per-snapshot spans; --trace_summary must print a trial-block
-  # row; and --metrics_out must pass the Prometheus format checker. The
-  # bench_micro --trace_out timeline written above gets the same structural
-  # validation. A trace collector installed too late, or not carried to the
-  # pool shards, fails one of these.
-  "${CLI}" topk --graph "${TMP_DIR}/tiny.el" --source "${SRC}" --k 5 \
-    --trials 200 --threads 2 --trace_out "${TMP_DIR}/topk_trace.json" \
+  # with the revReach / sweep / ParallelFor shard spans and the flow events
+  # tying shards to their spawning call; a traced temporal query, which
+  # still walks, must carry its per-snapshot and trial-block spans;
+  # --trace_summary must print a sweep row; and --metrics_out must pass the
+  # Prometheus format checker. The bench_micro --trace_out timeline written
+  # above (a walking query) gets the same structural validation. A trace
+  # collector installed too late, or not carried to the pool shards, fails
+  # one of these. The topk graph has over two of the sweep's 1024-node
+  # ParallelFor chunks, so its 2-thread sweep runs a pool shard.
+  "${CLI}" generate --dataset wiki-vote --scale 0.35 --snapshots 1 \
+    --out "${TMP_DIR}/wide.tel" > /dev/null
+  awk '!/^#/ { print $1, $2 }' "${TMP_DIR}/wide.tel" > "${TMP_DIR}/wide.el"
+  WIDE_SRC="$(awk '{ print $2; exit }' "${TMP_DIR}/wide.el")"
+  "${CLI}" topk --graph "${TMP_DIR}/wide.el" --source "${WIDE_SRC}" --k 5 \
+    --threads 2 --trace_out "${TMP_DIR}/topk_trace.json" \
     --metrics_out "${TMP_DIR}/metrics.txt" > /dev/null
   "${CLI}" temporal --graph "${TMP_DIR}/tiny.tel" --source "${SRC}" \
     --kind threshold --theta 0.01 --trials 200 --threads 2 \
     --trace_out "${TMP_DIR}/temporal_trace.json" > /dev/null
   "${CLI}" topk --graph "${TMP_DIR}/tiny.el" --source "${SRC}" --k 5 \
-    --trials 200 --threads 2 --trace_summary > "${TMP_DIR}/topk_summary.txt"
-  if ! grep -Eq '^crashsim\.trial_block +[0-9]+ ' \
+    --threads 2 --trace_summary > "${TMP_DIR}/topk_summary.txt"
+  if ! grep -Eq '^crashsim\.sweep +[0-9]+ ' \
       "${TMP_DIR}/topk_summary.txt"; then
-    echo "trace summary check failed: no crashsim.trial_block row" >&2
+    echo "trace summary check failed: no crashsim.sweep row" >&2
     cat "${TMP_DIR}/topk_summary.txt" >&2
     exit 1
   fi
@@ -212,10 +218,10 @@ import json, sys
 
 topk, temporal, bench = sys.argv[1:]
 required = {
-    topk: ("graph_io.load_edge_list", "rev_reach.build",
-           "crashsim.trial_block", "parallel_for", "parallel_for.shard"),
+    topk: ("graph_io.load_edge_list", "rev_reach.build", "crashsim.sweep",
+           "parallel_for", "parallel_for.shard"),
     temporal: ("graph_io.load_temporal_edge_list", "crashsim_t.snapshot",
-               "parallel_for.shard"),
+               "crashsim.trial_block", "parallel_for.shard"),
     bench: ("rev_reach.build", "crashsim.trial_block", "parallel_for",
             "parallel_for.shard"),
 }
